@@ -10,9 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from itertools import combinations
 
@@ -27,14 +25,6 @@ from .liecdga import (JacobiError, StructureEqs, check_d_squared, d_invariant,
 from .rings import FLT, RAT, Poly
 
 DIM = 7
-
-
-def _thread_cap() -> int:
-    try:
-        n = int(os.environ.get("G2CALC_THREADS", "1"))
-    except ValueError:
-        return 1
-    return max(1, n)
 
 
 # ===========================================================================
@@ -144,8 +134,18 @@ def _check_model_roundtrip(rng):
     return same, "JSON round-trip preserves structure equations and named forms"
 
 
+def _exact_g2(phi):
+    """is_g2_type(phi), required to have run in exact arithmetic: a float
+    1.0 also equals Fraction(1), so an exact check must not pass on floats."""
+    data = is_g2_type(phi)
+    if not (data.exact and isinstance(data.sqrt_det, Fraction)):
+        raise ArithmeticError(f"metric of a rational form came out inexact "
+                              f"(sqrt_det {data.sqrt_det!r})")
+    return data
+
+
 def _check_standard_metric(rng):
-    data = is_g2_type(standard_phi())
+    data = _exact_g2(standard_phi())
     g = data.metric_array()
     ok = np.array_equal(g, np.eye(DIM)) and data.sqrt_det == 1
     return ok, "g_phi0 = id, vol = 1, exact"
@@ -204,7 +204,7 @@ def _check_su2_nu8(rng):
     phi, fiber, om, re, im = _su2_family(nu)
     if fiber.nu != nu:
         return False, f"normalisation constant {fiber.nu} != 8"
-    data = is_g2_type(phi)
+    data = _exact_g2(phi)
     g = data.metric_array()
     expect = np.diag([16.0, 0.25, 0.25, 2.0, 2.0, 2.0, 2.0])
     if not np.array_equal(g, expect):
@@ -284,9 +284,9 @@ def _check_hitchin_exponent(size, rng):
 
 
 def _check_mu4_hitchin(rng):
-    v1 = is_g2_type(catalog.phi_abl(1, 1, 1)).sqrt_det
+    v1 = _exact_g2(catalog.phi_abl(1, 1, 1)).sqrt_det
     for mu in (2, 3):
-        vm = is_g2_type(catalog.phi_abl_mu(1, 1, 1, mu)).sqrt_det
+        vm = _exact_g2(catalog.phi_abl_mu(1, 1, 1, mu)).sqrt_det
         if vm != Fraction(mu) ** 4 * v1:
             return False, f"volume ratio at mu={mu} is {vm / v1}, not mu^4"
     # generic parameters give irrational volumes; the ratio is still mu^4
@@ -301,9 +301,9 @@ def _check_mu4_hitchin(rng):
 
 
 def _check_mu2_volume(rng):
-    v1 = is_g2_type(catalog.phi_check_mu(1)).sqrt_det
+    v1 = _exact_g2(catalog.phi_check_mu(1)).sqrt_det
     for mu in (2, 3):
-        vm = is_g2_type(catalog.phi_check_mu(mu)).sqrt_det
+        vm = _exact_g2(catalog.phi_check_mu(mu)).sqrt_det
         if vm != Fraction(mu) ** 2 * v1:
             return False, f"volume ratio at mu={mu} is {vm / v1}, not mu^2"
     return True, "vol(phi-check^mu) = mu^2 vol(phi-check), exact at mu = 2, 3"
@@ -380,13 +380,18 @@ def _check_quadlem_constant(rng):
 
 
 def _check_glued_definite(rng):
+    lowest = math.inf
     for mu in (1, 2, 8):
         for _ in range(10):
             pt = {f"y{i}": float(rng.uniform(-0.05, 0.05)) for i in range(1, 8)}
-            out = catalog.glued_form_at(pt, mu)
-            if out["g2"] is None:
-                return False, f"indefinite at mu={mu}"
-    return True, "glued form definite at 10 random chart points per mu in {1,2,8}"
+            try:
+                out = catalog.glued_form_at(pt, mu)
+            except (g2core.NotStableError, g2core.OrientationMismatchError) as e:
+                where = ", ".join(f"{n}={v:.4g}" for n, v in pt.items())
+                return False, f"not definite at mu={mu}, ({where}): {e}"
+            lowest = min(lowest, float(np.linalg.eigvalsh(out["g2"].metric_array())[0]))
+    return True, (f"glued form definite at 10 random chart points per mu in "
+                  f"{{1,2,8}}; smallest metric eigenvalue {lowest:.4g}")
 
 
 def _check_resolution_margins(rng):
@@ -688,12 +693,7 @@ def cmd_verify(args) -> int:
             ok, detail = False, f"{type(e).__name__}: {e}"
         return cid, ok, detail
 
-    cap = _thread_cap()
-    if cap > 1:
-        with ThreadPoolExecutor(max_workers=cap) as pool:
-            results = list(pool.map(run_one, checks))
-    else:
-        results = [run_one(c) for c in checks]
+    results = [run_one(c) for c in checks]
 
     rows = [{"id": cid, "status": "pass" if ok else "fail", "detail": detail}
             for cid, ok, detail in results]

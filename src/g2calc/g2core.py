@@ -6,22 +6,29 @@ A 3-form is of definite type exactly when B normalises to a positive
 definite metric; the normalisation is fixed by ``g_phi vol_phi = B/6``,
 which in coordinates reads ``g = B / (36 det B)^{1/9}``.
 
+B has one implementation for every caller: a sign/index table of its
+cubic terms, built once at import and evaluated in the form's own ring --
+integer numerators over a common denominator for a rational form, numpy
+rows for a float form or a batch of them.  The Hodge star and the inner
+product share one kernel for the k x k minors det(g^-1[I, J]): exact
+elimination per minor for a rational metric, one batched determinant for
+a float one.
+
 Everything is done in exact rational arithmetic whenever the ninth and
 square roots involved are rational; otherwise the metric degrades to floats
-(flagged on the result).  A vectorised numpy path over precomputed
-structure tables serves the sampling-heavy callers.
+(flagged on the result).
 '''
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional
 
 import numpy as np
 
-from .forms import KForm, merge_sign, sort_with_sign
-from .rings import FLT, RAT, Poly, nth_root_fraction
+from .forms import KForm, merge_sign
+from .rings import FLT, RAT, nth_root_fraction
 
 DIM = 7
 TRIPLES = list(combinations(range(1, 8), 3))
@@ -55,62 +62,72 @@ class DegenerateFiberError(ValueError):
 # B(u, v) = (i_u phi)^(i_v phi)^phi
 # --------------------------------------------------------------------------
 
-def bilinear_from_3form(phi: KForm):
-    """7x7 matrix of top-form coefficients of (i_u phi)^(i_v phi)^phi.
-
-    Returns a list of lists of scalars in phi's ring.  Symmetry of the
-    result is a theorem, not an assumption: all 49 entries are computed.
-    """
-    if phi.degree != 3 or phi.dim != DIM:
-        raise ValueError("expected a 3-form in dimension 7")
-    basis_vecs = [{i: 1} for i in range(1, DIM + 1)]
-    contr = [phi.contract(v) for v in basis_vecs]
-    B = []
-    for i in range(DIM):
-        row = []
-        for j in range(DIM):
-            top = contr[i].wedge(contr[j]).wedge(phi)
-            row.append(top.top_coefficient())
-        B.append(row)
-    return B
-
-
-# ---- vectorised path ------------------------------------------------------
-
-def _build_bilinear_tables():
-    """Sparse cubic tables: B_ij = sum_k s_k phi[A_k] phi[B_k] phi[C_k]."""
-    tables = []
+def _build_bilinear_entries():
+    """The cubic table of B: B_ij = sum s phi[a] phi[b] phi[c] over the
+    entries (7 i + j, a, b, c, s), sorted by 7 i + j (0-based i, j; a, b, c
+    are positions in TRIPLES).  An entry is a pair of triples A ∋ i, B ∋ j
+    whose remainders are disjoint; C is the complement of both remainders."""
+    entries = []
     for i in range(1, DIM + 1):
         for j in range(1, DIM + 1):
-            entries = []
             for A in TRIPLES:
                 if i not in A:
                     continue
                 pa = A.index(i)
                 restA = A[:pa] + A[pa + 1:]
-                sa = -1 if pa % 2 else 1
                 for Bidx in TRIPLES:
                     if j not in Bidx:
                         continue
                     pb = Bidx.index(j)
                     restB = Bidx[:pb] + Bidx[pb + 1:]
-                    sb = -1 if pb % 2 else 1
                     m1, s1 = merge_sign(restA, restB)
                     if s1 == 0:
                         continue
                     C = tuple(sorted(set(range(1, 8)) - set(m1)))
-                    m2, s2 = merge_sign(m1, C)
-                    if s2 == 0:
-                        continue
-                    entries.append((TRIPLE_POS[A], TRIPLE_POS[Bidx],
-                                    TRIPLE_POS[C], sa * sb * s1 * s2))
-            tables.append((np.array([e[0] for e in entries]),
-                           np.array([e[1] for e in entries]),
-                           np.array([e[2] for e in entries]),
-                           np.array([e[3] for e in entries], dtype=float)))
-    return tables
+                    _, s2 = merge_sign(m1, C)
+                    entries.append((DIM * (i - 1) + j - 1, TRIPLE_POS[A],
+                                    TRIPLE_POS[Bidx], TRIPLE_POS[C],
+                                    (-1) ** (pa + pb) * s1 * s2))
+    return entries
 
-_BILINEAR_TABLES = _build_bilinear_tables()
+_BILINEAR_ENTRIES = _build_bilinear_entries()
+_B_IJ, _B_A, _B_B, _B_C, _B_S = np.array(_BILINEAR_ENTRIES, dtype=np.intp).T
+_B_STARTS = np.searchsorted(_B_IJ, np.arange(DIM * DIM))
+#: rows per block of bilinear_batch, so that one (rows x entries) temporary
+#: stays near 128 KiB whatever the batch size
+_BLOCK_ROWS = max(1, 2 ** 14 // len(_BILINEAR_ENTRIES))
+
+
+def bilinear_from_3form(phi: KForm):
+    """7x7 matrix of top-form coefficients of (i_u phi)^(i_v phi)^phi.
+
+    Returns a list of lists of scalars in phi's ring: Fractions for a
+    rational form (exact), floats for a float form.  Symmetry of the result
+    is a theorem, not an assumption: all 49 entries are computed.
+    """
+    if phi.degree != 3 or phi.dim != DIM:
+        raise ValueError("expected a 3-form in dimension 7")
+    if phi.ring == FLT:
+        return bilinear_batch(phi_to_vector(phi))[0].tolist()
+    if phi.ring != RAT:
+        raise TypeError("evaluate polynomial forms at a point first")
+    # exact: integer numerators over phi's common denominator
+    den = math.lcm(*(c.denominator for c in phi.coeffs.values()))
+    p = [0] * len(TRIPLES)
+    for idx, c in phi.coeffs.items():
+        p[TRIPLE_POS[idx]] = c.numerator * (den // c.denominator)
+    acc = [0] * (DIM * DIM)
+    for ij, a, b, c, s in _BILINEAR_ENTRIES:
+        x = p[a]
+        if x:
+            y = p[b]
+            if y:
+                z = p[c]
+                if z:
+                    acc[ij] += s * x * y * z
+    den3 = den ** 3
+    return [[Fraction(acc[DIM * i + j], den3) for j in range(DIM)]
+            for i in range(DIM)]
 
 
 def phi_to_vector(phi: KForm) -> np.ndarray:
@@ -127,15 +144,12 @@ def vector_to_phi(v) -> KForm:
 def bilinear_batch(phis: np.ndarray) -> np.ndarray:
     """B matrices for a batch of 3-forms given as (n, 35) coefficient rows."""
     phis = np.atleast_2d(np.asarray(phis, dtype=float))
-    n = phis.shape[0]
-    B = np.empty((n, DIM, DIM))
-    k = 0
-    for i in range(DIM):
-        for j in range(DIM):
-            ia, ib, ic, s = _BILINEAR_TABLES[k]
-            B[:, i, j] = (phis[:, ia] * phis[:, ib] * phis[:, ic] * s).sum(axis=1)
-            k += 1
-    return B
+    B = np.empty((len(phis), DIM * DIM))
+    for lo in range(0, len(phis), _BLOCK_ROWS):
+        rows = phis[lo:lo + _BLOCK_ROWS]
+        terms = rows[:, _B_A] * rows[:, _B_B] * rows[:, _B_C] * _B_S
+        B[lo:lo + _BLOCK_ROWS] = np.add.reduceat(terms, _B_STARTS, axis=1)
+    return B.reshape(-1, DIM, DIM)
 
 
 def metric_batch(phis: np.ndarray):
@@ -294,14 +308,27 @@ def _diagnose_negative(phi: KForm, detBf: float):
 # Hodge star and norms
 # --------------------------------------------------------------------------
 
-def _gram_entry(ginv, I, J):
-    k = len(I)
-    if k == 0:
-        return ginv[0][0] * 0 + 1 if isinstance(ginv[0][0], Fraction) else 1.0
-    M = [[ginv[a - 1][b - 1] for b in J] for a in I]
-    if isinstance(M[0][0], Fraction):
-        return det_exact(M)
-    return float(np.linalg.det(np.array(M, dtype=float))) if k > 1 else M[0][0]
+#: per degree k: the k-subsets I of {1..7} in combinations order, and for
+#: each the complement I' and the sign of theta^I ^ theta^I' = sign vol
+_SUBSETS = [list(combinations(range(1, DIM + 1), k)) for k in range(DIM + 1)]
+_COMPLEMENTS = [[tuple(x for x in range(1, DIM + 1) if x not in I) for I in subs]
+                for subs in _SUBSETS]
+_STAR_SIGNS = [[merge_sign(I, comp)[1] for I, comp in zip(subs, comps)]
+               for subs, comps in zip(_SUBSETS, _COMPLEMENTS)]
+
+
+def _gram_minors(data: G2Data, exact: bool, k: int, rows, cols):
+    """The minors det(g^-1[I, J]) for I in rows, J in cols (k-subsets of the
+    axes).  Exact: nested lists of Fractions, one det_exact per pair.  Float:
+    an ndarray from one batched determinant over the stacked sub-blocks."""
+    if exact:
+        ginv = data.metric_inv
+        return [[det_exact([[ginv[a - 1][b - 1] for b in J] for a in I])
+                 for J in cols] for I in rows]
+    ginv = np.array(data.metric_inv, dtype=float)
+    R = np.array(rows, dtype=np.intp).reshape(len(rows), k) - 1
+    C = np.array(cols, dtype=np.intp).reshape(len(cols), k) - 1
+    return np.linalg.det(ginv[R[:, None, :, None], C[None, :, None, :]])
 
 
 def inner_product(data: G2Data, a: KForm, b: KForm):
@@ -309,16 +336,14 @@ def inner_product(data: G2Data, a: KForm, b: KForm):
     if a.degree != b.degree:
         raise ValueError("inner product needs equal degrees")
     exact = data.exact and a.ring == RAT and b.ring == RAT
-    ginv = data.metric_inv if exact else [[float(x) for x in row] for row in data.metric_inv]
-    total = Fraction(0) if exact else 0.0
-    for I, ca in a.coeffs.items():
-        for J, cb in b.coeffs.items():
-            gIJ = _gram_entry(ginv, I, J)
-            if exact:
-                total += Fraction(ca) * Fraction(cb) * gIJ
-            else:
-                total += float(ca) * float(cb) * float(gIJ)
-    return total
+    minors = _gram_minors(data, exact, a.degree, list(a.coeffs), list(b.coeffs))
+    if exact:
+        return sum((ca * cb * m
+                    for ca, row in zip(a.coeffs.values(), minors)
+                    for cb, m in zip(b.coeffs.values(), row)), Fraction(0))
+    ca = np.array([float(c) for c in a.coeffs.values()])
+    cb = np.array([float(c) for c in b.coeffs.values()])
+    return float(ca @ minors @ cb)
 
 
 def norm(data: G2Data, a: KForm) -> float:
@@ -326,33 +351,22 @@ def norm(data: G2Data, a: KForm) -> float:
     return float(inner_product(data, a, a)) ** 0.5
 
 
-def norm_sq(data: G2Data, a: KForm):
-    return inner_product(data, a, a)
-
-
 def hodge_star(data: G2Data, a: KForm) -> KForm:
-    """Hodge star for the metric of `data`, defined by a ^ *b = <a,b> vol."""
+    """Hodge star for the metric of `data`, defined by a ^ *b = <a,b> vol:
+    (*a)_{I'} = sign(I, I') sqrt(det g) sum_J a_J det(g^-1[I, J])."""
     k = a.degree
     exact = data.exact and a.ring == RAT
-    ginv = data.metric_inv if exact else [[float(x) for x in row] for row in data.metric_inv]
-    sq = data.sqrt_det if exact else float(data.sqrt_det)
-    ring = RAT if exact else FLT
-    out = {}
-    for I in combinations(range(1, 8), k):
-        s = Fraction(0) if exact else 0.0
-        for J, c in a.coeffs.items():
-            gIJ = _gram_entry(ginv, I, J)
-            s = s + (Fraction(c) if exact else float(c)) * gIJ
-        if s == 0:
-            continue
-        comp = tuple(sorted(set(range(1, 8)) - set(I)))
-        _, sign = merge_sign(I, comp)
-        val = s * sq * sign
-        if comp in out:
-            out[comp] = out[comp] + val
-        else:
-            out[comp] = val
-    return KForm(DIM, DIM - k, ring, out)
+    minors = _gram_minors(data, exact, k, _SUBSETS[k], list(a.coeffs))
+    if exact:
+        sums = [sum((c * m for c, m in zip(a.coeffs.values(), row)), Fraction(0))
+                for row in minors]
+        sq = data.sqrt_det
+    else:
+        sums = (minors @ np.array([float(c) for c in a.coeffs.values()])).tolist()
+        sq = float(data.sqrt_det)
+    return KForm(DIM, DIM - k, RAT if exact else FLT,
+                 {comp: s * sq * sign for comp, sign, s
+                  in zip(_COMPLEMENTS[k], _STAR_SIGNS[k], sums)})
 
 
 # --------------------------------------------------------------------------

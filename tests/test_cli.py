@@ -1,9 +1,12 @@
 """Exit codes, artifacts, and determinism of the command-line driver."""
 import json
 
+import numpy as np
 import pytest
 
+from g2calc import catalog, cli
 from g2calc.cli import build_suites, main
+from g2calc.g2core import G2Data, NotStableError
 
 
 def run(argv):
@@ -83,3 +86,30 @@ def test_collapse_command_reports_lambda_one(tmp_path, capsys):
     assert rep["pass"] is True
     for lam in rep["lambdas"].values():
         assert abs(lam - 1.0) < 1e-6
+
+
+def _float_copy(data):
+    return G2Data(data.phi, [[float(x) for x in row] for row in data.metric],
+                  [[float(x) for x in row] for row in data.metric_inv],
+                  float(data.sqrt_det), exact=False)
+
+
+@pytest.mark.parametrize("check", ["_check_standard_metric", "_check_su2_nu8",
+                                   "_check_mu4_hitchin", "_check_mu2_volume"])
+def test_exact_checks_reject_a_float_metric_with_exact_values(check, monkeypatch):
+    # a float 1.0 equals Fraction(1): without the exactness guard these
+    # checks would pass on a metric that never ran in exact arithmetic
+    real = cli.is_g2_type
+    monkeypatch.setattr(cli, "is_g2_type", lambda phi: _float_copy(real(phi)))
+    with pytest.raises(ArithmeticError, match="inexact"):
+        getattr(cli, check)(np.random.default_rng(0))
+
+
+def test_glued_definite_check_names_the_indefinite_point(monkeypatch):
+    def unstable(phi):
+        raise NotStableError("normalised metric not positive definite")
+    monkeypatch.setattr(catalog, "is_g2_type", unstable)
+    ok, detail = cli._check_glued_definite(np.random.default_rng(0))
+    assert not ok
+    assert detail.startswith("not definite at mu=1, (y1=")
+    assert detail.endswith("normalised metric not positive definite")

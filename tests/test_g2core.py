@@ -1,14 +1,16 @@
 """Induced metric, Hodge star, and the SU(2)-fiber assembly lemma."""
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
 
 from g2calc.forms import KForm
-from g2calc.g2core import (DegenerateFiberError, G2Data, NotStableError,
-                           SU2FiberData, hodge_star, is_g2_type, metric_batch,
+from g2calc.g2core import (STANDARD_PHI_TERMS, DegenerateFiberError, G2Data,
+                           NotStableError, OrientationMismatchError,
+                           SU2FiberData, bilinear_from_3form, det_exact,
+                           hodge_star, inner_product, is_g2_type, metric_batch,
                            norm, phi_to_vector, standard_phi, su2_assemble,
                            vector_to_phi)
 from g2calc.rings import FLT, RAT
@@ -105,6 +107,158 @@ def test_metric_batch_matches_single_evaluation():
         data = is_g2_type(vector_to_phi(row))
         assert np.allclose(g, data.metric_array(), atol=1e-13)
         assert math.isclose(float(vol), float(data.sqrt_det), rel_tol=1e-13)
+
+
+# --------------------------------------------------------------------------
+# the table-driven kernels against per-entry references
+# --------------------------------------------------------------------------
+
+def _wedge_bilinear(phi):
+    """Reference B: (i_{e_i} phi) ^ (i_{e_j} phi) ^ phi, one wedge per entry."""
+    contr = [phi.contract({i: 1}) for i in range(1, DIM + 1)]
+    return [[contr[i].wedge(contr[j]).wedge(phi).top_coefficient()
+             for j in range(DIM)] for i in range(DIM)]
+
+
+def _random_rational_3form(rng, density):
+    coeffs = {}
+    for idx in combinations(range(1, DIM + 1), 3):
+        if rng.random() < density:
+            coeffs[idx] = Fraction(int(rng.integers(-12, 13)),
+                                   int(rng.integers(1, 10)))
+    return KForm(DIM, 3, RAT, coeffs)
+
+
+@pytest.mark.parametrize("density", [0.25, 1.0])
+def test_bilinear_table_matches_wedge_reference_exactly(density):
+    rng = np.random.default_rng(3)
+    for _ in range(6):
+        phi = _random_rational_3form(rng, density)
+        B = bilinear_from_3form(phi)
+        assert B == _wedge_bilinear(phi)
+        assert all(type(x) is Fraction for row in B for x in row)
+
+
+def test_exact_to_float_fallback_normalises_the_reference_b():
+    # lambda product 2 is not a cube: 36 det B is no rational ninth power
+    phi = KForm(DIM, 3, RAT, {idx: c * (2 if idx == (1, 2, 3) else 1)
+                              for c, idx in STANDARD_PHI_TERMS})
+    ref = _wedge_bilinear(phi)
+    assert bilinear_from_3form(phi) == ref
+    data = is_g2_type(phi)
+    assert not data.exact
+    want = (np.array(ref, dtype=float)
+            / (36.0 * float(det_exact(ref))) ** (1.0 / 9.0))
+    assert data.metric == want.tolist()
+
+
+def test_bilinear_table_matches_wedge_reference_on_floats():
+    rng = np.random.default_rng(4)
+    for density in (0.25, 1.0):
+        for _ in range(6):
+            phi = KForm(DIM, 3, FLT, {
+                idx: float(rng.normal())
+                for idx in combinations(range(1, DIM + 1), 3)
+                if rng.random() < density})
+            B = np.array(bilinear_from_3form(phi))
+            ref = np.array(_wedge_bilinear(phi))
+            assert np.abs(B - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def _exact_skewed_data():
+    """Exact G2Data with a non-diagonal metric: the standard form pulled
+    back along a unimodular rational frame change."""
+    rng = np.random.default_rng(5)
+    A = [[Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
+          if c > r else Fraction(int(r == c)) for c in range(DIM)]
+         for r in range(DIM)]  # unit upper triangular, det 1
+    frame = [KForm(DIM, 1, RAT, {(j + 1,): A[i][j] for j in range(DIM)})
+             for i in range(DIM)]
+    phi = KForm.zero(DIM, 3)
+    for c, (a, b, d) in STANDARD_PHI_TERMS:
+        phi = phi + c * frame[a - 1].wedge(frame[b - 1]).wedge(frame[d - 1])
+    data = is_g2_type(phi)
+    assert data.exact
+    assert any(data.metric_inv[r][c] != 0 for r in range(DIM) for c in range(DIM)
+               if r != c)
+    return data
+
+
+def _leibniz_det(M):
+    n = len(M)
+    total = Fraction(0)
+    for perm in permutations(range(n)):
+        inv = sum(perm[x] > perm[y] for x in range(n) for y in range(x + 1, n))
+        term = Fraction(-1 if inv % 2 else 1)
+        for r, c in enumerate(perm):
+            term *= M[r][c]
+        total += term
+    return total
+
+
+def _minor(ginv, I, J, ring):
+    M = [[ginv[a - 1][b - 1] for b in J] for a in I]
+    if ring == RAT:
+        return _leibniz_det(M)
+    return float(np.linalg.det(np.array(M, dtype=float).reshape(len(I), len(J))))
+
+
+@pytest.mark.parametrize("ring", [RAT, FLT])
+def test_hodge_star_and_inner_product_match_per_pair_minors(ring):
+    data = _exact_skewed_data()
+    if ring == FLT:
+        data = G2Data(data.phi, [[float(x) for x in r] for r in data.metric],
+                      [[float(x) for x in r] for r in data.metric_inv],
+                      float(data.sqrt_det), exact=False)
+    rng = np.random.default_rng(6)
+    for k in range(DIM + 1):
+        subsets = list(combinations(range(1, DIM + 1), k))
+        a, b = (KForm(DIM, k, ring, {I: Fraction(int(rng.integers(-5, 6)), 2)
+                                     for I in subsets if rng.random() < 0.6})
+                for _ in range(2))
+        star = hodge_star(data, a)
+        want = {}
+        for I in subsets:
+            comp = tuple(x for x in range(1, DIM + 1) if x not in I)
+            sign = th(*I).wedge(th(*comp)).top_coefficient()
+            s = sum(c * _minor(data.metric_inv, I, J, ring)
+                    for J, c in a.coeffs.items())
+            want[comp] = s * data.sqrt_det * sign
+        ip = inner_product(data, a, b)
+        ip_want = sum(ca * cb * _minor(data.metric_inv, I, J, ring)
+                      for I, ca in a.coeffs.items() for J, cb in b.coeffs.items())
+        assert star.ring == ring and star.degree == DIM - k
+        if ring == RAT:
+            assert star == KForm(DIM, DIM - k, RAT, want)
+            assert ip == ip_want and type(ip) is Fraction
+        else:
+            scale = max([1.0] + [abs(v) for v in want.values()])
+            assert all(abs(star.coeffs.get(comp, 0.0) - v) <= 1e-12 * scale
+                       for comp, v in want.items())
+            assert math.isclose(ip, ip_want, rel_tol=1e-12, abs_tol=1e-12)
+
+
+@pytest.mark.parametrize("ring", [RAT, FLT])
+def test_instability_and_orientation_errors_follow_the_signature_of_b(ring):
+    # the 128 sign patterns of the standard terms cover every outcome: B
+    # positive definite (definite), negative definite (opposite orientation)
+    # or indefinite (not definite)
+    seen = set()
+    for signs in product((1, -1), repeat=7):
+        phi = KForm(DIM, 3, RAT, {idx: s * c for s, (c, idx)
+                                  in zip(signs, STANDARD_PHI_TERMS)}).in_ring(ring)
+        eig = np.linalg.eigvalsh(np.array(_wedge_bilinear(phi), dtype=float))
+        want = (None if eig[0] > 0 else OrientationMismatchError
+                if eig[-1] < 0 else NotStableError)
+        seen.add(want)
+        if want is None:
+            is_g2_type(phi)
+        else:
+            with pytest.raises(want):
+                is_g2_type(phi)
+    assert seen == {None, OrientationMismatchError, NotStableError}
+    with pytest.raises(NotStableError):
+        is_g2_type(th(1, 2, 3, ring=ring))
 
 
 # --------------------------------------------------------------------------
