@@ -460,7 +460,7 @@ def master_identity_check() -> bool:
     phi_mu = _phi_check_mu_chart_symbolic()
     xi = xi_mu_chart(symbolic=True)
     alpha, _, _ = alpha_a()
-    alpha_u = alpha.in_ring(YURING) if False else _promote_to_u(alpha)
+    alpha_u = _promote_to_u(alpha)
     rhs = _promote_to_u(_dy((1, 4, 7)).scale(_y("y1"))) + alpha_u.d_chart()
     return (phi_mu - xi) == rhs
 

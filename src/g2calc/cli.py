@@ -756,6 +756,9 @@ def cmd_flow(args) -> int:
 
 
 def cmd_eh(args) -> int:
+    if args.grid < 1:
+        print("--grid must be positive", file=sys.stderr)
+        return 2
     c = 1.0 if args.c == "auto" else float(args.c)
     if args.R == "auto":
         R = max(4.0, 1.05 * ehmetric.feasibility_threshold(c))

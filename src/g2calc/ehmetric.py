@@ -109,9 +109,7 @@ class EHProfile:
         self.upsilon = math.sqrt(1.0 - self.c / 2.0)
         # equality radius: plateau midpoint
         self.r_frak = math.sqrt(0.5 * (self.p_lo + self.p_hi) * self.q)
-        # cumulative tables of v B(v) over the two mollifier shoulders,
-        # endpoint-pinned to a Simpson total so the overall first moment
-        # is the one the mass correction in build_profile targeted
+
     def _shoulder_moment(self, p: float, u: float) -> float:
         """int v B(v) dv over one mollifier shoulder [p - rho, min(u, p + rho)]."""
         return _gl(lambda v: v * self.bump(v), p - self.rho,
@@ -146,20 +144,24 @@ class EHProfile:
             return 0.0
         return -self.c * self.q ** 2 * self._moment(lam / self.q)
 
-    def aprime(self, lam: float) -> float:
-        """Interpolated slope al'_t(lam)."""
+    def slopes(self, lam: float) -> tuple:
+        """(k, h, al', al'') at lam, from one evaluation of k and of h."""
         if lam <= 0:
             raise ValueError("lam must be positive")
-        val = 1.0 + (self.t ** 4 + self.h(lam)) / lam ** 2
+        k, h = self.k(lam), self.h(lam)
+        val = 1.0 + (self.t ** 4 + h) / lam ** 2
         if val <= 0:
             raise ConstructionFailed(f"al'^2 = {val} <= 0 at lam = {lam}")
-        return math.sqrt(val)
+        ap = math.sqrt(val)
+        app = 0.5 * (k / lam ** 2 - 2.0 * (self.t ** 4 + h) / lam ** 3) / ap
+        return k, h, ap, app
+
+    def aprime(self, lam: float) -> float:
+        """Interpolated slope al'_t(lam)."""
+        return self.slopes(lam)[2]
 
     def asecond(self, lam: float) -> float:
-        if lam <= 0:
-            raise ValueError("lam must be positive")
-        num = self.k(lam) / lam ** 2 - 2.0 * (self.t ** 4 + self.h(lam)) / lam ** 3
-        return 0.5 * num / self.aprime(lam)
+        return self.slopes(lam)[3]
 
     # -- matrix evaluation ------------------------------------------------
     def omega_matrix_at(self, point) -> list:
@@ -172,8 +174,8 @@ class EHProfile:
             w = csv.writer(fh)
             w.writerow(["lambda", "k", "h", "aprime"])
             for lam in lams:
-                w.writerow([f"{v:.17g}" for v in
-                            (lam, self.k(lam), self.h(lam), self.aprime(lam))])
+                k, h, ap, _ = self.slopes(lam)
+                w.writerow([f"{v:.17g}" for v in (lam, k, h, ap)])
 
 
 def _adaptive_simpson(f, a, b, tol, fa=None, fb=None, fm=None, depth=30):
@@ -256,12 +258,35 @@ def _eh_asecond(t: float, lam: float) -> float:
     return -(float(t) ** 4 / float(lam) ** 3) / eh_aprime(t, lam)
 
 
-def _matrix(point, ap: float, app: float) -> list:
-    x1, y1, x2, y2 = (float(v) for v in point)
+_UPPER = tuple((i, j) for i in range(4) for j in range(i + 1, 4))
+
+
+def _upper(x1, y1, x2, y2, ap, app) -> dict:
+    """Entries (i, j), i < j, of ap om_hat + (1/4) app dlam ^ d^c lam at
+    (x1, y1, x2, y2); floats, or numpy arrays that broadcast together."""
     u = (2.0 * x1, 2.0 * y1, 2.0 * x2, 2.0 * y2)       # d(lam)
     v = (-2.0 * y1, 2.0 * x1, -2.0 * y2, 2.0 * x2)     # d^c(lam)
-    return [[ap * _J0[i][j] + 0.25 * app * (u[i] * v[j] - v[i] * u[j])
-             for j in range(4)] for i in range(4)]
+    return {(i, j): ap * _J0[i][j] + 0.25 * app * (u[i] * v[j] - v[i] * u[j])
+            for i, j in _UPPER}
+
+
+def _matrix(point, ap: float, app: float) -> list:
+    M = [[0.0] * 4 for _ in range(4)]
+    for (i, j), m in _upper(*(float(v) for v in point), ap, app).items():
+        M[i][j], M[j][i] = m, -m
+    return M
+
+
+def _profile_slopes(profile: EHProfile, lam: float) -> tuple:
+    """(k, al', al'') of om_check_t at lam: exactly flat for lam >= q
+    (h == -t^4), exactly Eguchi-Hanson for lam <= q/4 (h == 0)."""
+    if lam >= profile.q:
+        return profile.k(lam), 1.0, 0.0
+    if lam <= 0.25 * profile.q:
+        return (profile.k(lam), eh_aprime(profile.t, lam),
+                _eh_asecond(profile.t, lam))
+    k, _, ap, app = profile.slopes(lam)
+    return k, ap, app
 
 
 def omega_at(point, profile: EHProfile | None = None, t: float | None = None):
@@ -278,22 +303,18 @@ def omega_at(point, profile: EHProfile | None = None, t: float | None = None):
         return _matrix(point, eh_aprime(t, lam), _eh_asecond(t, lam))
     if lam <= 0:
         raise ValueError("the origin is excluded")
-    q = profile.q
-    if lam >= q:                      # h == -t^4: exactly flat
-        return [list(row) for row in _J0]
-    if lam <= 0.25 * q:               # h == 0: exactly Eguchi-Hanson
-        return _matrix(point, eh_aprime(profile.t, lam),
-                       _eh_asecond(profile.t, lam))
-    return _matrix(point, profile.aprime(lam), profile.asecond(lam))
+    _, ap, app = _profile_slopes(profile, lam)
+    return _matrix(point, ap, app)
 
 
-def _pfaffian4(M) -> float:
-    return (M[0][1] * M[2][3] - M[0][2] * M[1][3] + M[0][3] * M[1][2])
+def _pfaffian4(up):
+    return up[0, 1] * up[2, 3] - up[0, 2] * up[1, 3] + up[0, 3] * up[1, 2]
 
 
-def _two_form_norm(M) -> float:
-    """|eta|_{om_hat} with the normalization |om_hat| = sqrt(2)."""
-    return math.sqrt(sum(M[i][j] ** 2 for i in range(4) for j in range(i + 1, 4)))
+def _two_form_norm(entries):
+    """|eta|_{om_hat} of the 2-form with these upper entries (i < j, in
+    _UPPER order), with the normalization |om_hat| = sqrt(2)."""
+    return np.sqrt(sum(e ** 2 for e in entries))
 
 
 def _directions(n_ang: int, seed: int = 0):
@@ -323,27 +344,35 @@ def positivity_and_volume_certificate(profile: EHProfile, n_r: int = 1000,
                                       seed: int = 0) -> dict:
     """Grid certificate over r in [tR/2 (1-delta), tR (1+delta)]:
     positivity margin |om_hat - om_check|_{om_hat} < 1, volume ratio
-    om_check^2 / vol_0 >= 2 ups^2, and the closed-form ratio cross-check."""
+    om_check^2 / vol_0 >= 2 ups^2, and the closed-form ratio cross-check.
+
+    om_check = a'(lam) om_hat + (1/4) a''(lam) dlam ^ d^c lam is U(2)-
+    invariant: U(2) fixes om_hat, the flat metric and lam = r^2, hence
+    dlam ^ d^c lam, and it is transitive on each sphere |x| = r.  So the
+    margin and the ratio depend on r alone, and the profile (k, a', a'') is
+    evaluated once per radius.  The n_ang directions are kept as a witness
+    of that invariance; their spread at one radius is roundoff."""
+    if n_r < 1 or n_ang < 1:
+        raise ValueError("the grid needs at least one radius and one direction")
     t, R = profile.t, profile.R
     radii = np.linspace(0.5 * t * R * (1.0 - delta), t * R * (1.0 + delta), n_r)
     dirs = _directions(n_ang, seed)
-    min_margin = math.inf        # 1 - |om_hat - om_check|
-    min_ratio = math.inf
-    worst_r = None
-    max_formula_gap = 0.0
-    for r in radii:
-        lam = r * r
-        ratio_formula = 2.0 + profile.k(lam) / lam
-        for d in dirs:
-            pt = r * d
-            M = omega_at(pt, profile=profile)
-            D = [[_J0[i][j] - M[i][j] for j in range(4)] for i in range(4)]
-            margin = 1.0 - _two_form_norm(D)
-            ratio = 2.0 * _pfaffian4(M)
-            max_formula_gap = max(max_formula_gap, abs(ratio - ratio_formula))
-            if margin < min_margin:
-                min_margin, worst_r = margin, float(r)
-            min_ratio = min(min_ratio, ratio)
+    lams = radii * radii
+    k, ap, app = (np.array(col, dtype=float)[:, None] for col in
+                  zip(*(_profile_slopes(profile, float(lam)) for lam in lams)))
+    ratio_formula = 2.0 + k / lams[:, None]
+    # dlam ^ d^c lam at r d is r^2 times its value at the unit vector d, so
+    # om_check is one (n_r, n_ang) array per upper entry, broadcast from
+    # (n_r, 1) profile columns and (n_ang,) direction rows
+    up = _upper(*dirs.T, ap, app * lams[:, None])
+    margin = 1.0 - _two_form_norm(          # 1 - |om_hat - om_check|
+        _J0[i][j] - m for (i, j), m in up.items())
+    ratio = 2.0 * _pfaffian4(up)
+    worst = int(np.argmin(margin))        # first minimum in (r, direction) order
+    min_margin = float(margin.flat[worst])
+    worst_r = float(radii[worst // n_ang])
+    min_ratio = float(ratio.min())
+    max_formula_gap = float(np.abs(ratio - ratio_formula).max())
     floor = 2.0 * profile.upsilon ** 2
     report = {"t": t, "R": R, "c": profile.c, "upsilon": profile.upsilon,
               "upsilon_measured": math.sqrt(max(min_ratio, 0.0) / 2.0),
@@ -401,8 +430,8 @@ def measure_dlam_constant(n_r: int = 50, n_ang: int = 20, seed: int = 0) -> floa
     best = 0.0
     for r in np.linspace(0.1, 2.0, n_r):
         for d in dirs:
-            M = _matrix(r * d, 0.0, 1.0)   # (1/4) dlam ^ dclam scaled by 4
-            best = max(best, 4.0 * _two_form_norm(M) / (4.0 * r * r))
+            up = _upper(*(r * d), 0.0, 1.0)   # (1/4) dlam ^ dclam scaled by 4
+            best = max(best, 4.0 * _two_form_norm(up.values()) / (4.0 * r * r))
     return best
 
 

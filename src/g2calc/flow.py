@@ -10,7 +10,6 @@ A fixed-step RK4 integrator provides the numeric cross-check.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .catalog import _lam_parts, nakamura_model, phi_abl_mu
@@ -56,18 +55,6 @@ def flow_closed_form(alpha, lam, t) -> float:
 
 def mu_dot(alpha, lam, mu: float) -> float:
     return 2.0 * float(_l_two_thirds(lam)) / (3.0 * float(alpha) ** 2 * float(mu) ** 7)
-
-
-@dataclass
-class FlowState:
-    alpha: float
-    beta: float
-    lam: object
-    mu: float
-    t: float
-
-    def phi(self) -> KForm:
-        return phi_abl_mu(self.alpha, self.beta, self.lam, self.mu)
 
 
 def flow_integrate(alpha, beta, lam, t_end: float, steps: int) -> list:

@@ -333,13 +333,6 @@ class PolynomialMap:
             out = out + piece
         return out
 
-    def compose(self, inner: "PolynomialMap") -> "PolynomialMap":
-        """self after inner (inner maps into self's source chart)."""
-        if inner.target_vars != self.source_vars:
-            raise MixedRingError("charts do not line up for composition")
-        comps = {v: p.subs(inner.components) for v, p in self.components.items()}
-        return PolynomialMap(inner.source_vars, self.target_vars, comps)
-
 
 def poly_ring(vars) -> tuple:
     return ("poly", tuple(vars))

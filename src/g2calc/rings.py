@@ -15,7 +15,7 @@ fallback.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping
 
 Q = Fraction
 
@@ -249,9 +249,6 @@ class Poly:
         return " + ".join(bits)
 
     __repr__ = __str__
-
-
-ScalarLike = Union[int, Fraction, float, Poly]
 
 
 def ring_of(s) -> object:

@@ -140,6 +140,26 @@ def test_glued_form_outer_region_is_invariant():
     assert out["fprime"] == 0.0
 
 
+def test_default_cutoff_certifies_its_defining_properties():
+    # f = 0 on [0, 1/2], f = 1 on [1, oo) and sup|f'| < 3, on the
+    # certificate's grid over [0, 3/2] and at points beyond it
+    cert = catalog.DEFAULT_CUTOFF.certify()
+    assert cert["sup_deriv"] < cert["bound"] == 3.0
+    for s in (0.0, 0.25, 0.5):
+        assert catalog.DEFAULT_CUTOFF(s) == 0.0
+    for s in (1.0, 2.0, 10.0):
+        assert catalog.DEFAULT_CUTOFF(s) == 1.0
+        assert catalog.DEFAULT_CUTOFF.deriv(s) == 0.0
+
+
+def test_steep_cutoff_fails_its_certificate():
+    # ramp over [0.7, 0.9]: |f'| reaches 1/0.2 = 5
+    steep = catalog.CutoffFn(0.7, 0.9)
+    assert steep.deriv_bound == pytest.approx(5.0)
+    with pytest.raises(AssertionError, match=r"sup\|f'\|"):
+        steep.certify()
+
+
 def test_xi_metric_diagonal():
     assert np.array_equal(xi_mu_metric_diag(2),
                           np.diag([16.0] * 3 + [0.25] * 4))

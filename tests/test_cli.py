@@ -77,6 +77,12 @@ def test_eh_command_emits_profile_and_certificate(tmp_path, capsys):
     assert (tmp_path / "eh_profile.csv").exists()
 
 
+def test_eh_empty_grid_is_usage_error(tmp_path):
+    # an empty grid certifies nothing
+    assert run(["eh", "--grid", "0", "--out", str(tmp_path / "eh")]) == 2
+    assert not (tmp_path / "eh_certificate.json").exists()
+
+
 def test_collapse_command_reports_lambda_one(tmp_path, capsys):
     out = tmp_path / "col.json"
     code = run(["collapse", "--model", "nakamura",

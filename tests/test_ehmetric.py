@@ -11,7 +11,8 @@ from g2calc.ehmetric import (ConstructionFailed, EHProfile, Infeasible,
                              certificate_to_json, closedness_residual,
                              default_t_for_epsilon, eh_aprime,
                              feasibility_threshold, measure_dlam_constant,
-                             omega_at, positivity_and_volume_certificate,
+                             _directions, omega_at,
+                             positivity_and_volume_certificate,
                              positivity_budget, ricci_residual)
 
 
@@ -147,6 +148,89 @@ def test_positivity_and_volume_certificate(profile):
     assert abs(rep["min_ratio"] - floor) < 1e-6
 
 
+def _reference_certificate(profile, n_r, n_ang, delta=0.05, seed=0):
+    """The per-point certificate loop: omega_at at every (radius,
+    direction) pair, with the full 4x4 matrices."""
+    def pfaffian4(M):
+        return M[0][1] * M[2][3] - M[0][2] * M[1][3] + M[0][3] * M[1][2]
+
+    def two_form_norm(M):
+        return math.sqrt(sum(M[i][j] ** 2 for i in range(4)
+                             for j in range(i + 1, 4)))
+
+    J0 = ((0.0, 1.0, 0.0, 0.0), (-1.0, 0.0, 0.0, 0.0),
+          (0.0, 0.0, 0.0, 1.0), (0.0, 0.0, -1.0, 0.0))
+    t, R = profile.t, profile.R
+    radii = np.linspace(0.5 * t * R * (1.0 - delta), t * R * (1.0 + delta), n_r)
+    dirs = _directions(n_ang, seed)
+    min_margin = math.inf
+    min_ratio = math.inf
+    worst_r = None
+    max_formula_gap = 0.0
+    for r in radii:
+        lam = r * r
+        ratio_formula = 2.0 + profile.k(lam) / lam
+        for d in dirs:
+            M = omega_at(r * d, profile=profile)
+            D = [[J0[i][j] - M[i][j] for j in range(4)] for i in range(4)]
+            margin = 1.0 - two_form_norm(D)
+            ratio = 2.0 * pfaffian4(M)
+            max_formula_gap = max(max_formula_gap, abs(ratio - ratio_formula))
+            if margin < min_margin:
+                min_margin, worst_r = margin, float(r)
+            min_ratio = min(min_ratio, ratio)
+    return {"min_margin": min_margin, "min_ratio": min_ratio,
+            "upsilon_measured": math.sqrt(max(min_ratio, 0.0) / 2.0),
+            "worst_r": worst_r, "pfaffian_vs_formula": max_formula_gap}
+
+
+@pytest.mark.parametrize("t", [0.01, 0.1, 1.0, 3.0])
+@pytest.mark.parametrize("seed", [0, 1, 7])
+def test_certificate_matches_the_per_point_loop(t, seed):
+    p = build_profile(t, 4.0, 1.0)
+    for n_ang in (1, 8, 20):
+        rep = positivity_and_volume_certificate(p, n_r=41, n_ang=n_ang,
+                                                seed=seed)
+        ref = _reference_certificate(p, n_r=41, n_ang=n_ang, seed=seed)
+        for key in ("min_margin", "min_ratio", "upsilon_measured"):
+            assert abs(rep[key] - ref[key]) <= 1e-12, key
+        assert rep["worst_r"] == ref["worst_r"]
+        assert rep["pfaffian_vs_formula"] <= 1e-12
+
+
+def test_certificate_evaluates_the_profile_once_per_radius(monkeypatch):
+    p = build_profile(1.0, 4.0, 1.0)
+    calls = []
+    h = p.h
+    monkeypatch.setattr(p, "h", lambda lam: calls.append(lam) or h(lam))
+    positivity_and_volume_certificate(p, n_r=30, n_ang=20)
+    # only the radii inside the annulus q/4 < r^2 < q need h
+    assert 0 < len(calls) <= 30
+    assert len(set(calls)) == len(calls)
+
+
+def test_certificate_failure_names_the_radius(monkeypatch):
+    p = build_profile(1.0, 4.0, 1.0)
+    slopes = p.slopes
+
+    def steep(lam):
+        # triple the slope: |om_hat - om_check| >= 2 sqrt(2) > 1
+        k, h, ap, app = slopes(lam)
+        return k, h, 3.0 * ap, app
+
+    monkeypatch.setattr(p, "slopes", steep)
+    with pytest.raises(ConstructionFailed,
+                       match=r"violated at r = ") as info:
+        positivity_and_volume_certificate(p, n_r=40, n_ang=4)
+    r = float(str(info.value).rsplit("r = ", 1)[1])
+    radii = np.linspace(0.5 * p.t * p.R * (1.0 - 0.05),
+                        p.t * p.R * (1.0 + 0.05), 40)
+    assert r in radii.tolist()
+    assert 0.25 * p.q < r * r < p.q
+    with pytest.raises(ValueError):
+        positivity_and_volume_certificate(p, n_r=0)
+
+
 def test_upsilon_stable_across_t():
     vals = []
     for t in (0.01, 0.1, 1.0):
@@ -182,8 +266,12 @@ def test_profile_csv_export(tmp_path, profile):
     path = tmp_path / "profile.csv"
     profile.export_csv(path, n=50)
     lines = path.read_text().splitlines()
-    assert lines[0].split(",")[0] == "lambda"
+    assert lines[0] == "lambda,k,h,aprime"
     assert len(lines) == 51
+    for line in lines[1:]:
+        lam = float(line.split(",")[0])
+        assert line == ",".join(f"{v:.17g}" for v in (
+            lam, profile.k(lam), profile.h(lam), profile.aprime(lam)))
 
 
 def test_certificate_json_export(tmp_path, profile):
