@@ -10,13 +10,18 @@ B has one implementation for every caller: a sign/index table of its
 cubic terms, built once at import and evaluated in the form's own ring --
 integer numerators over a common denominator for a rational form, numpy
 rows for a float form or a batch of them.  The Hodge star and the inner
-product share one kernel for the k x k minors det(g^-1[I, J]): exact
-elimination per minor for a rational metric, one batched determinant for
-a float one.
+product share one kernel for the k x k minors det(g^-1[I, J]): for a
+rational metric, integer minors of g^-1 scaled to a common denominator, by
+Laplace expansion with the smaller minors memoised; for a float one, one
+batched determinant.
 
-Everything is done in exact rational arithmetic whenever the ninth and
-square roots involved are rational; otherwise the metric degrades to floats
-(flagged on the result).
+Exact linear algebra (determinants, Sylvester's test, inverses) runs
+fraction-free on integer numerators over one common denominator, so each
+result becomes a Fraction once, at the end.
+
+Everything is done in exact rational arithmetic whenever the ninth root of
+36 det B is rational (sqrt(det g) is that root over 6); otherwise the metric
+degrades to floats (flagged on the result).
 '''
 from __future__ import annotations
 
@@ -91,6 +96,10 @@ def _build_bilinear_entries():
     return entries
 
 _BILINEAR_ENTRIES = _build_bilinear_entries()
+#: the same entries grouped by their first triple a
+_BILINEAR_BY_A = [[] for _ in TRIPLES]
+for _entry in _BILINEAR_ENTRIES:
+    _BILINEAR_BY_A[_entry[1]].append(_entry)
 _B_IJ, _B_A, _B_B, _B_C, _B_S = np.array(_BILINEAR_ENTRIES, dtype=np.intp).T
 _B_STARTS = np.searchsorted(_B_IJ, np.arange(DIM * DIM))
 #: rows per block of bilinear_batch, so that one (rows x entries) temporary
@@ -111,23 +120,28 @@ def bilinear_from_3form(phi: KForm):
         return bilinear_batch(phi_to_vector(phi))[0].tolist()
     if phi.ring != RAT:
         raise TypeError("evaluate polynomial forms at a point first")
-    # exact: integer numerators over phi's common denominator
-    den = math.lcm(*(c.denominator for c in phi.coeffs.values()))
+    num, den = _bilinear_numerators(phi)
+    return [[Fraction(x, den) for x in row] for row in num]
+
+
+def _bilinear_numerators(phi: KForm):
+    """(N, d) with B = N / d for a rational form: N a 7x7 integer matrix
+    (nested lists) and d the cube of phi's common denominator.  Only the
+    table entries whose first triple is in phi's support are visited."""
+    nums, den = _over_common_denominator(phi.coeffs.values())
     p = [0] * len(TRIPLES)
-    for idx, c in phi.coeffs.items():
-        p[TRIPLE_POS[idx]] = c.numerator * (den // c.denominator)
+    for idx, x in zip(phi.coeffs, nums):
+        p[TRIPLE_POS[idx]] = x
     acc = [0] * (DIM * DIM)
-    for ij, a, b, c, s in _BILINEAR_ENTRIES:
-        x = p[a]
+    for a, x in enumerate(p):
         if x:
-            y = p[b]
-            if y:
-                z = p[c]
-                if z:
-                    acc[ij] += s * x * y * z
-    den3 = den ** 3
-    return [[Fraction(acc[DIM * i + j], den3) for j in range(DIM)]
-            for i in range(DIM)]
+            for ij, _, b, c, s in _BILINEAR_BY_A[a]:
+                y = p[b]
+                if y:
+                    z = p[c]
+                    if z:
+                        acc[ij] += s * x * y * z
+    return [acc[DIM * i:DIM * (i + 1)] for i in range(DIM)], den ** 3
 
 
 def phi_to_vector(phi: KForm) -> np.ndarray:
@@ -171,56 +185,88 @@ def metric_batch(phis: np.ndarray):
 
 
 # --------------------------------------------------------------------------
-# exact linear algebra helpers
+# exact linear algebra: integer numerators over a common denominator
 # --------------------------------------------------------------------------
 
-def det_exact(M):
-    """Determinant by fraction-free-ish Gaussian elimination on Fractions."""
+def _over_common_denominator(values):
+    """(numerators, D) with value = numerator / D for each of the ints or
+    Fractions in `values`; D is the lcm of their denominators (1 if none)."""
+    values = list(values)
+    D = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (D // v.denominator) for v in values], D
+
+
+def _integer_matrix(M):
+    """(A, D) with M = A / D: A a square integer matrix (nested lists)."""
     n = len(M)
-    A = [[Fraction(x) for x in row] for row in M]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if A[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            A[col], A[piv] = A[piv], A[col]
-            det = -det
-        det *= A[col][col]
-        inv = 1 / A[col][col]
-        for r in range(col + 1, n):
-            f = A[r][col] * inv
-            if f:
-                for c in range(col, n):
-                    A[r][c] -= f * A[col][c]
-    return det
+    flat, D = _over_common_denominator(
+        x if isinstance(x, (int, Fraction)) else Fraction(x) for row in M for x in row)
+    return [flat[n * r:n * (r + 1)] for r in range(n)], D
+
+
+def _bareiss(A):
+    """Fraction-free (Bareiss) elimination of the square integer matrix A, in
+    place.  Returns (det A, leading): the leading principal minors of A in
+    order, up to the first zero one, after which rows are swapped and no
+    further leading minor is known."""
+    n = len(A)
+    sign, prev, leading = 1, 1, []
+    for k in range(n):
+        if 0 not in leading:
+            leading.append(A[k][k])
+        if A[k][k] == 0:
+            piv = next((r for r in range(k + 1, n) if A[r][k]), None)
+            if piv is None:
+                return 0, leading
+            A[k], A[piv] = A[piv], A[k]
+            sign = -sign
+        p, rowk = A[k][k], A[k]
+        for i in range(k + 1, n):
+            rowi = A[i]
+            x = rowi[k]
+            rowi[k + 1:] = [(p * y - x * z) // prev
+                            for y, z in zip(rowi[k + 1:], rowk[k + 1:])]
+        prev = p
+    return sign * prev, leading
+
+
+def det_exact(M):
+    """Exact determinant of a square matrix of rationals, as a Fraction:
+    Bareiss elimination on its integer numerators over one denominator."""
+    A, D = _integer_matrix(M)
+    return Fraction(_bareiss(A)[0], D ** len(A))
+
+
+def _inverse_integer(A):
+    """(R, p) with A^-1 = R / p for a square integer matrix A, by
+    fraction-free Gauss-Jordan elimination of [A | I]: it ends at [p I | R]
+    with p = +-det A the last pivot."""
+    n = len(A)
+    A = [row + [int(c == r) for c in range(n)] for r, row in enumerate(A)]
+    prev = 1
+    for k in range(n):
+        if A[k][k] == 0:
+            piv = next((r for r in range(k + 1, n) if A[r][k]), None)
+            if piv is None:
+                raise ZeroDivisionError("singular matrix")
+            A[k], A[piv] = A[piv], A[k]
+        p, rowk = A[k][k], A[k]
+        for i in range(n):
+            if i != k:
+                rowi = A[i]
+                x = rowi[k]
+                # columns <= k are not read again
+                rowi[k + 1:] = [(p * y - x * z) // prev
+                                for y, z in zip(rowi[k + 1:], rowk[k + 1:])]
+        prev = p
+    return [row[n:] for row in A], prev
 
 
 def inverse_exact(M):
-    n = len(M)
-    A = [[Fraction(x) for x in M[r]] + [Fraction(1 if c == r else 0) for c in range(n)]
-         for r in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if A[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular matrix")
-        A[col], A[piv] = A[piv], A[col]
-        inv = 1 / A[col][col]
-        A[col] = [x * inv for x in A[col]]
-        for r in range(n):
-            if r != col and A[r][col]:
-                f = A[r][col]
-                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
-    return [row[n:] for row in A]
-
-
-def is_positive_definite_exact(M) -> bool:
-    # Sylvester: all leading principal minors positive
-    n = len(M)
-    for k in range(1, n + 1):
-        if det_exact([row[:k] for row in M[:k]]) <= 0:
-            return False
-    return True
+    """Exact inverse of a square matrix of rationals, as Fractions."""
+    A, D = _integer_matrix(M)
+    R, p = _inverse_integer(A)
+    return [[Fraction(D * x, p) for x in row] for row in R]
 
 
 # --------------------------------------------------------------------------
@@ -250,35 +296,36 @@ def is_g2_type(phi: KForm, tol: float = 1e-12) -> G2Data:
     """Normalise B(phi) into a metric; raise NotStableError /
     OrientationMismatchError when phi is not definite for the given frame.
 
-    Exact rational output whenever 36 det B is a rational ninth power and
-    det g a rational square; float (exact=False) otherwise.
+    Exact rational output whenever 36 det B is a rational ninth power (then
+    sqrt(det g) is rational too); float (exact=False) otherwise.
     """
     if isinstance(phi.ring, tuple):
         raise TypeError("evaluate polynomial forms at a point first")
-    B = bilinear_from_3form(phi)
     if phi.ring == RAT:
-        detB = det_exact(B)
-        if detB == 0:
+        # B = N / d; one elimination of N gives det B and the signs of the
+        # leading minors of g = B / root (root > 0) for Sylvester's test
+        N, d = _bilinear_numerators(phi)
+        detN, leading = _bareiss([row[:] for row in N])
+        if detN == 0:
             raise NotStableError("det B = 0")
+        detB = Fraction(detN, d ** DIM)
         if detB < 0:
             _diagnose_negative(phi, float(detB))
         root = nth_root_fraction(36 * detB, 9)
         if root is not None:
-            g = [[x / root for x in row] for row in B]
-            if not is_positive_definite_exact(g):
+            if min(leading) <= 0:   # leading stops at its first zero
                 raise NotStableError("normalised metric not positive definite")
-            detg = det_exact(g)
-            sq = nth_root_fraction(detg, 2)
-            if sq is not None:
-                return G2Data(phi, g, inverse_exact(g), sq, exact=True)
-            return G2Data(phi,
-                          [[float(x) for x in row] for row in g],
-                          np.linalg.inv(np.array(g, dtype=float)).tolist(),
-                          float(detg) ** 0.5, exact=False)
-        Bf = np.array([[float(x) for x in row] for row in B])
+            # g = N / (d root) and g^-1 = d root N^-1; det g = det B / root^7
+            # = root^2 / 36, so sqrt(det g) = root / 6 is rational too
+            rn, rd = root.numerator, root.denominator
+            R, p = _inverse_integer(N)
+            return G2Data(phi, [[Fraction(x * rd, d * rn) for x in row] for row in N],
+                          [[Fraction(d * rn * x, rd * p) for x in row] for row in R],
+                          root / 6, exact=True)
+        Bf = np.array([[x / d for x in row] for row in N])
         detBf = float(detB)
     else:
-        Bf = np.array([[float(x) for x in row] for row in B])
+        Bf = np.array(bilinear_from_3form(phi))
         detBf = float(np.linalg.det(Bf))
         if detBf == 0.0:
             raise NotStableError("det B vanishes to working precision")
@@ -317,14 +364,51 @@ _STAR_SIGNS = [[merge_sign(I, comp)[1] for I, comp in zip(subs, comps)]
                for subs, comps in zip(_SUBSETS, _COMPLEMENTS)]
 
 
+#: the set bits (0-based axes) of each 7-bit mask, in increasing order
+_BITS = [tuple(i for i in range(DIM) if m >> i & 1) for m in range(1 << DIM)]
+
+
+def _mask(I) -> int:
+    """The 7-bit mask of a multi-index of 1-based axes."""
+    return sum(1 << (i - 1) for i in I)
+
+
 def _gram_minors(data: G2Data, exact: bool, k: int, rows, cols):
     """The minors det(g^-1[I, J]) for I in rows, J in cols (k-subsets of the
-    axes).  Exact: nested lists of Fractions, one det_exact per pair.  Float:
-    an ndarray from one batched determinant over the stacked sub-blocks."""
+    axes).  Exact: (M, D^k) with det(g^-1[I, J]) = M[I][J] / D^k, where
+    D g^-1 is an integer matrix; M[I][J] comes from Laplace expansion along
+    J's first column, with the smaller minors memoised across I and J (keyed
+    by the bit masks of their axes), so the k-th compound of g^-1 is built
+    only for the columns asked for.  Float: an ndarray from one batched
+    determinant over the stacked sub-blocks."""
     if exact:
-        ginv = data.metric_inv
-        return [[det_exact([[ginv[a - 1][b - 1] for b in J] for a in I])
-                 for J in cols] for I in rows]
+        G, D = _integer_matrix(data.metric_inv)
+        memo = {}
+
+        def expand(mi, mj):
+            low = mj & -mj
+            col, rest, m, odd = low.bit_length() - 1, mj ^ low, 0, False
+            for i in _BITS[mi]:
+                x = G[i][col]
+                if x:
+                    x *= minor(mi ^ (1 << i), rest)
+                    m = m - x if odd else m + x
+                odd = not odd
+            return m
+
+        def minor(mi, mj):
+            if mj & (mj - 1) == 0:      # one column, or none
+                return G[_BITS[mi][0]][_BITS[mj][0]] if mj else 1
+            key = mi << DIM | mj
+            m = memo.get(key)
+            if m is None:
+                m = memo[key] = expand(mi, mj)
+            return m
+
+        # each top-level (I, J) is asked for once, so it is not memoised
+        top = expand if k > 1 else minor
+        cmasks = [_mask(J) for J in cols]
+        return [[top(mi, mj) for mj in cmasks] for mi in map(_mask, rows)], D ** k
     ginv = np.array(data.metric_inv, dtype=float)
     R = np.array(rows, dtype=np.intp).reshape(len(rows), k) - 1
     C = np.array(cols, dtype=np.intp).reshape(len(cols), k) - 1
@@ -338,9 +422,11 @@ def inner_product(data: G2Data, a: KForm, b: KForm):
     exact = data.exact and a.ring == RAT and b.ring == RAT
     minors = _gram_minors(data, exact, a.degree, list(a.coeffs), list(b.coeffs))
     if exact:
-        return sum((ca * cb * m
-                    for ca, row in zip(a.coeffs.values(), minors)
-                    for cb, m in zip(b.coeffs.values(), row)), Fraction(0))
+        minors, den = minors
+        na, da = _over_common_denominator(a.coeffs.values())
+        nb, db = _over_common_denominator(b.coeffs.values())
+        return Fraction(sum(x * sum(y * m for y, m in zip(nb, row))
+                            for x, row in zip(na, minors)), den * da * db)
     ca = np.array([float(c) for c in a.coeffs.values()])
     cb = np.array([float(c) for c in b.coeffs.values()])
     return float(ca @ minors @ cb)
@@ -358,15 +444,18 @@ def hodge_star(data: G2Data, a: KForm) -> KForm:
     exact = data.exact and a.ring == RAT
     minors = _gram_minors(data, exact, k, _SUBSETS[k], list(a.coeffs))
     if exact:
-        sums = [sum((c * m for c, m in zip(a.coeffs.values(), row)), Fraction(0))
-                for row in minors]
+        minors, den = minors
+        na, da = _over_common_denominator(a.coeffs.values())
         sq = data.sqrt_det
+        num, den = sq.numerator, den * da * sq.denominator
+        coeffs = {comp: Fraction(sign * num * sum(x * m for x, m in zip(na, row)), den)
+                  for comp, sign, row in zip(_COMPLEMENTS[k], _STAR_SIGNS[k], minors)}
     else:
         sums = (minors @ np.array([float(c) for c in a.coeffs.values()])).tolist()
         sq = float(data.sqrt_det)
-    return KForm(DIM, DIM - k, RAT if exact else FLT,
-                 {comp: s * sq * sign for comp, sign, s
-                  in zip(_COMPLEMENTS[k], _STAR_SIGNS[k], sums)})
+        coeffs = {comp: s * sq * sign for comp, sign, s
+                  in zip(_COMPLEMENTS[k], _STAR_SIGNS[k], sums)}
+    return KForm(DIM, DIM - k, RAT if exact else FLT, coeffs)
 
 
 # --------------------------------------------------------------------------
@@ -375,12 +464,11 @@ def hodge_star(data: G2Data, a: KForm) -> KForm:
 
 @dataclass
 class SU2FiberData:
-    """Fiber data (omega, Omega) on axes `fiber_axes`, with the
-    normalisation nu fixed by 2 omega^2 = nu^2 Omega ^ conj(Omega)."""
+    """Fiber data (omega, Omega), with the normalisation nu fixed by
+    2 omega^2 = nu^2 Omega ^ conj(Omega)."""
     omega: KForm
     omega_re: KForm      # Re Omega
     omega_im: KForm      # Im Omega
-    fiber_axes: tuple
     nu: object = field(init=False)
 
     def __post_init__(self):

@@ -29,7 +29,7 @@ SCALING_TRIPLES = tuple(idx for _, idx in STANDARD_PHI_TERMS)
 #: axis i appears in triple t, so that M log(mu) = log(lambda)
 INCIDENCE = [[1 if i in t else 0 for i in range(1, DIM + 1)] for t in SCALING_TRIPLES]
 
-INCIDENCE_INV = inverse_exact(INCIDENCE)   # entries in (1/3)Z
+INCIDENCE_INV = inverse_exact(INCIDENCE)   # entries in (1/6)Z
 
 
 class NonPositiveScaleError(ValueError):

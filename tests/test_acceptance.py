@@ -53,8 +53,7 @@ def test_criterion_2_su2_closed_forms():
     def fiber(nu, ring):
         return SU2FiberData(nu * (th(4, 5, ring=ring) + th(6, 7, ring=ring)),
                             th(4, 6, ring=ring) - th(5, 7, ring=ring),
-                            th(4, 7, ring=ring) + th(5, 6, ring=ring),
-                            (4, 5, 6, 7))
+                            th(4, 7, ring=ring) + th(5, 6, ring=ring))
 
     f8 = fiber(Q(8), RAT)
     phi = su2_assemble(th(1), th(2), th(3), f8)

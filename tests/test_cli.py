@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from g2calc import catalog, cli
+from g2calc import catalog, cli, ehmetric
 from g2calc.cli import build_suites, main
 from g2calc.g2core import G2Data, NotStableError
 
@@ -32,7 +32,11 @@ def test_verify_unknown_suite_is_usage_error(capsys):
 
 
 def test_nonpositive_tolerance_is_usage_error():
-    assert run(["verify", "--suite", "flow", "--tol", "-1"]) == 2
+    assert run(["flow", "--tol", "-1"]) == 2
+    # verify has no --tol: no verify check reads a global tolerance
+    with pytest.raises(SystemExit) as info:
+        run(["verify", "--tol", "1e-10"])
+    assert info.value.code == 2
 
 
 def test_corrupted_model_fails_naming_the_check(tmp_path, capsys):
@@ -119,3 +123,24 @@ def test_glued_definite_check_names_the_indefinite_point(monkeypatch):
     assert not ok
     assert detail.startswith("not definite at mu=1, (y1=")
     assert detail.endswith("normalised metric not positive definite")
+
+
+def test_eh_certificate_check_fails_when_positivity_fails(tmp_path, monkeypatch,
+                                                         capsys):
+    # triple the slope, as in test_ehmetric: the certificate raises
+    # ConstructionFailed, which must fail the check rather than crash verify
+    p = ehmetric.build_profile(1.0, 4.0, 1.0)
+    slopes = p.slopes
+
+    def steep(lam):
+        k, h, ap, app = slopes(lam)
+        return k, h, 3.0 * ap, app
+
+    monkeypatch.setattr(p, "slopes", steep)
+    monkeypatch.setattr(cli, "_EH_PROFILE", p)
+    out = tmp_path / "report.json"
+    assert run(["verify", "--suite", "eh", "--out", str(out)]) == 1
+    status = {r["id"]: r for r in json.loads(out.read_text())["checks"]}
+    row = status["eh.positivity_and_volume"]
+    assert row["status"] == "fail"
+    assert row["detail"].startswith("ConstructionFailed: positivity margin")

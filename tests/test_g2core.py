@@ -6,14 +6,16 @@ from itertools import combinations, permutations, product
 import numpy as np
 import pytest
 
+from g2calc import g2core
 from g2calc.forms import KForm
 from g2calc.g2core import (STANDARD_PHI_TERMS, DegenerateFiberError, G2Data,
                            NotStableError, OrientationMismatchError,
                            SU2FiberData, bilinear_from_3form, det_exact,
-                           hodge_star, inner_product, is_g2_type, metric_batch,
-                           norm, phi_to_vector, standard_phi, su2_assemble,
-                           vector_to_phi)
-from g2calc.rings import FLT, RAT
+                           hodge_star, inner_product, inverse_exact,
+                           is_g2_type, metric_batch, norm, phi_to_vector,
+                           standard_phi, su2_assemble, vector_to_phi)
+from g2calc.rings import FLT, RAT, nth_root_fraction
+from g2calc.scaling import INCIDENCE
 
 DIM = 7
 
@@ -140,16 +142,20 @@ def test_bilinear_table_matches_wedge_reference_exactly(density):
 
 
 def test_exact_to_float_fallback_normalises_the_reference_b():
-    # lambda product 2 is not a cube: 36 det B is no rational ninth power
-    phi = KForm(DIM, 3, RAT, {idx: c * (2 if idx == (1, 2, 3) else 1)
-                              for c, idx in STANDARD_PHI_TERMS})
-    ref = _wedge_bilinear(phi)
-    assert bilinear_from_3form(phi) == ref
-    data = is_g2_type(phi)
-    assert not data.exact
-    want = (np.array(ref, dtype=float)
-            / (36.0 * float(det_exact(ref))) ** (1.0 / 9.0))
-    assert data.metric == want.tolist()
+    # the product of the scalings is not a cube: 36 det B is no rational
+    # ninth power
+    for lams in ((2, 1, 1, 1, 1, 1, 1), (Fraction(3, 2), 5, 1, 7, 1, 1, Fraction(1, 4))):
+        phi = KForm(DIM, 3, RAT, {idx: c * l for (c, idx), l
+                                  in zip(STANDARD_PHI_TERMS, lams)})
+        ref = _wedge_bilinear(phi)
+        assert bilinear_from_3form(phi) == ref
+        data = is_g2_type(phi)
+        assert not data.exact and data.phi.ring == FLT
+        want = (np.array(ref, dtype=float)
+                / (36.0 * float(_leibniz_det(ref))) ** (1.0 / 9.0))
+        assert data.metric == want.tolist()
+        assert data.metric_inv == np.linalg.inv(want).tolist()
+        assert data.sqrt_det == float(np.sqrt(np.linalg.det(want)))
 
 
 def test_bilinear_table_matches_wedge_reference_on_floats():
@@ -165,6 +171,18 @@ def test_bilinear_table_matches_wedge_reference_on_floats():
             assert np.abs(B - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
+def _frame_phi(A):
+    """The standard form pulled back along the coframe theta'^i = sum_j
+    A[i][j] theta^j.  For a rational A with det A > 0 its metric is A^T A,
+    its volume det A, and 36 det B = (6 det A)^9, so it is exact."""
+    frame = [KForm(DIM, 1, RAT, {(j + 1,): A[i][j] for j in range(DIM)})
+             for i in range(DIM)]
+    phi = KForm.zero(DIM, 3)
+    for c, (a, b, d) in STANDARD_PHI_TERMS:
+        phi = phi + c * frame[a - 1].wedge(frame[b - 1]).wedge(frame[d - 1])
+    return phi
+
+
 def _exact_skewed_data():
     """Exact G2Data with a non-diagonal metric: the standard form pulled
     back along a unimodular rational frame change."""
@@ -172,12 +190,7 @@ def _exact_skewed_data():
     A = [[Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
           if c > r else Fraction(int(r == c)) for c in range(DIM)]
          for r in range(DIM)]  # unit upper triangular, det 1
-    frame = [KForm(DIM, 1, RAT, {(j + 1,): A[i][j] for j in range(DIM)})
-             for i in range(DIM)]
-    phi = KForm.zero(DIM, 3)
-    for c, (a, b, d) in STANDARD_PHI_TERMS:
-        phi = phi + c * frame[a - 1].wedge(frame[b - 1]).wedge(frame[d - 1])
-    data = is_g2_type(phi)
+    data = is_g2_type(_frame_phi(A))
     assert data.exact
     assert any(data.metric_inv[r][c] != 0 for r in range(DIM) for c in range(DIM)
                if r != c)
@@ -262,14 +275,237 @@ def test_instability_and_orientation_errors_follow_the_signature_of_b(ring):
 
 
 # --------------------------------------------------------------------------
+# the fraction-free integer kernel against Fraction references
+# --------------------------------------------------------------------------
+
+def _fraction_det(M):
+    """Reference determinant: Gaussian elimination on Fractions."""
+    n = len(M)
+    A = [[Fraction(x) for x in row] for row in M]
+    det = Fraction(1)
+    for col in range(n):
+        piv = next((r for r in range(col, n) if A[r][col] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != col:
+            A[col], A[piv] = A[piv], A[col]
+            det = -det
+        det *= A[col][col]
+        for r in range(col + 1, n):
+            f = A[r][col] / A[col][col]
+            for c in range(col, n):
+                A[r][c] -= f * A[col][c]
+    return det
+
+
+def _fraction_inverse(M):
+    """Reference inverse: Gauss-Jordan elimination on Fractions."""
+    n = len(M)
+    A = [[Fraction(x) for x in M[r]] + [Fraction(int(c == r)) for c in range(n)]
+         for r in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if A[r][col] != 0)
+        A[col], A[piv] = A[piv], A[col]
+        A[col] = [x / A[col][col] for x in A[col]]
+        for r in range(n):
+            if r != col and A[r][col]:
+                f = A[r][col]
+                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
+    return [row[n:] for row in A]
+
+
+def _matmul(X, Y):
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*Y)]
+            for row in X]
+
+
+def _random_rational_matrix(rng, n):
+    return [[Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
+             for _ in range(n)] for _ in range(n)]
+
+
+def _det_cases(n):
+    """Random rational matrices, plus (n >= 2) a zero leading pivot that
+    forces a row swap, a singular matrix and a row-swapped copy whose
+    determinant has the opposite sign."""
+    rng = np.random.default_rng(20 + n)
+    cases = [_random_rational_matrix(rng, n) for _ in range(2 if n == 7 else 4)]
+    if n >= 2:
+        Z = _random_rational_matrix(rng, n)
+        Z[0][0] = Fraction(0)
+        S = _random_rational_matrix(rng, n)
+        S[-1] = [3 * x - y for x, y in zip(S[0], S[1])] if n > 2 else [2 * x for x in S[0]]
+        P = [row[:] for row in cases[0]]
+        P[0], P[1] = P[1], P[0]
+        cases += [Z, S, P]
+    return cases
+
+
+@pytest.mark.parametrize("n", range(1, DIM + 1))
+def test_det_exact_matches_leibniz(n):
+    dets = []
+    for M in _det_cases(n):
+        d = det_exact(M)
+        assert type(d) is Fraction
+        assert d == _leibniz_det(M) == _fraction_det(M)
+        dets.append(d)
+    if n >= 2:
+        assert dets[-2] == 0 and dets[-1] == -dets[0] != 0
+    # ints and floats are read exactly
+    assert det_exact([[1, 2], [3, 4]]) == -2
+    assert det_exact([[0.5, 0.25], [0, 3]]) == Fraction(3, 2)
+    assert det_exact([]) == 1
+
+
+def test_elimination_reports_the_leading_minors():
+    # Sylvester's test in is_g2_type reads these: every leading principal
+    # minor, up to and including the first zero one (which forces a swap)
+    rng = np.random.default_rng(30)
+    swaps = 0
+    for n in range(1, DIM + 1):
+        for zero_at in [None] + list(range(n)):
+            A = [[int(rng.integers(-9, 10)) for _ in range(n)] for _ in range(n)]
+            if zero_at is not None:
+                # make the leading (zero_at+1)-minor vanish
+                A[zero_at][:zero_at + 1] = [0] * (zero_at + 1) if zero_at == 0 else \
+                    [sum(A[r][c] for r in range(zero_at)) for c in range(zero_at + 1)]
+            want = [_fraction_det([row[:k] for row in A[:k]]) for k in range(1, n + 1)]
+            if 0 in want[:-1]:
+                want = want[:want.index(0) + 1]
+                swaps += 1
+            det, leading = g2core._bareiss([row[:] for row in A])
+            assert det == _fraction_det(A)
+            assert leading == want
+    assert swaps >= 20
+
+
+def test_inverse_exact_matches_the_fraction_reference():
+    rng = np.random.default_rng(40)
+    mats = [INCIDENCE, [[2]], [[0, 1], [1, 0]]]
+    for n in range(1, DIM + 1):
+        mats += [M for M in _det_cases(n) if _fraction_det(M) != 0]
+    for M in mats:
+        inv = inverse_exact(M)
+        n = len(M)
+        assert all(type(x) is Fraction for row in inv for x in row)
+        assert inv == _fraction_inverse(M)
+        assert _matmul(inv, M) == [[int(r == c) for c in range(n)] for r in range(n)]
+    assert all((6 * x).denominator == 1 for row in inverse_exact(INCIDENCE) for x in row)
+    with pytest.raises(ZeroDivisionError):
+        inverse_exact([[1, 2], [2, 4]])
+    with pytest.raises(ZeroDivisionError):
+        inverse_exact(_det_cases(4)[-2])
+
+
+def _reference_exact_g2(phi):
+    """The Fraction-elimination exact branch of is_g2_type: (metric,
+    metric_inv, sqrt_det) from the wedge-built B."""
+    B = _wedge_bilinear(phi)
+    root = nth_root_fraction(36 * _fraction_det(B), 9)
+    g = [[x / root for x in row] for row in B]
+    assert all(_fraction_det([row[:k] for row in g[:k]]) > 0 for k in range(1, DIM + 1))
+    return g, _fraction_inverse(g), nth_root_fraction(_fraction_det(g), 2)
+
+
+def _random_frames(rng, count):
+    """Dense rational frames with det A > 0; entries are kept small so that
+    6 det A stays within the float-seeded root search of nth_root_fraction."""
+    frames = []
+    while len(frames) < count:
+        A = [[Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 3)))
+              for _ in range(DIM)] for _ in range(DIM)]
+        if _fraction_det(A) > 0:
+            frames.append(A)
+    return frames
+
+
+def test_is_g2_type_exact_matches_the_fraction_reference():
+    rng = np.random.default_rng(50)
+    scaled = KForm(DIM, 3, RAT, {idx: c * l for (c, idx), l in zip(
+        STANDARD_PHI_TERMS, (8, Fraction(1, 27), 1, 64, Fraction(8, 125), 1, 27))})
+    phis = [standard_phi(), scaled, _su2_family_phi(Fraction(8))]
+    frames = _random_frames(rng, 3)
+    phis += [_frame_phi(A) for A in frames]
+    for i, phi in enumerate(phis):
+        data = is_g2_type(phi)
+        g, ginv, sq = _reference_exact_g2(phi)
+        assert data.exact and data.phi is phi
+        assert data.metric == g and data.metric_inv == ginv and data.sqrt_det == sq
+        assert all(type(x) is Fraction for M in (data.metric, data.metric_inv)
+                   for row in M for x in row)
+        assert type(data.sqrt_det) is Fraction
+        if i >= 3:  # g = A^T A and vol = det A on a pulled-back frame
+            A = frames[i - 3]
+            assert data.metric == _matmul([list(c) for c in zip(*A)], A)
+            assert data.sqrt_det == _fraction_det(A)
+
+
+def test_indefinite_b_with_a_rational_ninth_root_is_not_stable():
+    # B = diag(+-6) with an even number of minus signs: det B = 6^7 > 0 and
+    # 36 det B = 6^9, but B is indefinite, so only Sylvester's test rejects it
+    seen = 0
+    for signs in product((1, -1), repeat=7):
+        phi = KForm(DIM, 3, RAT, {idx: s * c for s, (c, idx)
+                                  in zip(signs, STANDARD_PHI_TERMS)})
+        B = _wedge_bilinear(phi)
+        detB = _fraction_det(B)
+        eig = np.linalg.eigvalsh(np.array(B, dtype=float))
+        if detB > 0 and eig[0] < 0 < eig[-1]:
+            assert nth_root_fraction(36 * detB, 9) is not None
+            with pytest.raises(NotStableError,
+                               match="normalised metric not positive definite"):
+                is_g2_type(phi)
+            seen += 1
+    assert seen > 0
+
+
+def _per_pair_hodge_star(data, a):
+    """Reference exact Hodge star: one Fraction elimination per (I, J) pair."""
+    k, ginv = a.degree, data.metric_inv
+    out = {}
+    for I in combinations(range(1, DIM + 1), k):
+        comp = tuple(x for x in range(1, DIM + 1) if x not in I)
+        sign = th(*I).wedge(th(*comp)).top_coefficient()
+        s = sum((c * _fraction_det([[ginv[x - 1][y - 1] for y in J] for x in I])
+                 for J, c in a.coeffs.items()), Fraction(0))
+        out[comp] = s * data.sqrt_det * sign
+    return KForm(DIM, DIM - k, RAT, out)
+
+
+def test_exact_star_and_inner_product_match_per_pair_eliminations():
+    rng = np.random.default_rng(60)
+    for A in _random_frames(rng, 2):
+        data = is_g2_type(_frame_phi(A))
+        assert data.exact and data.sqrt_det != 1
+        for k in range(DIM + 1):
+            subsets = list(combinations(range(1, DIM + 1), k))
+            a, b = (KForm(DIM, k, RAT, {I: Fraction(int(rng.integers(-5, 6)),
+                                                    int(rng.integers(1, 4)))
+                                        for I in subsets if rng.random() < 0.6})
+                    for _ in range(2))
+            assert hodge_star(data, a) == _per_pair_hodge_star(data, a)
+            ip = inner_product(data, a, b)
+            ginv = data.metric_inv
+            assert type(ip) is Fraction
+            assert ip == sum((ca * cb * _fraction_det([[ginv[x - 1][y - 1] for y in J]
+                                                       for x in I])
+                              for I, ca in a.coeffs.items()
+                              for J, cb in b.coeffs.items()), Fraction(0))
+
+
+# --------------------------------------------------------------------------
 # SU(2) fiber assembly: closed forms for metric, volume, *phi'
 # --------------------------------------------------------------------------
+
+def _su2_family_phi(nu):
+    return su2_assemble(th(1), th(2), th(3), _fiber(nu))
+
 
 def _fiber(nu, ring=RAT):
     om = nu * (th(4, 5, ring=ring) + th(6, 7, ring=ring))
     re = th(4, 6, ring=ring) - th(5, 7, ring=ring)
     im = th(4, 7, ring=ring) + th(5, 6, ring=ring)
-    return SU2FiberData(om, re, im, (4, 5, 6, 7))
+    return SU2FiberData(om, re, im)
 
 
 def test_su2_normalisation_constant():
@@ -326,4 +562,4 @@ def test_su2_degenerate_fiber_rejected():
     re = th(4, 6) - th(5, 7)
     im = th(4, 7) + th(5, 6)
     with pytest.raises(DegenerateFiberError):
-        SU2FiberData(om, re, im, (4, 5, 6, 7))
+        SU2FiberData(om, re, im)
