@@ -23,6 +23,7 @@ from itertools import product
 
 import numpy as np
 
+from .ehmetric import _plateau, _plateau_integral
 from .forms import KForm, PolynomialMap, chart_vars, poly_ring
 from .g2core import G2Data, is_g2_type, norm
 from .liecdga import InvariantModel, StructureEqs, check_d_squared, d_invariant
@@ -34,56 +35,26 @@ Q = Fraction
 # smooth cutoff
 # ===========================================================================
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
-
-
-def _gl_integrate(fn, lo, hi):
-    if hi <= lo:
-        return 0.0
-    mid, half = 0.5 * (hi + lo), 0.5 * (hi - lo)
-    x = mid + half * _GL_NODES
-    return half * float(np.sum(_GL_WEIGHTS * fn(x)))
-
-
 class CutoffFn:
     """Smooth transition profile on [0, oo).
 
-    A linear ramp on [ramp_lo, ramp_hi] mollified by a compactly supported
-    exponential bump of half-width `h`; with the default parameters the
+    A linear ramp on [ramp_lo, ramp_hi] mollified by the compactly supported
+    bump exp(-1/(1-z^2)) of half-width `h`; with the default parameters the
     result vanishes on [0, 0.51], equals 1 on [0.99, oo) and has derivative
-    bounded by 1/(ramp_hi - ramp_lo) = 2.5 < 3.  Values and derivatives are
-    obtained from closed quadrature formulas (the only numerics involved is
-    Gauss-Legendre integration of the smooth kernel), so evaluation is
-    deterministic to machine precision.
+    bounded by 1/(ramp_hi - ramp_lo) = 2.5 < 3.  The derivative is the
+    mollified plateau of `ehmetric` (the same kernel as the Eguchi-Hanson
+    bump k_t) on [ramp_lo, ramp_hi], divided by the ramp length, and the
+    value is its integral, by the same 96-node Gauss-Legendre rule.  Against
+    a 30-digit quadrature of the defining convolution over the ramp, the
+    default cutoff's values are within 4e-16 and its derivatives within
+    6e-15.  When the ramp is shorter than 2h, the mollifier's shoulders
+    overlap and the value is only within about 1e-11.
     """
 
     def __init__(self, ramp_lo=0.55, ramp_hi=0.95, h=0.04):
         if not (0.5 < ramp_lo - h and ramp_hi + h < 1.0 + 1e-12):
             raise ValueError("mollified ramp must stay inside (1/2, 1]")
         self.a, self.b, self.h = float(ramp_lo), float(ramp_hi), float(h)
-        self._norm = 1.0
-        self._norm = 1.0 / self._kernel_mass(self.h)
-
-    def _kernel(self, u):
-        u = np.asarray(u, dtype=float)
-        out = np.zeros_like(u)
-        inside = np.abs(u) < self.h
-        z = u[inside] / self.h
-        out[inside] = self._norm * np.exp(-1.0 / (1.0 - z * z))
-        return out
-
-    def _kernel_mass(self, x):
-        """integral of the kernel over [-h, min(x, h)]"""
-        x = min(float(x), self.h)
-        if x <= -self.h:
-            return 0.0
-        return _gl_integrate(self._kernel, -self.h, x)
-
-    def _kernel_moment(self, lo, hi):
-        lo, hi = max(lo, -self.h), min(hi, self.h)
-        if hi <= lo:
-            return 0.0
-        return _gl_integrate(lambda u: u * self._kernel(u), lo, hi)
 
     def __call__(self, s: float) -> float:
         s = float(s)
@@ -91,21 +62,14 @@ class CutoffFn:
             return 0.0
         if s >= self.b + self.h:
             return 1.0
-        # f(s) = int k(u) ramp(s - u) du, split at the ramp kinks
-        total = self._kernel_mass(s - self.b)            # ramp == 1 part
-        lo, hi = max(-self.h, s - self.b), min(self.h, s - self.a)
-        if hi > lo:
-            mass = self._kernel_mass(hi) - self._kernel_mass(lo)
-            mom = self._kernel_moment(lo, hi)
-            total += ((s - self.a) * mass - mom) / (self.b - self.a)
+        total = _plateau_integral(s, 0, self.a, self.b, self.h) / (self.b - self.a)
         return min(max(total, 0.0), 1.0)
 
     def deriv(self, s: float) -> float:
         s = float(s)
         if s <= self.a - self.h or s >= self.b + self.h:
             return 0.0
-        mass = self._kernel_mass(s - self.a) - self._kernel_mass(s - self.b)
-        return mass / (self.b - self.a)
+        return float(_plateau(s, self.a, self.b, self.h)) / (self.b - self.a)
 
     @property
     def deriv_bound(self) -> float:
@@ -196,6 +160,12 @@ def _lam_parts(lam):
     return float(re), float(im)
 
 
+def _lam_sq(lam):
+    """|lambda|^2: a Fraction when lambda is exact, else a float."""
+    re, im = _lam_parts(lam)
+    return re ** 2 + im ** 2
+
+
 def phi_abl(alpha, beta, lam, model: InvariantModel | None = None) -> KForm:
     """phi(alpha, beta, lambda) = alpha beta g^{123} + alpha g^1 ^ omega
     - beta g^2 ^ Re(lambda Omega) + g^3 ^ Im(lambda Omega)."""
@@ -262,6 +232,11 @@ def ch_map(xi: KForm, model: InvariantModel | None = None) -> tuple:
 # nilmanifold / orbifold model
 # ===========================================================================
 
+#: the seven terms of the flat FFKM 3-form theta^{123} + ... + theta^{356}
+_FFKM_TERMS = (((1, 2, 3), 1), ((1, 4, 5), 1), ((1, 6, 7), 1), ((2, 4, 6), -1),
+               ((2, 5, 7), 1), ((3, 4, 7), 1), ((3, 5, 6), 1))
+
+
 def ffkm_model() -> InvariantModel:
     d_gen = [
         None, None, None,
@@ -272,9 +247,7 @@ def ffkm_model() -> InvariantModel:
     ]
     eqs = StructureEqs(7, d_gen, tuple(f"t{i}" for i in range(1, 8)))
     check_d_squared(eqs)
-    phi = _kf3((1, (1, 2, 3)), (1, (1, 4, 5)), (1, (1, 6, 7)),
-               (-1, (2, 4, 6)), (1, (2, 5, 7)), (1, (3, 4, 7)), (1, (3, 5, 6)))
-    named = {"phi": phi}
+    named = {"phi": KForm.from_terms(7, 3, _FFKM_TERMS, RAT)}
     invo = {"t1": Q(-1), "t2": Q(-1), "t3": Q(1), "t4": Q(1),
             "t5": Q(-1), "t6": Q(-1), "t7": Q(1)}
     witnesses = {
@@ -315,6 +288,27 @@ def _y(name, vars=YVARS):
     return Poly.var(vars, name)
 
 
+#: the transverse chart axes (y1, y2, y5, y6) of the singular circle
+_TRANSVERSE = ((1, "y1"), (2, "y2"), (5, "y5"), (6, "y6"))
+
+
+def _transverse_r(point) -> float:
+    """Distance sqrt(y1^2 + y2^2 + y5^2 + y6^2) to the singular circle."""
+    return math.sqrt(sum(float(point.get(n, 0.0)) ** 2 for _, n in _TRANSVERSE))
+
+
+def _d_cutoff_times(pt: dict, scale: float, a: KForm, da: KForm):
+    """d[f(r/scale) a] = f da + (f'/scale) dr ^ a at a float chart point, for
+    a polynomial form a with da = a.d_chart(); returns (form, r, f, f')."""
+    r = _transverse_r(pt)
+    f, fd = DEFAULT_CUTOFF(r / scale), DEFAULT_CUTOFF.deriv(r / scale)
+    out = f * da.eval_at(pt)
+    if fd != 0.0 and r > 0:
+        dr = KForm(7, 1, FLT, {(i,): pt[n] / r for i, n in _TRANSVERSE})
+        out = out + (fd / scale) * dr.wedge(a.eval_at(pt))
+    return out, r, f, fd
+
+
 @dataclass
 class ChartRegion:
     """One chart T^3 x B^4_eps around a component of the singular locus."""
@@ -333,13 +327,12 @@ class ChartRegion:
 
     def r_squared(self) -> Poly:
         r2 = Poly.const(YVARS, 0)
-        for n in ("y1", "y2", "y5", "y6"):
+        for _, n in _TRANSVERSE:
             r2 = r2 + _y(n) * _y(n)
         return r2
 
     def contains(self, point: dict) -> bool:
-        r2 = sum(float(point.get(n, 0.0)) ** 2 for n in ("y1", "y2", "y5", "y6"))
-        return r2 < self.epsilon ** 2
+        return _transverse_r(point) < self.epsilon
 
 
 def chart_map(base_chart: int, extra_vars=()) -> PolynomialMap:
@@ -419,19 +412,21 @@ def _dy(idx, ring=YRING, coeff=1):
     return KForm(7, len(idx), ring, {tuple(idx): c})
 
 
+def _flat_xi(ring, c123=None) -> KForm:
+    """The flat FFKM 3-form over a polynomial ring; c123, when given,
+    replaces the coefficient 1 of dy^{123}."""
+    coeffs = {idx: Poly.const(ring[1], c) for idx, c in _FFKM_TERMS}
+    if c123 is not None:
+        coeffs[(1, 2, 3)] = c123
+    return KForm(7, 3, ring, coeffs)
+
+
 def xi_mu_chart(symbolic: bool = False):
     """xi^mu = mu^6 dy^{123} + the six remaining flat terms; with
     symbolic=True the coefficient mu^6 is the polynomial variable u."""
-    ring = YURING if symbolic else YRING
-    vars = ring[1]
-    u = Poly.var(vars, "u") if symbolic else Poly.const(vars, 1)
-    flat = [((1, 2, 3), u), ((1, 4, 5), 1), ((1, 6, 7), 1), ((2, 4, 6), -1),
-            ((2, 5, 7), 1), ((3, 4, 7), 1), ((3, 5, 6), 1)]
-    out = KForm.zero(7, 3, ring)
-    for idx, c in flat:
-        cc = c if isinstance(c, Poly) else Poly.const(vars, c)
-        out = out + KForm(7, 3, ring, {idx: cc})
-    return out
+    if symbolic:
+        return _flat_xi(YURING, Poly.var(YUVARS, "u"))
+    return _flat_xi(YRING)
 
 
 def xi_mu_metric_diag(mu: float):
@@ -493,7 +488,6 @@ def _alpha_and_d():
 
 
 def glued_form_at(point: dict, mu: float, epsilon: float = DEFAULT_EPSILON,
-                  cutoff: CutoffFn = DEFAULT_CUTOFF,
                   chart: ChartRegion | None = None) -> dict:
     """Evaluate phi^mu = xi^mu + y1 dy^{147} + d[f(r/eps) alpha] at a chart
     point; report the gap |phi^mu - xi^mu| in the xi^mu norm and a
@@ -503,17 +497,10 @@ def glued_form_at(point: dict, mu: float, epsilon: float = DEFAULT_EPSILON,
         raise ValueError(f"point outside the chart ball of radius {epsilon}")
     pt = {n: float(point.get(n, 0.0)) for n in YVARS}
     alpha, dalpha, _, _ = _alpha_and_d()
-    r = math.sqrt(sum(pt[n] ** 2 for n in ("y1", "y2", "y5", "y6")))
     xi = xi_mu_chart().eval_at(pt)  # mu enters via the dy123 coefficient:
     xi = xi + (float(mu) ** 6 - 1.0) * KForm.basis(7, (1, 2, 3), FLT)
     bump = KForm(7, 3, FLT, {(1, 4, 7): pt["y1"]})
-    fval = cutoff(r / epsilon)
-    fder = cutoff.deriv(r / epsilon)
-    corr = fval * dalpha.eval_at(pt)
-    if fder != 0.0 and r > 0:
-        dr = KForm(7, 1, FLT, {(i,): pt[n] / r for i, n in
-                               ((1, "y1"), (2, "y2"), (5, "y5"), (6, "y6"))})
-        corr = corr + (fder / epsilon) * dr.wedge(alpha.eval_at(pt))
+    corr, r, fval, fder = _d_cutoff_times(pt, epsilon, alpha, dalpha)
     phi = xi + bump + corr
     gdata = is_g2_type(phi)
     gap_form = bump + corr
@@ -544,11 +531,10 @@ def measure_quadlem_constant(epsilon: float = DEFAULT_EPSILON,
     # scale the transverse coordinates into the chart ball
     for row in pts:
         pt = dict(zip(YVARS, row))
-        scale = epsilon / math.sqrt(sum(pt[n_] ** 2 for n_ in ("y1", "y2", "y5", "y6")))
-        lam = rng.uniform(0.05, 0.999) * scale
-        for n_ in ("y1", "y2", "y5", "y6"):
+        lam = rng.uniform(0.05, 0.999) * (epsilon / _transverse_r(pt))
+        for _, n_ in _TRANSVERSE:
             pt[n_] *= lam
-        r = math.sqrt(sum(pt[n_] ** 2 for n_ in ("y1", "y2", "y5", "y6")))
+        r = _transverse_r(pt)
         if r < 1e-8:
             continue
         av, dav = alpha.eval_at(pt), dalpha.eval_at(pt)
@@ -571,33 +557,21 @@ class ResolutionForms:
     form by the interpolated Kaehler form omega_t; zeta^mu = zeta + mu^-3 sigma.
     """
 
-    def __init__(self, mu: float, epsilon: float = DEFAULT_EPSILON,
-                 profile=None, cutoff: CutoffFn = DEFAULT_CUTOFF):
+    #: the potential (y1)^2/2 dy^{47} of sigma and its d
+    _SIGMA_A = KForm(7, 2, YRING, {(4, 7): Q(1, 2) * _y("y1") * _y("y1")})
+    _SIGMA_DA = _SIGMA_A.d_chart()
+
+    def __init__(self, mu: float, epsilon: float = DEFAULT_EPSILON, profile=None):
         self.mu = float(mu)
         self.epsilon = float(epsilon)
-        self.cutoff = cutoff
         self.profile = profile
         if profile is not None and self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
 
-    # fiber coordinates (y1, y2, y5, y6) <-> complex (w1, w2)
-    @staticmethod
-    def _r(pt):
-        return math.sqrt(pt["y1"] ** 2 + pt["y2"] ** 2 + pt["y5"] ** 2 + pt["y6"] ** 2)
-
     def sigma_at(self, point: dict) -> KForm:
         pt = {n: float(point.get(n, 0.0)) for n in YVARS}
-        r = self._r(pt)
-        s = 2.0 * r / self.epsilon
-        f, fd = self.cutoff(s), self.cutoff.deriv(s)
-        out = KForm(7, 3, FLT, {(1, 4, 7): f * pt["y1"]})
-        if fd != 0.0 and r > 0:
-            dr = KForm(7, 1, FLT, {(i,): pt[n] / r for i, n in
-                                   ((1, "y1"), (2, "y2"), (5, "y5"), (6, "y6"))})
-            half_y1sq = 0.5 * pt["y1"] ** 2
-            out = out + (fd * 2.0 / self.epsilon * half_y1sq) * dr.wedge(
-                KForm.basis(7, (4, 7), FLT))
-        return out
+        return _d_cutoff_times(pt, 0.5 * self.epsilon, self._SIGMA_A,
+                               self._SIGMA_DA)[0]
 
     def _fiber_omega_at(self, pt) -> KForm:
         """Interpolated Kaehler form on the (y1, y2, y5, y6) axes."""
@@ -633,12 +607,12 @@ class ResolutionForms:
         for _ in range(n):
             raw = rng.uniform(-1.0, 1.0, size=7)
             pt = dict(zip(YVARS, raw))
-            rr = math.sqrt(sum(pt[k] ** 2 for k in ("y1", "y2", "y5", "y6")))
+            rr = _transverse_r(pt)
             inner = rng.random() < 0.5
             target = (rng.uniform(0.02, 0.499) if inner
                       else rng.uniform(0.5, 0.999 * self.mu ** 3 / 2 + 0.5))
             target = min(target, 4.0) * self.epsilon
-            for k in ("y1", "y2", "y5", "y6"):
+            for _, k in _TRANSVERSE:
                 pt[k] *= target / max(rr, 1e-12)
             z = self.zeta_at(pt)
             s = self.sigma_at(pt)
@@ -673,22 +647,16 @@ def resolution_boundary_identity() -> bool:
         "v": v,
     })
 
-    def flat_xi(ring):
-        flat = [((1, 2, 3), 1), ((1, 4, 5), 1), ((1, 6, 7), 1), ((2, 4, 6), -1),
-                ((2, 5, 7), 1), ((3, 4, 7), 1), ((3, 5, 6), 1)]
-        return KForm(7, 3, ring, {i: Poly.const(ring[1], c) for i, c in flat})
-
-    xi = flat_xi(vring)
+    xi = _flat_xi(vring)
     bump = KForm(7, 3, vring, {(1, 4, 7): Poly.var(vvars, "y1")})
     lhs = H.pullback(xi).scale(v) + H.pullback(bump)
-    rhs = (KForm(7, 3, vring, {(1, 2, 3): v * v - 1}) + flat_xi(vring) + bump).scale(v * v)
+    rhs = (KForm(7, 3, vring, {(1, 2, 3): v * v - 1}) + xi + bump).scale(v * v)
     return lhs == rhs
 
 
 # ----- primitive ledger -------------------------------------------------------
 
-def primitive_ledger(mu, epsilon: float = DEFAULT_EPSILON,
-                     cutoff: CutoffFn = DEFAULT_CUTOFF) -> list:
+def primitive_ledger(mu, epsilon: float = DEFAULT_EPSILON) -> list:
     """Region-by-region exactness certificates for phi^mu - phi.
 
     Every polynomial identity is checked exactly (mu as an exact rational);
@@ -733,7 +701,7 @@ def primitive_ledger(mu, epsilon: float = DEFAULT_EPSILON,
           + KForm(7, 1, YRING, {(3,): half * y1 * y2}))
     # d(f * Q) contributes d(d(...)) = 0; probe d^2 = 0 through the cutoff
     # numerically at sample radii
-    ok_fd = _closedness_probe_fQ(Qf, float(epsilon), cutoff)
+    ok_fd = _closedness_probe_fQ(Qf, float(epsilon))
     entry("middle", "cutoff-dressed term stays closed after d (finite "
           "differences, tol 1e-6)", ok_fd)
 
@@ -756,24 +724,16 @@ def primitive_ledger(mu, epsilon: float = DEFAULT_EPSILON,
     return report
 
 
-def _closedness_probe_fQ(Qf: KForm, epsilon: float, cutoff: CutoffFn,
-                         tol: float = 1e-6) -> bool:
+def _closedness_probe_fQ(Qf: KForm, epsilon: float, tol: float = 1e-6) -> bool:
     """Finite-difference check that d[d(f(r/eps) Q)] = 0 at sample points.
 
     d(fQ) is evaluated via the chain rule; a second numerical d of the
     resulting 2-form field must vanish.
     """
+    dQ = Qf.d_chart()
+
     def two_form_field(y):
-        pt = dict(zip(YVARS, y))
-        r = math.sqrt(pt["y1"] ** 2 + pt["y2"] ** 2 + pt["y5"] ** 2 + pt["y6"] ** 2)
-        f = cutoff(r / epsilon)
-        fd = cutoff.deriv(r / epsilon)
-        out = f * Qf.d_chart().eval_at(pt)
-        if fd != 0.0 and r > 0:
-            dr = KForm(7, 1, FLT, {(i,): pt[n] / r for i, n in
-                                   ((1, "y1"), (2, "y2"), (5, "y5"), (6, "y6"))})
-            out = out + (fd / epsilon) * dr.wedge(Qf.eval_at(pt))
-        return out
+        return _d_cutoff_times(dict(zip(YVARS, y)), epsilon, Qf, dQ)[0]
 
     samples = [np.array([0.7, 0.1, 0.3, 0.2, 0.05, -0.1, 0.4]) * epsilon,
                np.array([0.5, -0.4, 0.1, 0.3, 0.3, 0.2, -0.2]) * epsilon,

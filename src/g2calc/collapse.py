@@ -24,9 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import (DEFAULT_CUTOFF, DEFAULT_EPSILON, ResolutionForms,
-                      _lam_parts, glued_form_at, nakamura_model, phi_abl_mu,
-                      phi_check_mu)
+from .catalog import (DEFAULT_EPSILON, ResolutionForms, _FFKM_TERMS, _lam_sq,
+                      glued_form_at, nakamura_model, phi_abl_mu, phi_check_mu)
 from .forms import KForm
 from .g2core import DIM, is_g2_type, standard_phi, phi_to_vector, metric_batch
 from .rings import FLT
@@ -63,12 +62,17 @@ def _min_eig(m) -> float:
     return float(np.linalg.eigvalsh(np.asarray(m, dtype=float))[0])
 
 
+def _loglog_slope(xs, ys) -> float:
+    """Least-squares slope of log y against log x."""
+    lx = [math.log(x) for x in xs]
+    ly = [math.log(y) for y in ys]
+    n = len(lx)
+    xbar, ybar = sum(lx) / n, sum(ly) / n
+    return (sum((x - xbar) * (y - ybar) for x, y in zip(lx, ly))
+            / sum((x - xbar) ** 2 for x in lx))
+
+
 # ----- product model: closed-form metric family ------------------------------
-
-def _lam_modulus_sq(lam) -> float:
-    re, im = _lam_parts(lam)
-    return float(re) ** 2 + float(im) ** 2
-
 
 def nakamura_metric(alpha, beta, lam, mu, rescaled: bool = False) -> MetricSample:
     """Closed-form metric of phi(alpha, beta, lambda; mu) on the product
@@ -78,7 +82,7 @@ def nakamura_metric(alpha, beta, lam, mu, rescaled: bool = False) -> MetricSampl
     The rescaled flag applies mu^{-12} to the form, i.e. mu^{-8} to the
     metric, which is the normalization whose large-mu limit is the circle."""
     a, b, m = float(alpha), float(beta), float(mu)
-    L = _lam_modulus_sq(lam)
+    L = float(_lam_sq(lam))
     L13, L23 = L ** (1.0 / 3.0), L ** (2.0 / 3.0)
     diag = [m ** 8 * a ** 2 / L23, b ** 2 * L13 / m ** 4, L13 / m ** 4] \
         + [m ** 2 * L13] * 4
@@ -159,17 +163,12 @@ def premise_check(samples, base) -> dict:
 
 # ----- resolved nilmanifold: region metrics -----------------------------------
 
-_W_TAIL = (((1, 4, 5), 1), ((1, 6, 7), 1), ((2, 4, 6), -1), ((2, 5, 7), 1),
-           ((3, 4, 7), 1), ((3, 5, 6), 1))
-
-
 def _w_outer_form(y1: float, mu: float) -> KForm:
     """upphi^mu on the surgery annulus (outside the resolution core):
     dy^{123} + mu^{-6}{dy^{145} + ... + dy^{356} + y1 dy^{147}}."""
     c = float(mu) ** -6
-    coeffs = {(1, 2, 3): 1.0}
-    for idx, s in _W_TAIL:
-        coeffs[idx] = c * s
+    coeffs = {idx: c * s for idx, s in _FFKM_TERMS}
+    coeffs[(1, 2, 3)] = 1.0
     coeffs[(1, 4, 7)] = c * float(y1)
     return KForm(DIM, 3, FLT, coeffs)
 
@@ -219,8 +218,8 @@ def _chart_limit_metric(phi_hat: KForm) -> np.ndarray:
     return g
 
 
-def ffkm_region_metrics(region: str, point, mu, epsilon: float = DEFAULT_EPSILON,
-                        cutoff=DEFAULT_CUTOFF) -> MetricSample:
+def ffkm_region_metrics(region: str, point, mu,
+                        epsilon: float = DEFAULT_EPSILON) -> MetricSample:
     """Evaluate g^mu from the actual forms of the resolved family, attach the
     matching closed-form limit metric g^infty, and cross-check any displayed
     closed form for g^mu itself."""
@@ -244,7 +243,7 @@ def ffkm_region_metrics(region: str, point, mu, epsilon: float = DEFAULT_EPSILON
                             limit=w_limit_metric(y1))
     if region == "chart":
         pt = dict(point)
-        res = glued_form_at(pt, m, epsilon, cutoff)
+        res = glued_form_at(pt, m, epsilon)
         g = res["g2"].metric_array() / m ** 4
         return MetricSample(region, tuple(sorted(pt.items())), m, g,
                             limit=_chart_limit_metric(res["phi"]))
@@ -254,12 +253,7 @@ def ffkm_region_metrics(region: str, point, mu, epsilon: float = DEFAULT_EPSILON
 def region_gap_decay(region: str, point, mus, epsilon: float = DEFAULT_EPSILON) -> dict:
     """sup|g^mu - g^infty| over the mu grid and the fitted decay exponent."""
     gaps = [ffkm_region_metrics(region, point, mu, epsilon).gap() for mu in mus]
-    xs = [math.log(float(mu)) for mu in mus]
-    ys = [math.log(max(gp, 1e-300)) for gp in gaps]
-    n = len(xs)
-    xbar, ybar = sum(xs) / n, sum(ys) / n
-    slope = (sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
-             / sum((x - xbar) ** 2 for x in xs))
+    slope = _loglog_slope([float(mu) for mu in mus], [max(gp, 1e-300) for gp in gaps])
     return {"mus": list(mus), "gaps": gaps, "rate": slope}
 
 
@@ -453,12 +447,7 @@ def fiber_diameter_probe(ks=(2, 4, 8), mus=(8, 16, 32),
             table[(k, float(mu))] = best / float(mu) ** 3
     mu_top = float(max(mus))
     ks_fit = [k for k in ks if (k, mu_top) in table]
-    xs = [math.log(k) for k in ks_fit]
-    ys = [math.log(table[(k, mu_top)]) for k in ks_fit]
-    n = len(xs)
-    xbar, ybar = sum(xs) / n, sum(ys) / n
-    slope = (sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys))
-             / sum((x - xbar) ** 2 for x in xs))
+    slope = _loglog_slope(ks_fit, [table[(k, mu_top)] for k in ks_fit])
     monotone = all(table[(k1, float(mu))] >= table[(k2, float(mu))] - 1e-12
                    for mu in mus
                    for k1, k2 in zip(ks, ks[1:])

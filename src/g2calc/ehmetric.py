@@ -92,6 +92,33 @@ def _psi(x):
     return out
 
 
+def _plateau(u, lo, hi, w):
+    """B(u) = psi((u - lo)/w) - psi((u - hi)/w): the indicator of [lo, hi]
+    mollified by the kernel of half-width w; 0 <= B <= 1, and B == 1 on
+    [lo + w, hi - w]."""
+    u = np.asarray(u, dtype=float)
+    return _psi((u - lo) / w) - _psi((u - hi) / w)
+
+
+def _plateau_integral(u: float, p: int, lo: float, hi: float, w: float) -> float:
+    """int_{-oo}^u v^p B(v) dv for p in {0, 1}: Gauss-Legendre over the two
+    mollifier shoulders, the flat part analytically.  When the shoulders
+    overlap (hi - lo < 2w) there is no flat part and they meet at the
+    midpoint."""
+    if u <= lo - w:
+        return 0.0
+    mid = 0.5 * (lo + hi)
+    flat_lo, flat_hi = min(lo + w, mid), max(hi - w, mid)
+    def f(v):
+        return v ** p * _plateau(v, lo, hi, w)
+    total = _gl(f, lo - w, min(u, flat_lo))
+    if u > flat_lo:
+        total += (min(u, flat_hi) ** (p + 1) - flat_lo ** (p + 1)) / (p + 1)
+    if u > flat_hi:
+        total += _gl(f, flat_hi, min(u, hi + w))
+    return total
+
+
 @dataclass
 class EHProfile:
     """Interpolation profile data; all lengths in lam = r^2 units."""
@@ -110,16 +137,10 @@ class EHProfile:
         # equality radius: plateau midpoint
         self.r_frak = math.sqrt(0.5 * (self.p_lo + self.p_hi) * self.q)
 
-    def _shoulder_moment(self, p: float, u: float) -> float:
-        """int v B(v) dv over one mollifier shoulder [p - rho, min(u, p + rho)]."""
-        return _gl(lambda v: v * self.bump(v), p - self.rho,
-                   min(u, p + self.rho))
-
     # -- profile functions ----------------------------------------------
     def bump(self, u):
         """B(u) = (indicator * mollifier)(u), 0 <= B <= 1, == 1 on plateau."""
-        return (_psi((np.asarray(u, dtype=float) - self.p_lo) / self.rho)
-                - _psi((np.asarray(u, dtype=float) - self.p_hi) / self.rho))
+        return _plateau(u, self.p_lo, self.p_hi, self.rho)
 
     def k(self, lam: float) -> float:
         if lam <= 0:
@@ -127,16 +148,8 @@ class EHProfile:
         return -self.c * lam * float(self.bump(lam / self.q))
 
     def _moment(self, u: float) -> float:
-        """int_0^u v B(v) dv: shoulder tables plus the analytic plateau."""
-        if u <= self.p_lo - self.rho:
-            return 0.0
-        total = self._shoulder_moment(self.p_lo, u)
-        if u > self.p_lo + self.rho:
-            total += 0.5 * (min(u, self.p_hi - self.rho) ** 2
-                            - (self.p_lo + self.rho) ** 2)
-        if u > self.p_hi - self.rho:
-            total += self._shoulder_moment(self.p_hi, u)
-        return total
+        """int_0^u v B(v) dv."""
+        return _plateau_integral(u, 1, self.p_lo, self.p_hi, self.rho)
 
     def h(self, lam: float) -> float:
         """h_t(lam) = int_0^lam k_t, in [-t^4, 0]."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 import csv
 from fractions import Fraction
 
-from .catalog import _lam_parts, nakamura_model, phi_abl_mu
+from .catalog import _lam_sq, nakamura_model, phi_abl_mu
 from .forms import KForm
 from .g2core import is_g2_type, hodge_star
 from .liecdga import InvariantModel, d_invariant
@@ -26,13 +26,6 @@ def laplacian(phi: KForm, model: InvariantModel) -> KForm:
     d_star = d_invariant(model.eqs, star_phi)   # 5-form
     star_d_star = hodge_star(data, d_star)      # 2-form
     return -d_invariant(model.eqs, star_d_star)
-
-
-def _lam_sq(lam):
-    re, im = _lam_parts(lam)
-    if isinstance(re, Fraction):
-        return Fraction(re) ** 2 + Fraction(im) ** 2
-    return float(re) ** 2 + float(im) ** 2
 
 
 def _l_two_thirds(lam) -> float:

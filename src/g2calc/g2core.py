@@ -292,7 +292,7 @@ class G2Data:
         return np.array([[float(x) for x in row] for row in self.metric])
 
 
-def is_g2_type(phi: KForm, tol: float = 1e-12) -> G2Data:
+def is_g2_type(phi: KForm) -> G2Data:
     """Normalise B(phi) into a metric; raise NotStableError /
     OrientationMismatchError when phi is not definite for the given frame.
 

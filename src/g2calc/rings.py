@@ -36,11 +36,25 @@ def _int_nth_root(n: int, k: int):
         return None if r is None else -r
     if n in (0, 1):
         return n
-    r = round(n ** (1.0 / k))
-    for cand in (r - 1, r, r + 1):
-        if cand >= 0 and cand ** k == n:
-            return cand
-    return None
+    bits = n.bit_length()
+    if bits < 1000:
+        x = round(n ** (1.0 / k))
+        if x ** k == n:
+            return x
+        # a root below 2^40 is within 1/4 of its float estimate, so a
+        # miss there is final
+        if bits <= 40 * k:
+            return None
+    else:   # past the double range: a power of two above the root
+        x = 1 << -(-bits // k)
+    # integer Newton: one step from any x > 0 lands on or above the floor
+    # of the root (AM-GM), and from there the steps decrease to it
+    x = ((k - 1) * x + n // x ** (k - 1)) // k
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x if x ** k == n else None
+        x = y
 
 
 def nth_root_fraction(q: Fraction, k: int):

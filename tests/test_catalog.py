@@ -160,6 +160,122 @@ def test_steep_cutoff_fails_its_certificate():
         steep.certify()
 
 
+_REF_X, _REF_W = np.polynomial.legendre.leggauss(64)
+
+
+def _composite_gl(fn, lo, hi, panels=4):
+    """64-node Gauss-Legendre on each of `panels` equal pieces of [lo, hi]."""
+    if hi <= lo:
+        return 0.0
+    edges = np.linspace(lo, hi, panels + 1)
+    half, mid = 0.5 * np.diff(edges), 0.5 * (edges[1:] + edges[:-1])
+    return float(np.sum(half * (fn(mid[:, None] + half[:, None] * _REF_X) @ _REF_W)))
+
+
+def _cutoff_reference(cf, s):
+    """(f, f') from the defining convolution f = k * ramp of the normalised
+    kernel k(u) ~ exp(-1/(1-(u/h)^2)) with the linear ramp on [a, b], split
+    at the ramp's kinks."""
+    a, b, h = cf.a, cf.b, cf.h
+
+    def k(u):
+        with np.errstate(divide="ignore"):   # a node rounded onto +-h
+            return np.exp(-1.0 / (1.0 - (u / h) ** 2))
+
+    def ramp(x):
+        return np.clip((x - a) / (b - a), 0.0, 1.0)
+
+    mass = _composite_gl(k, -h, h)
+    fprime = _composite_gl(k, max(-h, s - b), min(h, s - a)) / mass / (b - a)
+    cuts = sorted({-h, h} | {c for c in (s - b, s - a) if -h < c < h})
+    f = sum(_composite_gl(lambda u: k(u) * ramp(s - u), lo, hi)
+            for lo, hi in zip(cuts, cuts[1:])) / mass
+    return f, fprime
+
+
+@pytest.mark.parametrize("cutoff, tol", [
+    (catalog.DEFAULT_CUTOFF, 1e-13),
+    (catalog.CutoffFn(0.6, 0.9), 1e-13),
+    # shoulders overlap (b - a < 2h): no flat part, looser quadrature
+    (catalog.CutoffFn(0.6, 0.62, 0.05), 1e-11),
+])
+def test_cutoff_matches_a_high_order_reference_across_the_ramp(cutoff, tol):
+    for s in np.linspace(cutoff.a - cutoff.h, cutoff.b + cutoff.h, 61)[1:-1]:
+        f, fprime = _cutoff_reference(cutoff, s)
+        assert abs(cutoff(s) - f) <= tol
+        assert abs(cutoff.deriv(s) - fprime) <= tol
+
+
+def _fd_exterior_derivative(field, y0, h):
+    """Central-difference d of a 2-form field y -> {(j, k): coefficient}:
+    (dF)_{ijk} = d_i F_jk - d_j F_ik + d_k F_ij."""
+    grads = {}
+    for axis in range(1, 8):
+        yp, ym = y0.copy(), y0.copy()
+        yp[axis - 1] += h
+        ym[axis - 1] -= h
+        fp, fm = field(yp), field(ym)
+        grads[axis] = {key: (fp.get(key, 0.0) - fm.get(key, 0.0)) / (2 * h)
+                       for key in set(fp) | set(fm)}
+    out = {}
+    for i in range(1, 8):
+        for j in range(i + 1, 8):
+            for k in range(j + 1, 8):
+                out[(i, j, k)] = (grads[i].get((j, k), 0.0) - grads[j].get((i, k), 0.0)
+                                  + grads[k].get((i, j), 0.0))
+    return out
+
+
+def _assert_matches_fd(form, field, y0, h=1e-6, rel=1e-7):
+    want = _fd_exterior_derivative(field, y0, h)
+    scale = max(abs(v) for v in want.values())
+    assert scale > 0
+    for idx, v in want.items():
+        assert abs(float(form.coeffs.get(idx, 0.0)) - v) <= rel * scale, idx
+
+
+# points whose transverse radius r puts r/eps (glued form) and 2r/eps
+# (sigma) inside the cutoff's ramp
+_RAMP_POINTS = [np.array([0.04, 0.03, 0.2, -0.1, 0.035, -0.025, 0.3]),
+                np.array([-0.05, 0.02, -0.1, 0.4, -0.03, 0.045, 0.1]),
+                np.array([0.02, -0.06, 0.3, 0.2, 0.01, 0.03, -0.2])]
+
+
+@pytest.mark.parametrize("y0", _RAMP_POINTS)
+def test_glued_form_chain_rule_matches_finite_differences(y0):
+    # phi^mu - xi^mu - y1 dy^147 = d[f(r/eps) alpha]
+    eps, mu = 0.1, 2
+    alpha = catalog.alpha_a()[0]
+
+    def field(y):
+        pt = dict(zip(catalog.YVARS, y))
+        f = catalog.DEFAULT_CUTOFF(math.sqrt(y[0] ** 2 + y[1] ** 2 + y[4] ** 2 + y[5] ** 2) / eps)
+        return {idx: f * c for idx, c in alpha.eval_at(pt).coeffs.items()}
+
+    pt = dict(zip(catalog.YVARS, (float(v) for v in y0)))
+    out = glued_form_at(pt, mu, eps)
+    assert 0.0 < out["fprime"]
+    xi = catalog.xi_mu_chart().eval_at(pt) + (mu ** 6 - 1.0) * KForm.basis(7, (1, 2, 3), FLT)
+    corr = out["phi"] - xi - KForm(7, 3, FLT, {(1, 4, 7): pt["y1"]})
+    _assert_matches_fd(corr, field, y0)
+
+
+@pytest.mark.parametrize("y0", _RAMP_POINTS)
+def test_sigma_chain_rule_matches_finite_differences(y0):
+    # sigma = d[f(2r/eps) (y1)^2/2 dy^47]
+    eps = 0.1
+    y0 = 0.6 * y0
+
+    def field(y):
+        r = math.sqrt(y[0] ** 2 + y[1] ** 2 + y[4] ** 2 + y[5] ** 2)
+        return {(4, 7): catalog.DEFAULT_CUTOFF(2.0 * r / eps) * 0.5 * y[0] ** 2}
+
+    pt = dict(zip(catalog.YVARS, (float(v) for v in y0)))
+    r = math.sqrt(pt["y1"] ** 2 + pt["y2"] ** 2 + pt["y5"] ** 2 + pt["y6"] ** 2)
+    assert 0.0 < catalog.DEFAULT_CUTOFF.deriv(2.0 * r / eps)
+    _assert_matches_fd(ResolutionForms(4, eps).sigma_at(pt), field, y0)
+
+
 def test_xi_metric_diagonal():
     assert np.array_equal(xi_mu_metric_diag(2),
                           np.diag([16.0] * 3 + [0.25] * 4))

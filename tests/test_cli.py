@@ -81,6 +81,33 @@ def test_eh_command_emits_profile_and_certificate(tmp_path, capsys):
     assert (tmp_path / "eh_profile.csv").exists()
 
 
+def test_eh_command_fails_cleanly_when_positivity_fails(tmp_path, monkeypatch,
+                                                      capsys):
+    # triple the slope, as in the verify test below: the certificate raises
+    # ConstructionFailed, which must end the command with exit code 1
+    build = ehmetric.build_profile
+
+    def steep_profile(*args):
+        p = build(*args)
+        slopes = p.slopes
+
+        def steep(lam):
+            k, h, ap, app = slopes(lam)
+            return k, h, 3.0 * ap, app
+
+        monkeypatch.setattr(p, "slopes", steep)
+        return p
+
+    monkeypatch.setattr(ehmetric, "build_profile", steep_profile)
+    prefix = tmp_path / "eh"
+    assert run(["eh", "--t", "1", "--R", "4", "--grid", "50",
+                "--out", str(prefix)]) == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("certificate failed: positivity margin")
+    assert not (tmp_path / "eh_certificate.json").exists()
+
+
 def test_eh_empty_grid_is_usage_error(tmp_path):
     # an empty grid certifies nothing
     assert run(["eh", "--grid", "0", "--out", str(tmp_path / "eh")]) == 2

@@ -6,7 +6,7 @@ from itertools import combinations, permutations, product
 import numpy as np
 import pytest
 
-from g2calc import g2core
+from g2calc import g2core, rings
 from g2calc.forms import KForm
 from g2calc.g2core import (STANDARD_PHI_TERMS, DegenerateFiberError, G2Data,
                            NotStableError, OrientationMismatchError,
@@ -408,8 +408,7 @@ def _reference_exact_g2(phi):
 
 
 def _random_frames(rng, count):
-    """Dense rational frames with det A > 0; entries are kept small so that
-    6 det A stays within the float-seeded root search of nth_root_fraction."""
+    """Dense rational frames with det A > 0 and small entries."""
     frames = []
     while len(frames) < count:
         A = [[Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 3)))
@@ -438,6 +437,40 @@ def test_is_g2_type_exact_matches_the_fraction_reference():
             A = frames[i - 3]
             assert data.metric == _matmul([list(c) for c in zip(*A)], A)
             assert data.sqrt_det == _fraction_det(A)
+
+
+def test_int_nth_root_is_exact_beyond_double_precision():
+    # a root above 2^53 that a float seed misses, an input past the double
+    # range, and their non-power neighbours
+    m = 3 * 10 ** 17 + 1
+    for n, k, root in ((m ** 9, 9, m), (10 ** 400, 2, 10 ** 200),
+                       (-(m ** 9), 9, -m), (2 ** 3000, 3, 2 ** 1000)):
+        assert rings._int_nth_root(n, k) == root
+        assert rings._int_nth_root(n + 1, k) is None
+        assert rings._int_nth_root(n - 1, k) is None
+    # either side of the 2^40 root size where the float estimate stops
+    # being conclusive
+    rng = np.random.default_rng(7)
+    for bits in range(36, 46):
+        for root in (2 ** bits - 1, 2 ** bits, int(rng.integers(2 ** (bits - 1), 2 ** bits))):
+            for k in (2, 3, 9):
+                assert rings._int_nth_root(root ** k, k) == root
+                assert rings._int_nth_root(root ** k + 1, k) is None
+                assert rings._int_nth_root(root ** k - 1, k) is None
+    assert nth_root_fraction(Fraction(m ** 9, 10 ** 400 * 7 ** 9), 9) is None
+    assert nth_root_fraction(Fraction(m ** 9, 10 ** 900), 9) == Fraction(m, 10 ** 100)
+
+
+def test_is_g2_type_stays_exact_on_a_frame_with_large_entries():
+    # A = m I: g = m^2 I and vol = m^7, with 36 det B = (6 m^7)^9 far past
+    # the double range
+    m = 3 * 10 ** 17 + 1
+    A = [[Fraction(m if i == j else 0) for j in range(DIM)] for i in range(DIM)]
+    data = is_g2_type(_frame_phi(A))
+    assert data.exact
+    assert data.metric == [[m * m if i == j else 0 for j in range(DIM)]
+                           for i in range(DIM)]
+    assert data.sqrt_det == m ** 7
 
 
 def test_indefinite_b_with_a_rational_ninth_root_is_not_stable():
