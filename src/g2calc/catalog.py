@@ -325,12 +325,6 @@ class ChartRegion:
     def base_chart(self) -> int:
         return self.label[0]
 
-    def r_squared(self) -> Poly:
-        r2 = Poly.const(YVARS, 0)
-        for _, n in _TRANSVERSE:
-            r2 = r2 + _y(n) * _y(n)
-        return r2
-
     def contains(self, point: dict) -> bool:
         return _transverse_r(point) < self.epsilon
 

@@ -770,14 +770,14 @@ def cmd_eh(args) -> int:
     except (ehmetric.Infeasible, ehmetric.ConstructionFailed) as e:
         print(f"profile construction failed: {e}", file=sys.stderr)
         return 1
-    prefix = args.out or "eh"
-    profile.export_csv(f"{prefix}_profile.csv", n=args.grid)
     try:
         rep = ehmetric.positivity_and_volume_certificate(
             profile, n_r=args.grid, n_ang=20, seed=args.seed)
     except ehmetric.ConstructionFailed as e:
         print(f"certificate failed: {e}", file=sys.stderr)
         return 1
+    prefix = args.out or "eh"
+    profile.export_csv(f"{prefix}_profile.csv", n=args.grid)
     ehmetric.certificate_to_json(rep, f"{prefix}_certificate.json")
     print(f"wrote {prefix}_profile.csv and {prefix}_certificate.json; "
           f"margin {rep['min_margin']:.4f}, ratio {rep['min_ratio']:.6f}")

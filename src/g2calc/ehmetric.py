@@ -173,9 +173,6 @@ class EHProfile:
         """Interpolated slope al'_t(lam)."""
         return self.slopes(lam)[2]
 
-    def asecond(self, lam: float) -> float:
-        return self.slopes(lam)[3]
-
     # -- matrix evaluation ------------------------------------------------
     def omega_matrix_at(self, point) -> list:
         """om_check_t at (x1, y1, x2, y2) as an antisymmetric 4x4 matrix."""

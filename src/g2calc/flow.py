@@ -38,36 +38,54 @@ def _l_two_thirds(lam) -> float:
     return float(L) ** (2.0 / 3.0)
 
 
+def _rate_constants(alpha, lam) -> tuple:
+    """(2 L23, 16 L23, 3 alpha^2) with L23 = (lambda lambdabar)^{2/3}: the
+    constants of the flow ODE and of its closed form."""
+    L23 = float(_l_two_thirds(lam))
+    return 2.0 * L23, 16.0 * L23, 3.0 * float(alpha) ** 2
+
+
+def _mu_dot(two_l23, three_a2, mu: float) -> float:
+    return two_l23 / (three_a2 * mu ** 7)
+
+
+def _mu_closed(sixteen_l23, three_a2, t: float) -> float:
+    return (sixteen_l23 * t / three_a2 + 1.0) ** 0.125
+
+
 def flow_closed_form(alpha, lam, t) -> float:
     """mu(t) along the flow line through phi(alpha, beta, lambda)."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    L23 = float(_l_two_thirds(lam))
-    return (16.0 * L23 * float(t) / (3.0 * float(alpha) ** 2) + 1.0) ** 0.125
+    _, sixteen_l23, three_a2 = _rate_constants(alpha, lam)
+    return _mu_closed(sixteen_l23, three_a2, float(t))
 
 
 def mu_dot(alpha, lam, mu: float) -> float:
-    return 2.0 * float(_l_two_thirds(lam)) / (3.0 * float(alpha) ** 2 * float(mu) ** 7)
+    two_l23, _, three_a2 = _rate_constants(alpha, lam)
+    return _mu_dot(two_l23, three_a2, float(mu))
 
 
 def flow_integrate(alpha, beta, lam, t_end: float, steps: int) -> list:
     """Classical RK4 on the scalar flow ODE; returns trajectory rows
-    (t, mu_numeric, mu_closed, abs_err)."""
+    (t, mu_numeric, mu_closed, abs_err).  L^{2/3} is found once for the
+    whole trajectory."""
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     if steps <= 0:
         raise ValueError("steps must be positive")
+    two_l23, sixteen_l23, three_a2 = _rate_constants(alpha, lam)
     h = float(t_end) / steps
     mu, t = 1.0, 0.0
     rows = [(0.0, 1.0, 1.0, 0.0)]
     for _ in range(steps):
-        k1 = mu_dot(alpha, lam, mu)
-        k2 = mu_dot(alpha, lam, mu + 0.5 * h * k1)
-        k3 = mu_dot(alpha, lam, mu + 0.5 * h * k2)
-        k4 = mu_dot(alpha, lam, mu + h * k3)
+        k1 = _mu_dot(two_l23, three_a2, mu)
+        k2 = _mu_dot(two_l23, three_a2, mu + 0.5 * h * k1)
+        k3 = _mu_dot(two_l23, three_a2, mu + 0.5 * h * k2)
+        k4 = _mu_dot(two_l23, three_a2, mu + h * k3)
         mu = mu + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         t += h
-        closed = flow_closed_form(alpha, lam, t)
+        closed = _mu_closed(sixteen_l23, three_a2, t)
         rows.append((t, mu, closed, abs(mu - closed)))
     return rows
 

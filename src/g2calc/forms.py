@@ -48,12 +48,39 @@ def sort_with_sign(idx):
     return tuple(idx), sign
 
 
+#: merge_sign's memo, a -> {b -> (merged, sign)}, filled on first use of a
+#: pair; _MERGE_RESULTS interns the value tuples so that rows share them
+_MERGE_MEMO = {}
+_MERGE_RESULTS = {}
+_OVERLAP = (None, 0)
+
+
 def merge_sign(a: MultiIndex, b: MultiIndex):
     """Merge two increasing multi-indices; return (merged, sign) or (None, 0)."""
+    try:
+        return _MERGE_MEMO[a][b]
+    except KeyError:
+        pass
     if set(a) & set(b):
-        return None, 0
-    merged, sign = sort_with_sign(a + b)
-    return merged, sign
+        hit = _OVERLAP
+    else:
+        hit = sort_with_sign(a + b)
+        hit = _MERGE_RESULTS.setdefault(hit, hit)
+    _MERGE_MEMO.setdefault(a, {})[b] = hit
+    return hit
+
+
+def _add_term(acc: dict, idx, c) -> None:
+    """acc[idx] += c; a sum that cancels leaves acc, so the key order is the
+    one that adding the terms as forms one by one would give."""
+    if idx in acc:
+        total = acc[idx] + c
+        if total:
+            acc[idx] = total
+        else:
+            del acc[idx]
+    elif c:
+        acc[idx] = c
 
 
 class KForm:
@@ -76,6 +103,18 @@ class KForm:
             if not scalar_is_zero(c):
                 clean[idx] = c
         self.coeffs = clean
+
+    @classmethod
+    def _trusted(cls, dim, degree, ring, coeffs) -> "KForm":
+        """Build a form whose indices are already sorted, in range and of
+        length `degree`, and whose coefficients already lie in `ring`; only
+        the zero coefficients are dropped."""
+        form = object.__new__(cls)
+        form.dim = dim
+        form.degree = degree
+        form.ring = ring
+        form.coeffs = {i: c for i, c in coeffs.items() if c}
+        return form
 
     # ----- constructors ---------------------------------------------------
     @classmethod
@@ -120,8 +159,8 @@ class KForm:
     def in_ring(self, ring) -> "KForm":
         if ring == self.ring:
             return self
-        return KForm(self.dim, self.degree, ring,
-                     {i: coerce_to(ring, c) for i, c in self.coeffs.items()})
+        return KForm._trusted(self.dim, self.degree, ring,
+                              {i: coerce_to(ring, c) for i, c in self.coeffs.items()})
 
     # ----- vector space ops ---------------------------------------------
     def __add__(self, other):
@@ -133,12 +172,12 @@ class KForm:
         a, b = self.in_ring(ring), other.in_ring(ring)
         coeffs = dict(a.coeffs)
         for i, c in b.coeffs.items():
-            coeffs[i] = coeffs.get(i, ring_zero(ring)) + c
-        return KForm(self.dim, self.degree, ring, coeffs)
+            _add_term(coeffs, i, c)
+        return KForm._trusted(self.dim, self.degree, ring, coeffs)
 
     def __neg__(self):
-        return KForm(self.dim, self.degree, self.ring,
-                     {i: -c for i, c in self.coeffs.items()})
+        return KForm._trusted(self.dim, self.degree, self.ring,
+                              {i: -c for i, c in self.coeffs.items()})
 
     def __sub__(self, other):
         if not isinstance(other, KForm):
@@ -155,8 +194,8 @@ class KForm:
                 ring = tag
             else:
                 raise MixedRingError(f"cannot scale {ring} form by {tag} scalar")
-        return KForm(self.dim, self.degree, ring,
-                     {i: coerce_to(ring, c) * s for i, c in self.in_ring(ring).coeffs.items()})
+        return KForm._trusted(self.dim, self.degree, ring,
+                              {i: c * s for i, c in self.in_ring(ring).coeffs.items()})
 
     def __rmul__(self, s):
         return self.scale(s)
@@ -188,7 +227,7 @@ class KForm:
                     out[merged] = out[merged] + c
                 else:
                     out[merged] = c
-        return KForm(self.dim, deg, ring, out)
+        return KForm._trusted(self.dim, deg, ring, out)
 
     def __xor__(self, other):
         return self.wedge(other)
@@ -219,7 +258,7 @@ class KForm:
                     out[rest] = out[rest] + term
                 else:
                     out[rest] = term
-        return KForm(self.dim, self.degree - 1, ring, out)
+        return KForm._trusted(self.dim, self.degree - 1, ring, out)
 
     # ----- calculus in a chart ------------------------------------------
     def d_chart(self) -> "KForm":
@@ -247,20 +286,20 @@ class KForm:
                     terms[merged] = terms[merged] + val
                 else:
                     terms[merged] = val
-        return KForm(self.dim, self.degree + 1, self.ring, terms)
+        return KForm._trusted(self.dim, self.degree + 1, self.ring, terms)
 
     def eval_at(self, point: Mapping[str, float]) -> "KForm":
         """Evaluate polynomial coefficients at a chart point -> float form."""
         if not (isinstance(self.ring, tuple) and self.ring[0] == "poly"):
             return self.in_ring(FLT)
-        return KForm(self.dim, self.degree, FLT,
-                     {i: c.eval(point) for i, c in self.coeffs.items()})
+        return KForm._trusted(self.dim, self.degree, FLT,
+                              {i: c.eval(point) for i, c in self.coeffs.items()})
 
     def eval_exact(self, point: Mapping[str, Fraction]) -> "KForm":
         if not (isinstance(self.ring, tuple) and self.ring[0] == "poly"):
             return self.in_ring(RAT)
-        return KForm(self.dim, self.degree, RAT,
-                     {i: c.eval_exact(point) for i, c in self.coeffs.items()})
+        return KForm._trusted(self.dim, self.degree, RAT,
+                              {i: c.eval_exact(point) for i, c in self.coeffs.items()})
 
     # ----- misc ----------------------------------------------------------
     def map_coeffs(self, fn, ring=None) -> "KForm":
@@ -317,21 +356,21 @@ class PolynomialMap:
         dcomp = []
         for v in self.target_vars:
             p = self.components[v]
-            one = KForm.zero(form.dim, 1, src_ring)
             terms = {}
             for j, sv in enumerate(self.source_vars[:form.dim]):
                 dp = p.diff(sv)
                 if dp:
                     terms[(j + 1,)] = dp
-            dcomp.append(KForm(form.dim, 1, src_ring, terms))
+            dcomp.append(KForm._trusted(form.dim, 1, src_ring, terms))
         subs = dict(self.components)
-        out = KForm.zero(form.dim, form.degree, src_ring)
+        out = {}
         for idx, c in form.coeffs.items():
-            piece = KForm(form.dim, 0, src_ring, {(): c.subs(subs)})
+            piece = KForm._trusted(form.dim, 0, src_ring, {(): c.subs(subs)})
             for axis in idx:
                 piece = piece.wedge(dcomp[axis - 1])
-            out = out + piece
-        return out
+            for i, c2 in piece.coeffs.items():
+                _add_term(out, i, c2)
+        return KForm._trusted(form.dim, form.degree, src_ring, out)
 
 
 def poly_ring(vars) -> tuple:

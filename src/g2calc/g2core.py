@@ -152,7 +152,7 @@ def phi_to_vector(phi: KForm) -> np.ndarray:
 
 
 def vector_to_phi(v) -> KForm:
-    return KForm(DIM, 3, FLT, {t: float(v[i]) for i, t in enumerate(TRIPLES)})
+    return KForm._trusted(DIM, 3, FLT, {t: float(v[i]) for i, t in enumerate(TRIPLES)})
 
 
 def bilinear_batch(phis: np.ndarray) -> np.ndarray:
@@ -455,7 +455,7 @@ def hodge_star(data: G2Data, a: KForm) -> KForm:
         sq = float(data.sqrt_det)
         coeffs = {comp: s * sq * sign for comp, sign, s
                   in zip(_COMPLEMENTS[k], _STAR_SIGNS[k], sums)}
-    return KForm(DIM, DIM - k, RAT if exact else FLT, coeffs)
+    return KForm._trusted(DIM, DIM - k, RAT if exact else FLT, coeffs)
 
 
 # --------------------------------------------------------------------------

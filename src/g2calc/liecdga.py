@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .forms import KForm, merge_sign
+from .forms import KForm, _add_term, merge_sign
 from .rings import FLT, RAT, coerce_to
 
 
@@ -40,9 +40,6 @@ class StructureEqs:
                 raise ValueError("structure equations must be 2-forms")
             self.d_gen.append(f)
 
-    def axis_of(self, name: str) -> int:
-        return self.generators.index(name) + 1
-
 
 def d_invariant(eqs: StructureEqs, form: KForm) -> KForm:
     """Derivation extension of the structure equations.
@@ -53,7 +50,7 @@ def d_invariant(eqs: StructureEqs, form: KForm) -> KForm:
     dim = eqs.dim
     if form.degree >= dim:
         return KForm.zero(dim, dim, form.ring)
-    out = KForm.zero(dim, form.degree + 1, form.ring)
+    out = {}
     for idx, c in form.coeffs.items():
         for pos, axis in enumerate(idx):
             dg = eqs.d_gen[axis - 1]
@@ -67,8 +64,8 @@ def d_invariant(eqs: StructureEqs, form: KForm) -> KForm:
                 total = c * coerce_to(form.ring, c2)
                 if (sign == 1) != (pos % 2 == 0):
                     total = -total
-                out = out + KForm(dim, form.degree + 1, form.ring, {merged: total})
-    return out
+                _add_term(out, merged, total)
+    return KForm._trusted(dim, form.degree + 1, form.ring, out)
 
 
 def check_d_squared(eqs: StructureEqs) -> None:

@@ -290,7 +290,7 @@ def coerce_to(ring, s):
     """Coerce integers/Fractions into `ring`; anything else must already match."""
     tag = ring_of(s)
     if tag == ring:
-        if ring == RAT:
+        if ring == RAT and not isinstance(s, Fraction):
             return Fraction(s)
         return s
     if tag == RAT:

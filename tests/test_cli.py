@@ -106,6 +106,7 @@ def test_eh_command_fails_cleanly_when_positivity_fails(tmp_path, monkeypatch,
     assert len(err) == 1
     assert err[0].startswith("certificate failed: positivity margin")
     assert not (tmp_path / "eh_certificate.json").exists()
+    assert not (tmp_path / "eh_profile.csv").exists()
 
 
 def test_eh_empty_grid_is_usage_error(tmp_path):

@@ -6,13 +6,14 @@ from fractions import Fraction
 
 import pytest
 
+from g2calc import flow
 from g2calc.catalog import ffkm_model, nakamura_model, phi_abl_mu
 from g2calc.flow import (check_flow_consistency, flow_closed_form,
                          flow_integrate, laplacian, mu_dot, trajectory_to_csv)
 from g2calc.forms import KForm
 from g2calc.liecdga import InvariantModel, StructureEqs
 from g2calc.g2core import standard_phi
-from g2calc.rings import RAT
+from g2calc.rings import RAT, nth_root_fraction
 
 DIM = 7
 
@@ -108,3 +109,39 @@ def test_trajectory_csv_roundtrip(tmp_path):
     assert len(got) == len(rows) + 1
     # 17 significant digits round-trip the floats exactly
     assert float(got[-1][1]) == rows[-1][1]
+
+
+def _rk4_calling_mu_dot(alpha, lam, t_end, steps):
+    """The RK4 loop with mu_dot and flow_closed_form called at every step."""
+    h = float(t_end) / steps
+    mu, t = 1.0, 0.0
+    rows = [(0.0, 1.0, 1.0, 0.0)]
+    for _ in range(steps):
+        k1 = mu_dot(alpha, lam, mu)
+        k2 = mu_dot(alpha, lam, mu + 0.5 * h * k1)
+        k3 = mu_dot(alpha, lam, mu + 0.5 * h * k2)
+        k4 = mu_dot(alpha, lam, mu + h * k3)
+        mu = mu + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        t += h
+        closed = flow_closed_form(alpha, lam, t)
+        rows.append((t, mu, closed, abs(mu - closed)))
+    return rows
+
+
+@pytest.mark.parametrize("alpha, lam, searches",
+                         [(1, (1, 1), 1), (3, 8, 1), (0.5, (2, -1.5), 0)],
+                         ids=["no-cube-root", "exact-root", "float"])
+def test_trajectory_equals_the_per_step_reference(alpha, lam, searches, monkeypatch):
+    # lambda = (1, 1): L^2 = 4 has no rational cube root, so the search
+    # misses; lambda = 8: L^2 = 16^3 and the root is exact.  Either way the
+    # root is searched for once per trajectory, and never for a float lambda.
+    roots = []
+
+    def counting_root(q, k):
+        roots.append(q)
+        return nth_root_fraction(q, k)
+
+    monkeypatch.setattr(flow, "nth_root_fraction", counting_root)
+    rows = flow_integrate(alpha, 1, lam, 2.0, 300)
+    assert len(roots) == searches
+    assert rows == _rk4_calling_mu_dot(alpha, lam, 2.0, 300)

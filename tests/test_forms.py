@@ -1,12 +1,15 @@
 """Property tests for the exterior-algebra layer."""
 import math
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from g2calc.forms import KForm, PolynomialMap, chart_vars, poly_ring
+from g2calc.catalog import ffkm_model, nakamura_model
+from g2calc.forms import KForm, PolynomialMap, chart_vars, merge_sign, poly_ring
+from g2calc.liecdga import d_invariant
 from g2calc.rings import FLT, RAT, MixedRingError, Poly
 
 DIM = 7
@@ -152,3 +155,98 @@ def test_eval_at_substitutes_polynomials():
     a = KForm(DIM, 1, YRING, {(2,): y1 * y1})
     out = a.eval_at({"y1": 3.0})
     assert float(out.coeffs[(2,)]) == 9.0
+
+
+# --------------------------------------------------------------------------
+# the kernel: memoised merge signs and the trusted build path
+# --------------------------------------------------------------------------
+
+ALL_INDICES = [idx for k in range(DIM + 1) for idx in combinations(range(1, DIM + 1), k)]
+
+
+def _brute_merge(a, b):
+    """Sign of the permutation sorting a + b, by counting inversions."""
+    seq = a + b
+    if len(set(seq)) < len(seq):
+        return None, 0
+    inversions = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq))
+                     if seq[i] > seq[j])
+    return tuple(sorted(seq)), (-1) ** inversions
+
+
+def test_merge_sign_matches_brute_force_on_every_pair():
+    assert len(ALL_INDICES) == 128
+    for a in ALL_INDICES:
+        for b in ALL_INDICES:
+            want = _brute_merge(a, b)
+            assert merge_sign(a, b) == want, (a, b)
+            assert merge_sign(a, b) == want, (a, b)     # served from the memo
+
+
+_COEFF_TYPE = {RAT: Fraction, FLT: float}
+
+
+def assert_canonical(form):
+    """`form` equals its rebuild through the validating constructor, with the
+    same key order, and every coefficient is a nonzero element of its ring."""
+    rebuilt = KForm(form.dim, form.degree, form.ring, form.coeffs)
+    assert rebuilt == form
+    assert list(rebuilt.coeffs) == list(form.coeffs)
+    kind = _COEFF_TYPE.get(form.ring, Poly)
+    for c in form.coeffs.values():
+        assert type(c) is kind and c
+        if kind is Poly:
+            assert ("poly", c.vars) == form.ring
+
+
+def random_form(rng, k, ring):
+    coeffs = {}
+    for idx in combinations(range(1, DIM + 1), k):
+        if rng.random() < 0.4:
+            continue
+        c = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        if ring == FLT:
+            c = float(c) * 0.7
+        elif ring == YRING:
+            c = Poly.const(YVARS, c) * Poly.var(YVARS, rng.choice(YVARS)) + rng.randint(-1, 1)
+        coeffs[idx] = c
+    return KForm(DIM, k, ring, coeffs)
+
+
+@pytest.mark.parametrize("ring", [RAT, FLT, YRING], ids=["rat", "flt", "poly"])
+def test_kernel_outputs_equal_their_validated_rebuild(ring):
+    rng = random.Random(11)
+    F = _quadratic_map()
+    eqs = [nakamura_model().eqs, ffkm_model().eqs]
+    for _ in range(40):
+        a = random_form(rng, rng.randint(0, 3), ring)
+        b = random_form(rng, rng.randint(0, 3), ring)
+        v = [rng.randint(-2, 2) for _ in range(DIM)]
+        outs = [a.wedge(b), a + a.scale(Fraction(1, 3)), -a, 2 * a,
+                d_invariant(rng.choice(eqs), a),
+                KForm.basis(DIM, (1, 2), ring, rng.randint(1, 3))]
+        if a.degree:
+            outs.append(a.contract(v))
+        if ring == RAT:
+            outs.append(a.in_ring(FLT))
+        if ring == YRING:
+            outs += [a.d_chart(), F.pullback(a), a.eval_at({y: 0.5 for y in YVARS}),
+                     a.eval_exact({y: Fraction(1, 2) for y in YVARS})]
+        for out in outs:
+            assert_canonical(out)
+
+
+@pytest.mark.parametrize("ring", [RAT, FLT, YRING], ids=["rat", "flt", "poly"])
+def test_cancelled_coefficients_leave_zero_forms(ring):
+    e = {i: KForm.basis(DIM, (i,), ring) for i in (1, 2, 3)}
+    a = e[1] + e[2]
+    assert a.wedge(a).is_zero()                       # e12 + e21 cancel
+    assert (a.wedge(e[3]) - a.wedge(e[3])).is_zero()
+    assert (e[1].wedge(e[2]) + e[1].wedge(e[3])).contract([0, 1, -1]).is_zero()
+    if ring == YRING:
+        x1 = Poly.var(YVARS, "y1")
+        p = KForm(DIM, 1, YRING, {(2,): x1 * x1})
+        assert p.d_chart().d_chart().is_zero()
+        F = PolynomialMap(YVARS, YVARS, {v: x1 if v in ("y1", "y2") else Poly.var(YVARS, v)
+                                         for v in YVARS})
+        assert F.pullback(e[1].wedge(e[2])).is_zero()   # dy1 ^ dy2 -> dx1 ^ dx1

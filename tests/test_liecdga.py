@@ -1,16 +1,18 @@
 """Invariant differential, Jacobi guard, and model (de)serialization."""
 import json
+import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from g2calc.catalog import ffkm_model, nakamura_model
-from g2calc.forms import KForm
+from g2calc.forms import KForm, sort_with_sign
 from g2calc.liecdga import (InvariantModel, JacobiError, StructureEqs,
                             check_d_squared, d_invariant, load_model,
                             model_from_dict, model_to_dict, save_model,
                             verify_primitive)
-from g2calc.rings import RAT
+from g2calc.rings import FLT, RAT, coerce_to
 
 DIM = 7
 
@@ -95,3 +97,40 @@ def test_rational_coefficients_survive_serialization(tmp_path):
 def test_structure_eqs_reject_wrong_degree():
     with pytest.raises(ValueError):
         StructureEqs(DIM, [KForm.basis(DIM, (1, 2, 3))] + [None] * 6)
+
+
+def _d_invariant_term_by_term(eqs, form):
+    """d as one form per term, added up one at a time through the validating
+    constructor, with signs from sorting (no merge-sign memo)."""
+    dim = eqs.dim
+    if form.degree >= dim:
+        return KForm.zero(dim, dim, form.ring)
+    out = KForm.zero(dim, form.degree + 1, form.ring)
+    for idx, c in form.coeffs.items():
+        for pos, axis in enumerate(idx):
+            rest = idx[:pos] + idx[pos + 1:]
+            for pair, c2 in eqs.d_gen[axis - 1].coeffs.items():
+                merged, sign = sort_with_sign(pair + rest)
+                if sign == 0:
+                    continue
+                total = c * coerce_to(form.ring, c2)
+                if (sign == 1) != (pos % 2 == 0):
+                    total = -total
+                out = out + KForm(dim, form.degree + 1, form.ring, {merged: total})
+    return out
+
+
+@pytest.mark.parametrize("model", [nakamura_model, ffkm_model])
+@pytest.mark.parametrize("ring", [RAT, FLT])
+def test_d_invariant_matches_term_by_term_sum(model, ring):
+    eqs = model().eqs
+    rng = random.Random(3)
+    for _ in range(60):
+        k = rng.randint(0, DIM)
+        coeffs = {idx: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                  for idx in combinations(range(1, DIM + 1), k) if rng.random() < 0.5}
+        form = KForm(DIM, k, RAT, coeffs).in_ring(ring)
+        got, want = d_invariant(eqs, form), _d_invariant_term_by_term(eqs, form)
+        assert got == want
+        # same coefficients bit for bit, in the same order
+        assert list(got.coeffs.items()) == list(want.coeffs.items())
