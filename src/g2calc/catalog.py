@@ -297,6 +297,16 @@ def _transverse_r(point) -> float:
     return math.sqrt(sum(float(point.get(n, 0.0)) ** 2 for _, n in _TRANSVERSE))
 
 
+def _transverse_point(r: float) -> dict:
+    """A fixed chart point, off the coordinate hyperplanes, at transverse
+    distance r from the singular circle."""
+    pt = dict(zip(YVARS, (0.6, -0.3, 0.4, 0.2, 0.5, 0.7, -0.1)))
+    scale = r / _transverse_r(pt)
+    for _, n in _TRANSVERSE:
+        pt[n] *= scale
+    return pt
+
+
 def _d_cutoff_times(pt: dict, scale: float, a: KForm, da: KForm):
     """d[f(r/scale) a] = f da + (f'/scale) dr ^ a at a float chart point, for
     a polynomial form a with da = a.d_chart(); returns (form, r, f, f')."""
@@ -653,10 +663,11 @@ def resolution_boundary_identity() -> bool:
 def primitive_ledger(mu, epsilon: float = DEFAULT_EPSILON) -> list:
     """Region-by-region exactness certificates for phi^mu - phi.
 
-    Every polynomial identity is checked exactly (mu as an exact rational);
-    the identities involving the cutoff are checked with f frozen at its
-    locally constant values (0 near the inner interface, 1 near the outer
-    one) plus a finite-difference closedness probe where f varies.
+    Every polynomial identity is checked exactly (mu as an exact rational).
+    The identities involving the cutoff are checked by evaluating d(f Q)
+    through the cutoff's chain rule at chart points in its zero band near
+    the inner interface, with f frozen at 1 near the outer interface, and
+    by a finite-difference closedness probe where f varies.
     """
     mu = Q(mu)
     if mu < 1:
@@ -699,15 +710,24 @@ def primitive_ledger(mu, epsilon: float = DEFAULT_EPSILON) -> list:
     entry("middle", "cutoff-dressed term stays closed after d (finite "
           "differences, tol 1e-6)", ok_fd)
 
-    R = KForm(7, 2, YRING, {(4, 7): half * y1 * y1})
-    # near the inner interface f == 0: the primitive reduces to the
-    # resolution-side boundary value P1 + R
-    bc1 = P1 + R
-    entry("interface W", "f=0 limit matches the resolution-side primitive",
-          (P1 + Qf.d_chart().scale(Q(0)) + R) == bc1)
+    # near the inner interface, where r/eps lies in the cutoff's zero band,
+    # the cutoff-dressed term d(f(r/eps) c6 Q) must vanish so that only the
+    # resolution-side terms of the primitive remain; at the control point in
+    # the ramp the same evaluation must not vanish unless c6 = 0
+    eps = float(epsilon)
+    cQ, cdQ = c6 * Qf, c6 * Qf.d_chart()
+    band = DEFAULT_CUTOFF.a - DEFAULT_CUTOFF.h
+
+    def cutoff_term(s):
+        return _d_cutoff_times(_transverse_point(s * eps), eps, cQ, cdQ)[0]
+
+    entry("interface W", "d(f c6 Q) vanishes where r/eps is in the cutoff's "
+          f"zero band [0, {band:g}]",
+          all(cutoff_term(s).is_zero() for s in (0.05, 0.25, 0.5 * band, band))
+          and cutoff_term(0.75).is_zero() == (c6 == 0))
 
     # near the outer interface f == 1: primitive reduces to the outer value
-    outer_val = P1 + (c6 * Qf.d_chart())
+    outer_val = P1 + cdQ
     entry("interface U", "f=1 limit matches the outer primitive",
           outer_val == bc2)
 

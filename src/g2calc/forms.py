@@ -7,6 +7,11 @@ coefficients c_I live in one of the rings of :mod:`g2calc.rings`
 
 Operations: wedge, contraction with a vector, chart exterior derivative
 (polynomial ring only) and pullback along a polynomial map.
+
+An exact (rational) wedge is summed on integers: each factor is put over
+the lcm of its coefficients' denominators, the integer numerators are
+multiplied and added, and each nonzero output coefficient becomes one
+Fraction at the end.
 '''
 from __future__ import annotations
 
@@ -14,15 +19,15 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Mapping, Sequence
 
-from .rings import (FLT, RAT, MixedRingError, Poly, coerce_to, ring_of,
-                    ring_zero, scalar_is_zero)
+from .rings import (FLT, RAT, MixedRingError, Poly, _over_common_denominator,
+                    coerce_to, ring_of, ring_zero, scalar_is_zero)
 
 MultiIndex = tuple  # strictly increasing tuple of axis labels (1-based ints)
 
 
 def check_multi_index(idx, dim) -> MultiIndex:
     idx = tuple(idx)
-    if any(not isinstance(i, int) for i in idx):
+    if any(type(i) is not int for i in idx):
         raise ValueError(f"multi-index entries must be ints: {idx}")
     if any(i < 1 or i > dim for i in idx):
         raise ValueError(f"multi-index {idx} out of range 1..{dim}")
@@ -81,6 +86,27 @@ def _add_term(acc: dict, idx, c) -> None:
             del acc[idx]
     elif c:
         acc[idx] = c
+
+
+def _wedge_exact(a: dict, b: dict) -> dict:
+    """Coefficients of the wedge of two rational forms, keyed in order of
+    first appearance as in the term-by-term loop.  The sums run on integer
+    numerators over the factors' common denominators Da and Db, and each
+    nonzero sum becomes one Fraction(n, Da*Db)."""
+    na, da = _over_common_denominator(a.values())
+    nb, db = _over_common_denominator(b.values())
+    out = {}
+    for i1, x in zip(a, na):
+        for i2, y in zip(b, nb):
+            merged, sign = merge_sign(i1, i2)
+            if sign == 0:
+                continue
+            if merged in out:
+                out[merged] += sign * x * y
+            else:
+                out[merged] = sign * x * y
+    den = da * db
+    return {i: Fraction(n, den) for i, n in out.items() if n}
 
 
 class KForm:
@@ -216,6 +242,8 @@ class KForm:
         deg = self.degree + other.degree
         if deg > self.dim:
             return KForm.zero(self.dim, min(deg, self.dim), ring)
+        if ring == RAT:
+            return KForm._trusted(self.dim, deg, RAT, _wedge_exact(a.coeffs, b.coeffs))
         out = {}
         for i1, c1 in a.coeffs.items():
             for i2, c2 in b.coeffs.items():

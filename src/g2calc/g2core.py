@@ -25,7 +25,6 @@ degrades to floats (flagged on the result).
 '''
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -33,7 +32,7 @@ from itertools import combinations
 import numpy as np
 
 from .forms import KForm, merge_sign
-from .rings import FLT, RAT, nth_root_fraction
+from .rings import FLT, RAT, _over_common_denominator, nth_root_fraction
 
 DIM = 7
 TRIPLES = list(combinations(range(1, 8), 3))
@@ -187,14 +186,6 @@ def metric_batch(phis: np.ndarray):
 # --------------------------------------------------------------------------
 # exact linear algebra: integer numerators over a common denominator
 # --------------------------------------------------------------------------
-
-def _over_common_denominator(values):
-    """(numerators, D) with value = numerator / D for each of the ints or
-    Fractions in `values`; D is the lcm of their denominators (1 if none)."""
-    values = list(values)
-    D = math.lcm(*(v.denominator for v in values))
-    return [v.numerator * (D // v.denominator) for v in values], D
-
 
 def _integer_matrix(M):
     """(A, D) with M = A / D: A a square integer matrix (nested lists)."""

@@ -101,7 +101,7 @@ def verify_primitive(eqs: StructureEqs, primitive: KForm, target: KForm) -> None
 def _frac(s) -> Fraction:
     if isinstance(s, str):
         return Fraction(s)
-    if isinstance(s, int):
+    if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     raise ValueError(f"rationals must be strings or ints, got {s!r}")
 
@@ -154,6 +154,13 @@ def model_from_dict(data) -> InvariantModel:
     dim = int(data["dim"])
     gens = list(data["generators"])
     dmap = data.get("d", {})
+    if len(set(gens)) != len(gens):
+        raise ValueError(f"generator names repeat: {gens}")
+    for key in ("d", "involution"):
+        unknown = sorted(set(data.get(key, {})) - set(gens))
+        if unknown:
+            raise ValueError(f"{key!r} names generators {unknown} that are not "
+                             f"in 'generators' {gens}")
     d_gen = []
     for g in gens:
         if g in dmap:

@@ -14,7 +14,9 @@ fallback.
 '''
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping
 
 Q = Fraction
@@ -55,6 +57,29 @@ def _int_nth_root(n: int, k: int):
         if y >= x:
             return x if x ** k == n else None
         x = y
+
+
+def _over_common_denominator(values):
+    """(numerators, D) with value = numerator / D for each of the ints or
+    Fractions in `values`; D is the lcm of their denominators (1 if none)."""
+    nums, dens = [], []
+    for v in values:
+        nums.append(v.numerator)
+        dens.append(v.denominator)
+    D = math.lcm(*dens)
+    if D != 1:
+        nums = [n * (D // d) for n, d in zip(nums, dens)]
+    return nums, D
+
+
+def _rational(c) -> Fraction:
+    """An int or Fraction as a Fraction; floats and bools are refused, since
+    a float's binary value is not the rational it was written as."""
+    if isinstance(c, Fraction):
+        return c
+    if isinstance(c, int) and not isinstance(c, bool):
+        return Fraction(c)
+    raise MixedRingError(f"polynomial coefficients must be ints or Fractions, got {c!r}")
 
 
 def nth_root_fraction(q: Fraction, k: int):
@@ -102,18 +127,28 @@ class Poly:
         clean = {}
         if terms:
             for expo, c in terms.items():
-                c = Fraction(c)
+                c = _rational(c)
                 if c != 0:
                     if len(expo) != len(self.vars):
                         raise ValueError("exponent tuple does not match variables")
                     clean[tuple(expo)] = c
         self.terms = clean
 
+    @classmethod
+    def _trusted(cls, vars: tuple, terms: dict) -> "Poly":
+        """Build a polynomial over the tuple `vars` from exponent tuples of
+        the right length and Fraction coefficients; only the zero
+        coefficients are dropped."""
+        p = object.__new__(cls)
+        p.vars = vars
+        p.terms = {e: c for e, c in terms.items() if c}
+        return p
+
     # ----- constructors -------------------------------------------------
     @classmethod
     def const(cls, vars, c):
         vars = tuple(vars)
-        return cls(vars, {(0,) * len(vars): Fraction(c)})
+        return cls(vars, {(0,) * len(vars): c})
 
     @classmethod
     def var(cls, vars, name):
@@ -139,13 +174,13 @@ class Poly:
             return NotImplemented
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return Poly(self.vars, terms)
+            terms[e] = terms[e] + c if e in terms else c
+        return Poly._trusted(self.vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.vars, {e: -c for e, c in self.terms.items()})
+        return Poly._trusted(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -163,9 +198,9 @@ class Poly:
         out = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = out.get(e, Fraction(0)) + c1 * c2
-        return Poly(self.vars, out)
+                e = tuple(map(add, e1, e2))
+                out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+        return Poly._trusted(self.vars, out)
 
     __rmul__ = __mul__
 
@@ -182,7 +217,7 @@ class Poly:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             other = Poly.const(self.vars, other)
         if not isinstance(other, Poly):
             return NotImplemented
@@ -201,10 +236,8 @@ class Poly:
         for e, c in self.terms.items():
             if e[i] == 0:
                 continue
-            de = list(e)
-            de[i] -= 1
-            out[tuple(de)] = out.get(tuple(de), Fraction(0)) + c * e[i]
-        return Poly(self.vars, out)
+            out[e[:i] + (e[i] - 1,) + e[i + 1:]] = c * e[i]
+        return Poly._trusted(self.vars, out)
 
     def subs(self, assignment: Mapping[str, "Poly"]) -> "Poly":
         """Substitute polynomials (all over one common variable tuple) for

@@ -96,6 +96,27 @@ def test_primitive_ledger_all_pass():
         assert not bad, bad
 
 
+class _LeakyCutoff:
+    """The default cutoff's zero band, but a value that never reaches 0."""
+    inner = catalog.DEFAULT_CUTOFF
+    a, h = inner.a, inner.h
+
+    def __call__(self, s):
+        return max(self.inner(s), 1e-9)
+
+    def deriv(self, s):
+        return self.inner.deriv(s)
+
+
+def test_interface_w_row_needs_the_cutoff_to_vanish(monkeypatch):
+    def row(mu):
+        return next(r for r in primitive_ledger(mu) if r["region"] == "interface W")
+    assert "zero band" in row(2)["check"]
+    monkeypatch.setattr(catalog, "DEFAULT_CUTOFF", _LeakyCutoff())
+    assert row(2)["status"] == "fail"
+    assert row(1)["status"] == "pass"       # mu = 1: c6 = 0 kills the term
+
+
 def test_master_gluing_identity_exact():
     # phi^mu - xi^mu = y1 dy^{147} + d(alpha), symbolic in (y, mu)
     assert master_identity_check()

@@ -51,6 +51,24 @@ def test_corrupted_model_fails_naming_the_check(tmp_path, capsys):
     assert "check_d_squared" in captured.out + captured.err
 
 
+@pytest.mark.parametrize("data, problem", [
+    ({"dim": 2, "generators": ["a", "b"], "d": {"a": [[True, [True, 2]]]}},
+     "rationals must be strings or ints, got True"),
+    ({"dim": 2, "generators": ["a", "b"], "d": {"zz": [["1", [1, 2]]]}},
+     "'d' names generators ['zz']"),
+], ids=["bool", "unknown_generator"])
+def test_malformed_model_fails_with_the_problem_named(tmp_path, data, problem):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "report.json"
+    code = run(["verify", "--suite", "forms", "--model", str(path), "--out", str(out)])
+    assert code == 1
+    rows = {r["id"]: r for r in json.loads(out.read_text())["checks"]}
+    row = rows["liecdga.check_d_squared.custom_model"]
+    assert row["status"] == "fail"
+    assert problem in row["detail"]
+
+
 def test_scan_deterministic(tmp_path, capsys):
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
     assert run(["scan", "--grid", "6", "--seed", "5", "--out", str(p1)]) == 0

@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from g2calc import forms as forms_module
 from g2calc.catalog import ffkm_model, nakamura_model
 from g2calc.forms import KForm, PolynomialMap, chart_vars, merge_sign, poly_ring
 from g2calc.liecdga import d_invariant
@@ -250,3 +251,174 @@ def test_cancelled_coefficients_leave_zero_forms(ring):
         F = PolynomialMap(YVARS, YVARS, {v: x1 if v in ("y1", "y2") else Poly.var(YVARS, v)
                                          for v in YVARS})
         assert F.pullback(e[1].wedge(e[2])).is_zero()   # dy1 ^ dy2 -> dx1 ^ dx1
+
+
+# --------------------------------------------------------------------------
+# the integer wedge kernel and the trusted Poly ring, against term-by-term
+# Fraction references
+# --------------------------------------------------------------------------
+
+def _reference_wedge(a, b):
+    """Wedge multiplying and adding one Fraction (or float, or Poly) per
+    index pair; every ring takes this loop."""
+    ring = a._match(b)
+    a, b = a.in_ring(ring), b.in_ring(ring)
+    deg = a.degree + b.degree
+    if deg > a.dim:
+        return KForm.zero(a.dim, min(deg, a.dim), ring)
+    out = {}
+    for i1, c1 in a.coeffs.items():
+        for i2, c2 in b.coeffs.items():
+            merged, sign = forms_module.merge_sign(i1, i2)
+            if sign == 0:
+                continue
+            c = c1 * c2 if sign == 1 else -(c1 * c2)
+            out[merged] = out[merged] + c if merged in out else c
+    return KForm._trusted(a.dim, deg, ring, out)
+
+
+def _rat(dim, *terms):
+    return KForm.from_terms(dim, len(terms[0][0]), terms)
+
+
+Fr = Fraction
+WEDGE_CASES = {
+    # denominators 4, 6, 10, 9: lcm 180 < product 2160
+    "lcm_below_product": (_rat(DIM, ((1,), Fr(1, 4)), ((2,), Fr(-5, 6)), ((4,), Fr(7, 10))),
+                          _rat(DIM, ((2, 3), Fr(2, 9)), ((1, 5), Fr(3, 4)), ((4, 6), Fr(-1, 6)))),
+    # e12 appears first and then cancels; e13 and e23 survive
+    "first_key_cancels": (_rat(DIM, ((1,), Fr(1, 2)), ((2,), Fr(1, 3))),
+                          _rat(DIM, ((2,), Fr(1, 3)), ((1,), Fr(1, 2)), ((3,), Fr(5, 6)))),
+    # e123 cancels at its second term and comes back at its third, so it
+    # keeps the first place only if cancelled sums stay in the dict
+    "cancelled_key_reappears": (_rat(DIM, ((1, 2), Fr(1, 2)), ((1, 3), Fr(1, 2)), ((2, 3), Fr(1, 3))),
+                                _rat(DIM, ((3,), 1), ((2,), 1), ((4,), 1), ((1,), 1))),
+    "all_cancel": (_rat(DIM, ((1,), Fr(2, 3)), ((5,), Fr(-1, 6))),
+                   _rat(DIM, ((1,), Fr(2, 3)), ((5,), Fr(-1, 6)))),
+    "empty_left": (KForm.zero(DIM, 2), _rat(DIM, ((1, 3), Fr(1, 2)))),
+    "empty_right": (_rat(DIM, ((1, 3), Fr(1, 2))), KForm.zero(DIM, 1)),
+    "unit_denominators": (_rat(DIM, ((1, 2), 3), ((3, 4), -2)), _rat(DIM, ((5,), 4), ((6,), 1))),
+    "deg_above_dim": (_rat(DIM, ((1, 2, 3, 4), Fr(1, 2))), _rat(DIM, ((4, 5, 6, 7), Fr(1, 3)))),
+    "dim_4_top": (_rat(4, ((1, 3), Fr(1, 2)), ((2, 4), Fr(1, 5))),
+                  _rat(4, ((2, 4), Fr(1, 3)), ((1, 3), Fr(-1, 7)))),
+    "rat_into_float": (_rat(DIM, ((1,), Fr(1, 3)), ((2,), Fr(-2, 7))),
+                       KForm(DIM, 2, FLT, {(3, 4): 0.25, (1, 5): -1.5})),
+    "float_from_rat": (KForm(DIM, 1, FLT, {(6,): 0.1}), _rat(DIM, ((1, 2), Fr(1, 3)))),
+    "rat_into_poly": (_rat(DIM, ((1,), Fr(1, 6)), ((7,), Fr(3, 4))),
+                      KForm(DIM, 1, YRING, {(2,): Poly.var(YVARS, "y1") * Fr(1, 2),
+                                            (7,): Poly.const(YVARS, 5)})),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WEDGE_CASES))
+def test_wedge_matches_the_fraction_loop(case, monkeypatch):
+    calls = []
+
+    def counting_merge_sign(x, y):
+        calls.append(1)
+        return merge_sign(x, y)
+
+    monkeypatch.setattr(forms_module, "merge_sign", counting_merge_sign)
+    a, b = WEDGE_CASES[case]
+    got = a.wedge(b)
+    n_kernel = len(calls)
+    want = _reference_wedge(a, b)
+    assert n_kernel == len(calls) - n_kernel
+    if a.degree + b.degree <= a.dim:
+        assert n_kernel == len(a.coeffs) * len(b.coeffs)
+    assert got == want
+    assert list(got.coeffs) == list(want.coeffs)
+    assert_canonical(got)
+
+
+def test_cancelled_key_keeps_its_first_place():
+    got = KForm.wedge(*WEDGE_CASES["cancelled_key_reappears"])
+    assert list(got.coeffs) == [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
+    assert got.coeffs[(1, 2, 3)] == Fraction(1, 3)
+
+
+@pytest.mark.parametrize("ring", [RAT, FLT, YRING], ids=["rat", "flt", "poly"])
+def test_random_wedges_match_the_fraction_loop(ring):
+    rng = random.Random(23)
+    for _ in range(60):
+        a = random_form(rng, rng.randint(0, 4), rng.choice((RAT, ring)))
+        b = random_form(rng, rng.randint(0, 4), ring)
+        got, want = a.wedge(b), _reference_wedge(a, b)
+        assert got == want
+        assert list(got.coeffs) == list(want.coeffs)
+
+
+def _reference_poly_add(p, q):
+    terms = dict(p.terms)
+    for e, c in q.terms.items():
+        terms[e] = terms.get(e, Fraction(0)) + c
+    return Poly(p.vars, terms)
+
+
+def _reference_poly_mul(p, q):
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            out[e] = out.get(e, Fraction(0)) + c1 * c2
+    return Poly(p.vars, out)
+
+
+def _reference_poly_diff(p, name):
+    i = p.vars.index(name)
+    out = {}
+    for e, c in p.terms.items():
+        if e[i]:
+            de = list(e)
+            de[i] -= 1
+            out[tuple(de)] = out.get(tuple(de), Fraction(0)) + c * e[i]
+    return Poly(p.vars, out)
+
+
+def _random_poly(rng, vars):
+    p = Poly(vars)
+    for _ in range(rng.randint(0, 4)):
+        term = Poly.const(vars, Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
+        for _ in range(rng.randint(0, 3)):
+            term = term * Poly.var(vars, rng.choice(vars))
+        p = p + term
+    return p
+
+
+def test_poly_ring_matches_the_fraction_loops():
+    vars = ("x", "y", "z")
+    x, y = Poly.var(vars, "x"), Poly.var(vars, "y")
+    half = Fraction(1, 2)
+    fixed = [(x * half + y, x * half - y),       # the xy terms cancel
+             (x + y * half, -(x + y * half)),    # the sum cancels to zero
+             (Poly(vars), x * Fraction(2, 3)),   # an empty factor
+             (Poly.const(vars, Fraction(3, 4)), Poly.const(vars, Fraction(-3, 4)))]
+    rng = random.Random(5)
+    pairs = fixed + [(_random_poly(rng, vars), _random_poly(rng, vars)) for _ in range(80)]
+    for p, q in pairs:
+        outs = [(p + q, _reference_poly_add(p, q)), (p * q, _reference_poly_mul(p, q)),
+                (-p, Poly(vars, {e: -c for e, c in p.terms.items()}))]
+        outs += [(p.diff(v), _reference_poly_diff(p, v)) for v in vars]
+        for got, want in outs:
+            assert got == want
+            assert list(got.terms) == list(want.terms)
+            assert all(type(c) is Fraction and c for c in got.terms.values())
+    assert (fixed[1][0] + fixed[1][1]).terms == {}
+    assert (fixed[0][0] * fixed[0][1]).terms == {(2, 0, 0): Fraction(1, 4),
+                                                 (0, 2, 0): Fraction(-1)}
+
+
+@pytest.mark.parametrize("bad", [0.1, 1.0, True, False, "1/2"])
+def test_poly_rejects_float_and_bool_coefficients(bad):
+    with pytest.raises(MixedRingError):
+        Poly.const(YVARS, bad)
+    with pytest.raises(MixedRingError):
+        Poly(YVARS, {(0,) * DIM: bad})
+
+
+def test_poly_arithmetic_rejects_bool_operands():
+    y1 = Poly.var(YVARS, "y1")
+    with pytest.raises(MixedRingError):
+        y1 + True
+    assert y1 != True  # noqa: E712 -- compares unequal rather than as 1
+    assert Poly.const(YVARS, 1) == 1

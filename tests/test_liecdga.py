@@ -94,6 +94,30 @@ def test_rational_coefficients_survive_serialization(tmp_path):
     assert m2.eqs.d_gen[3].coeffs[(1, 2)] == Fraction(2, 3)
 
 
+def _two_dim_model(d=None, involution=None, generators=("a", "b")):
+    data = {"dim": 2, "generators": list(generators), "d": d or {}}
+    if involution is not None:
+        data["involution"] = involution
+    return data
+
+
+BAD_MODELS = {
+    "bool_coefficient": (_two_dim_model(d={"a": [[True, [1, 2]]]}), "True"),
+    "bool_index": (_two_dim_model(d={"a": [["1", [True, 2]]]}), "multi-index"),
+    "unknown_d_generator": (_two_dim_model(d={"zz": [["1", [1, 2]]]}), "zz"),
+    "unknown_involution_generator": (_two_dim_model(involution={"a": "-1", "zz": "1"}), "zz"),
+    "bool_involution": (_two_dim_model(involution={"a": True}), "True"),
+    "repeated_generator": (_two_dim_model(generators=("a", "a")), "repeat"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MODELS))
+def test_model_from_dict_rejects_malformed_input(case):
+    data, problem = BAD_MODELS[case]
+    with pytest.raises(ValueError, match=problem):
+        model_from_dict(data)
+
+
 def test_structure_eqs_reject_wrong_degree():
     with pytest.raises(ValueError):
         StructureEqs(DIM, [KForm.basis(DIM, (1, 2, 3))] + [None] * 6)
