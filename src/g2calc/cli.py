@@ -12,6 +12,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -30,8 +31,8 @@ DIM = 7
 # ===========================================================================
 # verify suites
 # ===========================================================================
-# Each check is (check_id, fn) with fn() -> (ok, detail).  IDs are stable
-# labels of the identity being certified, grouped by suite prefix.
+# Each check is a function fn(rng) -> (ok, detail), registered in CHECKS under
+# a stable id whose prefix before the first dot names its suite.
 
 def _rand_invariant_form(rng, k, dim=DIM, lo=-4, hi=4) -> KForm:
     coeffs = {}
@@ -114,14 +115,12 @@ def _check_leibniz(rng):
     return True, "100 random pairs, exact"
 
 
-def _check_d_squared_model(model_fn, label):
-    def run():
-        try:
-            check_d_squared(model_fn().eqs)
-        except JacobiError as e:
-            return False, f"{label}: {e}"
-        return True, f"{label}: d^2 = 0 on all generators, exact"
-    return run
+def _check_d_squared(model_fn, label, rng):
+    try:
+        check_d_squared(model_fn().eqs)
+    except JacobiError as e:
+        return False, f"{label}: {e}"
+    return True, f"{label}: d^2 = 0 on all generators, exact"
 
 
 def _check_model_roundtrip(rng):
@@ -265,22 +264,20 @@ def _check_volume_law(rng):
 def _check_hitchin_exponent(size, rng):
     # phi(la) = phi0 + la * (sum of |I| standard terms): volume ratio
     # (1 + la)^{|I|/3}; exact whenever 1 + la is a rational cube
-    def run():
-        rho = Fraction(3, 2)
-        lam = rho ** 3 - 1
-        lams = [1 + lam if i < size else Fraction(1) for i in range(DIM)]
-        vol = scaling.scaled_volume_factor(lams)
-        if vol != rho ** size:
-            return False, f"exact ratio {vol} != (1+la)^({size}/3)"
-        worst = 0.0
-        for _ in range(10):
-            la = float(rng.uniform(0.1, 9.0))
-            vals = [1 + la if i < size else 1.0 for i in range(DIM)]
-            v = float(scaling.scaled_volume_factor(vals))
-            worst = max(worst, abs(v - (1 + la) ** (size / 3.0)) / v)
-        return worst < 1e-12, (f"exact at cube 1+la, worst relative error "
-                               f"{worst:.3e} at 10 random la")
-    return run
+    rho = Fraction(3, 2)
+    lam = rho ** 3 - 1
+    lams = [1 + lam if i < size else Fraction(1) for i in range(DIM)]
+    vol = scaling.scaled_volume_factor(lams)
+    if vol != rho ** size:
+        return False, f"exact ratio {vol} != (1+la)^({size}/3)"
+    worst = 0.0
+    for _ in range(10):
+        la = float(rng.uniform(0.1, 9.0))
+        vals = [1 + la if i < size else 1.0 for i in range(DIM)]
+        v = float(scaling.scaled_volume_factor(vals))
+        worst = max(worst, abs(v - (1 + la) ** (size / 3.0)) / v)
+    return worst < 1e-12, (f"exact at cube 1+la, worst relative error "
+                           f"{worst:.3e} at 10 random la")
 
 
 def _check_mu4_hitchin(rng):
@@ -394,9 +391,14 @@ def _check_glued_definite(rng):
                   f"{{1,2,8}}; smallest metric eigenvalue {lowest:.4g}")
 
 
+def _resolution_profile():
+    """The EH profile that the surgery forms glue in at eps = 0.1, R = 4."""
+    return ehmetric.build_profile(ehmetric.default_t_for_epsilon(0.1, 4.0), 4.0)
+
+
 def _check_resolution_margins(rng):
-    prof = ehmetric.build_profile(ehmetric.default_t_for_epsilon(0.1, 4.0), 4.0)
-    out = catalog.ResolutionForms(8, 0.1, profile=prof).margins(n=80, seed=0)
+    out = catalog.ResolutionForms(8, 0.1, profile=_resolution_profile()).margins(
+        n=80, seed=0)
     return out["g2_certified"] and out["inner_bound_ok"], \
         f"outer gap {out['outer_gap']:.3e} <= eps/2, inner C = {out['inner_C']:.3f}"
 
@@ -442,16 +444,6 @@ def _check_flow_order(rng):
     return 12.0 < ratio < 20.0, f"halving-step error ratio {ratio:.2f} (expect ~16)"
 
 
-_EH_PROFILE = None
-
-
-def _eh_profile():
-    global _EH_PROFILE
-    if _EH_PROFILE is None:
-        _EH_PROFILE = ehmetric.build_profile(1.0, 4.0, 1.0)
-    return _EH_PROFILE
-
-
 def _check_eh_ricci(rng):
     res = ehmetric.ricci_residual(1.0, np.linspace(0.5, 40.0, 25))
     return res < 1e-8, f"max |d/dlam[lam^2 a'^2] - 2 lam| = {res:.3e}"
@@ -468,9 +460,9 @@ def _check_eh_mass(rng):
 def _check_eh_certificate(rng):
     # the certificate raises ConstructionFailed unless the margin is
     # positive, which fails this check; a returned report is positive
-    rep = ehmetric.positivity_and_volume_certificate(_eh_profile(),
-                                                     n_r=300, n_ang=12)
-    floor = 2.0 * _eh_profile().upsilon ** 2
+    prof = ehmetric.build_profile(1.0, 4.0, 1.0)
+    rep = ehmetric.positivity_and_volume_certificate(prof, n_r=300, n_ang=12)
+    floor = 2.0 * prof.upsilon ** 2
     ok = rep["min_ratio"] >= floor - 1e-9 and abs(rep["min_ratio"] - floor) < 1e-6
     return ok, (f"margin {rep['min_margin']:.4f} > 0 (the certificate raises "
                 f"otherwise), volume ratio "
@@ -498,7 +490,7 @@ def _check_eh_equivariance(rng):
 
 
 def _check_eh_closedness(rng):
-    res = ehmetric.closedness_residual(_eh_profile())
+    res = ehmetric.closedness_residual(ehmetric.build_profile(1.0, 4.0, 1.0))
     return res < 1e-6, f"finite-difference d omega residual {res:.3e}"
 
 
@@ -517,25 +509,38 @@ def _check_eh_infeasible(rng):
     return False, "no Infeasible raised below the threshold"
 
 
+#: the rescaled product-family point (alpha, beta, lambda) of the premise checks
+NAKAMURA_POINT = (2, 1, (1, 1))
+
+#: a point of the FFKM gluing chart off every coordinate plane
+FFKM_CHART_POINT = {"y1": 0.02, "y2": 0.01, "y4": 0.3, "y5": 0.015, "y6": 0.01,
+                    "y7": 0.2}
+
+
+def _nakamura_premises(mus):
+    """Convergence premises of the rescaled product family at NAKAMURA_POINT
+    over `mus`, against its limit as read off at mu = 2."""
+    base = collapse.nakamura_metric(*NAKAMURA_POINT, 2, rescaled=True).limit
+    samples = [collapse.nakamura_metric(*NAKAMURA_POINT, mu, rescaled=True)
+               for mu in mus]
+    return collapse.premise_check(samples, base)
+
+
 def _check_collapse_lambda(rng):
-    base = collapse.nakamura_metric(2, 1, (1, 1), 2, rescaled=True).limit
-    samples = [collapse.nakamura_metric(2, 1, (1, 1), mu, rescaled=True)
-               for mu in (1, 2, 4, 8, 16, 32)]
-    rep = collapse.premise_check(samples, base)
+    rep = _nakamura_premises((1, 2, 4, 8, 16, 32))
     worst = max(abs(v - 1.0) for v in rep["lambdas"].values())
     return rep["pass"] and worst < 1e-6, \
         f"Lambda_mu = 1 within {worst:.2e} on mu in 1..32, gaps nonincreasing"
 
 
 def _check_collapse_product_rates(rng):
-    out = collapse.rescaled_decay_exponents(2, 1, (1, 1), 8, 16)
+    out = collapse.rescaled_decay_exponents(*NAKAMURA_POINT, 8, 16)
     ok = abs(out["omega_block"] + 6) < 0.06 and abs(out["transverse_block"] + 12) < 0.12
     return ok, f"measured block rates {out}"
 
 
 def _check_collapse_region_rates(rng):
-    pt = {"y1": 0.02, "y2": 0.01, "y4": 0.3, "y5": 0.015, "y6": 0.01, "y7": 0.2}
-    chart = collapse.region_gap_decay("chart", pt, (4, 8, 16))["rate"]
+    chart = collapse.region_gap_decay("chart", FFKM_CHART_POINT, (4, 8, 16))["rate"]
     wreg = collapse.region_gap_decay("w_outer", {"y1": 0.3}, (2, 4, 8))["rate"]
     ok = chart <= -2.7 and wreg <= -2.7
     return ok, f"sup-gap rates: chart {chart:.3f}, annulus {wreg:.3f} (need <= -2.7)"
@@ -551,16 +556,14 @@ def _check_collapse_lower_bound(rng):
     ups = math.sqrt(0.5)
     rep = collapse.lower_bound_global(mu, samples, ups, C=1.0,
                                       Delta0=mc["Delta0"])
-    prof = ehmetric.build_profile(ehmetric.default_t_for_epsilon(0.1, 4.0), 4.0)
-    res = collapse.resolution_equality_probe(prof, mu)
+    res = collapse.resolution_equality_probe(_resolution_profile(), mu)
     return rep["pass"] and res["pass"], \
         (f"PSD margin {rep['min_eig_margin']:.3e}; resolution equality gap "
          f"{res['equality_gap']:.3e} at the tight radius")
 
 
 def _check_collapse_fiber_diameter(rng):
-    prof = ehmetric.build_profile(ehmetric.default_t_for_epsilon(0.1, 4.0), 4.0)
-    out = collapse.fiber_diameter_probe(profile=prof)
+    out = collapse.fiber_diameter_probe(profile=_resolution_profile())
     ok = out["exponent_ok"] and out["monotone_in_k"] and out["mu_uniform"]
     return ok, f"decay exponent {out['exponent']:.4f} (need <= -2.7)"
 
@@ -587,84 +590,69 @@ def _check_collapse_comparison(rng):
                 "h <= |h|_g g on 30 random pairs")
 
 
+#: every verify check, in report order: (check id, fn(rng) -> (ok, detail))
+CHECKS = [
+    ("forms.graded_commutativity", _check_graded_commutativity),
+    ("forms.wedge_associativity", _check_wedge_associativity),
+    ("forms.chart_d_squared", _check_d_chart_squared),
+    ("forms.pullback_commutes_with_d", _check_pullback_commutes_d),
+    ("liecdga.check_d_squared.product_model",
+     partial(_check_d_squared, catalog.nakamura_model, "product model")),
+    ("liecdga.check_d_squared.nilmanifold_model",
+     partial(_check_d_squared, catalog.ffkm_model, "nilmanifold model")),
+    ("liecdga.leibniz", _check_leibniz),
+    ("liecdga.model_json_roundtrip", _check_model_roundtrip),
+    ("g2core.standard_metric_identity", _check_standard_metric),
+    ("g2core.star_star_identity", _check_star_star),
+    ("g2core.phi_wedge_star_phi_7vol", _check_seven_vol),
+    ("g2core.su2_closed_forms_nu8", _check_su2_nu8),
+    ("g2core.su2_closed_forms_random_nu", _check_su2_random_nu),
+    ("scaling.volume_law_exact", _check_volume_law),
+    ("scaling.hitchin_exponent_two_thirds", partial(_check_hitchin_exponent, 2)),
+    ("scaling.hitchin_exponent_four_thirds", partial(_check_hitchin_exponent, 4)),
+    ("scaling.hitchin_mu_fourth", _check_mu4_hitchin),
+    ("scaling.volume_mu_squared", _check_mu2_volume),
+    ("catalog.families_closed", _check_closed_families),
+    ("catalog.exactness_witnesses", _check_exactness_witness),
+    ("catalog.class_map_grid", _check_ch_map),
+    ("catalog.master_gluing_identity", _check_master_identity),
+    ("catalog.boundary_rescaling_identity", _check_boundary_identity),
+    ("catalog.primitive_ledger", _check_primitive_ledger),
+    ("catalog.gap_constant_stability", _check_quadlem_constant),
+    ("catalog.glued_form_definite", _check_glued_definite),
+    ("catalog.resolution_margins", _check_resolution_margins),
+    ("flow.laplacian_unit_point", _check_flow_unit),
+    ("flow.laplacian_family_point", _check_flow_family),
+    ("flow.laplacian_nilmanifold", _check_flow_ffkm),
+    ("flow.flat_torus_harmonic", _check_flow_torus),
+    ("flow.closed_form_trajectory", _check_flow_trajectory),
+    ("flow.rk4_convergence_order", _check_flow_order),
+    ("eh.ricci_flat_profile", _check_eh_ricci),
+    ("eh.interpolation_mass", _check_eh_mass),
+    ("eh.positivity_and_volume", _check_eh_certificate),
+    ("eh.volume_floor_stability", _check_eh_upsilon),
+    ("eh.scale_equivariance", _check_eh_equivariance),
+    ("eh.closedness_residual", _check_eh_closedness),
+    ("eh.feasibility_budget", _check_eh_budget),
+    ("eh.infeasible_guard", _check_eh_infeasible),
+    ("collapse.product_lambda_one", _check_collapse_lambda),
+    ("collapse.product_decay_rates", _check_collapse_product_rates),
+    ("collapse.region_gap_rates", _check_collapse_region_rates),
+    ("collapse.global_lower_bound", _check_collapse_lower_bound),
+    ("collapse.fiber_diameter_decay", _check_collapse_fiber_diameter),
+    ("collapse.limit_length_structure", _check_collapse_finsler),
+    ("collapse.metric_comparison_constants", _check_collapse_comparison),
+]
+
+
 def build_suites(seed: int) -> dict:
-    """check id -> callable returning (ok, detail)."""
-
-    def seeded(fn):
-        def run():
-            return fn(np.random.default_rng(seed))
-        return run
-
-    return {
-        "forms": [
-            ("forms.graded_commutativity", seeded(_check_graded_commutativity)),
-            ("forms.wedge_associativity", seeded(_check_wedge_associativity)),
-            ("forms.chart_d_squared", seeded(_check_d_chart_squared)),
-            ("forms.pullback_commutes_with_d", seeded(_check_pullback_commutes_d)),
-        ],
-        "liecdga": [
-            ("liecdga.check_d_squared.product_model",
-             _check_d_squared_model(catalog.nakamura_model, "product model")),
-            ("liecdga.check_d_squared.nilmanifold_model",
-             _check_d_squared_model(catalog.ffkm_model, "nilmanifold model")),
-            ("liecdga.leibniz", seeded(_check_leibniz)),
-            ("liecdga.model_json_roundtrip", seeded(_check_model_roundtrip)),
-        ],
-        "g2core": [
-            ("g2core.standard_metric_identity", seeded(_check_standard_metric)),
-            ("g2core.star_star_identity", seeded(_check_star_star)),
-            ("g2core.phi_wedge_star_phi_7vol", seeded(_check_seven_vol)),
-            ("g2core.su2_closed_forms_nu8", seeded(_check_su2_nu8)),
-            ("g2core.su2_closed_forms_random_nu", seeded(_check_su2_random_nu)),
-        ],
-        "scaling": [
-            ("scaling.volume_law_exact", seeded(_check_volume_law)),
-            ("scaling.hitchin_exponent_two_thirds",
-             _check_hitchin_exponent(2, np.random.default_rng(seed))),
-            ("scaling.hitchin_exponent_four_thirds",
-             _check_hitchin_exponent(4, np.random.default_rng(seed))),
-            ("scaling.hitchin_mu_fourth", seeded(_check_mu4_hitchin)),
-            ("scaling.volume_mu_squared", seeded(_check_mu2_volume)),
-        ],
-        "catalog": [
-            ("catalog.families_closed", seeded(_check_closed_families)),
-            ("catalog.exactness_witnesses", seeded(_check_exactness_witness)),
-            ("catalog.class_map_grid", seeded(_check_ch_map)),
-            ("catalog.master_gluing_identity", seeded(_check_master_identity)),
-            ("catalog.boundary_rescaling_identity", seeded(_check_boundary_identity)),
-            ("catalog.primitive_ledger", seeded(_check_primitive_ledger)),
-            ("catalog.gap_constant_stability", seeded(_check_quadlem_constant)),
-            ("catalog.glued_form_definite", seeded(_check_glued_definite)),
-            ("catalog.resolution_margins", seeded(_check_resolution_margins)),
-        ],
-        "flow": [
-            ("flow.laplacian_unit_point", seeded(_check_flow_unit)),
-            ("flow.laplacian_family_point", seeded(_check_flow_family)),
-            ("flow.laplacian_nilmanifold", seeded(_check_flow_ffkm)),
-            ("flow.flat_torus_harmonic", seeded(_check_flow_torus)),
-            ("flow.closed_form_trajectory", seeded(_check_flow_trajectory)),
-            ("flow.rk4_convergence_order", seeded(_check_flow_order)),
-        ],
-        "eh": [
-            ("eh.ricci_flat_profile", seeded(_check_eh_ricci)),
-            ("eh.interpolation_mass", seeded(_check_eh_mass)),
-            ("eh.positivity_and_volume", seeded(_check_eh_certificate)),
-            ("eh.volume_floor_stability", seeded(_check_eh_upsilon)),
-            ("eh.scale_equivariance", seeded(_check_eh_equivariance)),
-            ("eh.closedness_residual", seeded(_check_eh_closedness)),
-            ("eh.feasibility_budget", seeded(_check_eh_budget)),
-            ("eh.infeasible_guard", seeded(_check_eh_infeasible)),
-        ],
-        "collapse": [
-            ("collapse.product_lambda_one", seeded(_check_collapse_lambda)),
-            ("collapse.product_decay_rates", seeded(_check_collapse_product_rates)),
-            ("collapse.region_gap_rates", seeded(_check_collapse_region_rates)),
-            ("collapse.global_lower_bound", seeded(_check_collapse_lower_bound)),
-            ("collapse.fiber_diameter_decay", seeded(_check_collapse_fiber_diameter)),
-            ("collapse.limit_length_structure", seeded(_check_collapse_finsler)),
-            ("collapse.metric_comparison_constants", seeded(_check_collapse_comparison)),
-        ],
-    }
+    """Suite -> [(check id, zero-argument callable returning (ok, detail))],
+    each check bound to its own fresh generator seeded with `seed`."""
+    suites = {}
+    for cid, fn in CHECKS:
+        suites.setdefault(cid.split(".", 1)[0], []).append(
+            (cid, partial(fn, np.random.default_rng(seed))))
+    return suites
 
 
 def cmd_verify(args) -> int:
@@ -677,27 +665,17 @@ def cmd_verify(args) -> int:
         suites = {args.suite: suites[args.suite]}
     checks = [c for entries in suites.values() for c in entries]
     if args.model:
-        def custom_model_check():
-            try:
-                check_d_squared(load_model(args.model).eqs)
-            except JacobiError as e:
-                return False, f"check_d_squared: {e}"
-            return True, "check_d_squared: d^2 = 0 on the supplied model"
         checks.insert(0, ("liecdga.check_d_squared.custom_model",
-                          custom_model_check))
+                          partial(_check_d_squared, partial(load_model, args.model),
+                                  "supplied model", None)))
 
-    def run_one(item):
-        cid, fn = item
+    rows = []
+    for cid, fn in checks:
         try:
             ok, detail = fn()
         except Exception as e:  # a raised invariant is a failure, not a crash
             ok, detail = False, f"{type(e).__name__}: {e}"
-        return cid, ok, detail
-
-    results = [run_one(c) for c in checks]
-
-    rows = [{"id": cid, "status": "pass" if ok else "fail", "detail": detail}
-            for cid, ok, detail in results]
+        rows.append({"id": cid, "status": "pass" if ok else "fail", "detail": detail})
     width = max(len(r["id"]) for r in rows)
     for r in rows:
         print(f"{r['id']:<{width}}  {r['status']:4}  {r['detail']}")
@@ -746,6 +724,9 @@ def _parse_lambda(s):
 
 
 def cmd_flow(args) -> int:
+    if args.tol <= 0:
+        print("--tol must be positive", file=sys.stderr)
+        return 2
     rows = flow.flow_integrate(args.alpha, args.beta,
                                _parse_lambda(args.lam), args.t_end, args.steps)
     path = args.out or "flow_trajectory.csv"
@@ -787,16 +768,11 @@ def cmd_eh(args) -> int:
 def cmd_collapse(args) -> int:
     mus = [float(m) for m in args.mu.split(",")]
     if args.model == "nakamura":
-        base = collapse.nakamura_metric(2, 1, (1, 1), 2, rescaled=True).limit
-        samples = [collapse.nakamura_metric(2, 1, (1, 1), mu, rescaled=True)
-                   for mu in mus]
-        rep = collapse.premise_check(samples, base)
+        rep = _nakamura_premises(mus)
         rep["model"] = "nakamura"
     elif args.model == "ffkm":
-        pt = {"y1": 0.02, "y2": 0.01, "y4": 0.3, "y5": 0.015, "y6": 0.01,
-              "y7": 0.2}
         rep = {"model": "ffkm",
-               "chart": collapse.region_gap_decay("chart", pt, mus,
+               "chart": collapse.region_gap_decay("chart", FFKM_CHART_POINT, mus,
                                                   args.epsilon),
                "interior": collapse.region_gap_decay("interior", (), mus,
                                                      args.epsilon)}
@@ -865,9 +841,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "tol", 1.0) <= 0:      # flow --tol
-        print("--tol must be positive", file=sys.stderr)
-        return 2
     return args.fn(args)
 
 

@@ -272,7 +272,6 @@ class G2Data:
     metric_inv: list
     sqrt_det: object             # Fraction or float; vol = sqrt_det * theta^{1..7}
     exact: bool
-    orientation: int = 1
 
     @property
     def vol(self) -> KForm:

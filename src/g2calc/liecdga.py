@@ -93,7 +93,8 @@ def verify_primitive(eqs: StructureEqs, primitive: KForm, target: KForm) -> None
 #  "generators": ["t1", ...],
 #  "d": {"t4": [["1", [1,2]]], ...},          # omitted generators are closed
 #  "named_forms": {"phi": [["1",[1,2,3]], ...]},   # optional, any degree
-#  "involution": {"t1": "-1", ...},           # optional diagonal pullback
+#  "involution": {"t1": "-1", ...},           # optional diagonal pullback:
+#                                             # 1 or -1 for every generator
 #  "witnesses": {"name": {"primitive": [...], "target": [...]}},  # optional
 #  "domain_volume": "2.0"}                    # optional float constant
 # --------------------------------------------------------------------------
@@ -123,7 +124,7 @@ class InvariantModel:
                  witnesses=None, domain_volume=None, label=""):
         self.eqs = eqs
         self.named_forms = dict(named_forms or {})
-        self.involution = dict(involution or {})   # generator -> Fraction(+-1 etc.)
+        self.involution = dict(involution or {})   # generator -> Fraction(+-1)
         self.witnesses = dict(witnesses or {})     # name -> (primitive, target)
         self.domain_volume = domain_volume
         self.label = label
@@ -171,6 +172,14 @@ def model_from_dict(data) -> InvariantModel:
     check_d_squared(eqs)
     named = {k: _form_from_json(dim, v) for k, v in data.get("named_forms", {}).items()}
     invo = {k: _frac(v) for k, v in data.get("involution", {}).items()}
+    if "involution" in data:
+        bad = [f"{k}={v}" for k, v in invo.items() if abs(v) != 1]
+        if bad:
+            raise ValueError(f"involution values must be 1 or -1, got {bad}")
+        missing = [g for g in gens if g not in invo]
+        if missing:
+            raise ValueError(f"involution omits generators {missing}; it must "
+                             "give a sign for every generator")
     wits = {}
     for name, w in data.get("witnesses", {}).items():
         wits[name] = (_form_from_json(dim, w["primitive"]),

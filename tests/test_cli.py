@@ -1,5 +1,8 @@
 """Exit codes, artifacts, and determinism of the command-line driver."""
+import importlib.util
 import json
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,15 +11,33 @@ from g2calc import catalog, cli, ehmetric
 from g2calc.cli import build_suites, main
 from g2calc.g2core import G2Data, NotStableError
 
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+VERIFY_IDS = [cid for checks in build_suites(0).values() for cid, _ in checks]
+
 
 def run(argv):
     return main(argv)
 
 
-def test_suite_registry_is_large_enough():
-    suites = build_suites(seed=0)
-    total = sum(len(v) for v in suites.values())
-    assert total >= 40
+@pytest.mark.parametrize("cid", VERIFY_IDS)
+def test_verify_check(cid):
+    # every verify check at seed 0, exactly as `g2calc verify` runs it
+    ok, detail = dict(build_suites(0)[cid.split(".", 1)[0]])[cid]()
+    assert ok, detail
+
+
+def test_registry_matches_the_benchmark_contract(monkeypatch):
+    # the benchmark pins every check id, by suite and in report order; a new
+    # check must be added there in the same change
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)   # leave perfbench/ as it is
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    suites = {name: tuple(cid for cid, _ in checks)
+              for name, checks in build_suites(0).items()}
+    assert list(suites.items()) == list(workloads.EXPECTED_CHECKS.items())
+    assert [cid for cid, _ in cli.CHECKS] == [
+        cid for ids in workloads.EXPECTED_CHECKS.values() for cid in ids]
 
 
 def test_verify_single_suite_passes(tmp_path, capsys):
@@ -99,10 +120,10 @@ def test_eh_command_emits_profile_and_certificate(tmp_path, capsys):
     assert (tmp_path / "eh_profile.csv").exists()
 
 
-def test_eh_command_fails_cleanly_when_positivity_fails(tmp_path, monkeypatch,
-                                                      capsys):
-    # triple the slope, as in the verify test below: the certificate raises
-    # ConstructionFailed, which must end the command with exit code 1
+@pytest.fixture
+def steep_profiles(monkeypatch):
+    """Every profile built from here on has three times the slope a', as
+    in test_ehmetric, so its positivity certificate raises ConstructionFailed."""
     build = ehmetric.build_profile
 
     def steep_profile(*args):
@@ -117,6 +138,11 @@ def test_eh_command_fails_cleanly_when_positivity_fails(tmp_path, monkeypatch,
         return p
 
     monkeypatch.setattr(ehmetric, "build_profile", steep_profile)
+
+
+def test_eh_command_fails_cleanly_when_positivity_fails(tmp_path, steep_profiles,
+                                                      capsys):
+    # a failed certificate must end the command with exit code 1
     prefix = tmp_path / "eh"
     assert run(["eh", "--t", "1", "--R", "4", "--grid", "50",
                 "--out", str(prefix)]) == 1
@@ -171,19 +197,9 @@ def test_glued_definite_check_names_the_indefinite_point(monkeypatch):
     assert detail.endswith("normalised metric not positive definite")
 
 
-def test_eh_certificate_check_fails_when_positivity_fails(tmp_path, monkeypatch,
+def test_eh_certificate_check_fails_when_positivity_fails(tmp_path, steep_profiles,
                                                          capsys):
-    # triple the slope, as in test_ehmetric: the certificate raises
-    # ConstructionFailed, which must fail the check rather than crash verify
-    p = ehmetric.build_profile(1.0, 4.0, 1.0)
-    slopes = p.slopes
-
-    def steep(lam):
-        k, h, ap, app = slopes(lam)
-        return k, h, 3.0 * ap, app
-
-    monkeypatch.setattr(p, "slopes", steep)
-    monkeypatch.setattr(cli, "_EH_PROFILE", p)
+    # a failed certificate must fail the check rather than crash verify
     out = tmp_path / "report.json"
     assert run(["verify", "--suite", "eh", "--out", str(out)]) == 1
     status = {r["id"]: r for r in json.loads(out.read_text())["checks"]}

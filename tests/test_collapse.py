@@ -140,7 +140,9 @@ def test_lower_bound_psd_at_region_samples():
     samples = [ffkm_region_metrics("interior", (), 8),
                ffkm_region_metrics("w_outer", {"y1": 0.3}, 8),
                ffkm_region_metrics("chart", {"y1": 0.02, "y4": 0.3,
-                                             "y7": 0.2}, 8)]
+                                             "y7": 0.2}, 8),
+               ffkm_region_metrics("chart", {"y1": 0.02, "y2": 0.01, "y4": 0.3,
+                                             "y5": 0.015, "y6": 0.01, "y7": 0.2}, 8)]
     rep = lower_bound_global(8, samples, UPS, C=1.0, Delta0=mc["Delta0"])
     assert rep["pass"]
     assert rep["prefactor"] < UPS ** (4 / 3)

@@ -139,13 +139,14 @@ def test_omega_flat_outside_and_eh_inside(profile):
 
 
 def test_positivity_and_volume_certificate(profile):
-    rep = positivity_and_volume_certificate(profile, n_r=300, n_ang=12)
-    assert rep["positivity_ok"] and rep["volume_ok"]
-    assert 0.0 < rep["min_margin"] < 1.0
     floor = 2.0 * profile.upsilon ** 2
-    assert rep["min_ratio"] >= floor - 1e-9
-    # the floor is attained (the pinching equality is realised on the grid)
-    assert abs(rep["min_ratio"] - floor) < 1e-6
+    for n_r in (300, 400):
+        rep = positivity_and_volume_certificate(profile, n_r=n_r, n_ang=12)
+        assert rep["positivity_ok"] and rep["volume_ok"]
+        assert 0.0 < rep["min_margin"] < 1.0
+        assert rep["min_ratio"] >= floor - 1e-9
+        # the floor is attained (the pinching equality is realised on the grid)
+        assert abs(rep["min_ratio"] - floor) < 1e-6
 
 
 def _reference_certificate(profile, n_r, n_ang, delta=0.05, seed=0):

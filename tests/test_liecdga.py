@@ -108,6 +108,10 @@ BAD_MODELS = {
     "unknown_involution_generator": (_two_dim_model(involution={"a": "-1", "zz": "1"}), "zz"),
     "bool_involution": (_two_dim_model(involution={"a": True}), "True"),
     "repeated_generator": (_two_dim_model(generators=("a", "a")), "repeat"),
+    "involution_not_a_sign": (_two_dim_model(involution={"a": "3", "b": "0"}),
+                              "1 or -1"),
+    "involution_omits_generator": (_two_dim_model(involution={"a": "-1"}),
+                                   r"omits generators \['b'\]"),
 }
 
 
@@ -116,6 +120,23 @@ def test_model_from_dict_rejects_malformed_input(case):
     data, problem = BAD_MODELS[case]
     with pytest.raises(ValueError, match=problem):
         model_from_dict(data)
+
+
+@pytest.mark.parametrize("model", [nakamura_model, ffkm_model])
+def test_d_squared_vanishes_on_random_forms(model):
+    # d^2 = 0 on the generators extends to every form only through a
+    # correct derivation rule; test the extension itself
+    eqs = model().eqs
+    rng = random.Random(110)
+    for _ in range(100):
+        k = rng.randint(1, 3)
+        coeffs = {}
+        for idx in combinations(range(1, DIM + 1), k):
+            c = rng.randint(-4, 4)
+            if c:
+                coeffs[idx] = Fraction(c)
+        a = KForm(DIM, k, RAT, coeffs)
+        assert d_invariant(eqs, d_invariant(eqs, a)).is_zero()
 
 
 def test_structure_eqs_reject_wrong_degree():
