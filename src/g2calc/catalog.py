@@ -48,7 +48,9 @@ class CutoffFn:
     a 30-digit quadrature of the defining convolution over the ramp, the
     default cutoff's values are within 4e-16 and its derivatives within
     6e-15.  When the ramp is shorter than 2h, the mollifier's shoulders
-    overlap and the value is only within about 1e-11.
+    overlap and the value is only within about 1e-11.  The lower shoulder's
+    complete integral is computed once per (ramp_lo, ramp_hi, h) and
+    memoised; a value inside a shoulder integrates that part on every call.
     """
 
     def __init__(self, ramp_lo=0.55, ramp_hi=0.95, h=0.04):

@@ -100,22 +100,36 @@ def _plateau(u, lo, hi, w):
     return _psi((u - lo) / w) - _psi((u - hi) / w)
 
 
+#: _plateau_integral's complete shoulders, (p, lo, hi, w, side) -> integral,
+#: filled on first use of a parameter set
+_SHOULDER_MEMO = {}
+
+
 def _plateau_integral(u: float, p: int, lo: float, hi: float, w: float) -> float:
     """int_{-oo}^u v^p B(v) dv for p in {0, 1}: Gauss-Legendre over the two
     mollifier shoulders, the flat part analytically.  When the shoulders
     overlap (hi - lo < 2w) there is no flat part and they meet at the
-    midpoint."""
+    midpoint.  A shoulder that u has passed is integrated once per
+    (p, lo, hi, w) and memoised; a partial one, with u inside it, is
+    integrated on every call."""
     if u <= lo - w:
         return 0.0
     mid = 0.5 * (lo + hi)
     flat_lo, flat_hi = min(lo + w, mid), max(hi - w, mid)
     def f(v):
         return v ** p * _plateau(v, lo, hi, w)
-    total = _gl(f, lo - w, min(u, flat_lo))
+    def shoulder(side, a, b):
+        if u < b:
+            return _gl(f, a, u)
+        key = (p, lo, hi, w, side)
+        if key not in _SHOULDER_MEMO:
+            _SHOULDER_MEMO[key] = _gl(f, a, b)
+        return _SHOULDER_MEMO[key]
+    total = shoulder("lo", lo - w, flat_lo)
     if u > flat_lo:
         total += (min(u, flat_hi) ** (p + 1) - flat_lo ** (p + 1)) / (p + 1)
     if u > flat_hi:
-        total += _gl(f, flat_hi, min(u, hi + w))
+        total += shoulder("hi", flat_hi, hi + w)
     return total
 
 

@@ -56,10 +56,11 @@ def test_mu_below_one_rejected():
 
 
 def test_class_map_values_and_injectivity():
+    # catalog.class_map_grid runs another rational grid
     seen = {}
-    for a in (1, 2, Q(1, 2), 3):
-        for b in (1, Q(1, 3), 2, 5):
-            for lam in ((1, 0), (0, 1), (2, 1), (Q(1, 2), Q(-3, 4))):
+    for a in (Q(2, 3), 4, Q(5, 2), 7):
+        for b in (Q(1, 2), 3, Q(7, 4), 6):
+            for lam in ((3, 0), (0, -2), (Q(1, 3), Q(5, 2)), (-1, 4)):
                 re, im = Q(lam[0]), Q(lam[1])
                 got = ch_map(phi_abl(a, b, lam))
                 assert got == (Q(a) * b, re, im, b * re, b * im)

@@ -120,6 +120,17 @@ def test_eh_command_emits_profile_and_certificate(tmp_path, capsys):
     assert (tmp_path / "eh_profile.csv").exists()
 
 
+def test_eh_command_is_the_same_on_a_cold_and_a_filled_shoulder_memo(
+        tmp_path, monkeypatch):
+    monkeypatch.setattr(ehmetric, "_SHOULDER_MEMO", {})
+    for name in ("cold", "warm"):
+        assert run(["eh", "--t", "0.1", "--grid", "60",
+                    "--out", str(tmp_path / name)]) == 0
+    for suffix in ("_profile.csv", "_certificate.json"):
+        assert ((tmp_path / f"cold{suffix}").read_bytes()
+                == (tmp_path / f"warm{suffix}").read_bytes())
+
+
 @pytest.fixture
 def steep_profiles(monkeypatch):
     """Every profile built from here on has three times the slope a', as

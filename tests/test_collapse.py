@@ -57,8 +57,9 @@ def test_tail_decay_exponents():
 
 
 def test_lambda_is_one_along_the_family():
-    base = nakamura_metric(2, 1, (1, 1), 2, rescaled=True).limit
-    samples = [nakamura_metric(2, 1, (1, 1), mu, rescaled=True)
+    # collapse.product_lambda_one runs the base point (2, 1, 1 + i)
+    base = nakamura_metric(3, 2, (2, -1), 2, rescaled=True).limit
+    samples = [nakamura_metric(3, 2, (2, -1), mu, rescaled=True)
                for mu in (1, 2, 4, 8, 16, 32)]
     rep = premise_check(samples, base)
     assert rep["pass"]

@@ -6,8 +6,11 @@ import math
 import numpy as np
 import pytest
 
+from g2calc import ehmetric
+from g2calc.catalog import DEFAULT_CUTOFF
 from g2calc.ehmetric import (ConstructionFailed, EHProfile, Infeasible,
-                             _adaptive_simpson, build_profile,
+                             _adaptive_simpson, _gl, _plateau,
+                             _plateau_integral, build_profile,
                              certificate_to_json, closedness_residual,
                              default_t_for_epsilon, eh_aprime,
                              feasibility_threshold, measure_dlam_constant,
@@ -103,6 +106,62 @@ def test_scale_equivariance_is_exact():
                                                   rel=1e-12, abs=1e-13)
 
 
+def _plateau_integral_unmemoised(u, p, lo, hi, w):
+    """The shoulders and flat part of _plateau_integral, each shoulder
+    integrated by _gl afresh on every call."""
+    if u <= lo - w:
+        return 0.0
+    mid = 0.5 * (lo + hi)
+    flat_lo, flat_hi = min(lo + w, mid), max(hi - w, mid)
+    f = lambda v: v ** p * _plateau(v, lo, hi, w)
+    total = _gl(f, lo - w, min(u, flat_lo))
+    if u > flat_lo:
+        total += (min(u, flat_hi) ** (p + 1) - flat_lo ** (p + 1)) / (p + 1)
+    if u > flat_hi:
+        total += _gl(f, flat_hi, min(u, hi + w))
+    return total
+
+
+def test_shoulder_memo_is_exact(monkeypatch):
+    # the profile's plateau, the default cutoff's ramp, and that ramp with
+    # each of lo, hi and w moved alone; u before, inside and past each
+    # shoulder, and on the flat part
+    memo = {}
+    monkeypatch.setattr(ehmetric, "_SHOULDER_MEMO", memo)
+    prof = build_profile(1.0, 4.0, 1.0)
+    a, b, h = DEFAULT_CUTOFF.a, DEFAULT_CUTOFF.b, DEFAULT_CUTOFF.h
+    shapes = [(prof.p_lo, prof.p_hi, prof.rho), (a, b, h),
+              (a + 0.05, b, h), (a, b - 0.05, h), (a, b, h / 2)]
+    cases = []
+    for lo, hi, w in shapes:
+        us = (lo - 2 * w, lo - w / 2, lo, lo + w / 2, lo + w,
+              0.5 * (lo + hi), hi - w, hi - w / 2, hi, hi + w / 2, hi + w,
+              hi + 2 * w, 1.0)
+        cases += [(u, p, lo, hi, w) for p in (0, 1) for u in us]
+    want = [_plateau_integral_unmemoised(*case) for case in cases]
+    for case, value in zip(cases, want):      # every value from a cold memo
+        memo.clear()
+        assert _plateau_integral(*case) == value, case
+    for case in cases:                        # fill it
+        _plateau_integral(*case)
+    assert len(memo) == len(shapes) * 2 * 2   # shapes x p x side
+    for case, value in zip(cases, want):      # every value from the filled memo
+        assert _plateau_integral(*case) == value, case
+
+
+def test_profiles_with_one_shape_share_their_shoulders(monkeypatch):
+    # the shape parameters depend on (c, R) only, not on t
+    memo = {}
+    monkeypatch.setattr(ehmetric, "_SHOULDER_MEMO", memo)
+    small = build_profile(0.1, 4, 1)
+    filled = dict(memo)
+    assert filled
+    large = build_profile(1.0, 4, 1)
+    assert (small.p_lo, small.p_hi, small.rho) == (large.p_lo, large.p_hi,
+                                                   large.rho)
+    assert memo == filled
+
+
 def test_slope_matches_pure_eh_in_the_core(profile):
     # below q/4 the modification vanishes: alpha' = pure Eguchi-Hanson slope
     for lam in (0.01, 0.1, profile.q / 4):
@@ -118,7 +177,9 @@ def test_slope_is_flat_outside(profile):
 
 
 def test_ricci_flat_closed_form():
-    assert ricci_residual(1.0, np.linspace(0.5, 40.0, 25)) < 1e-8
+    # eh.ricci_flat_profile runs t = 1; these are a small and a large core
+    for t in (0.1, 3.0):
+        assert ricci_residual(t, np.linspace(0.5, 40.0, 25)) < 1e-8
 
 
 # --------------------------------------------------------------------------

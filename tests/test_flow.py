@@ -82,7 +82,8 @@ def test_negative_time_rejected():
 
 
 def test_trajectory_matches_closed_form():
-    rows = flow_integrate(1, 1, (1, 1), 1.0, 10000)
+    # flow.closed_form_trajectory runs the unit point; this is another one
+    rows = flow_integrate(2, 3, (1, 2), 1.0, 10000)
     assert len(rows) == 10001
     assert max(r[3] for r in rows) < 1e-10
 
