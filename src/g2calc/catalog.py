@@ -17,15 +17,13 @@ the smooth cutoff enters numerically only.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 
 import numpy as np
 
-from .ehmetric import _plateau, _plateau_integral
+from .ehmetric import _plateau, _plateau_integral, fd_d, omega_at
 from .forms import KForm, PolynomialMap, chart_vars, poly_ring
-from .g2core import G2Data, is_g2_type, norm
+from .g2core import is_g2_type, norm
 from .liecdga import InvariantModel, StructureEqs, check_d_squared, d_invariant
 from .rings import FLT, RAT, Poly
 
@@ -118,28 +116,25 @@ M_CONST = (math.sqrt(5.0) - 1.0) / 2.0
 DOMAIN_VOLUME_N = 2.0 * ELL * (2.0 * math.pi) ** 4 * (M_CONST ** 2 + 1.0) ** 2
 
 
-def _kf3(*terms):
-    return KForm.from_terms(7, 3, [(idx, c) for c, idx in terms], RAT)
-
-
-def _kf2(*terms):
-    return KForm.from_terms(7, 2, [(idx, c) for c, idx in terms], RAT)
+def _kf(*terms):
+    """A rational form from (coefficient, index) terms of one degree."""
+    return KForm.from_terms(7, len(terms[0][1]), [(idx, c) for c, idx in terms], RAT)
 
 
 def nakamura_model() -> InvariantModel:
     d_gen = [
         None, None, None,
-        _kf2((1, (1, 4)), (-1, (2, 5))),
-        _kf2((1, (1, 5)), (1, (2, 4))),
-        _kf2((-1, (1, 6)), (1, (2, 7))),
-        _kf2((-1, (1, 7)), (-1, (2, 6))),
+        _kf((1, (1, 4)), (-1, (2, 5))),
+        _kf((1, (1, 5)), (1, (2, 4))),
+        _kf((-1, (1, 6)), (1, (2, 7))),
+        _kf((-1, (1, 7)), (-1, (2, 6))),
     ]
     eqs = StructureEqs(7, d_gen, ("g1", "g2", "g3", "e3", "e4", "e5", "e6"))
     check_d_squared(eqs)
-    omega = _kf2((1, (4, 5)), (1, (6, 7)))
-    rho = _kf2((1, (4, 5)), (-1, (6, 7)))
-    om_re = _kf2((1, (4, 6)), (-1, (5, 7)))
-    om_im = _kf2((1, (4, 7)), (1, (5, 6)))
+    omega = _kf((1, (4, 5)), (1, (6, 7)))
+    rho = _kf((1, (4, 5)), (-1, (6, 7)))
+    om_re = _kf((1, (4, 6)), (-1, (5, 7)))
+    om_im = _kf((1, (4, 7)), (1, (5, 6)))
     named = {"omega": omega, "rho": rho, "Omega_re": om_re, "Omega_im": om_im,
              "g1": KForm.basis(7, (1,)), "g2": KForm.basis(7, (2,)),
              "g3": KForm.basis(7, (3,))}
@@ -221,10 +216,11 @@ def ch_map(xi: KForm, model: InvariantModel | None = None) -> tuple:
     integrates to 1 (i.e. values are in units of the fundamental-domain
     constant A)."""
     m = model or nakamura_model()
+    pairings = _ch_pairings(m)
     unit = m.named_forms["g1"].wedge(m.named_forms["g2"]).wedge(m.named_forms["g3"]) \
-        .wedge(_ch_pairings(m)[0]).top_coefficient()
+        .wedge(pairings[0]).top_coefficient()
     out = []
-    for eta in _ch_pairings(m):
+    for eta in pairings:
         c = xi.wedge(eta).top_coefficient()
         out.append(Q(c) / Q(unit) if xi.ring == RAT else float(c) / float(unit))
     return tuple(out)
@@ -242,10 +238,10 @@ _FFKM_TERMS = (((1, 2, 3), 1), ((1, 4, 5), 1), ((1, 6, 7), 1), ((2, 4, 6), -1),
 def ffkm_model() -> InvariantModel:
     d_gen = [
         None, None, None,
-        _kf2((1, (1, 2))),
-        _kf2((1, (1, 3))),
-        _kf2((1, (1, 4))),
-        _kf2((1, (1, 5))),
+        _kf((1, (1, 2))),
+        _kf((1, (1, 3))),
+        _kf((1, (1, 4))),
+        _kf((1, (1, 5))),
     ]
     eqs = StructureEqs(7, d_gen, tuple(f"t{i}" for i in range(1, 8)))
     check_d_squared(eqs)
@@ -253,10 +249,10 @@ def ffkm_model() -> InvariantModel:
     invo = {"t1": Q(-1), "t2": Q(-1), "t3": Q(1), "t4": Q(1),
             "t5": Q(-1), "t6": Q(-1), "t7": Q(1)}
     witnesses = {
-        "theta123": (KForm.basis(7, (2, 5)), _kf3((1, (1, 2, 3)))),
+        "theta123": (KForm.basis(7, (2, 5)), _kf((1, (1, 2, 3)))),
         "laplacian_phi": (
             KForm.from_terms(7, 2, [((2, 5), Q(2)), ((4, 7), Q(1)), ((5, 6), Q(-1))], RAT),
-            _kf3((2, (1, 2, 3)), (2, (1, 4, 5)), (-1, (1, 3, 6)), (1, (1, 2, 7)))),
+            _kf((2, (1, 2, 3)), (2, (1, 4, 5)), (-1, (1, 3, 6)), (1, (1, 2, 7)))),
     }
     return InvariantModel(eqs, named, invo, witnesses, label="nilmanifold")
 
@@ -271,10 +267,6 @@ def phi_check_mu(mu) -> KForm:
 
 
 # ----- charts around the singular locus ------------------------------------
-
-#: chart labels (a1, a2, a5, a6) in {0,1} x {0,1/2}^3
-CHART_LABELS = tuple((a1, a2, a5, a6) for a1, a2, a5, a6
-                     in product((0, 1), (Q(0), Q(1, 2)), (Q(0), Q(1, 2)), (Q(0), Q(1, 2))))
 
 XVARS = chart_vars("x", 7)
 YVARS = chart_vars("y", 7)
@@ -319,26 +311,6 @@ def _d_cutoff_times(pt: dict, scale: float, a: KForm, da: KForm):
         dr = KForm(7, 1, FLT, {(i,): pt[n] / r for i, n in _TRANSVERSE})
         out = out + (fd / scale) * dr.wedge(a.eval_at(pt))
     return out, r, f, fd
-
-
-@dataclass
-class ChartRegion:
-    """One chart T^3 x B^4_eps around a component of the singular locus."""
-    label: tuple
-    epsilon: float = DEFAULT_EPSILON
-
-    def __post_init__(self):
-        if self.label not in CHART_LABELS:
-            raise ValueError(f"unknown chart label {self.label}")
-        if self.epsilon <= 0:
-            raise ValueError("chart radius must be positive")
-
-    @property
-    def base_chart(self) -> int:
-        return self.label[0]
-
-    def contains(self, point: dict) -> bool:
-        return _transverse_r(point) < self.epsilon
 
 
 def chart_map(base_chart: int, extra_vars=()) -> PolynomialMap:
@@ -493,13 +465,13 @@ def _alpha_and_d():
     return _ALPHA_CACHE
 
 
-def glued_form_at(point: dict, mu: float, epsilon: float = DEFAULT_EPSILON,
-                  chart: ChartRegion | None = None) -> dict:
-    """Evaluate phi^mu = xi^mu + y1 dy^{147} + d[f(r/eps) alpha] at a chart
-    point; report the gap |phi^mu - xi^mu| in the xi^mu norm and a
-    definiteness certificate."""
-    chart = chart or ChartRegion(CHART_LABELS[0], epsilon)
-    if not chart.contains(point):
+def glued_form_at(point: dict, mu: float, epsilon: float = DEFAULT_EPSILON) -> dict:
+    """Evaluate phi^mu = xi^mu + y1 dy^{147} + d[f(r/eps) alpha] at a point
+    of the chart ball r < eps; report the gap |phi^mu - xi^mu| in the xi^mu
+    norm and a definiteness certificate."""
+    if epsilon <= 0:
+        raise ValueError("chart radius must be positive")
+    if not _transverse_r(point) < epsilon:
         raise ValueError(f"point outside the chart ball of radius {epsilon}")
     pt = {n: float(point.get(n, 0.0)) for n in YVARS}
     alpha, dalpha, _, _ = _alpha_and_d()
@@ -571,7 +543,7 @@ class ResolutionForms:
         self.mu = float(mu)
         self.epsilon = float(epsilon)
         self.profile = profile
-        if profile is not None and self.epsilon <= 0:
+        if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
 
     def sigma_at(self, point: dict) -> KForm:
@@ -583,7 +555,7 @@ class ResolutionForms:
         """Interpolated Kaehler form on the (y1, y2, y5, y6) axes."""
         if self.profile is None:
             return KForm(7, 2, FLT, {(1, 2): 1.0, (5, 6): 1.0})
-        M = self.profile.omega_matrix_at((pt["y1"], pt["y2"], pt["y5"], pt["y6"]))
+        M = omega_at((pt["y1"], pt["y2"], pt["y5"], pt["y6"]), profile=self.profile)
         axes = (1, 2, 5, 6)
         coeffs = {}
         for i in range(4):
@@ -749,26 +721,11 @@ def _closedness_probe_fQ(Qf: KForm, epsilon: float, tol: float = 1e-6) -> bool:
     dQ = Qf.d_chart()
 
     def two_form_field(y):
-        return _d_cutoff_times(dict(zip(YVARS, y)), epsilon, Qf, dQ)[0]
+        return _d_cutoff_times(dict(zip(YVARS, y)), epsilon, Qf, dQ)[0].coeffs
 
     samples = [np.array([0.7, 0.1, 0.3, 0.2, 0.05, -0.1, 0.4]) * epsilon,
                np.array([0.5, -0.4, 0.1, 0.3, 0.3, 0.2, -0.2]) * epsilon,
                np.array([-0.6, 0.3, -0.5, 0.1, 0.2, -0.3, 0.1]) * epsilon]
-    h = 1e-5 * epsilon
-    for y0 in samples:
-        # d(omega)_{ijk} = sum of cyclic partial derivatives of coefficients
-        for tri in ((1, 2, 5), (1, 4, 7), (2, 5, 6), (1, 2, 3)):
-            total = 0.0
-            for pos in range(3):
-                i = tri[pos]
-                rest = tri[:pos] + tri[pos + 1:]
-                sign = 1.0 if pos % 2 == 0 else -1.0
-                yp, ym = y0.copy(), y0.copy()
-                yp[i - 1] += h
-                ym[i - 1] -= h
-                cp = two_form_field(yp).coeffs.get(rest, 0.0)
-                cm = two_form_field(ym).coeffs.get(rest, 0.0)
-                total += sign * (float(cp) - float(cm)) / (2 * h)
-            if abs(total) > tol:
-                return False
-    return True
+    triples = ((1, 2, 5), (1, 4, 7), (2, 5, 6), (1, 2, 3))
+    return all(abs(v) <= tol for y0 in samples
+               for v in fd_d(two_form_field, y0, 1e-5 * epsilon, triples))

@@ -28,6 +28,23 @@ from .rings import FLT, RAT, Poly
 DIM = 7
 
 
+class UsageError(ValueError):
+    """A command-line value outside its domain: main prints it on one
+    stderr line and returns 2, before any output file is written."""
+
+
+def _value(flag: str, text, ok=lambda x: x > 0, need: str = "positive") -> float:
+    """The command-line value `text` of `flag` as a float x with ok(x); a
+    non-number becomes nan, which an order comparison in ok() refuses."""
+    try:
+        x = float(text)
+    except ValueError:
+        x = math.nan
+    if not ok(x):
+        raise UsageError(f"{flag} must be {need}, got {text!r}")
+    return x
+
+
 # ===========================================================================
 # verify suites
 # ===========================================================================
@@ -150,20 +167,23 @@ def _check_standard_metric(rng):
     return ok, "g_phi0 = id, vol = 1, exact"
 
 
-def _rand_definite_phi(rng, scale=0.2):
-    v = g2core.phi_to_vector(standard_phi().in_ring(FLT))
-    v = v + scale * rng.normal(size=v.shape)
-    return g2core.vector_to_phi(v)
-
-
-def _check_star_star(rng):
-    worst = 0.0
+def _definite_samples(rng):
+    """(phi, is_g2_type(phi)) for each definite form among 100 random
+    perturbations of phi_0; lazy, so a caller's own draws from rng come
+    between the forms' draws."""
+    v0 = g2core.phi_to_vector(standard_phi().in_ring(FLT))
     for _ in range(100):
-        phi = _rand_definite_phi(rng)
+        phi = g2core.vector_to_phi(v0 + 0.2 * rng.normal(size=v0.shape))
         try:
             data = is_g2_type(phi)
         except g2core.NotStableError:
             continue
+        yield phi, data
+
+
+def _check_star_star(rng):
+    worst = 0.0
+    for _, data in _definite_samples(rng):
         for k in (2, 3):
             a = KForm(DIM, k, FLT, {
                 idx: float(rng.normal())
@@ -177,12 +197,7 @@ def _check_star_star(rng):
 
 def _check_seven_vol(rng):
     worst = 0.0
-    for _ in range(100):
-        phi = _rand_definite_phi(rng)
-        try:
-            data = is_g2_type(phi)
-        except g2core.NotStableError:
-            continue
+    for phi, data in _definite_samples(rng):
         top = phi.wedge(hodge_star(data, phi)).top_coefficient()
         worst = max(worst, abs(float(top) - 7.0 * float(data.sqrt_det)))
     return worst < 1e-10, f"max |phi ^ *phi - 7 vol| = {worst:.3e}"
@@ -659,9 +674,8 @@ def cmd_verify(args) -> int:
     suites = build_suites(args.seed)
     if args.suite:
         if args.suite not in suites:
-            print(f"unknown suite {args.suite!r}; choose from "
-                  f"{sorted(suites)}", file=sys.stderr)
-            return 2
+            raise UsageError(f"unknown suite {args.suite!r}; choose from "
+                             f"{sorted(suites)}")
         suites = {args.suite: suites[args.suite]}
     checks = [c for entries in suites.values() for c in entries]
     if args.model:
@@ -699,6 +713,7 @@ def cmd_verify(args) -> int:
 def cmd_scan(args) -> int:
     """Volume-scaling sweep over random rational frame scalings."""
     import csv as _csv
+    _value("--grid", args.grid)
     rng = np.random.default_rng(args.seed)
     rows = []
     for _ in range(args.grid):
@@ -717,16 +732,18 @@ def cmd_scan(args) -> int:
 
 
 def _parse_lambda(s):
-    if "," in s:
-        re, im = s.split(",", 1)
-        return (float(re), float(im))
-    return float(s)
+    """'re' or 're,im' as a float or a pair of floats."""
+    parts = [_value("--lambda", x, math.isfinite, "'re' or 're,im' in finite numbers")
+             for x in s.split(",", 1)]
+    if not any(parts):
+        raise UsageError(f"--lambda must be nonzero, got {s!r}")
+    return tuple(parts) if len(parts) == 2 else parts[0]
 
 
 def cmd_flow(args) -> int:
-    if args.tol <= 0:
-        print("--tol must be positive", file=sys.stderr)
-        return 2
+    for flag, x in (("--tol", args.tol), ("--t-end", args.t_end), ("--steps", args.steps)):
+        _value(flag, x)
+    _value("--alpha", args.alpha, lambda a: a != 0, "nonzero")
     rows = flow.flow_integrate(args.alpha, args.beta,
                                _parse_lambda(args.lam), args.t_end, args.steps)
     path = args.out or "flow_trajectory.csv"
@@ -738,14 +755,13 @@ def cmd_flow(args) -> int:
 
 
 def cmd_eh(args) -> int:
-    if args.grid < 1:
-        print("--grid must be positive", file=sys.stderr)
-        return 2
-    c = 1.0 if args.c == "auto" else float(args.c)
+    _value("--grid", args.grid)
+    _value("--t", args.t)
+    c = 1.0 if args.c == "auto" else _value("--c", args.c, lambda x: 0 < x < 2, "in (0, 2)")
     if args.R == "auto":
         R = max(4.0, 1.05 * ehmetric.feasibility_threshold(c))
     else:
-        R = float(args.R)
+        R = _value("--R", args.R)
     try:
         profile = ehmetric.build_profile(args.t, R, c)
     except (ehmetric.Infeasible, ehmetric.ConstructionFailed) as e:
@@ -766,11 +782,14 @@ def cmd_eh(args) -> int:
 
 
 def cmd_collapse(args) -> int:
-    mus = [float(m) for m in args.mu.split(",")]
+    mus = [_value("--mu", m, lambda x: x >= 1, ">= 1") for m in args.mu.split(",")]
+    _value("--epsilon", args.epsilon)
     if args.model == "nakamura":
         rep = _nakamura_premises(mus)
         rep["model"] = "nakamura"
-    elif args.model == "ffkm":
+    else:   # ffkm; argparse admits no other model
+        if len(set(mus)) < 2:
+            raise UsageError("--mu needs two distinct values for the ffkm rate fits")
         rep = {"model": "ffkm",
                "chart": collapse.region_gap_decay("chart", FFKM_CHART_POINT, mus,
                                                   args.epsilon),
@@ -778,9 +797,6 @@ def cmd_collapse(args) -> int:
                                                      args.epsilon)}
         rep["pass"] = (rep["chart"]["rate"] <= -2.7
                        and rep["interior"]["rate"] <= -2.7)
-    else:
-        print(f"unknown model {args.model!r}", file=sys.stderr)
-        return 2
     path = args.out or "collapse_report.json"
     collapse.report_to_json(rep, path)
     print(f"wrote {path}; pass = {rep['pass']}")
@@ -841,7 +857,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except UsageError as e:
+        print(e, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ annulus carrying mu^{-6}{...six fiber terms... + y1 dy^{147}} (y-coordinates).
 '''
 from __future__ import annotations
 
-import csv
 import json
 import math
 from dataclasses import dataclass
@@ -466,14 +465,6 @@ def fiber_diameter_probe(ks=(2, 4, 8), mus=(8, 16, 32),
 
 
 # ----- exports ------------------------------------------------------------------
-
-def decay_to_csv(probe: dict, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["k", "mu", "diameter"])
-        for (k, mu), d in sorted(probe["table"].items()):
-            w.writerow([f"{k:.17g}", f"{mu:.17g}", f"{d:.17g}"])
-
 
 def report_to_json(report: dict, path) -> None:
     def clean(obj):

@@ -152,14 +152,12 @@ class EHProfile:
         self.r_frak = math.sqrt(0.5 * (self.p_lo + self.p_hi) * self.q)
 
     # -- profile functions ----------------------------------------------
-    def bump(self, u):
-        """B(u) = (indicator * mollifier)(u), 0 <= B <= 1, == 1 on plateau."""
-        return _plateau(u, self.p_lo, self.p_hi, self.rho)
-
     def k(self, lam: float) -> float:
+        """k_t(lam) = -c lam B(lam/q), B the mollified plateau."""
         if lam <= 0:
             return 0.0
-        return -self.c * lam * float(self.bump(lam / self.q))
+        return -self.c * lam * float(_plateau(lam / self.q, self.p_lo, self.p_hi,
+                                              self.rho))
 
     def _moment(self, u: float) -> float:
         """int_0^u v B(v) dv."""
@@ -182,15 +180,6 @@ class EHProfile:
         ap = math.sqrt(val)
         app = 0.5 * (k / lam ** 2 - 2.0 * (self.t ** 4 + h) / lam ** 3) / ap
         return k, h, ap, app
-
-    def aprime(self, lam: float) -> float:
-        """Interpolated slope al'_t(lam)."""
-        return self.slopes(lam)[2]
-
-    # -- matrix evaluation ------------------------------------------------
-    def omega_matrix_at(self, point) -> list:
-        """om_check_t at (x1, y1, x2, y2) as an antisymmetric 4x4 matrix."""
-        return omega_at(point, profile=self)
 
     def export_csv(self, path, n: int = 400) -> None:
         lams = np.linspace(self.q / 8.0, self.q * 1.05, n)
@@ -419,31 +408,46 @@ def certificate_to_json(report: dict, path) -> None:
         json.dump(keep, fh, indent=2)
 
 
+def fd_d(field, y0, h: float, triples) -> list:
+    """Central-difference d of a 2-form field at the point y0: for each
+    triple (i, j, k) of 1-based axes, i < j < k, the value
+    (d eta)_ijk = d_i eta_jk - d_j eta_ik + d_k eta_ij.  field(y) returns
+    the coefficients of eta at y keyed by index pairs (i, j), i < j, absent
+    pairs being zero; it is evaluated at y0 +- h e_a once for each axis a
+    that the triples use."""
+    shifted = {}
+    for a in sorted({a for tri in triples for a in tri}):
+        yp, ym = np.array(y0, dtype=float), np.array(y0, dtype=float)
+        yp[a - 1] += h
+        ym[a - 1] -= h
+        shifted[a] = field(yp), field(ym)
+
+    def quotient(a, pair):
+        fp, fm = shifted[a]
+        return (float(fp.get(pair, 0.0)) - float(fm.get(pair, 0.0))) / (2.0 * h)
+
+    return [quotient(i, (j, k)) - quotient(j, (i, k)) + quotient(k, (i, j))
+            for i, j, k in triples]
+
+
 def closedness_residual(profile: EHProfile, n: int = 6, step: float = 3e-6) -> float:
     """Finite-difference d(om_check) on interior points of the annulus;
     om_check is d of a potential, so this should vanish to FD accuracy."""
     t, R = profile.t, profile.R
     rng = np.random.default_rng(1)
     hstep = step * t * R
+
+    def field(p):
+        M = omega_at(p, profile=profile)
+        return {(i + 1, j + 1): M[i][j] for i, j in _UPPER}
+
     worst = 0.0
     for _ in range(n):
         d = rng.normal(size=4)
         d /= np.linalg.norm(d)
         pt = np.array(d) * rng.uniform(0.55, 0.95) * t * R
-        def M_at(p):
-            return omega_at(p, profile=profile)
-        grads = []
-        for a in range(4):
-            e = np.zeros(4)
-            e[a] = hstep
-            Mp, Mm = M_at(pt + e), M_at(pt - e)
-            grads.append([[(Mp[i][j] - Mm[i][j]) / (2.0 * hstep)
-                           for j in range(4)] for i in range(4)])
-        for i in range(4):
-            for j in range(i + 1, 4):
-                for k in range(j + 1, 4):
-                    val = grads[i][j][k] - grads[j][i][k] + grads[k][i][j]
-                    worst = max(worst, abs(val))
+        for val in fd_d(field, pt, hstep, ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))):
+            worst = max(worst, abs(val))
     return worst
 
 

@@ -16,7 +16,7 @@ from .catalog import _lam_sq, nakamura_model, phi_abl_mu
 from .forms import KForm
 from .g2core import is_g2_type, hodge_star
 from .liecdga import InvariantModel, d_invariant
-from .rings import RAT, nth_root_fraction
+from .rings import nth_root_fraction
 
 
 def laplacian(phi: KForm, model: InvariantModel) -> KForm:

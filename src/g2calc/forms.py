@@ -16,8 +16,7 @@ Fraction at the end.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from .rings import (FLT, RAT, MixedRingError, Poly, _over_common_denominator,
                     coerce_to, ring_of, ring_zero, scalar_is_zero)
@@ -257,9 +256,6 @@ class KForm:
                     out[merged] = c
         return KForm._trusted(self.dim, deg, ring, out)
 
-    def __xor__(self, other):
-        return self.wedge(other)
-
     def contract(self, vector) -> "KForm":
         """Interior product with a vector given as components over axes 1..dim
         (sequence, or mapping axis->component)."""
@@ -322,12 +318,6 @@ class KForm:
             return self.in_ring(FLT)
         return KForm._trusted(self.dim, self.degree, FLT,
                               {i: c.eval(point) for i, c in self.coeffs.items()})
-
-    def eval_exact(self, point: Mapping[str, Fraction]) -> "KForm":
-        if not (isinstance(self.ring, tuple) and self.ring[0] == "poly"):
-            return self.in_ring(RAT)
-        return KForm._trusted(self.dim, self.degree, RAT,
-                              {i: c.eval_exact(point) for i, c in self.coeffs.items()})
 
     # ----- misc ----------------------------------------------------------
     def map_coeffs(self, fn, ring=None) -> "KForm":

@@ -175,11 +175,22 @@ def metric_batch(phis: np.ndarray):
     if np.any(detB <= 0):
         bad = int(np.argmax(detB <= 0))
         raise NotStableError(f"det B = {detB[bad]:.3e} <= 0 at sample {bad}")
-    g = B / (36.0 * detB[:, None, None]) ** (1.0 / 9.0)
-    eig = np.linalg.eigvalsh(g)
-    if np.any(eig[:, 0] <= 0):
-        bad = int(np.argmax(eig[:, 0] <= 0))
-        raise NotStableError(f"normalised metric not positive definite at sample {bad}")
+    return _normalise(B, detB)
+
+
+def _normalise(B: np.ndarray, detB):
+    """(g, sqrt_det_g) for a stack of float B matrices with det B > 0:
+    g = B / (36 det B)^{1/9}, then Sylvester's test by eigenvalues.  The
+    ninth root is a Python float power per row, so a row's g does not
+    depend on the batch it came in.  Raises NotStableError at the first
+    row whose g is not positive definite."""
+    roots = np.array([(36.0 * float(d)) ** (1.0 / 9.0) for d in detB])
+    g = B / roots[:, None, None]
+    low = np.linalg.eigvalsh(g)[:, 0]
+    if np.any(low <= 0):
+        bad = int(np.argmax(low <= 0))
+        raise NotStableError(f"normalised metric has eigenvalue {low[bad]:.3e} "
+                             f"<= 0 at sample {bad}")
     return g, np.sqrt(np.linalg.det(g))
 
 
@@ -273,11 +284,6 @@ class G2Data:
     sqrt_det: object             # Fraction or float; vol = sqrt_det * theta^{1..7}
     exact: bool
 
-    @property
-    def vol(self) -> KForm:
-        ring = RAT if self.exact else FLT
-        return KForm(DIM, DIM, ring, {tuple(range(1, 8)): self.sqrt_det})
-
     def metric_array(self) -> np.ndarray:
         return np.array([[float(x) for x in row] for row in self.metric])
 
@@ -291,6 +297,8 @@ def is_g2_type(phi: KForm) -> G2Data:
     """
     if isinstance(phi.ring, tuple):
         raise TypeError("evaluate polynomial forms at a point first")
+    if phi.degree != 3 or phi.dim != DIM:
+        raise ValueError("expected a 3-form in dimension 7")
     if phi.ring == RAT:
         # B = N / d; one elimination of N gives det B and the signs of the
         # leading minors of g = B / root (root > 0) for Sylvester's test
@@ -299,9 +307,7 @@ def is_g2_type(phi: KForm) -> G2Data:
         if detN == 0:
             raise NotStableError("det B = 0")
         detB = Fraction(detN, d ** DIM)
-        if detB < 0:
-            _diagnose_negative(phi, float(detB))
-        root = nth_root_fraction(36 * detB, 9)
+        root = nth_root_fraction(36 * detB, 9) if detB > 0 else None
         if root is not None:
             if min(leading) <= 0:   # leading stops at its first zero
                 raise NotStableError("normalised metric not positive definite")
@@ -312,33 +318,31 @@ def is_g2_type(phi: KForm) -> G2Data:
             return G2Data(phi, [[Fraction(x * rd, d * rn) for x in row] for row in N],
                           [[Fraction(d * rn * x, rd * p) for x in row] for row in R],
                           root / 6, exact=True)
-        Bf = np.array([[x / d for x in row] for row in N])
+        B = np.array([[x / d for x in row] for row in N])
         detBf = float(detB)
     else:
-        Bf = np.array(bilinear_from_3form(phi))
-        detBf = float(np.linalg.det(Bf))
+        B = bilinear_batch(phi_to_vector(phi))[0]
+        detBf = float(np.linalg.det(B))
         if detBf == 0.0:
             raise NotStableError("det B vanishes to working precision")
-        if detBf < 0:
-            _diagnose_negative(phi, detBf)
-    g = Bf / (36.0 * detBf) ** (1.0 / 9.0)
-    eig = np.linalg.eigvalsh(g)
-    if eig[0] <= 0:
-        raise NotStableError(f"normalised metric has eigenvalue {eig[0]:.3e} <= 0")
+    if detBf < 0:
+        _diagnose_negative(B, detBf)
+    g, sqrt_det = _normalise(B[None], [detBf])
     return G2Data(vector_to_phi(phi_to_vector(phi)) if phi.ring == RAT else phi,
-                  g.tolist(), np.linalg.inv(g).tolist(),
-                  float(np.sqrt(np.linalg.det(g))), exact=False)
+                  g[0].tolist(), np.linalg.inv(g[0]).tolist(),
+                  float(sqrt_det[0]), exact=False)
 
 
-def _diagnose_negative(phi: KForm, detBf: float):
-    # det B < 0: definite for the reversed frame, or genuinely unstable?
-    Bf = np.array([[float(x) for x in row]
-                   for row in bilinear_from_3form(phi.in_ring(FLT))])
-    g = -Bf / (-36.0 * float(np.linalg.det(Bf))) ** (1.0 / 9.0)
-    if np.linalg.eigvalsh(g)[0] > 0:
-        raise OrientationMismatchError(
-            "3-form is definite for the opposite orientation of this frame")
-    raise NotStableError(f"det B = {detBf:.3e} < 0 and no orientation flip helps")
+def _diagnose_negative(B: np.ndarray, detBf: float):
+    """det B < 0: definite for the reversed frame (-B normalises to a
+    metric), or genuinely unstable?"""
+    try:
+        _normalise(-B[None], [-detBf])
+    except NotStableError:
+        raise NotStableError(
+            f"det B = {detBf:.3e} < 0 and no orientation flip helps") from None
+    raise OrientationMismatchError(
+        "3-form is definite for the opposite orientation of this frame")
 
 
 # --------------------------------------------------------------------------

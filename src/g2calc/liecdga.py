@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 
 from .forms import KForm, _add_term, merge_sign
-from .rings import FLT, RAT, coerce_to
+from .rings import RAT, coerce_to
 
 
 class JacobiError(ValueError):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Mapping
+from typing import Mapping
 
 Q = Fraction
 
@@ -267,19 +267,6 @@ class Poly:
                     val *= float(point[v]) ** k
             total += val
         return total
-
-    def eval_exact(self, point: Mapping[str, Fraction]) -> Fraction:
-        total = Fraction(0)
-        for e, c in self.terms.items():
-            val = c
-            for v, k in zip(self.vars, e):
-                if k:
-                    val *= Fraction(point[v]) ** k
-            total += val
-        return total
-
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
 
     def _key(self, e):
         return (sum(e), tuple(-x for x in e))

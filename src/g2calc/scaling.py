@@ -18,9 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .forms import KForm
-from .g2core import DIM, G2Data, is_g2_type, inverse_exact, standard_phi
-from .g2core import STANDARD_PHI_TERMS
-from .rings import RAT, fraction_pow, nth_root_fraction
+from .g2core import DIM, STANDARD_PHI_TERMS, is_g2_type, inverse_exact
+from .rings import FLT, RAT, fraction_pow, nth_root_fraction
 
 #: index triples of the seven terms of the standard form, in order
 SCALING_TRIPLES = tuple(idx for _, idx in STANDARD_PHI_TERMS)
@@ -94,13 +93,10 @@ def scaled_form(lambdas) -> KForm:
     lambdas = tuple(lambdas)
     if len(lambdas) != DIM:
         raise ValueError("need seven scaling coefficients")
-    ring = RAT if all(isinstance(l, (int, Fraction)) for l in lambdas) else "float"
-    if ring == RAT:
-        coeffs = {idx: Fraction(l) * c for l, (c, idx) in zip(lambdas, STANDARD_PHI_TERMS)}
-        return KForm(DIM, 3, RAT, coeffs)
-    from .rings import FLT
-    return KForm(DIM, 3, FLT,
-                 {idx: float(l) * float(c) for l, (c, idx) in zip(lambdas, STANDARD_PHI_TERMS)})
+    exact = all(isinstance(l, (int, Fraction)) for l in lambdas)
+    scalar = Fraction if exact else float
+    return KForm(DIM, 3, RAT if exact else FLT,
+                 {idx: scalar(l) * scalar(c) for l, (c, idx) in zip(lambdas, STANDARD_PHI_TERMS)})
 
 
 def scaled_volume_factor(lambdas):
@@ -132,9 +128,7 @@ def hitchin_scaling_law(lambdas) -> dict:
     """Bundle (mu, volume factor, definiteness certificate) for one lambda."""
     expo = solve_scaling(lambdas)
     vol = scaled_volume_factor(lambdas)
-    pm = 1
-    for m in expo.mus:
-        pm = pm * m
+    pm = expo.volume_factor()
     ok = (pm == vol) if expo.exact and isinstance(vol, Fraction) \
         else abs(float(pm) - float(vol)) <= 1e-10 * max(1.0, abs(float(vol)))
     if not ok:

@@ -153,6 +153,12 @@ def test_glued_form_outside_chart_rejected():
         glued_form_at({"y1": 10.0}, 2)
 
 
+@pytest.mark.parametrize("eps", [0.0, -0.1])
+def test_glued_form_rejects_a_nonpositive_radius(eps):
+    with pytest.raises(ValueError, match="chart radius must be positive"):
+        glued_form_at({"y1": 0.01}, 2, eps)
+
+
 def test_glued_form_outer_region_is_invariant():
     # once the cutoff saturates (r/eps >= 0.99 within tolerance of 1) the
     # glued form coincides with the invariant xi^mu plus the bump term
@@ -316,6 +322,13 @@ def test_quadlem_constant_stable_under_refinement():
 @pytest.fixture(scope="module")
 def profile():
     return ehmetric.build_profile(ehmetric.default_t_for_epsilon(0.1, 4.0), 4.0)
+
+
+@pytest.mark.parametrize("with_profile", [False, True])
+def test_resolution_forms_reject_a_nonpositive_epsilon(profile, with_profile):
+    for eps in (0.0, -0.1):
+        with pytest.raises(ValueError, match="epsilon must be positive"):
+            ResolutionForms(2, eps, profile=profile if with_profile else None)
 
 
 def test_resolution_margins_certified(profile):

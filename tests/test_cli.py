@@ -170,6 +170,23 @@ def test_eh_empty_grid_is_usage_error(tmp_path):
     assert not (tmp_path / "eh_certificate.json").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["collapse", "--mu", "0"], ["collapse", "--mu", "1,abc"],
+    ["collapse", "--model", "ffkm", "--mu", "2"],
+    ["collapse", "--model", "ffkm", "--epsilon", "0"],
+    ["flow", "--steps", "0"], ["flow", "--t-end", "-1"], ["flow", "--lambda", "1,x"],
+    ["flow", "--lambda", "0,0"], ["flow", "--alpha", "0"],
+    ["eh", "--t", "0"], ["eh", "--c", "3"], ["eh", "--R", "abc"],
+    ["scan", "--grid", "0"],
+], ids=" ".join)
+def test_out_of_domain_values_are_usage_errors(argv, tmp_path, capsys):
+    # exit 2 with one stderr line naming the flag, and no output file
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(argv[-2]), err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_collapse_command_reports_lambda_one(tmp_path, capsys):
     out = tmp_path / "col.json"
     code = run(["collapse", "--model", "nakamura",

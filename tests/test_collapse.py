@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from g2calc import collapse, ehmetric
-from g2calc.collapse import (MetricSample, base_pullback, decay_to_csv,
+from g2calc.collapse import (MetricSample, base_pullback,
                              fiber_diameter_probe, ffkm_region_metrics,
                              interior_limit_metric, largest_lambda,
                              lc_vs_norm_holds, limit_quasi_finsler,
@@ -237,11 +237,6 @@ def test_fiber_diameter_monotone_and_uniform(probe):
 
 
 def test_exports(tmp_path, probe):
-    csv_path = tmp_path / "decay.csv"
-    decay_to_csv(probe, csv_path)
-    lines = csv_path.read_text().splitlines()
-    assert lines[0] == "k,mu,diameter"
-    assert len(lines) > 3
     json_path = tmp_path / "report.json"
     report_to_json({"exponent": probe["exponent"],
                     "base": base_pullback()}, json_path)

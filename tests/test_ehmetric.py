@@ -12,11 +12,13 @@ from g2calc.ehmetric import (ConstructionFailed, EHProfile, Infeasible,
                              _adaptive_simpson, _gl, _plateau,
                              _plateau_integral, build_profile,
                              certificate_to_json, closedness_residual,
-                             default_t_for_epsilon, eh_aprime,
+                             default_t_for_epsilon, eh_aprime, fd_d,
                              feasibility_threshold, measure_dlam_constant,
                              _directions, omega_at,
                              positivity_and_volume_certificate,
                              positivity_budget, ricci_residual)
+from g2calc.forms import KForm, chart_vars, poly_ring
+from g2calc.rings import Poly
 
 
 @pytest.fixture(scope="module")
@@ -165,15 +167,15 @@ def test_profiles_with_one_shape_share_their_shoulders(monkeypatch):
 def test_slope_matches_pure_eh_in_the_core(profile):
     # below q/4 the modification vanishes: alpha' = pure Eguchi-Hanson slope
     for lam in (0.01, 0.1, profile.q / 4):
-        assert profile.aprime(lam) == pytest.approx(
+        assert profile.slopes(lam)[2] == pytest.approx(
             eh_aprime(profile.t, lam), rel=1e-14)
 
 
 def test_slope_is_flat_outside(profile):
     # at lam >= q the interpolation has absorbed the full -t^4, so
     # alpha'^2 = 1 + (t^4 + h)/lam^2 = 1 exactly
-    assert profile.aprime(profile.q) == 1.0
-    assert profile.aprime(2 * profile.q) == 1.0
+    assert profile.slopes(profile.q)[2] == 1.0
+    assert profile.slopes(2 * profile.q)[2] == 1.0
 
 
 def test_ricci_flat_closed_form():
@@ -306,6 +308,29 @@ def test_closedness_residual(profile):
     assert closedness_residual(profile) < 1e-6
 
 
+def test_fd_d_matches_the_exact_d_of_a_polynomial_form():
+    ys = chart_vars("y", 7)
+    y = {n: Poly.var(ys, n) for n in ys}
+    eta = KForm(7, 2, poly_ring(ys), {
+        (1, 2): y["y3"] * y["y4"] * y["y4"], (1, 4): y["y2"] * y["y7"],
+        (2, 5): y["y1"] ** 3 - y["y5"] * y["y6"], (3, 6): y["y1"] * y["y2"] * y["y3"]})
+    y0 = np.array([0.3, -0.7, 0.5, 1.1, -0.2, 0.9, 0.4])
+    want = eta.d_chart().eval_at(dict(zip(ys, y0))).coeffs
+    triples = ((1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 3, 6), (2, 5, 6), (4, 5, 7))
+    calls = []
+
+    def field(yv):
+        calls.append(tuple(yv))
+        return eta.eval_at(dict(zip(ys, yv))).coeffs
+
+    got = fd_d(field, y0, 1e-5, triples)
+    assert sum(1 for tri in triples if tri in want) >= 4
+    for tri, v in zip(triples, got):
+        assert abs(v - want.get(tri, 0.0)) <= 1e-8, tri
+    # each shifted point once: y0 +- h e_a for the 7 axes the triples use
+    assert len(calls) == 2 * 7 == len(set(calls))
+
+
 def test_measured_quadratic_constant_and_budget():
     assert measure_dlam_constant(n_r=20, n_ang=10) == pytest.approx(1.0,
                                                                     abs=1e-12)
@@ -333,7 +358,7 @@ def test_profile_csv_export(tmp_path, profile):
     for line in lines[1:]:
         lam = float(line.split(",")[0])
         assert line == ",".join(f"{v:.17g}" for v in (
-            lam, profile.k(lam), profile.h(lam), profile.aprime(lam)))
+            lam, profile.k(lam), profile.h(lam), profile.slopes(lam)[2]))
 
 
 def test_certificate_json_export(tmp_path, profile):

@@ -231,8 +231,7 @@ def test_kernel_outputs_equal_their_validated_rebuild(ring):
         if ring == RAT:
             outs.append(a.in_ring(FLT))
         if ring == YRING:
-            outs += [a.d_chart(), F.pullback(a), a.eval_at({y: 0.5 for y in YVARS}),
-                     a.eval_exact({y: Fraction(1, 2) for y in YVARS})]
+            outs += [a.d_chart(), F.pullback(a), a.eval_at({y: 0.5 for y in YVARS})]
         for out in outs:
             assert_canonical(out)
 
