@@ -11,13 +11,19 @@ cubic terms, built once at import and evaluated in the form's own ring --
 integer numerators over a common denominator for a rational form, numpy
 rows for a float form or a batch of them.  The Hodge star and the inner
 product share one kernel for the k x k minors det(g^-1[I, J]): for a
-rational metric, integer minors of g^-1 scaled to a common denominator, by
-Laplace expansion with the smaller minors memoised; for a float one, one
-batched determinant.
+rational metric, integer minors of an integer matrix G with g^-1 = s G,
+by Laplace expansion with the smaller minors memoised; for a float one,
+one batched determinant.
 
 Exact linear algebra (determinants, Sylvester's test, inverses) runs
-fraction-free on integer numerators over one common denominator, so each
-result becomes a Fraction once, at the end.
+fraction-free on integer numerators over one common denominator, and the
+exact path stays on integers: an exact G2Data holds B = N / d as integers
+and the ninth root rn / rd of 36 det B, so g = rd N / (d rn) and
+sqrt(det g) = rn / (6 rd).  Only sqrt_det is a Fraction from the start;
+``metric`` and ``metric_inv`` are Fraction views built on first read; the
+integer inverse of N is computed at most once, when a Hodge star, an inner
+product or ``metric_inv`` first needs it.  Each result becomes a Fraction
+only when it is read.
 
 Everything is done in exact rational arithmetic whenever the ninth root of
 36 det B is rational (sqrt(det g) is that root over 6); otherwise the metric
@@ -25,8 +31,10 @@ degrades to floats (flagged on the result).
 '''
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -275,14 +283,62 @@ def inverse_exact(M):
 # G2Data
 # --------------------------------------------------------------------------
 
-@dataclass
 class G2Data:
-    """Metric package of a definite 3-form on a framed 7-dim space."""
-    phi: KForm
-    metric: list                 # 7x7, Fractions or floats
-    metric_inv: list
-    sqrt_det: object             # Fraction or float; vol = sqrt_det * theta^{1..7}
-    exact: bool
+    """Metric package of a definite 3-form on a framed 7-dim space.
+
+    ``metric`` and ``metric_inv`` are 7x7 nested lists of scalars,
+    ``sqrt_det`` a scalar with vol = sqrt_det theta^{1..7}, and ``exact``
+    says whether they are Fractions.  The constructor builds float data
+    (as the float branch of is_g2_type does) and holds the lists it is
+    given.
+
+    Exact data is built only from integers (`_from_integers`, by the exact
+    branch of is_g2_type): B's numerators N and denominator d, and the
+    ninth root rn / rd of 36 det B, so that g = rd N / (d rn).  ``metric``
+    and ``metric_inv`` are then Fraction views built on first read, and
+    the integer inverse of N behind ``metric_inv``, the Hodge star and the
+    inner product is computed at most once per object.
+    """
+
+    def __init__(self, phi: KForm, metric, metric_inv, sqrt_det, exact: bool = False):
+        if exact:
+            raise ValueError("exact G2Data is built from integers by is_g2_type")
+        self.phi, self.sqrt_det, self.exact = phi, sqrt_det, False
+        # instance attributes shadow the lazy views below
+        self.metric, self.metric_inv = metric, metric_inv
+
+    @classmethod
+    def _from_integers(cls, phi: KForm, N, d: int, root: Fraction) -> G2Data:
+        """Exact data for B = N / d with (36 det B)^{1/9} = root > 0."""
+        data = cls.__new__(cls)
+        data.phi, data.sqrt_det, data.exact = phi, root / 6, True
+        # g = rd N / s with s = d rn > 0
+        data._ints, data._inv = (N, d * root.numerator, root.denominator), None
+        return data
+
+    @cached_property
+    def metric(self) -> list:
+        N, s, rd = self._ints
+        return [[Fraction(x * rd, s) for x in row] for row in N]
+
+    @cached_property
+    def metric_inv(self) -> list:
+        G, scale = self._inverse()
+        num, den = scale.numerator, scale.denominator
+        return [[Fraction(x * num, den) for x in row] for row in G]
+
+    def _inverse(self):
+        """(G, scale) with g^-1 = scale G: G an integer matrix, scale a
+        Fraction; found once and kept."""
+        if self._inv is None:
+            # g^-1 = s N^-1 / rd = s R / (rd p), with R divided by the gcd c
+            # of its entries: R is made of cofactors of N, far longer than
+            # the reduced entries of g^-1
+            N, s, rd = self._ints
+            R, p = _inverse_integer(N)
+            c = math.gcd(*(x for row in R for x in row))
+            self._inv = [[x // c for x in row] for row in R], Fraction(s * c, rd * p)
+        return self._inv
 
     def metric_array(self) -> np.ndarray:
         return np.array([[float(x) for x in row] for row in self.metric])
@@ -311,13 +367,9 @@ def is_g2_type(phi: KForm) -> G2Data:
         if root is not None:
             if min(leading) <= 0:   # leading stops at its first zero
                 raise NotStableError("normalised metric not positive definite")
-            # g = N / (d root) and g^-1 = d root N^-1; det g = det B / root^7
-            # = root^2 / 36, so sqrt(det g) = root / 6 is rational too
-            rn, rd = root.numerator, root.denominator
-            R, p = _inverse_integer(N)
-            return G2Data(phi, [[Fraction(x * rd, d * rn) for x in row] for row in N],
-                          [[Fraction(d * rn * x, rd * p) for x in row] for row in R],
-                          root / 6, exact=True)
+            # g = N / (d root); det g = det B / root^7 = root^2 / 36, so
+            # sqrt(det g) = root / 6 is rational too
+            return G2Data._from_integers(phi, N, d, root)
         B = np.array([[x / d for x in row] for row in N])
         detBf = float(detB)
     else:
@@ -360,23 +412,21 @@ _STAR_SIGNS = [[merge_sign(I, comp)[1] for I, comp in zip(subs, comps)]
 
 #: the set bits (0-based axes) of each 7-bit mask, in increasing order
 _BITS = [tuple(i for i in range(DIM) if m >> i & 1) for m in range(1 << DIM)]
-
-
-def _mask(I) -> int:
-    """The 7-bit mask of a multi-index of 1-based axes."""
-    return sum(1 << (i - 1) for i in I)
+#: the 7-bit mask of each multi-index of 1-based axes
+_MASKS = {I: sum(1 << (i - 1) for i in I) for subs in _SUBSETS for I in subs}
 
 
 def _gram_minors(data: G2Data, exact: bool, k: int, rows, cols):
     """The minors det(g^-1[I, J]) for I in rows, J in cols (k-subsets of the
-    axes).  Exact: (M, D^k) with det(g^-1[I, J]) = M[I][J] / D^k, where
-    D g^-1 is an integer matrix; M[I][J] comes from Laplace expansion along
-    J's first column, with the smaller minors memoised across I and J (keyed
-    by the bit masks of their axes), so the k-th compound of g^-1 is built
-    only for the columns asked for.  Float: an ndarray from one batched
-    determinant over the stacked sub-blocks."""
+    axes).  Exact: (M, scale) with det(g^-1[I, J]) = scale M[I][J], where
+    g^-1 = s G for the integer matrix G of data._inverse() and scale = s^k;
+    M[I][J] comes from Laplace expansion along J's first column, with the
+    smaller minors memoised across I and J (keyed by the bit masks of their
+    axes), so the k-th compound of G is built only for the columns asked
+    for.  Float: an ndarray from one batched determinant over the stacked
+    sub-blocks."""
     if exact:
-        G, D = _integer_matrix(data.metric_inv)
+        G, s = data._inverse()
         memo = {}
 
         def expand(mi, mj):
@@ -401,8 +451,12 @@ def _gram_minors(data: G2Data, exact: bool, k: int, rows, cols):
 
         # each top-level (I, J) is asked for once, so it is not memoised
         top = expand if k > 1 else minor
-        cmasks = [_mask(J) for J in cols]
-        return [[top(mi, mj) for mj in cmasks] for mi in map(_mask, rows)], D ** k
+        cmasks = [_MASKS[J] for J in cols]
+        minors = [[top(_MASKS[I], mj) for mj in cmasks] for I in rows]
+        # expand and minor refer to each other, so the memo would otherwise
+        # live until the next cycle collection
+        memo.clear()
+        return minors, s ** k
     ginv = np.array(data.metric_inv, dtype=float)
     R = np.array(rows, dtype=np.intp).reshape(len(rows), k) - 1
     C = np.array(cols, dtype=np.intp).reshape(len(cols), k) - 1
@@ -416,11 +470,12 @@ def inner_product(data: G2Data, a: KForm, b: KForm):
     exact = data.exact and a.ring == RAT and b.ring == RAT
     minors = _gram_minors(data, exact, a.degree, list(a.coeffs), list(b.coeffs))
     if exact:
-        minors, den = minors
+        minors, scale = minors
         na, da = _over_common_denominator(a.coeffs.values())
         nb, db = _over_common_denominator(b.coeffs.values())
-        return Fraction(sum(x * sum(y * m for y, m in zip(nb, row))
-                            for x, row in zip(na, minors)), den * da * db)
+        return Fraction(scale.numerator * sum(x * sum(y * m for y, m in zip(nb, row))
+                                              for x, row in zip(na, minors)),
+                        scale.denominator * da * db)
     ca = np.array([float(c) for c in a.coeffs.values()])
     cb = np.array([float(c) for c in b.coeffs.values()])
     return float(ca @ minors @ cb)
@@ -438,10 +493,10 @@ def hodge_star(data: G2Data, a: KForm) -> KForm:
     exact = data.exact and a.ring == RAT
     minors = _gram_minors(data, exact, k, _SUBSETS[k], list(a.coeffs))
     if exact:
-        minors, den = minors
+        minors, scale = minors
         na, da = _over_common_denominator(a.coeffs.values())
-        sq = data.sqrt_det
-        num, den = sq.numerator, den * da * sq.denominator
+        c = scale * data.sqrt_det
+        num, den = c.numerator, c.denominator * da
         coeffs = {comp: Fraction(sign * num * sum(x * m for x, m in zip(na, row)), den)
                   for comp, sign, row in zip(_COMPLEMENTS[k], _STAR_SIGNS[k], minors)}
     else:

@@ -8,8 +8,13 @@ the mu_i, one equation per basis term.  The induced volume obeys
 
     vol_(lambda) = (prod_i lambda_i)^{1/3} vol.
 
-The solve is exact whenever the lambda_i are rationals whose relevant
-products are perfect cubes; otherwise results degrade to floats.
+Inverting that system gives mu_i = prod_t lambda_t^{E[i][t] / 6}, with
+E = 6 M^-1 an integer matrix (checked at import).  For rational lambda_t
+= n_t / d_t, mu_i^6 is built as one integer numerator and one denominator
+(n_t^e goes up and d_t^e down for e > 0, the other way round for e < 0)
+and reduced once, so no Fraction is made before that reduction.  mu_i is
+its exact sixth root when there is one; the solve is exact whenever every
+mu_i^6 is a sixth power, and otherwise the mu_i degrade to floats.
 '''
 from __future__ import annotations
 
@@ -29,6 +34,11 @@ SCALING_TRIPLES = tuple(idx for _, idx in STANDARD_PHI_TERMS)
 INCIDENCE = [[1 if i in t else 0 for i in range(1, DIM + 1)] for t in SCALING_TRIPLES]
 
 INCIDENCE_INV = inverse_exact(INCIDENCE)   # entries in (1/6)Z
+
+if any((6 * x).denominator != 1 for row in INCIDENCE_INV for x in row):
+    raise AssertionError("incidence inverse should be sixth-integral")
+#: E = 6 M^-1, the integer exponents of mu_i^6 = prod_t lambda_t^E[i][t]
+_SIXTH_EXPONENTS = tuple(tuple(int(6 * x) for x in row) for row in INCIDENCE_INV)
 
 
 class NonPositiveScaleError(ValueError):
@@ -61,16 +71,16 @@ def solve_scaling(lambdas) -> ScalingExponents:
     mus = []
     exact = exact_in
     if exact_in:
-        lams = [Fraction(l) for l in lambdas]
-        for i in range(DIM):
-            # mu_i = prod_t lambda_t^{Minv[i][t]}; exponents have denominator
-            # dividing 6, so collect one integer radicand and a sixth root
-            radicand = Fraction(1)
-            for t in range(DIM):
-                e = INCIDENCE_INV[i][t] * 6
-                if e.denominator != 1:
-                    raise AssertionError("incidence inverse should be sixth-integral")
-                radicand *= lams[t] ** int(e)
+        for row in _SIXTH_EXPONENTS:
+            num = den = 1
+            for l, e in zip(lambdas, row):
+                if e > 0:
+                    num *= l.numerator ** e
+                    den *= l.denominator ** e
+                elif e < 0:
+                    num *= l.denominator ** -e
+                    den *= l.numerator ** -e
+            radicand = Fraction(num, den)
             root = nth_root_fraction(radicand, 6)
             if root is None:
                 mus.append(float(radicand) ** (1.0 / 6.0))

@@ -6,7 +6,8 @@ from itertools import combinations, permutations, product
 import numpy as np
 import pytest
 
-from g2calc import g2core, rings
+from g2calc import flow, g2core, rings, scaling
+from g2calc.catalog import nakamura_model, phi_abl_mu
 from g2calc.forms import KForm
 from g2calc.g2core import (STANDARD_PHI_TERMS, DegenerateFiberError, G2Data,
                            NotStableError, OrientationMismatchError,
@@ -435,6 +436,7 @@ def test_is_g2_type_exact_matches_the_fraction_reference():
         assert all(type(x) is Fraction for M in (data.metric, data.metric_inv)
                    for row in M for x in row)
         assert type(data.sqrt_det) is Fraction
+        assert np.array_equal(data.metric_array(), np.array(g, dtype=float))
         if i >= 3:  # g = A^T A and vol = det A on a pulled-back frame
             A = frames[i - 3]
             assert data.metric == _matmul([list(c) for c in zip(*A)], A)
@@ -473,6 +475,7 @@ def test_is_g2_type_stays_exact_on_a_frame_with_large_entries():
     assert data.metric == [[m * m if i == j else 0 for j in range(DIM)]
                            for i in range(DIM)]
     assert data.sqrt_det == m ** 7
+    assert np.array_equal(data.metric_array(), float(m * m) * np.eye(DIM))
 
 
 def test_indefinite_b_with_a_rational_ninth_root_is_not_stable():
@@ -541,6 +544,29 @@ def _fiber(nu, ring=RAT):
     re = th(4, 6, ring=ring) - th(5, 7, ring=ring)
     im = th(4, 7, ring=ring) + th(5, 6, ring=ring)
     return SU2FiberData(om, re, im)
+
+
+def test_g2data_constructor_builds_float_data_only():
+    data = is_g2_type(_frame_phi(_random_frames(np.random.default_rng(3), 1)[0]))
+    assert data.exact
+    with pytest.raises(ValueError):
+        G2Data(data.phi, data.metric, data.metric_inv, data.sqrt_det, exact=True)
+
+
+def test_exact_data_inverts_n_at_most_once(monkeypatch):
+    # the volume law reads only sqrt_det; a Laplacian takes two stars of
+    # one metric
+    calls = []
+    inverse = g2core._inverse_integer
+    monkeypatch.setattr(g2core, "_inverse_integer",
+                        lambda A: calls.append(1) or inverse(A))
+    out = scaling.hitchin_scaling_law([Fraction(8), 1, Fraction(27, 64), 1, 1, 8, 1])
+    assert type(out["volume_factor"]) is Fraction and out["volume_factor"] == 3
+    assert calls == []
+    m = nakamura_model()
+    lap = flow.laplacian(phi_abl_mu(2, Fraction(1, 3), (8, 0), Fraction(3, 2), m), m)
+    assert lap.ring == RAT and lap.coeffs
+    assert calls == [1]
 
 
 def test_su2_normalisation_constant():

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from g2calc.g2core import is_g2_type
-from g2calc.scaling import (NonPositiveScaleError, hitchin_scaling_law,
+from g2calc.rings import nth_root_fraction
+from g2calc.scaling import (INCIDENCE_INV, NonPositiveScaleError, hitchin_scaling_law,
                             scaled_form, scaled_volume_factor, solve_scaling)
 
 TRIPLES = ((1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7),
@@ -28,6 +29,38 @@ def test_solved_mus_reproduce_lambdas():
             assert prod == Fraction(lams[t])
         else:
             assert float(prod) == pytest.approx(float(lams[t]), rel=1e-12)
+
+
+_LAMBDA = st.one_of(st.integers(1, 60),
+                    st.builds(Fraction, st.integers(1, 60), st.integers(1, 60)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_LAMBDA, min_size=7, max_size=7), st.booleans())
+def test_solve_scaling_matches_the_fraction_power_reference(lams, sixth):
+    # mu_i = (prod_t lambda_t^(6 Minv[i][t]))^(1/6) in Fraction powers; with
+    # lambda_t sixth powers every radicand is one and the solve is exact
+    if sixth:
+        lams = [l ** 6 for l in lams]
+    radicands = []
+    for row in INCIDENCE_INV:
+        r = Fraction(1)
+        for l, x in zip(lams, row):
+            r *= Fraction(l) ** int(6 * x)
+        radicands.append(r)
+    roots = [nth_root_fraction(r, 6) for r in radicands]
+    out = solve_scaling(lams)
+    assert out.exact == all(r is not None for r in roots)
+    if sixth:
+        assert out.exact
+    if out.exact:
+        assert out.mus == tuple(roots)
+        assert all(type(m) is Fraction for m in out.mus)
+        assert out.lambdas == tuple(Fraction(l) for l in lams)
+    else:
+        assert out.mus == tuple(float(r) ** (1.0 / 6.0) if q is None else float(q)
+                                for r, q in zip(radicands, roots))
+        assert all(type(m) is float for m in out.mus)
 
 
 def test_nonpositive_scale_rejected():
