@@ -278,38 +278,45 @@ def _check_volume_law(rng):
 
 def _check_hitchin_exponent(size, rng):
     # phi(la) = phi0 + la * (sum of |I| standard terms): volume ratio
-    # (1 + la)^{|I|/3}; exact whenever 1 + la is a rational cube
+    # (1 + la)^{|I|/3}; scaled_volume_factor checks vol^3 = (1 + la)^|I|
+    # exactly at every rational la, and the ratio itself is exact whenever
+    # 1 + la is a rational cube
     rho = Fraction(3, 2)
     lam = rho ** 3 - 1
     lams = [1 + lam if i < size else Fraction(1) for i in range(DIM)]
     vol = scaling.scaled_volume_factor(lams)
     if vol != rho ** size:
         return False, f"exact ratio {vol} != (1+la)^({size}/3)"
-    worst = 0.0
     for _ in range(10):
-        la = float(rng.uniform(0.1, 9.0))
-        vals = [1 + la if i < size else 1.0 for i in range(DIM)]
-        v = float(scaling.scaled_volume_factor(vals))
-        worst = max(worst, abs(v - (1 + la) ** (size / 3.0)) / v)
-    return worst < 1e-12, (f"exact at cube 1+la, worst relative error "
-                           f"{worst:.3e} at 10 random la")
+        la = Fraction(float(rng.uniform(0.1, 9.0))).limit_denominator(1000)
+        scaling.scaled_volume_factor([1 + la if i < size else Fraction(1)
+                                      for i in range(DIM)])
+    return True, (f"exact at cube 1+la; vol^3 = (1+la)^{size} exact at 10 "
+                  f"random rational la")
+
+
+def _exact_vol_cubed(phi):
+    """vol^3 of phi, required to be a Fraction: it is rational for every
+    rational definite form, also where the volume itself is irrational."""
+    vol_cubed = is_g2_type(phi).vol_cubed
+    if not isinstance(vol_cubed, Fraction):
+        raise ArithmeticError(f"vol^3 of a rational form came out inexact "
+                              f"({vol_cubed!r})")
+    return vol_cubed
 
 
 def _check_mu4_hitchin(rng):
-    v1 = _exact_g2(catalog.phi_abl(1, 1, 1)).sqrt_det
-    for mu in (2, 3):
-        vm = _exact_g2(catalog.phi_abl_mu(1, 1, 1, mu)).sqrt_det
-        if vm != Fraction(mu) ** 4 * v1:
-            return False, f"volume ratio at mu={mu} is {vm / v1}, not mu^4"
-    # generic parameters give irrational volumes; the ratio is still mu^4
-    v1 = float(is_g2_type(catalog.phi_abl(2, 3, (1, 2)).in_ring(FLT)).sqrt_det)
-    for mu in (2, 5):
-        vm = float(is_g2_type(
-            catalog.phi_abl_mu(2, 3, (1, 2), mu).in_ring(FLT)).sqrt_det)
-        if abs(vm / v1 - mu ** 4) > 1e-12 * mu ** 4:
-            return False, f"volume ratio at mu={mu} off by more than 1e-12"
-    return True, ("exact at (1,1,1) for mu = 2, 3; within 1e-12 at generic "
-                  "parameters")
+    # vol(phi^mu) = mu^4 vol(phi), cubed: the generic point has an
+    # irrational volume, but vol^3 and its ratio mu^12 are exact
+    for (a, b, lam), mus in (((1, 1, 1), (2, 3)), ((2, 3, (1, 2)), (2, 5))):
+        v1 = _exact_vol_cubed(catalog.phi_abl(a, b, lam))
+        for mu in mus:
+            vm = _exact_vol_cubed(catalog.phi_abl_mu(a, b, lam, mu))
+            if vm != Fraction(mu) ** 12 * v1:
+                return False, (f"vol^3 ratio at ({a}, {b}, {lam}), mu={mu} is "
+                               f"{vm / v1}, not mu^12")
+    return True, ("vol^3(phi^mu) = mu^12 vol^3(phi), exact at (1,1,1) for "
+                  "mu = 2, 3 and at (2,3,(1,2)) for mu = 2, 5")
 
 
 def _check_mu2_volume(rng):
@@ -858,6 +865,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if getattr(args, "seed", 0) < 0:    # numpy's generators refuse it
+            raise UsageError(f"--seed must be non-negative, got {args.seed}")
         return args.fn(args)
     except UsageError as e:
         print(e, file=sys.stderr)

@@ -3,8 +3,10 @@
 The central map sends a 3-form phi to the bilinear form
 ``B(u, v) = (i_u phi) ^ (i_v phi) ^ phi`` (values are 7-form coefficients).
 A 3-form is of definite type exactly when B normalises to a positive
-definite metric; the normalisation is fixed by ``g_phi vol_phi = B/6``,
-which in coordinates reads ``g = B / (36 det B)^{1/9}``.
+definite metric; the normalisation is fixed by ``g_phi vol_phi = B/6``.
+With vol = s theta^{1..7} and r = 6 s, g = B / r and 36 det B = r^9; vol^3
+is a polynomial in phi (vol is homogeneous of degree 7/3), so
+r^3 = 216 vol^3 is rational for every rational phi.
 
 B has one implementation for every caller: a sign/index table of its
 cubic terms, built once at import and evaluated in the form's own ring --
@@ -16,18 +18,13 @@ by Laplace expansion with the smaller minors memoised; for a float one,
 one batched determinant.
 
 Exact linear algebra (determinants, Sylvester's test, inverses) runs
-fraction-free on integer numerators over one common denominator, and the
-exact path stays on integers: an exact G2Data holds B = N / d as integers
-and the ninth root rn / rd of 36 det B, so g = rd N / (d rn) and
-sqrt(det g) = rn / (6 rd).  Only sqrt_det is a Fraction from the start;
-``metric`` and ``metric_inv`` are Fraction views built on first read; the
-integer inverse of N is computed at most once, when a Hodge star, an inner
-product or ``metric_inv`` first needs it.  Each result becomes a Fraction
-only when it is read.
-
-Everything is done in exact rational arithmetic whenever the ninth root of
-36 det B is rational (sqrt(det g) is that root over 6); otherwise the metric
-degrades to floats (flagged on the result).
+fraction-free on integer numerators over one common denominator.  A
+rational form's G2Data holds B = N / d as integers, the Fraction vol^3
+and r = (r^3)^{1/3}: g = N / (d r), g^-1 = r d N^-1 and sqrt(det g) =
+r / 6 are Fractions where r is rational (exact data) and floats
+otherwise.  ``metric`` and ``metric_inv`` are built on first read, and
+the integer inverse of N at most once.  A float form's metric is
+B / (36 det B)^{1/9}, with Sylvester's test by eigenvalues.
 '''
 from __future__ import annotations
 
@@ -287,57 +284,56 @@ class G2Data:
     """Metric package of a definite 3-form on a framed 7-dim space.
 
     ``metric`` and ``metric_inv`` are 7x7 nested lists of scalars,
-    ``sqrt_det`` a scalar with vol = sqrt_det theta^{1..7}, and ``exact``
-    says whether they are Fractions.  The constructor builds float data
-    (as the float branch of is_g2_type does) and holds the lists it is
-    given.
+    ``sqrt_det`` a scalar with vol = sqrt_det theta^{1..7}, ``vol_cubed``
+    its cube, and ``exact`` says whether they are Fractions.  The
+    constructor builds float data and holds the lists it is given.
 
-    Exact data is built only from integers (`_from_integers`, by the exact
-    branch of is_g2_type): B's numerators N and denominator d, and the
-    ninth root rn / rd of 36 det B, so that g = rd N / (d rn).  ``metric``
-    and ``metric_inv`` are then Fraction views built on first read, and
-    the integer inverse of N behind ``metric_inv``, the Hodge star and the
-    inner product is computed at most once per object.
+    A rational form's data is built from integers by `_from_integers`
+    (see the module docstring); its ``vol_cubed`` is always a Fraction.
     """
 
     def __init__(self, phi: KForm, metric, metric_inv, sqrt_det, exact: bool = False):
         if exact:
             raise ValueError("exact G2Data is built from integers by is_g2_type")
         self.phi, self.sqrt_det, self.exact = phi, sqrt_det, False
+        self.vol_cubed = sqrt_det ** 3
         # instance attributes shadow the lazy views below
         self.metric, self.metric_inv = metric, metric_inv
 
     @classmethod
-    def _from_integers(cls, phi: KForm, N, d: int, root: Fraction) -> G2Data:
-        """Exact data for B = N / d with (36 det B)^{1/9} = root > 0."""
+    def _from_integers(cls, phi: KForm, N, d: int, r3: Fraction) -> G2Data:
+        """Data for B = N / d with (36 det B)^{1/3} = r3 > 0."""
         data = cls.__new__(cls)
-        data.phi, data.sqrt_det, data.exact = phi, root / 6, True
-        # g = rd N / s with s = d rn > 0
-        data._ints, data._inv = (N, d * root.numerator, root.denominator), None
+        data._r = nth_root_fraction(r3, 3) or float(r3) ** (1.0 / 3.0)
+        data.exact = isinstance(data._r, Fraction)
+        data.phi, data.vol_cubed, data.sqrt_det = phi, r3 / 216, data._r / 6
+        data._ints, data._inv = (N, d), None
         return data
 
     @cached_property
     def metric(self) -> list:
-        N, s, rd = self._ints
-        return [[Fraction(x * rd, s) for x in row] for row in N]
+        # g = B / r
+        N, d = self._ints
+        return [[Fraction(x, d) / self._r for x in row] for row in N]
 
     @cached_property
     def metric_inv(self) -> list:
-        G, scale = self._inverse()
-        num, den = scale.numerator, scale.denominator
-        return [[Fraction(x * num, den) for x in row] for row in G]
+        # g^-1 = r B^-1 = r q G
+        G, q = self._inverse()
+        return [[Fraction(x * q.numerator, q.denominator) * self._r for x in row]
+                for row in G]
 
     def _inverse(self):
-        """(G, scale) with g^-1 = scale G: G an integer matrix, scale a
-        Fraction; found once and kept."""
+        """(G, q) with d N^-1 = q G: G an integer matrix, q a Fraction;
+        found once and kept."""
         if self._inv is None:
-            # g^-1 = s N^-1 / rd = s R / (rd p), with R divided by the gcd c
-            # of its entries: R is made of cofactors of N, far longer than
-            # the reduced entries of g^-1
-            N, s, rd = self._ints
+            # d N^-1 = d R / p, with R divided by the gcd c of its entries:
+            # R is made of cofactors of N, far longer than the reduced
+            # entries of g^-1
+            N, d = self._ints
             R, p = _inverse_integer(N)
             c = math.gcd(*(x for row in R for x in row))
-            self._inv = [[x // c for x in row] for row in R], Fraction(s * c, rd * p)
+            self._inv = [[x // c for x in row] for row in R], Fraction(d * c, p)
         return self._inv
 
     def metric_array(self) -> np.ndarray:
@@ -348,46 +344,46 @@ def is_g2_type(phi: KForm) -> G2Data:
     """Normalise B(phi) into a metric; raise NotStableError /
     OrientationMismatchError when phi is not definite for the given frame.
 
-    Exact rational output whenever 36 det B is a rational ninth power (then
-    sqrt(det g) is rational too); float (exact=False) otherwise.
+    A rational form is decided exactly and its vol^3 is a Fraction; the
+    metric is exact too whenever vol^3 is a rational cube.  A float form
+    gives float data.
     """
     if isinstance(phi.ring, tuple):
         raise TypeError("evaluate polynomial forms at a point first")
     if phi.degree != 3 or phi.dim != DIM:
         raise ValueError("expected a 3-form in dimension 7")
     if phi.ring == RAT:
-        # B = N / d; one elimination of N gives det B and the signs of the
-        # leading minors of g = B / root (root > 0) for Sylvester's test
+        # B = N / d; one elimination of N gives det B and the leading minors
+        # m_k of N for Sylvester's test (the list stops at a zero one)
         N, d = _bilinear_numerators(phi)
         detN, leading = _bareiss([row[:] for row in N])
         if detN == 0:
             raise NotStableError("det B = 0")
-        detB = Fraction(detN, d ** DIM)
-        root = nth_root_fraction(36 * detB, 9) if detB > 0 else None
-        if root is not None:
-            if min(leading) <= 0:   # leading stops at its first zero
-                raise NotStableError("normalised metric not positive definite")
-            # g = N / (d root); det g = det B / root^7 = root^2 / 36, so
-            # sqrt(det g) = root / 6 is rational too
-            return G2Data._from_integers(phi, N, d, root)
-        B = np.array([[x / d for x in row] for row in N])
-        detBf = float(detB)
-    else:
-        B = bilinear_batch(phi_to_vector(phi))[0]
-        detBf = float(np.linalg.det(B))
-        if detBf == 0.0:
-            raise NotStableError("det B vanishes to working precision")
+        if detN < 0:
+            # -N is definite iff (-1)^k m_k > 0 for all seven k
+            if all((-1) ** k * m > 0 for k, m in enumerate(leading, 1)):
+                raise OrientationMismatchError(
+                    "3-form is definite for the opposite orientation of this frame")
+            raise NotStableError("det B < 0 and no orientation flip helps")
+        if min(leading) <= 0:
+            raise NotStableError("normalised metric not positive definite")
+        r3 = nth_root_fraction(Fraction(36 * detN, d ** DIM), 3)
+        if r3 is None:
+            raise ArithmeticError("36 det B is not a rational cube")
+        return G2Data._from_integers(phi, N, d, r3)
+    B = bilinear_batch(phi_to_vector(phi))[0]
+    detBf = float(np.linalg.det(B))
+    if detBf == 0.0:
+        raise NotStableError("det B vanishes to working precision")
     if detBf < 0:
         _diagnose_negative(B, detBf)
     g, sqrt_det = _normalise(B[None], [detBf])
-    return G2Data(vector_to_phi(phi_to_vector(phi)) if phi.ring == RAT else phi,
-                  g[0].tolist(), np.linalg.inv(g[0]).tolist(),
-                  float(sqrt_det[0]), exact=False)
+    return G2Data(phi, g[0].tolist(), np.linalg.inv(g[0]).tolist(), float(sqrt_det[0]))
 
 
 def _diagnose_negative(B: np.ndarray, detBf: float):
-    """det B < 0: definite for the reversed frame (-B normalises to a
-    metric), or genuinely unstable?"""
+    """det B < 0 for a float B: definite for the reversed frame (-B
+    normalises to a metric), or genuinely unstable?"""
     try:
         _normalise(-B[None], [-detBf])
     except NotStableError:
@@ -419,14 +415,15 @@ _MASKS = {I: sum(1 << (i - 1) for i in I) for subs in _SUBSETS for I in subs}
 def _gram_minors(data: G2Data, exact: bool, k: int, rows, cols):
     """The minors det(g^-1[I, J]) for I in rows, J in cols (k-subsets of the
     axes).  Exact: (M, scale) with det(g^-1[I, J]) = scale M[I][J], where
-    g^-1 = s G for the integer matrix G of data._inverse() and scale = s^k;
-    M[I][J] comes from Laplace expansion along J's first column, with the
-    smaller minors memoised across I and J (keyed by the bit masks of their
-    axes), so the k-th compound of G is built only for the columns asked
-    for.  Float: an ndarray from one batched determinant over the stacked
-    sub-blocks."""
+    g^-1 = s G for the integer matrix G of data._inverse(), s = r q and
+    scale = s^k; M[I][J] comes from Laplace expansion along J's first
+    column, with the smaller minors memoised across I and J (keyed by the
+    bit masks of their axes), so the k-th compound of G is built only for
+    the columns asked for.  Float: an ndarray from one batched determinant
+    over the stacked sub-blocks."""
     if exact:
-        G, s = data._inverse()
+        G, q = data._inverse()
+        s = data._r * q
         memo = {}
 
         def expand(mi, mj):

@@ -8,9 +8,9 @@ Three rings are supported:
   named coordinate tuple (class :class:`Poly`).
 
 Mixing scalars from different rings inside one form is a hard error, raised
-by the form layer (see :mod:`g2calc.forms`).  Helpers here also provide
-exact n-th roots of rationals where they exist, with a documented float
-fallback.
+by the form layer (see :mod:`g2calc.forms`).  Helpers here also give
+exact n-th roots of rationals, or None where the root is irrational; each
+caller decides what an irrational root means for it.
 '''
 from __future__ import annotations
 
@@ -92,24 +92,6 @@ def nth_root_fraction(q: Fraction, k: int):
     if den is None:
         return None
     return Fraction(num, den)
-
-
-def fraction_pow(base, expo: Fraction):
-    """base**expo, exact Fraction when possible, float otherwise.
-
-    `base` must be positive (callers deal with signs); `expo` is a Fraction.
-    """
-    expo = Fraction(expo)
-    if isinstance(base, Fraction) or isinstance(base, int):
-        base = Fraction(base)
-        if base <= 0:
-            raise ValueError("fraction_pow needs a positive base")
-        powed = base ** expo.numerator
-        root = nth_root_fraction(powed, expo.denominator)
-        if root is not None:
-            return root
-        return float(powed) ** (1.0 / expo.denominator)
-    return float(base) ** float(expo)
 
 
 class Poly:

@@ -8,6 +8,11 @@ the mu_i, one equation per basis term.  The induced volume obeys
 
     vol_(lambda) = (prod_i lambda_i)^{1/3} vol.
 
+In cubed form the law is the polynomial identity vol_(lambda)^3 =
+prod_i lambda_i.  scaled_volume_factor checks it against is_g2_type's
+exact vol^3 with zero tolerance at every rational lambda, whether or not
+the volume itself is rational.
+
 Inverting that system gives mu_i = prod_t lambda_t^{E[i][t] / 6}, with
 E = 6 M^-1 an integer matrix (checked at import).  For rational lambda_t
 = n_t / d_t, mu_i^6 is built as one integer numerator and one denominator
@@ -24,7 +29,7 @@ from fractions import Fraction
 
 from .forms import KForm
 from .g2core import DIM, STANDARD_PHI_TERMS, is_g2_type, inverse_exact
-from .rings import FLT, RAT, fraction_pow, nth_root_fraction
+from .rings import FLT, RAT, nth_root_fraction
 
 #: index triples of the seven terms of the standard form, in order
 SCALING_TRIPLES = tuple(idx for _, idx in STANDARD_PHI_TERMS)
@@ -110,27 +115,26 @@ def scaled_form(lambdas) -> KForm:
 
 
 def scaled_volume_factor(lambdas):
-    """Volume of phi_(lambda) relative to the standard volume, computed two
-    independent ways (closed law and the induced-metric volume) with the
-    exact route preferred; raises on disagreement."""
+    """Volume of phi_(lambda) relative to the standard volume by the closed
+    law, checked against the volume of the induced metric; raises on
+    disagreement.  For rational lambda the check is exact at every tuple,
+    vol^3 = prod lambda; the law itself is a Fraction when prod lambda is
+    a rational cube and a float otherwise."""
     lambdas = tuple(lambdas)
     if any(l <= 0 for l in lambdas):
         raise NonPositiveScaleError(f"non-positive scaling coefficients in {lambdas}")
     prod = 1
     for l in lambdas:
         prod = prod * l
-    if all(isinstance(l, (int, Fraction)) for l in lambdas):
-        law = fraction_pow(Fraction(prod), Fraction(1, 3))
-    else:
-        law = float(prod) ** (1.0 / 3.0)
     data = is_g2_type(scaled_form(lambdas))
-    measured = data.sqrt_det
-    if isinstance(law, Fraction) and isinstance(measured, Fraction):
-        if law != measured:
-            raise AssertionError(f"volume law {law} != induced volume {measured}")
-        return law
-    if abs(float(law) - float(measured)) > 1e-10 * max(1.0, abs(float(law))):
-        raise AssertionError(f"volume law {float(law)} != induced volume {float(measured)}")
+    if all(isinstance(l, (int, Fraction)) for l in lambdas):
+        if data.vol_cubed != prod:
+            raise AssertionError(f"volume law: induced vol^3 = {data.vol_cubed} "
+                                 f"!= prod lambda = {prod}")
+        return nth_root_fraction(prod, 3) or float(prod) ** (1.0 / 3.0)
+    law = float(prod) ** (1.0 / 3.0)
+    if abs(law - float(data.sqrt_det)) > 1e-10 * max(1.0, law):
+        raise AssertionError(f"volume law {law} != induced volume {float(data.sqrt_det)}")
     return law
 
 

@@ -177,7 +177,8 @@ def test_eh_empty_grid_is_usage_error(tmp_path):
     ["flow", "--steps", "0"], ["flow", "--t-end", "-1"], ["flow", "--lambda", "1,x"],
     ["flow", "--lambda", "0,0"], ["flow", "--alpha", "0"],
     ["eh", "--t", "0"], ["eh", "--c", "3"], ["eh", "--R", "abc"],
-    ["scan", "--grid", "0"],
+    ["scan", "--grid", "0"], ["verify", "--seed", "-1"], ["scan", "--seed", "-1"],
+    ["eh", "--seed", "-1"],
 ], ids=" ".join)
 def test_out_of_domain_values_are_usage_errors(argv, tmp_path, capsys):
     # exit 2 with one stderr line naming the flag, and no output file

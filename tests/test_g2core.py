@@ -5,6 +5,7 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from g2calc import flow, g2core, rings, scaling
 from g2calc.catalog import nakamura_model, phi_abl_mu
@@ -144,21 +145,71 @@ def test_bilinear_table_matches_wedge_reference_exactly(density):
         assert all(type(x) is Fraction for row in B for x in row)
 
 
-def test_exact_to_float_fallback_normalises_the_reference_b():
-    # the product of the scalings is not a cube: 36 det B is no rational
-    # ninth power
+def test_irrational_volume_keeps_vol_cubed_exact_and_the_metric_in_floats():
+    # the product of the scalings is not a cube, so vol is irrational; its
+    # cube is still rational, (216 vol^3)^3 = 36 det B
     for lams in ((2, 1, 1, 1, 1, 1, 1), (Fraction(3, 2), 5, 1, 7, 1, 1, Fraction(1, 4))):
         phi = KForm(DIM, 3, RAT, {idx: c * l for (c, idx), l
                                   in zip(STANDARD_PHI_TERMS, lams)})
         ref = _wedge_bilinear(phi)
         assert bilinear_from_3form(phi) == ref
+        detB = _leibniz_det(ref)
         data = is_g2_type(phi)
-        assert not data.exact and data.phi.ring == FLT
-        want = (np.array(ref, dtype=float)
-                / (36.0 * float(_leibniz_det(ref))) ** (1.0 / 9.0))
-        assert data.metric == want.tolist()
-        assert data.metric_inv == np.linalg.inv(want).tolist()
-        assert data.sqrt_det == float(np.sqrt(np.linalg.det(want)))
+        assert type(data.vol_cubed) is Fraction
+        assert (216 * data.vol_cubed) ** 3 == 36 * detB
+        assert not data.exact and data.phi is phi
+        want = np.array(ref, dtype=float) / (36.0 * float(detB)) ** (1.0 / 9.0)
+        assert np.allclose(data.metric_array(), want, rtol=1e-14, atol=0)
+        assert np.allclose(data.metric_inv, np.linalg.inv(want), rtol=1e-14, atol=0)
+        assert math.isclose(data.sqrt_det, float(np.sqrt(np.linalg.det(want))),
+                            rel_tol=1e-14)
+
+
+_TRIPLES = list(combinations(range(1, DIM + 1), 3))
+
+
+@st.composite
+def _rational_3forms(draw):
+    """+-phi_0 with up to two of its terms flipped (or no base form), plus
+    a sparse rational perturbation: every signature of B, and degenerate
+    forms, turn up."""
+    coeffs = {}
+    if draw(st.integers(0, 3)):
+        sign, flips = draw(st.sampled_from((-1, 1))), draw(st.sets(st.integers(0, 6),
+                                                                    max_size=2))
+        coeffs = {idx: (-sign if t in flips else sign) * c
+                  for t, (c, idx) in enumerate(STANDARD_PHI_TERMS)}
+    for idx, c in draw(st.dictionaries(
+            st.sampled_from(_TRIPLES),
+            st.builds(Fraction, st.integers(-3, 3), st.integers(1, 6)), max_size=8)).items():
+        coeffs[idx] = coeffs.get(idx, 0) + c
+    return KForm(DIM, 3, RAT, coeffs)
+
+
+@settings(max_examples=120, deadline=None)
+@given(_rational_3forms())
+def test_rational_forms_give_an_exact_vol_cubed_or_the_predicted_error(phi):
+    # is_g2_type never meets an irrational cube root: it returns data with
+    # (216 vol^3)^3 = 36 det B, or raises what the eigenvalues of B predict
+    B = bilinear_from_3form(phi)
+    detB = _fraction_det(B)
+    eig = np.linalg.eigvalsh(np.array(B, dtype=float))
+    if detB == 0:
+        want = NotStableError
+    else:
+        # a sign that the float eigenvalues cannot resolve predicts nothing
+        assume(np.abs(eig).min() > 1e-9 * np.abs(eig).max())
+        want = (None if eig[0] > 0 else OrientationMismatchError
+                if eig[-1] < 0 else NotStableError)
+    if want is not None:
+        with pytest.raises(want):
+            is_g2_type(phi)
+        return
+    data = is_g2_type(phi)
+    assert type(data.vol_cubed) is Fraction
+    assert (216 * data.vol_cubed) ** 3 == 36 * detB
+    assert data.exact == (nth_root_fraction(data.vol_cubed, 3) is not None)
+    assert data.phi is phi
 
 
 def test_bilinear_table_matches_wedge_reference_on_floats():
@@ -463,6 +514,19 @@ def test_int_nth_root_is_exact_beyond_double_precision():
                 assert rings._int_nth_root(root ** k - 1, k) is None
     assert nth_root_fraction(Fraction(m ** 9, 10 ** 400 * 7 ** 9), 9) is None
     assert nth_root_fraction(Fraction(m ** 9, 10 ** 900), 9) == Fraction(m, 10 ** 100)
+
+
+def test_a_frame_with_negative_determinant_is_the_opposite_orientation():
+    # theta'^1 = -theta^1 reverses the orientation; so does a row swap of a
+    # random frame with det A > 0
+    flip = [[Fraction(-1 if i == j == 0 else int(i == j)) for j in range(DIM)]
+            for i in range(DIM)]
+    frames = [flip] + [[A[1], A[0]] + A[2:]
+                       for A in _random_frames(np.random.default_rng(70), 2)]
+    for A in frames:
+        assert _fraction_det(A) < 0
+        with pytest.raises(OrientationMismatchError):
+            is_g2_type(_frame_phi(A))
 
 
 def test_is_g2_type_stays_exact_on_a_frame_with_large_entries():
