@@ -375,12 +375,13 @@ def _check_boundary_identity(rng):
 
 
 def _check_ch_map(rng):
+    model = catalog.nakamura_model()
     seen = {}
     for a in (1, 2, 3, Fraction(1, 2)):
         for b in (1, 2, Fraction(1, 3), 5):
             for lam in ((1, 0), (2, 1), (0, 1), (Fraction(1, 2), Fraction(-3, 4))):
                 re, im = Fraction(lam[0]), Fraction(lam[1])
-                got = catalog.ch_map(catalog.phi_abl(a, b, lam))
+                got = catalog.ch_map(catalog.phi_abl(a, b, lam, model), model)
                 want = (Fraction(a) * b, re, im, b * re, b * im)
                 if got != want:
                     return False, f"ch at ({a},{b},{lam}): {got} != {want}"

@@ -8,14 +8,19 @@ With vol = s theta^{1..7} and r = 6 s, g = B / r and 36 det B = r^9; vol^3
 is a polynomial in phi (vol is homogeneous of degree 7/3), so
 r^3 = 216 vol^3 is rational for every rational phi.
 
-B has one implementation for every caller: a sign/index table of its
-cubic terms, built once at import and evaluated in the form's own ring --
-integer numerators over a common denominator for a rational form, numpy
-rows for a float form or a batch of them.  The Hodge star and the inner
-product share one kernel for the k x k minors det(g^-1[I, J]): for a
-rational metric, integer minors of an integer matrix G with g^-1 = s G,
-by Laplace expansion with the smaller minors memoised; for a float one,
-one batched determinant.
+B has one implementation for every caller, the factorisation
+B = A K A^T.  A (7 x 21) holds the 2-forms i_{e_i} phi and K (21 x 21) the
+pairing top(alpha ^ beta ^ phi) = alpha^T K beta; both are linear in phi,
+given by one pair of small sign tables (105 and 210 entries) evaluated in
+the form's own ring -- integer numerators over a common denominator for a
+rational form, visiting only nonzero entries, and for float rows one
+product with each table and B = (A K) A^T matrix by matrix, in blocks of
+rows.  The Hodge star and the inner product share one kernel for the
+k x k minors det(g^-1[I, J]): for a rational metric, integer minors of an
+integer matrix G with g^-1 = s G, by Laplace expansion with the smaller
+minors memoised; for a float one, closed-form minors of size at most 3 --
+of g^-1 for k <= 3, and for k >= 4 of g itself by Jacobi's identity
+det(g^-1[I, J]) = +-det(g[J', I']) / det g, so no inverse enters there.
 
 Exact linear algebra (determinants, Sylvester's test, inverses) runs
 fraction-free on integer numerators over one common denominator.  A
@@ -71,52 +76,62 @@ class DegenerateFiberError(ValueError):
 # B(u, v) = (i_u phi)^(i_v phi)^phi
 # --------------------------------------------------------------------------
 
-def _build_bilinear_entries():
-    """The cubic table of B: B_ij = sum s phi[a] phi[b] phi[c] over the
-    entries (7 i + j, a, b, c, s), sorted by 7 i + j (0-based i, j; a, b, c
-    are positions in TRIPLES).  An entry is a pair of triples A ∋ i, B ∋ j
-    whose remainders are disjoint; C is the complement of both remainders."""
-    entries = []
-    for i in range(1, DIM + 1):
-        for j in range(1, DIM + 1):
-            for A in TRIPLES:
-                if i not in A:
-                    continue
-                pa = A.index(i)
-                restA = A[:pa] + A[pa + 1:]
-                for Bidx in TRIPLES:
-                    if j not in Bidx:
-                        continue
-                    pb = Bidx.index(j)
-                    restB = Bidx[:pb] + Bidx[pb + 1:]
-                    m1, s1 = merge_sign(restA, restB)
-                    if s1 == 0:
-                        continue
-                    C = tuple(sorted(set(range(1, 8)) - set(m1)))
-                    _, s2 = merge_sign(m1, C)
-                    entries.append((DIM * (i - 1) + j - 1, TRIPLE_POS[A],
-                                    TRIPLE_POS[Bidx], TRIPLE_POS[C],
-                                    (-1) ** (pa + pb) * s1 * s2))
-    return entries
+PAIRS = list(combinations(range(1, DIM + 1), 2))
+PAIR_POS = {p: i for i, p in enumerate(PAIRS)}
 
-_BILINEAR_ENTRIES = _build_bilinear_entries()
-#: the same entries grouped by their first triple a
-_BILINEAR_BY_A = [[] for _ in TRIPLES]
-for _entry in _BILINEAR_ENTRIES:
-    _BILINEAR_BY_A[_entry[1]].append(_entry)
-_B_IJ, _B_A, _B_B, _B_C, _B_S = np.array(_BILINEAR_ENTRIES, dtype=np.intp).T
-_B_STARTS = np.searchsorted(_B_IJ, np.arange(DIM * DIM))
-#: rows per block of bilinear_batch, so that one (rows x entries) temporary
-#: stays near 128 KiB whatever the batch size
-_BLOCK_ROWS = max(1, 2 ** 14 // len(_BILINEAR_ENTRIES))
+
+def _build_factor_tables():
+    """The two sign tables of B = A K A^T, as (row, column, sign) entries
+    grouped by the triple (a position in TRIPLES) whose coefficient they
+    carry.  A (7 x 21) holds the 2-forms i_{e_i} phi: theta^{abc}
+    contracts to +-theta^{bc}, so each triple gives three entries.  K
+    (21 x 21) is the pairing top(alpha ^ beta ^ phi) = alpha^T K beta of
+    2-forms: disjoint pairs p, q carry the triple complementary to both, with
+    the sign of theta^p ^ theta^q ^ theta^t.  K is symmetric, since 2-forms
+    commute, so B is symmetric by construction."""
+    a_entries = [[] for _ in TRIPLES]
+    k_entries = [[] for _ in TRIPLES]
+    for t, triple in enumerate(TRIPLES):
+        for pos, i in enumerate(triple):
+            rest = triple[:pos] + triple[pos + 1:]
+            a_entries[t].append((i - 1, PAIR_POS[rest], (-1) ** pos))
+    for p, pair_p in enumerate(PAIRS):
+        for q, pair_q in enumerate(PAIRS):
+            merged, s1 = merge_sign(pair_p, pair_q)
+            if s1:
+                triple = tuple(x for x in range(1, DIM + 1) if x not in merged)
+                k_entries[TRIPLE_POS[triple]].append(
+                    (p, q, s1 * merge_sign(merged, triple)[1]))
+    return a_entries, k_entries
+
+
+_A_ENTRIES, _K_ENTRIES = _build_factor_tables()
+
+
+def _dense_table(entries, rows):
+    """The same table as a (35, rows * 21) float matrix: a coefficient row
+    times it is the factor, flattened row-major.  Every factor entry comes
+    from one triple, so the product is exact."""
+    T = np.zeros((len(TRIPLES), rows * len(PAIRS)))
+    for t, group in enumerate(entries):
+        for r, c, s in group:
+            T[t, len(PAIRS) * r + c] = s
+    return T
+
+
+_A_TABLE = _dense_table(_A_ENTRIES, DIM)
+_K_TABLE = _dense_table(_K_ENTRIES, len(PAIRS))
+#: rows per block of bilinear_batch: a block's A, K, A K and B (784 floats a
+#: row) stay near 128 KiB whatever the batch size
+_ROWS_PER_BLOCK = 2 ** 14 // (2 * DIM * len(PAIRS) + len(PAIRS) ** 2 + DIM * DIM)
 
 
 def bilinear_from_3form(phi: KForm):
     """7x7 matrix of top-form coefficients of (i_u phi)^(i_v phi)^phi.
 
     Returns a list of lists of scalars in phi's ring: Fractions for a
-    rational form (exact), floats for a float form.  Symmetry of the result
-    is a theorem, not an assumption: all 49 entries are computed.
+    rational form (exact), floats for a float form.  B = A K A^T is
+    symmetric because K is.
     """
     if phi.degree != 3 or phi.dim != DIM:
         raise ValueError("expected a 3-form in dimension 7")
@@ -130,22 +145,28 @@ def bilinear_from_3form(phi: KForm):
 
 def _bilinear_numerators(phi: KForm):
     """(N, d) with B = N / d for a rational form: N a 7x7 integer matrix
-    (nested lists) and d the cube of phi's common denominator.  Only the
-    table entries whose first triple is in phi's support are visited."""
+    (nested lists) and d the cube of phi's common denominator.  A and K are
+    filled from the triples in phi's support, and only their nonzero entries
+    are multiplied."""
     nums, den = _over_common_denominator(phi.coeffs.values())
-    p = [0] * len(TRIPLES)
+    # the nonzero (column, value) entries of each row of A and of K
+    A = [[] for _ in range(DIM)]
+    K = [[] for _ in PAIRS]
     for idx, x in zip(phi.coeffs, nums):
-        p[TRIPLE_POS[idx]] = x
-    acc = [0] * (DIM * DIM)
-    for a, x in enumerate(p):
-        if x:
-            for ij, _, b, c, s in _BILINEAR_BY_A[a]:
-                y = p[b]
-                if y:
-                    z = p[c]
-                    if z:
-                        acc[ij] += s * x * y * z
-    return [acc[DIM * i:DIM * (i + 1)] for i in range(DIM)], den ** 3
+        t = TRIPLE_POS[idx]
+        for i, p, s in _A_ENTRIES[t]:
+            A[i].append((p, s * x))
+        for p, q, s in _K_ENTRIES[t]:
+            K[p].append((q, s * x))
+    N = [[0] * DIM for _ in range(DIM)]
+    for i, row in enumerate(A):
+        AK = [0] * len(PAIRS)
+        for p, y in row:
+            for q, z in K[p]:
+                AK[q] += y * z
+        for j in range(i, DIM):
+            N[i][j] = N[j][i] = sum(AK[q] * v for q, v in A[j])
+    return N, den ** 3
 
 
 def phi_to_vector(phi: KForm) -> np.ndarray:
@@ -160,14 +181,18 @@ def vector_to_phi(v) -> KForm:
 
 
 def bilinear_batch(phis: np.ndarray) -> np.ndarray:
-    """B matrices for a batch of 3-forms given as (n, 35) coefficient rows."""
+    """B matrices for a batch of 3-forms given as (n, 35) coefficient rows:
+    per block of rows, A and K by one product with each table, then
+    B = (A K) A^T matrix by matrix, so a row's B does not depend on its
+    batch."""
     phis = np.atleast_2d(np.asarray(phis, dtype=float))
-    B = np.empty((len(phis), DIM * DIM))
-    for lo in range(0, len(phis), _BLOCK_ROWS):
-        rows = phis[lo:lo + _BLOCK_ROWS]
-        terms = rows[:, _B_A] * rows[:, _B_B] * rows[:, _B_C] * _B_S
-        B[lo:lo + _BLOCK_ROWS] = np.add.reduceat(terms, _B_STARTS, axis=1)
-    return B.reshape(-1, DIM, DIM)
+    B = np.empty((len(phis), DIM, DIM))
+    for lo in range(0, len(phis), _ROWS_PER_BLOCK):
+        rows = phis[lo:lo + _ROWS_PER_BLOCK]
+        A = (rows @ _A_TABLE).reshape(-1, DIM, len(PAIRS))
+        K = (rows @ _K_TABLE).reshape(-1, len(PAIRS), len(PAIRS))
+        B[lo:lo + _ROWS_PER_BLOCK] = A @ K @ A.transpose(0, 2, 1)
+    return B
 
 
 def metric_batch(phis: np.ndarray):
@@ -410,6 +435,31 @@ _STAR_SIGNS = [[merge_sign(I, comp)[1] for I, comp in zip(subs, comps)]
 _BITS = [tuple(i for i in range(DIM) if m >> i & 1) for m in range(1 << DIM)]
 #: the 7-bit mask of each multi-index of 1-based axes
 _MASKS = {I: sum(1 << (i - 1) for i in I) for subs in _SUBSETS for I in subs}
+#: for the float minors: each multi-index's position in _SUBSETS[k], and
+#: per k the 0-based axes of the k-subsets and of their complements, and
+#: the sign (-1)^(sum of I) of each k-subset I
+_POSITIONS = {I: i for subs in _SUBSETS for i, I in enumerate(subs)}
+_AXES = [np.array(subs, dtype=np.intp).reshape(len(subs), k) - 1
+         for k, subs in enumerate(_SUBSETS)]
+_COMPLEMENT_AXES = [np.array(comps, dtype=np.intp).reshape(len(comps), DIM - k) - 1
+                    for k, comps in enumerate(_COMPLEMENTS)]
+_PARITIES = [np.array([(-1.0) ** sum(I) for I in subs]) for subs in _SUBSETS]
+
+
+def _small_minors(M: np.ndarray, R: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """The m x m minors det(M[I, J]) for the rows of R (axes of I) against
+    the rows of C (axes of J), m <= 3, in closed form."""
+    m = R.shape[1]
+    if m == 0:
+        return np.ones((len(R), len(C)))
+    # X[r, c] = M[I_r, J_c] for all (I, J) at once, each an (|R|, |C|) block
+    X = M[R.T][:, :, C.T].transpose(0, 2, 1, 3).copy()
+    if m == 1:
+        return X[0, 0]
+    if m == 2:
+        return X[0, 0] * X[1, 1] - X[0, 1] * X[1, 0]
+    (a, b, c), (d, e, f), (g, h, i) = X
+    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def _gram_minors(data: G2Data, exact: bool, k: int, rows, cols):
@@ -419,8 +469,8 @@ def _gram_minors(data: G2Data, exact: bool, k: int, rows, cols):
     scale = s^k; M[I][J] comes from Laplace expansion along J's first
     column, with the smaller minors memoised across I and J (keyed by the
     bit masks of their axes), so the k-th compound of G is built only for
-    the columns asked for.  Float: an ndarray from one batched determinant
-    over the stacked sub-blocks."""
+    the columns asked for.  Float: an ndarray of closed-form minors, of
+    g^-1 for k <= 3 and of g (Jacobi) for k >= 4."""
     if exact:
         G, q = data._inverse()
         s = data._r * q
@@ -454,10 +504,16 @@ def _gram_minors(data: G2Data, exact: bool, k: int, rows, cols):
         # live until the next cycle collection
         memo.clear()
         return minors, s ** k
-    ginv = np.array(data.metric_inv, dtype=float)
-    R = np.array(rows, dtype=np.intp).reshape(len(rows), k) - 1
-    C = np.array(cols, dtype=np.intp).reshape(len(cols), k) - 1
-    return np.linalg.det(ginv[R[:, None, :, None], C[None, :, None, :]])
+    pr = [_POSITIONS[I] for I in rows]
+    pc = [_POSITIONS[J] for J in cols]
+    if k <= 3:
+        ginv = np.array(data.metric_inv, dtype=float)
+        return _small_minors(ginv, _AXES[k][pr], _AXES[k][pc])
+    # Jacobi: det(g^-1[I, J]) = (-1)^(sum I + sum J) det(g[J', I']) / det g,
+    # a minor of g of size 7 - k <= 3, and no inverse
+    g = np.array(data.metric, dtype=float)
+    minors = _small_minors(g, _COMPLEMENT_AXES[k][pc], _COMPLEMENT_AXES[k][pr]).T
+    return minors * np.outer(_PARITIES[k][pr], _PARITIES[k][pc]) / float(data.sqrt_det) ** 2
 
 
 def inner_product(data: G2Data, a: KForm, b: KForm):

@@ -37,7 +37,8 @@ def test_standard_form_gives_euclidean_metric():
 
 
 def test_negative_orientation_rejected():
-    with pytest.raises((NotStableError, Exception)):
+    # B(-phi_0) = -6 I is negative definite
+    with pytest.raises(OrientationMismatchError):
         is_g2_type(-1 * standard_phi())
 
 
@@ -104,10 +105,12 @@ def test_norm_of_unit_basis_form():
 
 def test_metric_batch_matches_single_evaluation():
     # one normaliser for both paths: a row's metric and volume do not
-    # depend on the batch it came in, to the last bit
+    # depend on the batch it came in, to the last bit, also across the
+    # blocks that bilinear_batch splits a batch into
     rng = np.random.default_rng(2)
     v0 = phi_to_vector(standard_phi().in_ring(FLT))
-    vs = v0[None, :] + 0.05 * rng.normal(size=(200, v0.size))
+    vs = v0[None, :] + 0.05 * rng.normal(size=(205, v0.size))
+    assert len(vs) > 2 * g2core._ROWS_PER_BLOCK
     gs, vols = metric_batch(vs)
     for row, g, vol in zip(vs, gs, vols):
         data = is_g2_type(vector_to_phi(row))
@@ -143,6 +146,19 @@ def test_bilinear_table_matches_wedge_reference_exactly(density):
         B = bilinear_from_3form(phi)
         assert B == _wedge_bilinear(phi)
         assert all(type(x) is Fraction for row in B for x in row)
+
+
+def test_float_and_integer_b_agree_to_a_few_ulps():
+    # one table pair, evaluated in both rings: float products on the float
+    # coefficients, integer sums on the numerators (8 ulps of max|B|; 2.8
+    # was the worst seen over 2000 such forms)
+    rng = np.random.default_rng(8)
+    for density in (0.25, 0.5, 1.0):
+        for _ in range(20):
+            phi = _random_rational_3form(rng, density)
+            exact = np.array(bilinear_from_3form(phi), dtype=float)
+            B = g2core.bilinear_batch(phi_to_vector(phi))[0]
+            assert np.abs(B - exact).max() <= 8 * np.finfo(float).eps * np.abs(exact).max()
 
 
 def test_irrational_volume_keeps_vol_cubed_exact_and_the_metric_in_floats():
@@ -303,6 +319,30 @@ def test_hodge_star_and_inner_product_match_per_pair_minors(ring):
             assert all(abs(star.coeffs.get(comp, 0.0) - v) <= 1e-12 * scale
                        for comp, v in want.items())
             assert math.isclose(ip, ip_want, rel_tol=1e-12, abs_tol=1e-12)
+
+
+def test_float_star_and_inner_product_match_the_exact_ones():
+    # exact values are independent references for both float kernels: the
+    # minors of g^-1 for k <= 3 and, through Jacobi's identity, the
+    # complementary minors of g for k >= 4.  cond(g) is about 9e3 here.
+    data = _exact_skewed_data()
+    fdata = G2Data(data.phi, [[float(x) for x in r] for r in data.metric],
+                   [[float(x) for x in r] for r in data.metric_inv],
+                   float(data.sqrt_det))
+    rng = np.random.default_rng(9)
+    for k in range(DIM + 1):
+        a, b = (KForm(DIM, k, RAT, {I: Fraction(int(rng.integers(-5, 6)), 2)
+                                    for I in combinations(range(1, DIM + 1), k)})
+                for _ in range(2))
+        star, fstar = hodge_star(data, a), hodge_star(fdata, a.in_ring(FLT))
+        assert fstar.ring == FLT
+        scale = max(abs(float(c)) for c in star.coeffs.values())
+        assert all(abs(fstar.coeffs.get(I, 0.0) - float(star.coeffs.get(I, 0)))
+                   <= 1e-13 * scale for I in combinations(range(1, DIM + 1), DIM - k))
+        # relative to |a| |b|, the scale of <a, b> before any cancellation
+        ab = float(inner_product(data, a, a) * inner_product(data, b, b)) ** 0.5
+        ip = inner_product(fdata, a.in_ring(FLT), b.in_ring(FLT))
+        assert abs(ip - float(inner_product(data, a, b))) <= 1e-13 * ab
 
 
 @pytest.mark.parametrize("ring", [RAT, FLT])
