@@ -295,11 +295,10 @@ def resolution_equality_probe(profile, mu, epsilon: float = DEFAULT_EPSILON,
     ups = profile.upsilon
     r_eq = profile.r_frak
     radii = np.append(np.linspace(0.55 * r_eq, 1.45 * r_eq, n), r_eq)
-    min_nu, bound_margin = math.inf, math.inf
+    lams = radii * radii
+    min_nu = float(np.sqrt(1.0 + profile.k(lams) / (2.0 * lams)).min())
+    bound_margin = math.inf
     for r in radii:
-        lam = r * r
-        nu = math.sqrt(1.0 + profile.k(lam) / (2.0 * lam))
-        min_nu = min(min_nu, nu)
         g = is_g2_type(rf.zeta_at({"y1": float(r)})).metric_array()
         bound_margin = min(bound_margin, _min_eig(
             g - ups ** (4.0 / 3.0) * base_pullback()))

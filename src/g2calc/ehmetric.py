@@ -23,10 +23,17 @@ Mollification preserves the first moment, so int_0^q k_t =
 on the plateau [p_lo + rho, p_hi - rho], which pins the equality radius.  All
 shape parameters depend only on (c, R), giving exact scale equivariance
 k_{s t}(s^2 lam) = s^2 k_t(lam).
+
+The profile functions take a float lam or an array of them, and the
+certificate and the CSV export evaluate the profile once per grid.  The
+mollifier's quadrature is summed row by row, never by a BLAS product, so a
+lam gets the same bits alone or in any batch: a lam's CSV row does not
+depend on the grid size.
 '''
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -75,7 +82,8 @@ _BUMP_MASS = _gl(_bump, -1.0, 1.0)
 
 
 def _psi(x):
-    """Kernel CDF on [-1, 1], vectorized."""
+    """Kernel CDF on [-1, 1], vectorized: an x gets the same bits alone or
+    in any batch."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 0:
         return np.float64(_psi(x[None])[0])
@@ -88,7 +96,9 @@ def _psi(x):
         half = 0.5 * (xm + 1.0)
         centers = 0.5 * (xm - 1.0)
         vals = _bump(centers[:, None] + half[:, None] * _GL_NODES[None, :])
-        out[mid] = half * (vals @ _GL_WEIGHTS) / _BUMP_MASS
+        # one elementwise product and row sum, not a BLAS product, whose
+        # rounding depends on how many rows are batched
+        out[mid] = half * (vals * _GL_WEIGHTS).sum(axis=1) / _BUMP_MASS
     return out
 
 
@@ -133,6 +143,22 @@ def _plateau_integral(u: float, p: int, lo: float, hi: float, w: float) -> float
     return total
 
 
+def _scalar_or_array(f):
+    """Let f(x, lams), written for a 1-d array lams, also take a float lam:
+    it then returns the float, or tuple of floats, that the one-element
+    array [lam] gives.  f's operations are elementwise, so an entry's value
+    does not depend on the batch it came in."""
+    @functools.wraps(f)
+    def wrapped(x, lam):
+        if isinstance(lam, np.ndarray) and lam.ndim:
+            return f(x, np.asarray(lam, dtype=float))
+        out = f(x, np.array([lam], dtype=float))
+        if isinstance(out, tuple):
+            return tuple(float(v[0]) for v in out)
+        return float(out[0])
+    return wrapped
+
+
 @dataclass
 class EHProfile:
     """Interpolation profile data; all lengths in lam = r^2 units."""
@@ -151,44 +177,49 @@ class EHProfile:
         # equality radius: plateau midpoint
         self.r_frak = math.sqrt(0.5 * (self.p_lo + self.p_hi) * self.q)
 
-    # -- profile functions ----------------------------------------------
-    def k(self, lam: float) -> float:
-        """k_t(lam) = -c lam B(lam/q), B the mollified plateau."""
-        if lam <= 0:
-            return 0.0
-        return -self.c * lam * float(_plateau(lam / self.q, self.p_lo, self.p_hi,
-                                              self.rho))
+    # -- profile functions: each takes a float lam or a 1-d array ---------
+    @_scalar_or_array
+    def k(self, lams):
+        """k_t(lam) = -c lam B(lam/q), B the mollified plateau; 0 at lam <= 0."""
+        return np.where(lams > 0, -self.c * lams * _plateau(
+            lams / self.q, self.p_lo, self.p_hi, self.rho), 0.0)
 
     def _moment(self, u: float) -> float:
         """int_0^u v B(v) dv."""
         return _plateau_integral(u, 1, self.p_lo, self.p_hi, self.rho)
 
-    def h(self, lam: float) -> float:
-        """h_t(lam) = int_0^lam k_t, in [-t^4, 0]."""
-        if lam <= 0:
-            return 0.0
-        return -self.c * self.q ** 2 * self._moment(lam / self.q)
+    @_scalar_or_array
+    def h(self, lams):
+        """h_t(lam) = int_0^lam k_t, in [-t^4, 0].  One quadrature per lam:
+        the complete shoulders are memoised, and a partial one is rare."""
+        return np.array([-self.c * self.q ** 2 * self._moment(x / self.q)
+                         if x > 0 else 0.0 for x in lams.tolist()])
 
-    def slopes(self, lam: float) -> tuple:
+    @_scalar_or_array
+    def slopes(self, lams):
         """(k, h, al', al'') at lam, from one evaluation of k and of h."""
-        if lam <= 0:
+        if (lams <= 0).any():
             raise ValueError("lam must be positive")
-        k, h = self.k(lam), self.h(lam)
-        val = 1.0 + (self.t ** 4 + h) / lam ** 2
-        if val <= 0:
-            raise ConstructionFailed(f"al'^2 = {val} <= 0 at lam = {lam}")
-        ap = math.sqrt(val)
-        app = 0.5 * (k / lam ** 2 - 2.0 * (self.t ** 4 + h) / lam ** 3) / ap
+        k, h = self.k(lams), self.h(lams)
+        val = 1.0 + (self.t ** 4 + h) / lams ** 2
+        if (val <= 0).any():
+            bad = int(np.argmax(val <= 0))
+            raise ConstructionFailed(f"al'^2 = {float(val[bad])} <= 0 "
+                                     f"at lam = {float(lams[bad])}")
+        ap = np.sqrt(val)
+        app = 0.5 * (k / lams ** 2 - 2.0 * (self.t ** 4 + h) / lams ** 3) / ap
         return k, h, ap, app
 
     def export_csv(self, path, n: int = 400) -> None:
+        """One row (lam, k, h, al') per lam of an n-point grid; a lam's row
+        is the same whatever n."""
         lams = np.linspace(self.q / 8.0, self.q * 1.05, n)
+        k, h, ap, _ = self.slopes(lams)
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["lambda", "k", "h", "aprime"])
-            for lam in lams:
-                k, h, ap, _ = self.slopes(lam)
-                w.writerow([f"{v:.17g}" for v in (lam, k, h, ap)])
+            w.writerows([f"{v:.17g}" for v in row] for row in
+                        zip(lams.tolist(), k.tolist(), h.tolist(), ap.tolist()))
 
 
 def _adaptive_simpson(f, a, b, tol, fa=None, fb=None, fm=None, depth=30):
@@ -260,15 +291,18 @@ _J0 = ((0.0, 1.0, 0.0, 0.0),
        (0.0, 0.0, -1.0, 0.0))
 
 
-def eh_aprime(t: float, lam: float) -> float:
-    """Pure Eguchi-Hanson slope sqrt(1 + t^4/lam^2)."""
-    if lam <= 0:
+@_scalar_or_array
+def eh_aprime(t: float, lams):
+    """Pure Eguchi-Hanson slope sqrt(1 + t^4/lam^2), at a float lam or a
+    1-d array of them."""
+    if (lams <= 0).any():
         raise ValueError("lam must be positive")
-    return math.sqrt(1.0 + float(t) ** 4 / float(lam) ** 2)
+    return np.sqrt(1.0 + float(t) ** 4 / lams ** 2)
 
 
-def _eh_asecond(t: float, lam: float) -> float:
-    return -(float(t) ** 4 / float(lam) ** 3) / eh_aprime(t, lam)
+@_scalar_or_array
+def _eh_asecond(t: float, lams):
+    return -(float(t) ** 4 / lams ** 3) / eh_aprime(t, lams)
 
 
 _UPPER = tuple((i, j) for i in range(4) for j in range(i + 1, 4))
@@ -290,15 +324,20 @@ def _matrix(point, ap: float, app: float) -> list:
     return M
 
 
-def _profile_slopes(profile: EHProfile, lam: float) -> tuple:
-    """(k, al', al'') of om_check_t at lam: exactly flat for lam >= q
-    (h == -t^4), exactly Eguchi-Hanson for lam <= q/4 (h == 0)."""
-    if lam >= profile.q:
-        return profile.k(lam), 1.0, 0.0
-    if lam <= 0.25 * profile.q:
-        return (profile.k(lam), eh_aprime(profile.t, lam),
-                _eh_asecond(profile.t, lam))
-    k, _, ap, app = profile.slopes(lam)
+@_scalar_or_array
+def _profile_slopes(profile: EHProfile, lams) -> tuple:
+    """(k, al', al'') of om_check_t at a float lam or a 1-d array of them:
+    exactly flat for lam >= q (h == -t^4), exactly Eguchi-Hanson for
+    lam <= q/4 (h == 0), both with k == 0 (build_profile keeps the bump
+    inside (q/4, q)), and from profile.slopes in between."""
+    k, ap, app = np.zeros(lams.shape), np.ones(lams.shape), np.zeros(lams.shape)
+    core = lams <= 0.25 * profile.q
+    mid = ~core & (lams < profile.q)
+    if core.any():
+        ap[core] = eh_aprime(profile.t, lams[core])
+        app[core] = _eh_asecond(profile.t, lams[core])
+    if mid.any():
+        k[mid], _, ap[mid], app[mid] = profile.slopes(lams[mid])
     return k, ap, app
 
 
@@ -363,16 +402,16 @@ def positivity_and_volume_certificate(profile: EHProfile, n_r: int = 1000,
     invariant: U(2) fixes om_hat, the flat metric and lam = r^2, hence
     dlam ^ d^c lam, and it is transitive on each sphere |x| = r.  So the
     margin and the ratio depend on r alone, and the profile (k, a', a'') is
-    evaluated once per radius.  The n_ang directions are kept as a witness
-    of that invariance; their spread at one radius is roundoff."""
+    evaluated once, on the whole grid of radii.  The n_ang directions are
+    kept as a witness of that invariance; their spread at one radius is
+    roundoff."""
     if n_r < 1 or n_ang < 1:
         raise ValueError("the grid needs at least one radius and one direction")
     t, R = profile.t, profile.R
     radii = np.linspace(0.5 * t * R * (1.0 - delta), t * R * (1.0 + delta), n_r)
     dirs = _directions(n_ang, seed)
     lams = radii * radii
-    k, ap, app = (np.array(col, dtype=float)[:, None] for col in
-                  zip(*(_profile_slopes(profile, float(lam)) for lam in lams)))
+    k, ap, app = (col[:, None] for col in _profile_slopes(profile, lams))
     ratio_formula = 2.0 + k / lams[:, None]
     # dlam ^ d^c lam at r d is r^2 times its value at the unit vector d, so
     # om_check is one (n_r, n_ang) array per upper entry, broadcast from
@@ -454,13 +493,10 @@ def closedness_residual(profile: EHProfile, n: int = 6, step: float = 3e-6) -> f
 def measure_dlam_constant(n_r: int = 50, n_ang: int = 20, seed: int = 0) -> float:
     """Smallest C with |d(r^2) ^ d^c(r^2)|_{om_hat} <= 4 C r^2, by grid
     maximization of the ratio (scale-invariant, so radii are a formality)."""
-    dirs = _directions(n_ang, seed)
-    best = 0.0
-    for r in np.linspace(0.1, 2.0, n_r):
-        for d in dirs:
-            up = _upper(*(r * d), 0.0, 1.0)   # (1/4) dlam ^ dclam scaled by 4
-            best = max(best, 4.0 * _two_form_norm(up.values()) / (4.0 * r * r))
-    return best
+    r = np.linspace(0.1, 2.0, n_r)[:, None]
+    # one (n_r, n_ang) array per entry of (1/4) dlam ^ dclam, scaled by 4
+    up = _upper(*(r * _directions(n_ang, seed).T[:, None, :]), 0.0, 1.0)
+    return float((4.0 * _two_form_norm(up.values()) / (4.0 * r * r)).max())
 
 
 def positivity_budget(R: float, C: float | None = None) -> dict:

@@ -521,6 +521,8 @@ def inner_product(data: G2Data, a: KForm, b: KForm):
     if a.degree != b.degree:
         raise ValueError("inner product needs equal degrees")
     exact = data.exact and a.ring == RAT and b.ring == RAT
+    if not a.coeffs or not b.coeffs:
+        return Fraction(0) if exact else 0.0
     minors = _gram_minors(data, exact, a.degree, list(a.coeffs), list(b.coeffs))
     if exact:
         minors, scale = minors

@@ -10,7 +10,8 @@ from g2calc import ehmetric
 from g2calc.catalog import DEFAULT_CUTOFF
 from g2calc.ehmetric import (ConstructionFailed, EHProfile, Infeasible,
                              _adaptive_simpson, _gl, _plateau,
-                             _plateau_integral, build_profile,
+                             _plateau_integral, _profile_slopes, _psi,
+                             build_profile,
                              certificate_to_json, closedness_residual,
                              default_t_for_epsilon, eh_aprime, fd_d,
                              feasibility_threshold, measure_dlam_constant,
@@ -185,6 +186,36 @@ def test_ricci_flat_closed_form():
 
 
 # --------------------------------------------------------------------------
+# batched evaluation: a value does not depend on its batch
+# --------------------------------------------------------------------------
+
+def test_psi_is_batch_independent():
+    # both shoulders of the kernel, the endpoints +-1, and points outside
+    x = np.concatenate([np.linspace(-1.25, 1.25, 400),
+                        [-1.0, 1.0, np.nextafter(-1.0, 0.0),
+                         np.nextafter(1.0, 0.0), -3.0, 3.0]])
+    batch = _psi(x)
+    assert [float(_psi(v)) for v in x] == batch.tolist()
+
+
+@pytest.mark.parametrize("t", [0.1, 1.0])
+def test_profile_functions_are_batch_independent(t):
+    p = build_profile(t, 4.0, 1.0)
+    # the core, the flat part, and a dense cover of both plateau shoulders
+    lams = p.q * np.concatenate([
+        np.linspace(0.05, 1.2, 200),
+        np.linspace(p.p_lo - 2 * p.rho, p.p_hi + 2 * p.rho, 200)])
+    k, h, ap, app = p.slopes(lams)
+    assert p.k(lams).tolist() == k.tolist()
+    assert p.h(lams).tolist() == h.tolist()
+    for i, lam in enumerate(lams.tolist()):
+        assert p.k(lam) == k[i] and type(p.k(lam)) is float
+        assert p.h(lam) == h[i] and type(p.h(lam)) is float
+        assert p.slopes(lam) == (k[i], h[i], ap[i], app[i])
+    assert (k < 0).sum() > 100 and (h < 0).sum() > 100
+
+
+# --------------------------------------------------------------------------
 # the 2-form field omega
 # --------------------------------------------------------------------------
 
@@ -264,13 +295,47 @@ def test_certificate_matches_the_per_point_loop(t, seed):
 
 def test_certificate_evaluates_the_profile_once_per_radius(monkeypatch):
     p = build_profile(1.0, 4.0, 1.0)
-    calls = []
+    batches = []
     h = p.h
-    monkeypatch.setattr(p, "h", lambda lam: calls.append(lam) or h(lam))
+    monkeypatch.setattr(p, "h", lambda lam: batches.append(lam) or h(lam))
     positivity_and_volume_certificate(p, n_r=30, n_ang=20)
-    # only the radii inside the annulus q/4 < r^2 < q need h
+    # one call for the whole grid, and only the radii inside the annulus
+    # q/4 < r^2 < q need h
+    assert len(batches) == 1
+    calls = batches[0].tolist()
     assert 0 < len(calls) <= 30
     assert len(set(calls)) == len(calls)
+    assert all(0.25 * p.q < lam < p.q for lam in calls)
+
+
+def _per_radius_certificate(p, n_r, n_ang, delta=0.05, seed=0):
+    """The certificate's minima from a loop over the radii, with one scalar
+    _profile_slopes call per radius."""
+    dirs = _directions(n_ang, seed)
+    radii = np.linspace(0.5 * p.t * p.R * (1.0 - delta),
+                        p.t * p.R * (1.0 + delta), n_r)
+    min_margin = min_ratio = math.inf
+    worst_r = None
+    for r in radii.tolist():
+        lam = r * r
+        _, ap, app = _profile_slopes(p, lam)
+        up = ehmetric._upper(*dirs.T, ap, app * lam)
+        margin = 1.0 - ehmetric._two_form_norm(
+            ehmetric._J0[i][j] - m for (i, j), m in up.items())
+        if margin.min() < min_margin:
+            min_margin, worst_r = float(margin.min()), r
+        min_ratio = min(min_ratio, float((2.0 * ehmetric._pfaffian4(up)).min()))
+    return {"min_margin": min_margin, "min_ratio": min_ratio, "worst_r": worst_r}
+
+
+@pytest.mark.parametrize("t", [0.1, 1.0])
+def test_certificate_matches_the_per_radius_scalar_profile(t):
+    # exact equality: the batched profile has the scalar profile's bits
+    p = build_profile(t, 4.0, 1.0)
+    rep = positivity_and_volume_certificate(p, n_r=400, n_ang=20)
+    ref = _per_radius_certificate(p, n_r=400, n_ang=20)
+    for key in ("min_margin", "min_ratio", "worst_r"):
+        assert rep[key] == ref[key], key
 
 
 def test_certificate_failure_names_the_radius(monkeypatch):
@@ -331,6 +396,17 @@ def test_fd_d_matches_the_exact_d_of_a_polynomial_form():
     assert len(calls) == 2 * 7 == len(set(calls))
 
 
+def test_dlam_constant_matches_the_per_point_loop():
+    for n_r, n_ang, seed in ((50, 20, 0), (13, 7, 3)):
+        best = 0.0
+        for r in np.linspace(0.1, 2.0, n_r):
+            for d in _directions(n_ang, seed):
+                up = ehmetric._upper(*(r * d), 0.0, 1.0)
+                best = max(best, 4.0 * ehmetric._two_form_norm(up.values())
+                           / (4.0 * r * r))
+        assert measure_dlam_constant(n_r, n_ang, seed) == best
+
+
 def test_measured_quadratic_constant_and_budget():
     assert measure_dlam_constant(n_r=20, n_ang=10) == pytest.approx(1.0,
                                                                     abs=1e-12)
@@ -350,15 +426,18 @@ def test_default_t_matches_the_gluing_radius():
 # --------------------------------------------------------------------------
 
 def test_profile_csv_export(tmp_path, profile):
+    # the grid is evaluated in one batch; each row is the scalar profile
     path = tmp_path / "profile.csv"
-    profile.export_csv(path, n=50)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "lambda,k,h,aprime"
-    assert len(lines) == 51
-    for line in lines[1:]:
-        lam = float(line.split(",")[0])
-        assert line == ",".join(f"{v:.17g}" for v in (
-            lam, profile.k(lam), profile.h(lam), profile.slopes(lam)[2]))
+    small = build_profile(0.1, 4.0, 1.0)
+    for p, n in ((profile, 50), (profile, 400), (small, 400)):
+        p.export_csv(path, n=n)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "lambda,k,h,aprime"
+        assert len(lines) == n + 1
+        for line in lines[1:]:
+            lam = float(line.split(",")[0])
+            assert line == ",".join(f"{v:.17g}" for v in (
+                lam, p.k(lam), p.h(lam), p.slopes(lam)[2]))
 
 
 def test_certificate_json_export(tmp_path, profile):

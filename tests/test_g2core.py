@@ -345,6 +345,28 @@ def test_float_star_and_inner_product_match_the_exact_ones():
         assert abs(ip - float(inner_product(data, a, b))) <= 1e-13 * ab
 
 
+def test_inner_product_with_the_zero_form_is_the_zero_of_its_arithmetic(monkeypatch):
+    # the zero comes back before any minor is computed
+    data = _exact_skewed_data()
+    fdata = G2Data(data.phi, [[float(x) for x in r] for r in data.metric],
+                   [[float(x) for x in r] for r in data.metric_inv],
+                   float(data.sqrt_det))
+    a = th(1, 2, 3) + Fraction(-5, 3) * th(2, 4, 7)
+    zero = KForm(DIM, 3, RAT, {})
+
+    def no_minors(*args):
+        raise AssertionError("minors computed for the zero form")
+
+    monkeypatch.setattr(g2core, "_gram_minors", no_minors)
+    for d, x, want in ((data, a, Fraction), (fdata, a, float),
+                       (data, a.in_ring(FLT), float)):
+        z = zero.in_ring(x.ring)
+        for u, v in ((z, x), (x, z), (z, z)):
+            ip = inner_product(d, u, v)
+            assert ip == 0 and type(ip) is want
+    assert norm(data, zero) == 0.0
+
+
 @pytest.mark.parametrize("ring", [RAT, FLT])
 def test_instability_and_orientation_errors_follow_the_signature_of_b(ring):
     # the 128 sign patterns of the standard terms cover every outcome: B
