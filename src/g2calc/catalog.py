@@ -21,11 +21,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from .ehmetric import _plateau, _plateau_integral, fd_d, omega_at
-from .forms import KForm, PolynomialMap, chart_vars, poly_ring
-from .g2core import is_g2_type, norm
+from .ehmetric import _UPPER, _plateau, _plateau_integral, fd_d, omega_at
+from .forms import KForm, PolynomialMap, chart_vars, merge_sign, poly_ring
+from .g2core import (TRIPLE_POS, TRIPLES, is_g2_type, norm, phi_to_vector,
+                     vector_to_phi)
 from .liecdga import InvariantModel, StructureEqs, check_d_squared, d_invariant
-from .rings import FLT, RAT, Poly
+from .rings import FLT, RAT, Poly, fpow
 
 Q = Fraction
 
@@ -286,9 +287,17 @@ def _y(name, vars=YVARS):
 _TRANSVERSE = ((1, "y1"), (2, "y2"), (5, "y5"), (6, "y6"))
 
 
-def _transverse_r(point) -> float:
-    """Distance sqrt(y1^2 + y2^2 + y5^2 + y6^2) to the singular circle."""
-    return math.sqrt(sum(float(point.get(n, 0.0)) ** 2 for _, n in _TRANSVERSE))
+def _transverse_r(point):
+    """Distance sqrt(y1^2 + y2^2 + y5^2 + y6^2) to the singular circle, at a
+    point or, entry by entry with the same bits, at point columns."""
+    sq = sum(fpow(point.get(n, 0.0), 2) for _, n in _TRANSVERSE)
+    return np.sqrt(sq) if isinstance(sq, np.ndarray) else math.sqrt(sq)
+
+
+def _columns(points) -> dict:
+    """An (n, 7) array of chart points as the columns y1..y7."""
+    points = np.asarray(points, dtype=float)
+    return {n: points[:, i] for i, n in enumerate(YVARS)}
 
 
 def _transverse_point(r: float) -> dict:
@@ -311,6 +320,36 @@ def _d_cutoff_times(pt: dict, scale: float, a: KForm, da: KForm):
         dr = KForm(7, 1, FLT, {(i,): pt[n] / r for i, n in _TRANSVERSE})
         out = out + (fd / scale) * dr.wedge(a.eval_at(pt))
     return out, r, f, fd
+
+
+def _d_cutoff_rows(cols: dict, scale: float, a: KForm, da: KForm) -> np.ndarray:
+    """_d_cutoff_times on point columns, for a polynomial 2-form a: the
+    3-form d[f(r/scale) a] as (n, 35) coefficient rows.  f and f' come from
+    DEFAULT_CUTOFF at each point, and each coefficient sums the same terms
+    in the same order, so row i has the bits of _d_cutoff_times at point i
+    (up to the sign of a zero)."""
+    r = _transverse_r(cols)
+    s = (r / scale).tolist()
+    f = np.array([DEFAULT_CUTOFF(x) for x in s])
+    fd = np.array([DEFAULT_CUTOFF.deriv(x) for x in s])
+    rows = np.zeros((len(r), len(TRIPLES)))
+    for idx, c in da.coeffs.items():
+        rows[:, TRIPLE_POS[idx]] = c.eval_columns(cols) * f
+    on = (fd != 0.0) & (r > 0)
+    if on.any():
+        av = {idx: c.eval_columns(cols) for idx, c in a.coeffs.items()}
+        wedge = {}
+        for i, n in _TRANSVERSE:
+            dr = np.divide(cols[n], r, out=np.zeros(len(r)), where=on)
+            for idx, c in av.items():
+                merged, sign = merge_sign((i,), idx)
+                if sign:
+                    term = dr * c if sign == 1 else -(dr * c)
+                    wedge[merged] = wedge[merged] + term if merged in wedge else term
+        step = np.where(on, fd / scale, 0.0)
+        for idx, c in wedge.items():
+            rows[:, TRIPLE_POS[idx]] += c * step
+    return rows
 
 
 def chart_map(base_chart: int, extra_vars=()) -> PolynomialMap:
@@ -407,10 +446,15 @@ def xi_mu_chart(symbolic: bool = False):
     return _flat_xi(YRING)
 
 
+def _xi_mu_weights(mu: float) -> list:
+    """The diagonal of xi^mu's metric: mu^4 on dy^{1,2,3}, mu^-2 on dy^{4..7}."""
+    m = float(mu)
+    return [m ** 4] * 3 + [m ** -2] * 4
+
+
 def xi_mu_metric_diag(mu: float):
     """Closed-form metric of xi^mu: mu^4 on dy^{1,2,3}, mu^-2 on dy^{4..7}."""
-    m = float(mu)
-    return np.diag([m ** 4] * 3 + [m ** -2] * 4)
+    return np.diag(_xi_mu_weights(mu))
 
 
 def alpha_a():
@@ -465,6 +509,11 @@ def _alpha_and_d():
     return _ALPHA_CACHE
 
 
+def _eval_columns(form: KForm, cols: dict) -> dict:
+    """A polynomial form's coefficients at point columns, keyed as the form."""
+    return {idx: c.eval_columns(cols) for idx, c in form.coeffs.items()}
+
+
 def glued_form_at(point: dict, mu: float, epsilon: float = DEFAULT_EPSILON) -> dict:
     """Evaluate phi^mu = xi^mu + y1 dy^{147} + d[f(r/eps) alpha] at a point
     of the chart ball r < eps; report the gap |phi^mu - xi^mu| in the xi^mu
@@ -481,45 +530,50 @@ def glued_form_at(point: dict, mu: float, epsilon: float = DEFAULT_EPSILON) -> d
     corr, r, fval, fder = _d_cutoff_times(pt, epsilon, alpha, dalpha)
     phi = xi + bump + corr
     gdata = is_g2_type(phi)
-    gap_form = bump + corr
-    gap = _norm_in_diag(gap_form, xi_mu_metric_diag(mu))
+    gap = _norm_in_diag((bump + corr).coeffs, _xi_mu_weights(mu))
     return {"phi": phi, "g2": gdata, "gap": gap, "r": r,
             "f": fval, "fprime": fder}
 
 
-def _norm_in_diag(form: KForm, gdiag: np.ndarray) -> float:
-    ginv = 1.0 / np.diag(gdiag)
+def _norm_in_diag(coeffs: dict, weights):
+    """Norm of a form, given by its coefficients, in the diagonal metric
+    with these 7 weights.  The coefficients are floats, or columns of them
+    (then a column of norms), and weights of shape (7, m) give m norms in
+    the last axis; each entry has the bits of one point and one weight set,
+    the sum running over the coefficients in their order."""
+    ginv = 1.0 / np.asarray(weights, dtype=float)
     total = 0.0
-    for idx, c in form.coeffs.items():
-        w = float(c) ** 2
+    for idx, c in coeffs.items():
+        w = fpow(c, 2)
         for axis in idx:
-            w *= ginv[axis - 1]
-        total += w
-    return math.sqrt(total)
+            w = w * ginv[axis - 1]
+        total = total + w
+    root = np.sqrt(total)
+    return root if root.ndim else float(root)
 
 
 def measure_quadlem_constant(epsilon: float = DEFAULT_EPSILON,
                              mus=MU_SWEEP, n: int = 400, seed: int = 0) -> dict:
     """Grid estimate of the constant C with |alpha| <= C r^2 / mu and
-    |d alpha| <= C r in the xi^mu norm, over the chart ball."""
+    |d alpha| <= C r in the xi^mu norm, over the chart ball.  The points
+    are evaluated as columns, all mus at once."""
     rng = np.random.default_rng(seed)
     alpha, dalpha, _, _ = _alpha_and_d()
-    best_a, best_da = 0.0, 0.0
-    pts = rng.uniform(-1.0, 1.0, size=(n, 7))
+    cols = _columns(rng.uniform(-1.0, 1.0, size=(n, 7)))
     # scale the transverse coordinates into the chart ball
-    for row in pts:
-        pt = dict(zip(YVARS, row))
-        lam = rng.uniform(0.05, 0.999) * (epsilon / _transverse_r(pt))
-        for _, n_ in _TRANSVERSE:
-            pt[n_] *= lam
-        r = _transverse_r(pt)
-        if r < 1e-8:
-            continue
-        av, dav = alpha.eval_at(pt), dalpha.eval_at(pt)
-        for mu in mus:
-            gd = xi_mu_metric_diag(mu)
-            best_a = max(best_a, _norm_in_diag(av, gd) * mu / r ** 2)
-            best_da = max(best_da, _norm_in_diag(dav, gd) / r)
+    lam = rng.uniform(0.05, 0.999, size=n) * (epsilon / _transverse_r(cols))
+    for _, name in _TRANSVERSE:
+        cols[name] = cols[name] * lam
+    r = _transverse_r(cols)
+    keep = r >= 1e-8
+    cols = {name: c[keep, None] for name, c in cols.items()}
+    r = r[keep, None]
+    weights = np.array([_xi_mu_weights(mu) for mu in mus]).T
+    ratio_a = (_norm_in_diag(_eval_columns(alpha, cols), weights)
+               * np.array(mus) / fpow(r, 2))
+    ratio_da = _norm_in_diag(_eval_columns(dalpha, cols), weights) / r
+    best_a = float(ratio_a.max(initial=0.0))
+    best_da = float(ratio_da.max(initial=0.0))
     return {"C_alpha": best_a, "C_dalpha": best_da,
             "C": max(best_a, best_da), "grid": n, "mus": tuple(mus),
             "epsilon": epsilon, "seed": seed}
@@ -527,12 +581,41 @@ def measure_quadlem_constant(epsilon: float = DEFAULT_EPSILON,
 
 # ----- resolution surgery data ----------------------------------------------
 
+def _zeta_tables():
+    """zeta = dy^{347} + dy^3 ^ omega - dy^4 ^ Re Omega + dy^7 ^ Im Omega as
+    the coefficient row of its terms without omega, and (column, sign, i, j)
+    for each entry omega_ij of the fiber form on the axes (y1, y2, y5, y6)."""
+    re_om = KForm(7, 2, RAT, {(1, 5): 1, (2, 6): -1})
+    im_om = KForm(7, 2, RAT, {(1, 6): 1, (2, 5): 1})
+    rest = (KForm.basis(7, (3, 4, 7)) - KForm.basis(7, (4,)).wedge(re_om)
+            + KForm.basis(7, (7,)).wedge(im_om))
+    axes = [a for a, _ in _TRANSVERSE]
+    omega = []
+    for i, j in _UPPER:
+        merged, sign = merge_sign((3,), (axes[i], axes[j]))
+        omega.append((TRIPLE_POS[merged], float(sign), i, j))
+    return phi_to_vector(rest), tuple(omega)
+
+
+_ZETA_REST, _ZETA_OMEGA = _zeta_tables()
+
+
+def _point_row(point: dict) -> list:
+    """One chart point (names -> numbers, absent ones 0) as a 1 x 7 array."""
+    return [[float(point.get(n, 0.0)) for n in YVARS]]
+
+
 class ResolutionForms:
-    """Pointwise evaluators for the surgery 3-forms sigma, zeta, zeta^mu.
+    """The surgery 3-forms sigma, zeta, zeta^mu, by one row kernel.
 
     sigma = d[f(2r/eps) (y1)^2/2 dy^{47}]; it vanishes near the exceptional
     locus and equals y1 dy^{147} once f == 1.  zeta replaces the flat fiber
     form by the interpolated Kaehler form omega_t; zeta^mu = zeta + mu^-3 sigma.
+    zeta_mu_rows writes the (n, 35) coefficient rows of zeta^mu at an (n, 7)
+    array of chart points (zeta_rows those of zeta): omega_t from the array
+    omega_at, sigma from the cutoff's f and f' at each point.  zeta_at,
+    sigma_at and zeta_mu_at are its one-point views as forms, with the
+    same bits.
     """
 
     #: the potential (y1)^2/2 dy^{47} of sigma and its d
@@ -546,55 +629,61 @@ class ResolutionForms:
         if self.epsilon <= 0:
             raise ValueError("epsilon must be positive")
 
-    def sigma_at(self, point: dict) -> KForm:
-        pt = {n: float(point.get(n, 0.0)) for n in YVARS}
-        return _d_cutoff_times(pt, 0.5 * self.epsilon, self._SIGMA_A,
-                               self._SIGMA_DA)[0]
+    def _sigma_rows(self, cols: dict) -> np.ndarray:
+        return _d_cutoff_rows(cols, 0.5 * self.epsilon, self._SIGMA_A,
+                              self._SIGMA_DA)
 
-    def _fiber_omega_at(self, pt) -> KForm:
-        """Interpolated Kaehler form on the (y1, y2, y5, y6) axes."""
-        if self.profile is None:
-            return KForm(7, 2, FLT, {(1, 2): 1.0, (5, 6): 1.0})
-        M = omega_at((pt["y1"], pt["y2"], pt["y5"], pt["y6"]), profile=self.profile)
-        axes = (1, 2, 5, 6)
-        coeffs = {}
-        for i in range(4):
-            for j in range(i + 1, 4):
-                if M[i][j] != 0.0:
-                    coeffs[(axes[i], axes[j])] = float(M[i][j])
-        return KForm(7, 2, FLT, coeffs)
+    def _zeta_rows(self, cols: dict) -> np.ndarray:
+        fiber = np.stack([cols[n] for _, n in _TRANSVERSE], axis=1)
+        # without a profile the fiber form is the flat one, om_tilde_0
+        om = omega_at(fiber, profile=self.profile,
+                      t=0.0 if self.profile is None else None)
+        rows = np.tile(_ZETA_REST, (len(fiber), 1))
+        for col, sign, i, j in _ZETA_OMEGA:
+            rows[:, col] = sign * om[:, i, j]
+        return rows
+
+    def zeta_rows(self, points) -> np.ndarray:
+        """The (n, 35) coefficient rows of zeta at an (n, 7) point array."""
+        return self._zeta_rows(_columns(points))
+
+    def zeta_mu_rows(self, points) -> np.ndarray:
+        """The (n, 35) coefficient rows of zeta^mu at an (n, 7) array of
+        chart points (y1..y7); row i does not depend on the other points."""
+        cols = _columns(points)
+        return self._zeta_rows(cols) + self.mu ** -3 * self._sigma_rows(cols)
+
+    def sigma_at(self, point: dict) -> KForm:
+        return vector_to_phi(self._sigma_rows(_columns(_point_row(point)))[0])
 
     def zeta_at(self, point: dict) -> KForm:
-        pt = {n: float(point.get(n, 0.0)) for n in YVARS}
-        om = self._fiber_omega_at(pt)
-        re_om = KForm(7, 2, FLT, {(1, 5): 1.0, (2, 6): -1.0})
-        im_om = KForm(7, 2, FLT, {(1, 6): 1.0, (2, 5): 1.0})
-        return (KForm.basis(7, (3, 4, 7), FLT)
-                + KForm.basis(7, (3,), FLT).wedge(om)
-                - KForm.basis(7, (4,), FLT).wedge(re_om)
-                + KForm.basis(7, (7,), FLT).wedge(im_om))
+        return vector_to_phi(self.zeta_rows(_point_row(point))[0])
 
     def zeta_mu_at(self, point: dict) -> KForm:
-        return self.zeta_at(point) + (self.mu ** -3) * self.sigma_at(point)
+        return vector_to_phi(self.zeta_mu_rows(_point_row(point))[0])
 
     def margins(self, n: int = 200, seed: int = 0) -> dict:
         """|zeta^mu - zeta|_zeta on the outer region {r >= eps/2} (bound
         eps/2) and on the inner region (bound C/mu^3, C reported)."""
         rng = np.random.default_rng(seed)
-        outer_gap, inner_gap, inner_C = 0.0, 0.0, 0.0
+        points, targets = [], []
         for _ in range(n):
-            raw = rng.uniform(-1.0, 1.0, size=7)
-            pt = dict(zip(YVARS, raw))
-            rr = _transverse_r(pt)
+            pt = rng.uniform(-1.0, 1.0, size=7)
+            rr = _transverse_r(dict(zip(YVARS, pt)))
             inner = rng.random() < 0.5
             target = (rng.uniform(0.02, 0.499) if inner
                       else rng.uniform(0.5, 0.999 * self.mu ** 3 / 2 + 0.5))
             target = min(target, 4.0) * self.epsilon
-            for _, k in _TRANSVERSE:
-                pt[k] *= target / max(rr, 1e-12)
-            z = self.zeta_at(pt)
-            s = self.sigma_at(pt)
-            gz = is_g2_type(z)
+            for axis, _ in _TRANSVERSE:
+                pt[axis - 1] *= target / max(rr, 1e-12)
+            points.append(pt)
+            targets.append(target)
+        cols = _columns(points)
+        outer_gap, inner_gap, inner_C = 0.0, 0.0, 0.0
+        for z, s, target in zip(self._zeta_rows(cols), self._sigma_rows(cols),
+                                targets):
+            gz = is_g2_type(vector_to_phi(z))
+            s = vector_to_phi(s)
             gap = norm(gz, (self.mu ** -3) * s)
             if target >= 0.5 * self.epsilon:
                 outer_gap = max(outer_gap, gap)

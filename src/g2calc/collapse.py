@@ -297,12 +297,12 @@ def resolution_equality_probe(profile, mu, epsilon: float = DEFAULT_EPSILON,
     radii = np.append(np.linspace(0.55 * r_eq, 1.45 * r_eq, n), r_eq)
     lams = radii * radii
     min_nu = float(np.sqrt(1.0 + profile.k(lams) / (2.0 * lams)).min())
-    bound_margin = math.inf
-    for r in radii:
-        g = is_g2_type(rf.zeta_at({"y1": float(r)})).metric_array()
-        bound_margin = min(bound_margin, _min_eig(
-            g - ups ** (4.0 / 3.0) * base_pullback()))
-    g_eq = is_g2_type(rf.zeta_at({"y1": float(r_eq)})).metric_array()
+    pts = np.zeros((len(radii), DIM))
+    pts[:, 0] = radii
+    g, _ = metric_batch(rf.zeta_rows(pts))
+    bound_margin = float(np.linalg.eigvalsh(
+        g - ups ** (4.0 / 3.0) * base_pullback())[:, 0].min())
+    g_eq = g[-1]    # the last radius is r_eq
     return {"upsilon": ups, "min_nu": min_nu,
             "equality_gap": abs(g_eq[2, 2] - ups ** (4.0 / 3.0)),
             "bound_margin": bound_margin,
@@ -386,16 +386,19 @@ def lc_vs_norm_holds(h, g, tol: float = 1e-10) -> bool:
 
 # ----- fiber diameter decay -----------------------------------------------------
 
-def _path_length(rf: ResolutionForms, points) -> float:
-    total = 0.0
-    pts = [np.asarray(p, float) for p in points]
-    names = ("y1", "y2", "y3", "y4", "y5", "y6", "y7")
-    for a, b in zip(pts, pts[1:]):
-        mid = dict(zip(names, 0.5 * (a + b)))
-        g = is_g2_type(rf.zeta_mu_at(mid)).metric_array()
-        v = b - a
-        total += math.sqrt(max(v @ g @ v, 0.0))
-    return total
+def _path_lengths(rf: ResolutionForms, paths) -> list:
+    """Lengths in the zeta^mu metric of polygonal paths, each an (m, 7)
+    array of chart points: every segment's metric at its midpoint, all
+    segments of all paths in one metric_batch call, and each path's
+    segment lengths sqrt(v^T g v) summed in path order."""
+    paths = [np.asarray(p, dtype=float) for p in paths]
+    mids = np.concatenate([0.5 * (p[:-1] + p[1:]) for p in paths])
+    steps = np.concatenate([p[1:] - p[:-1] for p in paths])
+    g, _ = metric_batch(rf.zeta_mu_rows(mids))
+    quad = (steps[:, None, :] @ g @ steps[:, :, None])[:, 0, 0]
+    seg = np.sqrt(np.maximum(quad, 0.0)).tolist()
+    ends = np.cumsum([len(p) - 1 for p in paths]).tolist()
+    return [sum(seg[lo:hi]) for lo, hi in zip([0] + ends, ends)]
 
 
 def _arc(p1, d2, n_seg):
@@ -416,8 +419,9 @@ def fiber_diameter_probe(ks=(2, 4, 8), mus=(8, 16, 32),
     fiber over a circle point inside the k-th region is the product of the
     resolved ball of radius eps/2 (mu/k)^3 with a 2-torus, carrying the
     resolved 3-form; coordinate-frame diameters are rescaled by mu^{-3}.
-    Fits the decay exponent in k at the largest mu."""
-    emb = {(1,): 0, (2,): 1, (5,): 2, (6,): 3}
+    The segment midpoints of a (mu, k) cell's paths go through
+    ResolutionForms.zeta_mu_rows and one metric_batch call.  Fits the decay
+    exponent in k at the largest mu."""
     table = {}
     for mu in mus:
         rf = ResolutionForms(mu, epsilon, profile=profile)
@@ -427,21 +431,19 @@ def fiber_diameter_probe(ks=(2, 4, 8), mus=(8, 16, 32),
             if mu < 2 * k:
                 continue
             R = 0.5 * epsilon * (float(mu) / k) ** 3
-            best = 0.0
             # antipodal pairs on the boundary sphere of the resolved ball,
             # joined by half great-circles (paths avoid the exceptional set)
             axes = [np.array([1.0, 0, 0, 0, 0, 0, 0]),
                     np.array([0, 1.0, 0, 0, 0, 0, 0]),
                     np.array([0, 0, 0, 0, 1.0, 0, 0])]
-            for i, d1 in enumerate(axes):
-                d2 = axes[(i + 1) % len(axes)]
-                best = max(best, _path_length(rf, _arc(R * d1, d2, n_seg)))
+            paths = [_arc(R * d1, axes[(i + 1) % len(axes)], n_seg)
+                     for i, d1 in enumerate(axes)]
             # torus direction: half-period displacement along y^4
             start = R * axes[0]
             stop = start + np.array([0, 0, 0, 0.5, 0, 0, 0])
-            steps = [start + t * (stop - start)
-                     for t in np.linspace(0.0, 1.0, 5)]
-            best = max(best, _path_length(rf, steps))
+            paths.append([start + t * (stop - start)
+                          for t in np.linspace(0.0, 1.0, 5)])
+            best = max([0.0] + _path_lengths(rf, paths))
             table[(k, float(mu))] = best / float(mu) ** 3
     mu_top = float(max(mus))
     ks_fit = [k for k in ks if (k, mu_top) in table]

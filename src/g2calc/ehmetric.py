@@ -40,6 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .rings import fpow
+
 
 class Infeasible(ValueError):
     """R below the feasibility threshold R0(c) = (32/(15c))^{1/4}."""
@@ -343,11 +345,15 @@ def _profile_slopes(profile: EHProfile, lams) -> tuple:
 
 def omega_at(point, profile: EHProfile | None = None, t: float | None = None):
     """Evaluate om_tilde_t (pure t) or om_check_t (profile) at a point of
-    C^2/{+-1} minus the origin, coordinates (x1, y1, x2, y2)."""
+    C^2/{+-1} minus the origin, coordinates (x1, y1, x2, y2): a nested 4x4
+    list.  An (n, 4) array of points gives an (n, 4, 4) array whose slice i
+    has the bits of the call at point i."""
+    if profile is None and t is None:
+        raise ValueError("need a profile or a pure-EH parameter t")
+    if isinstance(point, np.ndarray) and point.ndim == 2:
+        return _omega_rows(point, profile, t)
     lam = sum(float(v) ** 2 for v in point)
     if profile is None:
-        if t is None:
-            raise ValueError("need a profile or a pure-EH parameter t")
         if t == 0:
             return [list(row) for row in _J0]
         if lam <= 0:
@@ -357,6 +363,28 @@ def omega_at(point, profile: EHProfile | None = None, t: float | None = None):
         raise ValueError("the origin is excluded")
     _, ap, app = _profile_slopes(profile, lam)
     return _matrix(point, ap, app)
+
+
+def _omega_rows(points: np.ndarray, profile, t) -> np.ndarray:
+    """omega_at on the rows of an (n, 4) array, column by column: lam sums
+    the Python-pow squares in the scalar order, and the profile functions
+    and _upper are elementwise."""
+    points = np.asarray(points, dtype=float)
+    out = np.zeros((len(points), 4, 4))
+    if profile is None and t == 0:
+        out[:] = _J0
+        return out
+    x1, y1, x2, y2 = points.T
+    lam = ((fpow(x1, 2) + fpow(y1, 2)) + fpow(x2, 2)) + fpow(y2, 2)
+    if (lam <= 0).any():
+        raise ValueError("the origin is excluded")
+    if profile is None:
+        ap, app = eh_aprime(t, lam), _eh_asecond(t, lam)
+    else:
+        _, ap, app = _profile_slopes(profile, lam)
+    for (i, j), m in _upper(x1, y1, x2, y2, ap, app).items():
+        out[:, i, j], out[:, j, i] = m, -m
+    return out
 
 
 def _pfaffian4(up):

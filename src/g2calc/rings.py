@@ -11,6 +11,10 @@ Mixing scalars from different rings inside one form is a hard error, raised
 by the form layer (see :mod:`g2calc.forms`).  Helpers here also give
 exact n-th roots of rationals, or None where the root is irrational; each
 caller decides what an irrational root means for it.
+
+A polynomial evaluates at one point (:meth:`Poly.eval`) or at every row of
+a set of point columns (:meth:`Poly.eval_columns`) with the same bits per
+row: both raise powers by Python's float power (:func:`fpow` on columns).
 '''
 from __future__ import annotations
 
@@ -19,10 +23,22 @@ from fractions import Fraction
 from operator import add
 from typing import Mapping
 
+import numpy as np
+
 Q = Fraction
 
 RAT = "rational"
 FLT = "float"
+
+
+def fpow(x, k):
+    """x ** k by Python's float power (libm's pow), for a number or entry by
+    entry for an array.  numpy's power rounds differently at some x (its
+    x ** 2 is x * x, and its vector pow is not libm's), so a column kernel
+    that must keep the bits of a per-point loop takes its powers here."""
+    if isinstance(x, np.ndarray):
+        return np.array([v ** k for v in x.ravel().tolist()]).reshape(x.shape)
+    return float(x) ** k
 
 
 class MixedRingError(TypeError):
@@ -248,6 +264,22 @@ class Poly:
                 if k:
                     val *= float(point[v]) ** k
             total += val
+        return total
+
+    def eval_columns(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
+        """eval at every row of the point columns (names -> float arrays of
+        one shape): the same terms and factors in the same order, each power
+        by fpow, so an entry is the float that eval gives at its row."""
+        total = np.zeros(np.shape(next(iter(columns.values()))))
+        powers = {}
+        for e, c in self.terms.items():
+            val = float(c)
+            for v, k in zip(self.vars, e):
+                if k:
+                    if (v, k) not in powers:
+                        powers[v, k] = fpow(columns[v], k)
+                    val = val * powers[v, k]
+            total = total + val
         return total
 
     def _key(self, e):

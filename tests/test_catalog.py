@@ -13,7 +13,7 @@ from g2calc.catalog import (ResolutionForms, ch_map, ffkm_model,
                             primitive_ledger, pullback_invariant_form,
                             resolution_boundary_identity, xi_mu_metric_diag)
 from g2calc.forms import KForm
-from g2calc.g2core import is_g2_type
+from g2calc.g2core import is_g2_type, phi_to_vector, vector_to_phi
 from g2calc.liecdga import d_invariant
 from g2calc.rings import FLT, RAT
 
@@ -315,6 +315,64 @@ def test_quadlem_constant_stable_under_refinement():
     assert abs(c1 - c2) <= 0.2 * max(c1, c2)
 
 
+def test_quadlem_constant_keeps_the_per_point_values():
+    # the values of the per-point loop that the column evaluation replaced,
+    # at the two inputs of the verify check
+    out = measure_quadlem_constant(n=200, seed=0)
+    assert (out["C_alpha"], out["C_dalpha"]) == (0.6439700818724329, 1.69413492740212)
+    out = measure_quadlem_constant(n=400, seed=1)
+    assert (out["C_alpha"], out["C_dalpha"]) == (0.6541065299142246, 1.71769006849451)
+
+
+def _spread_points(n, seed):
+    """Chart points at several scales, some with zero coordinates."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1.0, 1.0, size=(n, 7)) * rng.choice([1e-3, 0.05, 1.0, 30.0],
+                                                          size=(n, 1))
+    pts[::7, 1] = 0.0
+    return pts
+
+
+def test_poly_eval_columns_matches_eval_at_each_row():
+    alpha, dalpha, _, _ = catalog._alpha_and_d()
+    pts = _spread_points(500, 2)
+    cols = catalog._columns(pts)
+    for form in (alpha, dalpha):
+        for idx, c in form.coeffs.items():
+            want = [c.eval(dict(zip(catalog.YVARS, p))) for p in pts.tolist()]
+            assert c.eval_columns(cols).tolist() == want, idx
+
+
+def test_norm_in_diag_on_columns_matches_each_point_and_mu():
+    alpha = catalog._alpha_and_d()[0]
+    pts = _spread_points(200, 3)
+    mus = (1, 2, 4, 8, 16)
+    cols = {n: c[:, None] for n, c in catalog._columns(pts).items()}
+    weights = np.array([catalog._xi_mu_weights(mu) for mu in mus]).T
+    batch = catalog._norm_in_diag(catalog._eval_columns(alpha, cols), weights)
+    assert batch.shape == (len(pts), len(mus))
+    for i, p in enumerate(pts.tolist()):
+        coeffs = alpha.eval_at(dict(zip(catalog.YVARS, p))).coeffs
+        for j, mu in enumerate(mus):
+            got = catalog._norm_in_diag(coeffs, catalog._xi_mu_weights(mu))
+            assert type(got) is float and got == batch[i, j]
+
+
+def test_cutoff_chain_rule_rows_match_the_point_form():
+    eps = 0.1
+    alpha, dalpha, _, _ = catalog._alpha_and_d()
+    # the cutoff's ramp, its zero band, a ramp point on coordinate
+    # hyperplanes, and the singular circle itself
+    pts = np.array(_RAMP_POINTS + [0.6 * p for p in _RAMP_POINTS]
+                   + [[0.06, 0.0, 0.1, 0.2, 0.0, 0.0, 0.3],
+                      [0.0, 0.0, 0.1, 0.2, 0.0, 0.0, 0.3]])
+    rows = catalog._d_cutoff_rows(catalog._columns(pts), eps, alpha, dalpha)
+    for row, p in zip(rows, pts.tolist()):
+        form = catalog._d_cutoff_times(dict(zip(catalog.YVARS, p)), eps,
+                                       alpha, dalpha)[0]
+        assert vector_to_phi(row) == form
+
+
 # --------------------------------------------------------------------------
 # resolution surgery forms
 # --------------------------------------------------------------------------
@@ -354,3 +412,64 @@ def test_zeta_mu_definite_across_regions(profile):
     rf = ResolutionForms(8, 0.1, profile=profile)
     for r in (0.02, 0.05, 0.2, 1.0):
         is_g2_type(rf.zeta_mu_at({"y1": r}))  # raises if indefinite
+
+
+def _zeta_mu_by_wedges(rf, point):
+    """zeta + mu^-3 sigma assembled from forms: the fiber form from the
+    per-point omega_at, and sigma = f y1 dy^147 + (f'/s) dr ^ (y1^2/2) dy^47
+    with f = f(r/s), s = eps/2."""
+    pt = {n: float(point.get(n, 0.0)) for n in catalog.YVARS}
+    axes = (1, 2, 5, 6)
+    fib = [pt[f"y{a}"] for a in axes]
+    if rf.profile is None:
+        om = KForm(7, 2, FLT, {(1, 2): 1.0, (5, 6): 1.0})
+    else:
+        M = ehmetric.omega_at(tuple(fib), profile=rf.profile)
+        om = KForm(7, 2, FLT, {(axes[i], axes[j]): M[i][j]
+                               for i in range(4) for j in range(i + 1, 4)})
+    zeta = (KForm.basis(7, (3, 4, 7), FLT) + KForm.basis(7, (3,), FLT).wedge(om)
+            - KForm.basis(7, (4,), FLT).wedge(KForm(7, 2, FLT, {(1, 5): 1.0, (2, 6): -1.0}))
+            + KForm.basis(7, (7,), FLT).wedge(KForm(7, 2, FLT, {(1, 6): 1.0, (2, 5): 1.0})))
+    s = 0.5 * rf.epsilon
+    r = math.sqrt(sum(v ** 2 for v in fib))
+    f, fd = catalog.DEFAULT_CUTOFF(r / s), catalog.DEFAULT_CUTOFF.deriv(r / s)
+    sigma = f * KForm(7, 3, FLT, {(1, 4, 7): pt["y1"]})
+    if fd != 0.0:
+        dr = KForm(7, 1, FLT, {(a,): v / r for a, v in zip(axes, fib)})
+        sigma = sigma + (fd / s) * dr.wedge(KForm(7, 2, FLT, {(4, 7): 0.5 * pt["y1"] ** 2}))
+    return zeta + rf.mu ** -3 * sigma, f, fd
+
+
+def _points_at_radii(radii, seed):
+    """Chart points whose transverse radius (y1, y2, y5, y6) is each r."""
+    rng = np.random.default_rng(seed)
+    pts = rng.uniform(-1.0, 1.0, size=(len(radii), 7))
+    fiber = [0, 1, 4, 5]
+    pts[:, fiber] *= (np.asarray(radii) / np.linalg.norm(pts[:, fiber], axis=1))[:, None]
+    return pts
+
+
+# eps = 0.1 and the profile's t R = eps/2: the EH core is r < eps/4, the
+# cutoff of sigma ramps over 0.51 < 2r/eps < 0.99 and both are flat past eps/2
+_ZETA_REGIONS = {"flat": (0.05, 0.3), "ramp": (0.0256, 0.0494),
+                 "core": (0.001, 0.0249), "no-profile": (0.0256, 0.3)}
+
+
+@pytest.mark.parametrize("region", list(_ZETA_REGIONS))
+def test_zeta_mu_rows_match_a_form_assembly(profile, region):
+    lo, hi = _ZETA_REGIONS[region]
+    rf = ResolutionForms(4, 0.1, profile=None if region == "no-profile" else profile)
+    pts = _points_at_radii(np.linspace(lo, hi, 40), seed=len(region))
+    rows = rf.zeta_mu_rows(pts)
+    assert rows.shape == (40, 35)
+    fds = []
+    for row, p in zip(rows, pts.tolist()):
+        point = dict(zip(catalog.YVARS, p))
+        want, f, fd = _zeta_mu_by_wedges(rf, point)
+        assert row.tolist() == phi_to_vector(want).tolist()
+        assert rf.zeta_mu_at(point) == want
+        fds.append(fd)
+    if region == "ramp":
+        assert all(fd != 0.0 for fd in fds)
+    if region == "core":
+        assert not any(rows[:, catalog.TRIPLE_POS[(1, 4, 7)]])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from g2calc import collapse, ehmetric
+from g2calc.catalog import ResolutionForms
 from g2calc.collapse import (MetricSample, base_pullback,
                              fiber_diameter_probe, ffkm_region_metrics,
                              interior_limit_metric, largest_lambda,
@@ -234,6 +235,30 @@ def test_fiber_diameter_monotone_and_uniform(probe):
     assert probe["mu_uniform"]
     for spread in probe["constant_spread"].values():
         assert spread <= 2.0
+
+
+def test_fiber_diameter_table_keeps_the_per_point_values(probe):
+    # the table of the per-point path loop that the batched probe replaced
+    assert probe["table"] == {
+        (2, 8.0): 0.019603443866020386, (4, 8.0): 0.0024504285390984735,
+        (2, 16.0): 0.019603443866020386, (4, 16.0): 0.0024504285390984735,
+        (8, 16.0): 0.00030630356359014933, (2, 32.0): 0.019603443866020386,
+        (4, 32.0): 0.0024504285390984735, (8, 32.0): 0.00030630356359014933}
+
+
+def test_path_length_does_not_depend_on_its_batch(profile):
+    rf = ResolutionForms(16, 0.1, profile=profile)
+    axes = np.eye(7)[[0, 1, 4]]
+    paths = []
+    # the probe's boundary sphere at (mu, k) = (16, 4), and a sphere inside
+    # the cutoff's ramp and the interpolated fiber form
+    for R in (0.5 * 0.1 * (16 / 4) ** 3, 0.03):
+        paths += [collapse._arc(R * axes[i], axes[(i + 1) % 3], 16)
+                  for i in range(3)]
+    paths.append([R * axes[0] + t * np.array([0, 0, 0, 0.5, 0, 0, 0])
+                  for t in np.linspace(0.0, 1.0, 5)])
+    together = collapse._path_lengths(rf, paths)
+    assert [collapse._path_lengths(rf, [p])[0] for p in paths] == together
 
 
 def test_exports(tmp_path, probe):

@@ -232,6 +232,25 @@ def test_omega_flat_outside_and_eh_inside(profile):
     assert np.allclose(M_in, M_eh, atol=1e-14)
 
 
+@pytest.mark.parametrize("field", ["profile", "pure", "flat"])
+def test_omega_at_on_a_point_array_matches_per_point_calls(profile, field):
+    kw = {"profile": {"profile": profile}, "pure": {"t": profile.t},
+          "flat": {"t": 0}}[field]
+    rng = np.random.default_rng(3)
+    dirs = rng.normal(size=(2000, 4))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    # radii across the EH core, the interpolation annulus and the flat part
+    r = np.sqrt(profile.q * rng.uniform(0.05, 1.5, size=2000))
+    pts = dirs * r[:, None]
+    batch = omega_at(pts, **kw)
+    assert batch.shape == (2000, 4, 4)
+    assert [omega_at(tuple(p), **kw) for p in pts.tolist()] == batch.tolist()
+    assert omega_at(pts[7:8], **kw).tolist() == batch[7:8].tolist()
+    if field != "flat":
+        with pytest.raises(ValueError, match="origin"):
+            omega_at(np.vstack([pts[:2], np.zeros((1, 4))]), **kw)
+
+
 def test_positivity_and_volume_certificate(profile):
     floor = 2.0 * profile.upsilon ** 2
     for n_r in (300, 400):
