@@ -12,21 +12,26 @@
   region-by-region primitive ledger certifying exactness of phi^mu - phi.
 
 All polynomial identities here are verified in exact rational arithmetic;
-the smooth cutoff enters numerically only.
+the smooth cutoff enters numerically only.  Each sampled quantity (the
+cutoff, the chain rule d[f(r/s) a], the surgery forms, the gap norms) has
+one implementation on point columns, and a single point is a one-row call;
+squares are products x·x, as in `rings`, so a point gets the same bits
+alone or in any batch.
 '''
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 
-from .ehmetric import _UPPER, _plateau, _plateau_integral, fd_d, omega_at
+from .ehmetric import (_UPPER, _plateau, _plateau_integral, _scalar_or_array,
+                       fd_d, omega_at)
 from .forms import KForm, PolynomialMap, chart_vars, merge_sign, poly_ring
-from .g2core import (TRIPLE_POS, TRIPLES, is_g2_type, norm, phi_to_vector,
-                     vector_to_phi)
+from .g2core import TRIPLE_POS, is_g2_type, norm, phi_to_vector, vector_to_phi
 from .liecdga import InvariantModel, StructureEqs, check_d_squared, d_invariant
-from .rings import FLT, RAT, Poly, fpow
+from .rings import FLT, RAT, Poly
 
 Q = Fraction
 
@@ -50,6 +55,10 @@ class CutoffFn:
     overlap and the value is only within about 1e-11.  The lower shoulder's
     complete integral is computed once per (ramp_lo, ramp_hi, h) and
     memoised; a value inside a shoulder integrates that part on every call.
+    The value and the derivative have one path for a float s and for an
+    array of them (a float is a one-element array), so an entry does not
+    depend on its batch; like every sampled quantity here they square by
+    the product x·x, never by a float power.
     """
 
     def __init__(self, ramp_lo=0.55, ramp_hi=0.95, h=0.04):
@@ -57,20 +66,16 @@ class CutoffFn:
             raise ValueError("mollified ramp must stay inside (1/2, 1]")
         self.a, self.b, self.h = float(ramp_lo), float(ramp_hi), float(h)
 
-    def __call__(self, s: float) -> float:
-        s = float(s)
-        if s <= self.a - self.h:
-            return 0.0
-        if s >= self.b + self.h:
-            return 1.0
+    @_scalar_or_array
+    def __call__(self, s):
+        # exactly 0 below the ramp, where no shoulder has begun
         total = _plateau_integral(s, 0, self.a, self.b, self.h) / (self.b - self.a)
-        return min(max(total, 0.0), 1.0)
+        return np.where(s >= self.b + self.h, 1.0, np.clip(total, 0.0, 1.0))
 
-    def deriv(self, s: float) -> float:
-        s = float(s)
-        if s <= self.a - self.h or s >= self.b + self.h:
-            return 0.0
-        return float(_plateau(s, self.a, self.b, self.h)) / (self.b - self.a)
+    @_scalar_or_array
+    def deriv(self, s):
+        outside = (s <= self.a - self.h) | (s >= self.b + self.h)
+        return np.where(outside, 0.0, _plateau(s, self.a, self.b, self.h) / (self.b - self.a))
 
     @property
     def deriv_bound(self) -> float:
@@ -79,8 +84,7 @@ class CutoffFn:
     def certify(self, n: int = 10000) -> dict:
         """Grid check of the defining properties; raises on violation."""
         s = np.linspace(0.0, 1.5, n)
-        vals = np.array([self(x) for x in s])
-        ders = np.array([self.deriv(x) for x in s])
+        vals, ders = self(s), self.deriv(s)
         if not np.all((vals >= 0) & (vals <= 1)):
             raise AssertionError("cutoff leaves [0,1]")
         if not np.all(vals[s <= 0.5] == 0) or not np.all(vals[s >= 1.0] == 1):
@@ -290,8 +294,8 @@ _TRANSVERSE = ((1, "y1"), (2, "y2"), (5, "y5"), (6, "y6"))
 def _transverse_r(point):
     """Distance sqrt(y1^2 + y2^2 + y5^2 + y6^2) to the singular circle, at a
     point or, entry by entry with the same bits, at point columns."""
-    sq = sum(fpow(point.get(n, 0.0), 2) for _, n in _TRANSVERSE)
-    return np.sqrt(sq) if isinstance(sq, np.ndarray) else math.sqrt(sq)
+    r = np.sqrt(sum(x * x for x in (point.get(n, 0.0) for _, n in _TRANSVERSE)))
+    return r if r.ndim else float(r)
 
 
 def _columns(points) -> dict:
@@ -310,37 +314,30 @@ def _transverse_point(r: float) -> dict:
     return pt
 
 
-def _d_cutoff_times(pt: dict, scale: float, a: KForm, da: KForm):
-    """d[f(r/scale) a] = f da + (f'/scale) dr ^ a at a float chart point, for
-    a polynomial form a with da = a.d_chart(); returns (form, r, f, f')."""
-    r = _transverse_r(pt)
-    f, fd = DEFAULT_CUTOFF(r / scale), DEFAULT_CUTOFF.deriv(r / scale)
-    out = f * da.eval_at(pt)
-    if fd != 0.0 and r > 0:
-        dr = KForm(7, 1, FLT, {(i,): pt[n] / r for i, n in _TRANSVERSE})
-        out = out + (fd / scale) * dr.wedge(a.eval_at(pt))
-    return out, r, f, fd
+def _row_keys(degree: int) -> list:
+    """The column order of _d_cutoff_rows for forms of this degree."""
+    return list(combinations(range(1, 8), degree))
 
 
-def _d_cutoff_rows(cols: dict, scale: float, a: KForm, da: KForm) -> np.ndarray:
-    """_d_cutoff_times on point columns, for a polynomial 2-form a: the
-    3-form d[f(r/scale) a] as (n, 35) coefficient rows.  f and f' come from
-    DEFAULT_CUTOFF at each point, and each coefficient sums the same terms
-    in the same order, so row i has the bits of _d_cutoff_times at point i
-    (up to the sign of a zero)."""
+def _d_cutoff_rows(cols: dict, scale: float, a: KForm, da: KForm):
+    """d[f(r/scale) a] = f da + (f'/scale) dr ^ a, for a polynomial k-form a
+    with da = a.d_chart() and f = DEFAULT_CUTOFF, on point columns (names ->
+    arrays of shape (n,)) or at one point (names -> floats): the
+    coefficients in the order of _row_keys(k + 1), as (n, C(7, k+1)) rows or
+    one row, with r, f and f'.  Every operation is entry by entry, so a
+    point gets the same bits alone or in any batch."""
     r = _transverse_r(cols)
-    s = (r / scale).tolist()
-    f = np.array([DEFAULT_CUTOFF(x) for x in s])
-    fd = np.array([DEFAULT_CUTOFF.deriv(x) for x in s])
-    rows = np.zeros((len(r), len(TRIPLES)))
+    f, fd = DEFAULT_CUTOFF(r / scale), DEFAULT_CUTOFF.deriv(r / scale)
+    pos = {idx: i for i, idx in enumerate(_row_keys(a.degree + 1))}
+    rows = np.zeros(np.shape(r) + (len(pos),))
     for idx, c in da.coeffs.items():
-        rows[:, TRIPLE_POS[idx]] = c.eval_columns(cols) * f
+        rows[..., pos[idx]] = c.eval(cols) * f
     on = (fd != 0.0) & (r > 0)
-    if on.any():
-        av = {idx: c.eval_columns(cols) for idx, c in a.coeffs.items()}
+    if np.any(on):
+        av = {idx: c.eval(cols) for idx, c in a.coeffs.items()}
         wedge = {}
         for i, n in _TRANSVERSE:
-            dr = np.divide(cols[n], r, out=np.zeros(len(r)), where=on)
+            dr = np.divide(cols[n], r, out=np.zeros(np.shape(r)), where=on)
             for idx, c in av.items():
                 merged, sign = merge_sign((i,), idx)
                 if sign:
@@ -348,8 +345,18 @@ def _d_cutoff_rows(cols: dict, scale: float, a: KForm, da: KForm) -> np.ndarray:
                     wedge[merged] = wedge[merged] + term if merged in wedge else term
         step = np.where(on, fd / scale, 0.0)
         for idx, c in wedge.items():
-            rows[:, TRIPLE_POS[idx]] += c * step
-    return rows
+            rows[..., pos[idx]] += c * step
+    return rows, r, f, fd
+
+
+def _d_cutoff_at(point: dict, scale: float, a: KForm, da: KForm):
+    """_d_cutoff_rows at one chart point (absent coordinates 0), as
+    (float form, r, f, f')."""
+    pt = {n: float(point.get(n, 0.0)) for n in YVARS}
+    row, r, f, fd = _d_cutoff_rows(pt, scale, a, da)
+    form = KForm._trusted(7, a.degree + 1, FLT,
+                          dict(zip(_row_keys(a.degree + 1), row.tolist())))
+    return form, r, f, fd
 
 
 def chart_map(base_chart: int, extra_vars=()) -> PolynomialMap:
@@ -446,15 +453,11 @@ def xi_mu_chart(symbolic: bool = False):
     return _flat_xi(YRING)
 
 
-def _xi_mu_weights(mu: float) -> list:
-    """The diagonal of xi^mu's metric: mu^4 on dy^{1,2,3}, mu^-2 on dy^{4..7}."""
-    m = float(mu)
+def _xi_mu_weights(mu) -> list:
+    """The diagonal of xi^mu's metric: mu^4 on dy^{1,2,3}, mu^-2 on dy^{4..7};
+    Fractions for an exact mu, else floats."""
+    m = Q(mu) if isinstance(mu, (int, Fraction)) else float(mu)
     return [m ** 4] * 3 + [m ** -2] * 4
-
-
-def xi_mu_metric_diag(mu: float):
-    """Closed-form metric of xi^mu: mu^4 on dy^{1,2,3}, mu^-2 on dy^{4..7}."""
-    return np.diag(_xi_mu_weights(mu))
 
 
 def alpha_a():
@@ -511,7 +514,7 @@ def _alpha_and_d():
 
 def _eval_columns(form: KForm, cols: dict) -> dict:
     """A polynomial form's coefficients at point columns, keyed as the form."""
-    return {idx: c.eval_columns(cols) for idx, c in form.coeffs.items()}
+    return {idx: c.eval(cols) for idx, c in form.coeffs.items()}
 
 
 def glued_form_at(point: dict, mu: float, epsilon: float = DEFAULT_EPSILON) -> dict:
@@ -527,7 +530,7 @@ def glued_form_at(point: dict, mu: float, epsilon: float = DEFAULT_EPSILON) -> d
     xi = xi_mu_chart().eval_at(pt)  # mu enters via the dy123 coefficient:
     xi = xi + (float(mu) ** 6 - 1.0) * KForm.basis(7, (1, 2, 3), FLT)
     bump = KForm(7, 3, FLT, {(1, 4, 7): pt["y1"]})
-    corr, r, fval, fder = _d_cutoff_times(pt, epsilon, alpha, dalpha)
+    corr, r, fval, fder = _d_cutoff_at(pt, epsilon, alpha, dalpha)
     phi = xi + bump + corr
     gdata = is_g2_type(phi)
     gap = _norm_in_diag((bump + corr).coeffs, _xi_mu_weights(mu))
@@ -540,11 +543,11 @@ def _norm_in_diag(coeffs: dict, weights):
     with these 7 weights.  The coefficients are floats, or columns of them
     (then a column of norms), and weights of shape (7, m) give m norms in
     the last axis; each entry has the bits of one point and one weight set,
-    the sum running over the coefficients in their order."""
+    the sum running over the coefficients in sorted key order."""
     ginv = 1.0 / np.asarray(weights, dtype=float)
     total = 0.0
-    for idx, c in coeffs.items():
-        w = fpow(c, 2)
+    for idx in sorted(coeffs):
+        w = coeffs[idx] * coeffs[idx]
         for axis in idx:
             w = w * ginv[axis - 1]
         total = total + w
@@ -570,7 +573,7 @@ def measure_quadlem_constant(epsilon: float = DEFAULT_EPSILON,
     r = r[keep, None]
     weights = np.array([_xi_mu_weights(mu) for mu in mus]).T
     ratio_a = (_norm_in_diag(_eval_columns(alpha, cols), weights)
-               * np.array(mus) / fpow(r, 2))
+               * np.array(mus) / (r * r))
     ratio_da = _norm_in_diag(_eval_columns(dalpha, cols), weights) / r
     best_a = float(ratio_a.max(initial=0.0))
     best_da = float(ratio_da.max(initial=0.0))
@@ -612,10 +615,11 @@ class ResolutionForms:
     locus and equals y1 dy^{147} once f == 1.  zeta replaces the flat fiber
     form by the interpolated Kaehler form omega_t; zeta^mu = zeta + mu^-3 sigma.
     zeta_mu_rows writes the (n, 35) coefficient rows of zeta^mu at an (n, 7)
-    array of chart points (zeta_rows those of zeta): omega_t from the array
-    omega_at, sigma from the cutoff's f and f' at each point.  zeta_at,
-    sigma_at and zeta_mu_at are its one-point views as forms, with the
-    same bits.
+    array of chart points (zeta_rows those of zeta): omega_t from omega_at
+    and sigma from the chain rule _d_cutoff_rows, both on point columns.
+    sigma_at and zeta_mu_at are one-row calls shown as forms.  Squares (r,
+    lam, (y1)^2) are products x·x, so a point has the same bits alone or in
+    a batch.
     """
 
     #: the potential (y1)^2/2 dy^{47} of sigma and its d
@@ -631,7 +635,7 @@ class ResolutionForms:
 
     def _sigma_rows(self, cols: dict) -> np.ndarray:
         return _d_cutoff_rows(cols, 0.5 * self.epsilon, self._SIGMA_A,
-                              self._SIGMA_DA)
+                              self._SIGMA_DA)[0]
 
     def _zeta_rows(self, cols: dict) -> np.ndarray:
         fiber = np.stack([cols[n] for _, n in _TRANSVERSE], axis=1)
@@ -655,9 +659,6 @@ class ResolutionForms:
 
     def sigma_at(self, point: dict) -> KForm:
         return vector_to_phi(self._sigma_rows(_columns(_point_row(point)))[0])
-
-    def zeta_at(self, point: dict) -> KForm:
-        return vector_to_phi(self.zeta_rows(_point_row(point))[0])
 
     def zeta_mu_at(self, point: dict) -> KForm:
         return vector_to_phi(self.zeta_mu_rows(_point_row(point))[0])
@@ -782,7 +783,7 @@ def primitive_ledger(mu, epsilon: float = DEFAULT_EPSILON) -> list:
     band = DEFAULT_CUTOFF.a - DEFAULT_CUTOFF.h
 
     def cutoff_term(s):
-        return _d_cutoff_times(_transverse_point(s * eps), eps, cQ, cdQ)[0]
+        return _d_cutoff_at(_transverse_point(s * eps), eps, cQ, cdQ)[0]
 
     entry("interface W", "d(f c6 Q) vanishes where r/eps is in the cutoff's "
           f"zero band [0, {band:g}]",
@@ -809,8 +810,9 @@ def _closedness_probe_fQ(Qf: KForm, epsilon: float, tol: float = 1e-6) -> bool:
     """
     dQ = Qf.d_chart()
 
-    def two_form_field(y):
-        return _d_cutoff_times(dict(zip(YVARS, y)), epsilon, Qf, dQ)[0].coeffs
+    def two_form_field(ys):
+        rows = _d_cutoff_rows(_columns(ys), epsilon, Qf, dQ)[0]
+        return dict(zip(_row_keys(Qf.degree + 1), rows.T))
 
     samples = [np.array([0.7, 0.1, 0.3, 0.2, 0.05, -0.1, 0.4]) * epsilon,
                np.array([0.5, -0.4, 0.1, 0.3, 0.3, 0.2, -0.2]) * epsilon,

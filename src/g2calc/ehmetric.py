@@ -24,8 +24,10 @@ on the plateau [p_lo + rho, p_hi - rho], which pins the equality radius.  All
 shape parameters depend only on (c, R), giving exact scale equivariance
 k_{s t}(s^2 lam) = s^2 k_t(lam).
 
-The profile functions take a float lam or an array of them, and the
-certificate and the CSV export evaluate the profile once per grid.  The
+Every sampled quantity here has one implementation that takes a float or
+an array: the profile functions, the mollifier's integral and omega_at (a
+point is a one-row array).  The certificate and the CSV export evaluate the
+profile once per grid.  Squares are products x·x, as in `rings`, and the
 mollifier's quadrature is summed row by row, never by a BLAS product, so a
 lam gets the same bits alone or in any batch: a lam's CSV row does not
 depend on the grid size.
@@ -39,8 +41,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-
-from .rings import fpow
 
 
 class Infeasible(ValueError):
@@ -117,32 +117,35 @@ def _plateau(u, lo, hi, w):
 _SHOULDER_MEMO = {}
 
 
-def _plateau_integral(u: float, p: int, lo: float, hi: float, w: float) -> float:
-    """int_{-oo}^u v^p B(v) dv for p in {0, 1}: Gauss-Legendre over the two
-    mollifier shoulders, the flat part analytically.  When the shoulders
-    overlap (hi - lo < 2w) there is no flat part and they meet at the
-    midpoint.  A shoulder that u has passed is integrated once per
-    (p, lo, hi, w) and memoised; a partial one, with u inside it, is
-    integrated on every call."""
-    if u <= lo - w:
-        return 0.0
+def _plateau_integral(u, p: int, lo: float, hi: float, w: float):
+    """int_{-oo}^u v^p B(v) dv for p in {0, 1}, at a float u or entry by
+    entry on an array: Gauss-Legendre over the two mollifier shoulders, the
+    flat part in closed form.  When the shoulders overlap (hi - lo < 2w)
+    there is no flat part and they meet at the midpoint.  A shoulder that u
+    has passed is integrated once per (p, lo, hi, w) and memoised; a partial
+    one, with u inside it, is integrated for that u alone, so the working
+    set stays one quadrature whatever the batch."""
+    u = np.asarray(u, dtype=float)
+    total = np.zeros(u.shape)
     mid = 0.5 * (lo + hi)
     flat_lo, flat_hi = min(lo + w, mid), max(hi - w, mid)
     def f(v):
         return v ** p * _plateau(v, lo, hi, w)
-    def shoulder(side, a, b):
-        if u < b:
-            return _gl(f, a, u)
-        key = (p, lo, hi, w, side)
-        if key not in _SHOULDER_MEMO:
-            _SHOULDER_MEMO[key] = _gl(f, a, b)
-        return _SHOULDER_MEMO[key]
-    total = shoulder("lo", lo - w, flat_lo)
-    if u > flat_lo:
-        total += (min(u, flat_hi) ** (p + 1) - flat_lo ** (p + 1)) / (p + 1)
-    if u > flat_hi:
-        total += shoulder("hi", flat_hi, hi + w)
-    return total
+    def add_shoulder(side, a, b):
+        past, part = u >= b, (u > a) & (u < b)
+        if past.any():
+            key = (p, lo, hi, w, side)
+            if key not in _SHOULDER_MEMO:
+                _SHOULDER_MEMO[key] = _gl(f, a, b)
+            total[past] += _SHOULDER_MEMO[key]
+        total[part] += [_gl(f, a, x) for x in u[part].tolist()]
+    add_shoulder("lo", lo - w, flat_lo)
+    flat = u > flat_lo
+    # x ** (p + 1) as x * x ** p: the product x·x at p = 1
+    top = np.minimum(u[flat], flat_hi)
+    total[flat] += (top * top ** p - flat_lo * flat_lo ** p) / (p + 1)
+    add_shoulder("hi", flat_hi, hi + w)
+    return total if total.ndim else float(total)
 
 
 def _scalar_or_array(f):
@@ -192,10 +195,12 @@ class EHProfile:
 
     @_scalar_or_array
     def h(self, lams):
-        """h_t(lam) = int_0^lam k_t, in [-t^4, 0].  One quadrature per lam:
-        the complete shoulders are memoised, and a partial one is rare."""
-        return np.array([-self.c * self.q ** 2 * self._moment(x / self.q)
-                         if x > 0 else 0.0 for x in lams.tolist()])
+        """h_t(lam) = int_0^lam k_t, in [-t^4, 0], by one path for a float
+        and an array: past the memoised complete shoulders a closed form in
+        lam, whose square is the product x·x, and one quadrature for a lam
+        inside a shoulder."""
+        return np.where(lams > 0, -self.c * self.q ** 2 * self._moment(
+            lams / self.q), 0.0)
 
     @_scalar_or_array
     def slopes(self, lams):
@@ -319,13 +324,6 @@ def _upper(x1, y1, x2, y2, ap, app) -> dict:
             for i, j in _UPPER}
 
 
-def _matrix(point, ap: float, app: float) -> list:
-    M = [[0.0] * 4 for _ in range(4)]
-    for (i, j), m in _upper(*(float(v) for v in point), ap, app).items():
-        M[i][j], M[j][i] = m, -m
-    return M
-
-
 @_scalar_or_array
 def _profile_slopes(profile: EHProfile, lams) -> tuple:
     """(k, al', al'') of om_check_t at a float lam or a 1-d array of them:
@@ -344,47 +342,28 @@ def _profile_slopes(profile: EHProfile, lams) -> tuple:
 
 
 def omega_at(point, profile: EHProfile | None = None, t: float | None = None):
-    """Evaluate om_tilde_t (pure t) or om_check_t (profile) at a point of
-    C^2/{+-1} minus the origin, coordinates (x1, y1, x2, y2): a nested 4x4
-    list.  An (n, 4) array of points gives an (n, 4, 4) array whose slice i
-    has the bits of the call at point i."""
+    """Evaluate om_tilde_t (pure t) or om_check_t (profile) on C^2/{+-1}
+    minus the origin: at a point (x1, y1, x2, y2) a 4x4 array, and on the
+    rows of an (n, 4) array an (n, 4, 4) array, column by column, so slice
+    i has the bits of the call at point i."""
     if profile is None and t is None:
         raise ValueError("need a profile or a pure-EH parameter t")
-    if isinstance(point, np.ndarray) and point.ndim == 2:
-        return _omega_rows(point, profile, t)
-    lam = sum(float(v) ** 2 for v in point)
-    if profile is None:
-        if t == 0:
-            return [list(row) for row in _J0]
-        if lam <= 0:
-            raise ValueError("the origin is excluded")
-        return _matrix(point, eh_aprime(t, lam), _eh_asecond(t, lam))
-    if lam <= 0:
-        raise ValueError("the origin is excluded")
-    _, ap, app = _profile_slopes(profile, lam)
-    return _matrix(point, ap, app)
-
-
-def _omega_rows(points: np.ndarray, profile, t) -> np.ndarray:
-    """omega_at on the rows of an (n, 4) array, column by column: lam sums
-    the Python-pow squares in the scalar order, and the profile functions
-    and _upper are elementwise."""
-    points = np.asarray(points, dtype=float)
-    out = np.zeros((len(points), 4, 4))
+    rows = np.atleast_2d(np.asarray(point, dtype=float))
+    out = np.zeros((len(rows), 4, 4))
     if profile is None and t == 0:
         out[:] = _J0
-        return out
-    x1, y1, x2, y2 = points.T
-    lam = ((fpow(x1, 2) + fpow(y1, 2)) + fpow(x2, 2)) + fpow(y2, 2)
-    if (lam <= 0).any():
-        raise ValueError("the origin is excluded")
-    if profile is None:
-        ap, app = eh_aprime(t, lam), _eh_asecond(t, lam)
     else:
-        _, ap, app = _profile_slopes(profile, lam)
-    for (i, j), m in _upper(x1, y1, x2, y2, ap, app).items():
-        out[:, i, j], out[:, j, i] = m, -m
-    return out
+        x1, y1, x2, y2 = rows.T
+        lam = ((x1 * x1 + y1 * y1) + x2 * x2) + y2 * y2
+        if (lam <= 0).any():
+            raise ValueError("the origin is excluded")
+        if profile is None:
+            ap, app = eh_aprime(t, lam), _eh_asecond(t, lam)
+        else:
+            _, ap, app = _profile_slopes(profile, lam)
+        for (i, j), m in _upper(x1, y1, x2, y2, ap, app).items():
+            out[:, i, j], out[:, j, i] = m, -m
+    return out if np.ndim(point) == 2 else out[0]
 
 
 def _pfaffian4(up):
@@ -478,20 +457,23 @@ def certificate_to_json(report: dict, path) -> None:
 def fd_d(field, y0, h: float, triples) -> list:
     """Central-difference d of a 2-form field at the point y0: for each
     triple (i, j, k) of 1-based axes, i < j < k, the value
-    (d eta)_ijk = d_i eta_jk - d_j eta_ik + d_k eta_ij.  field(y) returns
-    the coefficients of eta at y keyed by index pairs (i, j), i < j, absent
-    pairs being zero; it is evaluated at y0 +- h e_a once for each axis a
-    that the triples use."""
-    shifted = {}
-    for a in sorted({a for tri in triples for a in tri}):
-        yp, ym = np.array(y0, dtype=float), np.array(y0, dtype=float)
-        yp[a - 1] += h
-        ym[a - 1] -= h
-        shifted[a] = field(yp), field(ym)
+    (d eta)_ijk = d_i eta_jk - d_j eta_ik + d_k eta_ij.  field(ys) takes an
+    (m, dim) array of points and returns the coefficients of eta there as
+    length-m columns keyed by index pairs (i, j), i < j, absent pairs being
+    zero; it is called once, on the points y0 + h e_a and then y0 - h e_a
+    for each axis a that the triples use, in increasing order."""
+    axes = sorted({a for tri in triples for a in tri})
+    y0 = np.asarray(y0, dtype=float)
+    steps = np.zeros((len(axes), len(y0)))
+    steps[np.arange(len(axes)), np.array(axes) - 1] = h
+    cols = field(np.concatenate([y0 + steps, y0 - steps]))
+    row = {a: n for n, a in enumerate(axes)}
 
     def quotient(a, pair):
-        fp, fm = shifted[a]
-        return (float(fp.get(pair, 0.0)) - float(fm.get(pair, 0.0))) / (2.0 * h)
+        if pair not in cols:
+            return 0.0
+        col = cols[pair]
+        return (float(col[row[a]]) - float(col[len(axes) + row[a]])) / (2.0 * h)
 
     return [quotient(i, (j, k)) - quotient(j, (i, k)) + quotient(k, (i, j))
             for i, j, k in triples]
@@ -504,9 +486,9 @@ def closedness_residual(profile: EHProfile, n: int = 6, step: float = 3e-6) -> f
     rng = np.random.default_rng(1)
     hstep = step * t * R
 
-    def field(p):
-        M = omega_at(p, profile=profile)
-        return {(i + 1, j + 1): M[i][j] for i, j in _UPPER}
+    def field(ps):
+        M = omega_at(ps, profile=profile)
+        return {(i + 1, j + 1): M[:, i, j] for i, j in _UPPER}
 
     worst = 0.0
     for _ in range(n):

@@ -228,7 +228,7 @@ def _normalise(B: np.ndarray, detB):
 # exact linear algebra: integer numerators over a common denominator
 # --------------------------------------------------------------------------
 
-def _integer_matrix(M):
+def _integer_numerators(M):
     """(A, D) with M = A / D: A a square integer matrix (nested lists)."""
     n = len(M)
     flat, D = _over_common_denominator(
@@ -265,7 +265,7 @@ def _bareiss(A):
 def det_exact(M):
     """Exact determinant of a square matrix of rationals, as a Fraction:
     Bareiss elimination on its integer numerators over one denominator."""
-    A, D = _integer_matrix(M)
+    A, D = _integer_numerators(M)
     return Fraction(_bareiss(A)[0], D ** len(A))
 
 
@@ -296,7 +296,7 @@ def _inverse_integer(A):
 
 def inverse_exact(M):
     """Exact inverse of a square matrix of rationals, as Fractions."""
-    A, D = _integer_matrix(M)
+    A, D = _integer_numerators(M)
     R, p = _inverse_integer(A)
     return [[Fraction(D * x, p) for x in row] for row in R]
 

@@ -206,9 +206,3 @@ def model_to_dict(model: InvariantModel) -> dict:
     if model.label:
         data["label"] = model.label
     return data
-
-
-def save_model(model: InvariantModel, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(model_to_dict(model), fh, indent=1)
-        fh.write("\n")

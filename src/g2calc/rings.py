@@ -12,9 +12,12 @@ by the form layer (see :mod:`g2calc.forms`).  Helpers here also give
 exact n-th roots of rationals, or None where the root is irrational; each
 caller decides what an irrational root means for it.
 
-A polynomial evaluates at one point (:meth:`Poly.eval`) or at every row of
-a set of point columns (:meth:`Poly.eval_columns`) with the same bits per
-row: both raise powers by Python's float power (:func:`fpow` on columns).
+A polynomial evaluates at one point or, entry by entry, at every row of a
+set of point columns, by one method (:meth:`Poly.eval`).  It raises powers
+by repeated multiplication, x·x·..., which rounds the same for a float and
+for a numpy array, so a row gets the same bits alone or in any batch; the
+sampled quantities built on it (`catalog`, `ehmetric`) follow the same
+x·x policy.
 '''
 from __future__ import annotations
 
@@ -29,16 +32,6 @@ Q = Fraction
 
 RAT = "rational"
 FLT = "float"
-
-
-def fpow(x, k):
-    """x ** k by Python's float power (libm's pow), for a number or entry by
-    entry for an array.  numpy's power rounds differently at some x (its
-    x ** 2 is x * x, and its vector pow is not libm's), so a column kernel
-    that must keep the bits of a per-point loop takes its powers here."""
-    if isinstance(x, np.ndarray):
-        return np.array([v ** k for v in x.ravel().tolist()]).reshape(x.shape)
-    return float(x) ** k
 
 
 class MixedRingError(TypeError):
@@ -256,28 +249,22 @@ class Poly:
             out = out + term
         return out
 
-    def eval(self, point: Mapping[str, float]) -> float:
-        total = 0.0
-        for e, c in self.terms.items():
-            val = float(c)
-            for v, k in zip(self.vars, e):
-                if k:
-                    val *= float(point[v]) ** k
-            total += val
-        return total
-
-    def eval_columns(self, columns: Mapping[str, np.ndarray]) -> np.ndarray:
-        """eval at every row of the point columns (names -> float arrays of
-        one shape): the same terms and factors in the same order, each power
-        by fpow, so an entry is the float that eval gives at its row."""
-        total = np.zeros(np.shape(next(iter(columns.values()))))
-        powers = {}
+    def eval(self, point: Mapping):
+        """Value at a point (names -> numbers), or entry by entry at point
+        columns (names -> float arrays of one shape).  Each power is a
+        repeated product x·x·..., the same for a float and for an array,
+        so an entry is the float that its row gives on its own."""
+        total, powers = 0.0, {}
         for e, c in self.terms.items():
             val = float(c)
             for v, k in zip(self.vars, e):
                 if k:
                     if (v, k) not in powers:
-                        powers[v, k] = fpow(columns[v], k)
+                        x = point[v]
+                        x = x if isinstance(x, np.ndarray) else float(x)
+                        powers[v, k] = x
+                        for _ in range(k - 1):
+                            powers[v, k] = powers[v, k] * x
                     val = val * powers[v, k]
             total = total + val
         return total

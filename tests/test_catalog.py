@@ -1,6 +1,7 @@
 """The two 7-manifold models: closed families, class map, gluing identities."""
 import math
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from g2calc.catalog import (ResolutionForms, ch_map, ffkm_model,
                             measure_quadlem_constant, nakamura_model,
                             phi_abl, phi_abl_mu, phi_check_mu,
                             primitive_ledger, pullback_invariant_form,
-                            resolution_boundary_identity, xi_mu_metric_diag)
+                            resolution_boundary_identity, xi_mu_chart)
 from g2calc.forms import KForm
 from g2calc.g2core import is_g2_type, phi_to_vector, vector_to_phi
 from g2calc.liecdga import d_invariant
@@ -103,7 +104,7 @@ class _LeakyCutoff:
     a, h = inner.a, inner.h
 
     def __call__(self, s):
-        return max(self.inner(s), 1e-9)
+        return np.maximum(self.inner(s), 1e-9)
 
     def deriv(self, s):
         return self.inner.deriv(s)
@@ -305,8 +306,16 @@ def test_sigma_chain_rule_matches_finite_differences(y0):
 
 
 def test_xi_metric_diagonal():
-    assert np.array_equal(xi_mu_metric_diag(2),
-                          np.diag([16.0] * 3 + [0.25] * 4))
+    # the gap norms weigh dy^{1,2,3} by mu^-4 and dy^{4..7} by mu^2: the
+    # metric of xi^mu, computed exactly, is the diagonal of these weights
+    flat = xi_mu_chart().map_coeffs(lambda c: c.terms[(0,) * 7], RAT)
+    for mu in (1, 2, Q(3, 2)):
+        xi = flat + (Q(mu) ** 6 - 1) * KForm.basis(7, (1, 2, 3))
+        g = is_g2_type(xi)
+        weights = catalog._xi_mu_weights(mu)
+        assert g.exact and all(type(w) is Fraction for w in weights)
+        assert g.metric == [[weights[i] if i == j else 0 for j in range(7)]
+                            for i in range(7)], mu
 
 
 def test_quadlem_constant_stable_under_refinement():
@@ -316,10 +325,10 @@ def test_quadlem_constant_stable_under_refinement():
 
 
 def test_quadlem_constant_keeps_the_per_point_values():
-    # the values of the per-point loop that the column evaluation replaced,
-    # at the two inputs of the verify check
+    # pinned values at the two inputs of the verify check; squares are
+    # x * x and each norm sums its terms in sorted key order
     out = measure_quadlem_constant(n=200, seed=0)
-    assert (out["C_alpha"], out["C_dalpha"]) == (0.6439700818724329, 1.69413492740212)
+    assert (out["C_alpha"], out["C_dalpha"]) == (0.6439700818724329, 1.6941349274021202)
     out = measure_quadlem_constant(n=400, seed=1)
     assert (out["C_alpha"], out["C_dalpha"]) == (0.6541065299142246, 1.71769006849451)
 
@@ -334,13 +343,20 @@ def _spread_points(n, seed):
 
 
 def test_poly_eval_columns_matches_eval_at_each_row():
+    # Poly.eval on point columns: each entry is the float of the one-point
+    # call at its row, and of the one-row columns; powers are x * x * ...
     alpha, dalpha, _, _ = catalog._alpha_and_d()
     pts = _spread_points(500, 2)
     cols = catalog._columns(pts)
-    for form in (alpha, dalpha):
-        for idx, c in form.coeffs.items():
-            want = [c.eval(dict(zip(catalog.YVARS, p))) for p in pts.tolist()]
-            assert c.eval_columns(cols).tolist() == want, idx
+    y1 = catalog._y("y1")
+    for c in [y1 ** 4, *alpha.coeffs.values(), *dalpha.coeffs.values()]:
+        batch = c.eval(cols)
+        want = [c.eval(dict(zip(catalog.YVARS, p))) for p in pts.tolist()]
+        assert batch.tolist() == want, c
+        for i in (0, 7, 499):
+            assert c.eval(catalog._columns(pts[i:i + 1])).tolist() == [want[i]]
+    x = cols["y1"]
+    assert (y1 ** 4).eval(cols).tolist() == (x * x * x * x).tolist()
 
 
 def test_norm_in_diag_on_columns_matches_each_point_and_mu():
@@ -358,19 +374,47 @@ def test_norm_in_diag_on_columns_matches_each_point_and_mu():
             assert type(got) is float and got == batch[i, j]
 
 
+def _d_cutoff_by_wedges(point, scale, a, da):
+    """d[f(r/scale) a] = f da + (f'/scale) dr ^ a assembled from forms."""
+    r = catalog._transverse_r(point)
+    f, fd = catalog.DEFAULT_CUTOFF(r / scale), catalog.DEFAULT_CUTOFF.deriv(r / scale)
+    out = f * da.eval_at(point)
+    if fd != 0.0 and r > 0:
+        dr = KForm(7, 1, FLT, {(i,): point[n] / r for i, n in catalog._TRANSVERSE})
+        out = out + (fd / scale) * dr.wedge(a.eval_at(point))
+    return out
+
+
 def test_cutoff_chain_rule_rows_match_the_point_form():
+    # a one-row call, and its view as a form, equal the same row inside a
+    # batch, for the 2-form alpha and for the ledger's 1-form Q; and the
+    # form agrees with a wedge assembly up to the order of its sums
     eps = 0.1
     alpha, dalpha, _, _ = catalog._alpha_and_d()
+    y1, y2 = catalog._y("y1"), catalog._y("y2")
+    Qf = KForm(7, 1, catalog.YRING, {(5,): y2, (3,): Q(1, 2) * y1 * y2})
     # the cutoff's ramp, its zero band, a ramp point on coordinate
     # hyperplanes, and the singular circle itself
     pts = np.array(_RAMP_POINTS + [0.6 * p for p in _RAMP_POINTS]
                    + [[0.06, 0.0, 0.1, 0.2, 0.0, 0.0, 0.3],
                       [0.0, 0.0, 0.1, 0.2, 0.0, 0.0, 0.3]])
-    rows = catalog._d_cutoff_rows(catalog._columns(pts), eps, alpha, dalpha)
-    for row, p in zip(rows, pts.tolist()):
-        form = catalog._d_cutoff_times(dict(zip(catalog.YVARS, p)), eps,
-                                       alpha, dalpha)[0]
-        assert vector_to_phi(row) == form
+    for a in (alpha, Qf):
+        da = a.d_chart()
+        rows, r, f, fd = catalog._d_cutoff_rows(catalog._columns(pts), eps, a, da)
+        assert rows.shape == (len(pts), math.comb(7, a.degree + 1))
+        assert (fd != 0).sum() >= len(_RAMP_POINTS)
+        for i, p in enumerate(pts.tolist()):
+            one = catalog._d_cutoff_rows(catalog._columns(pts[i:i + 1]), eps, a, da)
+            assert [v.tolist() for v in one] == [[v[i].tolist()] for v in (rows, r, f, fd)]
+            form, ri, fi, fdi = catalog._d_cutoff_at(dict(zip(catalog.YVARS, p)),
+                                                     eps, a, da)
+            assert (ri, fi, fdi) == (r[i], f[i], fd[i])
+            assert form.coeffs == {idx: v for idx, v in zip(
+                combinations(range(1, 8), a.degree + 1), rows[i].tolist()) if v}
+            want = _d_cutoff_by_wedges(dict(zip(catalog.YVARS, p)), eps, a, da)
+            assert form.coeffs.keys() == want.coeffs.keys()
+            for idx, v in want.coeffs.items():
+                assert abs(form.coeffs[idx] - v) <= 4e-16 * max(1.0, abs(v)), idx
 
 
 # --------------------------------------------------------------------------
@@ -431,12 +475,12 @@ def _zeta_mu_by_wedges(rf, point):
             - KForm.basis(7, (4,), FLT).wedge(KForm(7, 2, FLT, {(1, 5): 1.0, (2, 6): -1.0}))
             + KForm.basis(7, (7,), FLT).wedge(KForm(7, 2, FLT, {(1, 6): 1.0, (2, 5): 1.0})))
     s = 0.5 * rf.epsilon
-    r = math.sqrt(sum(v ** 2 for v in fib))
+    r = math.sqrt(sum(v * v for v in fib))
     f, fd = catalog.DEFAULT_CUTOFF(r / s), catalog.DEFAULT_CUTOFF.deriv(r / s)
     sigma = f * KForm(7, 3, FLT, {(1, 4, 7): pt["y1"]})
     if fd != 0.0:
         dr = KForm(7, 1, FLT, {(a,): v / r for a, v in zip(axes, fib)})
-        sigma = sigma + (fd / s) * dr.wedge(KForm(7, 2, FLT, {(4, 7): 0.5 * pt["y1"] ** 2}))
+        sigma = sigma + (fd / s) * dr.wedge(KForm(7, 2, FLT, {(4, 7): 0.5 * (pt["y1"] * pt["y1"])}))
     return zeta + rf.mu ** -3 * sigma, f, fd
 
 

@@ -111,7 +111,8 @@ def test_scale_equivariance_is_exact():
 
 def _plateau_integral_unmemoised(u, p, lo, hi, w):
     """The shoulders and flat part of _plateau_integral, each shoulder
-    integrated by _gl afresh on every call."""
+    integrated by _gl afresh on every call, and the flat part's square as
+    the product x * x."""
     if u <= lo - w:
         return 0.0
     mid = 0.5 * (lo + hi)
@@ -119,7 +120,8 @@ def _plateau_integral_unmemoised(u, p, lo, hi, w):
     f = lambda v: v ** p * _plateau(v, lo, hi, w)
     total = _gl(f, lo - w, min(u, flat_lo))
     if u > flat_lo:
-        total += (min(u, flat_hi) ** (p + 1) - flat_lo ** (p + 1)) / (p + 1)
+        top = min(u, flat_hi)
+        total += (top * top - flat_lo * flat_lo) / 2 if p else top - flat_lo
     if u > flat_hi:
         total += _gl(f, flat_hi, min(u, hi + w))
     return total
@@ -150,6 +152,12 @@ def test_shoulder_memo_is_exact(monkeypatch):
     assert len(memo) == len(shapes) * 2 * 2   # shapes x p x side
     for case, value in zip(cases, want):      # every value from the filled memo
         assert _plateau_integral(*case) == value, case
+    batches = {}                              # one array of u per parameter set
+    for (u, *params), value in zip(cases, want):
+        batches.setdefault(tuple(params), []).append((u, value))
+    for params, pairs in batches.items():
+        us, values = zip(*pairs)
+        assert _plateau_integral(np.array(us), *params).tolist() == list(values)
 
 
 def test_profiles_with_one_shape_share_their_shoulders(monkeypatch):
@@ -244,7 +252,7 @@ def test_omega_at_on_a_point_array_matches_per_point_calls(profile, field):
     pts = dirs * r[:, None]
     batch = omega_at(pts, **kw)
     assert batch.shape == (2000, 4, 4)
-    assert [omega_at(tuple(p), **kw) for p in pts.tolist()] == batch.tolist()
+    assert [omega_at(tuple(p), **kw).tolist() for p in pts.tolist()] == batch.tolist()
     assert omega_at(pts[7:8], **kw).tolist() == batch[7:8].tolist()
     if field != "flat":
         with pytest.raises(ValueError, match="origin"):
@@ -403,16 +411,18 @@ def test_fd_d_matches_the_exact_d_of_a_polynomial_form():
     triples = ((1, 2, 3), (1, 2, 4), (1, 2, 5), (1, 3, 6), (2, 5, 6), (4, 5, 7))
     calls = []
 
-    def field(yv):
-        calls.append(tuple(yv))
-        return eta.eval_at(dict(zip(ys, yv))).coeffs
+    def field(points):
+        calls.append(points.tolist())
+        return {idx: c.eval(dict(zip(ys, points.T))) for idx, c in eta.coeffs.items()}
 
     got = fd_d(field, y0, 1e-5, triples)
     assert sum(1 for tri in triples if tri in want) >= 4
     for tri, v in zip(triples, got):
         assert abs(v - want.get(tri, 0.0)) <= 1e-8, tri
-    # each shifted point once: y0 +- h e_a for the 7 axes the triples use
-    assert len(calls) == 2 * 7 == len(set(calls))
+    # one call, each shifted point once: y0 +- h e_a for the 7 axes the
+    # triples use
+    assert len(calls) == 1
+    assert len(calls[0]) == 2 * 7 == len(set(map(tuple, calls[0])))
 
 
 def test_dlam_constant_matches_the_per_point_loop():

@@ -26,3 +26,60 @@ def _unused_imports(path):
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(path) == []
+
+
+#: public functions and methods that no code in src/g2calc calls, with the
+#: reason each one stays
+NO_CALLER_IN_SRC = {
+    # oracles: independent references that tests hold the kernels against
+    "g2core.det_exact": "exact-determinant oracle for tests of the exact G2 data",
+    "g2core.bilinear_from_3form": "wedge-product oracle for the table B-map",
+    "flow.flow_closed_form": "closed-form oracle for the integrated flow line",
+    "forms.KForm.contract": "interior-product oracle for the B-map",
+    # waiting for the exact cohomology checks (ROADMAP item 7)
+    "liecdga.verify_primitive": "to certify the ledger's primitives",
+    "liecdga.InvariantModel.involution_pullback": "to compute invariant classes",
+    # waiting for the certified cutoff (ROADMAP item 8)
+    "catalog.CutoffFn.deriv_bound": "the bound the certified cutoff proves",
+    "catalog.CutoffFn.certify": "the grid check the certified cutoff replaces",
+    # one-point views of the surgery rows, for interactive use
+    "catalog.ResolutionForms.sigma_at": "sigma at one point, as a form",
+    "catalog.ResolutionForms.zeta_mu_at": "zeta^mu at one point, as a form",
+}
+
+
+def _public_defs(tree, module):
+    """(qualified name, def node) of each public module-level function and
+    each public method of a public class."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            yield f"{module}.{node.name}", node
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("_"):
+                    yield f"{module}.{node.name}.{sub.name}", sub
+
+
+def _without_a_caller_in_src():
+    """Public functions and methods whose name no expression in src/g2calc
+    reads outside their own body (a name read as `f` or as `x.f`)."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    reads = []                              # (module, line, name)
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                reads.append((module, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                reads.append((module, node.lineno, node.attr))
+    lonely = []
+    for module, tree in trees.items():
+        for qualname, fn in _public_defs(tree, module):
+            name = fn.name
+            if not any(n == name and not (m == module and fn.lineno <= line <= fn.end_lineno)
+                       for m, line, n in reads):
+                lonely.append(qualname)
+    return sorted(lonely)
+
+
+def test_every_public_function_has_a_caller_in_src():
+    assert _without_a_caller_in_src() == sorted(NO_CALLER_IN_SRC)
