@@ -52,12 +52,11 @@ def _value(flag: str, text, ok=lambda x: x > 0, need: str = "positive") -> float
 # a stable id whose prefix before the first dot names its suite.
 
 def _rand_invariant_form(rng, k, dim=DIM, lo=-4, hi=4) -> KForm:
-    coeffs = {}
-    for idx in combinations(range(1, dim + 1), k):
-        c = int(rng.integers(lo, hi + 1))
-        if c:
-            coeffs[idx] = Fraction(c)
-    return KForm(dim, k, RAT, coeffs)
+    """Integer coefficients in [lo, hi], drawn in one call, one per index in
+    index order (the same draws as one call per index)."""
+    idxs = list(combinations(range(1, dim + 1), k))
+    cs = rng.integers(lo, hi + 1, size=len(idxs)).tolist()
+    return KForm._trusted(dim, k, RAT, dict(zip(idxs, cs)), 1)
 
 
 def _check_graded_commutativity(rng):

@@ -8,14 +8,17 @@ coefficients c_I live in one of the rings of :mod:`g2calc.rings`
 Operations: wedge, contraction with a vector, chart exterior derivative
 (polynomial ring only) and pullback along a polynomial map.
 
-An exact (rational) wedge is summed on integers: each factor is put over
-the lcm of its coefficients' denominators, the integer numerators are
-multiplied and added, and each nonzero output coefficient becomes one
-Fraction at the end.
+A rational form is held as integer numerators over one denominator, the
+lcm of its coefficients' denominators, which makes the pair reduced and
+canonical.  Its wedge, sum, negation, scaling and equality run on these
+integers and build no Fraction; Fractions are made only when `coeffs` is
+read.
 '''
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from types import MappingProxyType
 from typing import Mapping
 
 from .rings import (FLT, RAT, MixedRingError, Poly, _over_common_denominator,
@@ -87,31 +90,15 @@ def _add_term(acc: dict, idx, c) -> None:
         acc[idx] = c
 
 
-def _wedge_exact(a: dict, b: dict) -> dict:
-    """Coefficients of the wedge of two rational forms, keyed in order of
-    first appearance as in the term-by-term loop.  The sums run on integer
-    numerators over the factors' common denominators Da and Db, and each
-    nonzero sum becomes one Fraction(n, Da*Db)."""
-    na, da = _over_common_denominator(a.values())
-    nb, db = _over_common_denominator(b.values())
-    out = {}
-    for i1, x in zip(a, na):
-        for i2, y in zip(b, nb):
-            merged, sign = merge_sign(i1, i2)
-            if sign == 0:
-                continue
-            if merged in out:
-                out[merged] += sign * x * y
-            else:
-                out[merged] = sign * x * y
-    den = da * db
-    return {i: Fraction(n, den) for i, n in out.items() if n}
-
-
 class KForm:
-    """Sparse k-form with coefficients in a single scalar ring."""
+    """Sparse k-form with coefficients in a single scalar ring.
 
-    __slots__ = ("dim", "degree", "ring", "coeffs")
+    A rational form keeps integer numerators over one denominator D > 0,
+    reduced and in the key order of its coefficients.  Built from Fractions
+    it is put over D on its first integer operation; built from integers it
+    makes its Fractions on the first read of the read-only `coeffs`."""
+
+    __slots__ = ("dim", "degree", "ring", "_coeffs", "_num", "_den")
 
     def __init__(self, dim: int, degree: int, ring, coeffs: Mapping[MultiIndex, object]):
         if not (0 <= degree <= dim <= 7):
@@ -127,19 +114,45 @@ class KForm:
             c = coerce_to(ring, c)
             if not scalar_is_zero(c):
                 clean[idx] = c
-        self.coeffs = clean
+        self._coeffs = clean
+        self._num = None
 
     @classmethod
-    def _trusted(cls, dim, degree, ring, coeffs) -> "KForm":
+    def _trusted(cls, dim, degree, ring, coeffs, den=None) -> "KForm":
         """Build a form whose indices are already sorted, in range and of
         length `degree`, and whose coefficients already lie in `ring`; only
-        the zero coefficients are dropped."""
+        the zero coefficients are dropped.  With `den`, `coeffs` holds the
+        integer numerators of a rational form over den > 0, and the pair is
+        reduced here."""
         form = object.__new__(cls)
         form.dim = dim
         form.degree = degree
         form.ring = ring
-        form.coeffs = {i: c for i, c in coeffs.items() if c}
+        if den is None:
+            form._coeffs = {i: c for i, c in coeffs.items() if c}
+            form._num = None
+        else:
+            g = math.gcd(den, *coeffs.values())
+            form._coeffs = None
+            form._num = {i: n // g for i, n in coeffs.items() if n}
+            form._den = den // g
         return form
+
+    @property
+    def coeffs(self):
+        """Read-only view, index -> coefficient."""
+        c = self._coeffs
+        if c is None:
+            den = self._den
+            c = self._coeffs = {i: Fraction(n, den) for i, n in self._num.items()}
+        return MappingProxyType(c)
+
+    def _ints(self):
+        """(numerators, D) of a rational form, made on first use and kept."""
+        if self._num is None:
+            nums, self._den = _over_common_denominator(self._coeffs.values())
+            self._num = dict(zip(self._coeffs, nums))
+        return self._num, self._den
 
     # ----- constructors ---------------------------------------------------
     @classmethod
@@ -194,13 +207,21 @@ class KForm:
         if self.degree != other.degree:
             raise ValueError("cannot add forms of different degree")
         ring = self._match(other)
-        a, b = self.in_ring(ring), other.in_ring(ring)
-        coeffs = dict(a.coeffs)
-        for i, c in b.coeffs.items():
+        den = None
+        if ring == RAT:
+            (na, da), (nb, db) = self._ints(), other._ints()
+            den = math.lcm(da, db)
+            coeffs = {i: n * (den // da) for i, n in na.items()}
+            b = {i: n * (den // db) for i, n in nb.items()}
+        else:
+            coeffs, b = dict(self.in_ring(ring).coeffs), other.in_ring(ring).coeffs
+        for i, c in b.items():
             _add_term(coeffs, i, c)
-        return KForm._trusted(self.dim, self.degree, ring, coeffs)
+        return KForm._trusted(self.dim, self.degree, ring, coeffs, den)
 
     def __neg__(self):
+        if self.ring == RAT:
+            return self.scale(-1)
         return KForm._trusted(self.dim, self.degree, self.ring,
                               {i: -c for i, c in self.coeffs.items()})
 
@@ -219,6 +240,11 @@ class KForm:
                 ring = tag
             else:
                 raise MixedRingError(f"cannot scale {ring} form by {tag} scalar")
+        if ring == RAT:
+            num, den = self._ints()
+            return KForm._trusted(self.dim, self.degree, RAT,
+                                  {i: n * s.numerator for i, n in num.items()},
+                                  den * s.denominator)
         return KForm._trusted(self.dim, self.degree, ring,
                               {i: c * s for i, c in self.in_ring(ring).coeffs.items()})
 
@@ -228,24 +254,32 @@ class KForm:
     def __eq__(self, other):
         if not isinstance(other, KForm):
             return NotImplemented
-        return (self.dim == other.dim and self.degree == other.degree
-                and self.ring == other.ring and self.coeffs == other.coeffs)
+        if (self.dim, self.degree, self.ring) != (other.dim, other.degree, other.ring):
+            return False
+        if self.ring == RAT:
+            return self._ints() == other._ints()
+        return self._coeffs == other._coeffs
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not (self._coeffs if self._num is None else self._num)
 
     # ----- multiplicative structure ----------------------------------------
     def wedge(self, other: "KForm") -> "KForm":
         ring = self._match(other)
-        a, b = self.in_ring(ring), other.in_ring(ring)
         deg = self.degree + other.degree
         if deg > self.dim:
             return KForm.zero(self.dim, min(deg, self.dim), ring)
+        # keys in order of first appearance: a sum that cancels keeps its
+        # place until the zeros are dropped at the end
+        den = None
         if ring == RAT:
-            return KForm._trusted(self.dim, deg, RAT, _wedge_exact(a.coeffs, b.coeffs))
+            (a, da), (b, db) = self._ints(), other._ints()
+            den = da * db
+        else:
+            a, b = self.in_ring(ring).coeffs, other.in_ring(ring).coeffs
         out = {}
-        for i1, c1 in a.coeffs.items():
-            for i2, c2 in b.coeffs.items():
+        for i1, c1 in a.items():
+            for i2, c2 in b.items():
                 merged, sign = merge_sign(i1, i2)
                 if sign == 0:
                     continue
@@ -254,7 +288,7 @@ class KForm:
                     out[merged] = out[merged] + c
                 else:
                     out[merged] = c
-        return KForm._trusted(self.dim, deg, ring, out)
+        return KForm._trusted(self.dim, deg, ring, out, den)
 
     def contract(self, vector) -> "KForm":
         """Interior product with a vector given as components over axes 1..dim

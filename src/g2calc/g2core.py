@@ -148,11 +148,11 @@ def _bilinear_numerators(phi: KForm):
     (nested lists) and d the cube of phi's common denominator.  A and K are
     filled from the triples in phi's support, and only their nonzero entries
     are multiplied."""
-    nums, den = _over_common_denominator(phi.coeffs.values())
+    nums, den = phi._ints()
     # the nonzero (column, value) entries of each row of A and of K
     A = [[] for _ in range(DIM)]
     K = [[] for _ in PAIRS]
-    for idx, x in zip(phi.coeffs, nums):
+    for idx, x in nums.items():
         t = TRIPLE_POS[idx]
         for i, p, s in _A_ENTRIES[t]:
             A[i].append((p, s * x))
@@ -521,16 +521,15 @@ def inner_product(data: G2Data, a: KForm, b: KForm):
     if a.degree != b.degree:
         raise ValueError("inner product needs equal degrees")
     exact = data.exact and a.ring == RAT and b.ring == RAT
-    if not a.coeffs or not b.coeffs:
+    if a.is_zero() or b.is_zero():
         return Fraction(0) if exact else 0.0
-    minors = _gram_minors(data, exact, a.degree, list(a.coeffs), list(b.coeffs))
     if exact:
-        minors, scale = minors
-        na, da = _over_common_denominator(a.coeffs.values())
-        nb, db = _over_common_denominator(b.coeffs.values())
-        return Fraction(scale.numerator * sum(x * sum(y * m for y, m in zip(nb, row))
-                                              for x, row in zip(na, minors)),
+        (na, da), (nb, db) = a._ints(), b._ints()
+        minors, scale = _gram_minors(data, True, a.degree, list(na), list(nb))
+        return Fraction(scale.numerator * sum(x * sum(y * m for y, m in zip(nb.values(), row))
+                                              for x, row in zip(na.values(), minors)),
                         scale.denominator * da * db)
+    minors = _gram_minors(data, False, a.degree, list(a.coeffs), list(b.coeffs))
     ca = np.array([float(c) for c in a.coeffs.values()])
     cb = np.array([float(c) for c in b.coeffs.values()])
     return float(ca @ minors @ cb)
@@ -545,21 +544,18 @@ def hodge_star(data: G2Data, a: KForm) -> KForm:
     """Hodge star for the metric of `data`, defined by a ^ *b = <a,b> vol:
     (*a)_{I'} = sign(I, I') sqrt(det g) sum_J a_J det(g^-1[I, J])."""
     k = a.degree
-    exact = data.exact and a.ring == RAT
-    minors = _gram_minors(data, exact, k, _SUBSETS[k], list(a.coeffs))
-    if exact:
-        minors, scale = minors
-        na, da = _over_common_denominator(a.coeffs.values())
+    if data.exact and a.ring == RAT:
+        na, da = a._ints()
+        minors, scale = _gram_minors(data, True, k, _SUBSETS[k], list(na))
         c = scale * data.sqrt_det
-        num, den = c.numerator, c.denominator * da
-        coeffs = {comp: Fraction(sign * num * sum(x * m for x, m in zip(na, row)), den)
-                  for comp, sign, row in zip(_COMPLEMENTS[k], _STAR_SIGNS[k], minors)}
-    else:
-        sums = (minors @ np.array([float(c) for c in a.coeffs.values()])).tolist()
-        sq = float(data.sqrt_det)
-        coeffs = {comp: s * sq * sign for comp, sign, s
-                  in zip(_COMPLEMENTS[k], _STAR_SIGNS[k], sums)}
-    return KForm._trusted(DIM, DIM - k, RAT if exact else FLT, coeffs)
+        sums = (sign * c.numerator * sum(x * m for x, m in zip(na.values(), row))
+                for sign, row in zip(_STAR_SIGNS[k], minors))
+        return KForm._trusted(DIM, DIM - k, RAT, dict(zip(_COMPLEMENTS[k], sums)), c.denominator * da)
+    minors = _gram_minors(data, False, k, _SUBSETS[k], list(a.coeffs))
+    sums = (minors @ np.array([float(c) for c in a.coeffs.values()])).tolist()
+    sq = float(data.sqrt_det)
+    return KForm._trusted(DIM, DIM - k, FLT, {comp: s * sq * sign for comp, sign, s
+                                              in zip(_COMPLEMENTS[k], _STAR_SIGNS[k], sums)})
 
 
 # --------------------------------------------------------------------------

@@ -8,6 +8,7 @@ catalogue and by the command line tool.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 from .forms import KForm, _add_term, merge_sign
@@ -36,36 +37,46 @@ class StructureEqs:
             f = d_gen[i]
             if f is None:
                 f = KForm.zero(dim, 2, RAT)
-            if f.degree != 2 or f.dim != dim:
-                raise ValueError("structure equations must be 2-forms")
+            if f.degree != 2 or f.dim != dim or f.ring != RAT:
+                raise ValueError("structure equations must be rational 2-forms")
             self.d_gen.append(f)
+        # d_invariant's integer table: d(theta^i) as (pair, n) rows over self._den
+        ints = [f._ints() for f in self.d_gen]
+        self._den = math.lcm(*(d for _, d in ints))
+        self._rows = [[(pair, n * (self._den // d)) for pair, n in num.items()]
+                      for num, d in ints]
 
 
 def d_invariant(eqs: StructureEqs, form: KForm) -> KForm:
     """Derivation extension of the structure equations.
 
     d(theta^I) = sum_k (-1)^{k-1} theta^{i_1..} ^ d(theta^{i_k}) ^ ..theta^{i_m},
-    collected with constant coefficients (rational or float).
+    collected with constant coefficients.  A rational form runs on its integer
+    numerators and those of eqs' table, over the product of the denominators.
     """
     dim = eqs.dim
     if form.degree >= dim:
         return KForm.zero(dim, dim, form.ring)
+    if form.ring == RAT:
+        terms, den = form._ints()
+        rows, den = eqs._rows, den * eqs._den
+    else:
+        terms, den = form.coeffs, None
+        rows = [[(pair, coerce_to(form.ring, c)) for pair, c in dg.coeffs.items()]
+                for dg in eqs.d_gen]
     out = {}
-    for idx, c in form.coeffs.items():
+    for idx, c in terms.items():
         for pos, axis in enumerate(idx):
-            dg = eqs.d_gen[axis - 1]
-            if dg.is_zero():
-                continue
             rest = idx[:pos] + idx[pos + 1:]
-            for pair, c2 in dg.coeffs.items():
+            for pair, c2 in rows[axis - 1]:
                 merged, sign = merge_sign(pair, rest)
                 if sign == 0:
                     continue
-                total = c * coerce_to(form.ring, c2)
+                total = c * c2
                 if (sign == 1) != (pos % 2 == 0):
                     total = -total
                 _add_term(out, merged, total)
-    return KForm._trusted(dim, form.degree + 1, form.ring, out)
+    return KForm._trusted(dim, form.degree + 1, form.ring, out, den)
 
 
 def check_d_squared(eqs: StructureEqs) -> None:
@@ -108,7 +119,10 @@ def _frac(s) -> Fraction:
 
 
 def _form_from_json(dim, entries) -> KForm:
-    terms = [( tuple(idx), _frac(c)) for c, idx in entries]
+    terms = [(tuple(idx), _frac(c)) for c, idx in entries]
+    for entry, (idx, _) in zip(entries, terms):
+        if len(set(idx)) != len(idx):
+            raise ValueError(f"term {entry!r} repeats an axis in its multi-index")
     deg = len(terms[0][0]) if terms else 0
     return KForm.from_terms(dim, deg, terms, RAT)
 

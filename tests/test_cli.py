@@ -235,3 +235,20 @@ def test_eh_certificate_check_fails_when_positivity_fails(tmp_path, steep_profil
     row = status["eh.positivity_and_volume"]
     assert row["status"] == "fail"
     assert row["detail"].startswith("ConstructionFailed: positivity margin")
+
+
+def test_random_invariant_forms_take_one_draw_per_index():
+    # the forms (and the generator state after them) of one vectorised draw
+    # are those of one scalar draw per index, in index order
+    from itertools import combinations
+    for seed in range(5):
+        scalar, batched = np.random.default_rng(seed), np.random.default_rng(seed)
+        for k in (0, 1, 2, 3, 7, 4, 2):
+            want = {}
+            for idx in combinations(range(1, 8), k):
+                c = int(scalar.integers(-4, 5))
+                if c:
+                    want[idx] = c
+            got = cli._rand_invariant_form(batched, k)
+            assert got.coeffs == want and list(got.coeffs) == list(want)
+        assert scalar.random() == batched.random()

@@ -421,3 +421,148 @@ def test_poly_arithmetic_rejects_bool_operands():
         y1 + True
     assert y1 != True  # noqa: E712 -- compares unequal rather than as 1
     assert Poly.const(YVARS, 1) == 1
+
+
+# --------------------------------------------------------------------------
+# rational forms held as integer numerators over one denominator
+# --------------------------------------------------------------------------
+
+def _reduced_pair(coeffs):
+    """(numerators, D) of a Fraction dict, by hand: D the lcm of the
+    denominators (1 for an empty dict)."""
+    den = math.lcm(*(c.denominator for c in coeffs.values()))
+    return {i: int(c * den) for i, c in coeffs.items()}, den
+
+
+def _reference_add(a, b):
+    """a + b one Fraction at a time; a sum that cancels leaves the dict, so a
+    key that comes back goes to the end."""
+    out = dict(a.coeffs)
+    for i, c in b.coeffs.items():
+        if i not in out:
+            out[i] = c
+        elif out[i] + c:
+            out[i] += c
+        else:
+            del out[i]
+    return out
+
+
+def assert_rational_form(got, want):
+    """`got` is the rational form whose Fraction coefficients are the dict
+    `want`: the same reduced pair as a form built from `want`, and the same
+    Fractions in the same key order."""
+    num, den = got._ints()
+    assert (num, den) == _reduced_pair(want)
+    assert list(num) == list(want)
+    assert den > 0 and math.gcd(den, *num.values()) == 1
+    for built in (KForm(got.dim, got.degree, RAT, want),
+                  KForm._trusted(got.dim, got.degree, RAT, want)):
+        assert built._ints() == (num, den)
+        assert built == got and got == built
+    assert got.coeffs == want and list(got.coeffs) == list(want)
+    assert all(type(c) is Fraction and c for c in got.coeffs.values())
+    assert got.is_zero() == (not want)
+
+
+def _rational_form(rng, k):
+    coeffs = {idx: Fraction(rng.randint(-6, 6), rng.randint(1, 8))
+              for idx in combinations(range(1, DIM + 1), k) if rng.random() < 0.5}
+    return KForm(DIM, k, RAT, coeffs)
+
+
+SCALARS = (0, 1, -1, 2, Fraction(-3, 4), Fraction(5, 9))
+
+
+def test_every_rational_operation_gives_the_reduced_pair_of_the_fraction_loop():
+    rng = random.Random(41)
+    eqs = ffkm_model().eqs
+    n_cancel = 0
+    for _ in range(120):
+        k = rng.randint(0, 4)
+        a, b = _rational_form(rng, k), _rational_form(rng, rng.randint(0, 3))
+        # c cancels a on some keys; a - a cancels everywhere
+        c = KForm(DIM, k, RAT, {i: -v if rng.random() < 0.5 else v / 3
+                                for i, v in a.coeffs.items()})
+        s = rng.choice(SCALARS)
+        cases = [(a, dict(a.coeffs)),
+                 (a.wedge(b), _reference_wedge(a, b).coeffs),
+                 (a + c, _reference_add(a, c)),
+                 (a - a, {}),
+                 (-a, {i: -v for i, v in a.coeffs.items()}),
+                 (a.scale(s), {i: v * s for i, v in a.coeffs.items() if s}),
+                 (s * a.wedge(b), {i: v * s for i, v in _reference_wedge(a, b).coeffs.items()
+                                   if s})]
+        d = d_invariant(eqs, a)
+        cases.append((d, KForm(DIM, d.degree, RAT, d.coeffs).coeffs))
+        for got, want in cases:
+            assert_rational_form(got, want)
+        n_cancel += (a + c).is_zero() or len(_reference_add(a, c)) < len(a.coeffs)
+    assert n_cancel > 20
+
+
+def test_rational_operations_build_no_fractions(monkeypatch):
+    eqs = nakamura_model().eqs
+    # built from integers, so neither side holds Fractions yet
+    a = KForm._trusted(DIM, 2, RAT, {(1, 2): 3, (2, 5): -4, (3, 4): 6}, 8)
+    b = KForm._trusted(DIM, 1, RAT, {(1,): 5, (6,): -1}, 3)
+    s = Fraction(-3, 4)
+    made = []
+    monkeypatch.setattr(Fraction, "__new__", lambda *args, **kw: made.append(args))
+    outs = [a.wedge(b), a + a.scale(s), -a, a - a, 2 * a, d_invariant(eqs, a)]
+    same = [a == a.scale(1), outs[0] == b.wedge(a), outs[3].is_zero()]
+    monkeypatch.undo()
+    assert made == []
+    assert same == [True, True, True]
+    for form in [a, b] + outs:
+        assert form._coeffs is None
+    assert a.coeffs == {(1, 2): Fraction(3, 8), (2, 5): Fraction(-1, 2), (3, 4): Fraction(3, 4)}
+    assert a._ints() == ({(1, 2): 3, (2, 5): -4, (3, 4): 6}, 8)
+    assert_rational_form(outs[1], {i: v / 4 for i, v in a.coeffs.items()})
+
+
+def test_coeffs_are_built_once_and_kept(monkeypatch):
+    made = []
+
+    def counting_fraction(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(forms_module, "Fraction", counting_fraction)
+    a = KForm._trusted(DIM, 1, RAT, {(3,): 2, (1,): -6, (2,): 0}, 4)
+    assert a._ints() == ({(3,): 1, (1,): -3}, 2)       # reduced, zero dropped
+    first = a.coeffs
+    assert made == [(1, 2), (-3, 2)]
+    assert list(first.items()) == [((3,), Fraction(1, 2)), ((1,), Fraction(-3, 2))]
+    assert a.coeffs == first and made == [(1, 2), (-3, 2)]
+    with pytest.raises(TypeError):
+        first[(2,)] = Fraction(1)               # the view is read-only
+    # a form built from Fractions keeps them, and makes its pair once
+    f = KForm(DIM, 1, RAT, first)
+    num, _ = f._ints()
+    assert f._ints()[0] is num
+    assert f.coeffs == first and len(made) == 2
+
+
+def test_equality_agrees_with_the_fraction_dicts():
+    rng = random.Random(2)
+    half = Fraction(1, 2)
+
+    def small_form():
+        # few terms and few values, so that equal pairs come up often
+        return KForm(DIM, 1, RAT, {(i,): rng.choice((half, -half, 1))
+                                   for i in (1, 2) if rng.random() < 0.7})
+
+    def rebuilds(f):
+        # the same form from Fractions and by integer operations
+        return [f, f.scale(Fraction(2, 3)).scale(Fraction(3, 2)), f + KForm.zero(DIM, 1), -(-f)]
+
+    verdicts = set()
+    for _ in range(200):
+        f, g = small_form(), small_form()
+        for x in rebuilds(f):
+            for y in rebuilds(g):
+                same = x.coeffs == y.coeffs
+                assert (x == y) == same and (y == x) == same
+                verdicts.add(same)
+    assert verdicts == {True, False}

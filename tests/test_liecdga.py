@@ -7,7 +7,7 @@ from itertools import combinations
 import pytest
 
 from g2calc.catalog import ffkm_model, nakamura_model
-from g2calc.forms import KForm, sort_with_sign
+from g2calc.forms import KForm, _add_term, merge_sign, sort_with_sign
 from g2calc.liecdga import (InvariantModel, JacobiError, StructureEqs,
                             check_d_squared, d_invariant, load_model,
                             model_from_dict, model_to_dict, verify_primitive)
@@ -111,6 +111,13 @@ BAD_MODELS = {
                               "1 or -1"),
     "involution_omits_generator": (_two_dim_model(involution={"a": "-1"}),
                                    r"omits generators \['b'\]"),
+    # KForm.from_terms would drop these terms as zero
+    "repeated_axis": (_two_dim_model(d={"a": [["1", [1, 2]], ["5", [1, 1]]]}),
+                      r"\['5', \[1, 1\]\] repeats an axis"),
+    "repeated_axis_named_form": (dict(_two_dim_model(), named_forms={"w": [["1", [2, 2]]]}),
+                                 "repeats an axis"),
+    "repeated_axis_witness": (dict(_two_dim_model(), witnesses={"w": {
+        "primitive": [["1", [1]]], "target": [["1", [2, 2]]]}}), "repeats an axis"),
 }
 
 
@@ -141,6 +148,11 @@ def test_d_squared_vanishes_on_random_forms(model):
 def test_structure_eqs_reject_wrong_degree():
     with pytest.raises(ValueError):
         StructureEqs(DIM, [KForm.basis(DIM, (1, 2, 3))] + [None] * 6)
+
+
+def test_structure_eqs_reject_float_constants():
+    with pytest.raises(ValueError, match="rational"):
+        StructureEqs(DIM, [KForm.basis(DIM, (1, 2), FLT)] + [None] * 6)
 
 
 def _d_invariant_term_by_term(eqs, form):
@@ -178,3 +190,71 @@ def test_d_invariant_matches_term_by_term_sum(model, ring):
         assert got == want
         # same coefficients bit for bit, in the same order
         assert list(got.coeffs.items()) == list(want.coeffs.items())
+
+
+def _d_invariant_fraction_loop(eqs, form):
+    """d_invariant as one Fraction (or float) product per term, each structure
+    constant coerced into the form's ring, summed through _add_term."""
+    dim = eqs.dim
+    if form.degree >= dim:
+        return KForm.zero(dim, dim, form.ring)
+    out = {}
+    for idx, c in form.coeffs.items():
+        for pos, axis in enumerate(idx):
+            dg = eqs.d_gen[axis - 1]
+            if dg.is_zero():
+                continue
+            rest = idx[:pos] + idx[pos + 1:]
+            for pair, c2 in dg.coeffs.items():
+                merged, sign = merge_sign(pair, rest)
+                if sign == 0:
+                    continue
+                total = c * coerce_to(form.ring, c2)
+                if (sign == 1) != (pos % 2 == 0):
+                    total = -total
+                _add_term(out, merged, total)
+    return KForm._trusted(dim, form.degree + 1, form.ring, out)
+
+
+def _two_thirds_eqs():
+    # the model of test_rational_coefficients_survive_serialization, with a
+    # second fractional constant so that the table's denominator is an lcm
+    return StructureEqs(DIM, [None, None, None, kf2((Fraction(2, 3), (1, 2))),
+                              kf2((Fraction(-5, 4), (1, 3)), (Fraction(1, 6), (2, 4))),
+                              None, None])
+
+
+def assert_same_d(eqs, form):
+    got, want = d_invariant(eqs, form), _d_invariant_fraction_loop(eqs, form)
+    assert got == want
+    assert list(got.coeffs.items()) == list(want.coeffs.items())
+    assert all(type(c) is type(w) for c, w in zip(got.coeffs.values(), want.coeffs.values()))
+
+
+@pytest.mark.parametrize("make_eqs", [lambda: nakamura_model().eqs, lambda: ffkm_model().eqs,
+                                      _two_thirds_eqs], ids=["nakamura", "ffkm", "two_thirds"])
+def test_integer_d_invariant_matches_the_fraction_loop_on_every_basis_form(make_eqs):
+    eqs = make_eqs()
+    n = 0
+    for k in range(DIM):
+        for idx in combinations(range(1, DIM + 1), k):
+            assert_same_d(eqs, KForm.basis(DIM, idx, RAT, Fraction(3, 7)))
+            n += 1
+    assert n == 2 ** DIM - 1
+
+
+@pytest.mark.parametrize("make_eqs", [lambda: nakamura_model().eqs, lambda: ffkm_model().eqs,
+                                      _two_thirds_eqs], ids=["nakamura", "ffkm", "two_thirds"])
+def test_integer_d_invariant_matches_the_fraction_loop_on_random_forms(make_eqs):
+    eqs = make_eqs()
+    rng = random.Random(17)
+    for _ in range(80):
+        k = rng.randint(0, DIM)
+        coeffs = {idx: Fraction(rng.randint(-6, 6), rng.randint(1, 12))
+                  for idx in combinations(range(1, DIM + 1), k) if rng.random() < 0.6}
+        form = KForm(DIM, k, RAT, coeffs)
+        # built from Fractions, from integers (a wedge), and in floats
+        assert_same_d(eqs, form)
+        assert_same_d(eqs, form.wedge(KForm.basis(DIM, (rng.randint(1, DIM),), RAT,
+                                                  Fraction(1, 5))))
+        assert_same_d(eqs, form.in_ring(FLT))
