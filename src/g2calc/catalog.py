@@ -29,7 +29,8 @@ import numpy as np
 from .ehmetric import (_UPPER, _plateau, _plateau_integral, _scalar_or_array,
                        fd_d, omega_at)
 from .forms import KForm, PolynomialMap, chart_vars, merge_sign, poly_ring
-from .g2core import TRIPLE_POS, is_g2_type, norm, phi_to_vector, vector_to_phi
+from .g2core import (TRIPLE_POS, TRIPLES, is_g2_type, metric_batch, norm,
+                     phi_to_vector, vector_to_phi)
 from .liecdga import InvariantModel, StructureEqs, check_d_squared, d_invariant
 from .rings import FLT, RAT, Poly
 
@@ -304,14 +305,15 @@ def _columns(points) -> dict:
     return {n: points[:, i] for i, n in enumerate(YVARS)}
 
 
-def _transverse_point(r: float) -> dict:
-    """A fixed chart point, off the coordinate hyperplanes, at transverse
-    distance r from the singular circle."""
-    pt = dict(zip(YVARS, (0.6, -0.3, 0.4, 0.2, 0.5, 0.7, -0.1)))
-    scale = r / _transverse_r(pt)
-    for _, n in _TRANSVERSE:
-        pt[n] *= scale
-    return pt
+def _transverse_points(radii) -> np.ndarray:
+    """Chart points on one fixed ray, off the coordinate hyperplanes, at
+    these transverse distances from the singular circle, as an (n, 7) array."""
+    ray = np.array([[0.6, -0.3, 0.4, 0.2, 0.5, 0.7, -0.1]])
+    points = np.repeat(ray, len(radii), axis=0)
+    scale = np.asarray(radii, dtype=float) / _transverse_r(_columns(ray))
+    for axis, _ in _TRANSVERSE:
+        points[:, axis - 1] *= scale
+    return points
 
 
 def _row_keys(degree: int) -> list:
@@ -322,22 +324,21 @@ def _row_keys(degree: int) -> list:
 def _d_cutoff_rows(cols: dict, scale: float, a: KForm, da: KForm):
     """d[f(r/scale) a] = f da + (f'/scale) dr ^ a, for a polynomial k-form a
     with da = a.d_chart() and f = DEFAULT_CUTOFF, on point columns (names ->
-    arrays of shape (n,)) or at one point (names -> floats): the
-    coefficients in the order of _row_keys(k + 1), as (n, C(7, k+1)) rows or
-    one row, with r, f and f'.  Every operation is entry by entry, so a
-    point gets the same bits alone or in any batch."""
+    arrays of shape (n,)): the (n, C(7, k+1)) coefficient rows in the order
+    of _row_keys(k + 1), with the columns r, f and f'.  Every operation is
+    entry by entry, so a point gets the same bits alone or in any batch."""
     r = _transverse_r(cols)
     f, fd = DEFAULT_CUTOFF(r / scale), DEFAULT_CUTOFF.deriv(r / scale)
     pos = {idx: i for i, idx in enumerate(_row_keys(a.degree + 1))}
-    rows = np.zeros(np.shape(r) + (len(pos),))
+    rows = np.zeros((len(r), len(pos)))
     for idx, c in da.coeffs.items():
-        rows[..., pos[idx]] = c.eval(cols) * f
+        rows[:, pos[idx]] = c.eval(cols) * f
     on = (fd != 0.0) & (r > 0)
     if np.any(on):
         av = {idx: c.eval(cols) for idx, c in a.coeffs.items()}
         wedge = {}
         for i, n in _TRANSVERSE:
-            dr = np.divide(cols[n], r, out=np.zeros(np.shape(r)), where=on)
+            dr = np.divide(cols[n], r, out=np.zeros(len(r)), where=on)
             for idx, c in av.items():
                 merged, sign = merge_sign((i,), idx)
                 if sign:
@@ -345,18 +346,8 @@ def _d_cutoff_rows(cols: dict, scale: float, a: KForm, da: KForm):
                     wedge[merged] = wedge[merged] + term if merged in wedge else term
         step = np.where(on, fd / scale, 0.0)
         for idx, c in wedge.items():
-            rows[..., pos[idx]] += c * step
+            rows[:, pos[idx]] += c * step
     return rows, r, f, fd
-
-
-def _d_cutoff_at(point: dict, scale: float, a: KForm, da: KForm):
-    """_d_cutoff_rows at one chart point (absent coordinates 0), as
-    (float form, r, f, f')."""
-    pt = {n: float(point.get(n, 0.0)) for n in YVARS}
-    row, r, f, fd = _d_cutoff_rows(pt, scale, a, da)
-    form = KForm._trusted(7, a.degree + 1, FLT,
-                          dict(zip(_row_keys(a.degree + 1), row.tolist())))
-    return form, r, f, fd
 
 
 def chart_map(base_chart: int, extra_vars=()) -> PolynomialMap:
@@ -445,12 +436,10 @@ def _flat_xi(ring, c123=None) -> KForm:
     return KForm(7, 3, ring, coeffs)
 
 
-def xi_mu_chart(symbolic: bool = False):
-    """xi^mu = mu^6 dy^{123} + the six remaining flat terms; with
-    symbolic=True the coefficient mu^6 is the polynomial variable u."""
-    if symbolic:
-        return _flat_xi(YURING, Poly.var(YUVARS, "u"))
-    return _flat_xi(YRING)
+def xi_mu_chart():
+    """xi^mu = u dy^{123} + the six remaining flat terms, with u = mu^6 a
+    polynomial variable."""
+    return _flat_xi(YURING, Poly.var(YUVARS, "u"))
 
 
 def _xi_mu_weights(mu) -> list:
@@ -478,7 +467,7 @@ def alpha_a():
 def master_identity_check() -> bool:
     """phi^mu - xi^mu = y1 dy^{147} + d(alpha) exactly, with mu^6 symbolic."""
     phi_mu = _phi_check_mu_chart_symbolic()
-    xi = xi_mu_chart(symbolic=True)
+    xi = xi_mu_chart()
     alpha, _, _ = alpha_a()
     alpha_u = _promote_to_u(alpha)
     rhs = _promote_to_u(_dy((1, 4, 7)).scale(_y("y1"))) + alpha_u.d_chart()
@@ -517,33 +506,42 @@ def _eval_columns(form: KForm, cols: dict) -> dict:
     return {idx: c.eval(cols) for idx, c in form.coeffs.items()}
 
 
-def glued_form_at(point: dict, mu: float, epsilon: float = DEFAULT_EPSILON) -> dict:
-    """Evaluate phi^mu = xi^mu + y1 dy^{147} + d[f(r/eps) alpha] at a point
-    of the chart ball r < eps; report the gap |phi^mu - xi^mu| in the xi^mu
-    norm and a definiteness certificate."""
+#: the coefficient row of xi^1, the flat FFKM form, in TRIPLES order
+_FLAT_XI_ROW = phi_to_vector(KForm.from_terms(7, 3, _FFKM_TERMS, RAT))
+
+
+def glued_form_at(points, mu: float, epsilon: float = DEFAULT_EPSILON) -> dict:
+    """phi^mu = xi^mu + y1 dy^{147} + d[f(r/eps) alpha] at an (n, 7) array of
+    points of the chart ball r < eps, as columns: "phi", the (n, 35)
+    coefficient rows in TRIPLES order; "metric" and "sqrt_det" from one
+    metric_batch call, which raises NotStableError at the first indefinite
+    row; "gap", |phi^mu - xi^mu| in the xi^mu norm; and r, f and f'.  A
+    row does not depend on the other points."""
     if epsilon <= 0:
         raise ValueError("chart radius must be positive")
-    if not _transverse_r(point) < epsilon:
-        raise ValueError(f"point outside the chart ball of radius {epsilon}")
-    pt = {n: float(point.get(n, 0.0)) for n in YVARS}
+    cols = _columns(points)
     alpha, dalpha, _, _ = _alpha_and_d()
-    xi = xi_mu_chart().eval_at(pt)  # mu enters via the dy123 coefficient:
-    xi = xi + (float(mu) ** 6 - 1.0) * KForm.basis(7, (1, 2, 3), FLT)
-    bump = KForm(7, 3, FLT, {(1, 4, 7): pt["y1"]})
-    corr, r, fval, fder = _d_cutoff_at(pt, epsilon, alpha, dalpha)
-    phi = xi + bump + corr
-    gdata = is_g2_type(phi)
-    gap = _norm_in_diag((bump + corr).coeffs, _xi_mu_weights(mu))
-    return {"phi": phi, "g2": gdata, "gap": gap, "r": r,
-            "f": fval, "fprime": fder}
+    corr, r, fval, fder = _d_cutoff_rows(cols, epsilon, alpha, dalpha)
+    if not np.all(r < epsilon):
+        raise ValueError(f"point outside the chart ball of radius {epsilon}")
+    # phi^mu = (xi^mu + y1 dy^{147}) + d[f alpha], summed in this order
+    y1, p147 = cols["y1"], TRIPLE_POS[(1, 4, 7)]
+    phi = np.repeat(_FLAT_XI_ROW[None], len(r), axis=0)
+    phi[:, TRIPLE_POS[(1, 2, 3)]] += float(mu) ** 6 - 1.0
+    phi[:, p147] += y1
+    phi += corr
+    corr[:, p147] += y1                     # now phi^mu - xi^mu
+    gap = _norm_in_diag(dict(zip(TRIPLES, corr.T)), _xi_mu_weights(mu))
+    g, sqrt_det = metric_batch(phi)
+    return {"phi": phi, "metric": g, "sqrt_det": sqrt_det, "gap": gap,
+            "r": r, "f": fval, "fprime": fder}
 
 
-def _norm_in_diag(coeffs: dict, weights):
-    """Norm of a form, given by its coefficients, in the diagonal metric
-    with these 7 weights.  The coefficients are floats, or columns of them
-    (then a column of norms), and weights of shape (7, m) give m norms in
-    the last axis; each entry has the bits of one point and one weight set,
-    the sum running over the coefficients in sorted key order."""
+def _norm_in_diag(coeffs: dict, weights) -> np.ndarray:
+    """Norms of a form, given by its coefficient columns, in the diagonal
+    metric with these 7 weights; weights of shape (7, m) give m norms in the
+    last axis.  Each entry has the bits of one point and one weight set, the
+    sum running over the coefficients in sorted key order."""
     ginv = 1.0 / np.asarray(weights, dtype=float)
     total = 0.0
     for idx in sorted(coeffs):
@@ -551,8 +549,7 @@ def _norm_in_diag(coeffs: dict, weights):
         for axis in idx:
             w = w * ginv[axis - 1]
         total = total + w
-    root = np.sqrt(total)
-    return root if root.ndim else float(root)
+    return np.sqrt(total)
 
 
 def measure_quadlem_constant(epsilon: float = DEFAULT_EPSILON,
@@ -616,10 +613,9 @@ class ResolutionForms:
     form by the interpolated Kaehler form omega_t; zeta^mu = zeta + mu^-3 sigma.
     zeta_mu_rows writes the (n, 35) coefficient rows of zeta^mu at an (n, 7)
     array of chart points (zeta_rows those of zeta): omega_t from omega_at
-    and sigma from the chain rule _d_cutoff_rows, both on point columns.
-    sigma_at and zeta_mu_at are one-row calls shown as forms.  Squares (r,
-    lam, (y1)^2) are products x·x, so a point has the same bits alone or in
-    a batch.
+    and sigma from the chain rule _d_cutoff_rows, both on point columns; a
+    point is a one-row call.  Squares (r, lam, (y1)^2) are products x·x, so
+    a point has the same bits alone or in a batch.
     """
 
     #: the potential (y1)^2/2 dy^{47} of sigma and its d
@@ -657,45 +653,37 @@ class ResolutionForms:
         cols = _columns(points)
         return self._zeta_rows(cols) + self.mu ** -3 * self._sigma_rows(cols)
 
-    def sigma_at(self, point: dict) -> KForm:
-        return vector_to_phi(self._sigma_rows(_columns(_point_row(point)))[0])
-
-    def zeta_mu_at(self, point: dict) -> KForm:
-        return vector_to_phi(self.zeta_mu_rows(_point_row(point))[0])
-
     def margins(self, n: int = 200, seed: int = 0) -> dict:
-        """|zeta^mu - zeta|_zeta on the outer region {r >= eps/2} (bound
-        eps/2) and on the inner region (bound C/mu^3, C reported)."""
+        """|zeta^mu - zeta|_zeta = mu^-3 |sigma|_zeta, with |sigma|_zeta
+        measured once per point, on the outer region {r >= eps/2} and on the
+        inner region; both gaps must stay below eps/2, the inner one being
+        C/mu^3 for the largest inner |sigma|_zeta = C (reported)."""
         rng = np.random.default_rng(seed)
         points, targets = [], []
         for _ in range(n):
-            pt = rng.uniform(-1.0, 1.0, size=7)
-            rr = _transverse_r(dict(zip(YVARS, pt)))
+            points.append(rng.uniform(-1.0, 1.0, size=7))
             inner = rng.random() < 0.5
             target = (rng.uniform(0.02, 0.499) if inner
                       else rng.uniform(0.5, 0.999 * self.mu ** 3 / 2 + 0.5))
-            target = min(target, 4.0) * self.epsilon
-            for axis, _ in _TRANSVERSE:
-                pt[axis - 1] *= target / max(rr, 1e-12)
-            points.append(pt)
-            targets.append(target)
+            targets.append(min(target, 4.0) * self.epsilon)
+        points, targets = np.array(points), np.array(targets)
+        stretch = targets / np.maximum(_transverse_r(_columns(points)), 1e-12)
+        for axis, _ in _TRANSVERSE:
+            points[:, axis - 1] *= stretch
         cols = _columns(points)
-        outer_gap, inner_gap, inner_C = 0.0, 0.0, 0.0
-        for z, s, target in zip(self._zeta_rows(cols), self._sigma_rows(cols),
-                                targets):
-            gz = is_g2_type(vector_to_phi(z))
-            s = vector_to_phi(s)
-            gap = norm(gz, (self.mu ** -3) * s)
-            if target >= 0.5 * self.epsilon:
-                outer_gap = max(outer_gap, gap)
-            else:
-                inner_gap = max(inner_gap, gap)
-                inner_C = max(inner_C, norm(gz, s))
-        return {"outer_gap": outer_gap, "outer_bound": 0.5 * self.epsilon,
+        sizes = np.array([norm(is_g2_type(vector_to_phi(z)), vector_to_phi(s))
+                          for z, s in zip(self._zeta_rows(cols),
+                                          self._sigma_rows(cols))])
+        outer = targets >= 0.5 * self.epsilon
+        inner_C = float(sizes[~outer].max(initial=0.0))
+        outer_gap = float(self.mu ** -3 * sizes[outer].max(initial=0.0))
+        inner_gap = self.mu ** -3 * inner_C
+        bound = 0.5 * self.epsilon
+        return {"outer_gap": outer_gap, "outer_bound": bound,
                 "inner_gap": inner_gap, "inner_C": inner_C,
-                "inner_bound_ok": inner_gap <= inner_C / self.mu ** 3 + 1e-12,
+                "inner_bound_ok": inner_gap <= bound + 1e-12,
                 "mu": self.mu, "epsilon": self.epsilon, "n": n, "seed": seed,
-                "g2_certified": (outer_gap <= 0.5 * self.epsilon + 1e-12)}
+                "g2_certified": outer_gap <= bound + 1e-12}
 
 
 def resolution_boundary_identity() -> bool:
@@ -781,14 +769,13 @@ def primitive_ledger(mu, epsilon: float = DEFAULT_EPSILON) -> list:
     eps = float(epsilon)
     cQ, cdQ = c6 * Qf, c6 * Qf.d_chart()
     band = DEFAULT_CUTOFF.a - DEFAULT_CUTOFF.h
-
-    def cutoff_term(s):
-        return _d_cutoff_at(_transverse_point(s * eps), eps, cQ, cdQ)[0]
-
+    # four points in the zero band, then the control point
+    radii = np.array([0.05, 0.25, 0.5 * band, band, 0.75]) * eps
+    rows = _d_cutoff_rows(_columns(_transverse_points(radii)), eps, cQ, cdQ)[0]
+    zero = ~rows.any(axis=1)
     entry("interface W", "d(f c6 Q) vanishes where r/eps is in the cutoff's "
           f"zero band [0, {band:g}]",
-          all(cutoff_term(s).is_zero() for s in (0.05, 0.25, 0.5 * band, band))
-          and cutoff_term(0.75).is_zero() == (c6 == 0))
+          bool(zero[:4].all() and zero[4] == (c6 == 0)))
 
     # near the outer interface f == 1: primitive reduces to the outer value
     outer_val = P1 + cdQ

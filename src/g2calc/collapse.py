@@ -24,9 +24,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import (DEFAULT_EPSILON, ResolutionForms, _FFKM_TERMS, _lam_sq,
-                      glued_form_at, nakamura_model, phi_abl_mu, phi_check_mu)
+                      _point_row, glued_form_at, nakamura_model, phi_abl_mu,
+                      phi_check_mu)
 from .forms import KForm
-from .g2core import DIM, is_g2_type, standard_phi, phi_to_vector, metric_batch
+from .g2core import (DIM, is_g2_type, metric_batch, phi_to_vector, standard_phi,
+                     vector_to_phi)
 from .rings import FLT
 
 
@@ -50,7 +52,7 @@ class MetricSample:
         """Operator-norm distance to the closed-form limit."""
         if self.limit is None:
             raise ValueError("sample has no attached limit metric")
-        return float(np.linalg.norm(self.matrix - self.limit, ord=2))
+        return _op_norm(self.matrix - self.limit)
 
 
 def _op_norm(m) -> float:
@@ -104,11 +106,10 @@ def rescaled_decay_exponents(alpha, beta, lam, mu1: float, mu2: float) -> dict:
     """Measured decay rates of the two tail blocks of the rescaled metric:
     the fiber sympletic block (expected mu^-6) and the (g^2, g^3) block
     (expected mu^-12)."""
-    g1 = nakamura_metric(alpha, beta, lam, mu1, rescaled=True).matrix
-    g2 = nakamura_metric(alpha, beta, lam, mu2, rescaled=True).matrix
-    s = math.log(mu2 / mu1)
-    return {"omega_block": math.log(g2[3, 3] / g1[3, 3]) / s,
-            "transverse_block": math.log(g2[1, 1] / g1[1, 1]) / s}
+    mus = (mu1, mu2)
+    g = [nakamura_metric(alpha, beta, lam, mu, rescaled=True).matrix for mu in mus]
+    return {"omega_block": _loglog_slope(mus, [m[3, 3] for m in g]),
+            "transverse_block": _loglog_slope(mus, [m[1, 1] for m in g])}
 
 
 # ----- convergence premises ---------------------------------------------------
@@ -242,10 +243,10 @@ def ffkm_region_metrics(region: str, point, mu,
                             limit=w_limit_metric(y1))
     if region == "chart":
         pt = dict(point)
-        res = glued_form_at(pt, m, epsilon)
-        g = res["g2"].metric_array() / m ** 4
+        res = glued_form_at(_point_row(pt), m, epsilon)
+        g = res["metric"][0] / m ** 4
         return MetricSample(region, tuple(sorted(pt.items())), m, g,
-                            limit=_chart_limit_metric(res["phi"]))
+                            limit=_chart_limit_metric(vector_to_phi(res["phi"][0])))
     raise ValueError(f"unknown region {region!r}")
 
 

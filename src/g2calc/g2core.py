@@ -61,7 +61,15 @@ def standard_phi(ring=RAT) -> KForm:
 
 
 class NotStableError(ValueError):
-    """The 3-form is not of definite type."""
+    """The 3-form is not of definite type.  Raised for a batch of rows,
+    `row` is the index of the first row that fails."""
+    row = None
+
+
+def _row_error(message: str, row: int) -> NotStableError:
+    err = NotStableError(f"{message} at sample {row}")
+    err.row = row
+    return err
 
 
 class OrientationMismatchError(ValueError):
@@ -198,13 +206,14 @@ def bilinear_batch(phis: np.ndarray) -> np.ndarray:
 def metric_batch(phis: np.ndarray):
     """(g, sqrt_det_g) arrays for a batch of coefficient rows.
 
-    Raises NotStableError as soon as one row fails definiteness.
+    Raises NotStableError, whose `row` is the index of the first row that
+    fails definiteness.
     """
     B = bilinear_batch(phis)
     detB = np.linalg.det(B)
     if np.any(detB <= 0):
         bad = int(np.argmax(detB <= 0))
-        raise NotStableError(f"det B = {detB[bad]:.3e} <= 0 at sample {bad}")
+        raise _row_error(f"det B = {detB[bad]:.3e} <= 0", bad)
     return _normalise(B, detB)
 
 
@@ -219,8 +228,7 @@ def _normalise(B: np.ndarray, detB):
     low = np.linalg.eigvalsh(g)[:, 0]
     if np.any(low <= 0):
         bad = int(np.argmax(low <= 0))
-        raise NotStableError(f"normalised metric has eigenvalue {low[bad]:.3e} "
-                             f"<= 0 at sample {bad}")
+        raise _row_error(f"normalised metric has eigenvalue {low[bad]:.3e} <= 0", bad)
     return g, np.sqrt(np.linalg.det(g))
 
 
@@ -317,9 +325,7 @@ class G2Data:
     (see the module docstring); its ``vol_cubed`` is always a Fraction.
     """
 
-    def __init__(self, phi: KForm, metric, metric_inv, sqrt_det, exact: bool = False):
-        if exact:
-            raise ValueError("exact G2Data is built from integers by is_g2_type")
+    def __init__(self, phi: KForm, metric, metric_inv, sqrt_det):
         self.phi, self.sqrt_det, self.exact = phi, sqrt_det, False
         self.vol_cubed = sqrt_det ** 3
         # instance attributes shadow the lazy views below

@@ -6,17 +6,17 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from g2calc import catalog, ehmetric
+from g2calc import catalog, cli, ehmetric
 from g2calc.catalog import (ResolutionForms, ch_map, ffkm_model,
                             glued_form_at, master_identity_check,
                             measure_quadlem_constant, nakamura_model,
                             phi_abl, phi_abl_mu, phi_check_mu,
                             primitive_ledger, pullback_invariant_form,
-                            resolution_boundary_identity, xi_mu_chart)
+                            resolution_boundary_identity)
 from g2calc.forms import KForm
-from g2calc.g2core import is_g2_type, phi_to_vector, vector_to_phi
+from g2calc.g2core import is_g2_type, metric_batch, phi_to_vector, vector_to_phi
 from g2calc.liecdga import d_invariant
-from g2calc.rings import FLT, RAT
+from g2calc.rings import FLT
 
 Q = Fraction
 
@@ -119,6 +119,26 @@ def test_interface_w_row_needs_the_cutoff_to_vanish(monkeypatch):
     assert row(1)["status"] == "pass"       # mu = 1: c6 = 0 kills the term
 
 
+class _FlatCutoff(_LeakyCutoff):
+    """A cutoff that never leaves 0, so it has no ramp either."""
+
+    def __call__(self, s):
+        return np.zeros_like(s)
+
+    def deriv(self, s):
+        return np.zeros_like(s)
+
+
+def test_interface_w_row_needs_the_control_point_not_to_vanish(monkeypatch):
+    # the fifth probe point sits in the ramp: with c6 != 0 the term must not
+    # vanish there, or the zero-band test proves nothing
+    def row(mu):
+        return next(r for r in primitive_ledger(mu) if r["region"] == "interface W")
+    monkeypatch.setattr(catalog, "DEFAULT_CUTOFF", _FlatCutoff())
+    assert row(2)["status"] == "fail"
+    assert row(1)["status"] == "pass"
+
+
 def test_master_gluing_identity_exact():
     # phi^mu - xi^mu = y1 dy^{147} + d(alpha), symbolic in (y, mu)
     assert master_identity_check()
@@ -142,31 +162,36 @@ def test_pullback_of_invariant_forms_is_closed():
 def test_glued_form_definite_and_gap_small():
     rng = np.random.default_rng(0)
     for mu in (1, 2, 8):
-        for _ in range(8):
-            pt = {f"y{i}": float(rng.uniform(-0.05, 0.05)) for i in range(1, 8)}
-            out = glued_form_at(pt, mu)
-            assert out["g2"] is not None
-            assert out["gap"] < 1.0
+        out = glued_form_at(rng.uniform(-0.05, 0.05, size=(8, 7)), mu)
+        assert out["phi"].shape == (8, 35) and out["metric"].shape == (8, 7, 7)
+        assert out["sqrt_det"].shape == out["gap"].shape == (8,)
+        assert (out["gap"] < 1.0).all()
 
 
 def test_glued_form_outside_chart_rejected():
-    with pytest.raises(ValueError):
-        glued_form_at({"y1": 10.0}, 2)
+    pts = np.zeros((3, 7))
+    pts[1, 0] = 10.0
+    with pytest.raises(ValueError, match="outside the chart ball"):
+        glued_form_at(pts, 2)
 
 
 @pytest.mark.parametrize("eps", [0.0, -0.1])
 def test_glued_form_rejects_a_nonpositive_radius(eps):
     with pytest.raises(ValueError, match="chart radius must be positive"):
-        glued_form_at({"y1": 0.01}, 2, eps)
+        glued_form_at([[0.01, 0, 0, 0, 0, 0, 0]], 2, eps)
 
 
 def test_glued_form_outer_region_is_invariant():
     # once the cutoff saturates (r/eps >= 0.99 within tolerance of 1) the
-    # glued form coincides with the invariant xi^mu plus the bump term
-    pt = {"y1": 0.099, "y2": 0.0, "y5": 0.0, "y6": 0.0, "y4": 0.3, "y7": 0.1}
-    out = glued_form_at(pt, 2)
-    assert out["f"] == pytest.approx(1.0)
-    assert out["fprime"] == 0.0
+    # glued form is xi^mu + y1 dy^{147} + d(alpha), the chart expression of
+    # the invariant form phi_check_mu
+    point = [0.099, 0.0, 0.0, 0.3, 0.0, 0.0, 0.1]
+    out = glued_form_at([point], 2)
+    assert out["f"][0] == pytest.approx(1.0)
+    assert out["fprime"][0] == 0.0
+    invariant = pullback_invariant_form(phi_check_mu(2))
+    want = phi_to_vector(invariant.eval_at(dict(zip(catalog.YVARS, point))))
+    assert out["phi"][0] == pytest.approx(want, rel=1e-14, abs=1e-15)
 
 
 def test_default_cutoff_certifies_its_defining_properties():
@@ -281,11 +306,11 @@ def test_glued_form_chain_rule_matches_finite_differences(y0):
         f = catalog.DEFAULT_CUTOFF(math.sqrt(y[0] ** 2 + y[1] ** 2 + y[4] ** 2 + y[5] ** 2) / eps)
         return {idx: f * c for idx, c in alpha.eval_at(pt).coeffs.items()}
 
-    pt = dict(zip(catalog.YVARS, (float(v) for v in y0)))
-    out = glued_form_at(pt, mu, eps)
-    assert 0.0 < out["fprime"]
-    xi = catalog.xi_mu_chart().eval_at(pt) + (mu ** 6 - 1.0) * KForm.basis(7, (1, 2, 3), FLT)
-    corr = out["phi"] - xi - KForm(7, 3, FLT, {(1, 4, 7): pt["y1"]})
+    out = glued_form_at([y0], mu, eps)
+    assert 0.0 < out["fprime"][0]
+    xi = (ffkm_model().named_forms["phi"].in_ring(FLT)
+          + (mu ** 6 - 1.0) * KForm.basis(7, (1, 2, 3), FLT))
+    corr = vector_to_phi(out["phi"][0]) - xi - KForm(7, 3, FLT, {(1, 4, 7): float(y0[0])})
     _assert_matches_fd(corr, field, y0)
 
 
@@ -299,16 +324,16 @@ def test_sigma_chain_rule_matches_finite_differences(y0):
         r = math.sqrt(y[0] ** 2 + y[1] ** 2 + y[4] ** 2 + y[5] ** 2)
         return {(4, 7): catalog.DEFAULT_CUTOFF(2.0 * r / eps) * 0.5 * y[0] ** 2}
 
-    pt = dict(zip(catalog.YVARS, (float(v) for v in y0)))
-    r = math.sqrt(pt["y1"] ** 2 + pt["y2"] ** 2 + pt["y5"] ** 2 + pt["y6"] ** 2)
+    r = math.sqrt(y0[0] ** 2 + y0[1] ** 2 + y0[4] ** 2 + y0[5] ** 2)
     assert 0.0 < catalog.DEFAULT_CUTOFF.deriv(2.0 * r / eps)
-    _assert_matches_fd(ResolutionForms(4, eps).sigma_at(pt), field, y0)
+    _assert_matches_fd(vector_to_phi(_sigma_rows(ResolutionForms(4, eps), [y0])[0]),
+                       field, y0)
 
 
 def test_xi_metric_diagonal():
     # the gap norms weigh dy^{1,2,3} by mu^-4 and dy^{4..7} by mu^2: the
     # metric of xi^mu, computed exactly, is the diagonal of these weights
-    flat = xi_mu_chart().map_coeffs(lambda c: c.terms[(0,) * 7], RAT)
+    flat = ffkm_model().named_forms["phi"]
     for mu in (1, 2, Q(3, 2)):
         xi = flat + (Q(mu) ** 6 - 1) * KForm.basis(7, (1, 2, 3))
         g = is_g2_type(xi)
@@ -369,14 +394,15 @@ def test_norm_in_diag_on_columns_matches_each_point_and_mu():
     assert batch.shape == (len(pts), len(mus))
     for i, p in enumerate(pts.tolist()):
         coeffs = alpha.eval_at(dict(zip(catalog.YVARS, p))).coeffs
+        row = {idx: np.array([c]) for idx, c in coeffs.items()}
         for j, mu in enumerate(mus):
-            got = catalog._norm_in_diag(coeffs, catalog._xi_mu_weights(mu))
-            assert type(got) is float and got == batch[i, j]
+            got = catalog._norm_in_diag(row, catalog._xi_mu_weights(mu))
+            assert got.tolist() == [batch[i, j]]
 
 
 def _d_cutoff_by_wedges(point, scale, a, da):
     """d[f(r/scale) a] = f da + (f'/scale) dr ^ a assembled from forms."""
-    r = catalog._transverse_r(point)
+    r = math.sqrt(sum(point[n] * point[n] for _, n in catalog._TRANSVERSE))
     f, fd = catalog.DEFAULT_CUTOFF(r / scale), catalog.DEFAULT_CUTOFF.deriv(r / scale)
     out = f * da.eval_at(point)
     if fd != 0.0 and r > 0:
@@ -385,10 +411,41 @@ def _d_cutoff_by_wedges(point, scale, a, da):
     return out
 
 
+def test_glued_form_rows_match_one_row_calls_and_a_form_assembly():
+    # every column of a batch call holds, row by row, the bits of the
+    # one-row call; a row is xi^mu + y1 dy^{147} + d[f(r/eps) alpha]
+    # assembled from forms at the point, up to the order of its sums, and
+    # its metric is the one is_g2_type gives the row's form
+    eps, mu = 0.1, 2
+    alpha, dalpha, _, _ = catalog._alpha_and_d()
+    xi = (ffkm_model().named_forms["phi"].in_ring(FLT)
+          + (mu ** 6 - 1.0) * KForm.basis(7, (1, 2, 3), FLT))
+    weights = catalog._xi_mu_weights(mu)
+    pts = np.array(_RAMP_POINTS + [0.6 * p for p in _RAMP_POINTS]
+                   + [[0.03, 0.0, 0.1, 0.2, 0.0, 0.0, 0.3], np.zeros(7)])
+    out = glued_form_at(pts, mu, eps)
+    assert (out["fprime"] != 0).sum() >= len(_RAMP_POINTS)
+    for i, p in enumerate(pts.tolist()):
+        one = glued_form_at(pts[i:i + 1], mu, eps)
+        assert one.keys() == out.keys()
+        for key, col in out.items():
+            assert one[key].tolist() == [col[i].tolist()], key
+        point = dict(zip(catalog.YVARS, p))
+        gap = (KForm(7, 3, FLT, {(1, 4, 7): point["y1"]})
+               + _d_cutoff_by_wedges(point, eps, alpha, dalpha))
+        assert out["phi"][i] == pytest.approx(phi_to_vector(xi + gap), rel=1e-15, abs=1e-16)
+        want = catalog._norm_in_diag(dict(zip(catalog.TRIPLES, phi_to_vector(gap)[:, None])),
+                                     weights)[0]
+        assert out["gap"][i] == pytest.approx(want, rel=1e-14)
+        data = is_g2_type(vector_to_phi(out["phi"][i]))
+        assert out["metric"][i].tolist() == data.metric
+        assert out["sqrt_det"][i] == pytest.approx(data.sqrt_det, rel=1e-14)
+
+
 def test_cutoff_chain_rule_rows_match_the_point_form():
-    # a one-row call, and its view as a form, equal the same row inside a
-    # batch, for the 2-form alpha and for the ledger's 1-form Q; and the
-    # form agrees with a wedge assembly up to the order of its sums
+    # a one-row call equals the same row inside a batch, for the 2-form
+    # alpha and for the ledger's 1-form Q; and the row agrees with a wedge
+    # assembly at the point up to the order of its sums
     eps = 0.1
     alpha, dalpha, _, _ = catalog._alpha_and_d()
     y1, y2 = catalog._y("y1"), catalog._y("y2")
@@ -406,15 +463,12 @@ def test_cutoff_chain_rule_rows_match_the_point_form():
         for i, p in enumerate(pts.tolist()):
             one = catalog._d_cutoff_rows(catalog._columns(pts[i:i + 1]), eps, a, da)
             assert [v.tolist() for v in one] == [[v[i].tolist()] for v in (rows, r, f, fd)]
-            form, ri, fi, fdi = catalog._d_cutoff_at(dict(zip(catalog.YVARS, p)),
-                                                     eps, a, da)
-            assert (ri, fi, fdi) == (r[i], f[i], fd[i])
-            assert form.coeffs == {idx: v for idx, v in zip(
-                combinations(range(1, 8), a.degree + 1), rows[i].tolist()) if v}
+            got = {idx: v for idx, v in zip(combinations(range(1, 8), a.degree + 1),
+                                            rows[i].tolist()) if v}
             want = _d_cutoff_by_wedges(dict(zip(catalog.YVARS, p)), eps, a, da)
-            assert form.coeffs.keys() == want.coeffs.keys()
+            assert got.keys() == want.coeffs.keys()
             for idx, v in want.coeffs.items():
-                assert abs(form.coeffs[idx] - v) <= 4e-16 * max(1.0, abs(v)), idx
+                assert abs(got[idx] - v) <= 4e-16 * max(1.0, abs(v)), idx
 
 
 # --------------------------------------------------------------------------
@@ -433,29 +487,48 @@ def test_resolution_forms_reject_a_nonpositive_epsilon(profile, with_profile):
             ResolutionForms(2, eps, profile=profile if with_profile else None)
 
 
+def _sigma_rows(rf, points):
+    """The (n, 35) coefficient rows of sigma at an (n, 7) point array."""
+    return rf._sigma_rows(catalog._columns(points))
+
+
 def test_resolution_margins_certified(profile):
     out = ResolutionForms(8, 0.1, profile=profile).margins(n=60, seed=0)
     assert out["g2_certified"]
     assert out["inner_bound_ok"]
     assert out["outer_gap"] <= 0.05 + 1e-12
+    # the inner gap is C/mu^3 for the largest inner |sigma|_zeta = C
+    assert out["inner_gap"] == 8.0 ** -3 * out["inner_C"] > 0.0
+
+
+def test_resolution_margins_fail_for_a_large_sigma(profile, monkeypatch):
+    # sigma scaled by 10^3 puts C/mu^3 past eps/2 on the inner region: the
+    # inner bound, and so the verify check, must fail
+    rows = ResolutionForms._sigma_rows
+    monkeypatch.setattr(ResolutionForms, "_sigma_rows",
+                        lambda self, cols: 1e3 * rows(self, cols))
+    out = ResolutionForms(8, 0.1, profile=profile).margins(n=80, seed=0)
+    assert out["inner_C"] / 8.0 ** 3 > out["outer_bound"] == 0.05
+    assert not out["inner_bound_ok"]
+    assert cli._check_resolution_margins(np.random.default_rng(0))[0] is False
 
 
 def test_sigma_vanishes_at_exceptional_locus(profile):
     rf = ResolutionForms(4, 0.1, profile=profile)
-    s = rf.sigma_at({"y1": 0.0, "y2": 0.0, "y5": 0.0, "y6": 0.0})
-    assert s.is_zero()
+    assert not _sigma_rows(rf, np.zeros((1, 7))).any()
 
 
 def test_sigma_saturates_outside(profile):
     rf = ResolutionForms(4, 0.1, profile=profile)
-    s = rf.sigma_at({"y1": 0.2})
-    assert s.coeffs[(1, 4, 7)] == pytest.approx(0.2)
+    row = _sigma_rows(rf, [[0.2, 0, 0, 0, 0, 0, 0]])[0]
+    assert row[catalog.TRIPLE_POS[(1, 4, 7)]] == pytest.approx(0.2)
 
 
 def test_zeta_mu_definite_across_regions(profile):
     rf = ResolutionForms(8, 0.1, profile=profile)
-    for r in (0.02, 0.05, 0.2, 1.0):
-        is_g2_type(rf.zeta_mu_at({"y1": r}))  # raises if indefinite
+    pts = np.zeros((4, 7))
+    pts[:, 0] = (0.02, 0.05, 0.2, 1.0)
+    metric_batch(rf.zeta_mu_rows(pts))  # raises if a row is indefinite
 
 
 def _zeta_mu_by_wedges(rf, point):
@@ -511,7 +584,7 @@ def test_zeta_mu_rows_match_a_form_assembly(profile, region):
         point = dict(zip(catalog.YVARS, p))
         want, f, fd = _zeta_mu_by_wedges(rf, point)
         assert row.tolist() == phi_to_vector(want).tolist()
-        assert rf.zeta_mu_at(point) == want
+        assert rf.zeta_mu_rows([p])[0].tolist() == row.tolist()
         fds.append(fd)
     if region == "ramp":
         assert all(fd != 0.0 for fd in fds)

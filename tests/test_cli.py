@@ -9,7 +9,7 @@ import pytest
 
 from g2calc import catalog, cli, ehmetric
 from g2calc.cli import build_suites, main
-from g2calc.g2core import G2Data, NotStableError
+from g2calc.g2core import G2Data
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 VERIFY_IDS = [cid for checks in build_suites(0).values() for cid, _ in checks]
@@ -202,7 +202,7 @@ def test_collapse_command_reports_lambda_one(tmp_path, capsys):
 def _float_copy(data):
     return G2Data(data.phi, [[float(x) for x in row] for row in data.metric],
                   [[float(x) for x in row] for row in data.metric_inv],
-                  float(data.sqrt_det), exact=False)
+                  float(data.sqrt_det))
 
 
 @pytest.mark.parametrize("check", ["_check_standard_metric", "_check_su2_nu8",
@@ -217,13 +217,17 @@ def test_exact_checks_reject_a_float_metric_with_exact_values(check, monkeypatch
 
 
 def test_glued_definite_check_names_the_indefinite_point(monkeypatch):
-    def unstable(phi):
-        raise NotStableError("normalised metric not positive definite")
-    monkeypatch.setattr(catalog, "is_g2_type", unstable)
+    # -phi has det B < 0: flip the fifth of the first mu's ten points
+    flip = np.ones((10, 1))
+    flip[4] = -1.0
+    batch = catalog.metric_batch
+    monkeypatch.setattr(catalog, "metric_batch", lambda rows: batch(rows * flip))
     ok, detail = cli._check_glued_definite(np.random.default_rng(0))
+    fifth = np.random.default_rng(0).uniform(-0.05, 0.05, size=(10, 7))[4]
     assert not ok
-    assert detail.startswith("not definite at mu=1, (y1=")
-    assert detail.endswith("normalised metric not positive definite")
+    assert detail.startswith(f"not definite at mu=1, (y1={fifth[0]:.4g}, y2=")
+    assert f"y7={fifth[6]:.4g}): det B = " in detail
+    assert detail.endswith("<= 0 at sample 4")
 
 
 def test_eh_certificate_check_fails_when_positivity_fails(tmp_path, steep_profiles,

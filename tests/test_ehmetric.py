@@ -9,7 +9,7 @@ import pytest
 from g2calc import ehmetric
 from g2calc.catalog import DEFAULT_CUTOFF
 from g2calc.ehmetric import (ConstructionFailed, EHProfile, Infeasible,
-                             _adaptive_simpson, _gl, _plateau,
+                             _gl, _plateau,
                              _plateau_integral, _profile_slopes, _psi,
                              build_profile,
                              certificate_to_json, closedness_residual,
@@ -64,6 +64,25 @@ def test_mass_identity_exact(profile):
     # integral of k over [0, q] equals -t^4, via the analytic moment
     t = profile.t
     assert abs(profile.h(profile.q) + t ** 4) < 1e-10 * t ** 4
+
+
+def _adaptive_simpson(f, a, b, tol, fa=None, fb=None, fm=None, depth=30):
+    """Adaptive Simpson quadrature of f on [a, b], with Richardson's
+    correction: the reference the mollifier's Gauss-Legendre rule is held
+    against."""
+    fa = f(a) if fa is None else fa
+    fb = f(b) if fb is None else fb
+    m = 0.5 * (a + b)
+    fm = f(m) if fm is None else fm
+    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
+    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
+    flm, frm = f(lm), f(rm)
+    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
+    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
+    if depth <= 0 or abs(left + right - whole) <= 15.0 * tol:
+        return left + right + (left + right - whole) / 15.0
+    return (_adaptive_simpson(f, a, m, tol / 2.0, fa, fm, flm, depth - 1)
+            + _adaptive_simpson(f, m, b, tol / 2.0, fm, fb, frm, depth - 1))
 
 
 def test_mass_identity_independent_quadrature(profile):

@@ -33,18 +33,18 @@ def test_no_unused_imports(path):
 NO_CALLER_IN_SRC = {
     # oracles: independent references that tests hold the kernels against
     "g2core.det_exact": "exact-determinant oracle for tests of the exact G2 data",
-    "g2core.bilinear_from_3form": "wedge-product oracle for the table B-map",
     "flow.flow_closed_form": "closed-form oracle for the integrated flow line",
     "forms.KForm.contract": "interior-product oracle for the B-map",
+    "forms.KForm.eval_at": "one-point reference that the tests assemble chart rows against",
+    # the table B-map of one form, which the tests hold against the
+    # wedge-product oracle tests/test_g2core.py::_wedge_bilinear
+    "g2core.bilinear_from_3form": "the B-map of one form, as nested lists",
     # waiting for the exact cohomology checks (ROADMAP item 7)
     "liecdga.verify_primitive": "to certify the ledger's primitives",
     "liecdga.InvariantModel.involution_pullback": "to compute invariant classes",
     # waiting for the certified cutoff (ROADMAP item 8)
     "catalog.CutoffFn.deriv_bound": "the bound the certified cutoff proves",
     "catalog.CutoffFn.certify": "the grid check the certified cutoff replaces",
-    # one-point views of the surgery rows, for interactive use
-    "catalog.ResolutionForms.sigma_at": "sigma at one point, as a form",
-    "catalog.ResolutionForms.zeta_mu_at": "zeta^mu at one point, as a form",
 }
 
 
