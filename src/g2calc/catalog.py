@@ -292,11 +292,10 @@ def _y(name, vars=YVARS):
 _TRANSVERSE = ((1, "y1"), (2, "y2"), (5, "y5"), (6, "y6"))
 
 
-def _transverse_r(point):
-    """Distance sqrt(y1^2 + y2^2 + y5^2 + y6^2) to the singular circle, at a
-    point or, entry by entry with the same bits, at point columns."""
-    r = np.sqrt(sum(x * x for x in (point.get(n, 0.0) for _, n in _TRANSVERSE)))
-    return r if r.ndim else float(r)
+def _transverse_r(cols: dict) -> np.ndarray:
+    """Distance sqrt(y1^2 + y2^2 + y5^2 + y6^2) to the singular circle, entry
+    by entry on point columns (names -> arrays)."""
+    return np.sqrt(sum(cols[n] * cols[n] for _, n in _TRANSVERSE))
 
 
 def _columns(points) -> dict:

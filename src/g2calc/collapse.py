@@ -27,8 +27,8 @@ from .catalog import (DEFAULT_EPSILON, ResolutionForms, _FFKM_TERMS, _lam_sq,
                       _point_row, glued_form_at, nakamura_model, phi_abl_mu,
                       phi_check_mu)
 from .forms import KForm
-from .g2core import (DIM, is_g2_type, metric_batch, phi_to_vector, standard_phi,
-                     vector_to_phi)
+from .g2core import (DIM, TRIPLE_POS, TRIPLES, is_g2_type, metric_batch,
+                     phi_to_vector, standard_phi)
 from .rings import FLT
 
 
@@ -200,19 +200,21 @@ def interior_limit_metric() -> np.ndarray:
     return np.diag([1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 0.0])
 
 
-def _chart_limit_metric(phi_hat: KForm) -> np.ndarray:
-    """Large-mu limit of g^mu on a gluing chart.  In the adapted coframe
+#: positions in TRIPLES of the triples with exactly two fiber indices (4..7)
+_FIBER_PAIR_POS = [i for i, t in enumerate(TRIPLES) if sum(j >= 4 for j in t) == 2]
+
+
+def _chart_limit_metric(phi_row: np.ndarray) -> np.ndarray:
+    """Large-mu limit of g^mu on a gluing chart, from the (35,) coefficient
+    row of phi^mu in TRIPLES order.  In the adapted coframe
     (dy^1, dy^2, dy^3, mu^{-3} dy^4, ..., mu^{-3} dy^7) the form phi^mu
     becomes a mu-independent perturbation of the standard 3-form plus
     O(mu^{-3}) terms; the limit metric is the base block of the metric of
     that perturbation, extended by zero on the fiber."""
-    coeffs = {}
-    for idx, c in phi_hat.coeffs.items():
-        fiber = sum(1 for i in idx if i >= 4)
-        if fiber == 2:
-            coeffs[idx] = float(c)
-    coeffs[(1, 2, 3)] = 1.0
-    g = is_g2_type(KForm(DIM, 3, FLT, coeffs)).metric_array()
+    hat = np.zeros(len(TRIPLES))
+    hat[_FIBER_PAIR_POS] = phi_row[_FIBER_PAIR_POS]
+    hat[TRIPLE_POS[(1, 2, 3)]] = 1.0
+    g = metric_batch(hat[None])[0][0]
     g[3:, :] = 0.0
     g[:, 3:] = 0.0
     return g
@@ -246,7 +248,7 @@ def ffkm_region_metrics(region: str, point, mu,
         res = glued_form_at(_point_row(pt), m, epsilon)
         g = res["metric"][0] / m ** 4
         return MetricSample(region, tuple(sorted(pt.items())), m, g,
-                            limit=_chart_limit_metric(vector_to_phi(res["phi"][0])))
+                            limit=_chart_limit_metric(res["phi"][0]))
     raise ValueError(f"unknown region {region!r}")
 
 
