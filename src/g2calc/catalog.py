@@ -14,9 +14,10 @@
 All polynomial identities here are verified in exact rational arithmetic;
 the smooth cutoff enters numerically only.  Each sampled quantity (the
 cutoff, the chain rule d[f(r/s) a], the surgery forms, the gap norms) has
-one implementation on point columns, and a single point is a one-row call;
-squares are products x·x, as in `rings`, so a point gets the same bits
-alone or in any batch.
+one implementation, and it takes arrays only: the cutoff an array of s, the
+others point columns; a single s or point is a one-element call.  Squares
+are products x·x, as in `rings`, so a point gets the same bits alone or in
+any batch.
 '''
 from __future__ import annotations
 
@@ -26,8 +27,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .ehmetric import (_UPPER, _plateau, _plateau_integral, _scalar_or_array,
-                       fd_d, omega_at)
+from .ehmetric import _UPPER, _plateau, _plateau_integral, fd_d, omega_at
 from .forms import KForm, PolynomialMap, chart_vars, merge_sign, poly_ring
 from .g2core import (TRIPLE_POS, TRIPLES, is_g2_type, metric_batch, norm,
                      phi_to_vector, vector_to_phi)
@@ -56,10 +56,10 @@ class CutoffFn:
     overlap and the value is only within about 1e-11.  The lower shoulder's
     complete integral is computed once per (ramp_lo, ramp_hi, h) and
     memoised; a value inside a shoulder integrates that part on every call.
-    The value and the derivative have one path for a float s and for an
-    array of them (a float is a one-element array), so an entry does not
-    depend on its batch; like every sampled quantity here they square by
-    the product x·x, never by a float power.
+    The value and the derivative take a 1-d array of s only (a single s
+    is a one-element call), so an entry does not depend on its batch; like
+    every sampled quantity here they square by the product x·x, never by a
+    float power.
     """
 
     def __init__(self, ramp_lo=0.55, ramp_hi=0.95, h=0.04):
@@ -67,13 +67,11 @@ class CutoffFn:
             raise ValueError("mollified ramp must stay inside (1/2, 1]")
         self.a, self.b, self.h = float(ramp_lo), float(ramp_hi), float(h)
 
-    @_scalar_or_array
     def __call__(self, s):
         # exactly 0 below the ramp, where no shoulder has begun
         total = _plateau_integral(s, 0, self.a, self.b, self.h) / (self.b - self.a)
         return np.where(s >= self.b + self.h, 1.0, np.clip(total, 0.0, 1.0))
 
-    @_scalar_or_array
     def deriv(self, s):
         outside = (s <= self.a - self.h) | (s >= self.b + self.h)
         return np.where(outside, 0.0, _plateau(s, self.a, self.b, self.h) / (self.b - self.a))

@@ -477,7 +477,7 @@ def _check_eh_mass(rng):
     worst = 0.0
     for t in (0.5, 1.0, 2.0):
         p = ehmetric.build_profile(t, 4.0, 1.0)
-        worst = max(worst, abs(p.h(p.q) + t ** 4) / t ** 4)
+        worst = max(worst, abs(p.h(np.array([p.q]))[0] + t ** 4) / t ** 4)
     return worst < 1e-10, f"relative defect of integral(k) = -t^4: {worst:.3e}"
 
 

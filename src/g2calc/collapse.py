@@ -27,8 +27,8 @@ from .catalog import (DEFAULT_EPSILON, ResolutionForms, _FFKM_TERMS, _lam_sq,
                       _point_row, glued_form_at, nakamura_model, phi_abl_mu,
                       phi_check_mu)
 from .forms import KForm
-from .g2core import (DIM, TRIPLE_POS, TRIPLES, is_g2_type, metric_batch,
-                     phi_to_vector, standard_phi)
+from .g2core import (DIM, TRIPLE_POS, TRIPLES, NotStableError, is_g2_type,
+                     metric_batch, phi_to_vector, standard_phi)
 from .rings import FLT
 
 
@@ -368,7 +368,7 @@ def measure_metric_comparison(n: int = 400, delta: float = 1e-4,
             metric_batch(v0[None, :] + d1 * dirs)
             delta1 = d1
             break
-        except Exception:
+        except NotStableError:
             continue
     return {"Delta0": Delta0, "delta1": delta1, "n": n, "delta": delta,
             "seed": seed}

@@ -24,18 +24,18 @@ on the plateau [p_lo + rho, p_hi - rho], which pins the equality radius.  All
 shape parameters depend only on (c, R), giving exact scale equivariance
 k_{s t}(s^2 lam) = s^2 k_t(lam).
 
-Every sampled quantity here has one implementation that takes a float or
-an array: the profile functions, the mollifier's integral and omega_at (a
-point is a one-row array).  The certificate and the CSV export evaluate the
-profile once per grid.  Squares are products x·x, as in `rings`, and the
-mollifier's quadrature is summed row by row, never by a BLAS product, so a
-lam gets the same bits alone or in any batch: a lam's CSV row does not
-depend on the grid size.
+Every sampled quantity here has one implementation, and it takes arrays
+only: the profile functions and slopes take a 1-d array of lam, the
+mollifier's integral an array of upper limits, and omega_at an (n, 4) array
+of points; a single lam or point is a one-element call.  The certificate and
+the CSV export evaluate the profile once per grid.  Squares are products
+x·x, as in `rings`, and every Gauss-Legendre sum goes through `_gl`, row by
+row, never by a BLAS product, so a lam gets the same bits alone or in any
+batch: a lam's CSV row does not depend on the grid size.
 '''
 from __future__ import annotations
 
 import csv
-import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -71,36 +71,31 @@ def _bump(s):
     return out
 
 
-def _gl(f, a, b) -> float:
-    """Gauss-Legendre integral of a smooth vectorized integrand; the kernel
-    is flat to all orders at its endpoints, so 96 nodes reach roundoff."""
-    if b <= a:
-        return 0.0
+def _gl(f, a: float, b) -> np.ndarray:
+    """Gauss-Legendre integrals of a smooth vectorized integrand over
+    [a, b_i], one per entry of the 1-d array b of upper limits; the kernel
+    is flat to all orders at its endpoints, so 96 nodes reach roundoff.
+    Each row is one elementwise product and row sum, not a BLAS product,
+    whose rounding depends on how many rows are batched."""
+    b = np.asarray(b, dtype=float)
     half, mid = 0.5 * (b - a), 0.5 * (a + b)
-    return float(half * np.sum(_GL_WEIGHTS * f(mid + half * _GL_NODES)))
+    vals = f(mid[:, None] + half[:, None] * _GL_NODES)
+    return half * (vals * _GL_WEIGHTS).sum(axis=1)
 
 
-_BUMP_MASS = _gl(_bump, -1.0, 1.0)
+_BUMP_MASS = _gl(_bump, -1.0, [1.0])[0]
 
 
 def _psi(x):
-    """Kernel CDF on [-1, 1], vectorized: an x gets the same bits alone or
+    """Kernel CDF on [-1, 1], on an array: an x gets the same bits alone or
     in any batch."""
     x = np.asarray(x, dtype=float)
-    if x.ndim == 0:
-        return np.float64(_psi(x[None])[0])
     out = np.empty_like(x)
     lo, hi = x <= -1.0, x >= 1.0
     out[lo], out[hi] = 0.0, 1.0
     mid = ~(lo | hi)
     if mid.any():
-        xm = x[mid]
-        half = 0.5 * (xm + 1.0)
-        centers = 0.5 * (xm - 1.0)
-        vals = _bump(centers[:, None] + half[:, None] * _GL_NODES[None, :])
-        # one elementwise product and row sum, not a BLAS product, whose
-        # rounding depends on how many rows are batched
-        out[mid] = half * (vals * _GL_WEIGHTS).sum(axis=1) / _BUMP_MASS
+        out[mid] = _gl(_bump, -1.0, x[mid]) / _BUMP_MASS
     return out
 
 
@@ -118,13 +113,13 @@ _SHOULDER_MEMO = {}
 
 
 def _plateau_integral(u, p: int, lo: float, hi: float, w: float):
-    """int_{-oo}^u v^p B(v) dv for p in {0, 1}, at a float u or entry by
-    entry on an array: Gauss-Legendre over the two mollifier shoulders, the
-    flat part in closed form.  When the shoulders overlap (hi - lo < 2w)
-    there is no flat part and they meet at the midpoint.  A shoulder that u
-    has passed is integrated once per (p, lo, hi, w) and memoised; a partial
-    one, with u inside it, is integrated for that u alone, so the working
-    set stays one quadrature whatever the batch."""
+    """int_{-oo}^u v^p B(v) dv for p in {0, 1}, entry by entry on an array
+    u: Gauss-Legendre over the two mollifier shoulders, the flat part in
+    closed form.  When the shoulders overlap (hi - lo < 2w) there is no flat
+    part and they meet at the midpoint.  A shoulder that u has passed is
+    integrated once per (p, lo, hi, w) and memoised; a partial one, with u
+    inside it, is integrated by one call per u, so the working set stays one
+    quadrature whatever the batch."""
     u = np.asarray(u, dtype=float)
     total = np.zeros(u.shape)
     mid = 0.5 * (lo + hi)
@@ -136,37 +131,23 @@ def _plateau_integral(u, p: int, lo: float, hi: float, w: float):
         if past.any():
             key = (p, lo, hi, w, side)
             if key not in _SHOULDER_MEMO:
-                _SHOULDER_MEMO[key] = _gl(f, a, b)
+                _SHOULDER_MEMO[key] = _gl(f, a, [b])[0]
             total[past] += _SHOULDER_MEMO[key]
-        total[part] += [_gl(f, a, x) for x in u[part].tolist()]
+        total[part] += [_gl(f, a, [x])[0] for x in u[part].tolist()]
     add_shoulder("lo", lo - w, flat_lo)
     flat = u > flat_lo
     # x ** (p + 1) as x * x ** p: the product x·x at p = 1
     top = np.minimum(u[flat], flat_hi)
     total[flat] += (top * top ** p - flat_lo * flat_lo ** p) / (p + 1)
     add_shoulder("hi", flat_hi, hi + w)
-    return total if total.ndim else float(total)
-
-
-def _scalar_or_array(f):
-    """Let f(x, lams), written for a 1-d array lams, also take a float lam:
-    it then returns the float, or tuple of floats, that the one-element
-    array [lam] gives.  f's operations are elementwise, so an entry's value
-    does not depend on the batch it came in."""
-    @functools.wraps(f)
-    def wrapped(x, lam):
-        if isinstance(lam, np.ndarray) and lam.ndim:
-            return f(x, np.asarray(lam, dtype=float))
-        out = f(x, np.array([lam], dtype=float))
-        if isinstance(out, tuple):
-            return tuple(float(v[0]) for v in out)
-        return float(out[0])
-    return wrapped
+    return total
 
 
 @dataclass
 class EHProfile:
-    """Interpolation profile data; all lengths in lam = r^2 units."""
+    """Interpolation profile data; all lengths in lam = r^2 units.  The
+    profile functions k, h and slopes take a 1-d array of lam only; a single
+    lam is a one-element call, with the bits of its entry in any batch."""
     t: float
     R: float
     c: float
@@ -182,27 +163,22 @@ class EHProfile:
         # equality radius: plateau midpoint
         self.r_frak = math.sqrt(0.5 * (self.p_lo + self.p_hi) * self.q)
 
-    # -- profile functions: each takes a float lam or a 1-d array ---------
-    @_scalar_or_array
     def k(self, lams):
         """k_t(lam) = -c lam B(lam/q), B the mollified plateau; 0 at lam <= 0."""
         return np.where(lams > 0, -self.c * lams * _plateau(
             lams / self.q, self.p_lo, self.p_hi, self.rho), 0.0)
 
-    def _moment(self, u: float) -> float:
-        """int_0^u v B(v) dv."""
+    def _moment(self, u):
+        """int_0^u v B(v) dv, entry by entry on an array u."""
         return _plateau_integral(u, 1, self.p_lo, self.p_hi, self.rho)
 
-    @_scalar_or_array
     def h(self, lams):
-        """h_t(lam) = int_0^lam k_t, in [-t^4, 0], by one path for a float
-        and an array: past the memoised complete shoulders a closed form in
-        lam, whose square is the product x·x, and one quadrature for a lam
-        inside a shoulder."""
+        """h_t(lam) = int_0^lam k_t, in [-t^4, 0]: past the memoised complete
+        shoulders a closed form in lam, whose square is the product x·x, and
+        one quadrature for each lam inside a shoulder."""
         return np.where(lams > 0, -self.c * self.q ** 2 * self._moment(
             lams / self.q), 0.0)
 
-    @_scalar_or_array
     def slopes(self, lams):
         """(k, h, al', al'') at lam, from one evaluation of k and of h."""
         if (lams <= 0).any():
@@ -257,11 +233,11 @@ def build_profile(t: float, R: float, c: float = 1.0) -> EHProfile:
     for _ in range(4):
         profile = EHProfile(t=float(t), R=float(R), c=float(c), q=q,
                             p_lo=p_lo, p_hi=p_hi, rho=rho)
-        gap = moment - profile._moment(1.0)
+        gap = moment - profile._moment([1.0])[0]
         if abs(gap) <= 1e-16 * moment:
             break
         p_hi += gap / p_hi
-    if abs(moment - profile._moment(1.0)) > 1e-12 * moment:
+    if abs(moment - profile._moment([1.0])[0]) > 1e-12 * moment:
         raise ConstructionFailed("mass correction did not converge")
     return profile
 
@@ -282,16 +258,13 @@ _J0 = ((0.0, 1.0, 0.0, 0.0),
        (0.0, 0.0, -1.0, 0.0))
 
 
-@_scalar_or_array
 def eh_aprime(t: float, lams):
-    """Pure Eguchi-Hanson slope sqrt(1 + t^4/lam^2), at a float lam or a
-    1-d array of them."""
+    """Pure Eguchi-Hanson slope sqrt(1 + t^4/lam^2) on a 1-d array of lam."""
     if (lams <= 0).any():
         raise ValueError("lam must be positive")
     return np.sqrt(1.0 + float(t) ** 4 / lams ** 2)
 
 
-@_scalar_or_array
 def _eh_asecond(t: float, lams):
     return -(float(t) ** 4 / lams ** 3) / eh_aprime(t, lams)
 
@@ -308,9 +281,8 @@ def _upper(x1, y1, x2, y2, ap, app) -> dict:
             for i, j in _UPPER}
 
 
-@_scalar_or_array
 def _profile_slopes(profile: EHProfile, lams) -> tuple:
-    """(k, al', al'') of om_check_t at a float lam or a 1-d array of them:
+    """(k, al', al'') of om_check_t on a 1-d array of lam:
     exactly flat for lam >= q (h == -t^4), exactly Eguchi-Hanson for
     lam <= q/4 (h == 0), both with k == 0 (build_profile keeps the bump
     inside (q/4, q)), and from profile.slopes in between."""
@@ -325,14 +297,16 @@ def _profile_slopes(profile: EHProfile, lams) -> tuple:
     return k, ap, app
 
 
-def omega_at(point, profile: EHProfile | None = None, t: float | None = None):
+def omega_at(points, profile: EHProfile | None = None, t: float | None = None):
     """Evaluate om_tilde_t (pure t) or om_check_t (profile) on C^2/{+-1}
-    minus the origin: at a point (x1, y1, x2, y2) a 4x4 array, and on the
-    rows of an (n, 4) array an (n, 4, 4) array, column by column, so slice
-    i has the bits of the call at point i."""
+    minus the origin, on the rows (x1, y1, x2, y2) of an (n, 4) array: an
+    (n, 4, 4) array, column by column, so slice i has the bits of the
+    one-row call at point i."""
     if profile is None and t is None:
         raise ValueError("need a profile or a pure-EH parameter t")
-    rows = np.atleast_2d(np.asarray(point, dtype=float))
+    rows = np.asarray(points, dtype=float)
+    if rows.ndim != 2 or rows.shape[1] != 4:
+        raise ValueError(f"expected an (n, 4) array of points, got shape {rows.shape}")
     out = np.zeros((len(rows), 4, 4))
     if profile is None and t == 0:
         out[:] = _J0
@@ -347,7 +321,7 @@ def omega_at(point, profile: EHProfile | None = None, t: float | None = None):
             _, ap, app = _profile_slopes(profile, lam)
         for (i, j), m in _upper(x1, y1, x2, y2, ap, app).items():
             out[:, i, j], out[:, j, i] = m, -m
-    return out if np.ndim(point) == 2 else out[0]
+    return out
 
 
 def _pfaffian4(up):

@@ -204,25 +204,19 @@ def bilinear_batch(phis: np.ndarray) -> np.ndarray:
 
 
 def metric_batch(phis: np.ndarray):
-    """(g, sqrt_det_g) arrays for a batch of coefficient rows.
+    """(g, sqrt_det_g) arrays for a batch of coefficient rows:
+    g = B / (36 det B)^{1/9}, then Sylvester's test by eigenvalues.  The
+    ninth root is a Python float power per row, so a row's g does not
+    depend on the batch it came in.
 
     Raises NotStableError, whose `row` is the index of the first row that
-    fails definiteness.
+    fails definiteness: det B <= 0, or g not positive definite.
     """
     B = bilinear_batch(phis)
     detB = np.linalg.det(B)
     if np.any(detB <= 0):
         bad = int(np.argmax(detB <= 0))
         raise _row_error(f"det B = {detB[bad]:.3e} <= 0", bad)
-    return _normalise(B, detB)
-
-
-def _normalise(B: np.ndarray, detB):
-    """(g, sqrt_det_g) for a stack of float B matrices with det B > 0:
-    g = B / (36 det B)^{1/9}, then Sylvester's test by eigenvalues.  The
-    ninth root is a Python float power per row, so a row's g does not
-    depend on the batch it came in.  Raises NotStableError at the first
-    row whose g is not positive definite."""
     roots = np.array([(36.0 * float(d)) ** (1.0 / 9.0) for d in detB])
     g = B / roots[:, None, None]
     low = np.linalg.eigvalsh(g)[:, 0]
@@ -402,26 +396,20 @@ def is_g2_type(phi: KForm) -> G2Data:
         if r3 is None:
             raise ArithmeticError("36 det B is not a rational cube")
         return G2Data._from_integers(phi, N, d, r3)
-    B = bilinear_batch(phi_to_vector(phi))[0]
-    detBf = float(np.linalg.det(B))
-    if detBf == 0.0:
-        raise NotStableError("det B vanishes to working precision")
-    if detBf < 0:
-        _diagnose_negative(B, detBf)
-    g, sqrt_det = _normalise(B[None], [detBf])
-    return G2Data(phi, g[0].tolist(), np.linalg.inv(g[0]).tolist(), float(sqrt_det[0]))
-
-
-def _diagnose_negative(B: np.ndarray, detBf: float):
-    """det B < 0 for a float B: definite for the reversed frame (-B
-    normalises to a metric), or genuinely unstable?"""
+    row = phi_to_vector(phi)[None]
     try:
-        _normalise(-B[None], [-detBf])
-    except NotStableError:
-        raise NotStableError(
-            f"det B = {detBf:.3e} < 0 and no orientation flip helps") from None
-    raise OrientationMismatchError(
-        "3-form is definite for the opposite orientation of this frame")
+        g, sqrt_det = metric_batch(row)
+    except NotStableError as err:
+        # B is cubic in phi, so B(-phi) = -B(phi) bit for bit: phi is
+        # definite for the reversed frame exactly when -phi normalises
+        try:
+            metric_batch(-row)
+        except NotStableError:
+            raise NotStableError("3-form is not definite for either "
+                                 "orientation of this frame") from err
+        raise OrientationMismatchError(
+            "3-form is definite for the opposite orientation of this frame") from None
+    return G2Data(phi, g[0].tolist(), np.linalg.inv(g[0]).tolist(), float(sqrt_det[0]))
 
 
 # --------------------------------------------------------------------------

@@ -194,16 +194,23 @@ def test_glued_form_outer_region_is_invariant():
     assert out["phi"][0] == pytest.approx(want, rel=1e-14, abs=1e-15)
 
 
+def _cutoff_at(s, cutoff=None):
+    """(f(s), f'(s)) by one-element calls, since the cutoff takes arrays
+    only; the default is the module's DEFAULT_CUTOFF at call time."""
+    cutoff = cutoff or catalog.DEFAULT_CUTOFF
+    s = np.array([s])
+    return cutoff(s)[0], cutoff.deriv(s)[0]
+
+
 def test_default_cutoff_certifies_its_defining_properties():
     # f = 0 on [0, 1/2], f = 1 on [1, oo) and sup|f'| < 3, on the
     # certificate's grid over [0, 3/2] and at points beyond it
     cert = catalog.DEFAULT_CUTOFF.certify()
     assert cert["sup_deriv"] < cert["bound"] == 3.0
-    for s in (0.0, 0.25, 0.5):
-        assert catalog.DEFAULT_CUTOFF(s) == 0.0
-    for s in (1.0, 2.0, 10.0):
-        assert catalog.DEFAULT_CUTOFF(s) == 1.0
-        assert catalog.DEFAULT_CUTOFF.deriv(s) == 0.0
+    assert catalog.DEFAULT_CUTOFF(np.array([0.0, 0.25, 0.5])).tolist() == [0.0] * 3
+    top = np.array([1.0, 2.0, 10.0])
+    assert catalog.DEFAULT_CUTOFF(top).tolist() == [1.0] * 3
+    assert catalog.DEFAULT_CUTOFF.deriv(top).tolist() == [0.0] * 3
 
 
 def test_steep_cutoff_fails_its_certificate():
@@ -256,8 +263,9 @@ def _cutoff_reference(cf, s):
 def test_cutoff_matches_a_high_order_reference_across_the_ramp(cutoff, tol):
     for s in np.linspace(cutoff.a - cutoff.h, cutoff.b + cutoff.h, 61)[1:-1]:
         f, fprime = _cutoff_reference(cutoff, s)
-        assert abs(cutoff(s) - f) <= tol
-        assert abs(cutoff.deriv(s) - fprime) <= tol
+        got, gotprime = _cutoff_at(s, cutoff)
+        assert abs(got - f) <= tol
+        assert abs(gotprime - fprime) <= tol
 
 
 def _fd_exterior_derivative(field, y0, h):
@@ -303,7 +311,7 @@ def test_glued_form_chain_rule_matches_finite_differences(y0):
 
     def field(y):
         pt = dict(zip(catalog.YVARS, y))
-        f = catalog.DEFAULT_CUTOFF(math.sqrt(y[0] ** 2 + y[1] ** 2 + y[4] ** 2 + y[5] ** 2) / eps)
+        f = _cutoff_at(math.sqrt(y[0] ** 2 + y[1] ** 2 + y[4] ** 2 + y[5] ** 2) / eps)[0]
         return {idx: f * c for idx, c in alpha.eval_at(pt).coeffs.items()}
 
     out = glued_form_at([y0], mu, eps)
@@ -322,10 +330,10 @@ def test_sigma_chain_rule_matches_finite_differences(y0):
 
     def field(y):
         r = math.sqrt(y[0] ** 2 + y[1] ** 2 + y[4] ** 2 + y[5] ** 2)
-        return {(4, 7): catalog.DEFAULT_CUTOFF(2.0 * r / eps) * 0.5 * y[0] ** 2}
+        return {(4, 7): _cutoff_at(2.0 * r / eps)[0] * 0.5 * y[0] ** 2}
 
     r = math.sqrt(y0[0] ** 2 + y0[1] ** 2 + y0[4] ** 2 + y0[5] ** 2)
-    assert 0.0 < catalog.DEFAULT_CUTOFF.deriv(2.0 * r / eps)
+    assert 0.0 < _cutoff_at(2.0 * r / eps)[1]
     _assert_matches_fd(vector_to_phi(_sigma_rows(ResolutionForms(4, eps), [y0])[0]),
                        field, y0)
 
@@ -403,7 +411,7 @@ def test_norm_in_diag_on_columns_matches_each_point_and_mu():
 def _d_cutoff_by_wedges(point, scale, a, da):
     """d[f(r/scale) a] = f da + (f'/scale) dr ^ a assembled from forms."""
     r = math.sqrt(sum(point[n] * point[n] for _, n in catalog._TRANSVERSE))
-    f, fd = catalog.DEFAULT_CUTOFF(r / scale), catalog.DEFAULT_CUTOFF.deriv(r / scale)
+    f, fd = _cutoff_at(r / scale)
     out = f * da.eval_at(point)
     if fd != 0.0 and r > 0:
         dr = KForm(7, 1, FLT, {(i,): point[n] / r for i, n in catalog._TRANSVERSE})
@@ -533,7 +541,7 @@ def test_zeta_mu_definite_across_regions(profile):
 
 def _zeta_mu_by_wedges(rf, point):
     """zeta + mu^-3 sigma assembled from forms: the fiber form from the
-    per-point omega_at, and sigma = f y1 dy^147 + (f'/s) dr ^ (y1^2/2) dy^47
+    one-row omega_at, and sigma = f y1 dy^147 + (f'/s) dr ^ (y1^2/2) dy^47
     with f = f(r/s), s = eps/2."""
     pt = {n: float(point.get(n, 0.0)) for n in catalog.YVARS}
     axes = (1, 2, 5, 6)
@@ -541,7 +549,7 @@ def _zeta_mu_by_wedges(rf, point):
     if rf.profile is None:
         om = KForm(7, 2, FLT, {(1, 2): 1.0, (5, 6): 1.0})
     else:
-        M = ehmetric.omega_at(tuple(fib), profile=rf.profile)
+        M = ehmetric.omega_at([fib], profile=rf.profile)[0]
         om = KForm(7, 2, FLT, {(axes[i], axes[j]): M[i][j]
                                for i in range(4) for j in range(i + 1, 4)})
     zeta = (KForm.basis(7, (3, 4, 7), FLT) + KForm.basis(7, (3,), FLT).wedge(om)
@@ -549,7 +557,7 @@ def _zeta_mu_by_wedges(rf, point):
             + KForm.basis(7, (7,), FLT).wedge(KForm(7, 2, FLT, {(1, 6): 1.0, (2, 5): 1.0})))
     s = 0.5 * rf.epsilon
     r = math.sqrt(sum(v * v for v in fib))
-    f, fd = catalog.DEFAULT_CUTOFF(r / s), catalog.DEFAULT_CUTOFF.deriv(r / s)
+    f, fd = _cutoff_at(r / s)
     sigma = f * KForm(7, 3, FLT, {(1, 4, 7): pt["y1"]})
     if fd != 0.0:
         dr = KForm(7, 1, FLT, {(a,): v / r for a, v in zip(axes, fib)})

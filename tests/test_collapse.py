@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from g2calc import collapse, ehmetric
+from g2calc import collapse, ehmetric, g2core
 from g2calc.catalog import ResolutionForms
+from g2calc.g2core import NotStableError
 from g2calc.collapse import (MetricSample, base_pullback,
                              fiber_diameter_probe, ffkm_region_metrics,
                              interior_limit_metric, largest_lambda,
@@ -198,6 +199,31 @@ def test_metric_comparison_constants_reproducible():
     assert a == b
     assert 0.0 < a["Delta0"] < 10.0
     assert a["delta1"] > 0.0
+
+
+def _metric_batch_failing_after_one_call(error):
+    """metric_batch for the linearisation at scale delta, then `error` on
+    every delta_1 probe."""
+    real, calls = g2core.metric_batch, []
+
+    def fake(rows):
+        calls.append(len(rows))
+        if len(calls) == 1:
+            return real(rows)
+        raise error
+    return fake
+
+
+def test_metric_comparison_probe_reads_only_instability_as_not_definite(monkeypatch):
+    # a probe radius whose forms are not definite is skipped; any other
+    # error is a fault, and it must not read as "not definite"
+    monkeypatch.setattr(collapse, "metric_batch",
+                        _metric_batch_failing_after_one_call(NotStableError("det B <= 0")))
+    assert measure_metric_comparison(n=20)["delta1"] == 0.0
+    monkeypatch.setattr(collapse, "metric_batch",
+                        _metric_batch_failing_after_one_call(TypeError("bad rows")))
+    with pytest.raises(TypeError, match="bad rows"):
+        measure_metric_comparison(n=20)
 
 
 @settings(max_examples=50, deadline=None)

@@ -27,6 +27,13 @@ def profile():
     return build_profile(1.0, 4.0, 1.0)
 
 
+def _one(f, x):
+    """f, which takes arrays only, at the single value x: a one-element
+    call, entry 0 of each output."""
+    out = f(np.array([x], dtype=float))
+    return tuple(v[0] for v in out) if isinstance(out, tuple) else out[0]
+
+
 # --------------------------------------------------------------------------
 # feasibility and failure modes
 # --------------------------------------------------------------------------
@@ -63,7 +70,7 @@ def test_invalid_t_rejected():
 def test_mass_identity_exact(profile):
     # integral of k over [0, q] equals -t^4, via the analytic moment
     t = profile.t
-    assert abs(profile.h(profile.q) + t ** 4) < 1e-10 * t ** 4
+    assert abs(_one(profile.h, profile.q) + t ** 4) < 1e-10 * t ** 4
 
 
 def _adaptive_simpson(f, a, b, tol, fa=None, fb=None, fm=None, depth=30):
@@ -91,41 +98,38 @@ def test_mass_identity_independent_quadrature(profile):
     q, rho = profile.q, profile.rho
     cuts = sorted({0.0, (profile.p_lo - rho) * q, (profile.p_lo + rho) * q,
                    (profile.p_hi - rho) * q, (profile.p_hi + rho) * q, q})
-    total = sum(_adaptive_simpson(profile.k, a, b, 1e-15)
+    total = sum(_adaptive_simpson(lambda lam: _one(profile.k, lam), a, b, 1e-15)
                 for a, b in zip(cuts, cuts[1:]))
     assert abs(total + profile.t ** 4) < 1e-10 * profile.t ** 4
 
 
 def test_equality_attained_at_the_marked_radius(profile):
     lam = profile.r_frak ** 2
-    assert profile.k(lam) == -profile.c * lam
+    assert _one(profile.k, lam) == -profile.c * lam
 
 
 def test_pinching_bound_holds_everywhere(profile):
     lams = np.linspace(1e-6, 1.05 * profile.q, 4000)
-    slack = np.array([profile.k(l) + profile.c * l for l in lams])
+    slack = profile.k(lams) + profile.c * lams
     assert slack.min() >= -1e-14
 
 
 def test_support_of_the_modification(profile):
     q = profile.q
-    for lam in (0.0, q / 8, q / 4, 0.995 * q, q, 2 * q):
-        if q / 4 < lam < 0.995 * q:
-            continue
-        assert profile.k(lam) == 0.0
+    lams = np.array([0.0, q / 8, q / 4, 0.995 * q, q, 2 * q])
+    assert profile.k(lams).tolist() == [0.0] * len(lams)
     # and it is genuinely nonzero somewhere in between
-    assert profile.k(profile.r_frak ** 2) < 0.0
+    assert _one(profile.k, profile.r_frak ** 2) < 0.0
 
 
 def test_scale_equivariance_is_exact():
     p1 = build_profile(1.0, 4.0, 1.0)
     s = 3.0
     p2 = build_profile(s, 4.0, 1.0)
-    for lam in np.linspace(0.05, 1.2 * p1.q, 50):
-        assert p2.k(s * s * lam) == pytest.approx(s * s * p1.k(lam),
-                                                  abs=1e-13)
-        assert p2.h(s * s * lam) == pytest.approx(s ** 4 * p1.h(lam),
-                                                  rel=1e-12, abs=1e-13)
+    lams = np.linspace(0.05, 1.2 * p1.q, 50)
+    assert p2.k(s * s * lams) == pytest.approx(s * s * p1.k(lams), abs=1e-13)
+    assert p2.h(s * s * lams) == pytest.approx(s ** 4 * p1.h(lams),
+                                               rel=1e-12, abs=1e-13)
 
 
 def _plateau_integral_unmemoised(u, p, lo, hi, w):
@@ -137,12 +141,12 @@ def _plateau_integral_unmemoised(u, p, lo, hi, w):
     mid = 0.5 * (lo + hi)
     flat_lo, flat_hi = min(lo + w, mid), max(hi - w, mid)
     f = lambda v: v ** p * _plateau(v, lo, hi, w)
-    total = _gl(f, lo - w, min(u, flat_lo))
+    total = _gl(f, lo - w, [min(u, flat_lo)])[0]
     if u > flat_lo:
         top = min(u, flat_hi)
         total += (top * top - flat_lo * flat_lo) / 2 if p else top - flat_lo
     if u > flat_hi:
-        total += _gl(f, flat_hi, min(u, hi + w))
+        total += _gl(f, flat_hi, [min(u, hi + w)])[0]
     return total
 
 
@@ -163,14 +167,18 @@ def test_shoulder_memo_is_exact(monkeypatch):
               hi + 2 * w, 1.0)
         cases += [(u, p, lo, hi, w) for p in (0, 1) for u in us]
     want = [_plateau_integral_unmemoised(*case) for case in cases]
+
+    def one(u, *params):
+        return _plateau_integral(np.array([u]), *params)[0]
+
     for case, value in zip(cases, want):      # every value from a cold memo
         memo.clear()
-        assert _plateau_integral(*case) == value, case
+        assert one(*case) == value, case
     for case in cases:                        # fill it
-        _plateau_integral(*case)
+        one(*case)
     assert len(memo) == len(shapes) * 2 * 2   # shapes x p x side
     for case, value in zip(cases, want):      # every value from the filled memo
-        assert _plateau_integral(*case) == value, case
+        assert one(*case) == value, case
     batches = {}                              # one array of u per parameter set
     for (u, *params), value in zip(cases, want):
         batches.setdefault(tuple(params), []).append((u, value))
@@ -194,16 +202,15 @@ def test_profiles_with_one_shape_share_their_shoulders(monkeypatch):
 
 def test_slope_matches_pure_eh_in_the_core(profile):
     # below q/4 the modification vanishes: alpha' = pure Eguchi-Hanson slope
-    for lam in (0.01, 0.1, profile.q / 4):
-        assert profile.slopes(lam)[2] == pytest.approx(
-            eh_aprime(profile.t, lam), rel=1e-14)
+    lams = np.array([0.01, 0.1, profile.q / 4])
+    assert profile.slopes(lams)[2] == pytest.approx(
+        eh_aprime(profile.t, lams), rel=1e-14)
 
 
 def test_slope_is_flat_outside(profile):
     # at lam >= q the interpolation has absorbed the full -t^4, so
     # alpha'^2 = 1 + (t^4 + h)/lam^2 = 1 exactly
-    assert profile.slopes(profile.q)[2] == 1.0
-    assert profile.slopes(2 * profile.q)[2] == 1.0
+    assert profile.slopes(np.array([1.0, 2.0]) * profile.q)[2].tolist() == [1.0, 1.0]
 
 
 def test_ricci_flat_closed_form():
@@ -222,7 +229,7 @@ def test_psi_is_batch_independent():
                         [-1.0, 1.0, np.nextafter(-1.0, 0.0),
                          np.nextafter(1.0, 0.0), -3.0, 3.0]])
     batch = _psi(x)
-    assert [float(_psi(v)) for v in x] == batch.tolist()
+    assert [_one(_psi, v) for v in x.tolist()] == batch.tolist()
 
 
 @pytest.mark.parametrize("t", [0.1, 1.0])
@@ -236,9 +243,9 @@ def test_profile_functions_are_batch_independent(t):
     assert p.k(lams).tolist() == k.tolist()
     assert p.h(lams).tolist() == h.tolist()
     for i, lam in enumerate(lams.tolist()):
-        assert p.k(lam) == k[i] and type(p.k(lam)) is float
-        assert p.h(lam) == h[i] and type(p.h(lam)) is float
-        assert p.slopes(lam) == (k[i], h[i], ap[i], app[i])
+        assert _one(p.k, lam) == k[i]
+        assert _one(p.h, lam) == h[i]
+        assert _one(p.slopes, lam) == (k[i], h[i], ap[i], app[i])
     assert (k < 0).sum() > 100 and (h < 0).sum() > 100
 
 
@@ -249,13 +256,13 @@ def test_profile_functions_are_batch_independent(t):
 def test_omega_flat_outside_and_eh_inside(profile):
     t, q = profile.t, profile.q
     r_out = math.sqrt(1.5 * q)
-    M = omega_at((r_out, 0.0, 0.0, 0.0), profile=profile)
-    assert np.array_equal(np.asarray(M, float),
+    M = omega_at([(r_out, 0.0, 0.0, 0.0)], profile=profile)[0]
+    assert np.array_equal(M,
                           np.array([[0, 1, 0, 0], [-1, 0, 0, 0],
                                     [0, 0, 0, 1], [0, 0, -1, 0]], float))
     r_in = math.sqrt(q / 8)
-    M_in = np.asarray(omega_at((r_in, 0.0, 0.0, 0.0), profile=profile), float)
-    M_eh = np.asarray(omega_at((r_in, 0.0, 0.0, 0.0), t=t), float)
+    M_in = omega_at([(r_in, 0.0, 0.0, 0.0)], profile=profile)[0]
+    M_eh = omega_at([(r_in, 0.0, 0.0, 0.0)], t=t)[0]
     assert np.allclose(M_in, M_eh, atol=1e-14)
 
 
@@ -271,8 +278,10 @@ def test_omega_at_on_a_point_array_matches_per_point_calls(profile, field):
     pts = dirs * r[:, None]
     batch = omega_at(pts, **kw)
     assert batch.shape == (2000, 4, 4)
-    assert [omega_at(tuple(p), **kw).tolist() for p in pts.tolist()] == batch.tolist()
-    assert omega_at(pts[7:8], **kw).tolist() == batch[7:8].tolist()
+    assert [omega_at([p], **kw)[0].tolist() for p in pts.tolist()] == batch.tolist()
+    # a point is a one-row array, never a bare 4-vector
+    with pytest.raises(ValueError, match=r"\(n, 4\)"):
+        omega_at(pts[7], **kw)
     if field != "flat":
         with pytest.raises(ValueError, match="origin"):
             omega_at(np.vstack([pts[:2], np.zeros((1, 4))]), **kw)
@@ -310,9 +319,9 @@ def _reference_certificate(profile, n_r, n_ang, delta=0.05, seed=0):
     max_formula_gap = 0.0
     for r in radii:
         lam = r * r
-        ratio_formula = 2.0 + profile.k(lam) / lam
+        ratio_formula = 2.0 + _one(profile.k, lam) / lam
         for d in dirs:
-            M = omega_at(r * d, profile=profile)
+            M = omega_at([r * d], profile=profile)[0]
             D = [[J0[i][j] - M[i][j] for j in range(4)] for i in range(4)]
             margin = 1.0 - two_form_norm(D)
             ratio = 2.0 * pfaffian4(M)
@@ -355,8 +364,8 @@ def test_certificate_evaluates_the_profile_once_per_radius(monkeypatch):
 
 
 def _per_radius_certificate(p, n_r, n_ang, delta=0.05, seed=0):
-    """The certificate's minima from a loop over the radii, with one scalar
-    _profile_slopes call per radius."""
+    """The certificate's minima from a loop over the radii, with one
+    one-element _profile_slopes call per radius."""
     dirs = _directions(n_ang, seed)
     radii = np.linspace(0.5 * p.t * p.R * (1.0 - delta),
                         p.t * p.R * (1.0 + delta), n_r)
@@ -364,7 +373,7 @@ def _per_radius_certificate(p, n_r, n_ang, delta=0.05, seed=0):
     worst_r = None
     for r in radii.tolist():
         lam = r * r
-        _, ap, app = _profile_slopes(p, lam)
+        _, ap, app = _one(lambda lams: _profile_slopes(p, lams), lam)
         up = ehmetric._upper(*dirs.T, ap, app * lam)
         margin = 1.0 - ehmetric._two_form_norm(
             ehmetric._J0[i][j] - m for (i, j), m in up.items())
@@ -376,7 +385,7 @@ def _per_radius_certificate(p, n_r, n_ang, delta=0.05, seed=0):
 
 @pytest.mark.parametrize("t", [0.1, 1.0])
 def test_certificate_matches_the_per_radius_scalar_profile(t):
-    # exact equality: the batched profile has the scalar profile's bits
+    # exact equality: the batched profile has the one-element calls' bits
     p = build_profile(t, 4.0, 1.0)
     rep = positivity_and_volume_certificate(p, n_r=400, n_ang=20)
     ref = _per_radius_certificate(p, n_r=400, n_ang=20)
@@ -474,7 +483,7 @@ def test_default_t_matches_the_gluing_radius():
 # --------------------------------------------------------------------------
 
 def test_profile_csv_export(tmp_path, profile):
-    # the grid is evaluated in one batch; each row is the scalar profile
+    # the grid is evaluated in one batch; each row is the one-element call
     path = tmp_path / "profile.csv"
     small = build_profile(0.1, 4.0, 1.0)
     for p, n in ((profile, 50), (profile, 400), (small, 400)):
@@ -485,7 +494,7 @@ def test_profile_csv_export(tmp_path, profile):
         for line in lines[1:]:
             lam = float(line.split(",")[0])
             assert line == ",".join(f"{v:.17g}" for v in (
-                lam, p.k(lam), p.h(lam), p.slopes(lam)[2]))
+                lam, _one(p.k, lam), _one(p.h, lam), _one(p.slopes, lam)[2]))
 
 
 def test_certificate_json_export(tmp_path, profile):
