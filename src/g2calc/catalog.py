@@ -466,15 +466,9 @@ def master_identity_check() -> bool:
     phi_mu = _phi_check_mu_chart_symbolic()
     xi = xi_mu_chart()
     alpha, _, _ = alpha_a()
-    alpha_u = _promote_to_u(alpha)
-    rhs = _promote_to_u(_dy((1, 4, 7)).scale(_y("y1"))) + alpha_u.d_chart()
+    lift = PolynomialMap(YUVARS, YVARS, {n: _y(n, YUVARS) for n in YVARS})  # y -> (y, u)
+    rhs = lift.pullback(_dy((1, 4, 7)).scale(_y("y1"))) + lift.pullback(alpha).d_chart()
     return (phi_mu - xi) == rhs
-
-
-def _promote_to_u(form: KForm) -> KForm:
-    def lift(p: Poly) -> Poly:
-        return Poly(YUVARS, {e + (0,): c for e, c in p.terms.items()})
-    return form.map_coeffs(lift, YURING)
 
 
 def _phi_check_mu_chart_symbolic() -> KForm:

@@ -322,28 +322,21 @@ class KForm:
     def d_chart(self) -> "KForm":
         """Exterior derivative for polynomial coefficients.
 
-        Axis i corresponds to coordinate ``vars[i-1]`` of the polynomial ring.
+        Axis i corresponds to coordinate ``vars[i-1]`` of the polynomial ring;
+        a coefficient is differentiated once, in the variables it contains.
         """
         if not (isinstance(self.ring, tuple) and self.ring[0] == "poly"):
             raise TypeError("d_chart needs polynomial coefficients")
-        coords = self.ring[1]
-        out = KForm.zero(self.dim, min(self.degree + 1, self.dim), self.ring)
         if self.degree + 1 > self.dim:
-            return out
+            return KForm.zero(self.dim, self.dim, self.ring)
         terms = {}
         for idx, c in self.coeffs.items():
-            for axis in range(1, self.dim + 1):
-                dc = c.diff(coords[axis - 1])
-                if not dc:
-                    continue
-                merged, sign = merge_sign((axis,), idx)
+            for i, dc in c.partials(self.dim).items():
+                merged, sign = merge_sign((i + 1,), idx)
                 if sign == 0:
                     continue
                 val = dc if sign == 1 else -dc
-                if merged in terms:
-                    terms[merged] = terms[merged] + val
-                else:
-                    terms[merged] = val
+                terms[merged] = terms[merged] + val if merged in terms else val
         return KForm._trusted(self.dim, self.degree + 1, self.ring, terms)
 
     def eval_at(self, point: Mapping[str, float]) -> "KForm":
@@ -354,10 +347,6 @@ class KForm:
                               {i: c.eval(point) for i, c in self.coeffs.items()})
 
     # ----- misc ----------------------------------------------------------
-    def map_coeffs(self, fn, ring=None) -> "KForm":
-        return KForm(self.dim, self.degree, ring if ring is not None else self.ring,
-                     {i: fn(c) for i, c in self.coeffs.items()})
-
     def top_coefficient(self):
         """Coefficient of theta^{1..dim}; zero scalar if absent."""
         full = tuple(range(1, self.dim + 1))
@@ -383,46 +372,61 @@ class PolynomialMap:
 
     ``outputs[i]`` is the i-th target coordinate expressed as a Poly in the
     source coordinates; target axis i corresponds to target_vars[i-1].
+    A map memoises each F*(dy^I), keyed by the form's dimension and I, and
+    each monomial in its components, on first use.
     """
 
     def __init__(self, source_vars, target_vars, components: Mapping[str, Poly]):
         self.source_vars = tuple(source_vars)
         self.target_vars = tuple(target_vars)
-        self.components = {}
-        for v in self.target_vars:
-            p = components[v]
+        self.components = {v: components[v] for v in self.target_vars}
+        for v, p in self.components.items():
             if p.vars != self.source_vars:
                 raise MixedRingError(f"component {v} not a polynomial in the source chart")
-            self.components[v] = p
+        self._dy, self._monomials = {}, {}
+
+    def _pulled_basis(self, dim: int, idx: MultiIndex) -> KForm:
+        """F*(dy^idx) on a source chart of dimension `dim`: the Jacobian rows
+        of idx's axes (in the first `dim` source variables) wedged onto 1."""
+        form = self._dy.get((dim, idx))
+        if form is None:
+            ring = ("poly", self.source_vars)
+            if idx:
+                p = self.components[self.target_vars[idx[-1] - 1]]
+                row = {(i + 1,): dp for i, dp in p.partials(dim).items()}
+                form = self._pulled_basis(dim, idx[:-1]).wedge(KForm._trusted(dim, 1, ring, row))
+            else:
+                form = KForm._trusted(dim, 0, ring, {(): Poly.const(self.source_vars, 1)})
+            self._dy[dim, idx] = form
+        return form
+
+    def _compose(self, c: Poly) -> Poly:
+        """c∘F for a nonzero c: the memoised monomials in the components, times
+        c's coefficients, summed in c's key order."""
+        num, den = c._num, c._den
+        out = None
+        for e, n in num.items():
+            if e not in self._monomials:
+                self._monomials[e] = math.prod(
+                    (self.components[v] ** k for v, k in zip(self.target_vars, e) if k),
+                    start=Poly.const(self.source_vars, 1))
+            term = self._monomials[e]._scaled(n, den)
+            out = term if out is None else out + term
+        return out
 
     def pullback(self, form: KForm) -> KForm:
-        """Pull a polynomial form on the target chart back to the source chart."""
-        if not (isinstance(form.ring, tuple) and form.ring[0] == "poly"
-                and form.ring[1] == self.target_vars):
-            if form.ring == RAT:
-                form = form.in_ring(("poly", self.target_vars))
-            else:
-                raise MixedRingError("form is not written in the target chart")
-        src_ring = ("poly", self.source_vars)
-        # d(target coordinate) pulled back, per axis
-        dcomp = []
-        for v in self.target_vars:
-            p = self.components[v]
-            terms = {}
-            for j, sv in enumerate(self.source_vars[:form.dim]):
-                dp = p.diff(sv)
-                if dp:
-                    terms[(j + 1,)] = dp
-            dcomp.append(KForm._trusted(form.dim, 1, src_ring, terms))
-        subs = dict(self.components)
+        """Pull a polynomial form on the target chart back to the source
+        chart, as the sum over I of (c_I∘F) F*(dy^I)."""
+        target = ("poly", self.target_vars)
+        if form.ring not in (RAT, target):
+            raise MixedRingError("form is not written in the target chart")
+        form = form.in_ring(target)
         out = {}
         for idx, c in form.coeffs.items():
-            piece = KForm._trusted(form.dim, 0, src_ring, {(): c.subs(subs)})
-            for axis in idx:
-                piece = piece.wedge(dcomp[axis - 1])
-            for i, c2 in piece.coeffs.items():
-                _add_term(out, i, c2)
-        return KForm._trusted(form.dim, form.degree, src_ring, out)
+            cf = self._compose(c)
+            for i, m in self._pulled_basis(form.dim, idx).coeffs.items():
+                _add_term(out, i, cf * m)
+        return KForm._trusted(form.dim, form.degree, ("poly", self.source_vars), out)
 
 
 def poly_ring(vars) -> tuple:

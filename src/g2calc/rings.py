@@ -5,7 +5,9 @@ Three rings are supported:
 * exact rationals (``fractions.Fraction``),
 * floats,
 * multivariate polynomials with rational coefficients over a fixed,
-  named coordinate tuple (class :class:`Poly`).
+  named coordinate tuple (class :class:`Poly`), held as integer
+  numerators over one reduced denominator, as `forms` holds a rational
+  form; their arithmetic runs on the integers and builds no Fraction.
 
 Mixing scalars from different rings inside one form is a hard error, raised
 by the form layer (see :mod:`g2calc.forms`).  Helpers here also give
@@ -13,22 +15,22 @@ exact n-th roots of rationals, or None where the root is irrational; each
 caller decides what an irrational root means for it.
 
 A polynomial evaluates at one point or, entry by entry, at every row of a
-set of point columns, by one method (:meth:`Poly.eval`).  It raises powers
-by repeated multiplication, x·x·..., which rounds the same for a float and
-for a numpy array, so a row gets the same bits alone or in any batch; the
-sampled quantities built on it (`catalog`, `ehmetric`) follow the same
-x·x policy.
+set of point columns, by one method (:meth:`Poly.eval`).  A coefficient
+becomes the float n / D, correctly rounded, so it has the bits of
+float(Fraction).  Powers are repeated products, x·x·..., which round the
+same for a float and for a numpy array, so a row gets the same bits alone
+or in any batch; the sampled quantities built on it (`catalog`,
+`ehmetric`) follow the same x·x policy.
 '''
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 from operator import add
+from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
-
-Q = Fraction
 
 RAT = "rational"
 FLT = "float"
@@ -81,13 +83,11 @@ def _over_common_denominator(values):
     return nums, D
 
 
-def _rational(c) -> Fraction:
-    """An int or Fraction as a Fraction; floats and bools are refused, since
-    a float's binary value is not the rational it was written as."""
-    if isinstance(c, Fraction):
+def _rational(c):
+    """`c`, which must be an int or a Fraction; floats and bools are refused,
+    since a float's binary value is not the rational it was written as."""
+    if isinstance(c, (int, Fraction)) and not isinstance(c, bool):
         return c
-    if isinstance(c, int) and not isinstance(c, bool):
-        return Fraction(c)
     raise MixedRingError(f"polynomial coefficients must be ints or Fractions, got {c!r}")
 
 
@@ -104,49 +104,74 @@ def nth_root_fraction(q: Fraction, k: int):
 
 
 class Poly:
-    '''Multivariate polynomial with Fraction coefficients.
+    '''Multivariate polynomial with rational coefficients.
 
-    Monomials are stored in a dict keyed by exponent tuples aligned with
-    ``self.vars``; zero coefficients are pruned so equality is syntactic.
-    The canonical term order used by __str__ is graded lexicographic.
+    A polynomial is held as integer numerators over one denominator D > 0,
+    the lcm of its coefficients' denominators, keyed by exponent tuples
+    aligned with ``self.vars``.  Zero numerators are pruned and the pair is
+    reduced, so equality is syntactic.  Its sum, product, power,
+    derivatives and equality run on these integers and build no Fraction;
+    `terms`, a read-only Fraction view, is made on its first read.  Keys
+    keep the order that the Fraction loops give.  The canonical term order
+    used by __str__ is graded lexicographic.
     '''
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "_num", "_den", "_terms")
 
     def __init__(self, vars: tuple, terms: Mapping[tuple, Fraction] | None = None):
         self.vars = tuple(vars)
         clean = {}
-        if terms:
-            for expo, c in terms.items():
-                c = _rational(c)
-                if c != 0:
-                    if len(expo) != len(self.vars):
-                        raise ValueError("exponent tuple does not match variables")
-                    clean[tuple(expo)] = c
-        self.terms = clean
+        for expo, c in (terms or {}).items():
+            c = _rational(c)
+            if c != 0:
+                if len(expo) != len(self.vars):
+                    raise ValueError("exponent tuple does not match variables")
+                clean[tuple(expo)] = c
+        nums, self._den = _over_common_denominator(clean.values())
+        self._num, self._terms = dict(zip(clean, nums)), None
 
     @classmethod
-    def _trusted(cls, vars: tuple, terms: dict) -> "Poly":
-        """Build a polynomial over the tuple `vars` from exponent tuples of
-        the right length and Fraction coefficients; only the zero
-        coefficients are dropped."""
+    def _from_ints(cls, vars: tuple, num: dict, den: int) -> "Poly":
+        """Build a polynomial over the tuple `vars` from integer numerators,
+        keyed by exponent tuples of the right length, over den > 0; the
+        zeros are dropped and the pair is reduced here.  The polynomial may
+        keep `num` itself, so the caller must not change it afterwards."""
         p = object.__new__(cls)
-        p.vars = vars
-        p.terms = {e: c for e, c in terms.items() if c}
+        p.vars, p._terms = vars, None
+        if 0 in num.values():
+            num = {e: n for e, n in num.items() if n}
+        g = math.gcd(den, *num.values()) if den != 1 else 1
+        if g != 1:
+            num = {e: n // g for e, n in num.items()}
+            den //= g
+        p._num, p._den = num, den
         return p
+
+    def _scaled(self, n: int, d: int) -> "Poly":
+        """self times n/d, for integers n and d > 0."""
+        return Poly._from_ints(self.vars, {e: c * n for e, c in self._num.items()}, self._den * d)
+
+    @property
+    def terms(self):
+        """Read-only view, exponent tuple -> Fraction coefficient."""
+        t = self._terms
+        if t is None:
+            t = self._terms = {e: Fraction(n, self._den) for e, n in self._num.items()}
+        return MappingProxyType(t)
 
     # ----- constructors -------------------------------------------------
     @classmethod
     def const(cls, vars, c):
         vars = tuple(vars)
-        return cls(vars, {(0,) * len(vars): c})
+        c = _rational(c)
+        return cls._from_ints(vars, {(0,) * len(vars): c.numerator}, c.denominator)
 
     @classmethod
     def var(cls, vars, name):
         vars = tuple(vars)
         i = vars.index(name)
         expo = tuple(1 if j == i else 0 for j in range(len(vars)))
-        return cls(vars, {expo: Fraction(1)})
+        return cls._from_ints(vars, {expo: 1}, 1)
 
     # ----- ring structure ------------------------------------------------
     def _coerce(self, other):
@@ -163,35 +188,42 @@ class Poly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms[e] + c if e in terms else c
-        return Poly._trusted(self.vars, terms)
+        a, da, b, db = self._num, self._den, other._num, other._den
+        den = math.lcm(da, db)
+        fa, fb = den // da, den // db
+        out = {e: n * fa for e, n in a.items()}
+        for e, n in b.items():
+            out[e] = out[e] + n * fb if e in out else n * fb
+        return Poly._from_ints(self.vars, out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly._trusted(self.vars, {e: -c for e, c in self.terms.items()})
+        return self._scaled(-1, 1)
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        if not isinstance(other, Poly):     # Poly first: Fraction's check is slow
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            s = _rational(other)
+            return self._scaled(s.numerator, s.denominator)
         other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(map(add, e1, e2))
-                out[e] = out[e] + c1 * c2 if e in out else c1 * c2
-        return Poly._trusted(self.vars, out)
+        a, b = self._num.items(), other._num.items()
+        if len(a) == 1 or len(b) == 1:     # no two products share a monomial
+            out = {tuple(map(add, e1, e2)): c1 * c2 for e1, c1 in a for e2, c2 in b}
+        else:
+            out = {}
+            for e1, c1 in a:
+                for e2, c2 in b:
+                    e = tuple(map(add, e1, e2))
+                    out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+        return Poly._from_ints(self.vars, out, self._den * other._den)
 
     __rmul__ = __mul__
 
@@ -208,55 +240,36 @@ class Poly:
         return result
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            other = Poly.const(self.vars, other)
         if not isinstance(other, Poly):
-            return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+            if isinstance(other, bool) or not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = Poly.const(self.vars, other)
+        return (self.vars == other.vars and self._den == other._den
+                and self._num == other._num)
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self._num)
 
     # ----- calculus -------------------------------------------------------
-    def diff(self, name: str) -> "Poly":
-        i = self.vars.index(name)
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            out[e[:i] + (e[i] - 1,) + e[i + 1:]] = c * e[i]
-        return Poly._trusted(self.vars, out)
-
-    def subs(self, assignment: Mapping[str, "Poly"]) -> "Poly":
-        """Substitute polynomials (all over one common variable tuple) for
-        every variable of self."""
-        new_vars = None
-        for v in self.vars:
-            p = assignment[v]
-            if new_vars is None:
-                new_vars = p.vars
-            elif p.vars != new_vars:
-                raise MixedRingError("substitution images live over different coordinates")
-        out = Poly.const(new_vars, 0)
-        for e, c in self.terms.items():
-            term = Poly.const(new_vars, c)
-            for v, k in zip(self.vars, e):
+    def partials(self, n: int) -> dict:
+        """{i: d self / d vars[i]} for each i < n whose variable appears in
+        self, in ascending i, from one pass over the terms."""
+        outs = {}
+        for e, c in self._num.items():
+            for i, k in enumerate(e[:n]):
                 if k:
-                    term = term * assignment[v] ** k
-            out = out + term
-        return out
+                    outs.setdefault(i, {})[e[:i] + (k - 1,) + e[i + 1:]] = c * k
+        return {i: Poly._from_ints(self.vars, outs[i], self._den) for i in sorted(outs)}
 
     def eval(self, point: Mapping):
         """Value at a point (names -> numbers), or entry by entry at point
-        columns (names -> float arrays of one shape).  Each power is a
-        repeated product x·x·..., the same for a float and for an array,
-        so an entry is the float that its row gives on its own."""
-        total, powers = 0.0, {}
-        for e, c in self.terms.items():
-            val = float(c)
+        columns (names -> float arrays of one shape).  A coefficient is n / D,
+        correctly rounded as float(Fraction) is, and each power is a repeated
+        product x·x·..., the same for a float and for an array, so an entry
+        is the float that its row gives on its own."""
+        total, powers, den = 0.0, {}, self._den
+        for e, n in self._num.items():
+            val = n / den
             for v, k in zip(self.vars, e):
                 if k:
                     if (v, k) not in powers:
@@ -324,5 +337,5 @@ def coerce_to(ring, s):
 
 def scalar_is_zero(s) -> bool:
     if isinstance(s, Poly):
-        return not s.terms
+        return not s
     return s == 0

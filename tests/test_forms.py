@@ -4,11 +4,13 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from g2calc import forms as forms_module
-from g2calc.catalog import ffkm_model, nakamura_model
+from g2calc import rings as rings_module
+from g2calc.catalog import chart_map, ffkm_model, nakamura_model
 from g2calc.forms import KForm, PolynomialMap, chart_vars, merge_sign, poly_ring
 from g2calc.liecdga import d_invariant
 from g2calc.rings import FLT, RAT, MixedRingError, Poly
@@ -101,6 +103,97 @@ def test_pullback_commutes_with_d(a):
 def test_pullback_is_a_ring_map(a, b):
     F = _quadratic_map()
     assert F.pullback(a.wedge(b)) == F.pullback(a).wedge(F.pullback(b))
+
+
+def _reference_compose(p, F):
+    """p∘F one Fraction term at a time: each coefficient times the powers of
+    the components, summed in key order."""
+    out = Poly(F.source_vars)
+    for e, c in p.terms.items():
+        term = Poly.const(F.source_vars, c)
+        for v, k in zip(p.vars, e):
+            if k:
+                term = term * F.components[v] ** k
+        out = out + term
+    return out
+
+
+def _reference_pullback(F, form):
+    """F^*(form) by wedging the pulled-back differentials, one axis at a
+    time, onto each substituted coefficient."""
+    if form.ring == RAT:
+        form = form.in_ring(poly_ring(F.target_vars))
+    src = poly_ring(F.source_vars)
+    dcomp = [KForm(form.dim, 1, src, {(j + 1,): _reference_poly_diff(F.components[v], sv)
+                                      for j, sv in enumerate(F.source_vars[:form.dim])})
+             for v in F.target_vars]
+    out = KForm.zero(form.dim, form.degree, src)
+    for idx, c in form.coeffs.items():
+        piece = KForm(form.dim, 0, src, {(): _reference_compose(c, F)})
+        for axis in idx:
+            piece = piece.wedge(dcomp[axis - 1])
+        out = out + piece
+    return out
+
+
+def _random_poly_form(rng, k, vars, dim=DIM):
+    return KForm(dim, k, poly_ring(vars), {idx: _random_poly(rng, vars)
+                                           for idx in combinations(range(1, dim + 1), k)
+                                           if rng.random() < 0.5})
+
+
+def _assert_pullbacks_match(pairs):
+    """Each (map, form) in turn: the memoised pullback equals the sequential
+    wedge, with the same key order."""
+    for F, a in pairs:
+        got, want = F.pullback(a), _reference_pullback(F, a)
+        assert got == want and list(got.coeffs) == list(want.coeffs)
+        assert_canonical(got)
+
+
+def test_memoised_pullback_matches_the_sequential_wedge_on_alternating_maps():
+    rng = random.Random(29)
+    y = {v: Poly.var(YVARS, v) for v in YVARS}
+    # not injective (y1 and y2 both go to y1), with non-dyadic coefficients
+    G = PolynomialMap(YVARS, YVARS, {
+        "y1": y["y1"] + y["y2"] * y["y3"] * Fraction(2, 5), "y2": y["y1"],
+        "y3": y["y3"] ** 2 - Fraction(1, 3), "y4": y["y4"] * y["y5"] + y["y7"],
+        "y5": y["y5"], "y6": y["y6"] - y["y1"] * Fraction(3, 7), "y7": y["y7"] * 2})
+    maps = (_quadratic_map(), G)
+    pairs = []
+    for n in range(60):
+        k = rng.randint(0, 3)
+        a = _rational_form(rng, k) if n % 4 == 3 else _random_poly_form(rng, k, YVARS)
+        pairs.append((maps[n % 2], a))
+    assert any(a.ring == RAT and a.degree == 3 for _, a in pairs)
+    _assert_pullbacks_match(pairs)
+
+
+def test_memoised_pullback_with_spectator_source_variables():
+    # the resolution's chart maps: eight source variables, forms of dim 7
+    maps = [chart_map(0, extra_vars=("u",)), chart_map(1, extra_vars=("u",))]
+    assert all(len(F.source_vars) == 8 for F in maps)
+    rng = random.Random(31)
+    pairs = [(maps[n % 2], _random_poly_form(rng, rng.randint(0, 3), maps[0].target_vars))
+             for n in range(24)]
+    _assert_pullbacks_match(pairs)
+
+
+def test_memoised_pullback_keeps_forms_of_different_dimension_apart():
+    s = chart_vars("s", 3)
+    x = {v: Poly.var(s, v) for v in s}
+    F = PolynomialMap(s, chart_vars("t", 3), {
+        "t1": x["s1"] + x["s2"] * x["s3"], "t2": x["s2"] - x["s1"] ** 2 * Fraction(1, 2),
+        "t3": x["s3"] + x["s1"] * x["s2"]})
+    rng = random.Random(37)
+    pairs = []
+    for n in range(24):
+        dim = 2 + n % 2
+        pairs.append((F, _random_poly_form(rng, rng.randint(0, dim), F.target_vars, dim)))
+    _assert_pullbacks_match(pairs)
+    for wrong in (KForm.basis(3, (1,), FLT), _random_poly_form(rng, 1, s, 3)):
+        with pytest.raises(MixedRingError):
+            F.pullback(wrong)
 
 
 def test_wedge_antisymmetry_of_one_forms():
@@ -397,7 +490,10 @@ def test_poly_ring_matches_the_fraction_loops():
     for p, q in pairs:
         outs = [(p + q, _reference_poly_add(p, q)), (p * q, _reference_poly_mul(p, q)),
                 (-p, Poly(vars, {e: -c for e, c in p.terms.items()}))]
-        outs += [(p.diff(v), _reference_poly_diff(p, v)) for v in vars]
+        partials = p.partials(len(vars))
+        assert list(partials) == [i for i, v in enumerate(vars) if _reference_poly_diff(p, v)]
+        outs += [(partials.get(i, Poly(vars)), _reference_poly_diff(p, v))
+                 for i, v in enumerate(vars)]
         for got, want in outs:
             assert got == want
             assert list(got.terms) == list(want.terms)
@@ -419,8 +515,115 @@ def test_poly_arithmetic_rejects_bool_operands():
     y1 = Poly.var(YVARS, "y1")
     with pytest.raises(MixedRingError):
         y1 + True
+    with pytest.raises(MixedRingError):
+        y1 * True
     assert y1 != True  # noqa: E712 -- compares unequal rather than as 1
     assert Poly.const(YVARS, 1) == 1
+
+
+# --------------------------------------------------------------------------
+# the integer polynomial ring
+# --------------------------------------------------------------------------
+
+def test_poly_is_unhashable():
+    # a constant Poly equals its int or Fraction, so hashing it apart from
+    # them broke the eq/hash contract; like KForm, it is unhashable
+    with pytest.raises(TypeError):
+        hash(Poly.const(YVARS, 3))
+    with pytest.raises(TypeError):
+        {Poly.var(YVARS, "y1"): 1}
+
+
+def test_poly_terms_is_a_read_only_fraction_view_built_once(monkeypatch):
+    vars = ("x", "y", "z")
+    x, y = Poly.var(vars, "x"), Poly.var(vars, "y")
+    p = (x * Fraction(1, 3) + y * 2 - 1) * (x - Fraction(5, 7))
+    want = list(_reference_poly_mul(
+        Poly(vars, {(1, 0, 0): Fraction(1, 3), (0, 1, 0): 2, (0, 0, 0): -1}),
+        Poly(vars, {(1, 0, 0): 1, (0, 0, 0): Fraction(-5, 7)})).terms.items())
+    made = []
+
+    def counting_fraction(*args):
+        made.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(rings_module, "Fraction", counting_fraction)
+    first = p.terms
+    assert len(made) == len(first) == 5
+    assert list(first.items()) == want
+    assert all(type(c) is Fraction for c in first.values())
+    assert p.terms == first and len(made) == 5              # kept, not rebuilt
+    with pytest.raises(TypeError):
+        first[(0, 0, 1)] = Fraction(1)
+
+
+def test_poly_arithmetic_builds_no_fractions(monkeypatch):
+    vars = ("x", "y")
+    x, y = Poly.var(vars, "x"), Poly.var(vars, "y")
+    third = Fraction(1, 3)
+    p = x * third + y * Fraction(-2, 7) + 1
+    made = []
+    monkeypatch.setattr(Fraction, "__new__", lambda *args, **kw: made.append(args))
+    outs = [p + x, p - p, -p, p * p, p * third, 3 * p, p ** 3, 1 - p,
+            p.partials(2)[0], p.partials(2)[1]]
+    same = [p == p * 1, p * p == p ** 2, (p - p) == 0, p != x]
+    monkeypatch.undo()
+    assert made == []
+    assert same == [True, True, True, True]
+    assert outs[3] == _reference_poly_mul(p, p)
+    assert outs[8] == Poly.const(vars, third) and outs[9] == Poly.const(vars, Fraction(-2, 7))
+
+
+def test_equal_polys_built_different_ways_compare_equal():
+    vars = ("x", "y")
+    x, y = Poly.var(vars, "x"), Poly.var(vars, "y")
+    half = Fraction(1, 2)
+    pairs = [(x * half + x * half, x),
+             ((x + y) * (x - y), x ** 2 - y ** 2),
+             ((x * 3) * Fraction(1, 3), x),
+             (x * Fraction(2, 6), Poly(vars, {(1, 0): Fraction(1, 3)})),
+             (x - x + 4, Poly.const(vars, Fraction(8, 2))),
+             (Poly(vars, {(1, 0): 0, (0, 1): half}) * 2, y)]
+    for p, q in pairs:
+        assert p == q and q == p
+        assert (p._num, p._den) == (q._num, q._den)
+    assert x - x == 0 and not (x - x)
+    assert Poly.const(vars, Fraction(6, 2)) == 3 and (x * half) * 2 != y
+
+
+def _reference_eval(p, point):
+    """Poly.eval as the loop over Fraction coefficients: float(c) times each
+    power x·x·..., summed in key order."""
+    total = 0.0
+    for e, c in p.terms.items():
+        val = float(c)
+        for v, k in zip(p.vars, e):
+            if k:
+                power = point[v]
+                for _ in range(k - 1):
+                    power = power * point[v]
+                val = val * power
+        total = total + val
+    return total
+
+
+def test_eval_with_non_dyadic_coefficients_keeps_the_bits_of_the_fraction_loop():
+    vars = ("x", "y", "z")
+    x, y, z = (Poly.var(vars, v) for v in vars)
+    polys = [x * Fraction(1, 3) + y * y * Fraction(2, 7) - z ** 3 * Fraction(5, 11),
+             (x * Fraction(1, 3) - Fraction(2, 7)) ** 3 * (y + Fraction(1, 9)),
+             Poly.const(vars, Fraction(10, 3)) + x * y * z * Fraction(22, 7)]
+    rng = np.random.default_rng(3)
+    cols = {v: rng.uniform(-2.0, 2.0, size=50) for v in vars}
+    for p in polys:
+        assert p._den > 1                             # a common denominator
+        batch = p.eval(cols)
+        want = _reference_eval(p, cols)
+        assert batch.tobytes() == want.tobytes()
+        for j in range(50):
+            point = {v: float(cols[v][j]) for v in vars}
+            got = p.eval(point)
+            assert type(got) is float and got == _reference_eval(p, point) == batch[j]
 
 
 # --------------------------------------------------------------------------

@@ -60,26 +60,40 @@ def _public_defs(tree, module):
                     yield f"{module}.{node.name}.{sub.name}", sub
 
 
-def _without_a_caller_in_src():
-    """Public functions and methods whose name no expression in src/g2calc
-    reads outside their own body (a name read as `f` or as `x.f`)."""
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    reads = []                              # (module, line, name)
+def _without_a_caller(trees):
+    """Public functions and methods (of the modules name -> ast tree) whose
+    name no expression reads outside their own body.  A function is read as
+    `f` or as `x.f`; a method only as `x.f`, so a local variable of the same
+    name does not count."""
+    reads = []                              # (module, line, name, is attribute)
     for module, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                reads.append((module, node.lineno, node.id))
+                reads.append((module, node.lineno, node.id, False))
             elif isinstance(node, ast.Attribute):
-                reads.append((module, node.lineno, node.attr))
+                reads.append((module, node.lineno, node.attr, True))
     lonely = []
     for module, tree in trees.items():
         for qualname, fn in _public_defs(tree, module):
-            name = fn.name
-            if not any(n == name and not (m == module and fn.lineno <= line <= fn.end_lineno)
-                       for m, line, n in reads):
+            method = qualname.count(".") == 2
+            if not any(n == fn.name and (attr or not method)
+                       and not (m == module and fn.lineno <= line <= fn.end_lineno)
+                       for m, line, n, attr in reads):
                 lonely.append(qualname)
     return sorted(lonely)
 
 
 def test_every_public_function_has_a_caller_in_src():
-    assert _without_a_caller_in_src() == sorted(NO_CALLER_IN_SRC)
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert _without_a_caller(trees) == sorted(NO_CALLER_IN_SRC)
+
+
+def test_a_method_is_called_only_through_an_attribute_read():
+    tree = ast.parse("class P:\n"
+                     "    def subs(self): pass\n"
+                     "    def diff(self): pass\n"
+                     "def lone(): pass\n"
+                     "def used(): pass\n"
+                     "for subs in range(3): used()\n"
+                     "lone_value = P().diff\n")
+    assert _without_a_caller({"m": tree}) == ["m.P.subs", "m.lone"]
