@@ -22,7 +22,7 @@ from types import MappingProxyType
 from typing import Mapping
 
 from .rings import (FLT, RAT, MixedRingError, Poly, _over_common_denominator,
-                    coerce_to, ring_of, ring_zero, scalar_is_zero)
+                    _reduced, coerce_to, ring_of, ring_zero, scalar_is_zero)
 
 MultiIndex = tuple  # strictly increasing tuple of axis labels (1-based ints)
 
@@ -132,10 +132,8 @@ class KForm:
             form._coeffs = {i: c for i, c in coeffs.items() if c}
             form._num = None
         else:
-            g = math.gcd(den, *coeffs.values())
             form._coeffs = None
-            form._num = {i: n // g for i, n in coeffs.items() if n}
-            form._den = den // g
+            form._num, form._den = _reduced(coeffs, den)
         return form
 
     @property
@@ -322,8 +320,7 @@ class KForm:
     def d_chart(self) -> "KForm":
         """Exterior derivative for polynomial coefficients.
 
-        Axis i corresponds to coordinate ``vars[i-1]`` of the polynomial ring;
-        a coefficient is differentiated once, in the variables it contains.
+        Axis i is coordinate ``vars[i-1]``; a coefficient is differentiated once.
         """
         if not (isinstance(self.ring, tuple) and self.ring[0] == "poly"):
             raise TypeError("d_chart needs polynomial coefficients")
@@ -372,8 +369,7 @@ class PolynomialMap:
 
     ``outputs[i]`` is the i-th target coordinate expressed as a Poly in the
     source coordinates; target axis i corresponds to target_vars[i-1].
-    A map memoises each F*(dy^I), keyed by the form's dimension and I, and
-    each monomial in its components, on first use.
+    F*(dy^I), per form dimension and I, and its monomials are memoised.
     """
 
     def __init__(self, source_vars, target_vars, components: Mapping[str, Poly]):
@@ -400,19 +396,14 @@ class PolynomialMap:
             self._dy[dim, idx] = form
         return form
 
-    def _compose(self, c: Poly) -> Poly:
-        """c∘F for a nonzero c: the memoised monomials in the components, times
-        c's coefficients, summed in c's key order."""
-        num, den = c._num, c._den
-        out = None
-        for e, n in num.items():
-            if e not in self._monomials:
-                self._monomials[e] = math.prod(
-                    (self.components[v] ** k for v, k in zip(self.target_vars, e) if k),
-                    start=Poly.const(self.source_vars, 1))
-            term = self._monomials[e]._scaled(n, den)
-            out = term if out is None else out + term
-        return out
+    def _monomial(self, e) -> Poly:
+        """The product of the components to the powers e, memoised."""
+        m = self._monomials.get(e)
+        if m is None:
+            m = self._monomials[e] = math.prod(
+                (self.components[v] ** k for v, k in zip(self.target_vars, e) if k),
+                start=Poly.const(self.source_vars, 1))
+        return m
 
     def pullback(self, form: KForm) -> KForm:
         """Pull a polynomial form on the target chart back to the source
@@ -423,7 +414,7 @@ class PolynomialMap:
         form = form.in_ring(target)
         out = {}
         for idx, c in form.coeffs.items():
-            cf = self._compose(c)
+            cf = c.compose(self._monomial)
             for i, m in self._pulled_basis(form.dim, idx).coeffs.items():
                 _add_term(out, i, cf * m)
         return KForm._trusted(form.dim, form.degree, ("poly", self.source_vars), out)

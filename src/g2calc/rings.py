@@ -6,8 +6,7 @@ Three rings are supported:
 * floats,
 * multivariate polynomials with rational coefficients over a fixed,
   named coordinate tuple (class :class:`Poly`), held as integer
-  numerators over one reduced denominator, as `forms` holds a rational
-  form; their arithmetic runs on the integers and builds no Fraction.
+  numerators over one reduced denominator, like a rational `forms.KForm`.
 
 Mixing scalars from different rings inside one form is a hard error, raised
 by the form layer (see :mod:`g2calc.forms`).  Helpers here also give
@@ -15,17 +14,17 @@ exact n-th roots of rationals, or None where the root is irrational; each
 caller decides what an irrational root means for it.
 
 A polynomial evaluates at one point or, entry by entry, at every row of a
-set of point columns, by one method (:meth:`Poly.eval`).  A coefficient
-becomes the float n / D, correctly rounded, so it has the bits of
-float(Fraction).  Powers are repeated products, x·x·..., which round the
-same for a float and for a numpy array, so a row gets the same bits alone
-or in any batch; the sampled quantities built on it (`catalog`,
-`ehmetric`) follow the same x·x policy.
+set of point columns, by one method (:meth:`Poly.eval`).  It raises powers
+by repeated multiplication, x·x·..., which rounds the same for a float and
+for a numpy array, so a row gets the same bits alone or in any batch; the
+sampled quantities built on it (`catalog`, `ehmetric`) follow the same
+x·x policy.
 '''
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import reduce
 from operator import add
 from types import MappingProxyType
 from typing import Mapping
@@ -83,6 +82,18 @@ def _over_common_denominator(values):
     return nums, D
 
 
+def _reduced(num: dict, den: int):
+    """(numerators, D) of num[k] / den over the lowest D > 0, zeros dropped;
+    may return `num` itself, which the caller must then leave alone."""
+    if 0 in num.values():
+        num = {k: n for k, n in num.items() if n}
+    g = math.gcd(den, *num.values()) if den != 1 else 1
+    if g != 1:
+        num = {k: n // g for k, n in num.items()}
+        den //= g
+    return num, den
+
+
 def _rational(c):
     """`c`, which must be an int or a Fraction; floats and bools are refused,
     since a float's binary value is not the rational it was written as."""
@@ -106,14 +117,10 @@ def nth_root_fraction(q: Fraction, k: int):
 class Poly:
     '''Multivariate polynomial with rational coefficients.
 
-    A polynomial is held as integer numerators over one denominator D > 0,
-    the lcm of its coefficients' denominators, keyed by exponent tuples
-    aligned with ``self.vars``.  Zero numerators are pruned and the pair is
-    reduced, so equality is syntactic.  Its sum, product, power,
-    derivatives and equality run on these integers and build no Fraction;
-    `terms`, a read-only Fraction view, is made on its first read.  Keys
-    keep the order that the Fraction loops give.  The canonical term order
-    used by __str__ is graded lexicographic.
+    Integer numerators over one reduced denominator D > 0, keyed by exponent
+    tuples aligned with ``self.vars``, zeros pruned, so equality is syntactic.
+    Arithmetic builds no Fraction; `terms` is a read-only Fraction view made
+    on first read.  __str__ orders terms graded lexicographically.
     '''
 
     __slots__ = ("vars", "_num", "_den", "_terms")
@@ -132,19 +139,11 @@ class Poly:
 
     @classmethod
     def _from_ints(cls, vars: tuple, num: dict, den: int) -> "Poly":
-        """Build a polynomial over the tuple `vars` from integer numerators,
-        keyed by exponent tuples of the right length, over den > 0; the
-        zeros are dropped and the pair is reduced here.  The polynomial may
-        keep `num` itself, so the caller must not change it afterwards."""
+        """The polynomial over the tuple `vars` with numerators `num`, keyed
+        by exponent tuples of the right length, over den > 0 (see _reduced)."""
         p = object.__new__(cls)
         p.vars, p._terms = vars, None
-        if 0 in num.values():
-            num = {e: n for e, n in num.items() if n}
-        g = math.gcd(den, *num.values()) if den != 1 else 1
-        if g != 1:
-            num = {e: n // g for e, n in num.items()}
-            den //= g
-        p._num, p._den = num, den
+        p._num, p._den = _reduced(num, den)
         return p
 
     def _scaled(self, n: int, d: int) -> "Poly":
@@ -202,27 +201,23 @@ class Poly:
         return self._scaled(-1, 1)
 
     def __sub__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
-        if not isinstance(other, Poly):     # Poly first: Fraction's check is slow
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            s = _rational(other)
-            return self._scaled(s.numerator, s.denominator)
         other = self._coerce(other)
-        a, b = self._num.items(), other._num.items()
-        if len(a) == 1 or len(b) == 1:     # no two products share a monomial
-            out = {tuple(map(add, e1, e2)): c1 * c2 for e1, c1 in a for e2, c2 in b}
-        else:
-            out = {}
-            for e1, c1 in a:
-                for e2, c2 in b:
-                    e = tuple(map(add, e1, e2))
-                    out[e] = out[e] + c1 * c2 if e in out else c1 * c2
+        if other is NotImplemented:
+            return NotImplemented
+        out = {}
+        for e1, c1 in self._num.items():
+            for e2, c2 in other._num.items():
+                e = tuple(map(add, e1, e2))
+                out[e] = out[e] + c1 * c2 if e in out else c1 * c2
         return Poly._from_ints(self.vars, out, self._den * other._den)
 
     __rmul__ = __mul__
@@ -240,15 +235,19 @@ class Poly:
         return result
 
     def __eq__(self, other):
-        if not isinstance(other, Poly):
-            if isinstance(other, bool) or not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = Poly.const(self.vars, other)
-        return (self.vars == other.vars and self._den == other._den
-                and self._num == other._num)
+        if isinstance(other, bool) or not isinstance(other, (Poly, int, Fraction)):
+            return NotImplemented
+        other = other if isinstance(other, Poly) else Poly.const(self.vars, other)
+        return (self.vars, self._den, self._num) == (other.vars, other._den, other._num)
 
     def __bool__(self):
         return bool(self._num)
+
+    def compose(self, monomial) -> "Poly":
+        """self∘F for a nonzero self, given monomial(e), the product of F's
+        components to the powers e; the terms are summed in key order."""
+        den = self._den
+        return reduce(add, (monomial(e)._scaled(n, den) for e, n in self._num.items()))
 
     # ----- calculus -------------------------------------------------------
     def partials(self, n: int) -> dict:
@@ -264,9 +263,8 @@ class Poly:
     def eval(self, point: Mapping):
         """Value at a point (names -> numbers), or entry by entry at point
         columns (names -> float arrays of one shape).  A coefficient is n / D,
-        correctly rounded as float(Fraction) is, and each power is a repeated
-        product x·x·..., the same for a float and for an array, so an entry
-        is the float that its row gives on its own."""
+        rounded as float(Fraction) is; a power is the product x·x·..., the
+        same for a float and an array, so an entry is its row's own float."""
         total, powers, den = 0.0, {}, self._den
         for e, n in self._num.items():
             val = n / den

@@ -517,6 +517,10 @@ def test_poly_arithmetic_rejects_bool_operands():
         y1 + True
     with pytest.raises(MixedRingError):
         y1 * True
+    with pytest.raises(MixedRingError):
+        y1 - True
+    with pytest.raises(MixedRingError):
+        True - y1
     assert y1 != True  # noqa: E712 -- compares unequal rather than as 1
     assert Poly.const(YVARS, 1) == 1
 
