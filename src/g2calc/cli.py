@@ -80,17 +80,25 @@ def _check_wedge_associativity(rng):
 
 
 def _rand_poly_form(rng, k, vars) -> KForm:
-    ring = poly_ring(vars)
+    """Each index kept with probability 1/2, with the coefficient c x_u x_w:
+    c an integer in [-3, 3], u and w two variable picks (with replacement),
+    each factor kept with probability 0.6.  The keep flags, coefficients,
+    picks and factor flags are drawn as one array each."""
+    idxs = list(combinations(range(1, DIM + 1), k))
+    n = len(idxs)
+    keep = (rng.random(n) >= 0.5).tolist()
+    cs = rng.integers(-3, 4, size=n).tolist()
+    picks = rng.integers(0, len(vars), size=(n, 2)).tolist()
+    factors = (rng.random((n, 2)) < 0.6).tolist()
     coeffs = {}
-    for idx in combinations(range(1, DIM + 1), k):
-        if rng.random() < 0.5:
-            continue
-        p = Poly.const(vars, Fraction(int(rng.integers(-3, 4))))
-        for v in rng.choice(vars, size=2, replace=True):
-            if rng.random() < 0.6:
-                p = p * Poly.var(vars, str(v))
-        coeffs[idx] = p
-    return KForm(DIM, k, ring, coeffs)
+    for idx, kept, c, pick, fac in zip(idxs, keep, cs, picks, factors):
+        if kept:
+            e = [0] * len(vars)
+            for v, f in zip(pick, fac):
+                if f:
+                    e[v] += 1
+            coeffs[idx] = Poly(vars, {tuple(e): c})
+    return KForm(DIM, k, poly_ring(vars), coeffs)
 
 
 def _check_d_chart_squared(rng):

@@ -13,6 +13,12 @@ lcm of its coefficients' denominators, which makes the pair reduced and
 canonical.  Its wedge, sum, negation, scaling and equality run on these
 integers and build no Fraction; Fractions are made only when `coeffs` is
 read.
+
+Every multi-index has a 7-bit mask in `_MASKS` (bit i-1 set for axis i).
+The index-pair loops of `wedge`, `d_chart` and `liecdga.d_invariant` test
+two masks for a shared bit before they call `merge_sign`, so a pair that
+repeats an axis costs one integer AND; `merge_sign` still gives the sign and
+the merged index of every disjoint pair.
 '''
 from __future__ import annotations
 
@@ -54,6 +60,10 @@ def sort_with_sign(idx):
             j -= 1
     return tuple(idx), sign
 
+
+#: the 7-bit mask of each multi-index of axes 1..7, bit i-1 for axis i: two
+#: multi-indices share an axis exactly when their masks share a bit
+_MASKS = {tuple(i + 1 for i in range(7) if m >> i & 1): m for m in range(1 << 7)}
 
 #: merge_sign's memo, a -> {b -> (merged, sign)}, filled on first use of a
 #: pair; _MERGE_RESULTS interns the value tuples so that rows share them
@@ -268,19 +278,22 @@ class KForm:
         if deg > self.dim:
             return KForm.zero(self.dim, min(deg, self.dim), ring)
         # keys in order of first appearance: a sum that cancels keeps its
-        # place until the zeros are dropped at the end
+        # place until the zeros are dropped at the end.  A pair whose masks
+        # share a bit repeats an axis and is skipped before merge_sign
         den = None
         if ring == RAT:
             (a, da), (b, db) = self._ints(), other._ints()
             den = da * db
         else:
             a, b = self.in_ring(ring).coeffs, other.in_ring(ring).coeffs
+        right = [(_MASKS[i2], i2, c2) for i2, c2 in b.items()]
         out = {}
         for i1, c1 in a.items():
-            for i2, c2 in b.items():
-                merged, sign = merge_sign(i1, i2)
-                if sign == 0:
+            m1 = _MASKS[i1]
+            for m2, i2, c2 in right:
+                if m1 & m2:
                     continue
+                merged, sign = merge_sign(i1, i2)
                 c = c1 * c2 if sign == 1 else -(c1 * c2)
                 if merged in out:
                     out[merged] = out[merged] + c
@@ -328,10 +341,11 @@ class KForm:
             return KForm.zero(self.dim, self.dim, self.ring)
         terms = {}
         for idx, c in self.coeffs.items():
+            m = _MASKS[idx]
             for i, dc in c.partials(self.dim).items():
-                merged, sign = merge_sign((i + 1,), idx)
-                if sign == 0:
+                if m >> i & 1:      # d(x_i) ^ theta^idx repeats axis i + 1
                     continue
+                merged, sign = merge_sign((i + 1,), idx)
                 val = dc if sign == 1 else -dc
                 terms[merged] = terms[merged] + val if merged in terms else val
         return KForm._trusted(self.dim, self.degree + 1, self.ring, terms)

@@ -41,7 +41,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .forms import KForm, merge_sign
+from .forms import _MASKS, KForm, merge_sign
 from .rings import FLT, RAT, _over_common_denominator, nth_root_fraction
 
 DIM = 7
@@ -427,8 +427,6 @@ _STAR_SIGNS = [[merge_sign(I, comp)[1] for I, comp in zip(subs, comps)]
 
 #: the set bits (0-based axes) of each 7-bit mask, in increasing order
 _BITS = [tuple(i for i in range(DIM) if m >> i & 1) for m in range(1 << DIM)]
-#: the 7-bit mask of each multi-index of 1-based axes
-_MASKS = {I: sum(1 << (i - 1) for i in I) for subs in _SUBSETS for I in subs}
 #: for the float minors: each multi-index's position in _SUBSETS[k], and
 #: per k the 0-based axes of the k-subsets and of their complements, and
 #: the sign (-1)^(sum of I) of each k-subset I

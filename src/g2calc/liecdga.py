@@ -11,7 +11,7 @@ import json
 import math
 from fractions import Fraction
 
-from .forms import KForm, _add_term, merge_sign
+from .forms import _MASKS, KForm, _add_term, merge_sign
 from .rings import RAT, coerce_to
 
 
@@ -40,10 +40,11 @@ class StructureEqs:
             if f.degree != 2 or f.dim != dim or f.ring != RAT:
                 raise ValueError("structure equations must be rational 2-forms")
             self.d_gen.append(f)
-        # d_invariant's integer table: d(theta^i) as (pair, n) rows over self._den
+        # d_invariant's integer table: d(theta^i) as (pair, mask of pair, n)
+        # rows over self._den
         ints = [f._ints() for f in self.d_gen]
         self._den = math.lcm(*(d for _, d in ints))
-        self._rows = [[(pair, n * (self._den // d)) for pair, n in num.items()]
+        self._rows = [[(pair, _MASKS[pair], n * (self._den // d)) for pair, n in num.items()]
                       for num, d in ints]
 
 
@@ -53,6 +54,8 @@ def d_invariant(eqs: StructureEqs, form: KForm) -> KForm:
     d(theta^I) = sum_k (-1)^{k-1} theta^{i_1..} ^ d(theta^{i_k}) ^ ..theta^{i_m},
     collected with constant coefficients.  A rational form runs on its integer
     numerators and those of eqs' table, over the product of the denominators.
+    A pair of d(theta^{i_k}) whose mask meets that of the rest of I repeats an
+    axis and is skipped before merge_sign.
     """
     dim = eqs.dim
     if form.degree >= dim:
@@ -62,16 +65,18 @@ def d_invariant(eqs: StructureEqs, form: KForm) -> KForm:
         rows, den = eqs._rows, den * eqs._den
     else:
         terms, den = form.coeffs, None
-        rows = [[(pair, coerce_to(form.ring, c)) for pair, c in dg.coeffs.items()]
+        rows = [[(pair, _MASKS[pair], coerce_to(form.ring, c)) for pair, c in dg.coeffs.items()]
                 for dg in eqs.d_gen]
     out = {}
     for idx, c in terms.items():
+        m = _MASKS[idx]
         for pos, axis in enumerate(idx):
             rest = idx[:pos] + idx[pos + 1:]
-            for pair, c2 in rows[axis - 1]:
-                merged, sign = merge_sign(pair, rest)
-                if sign == 0:
+            m_rest = m ^ (1 << (axis - 1))
+            for pair, m_pair, c2 in rows[axis - 1]:
+                if m_pair & m_rest:
                     continue
+                merged, sign = merge_sign(pair, rest)
                 total = c * c2
                 if (sign == 1) != (pos % 2 == 0):
                     total = -total

@@ -298,15 +298,17 @@ class Poly:
 
 
 def ring_of(s) -> object:
-    """Ring tag of one scalar: RAT, FLT or ('poly', vars)."""
-    if isinstance(s, bool):
-        raise TypeError("bool is not a scalar")
-    if isinstance(s, (int, Fraction)):
-        return RAT
+    """Ring tag of one scalar: RAT, FLT or ('poly', vars).  Floats (numpy's
+    too) and Polys are tested first: a non-Fraction reaching the Fraction
+    test falls into the slow `numbers.Rational` ABC check."""
     if isinstance(s, float):
         return FLT
     if isinstance(s, Poly):
         return ("poly", s.vars)
+    if isinstance(s, bool):
+        raise TypeError("bool is not a scalar")
+    if isinstance(s, (int, Fraction)):
+        return RAT
     raise TypeError(f"unsupported scalar {s!r}")
 
 

@@ -5,13 +5,14 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from g2calc.catalog import ffkm_model, nakamura_model
 from g2calc.forms import KForm, _add_term, merge_sign, sort_with_sign
 from g2calc.liecdga import (InvariantModel, JacobiError, StructureEqs,
                             check_d_squared, d_invariant, load_model,
                             model_from_dict, model_to_dict, verify_primitive)
-from g2calc.rings import FLT, RAT, coerce_to
+from g2calc.rings import FLT, RAT, Poly, coerce_to
 
 DIM = 7
 
@@ -258,3 +259,37 @@ def test_integer_d_invariant_matches_the_fraction_loop_on_random_forms(make_eqs)
         assert_same_d(eqs, form.wedge(KForm.basis(DIM, (rng.randint(1, DIM),), RAT,
                                                   Fraction(1, 5))))
         assert_same_d(eqs, form.in_ring(FLT))
+
+
+YVARS = tuple(f"y{i}" for i in range(1, DIM + 1))
+YRING = ("poly", YVARS)
+
+
+@st.composite
+def sparse_forms(draw, dim, k, ring=RAT):
+    """A k-form on `dim` axes in `ring`, each index kept or dropped: rational
+    coefficients, non-dyadic floats, or one-term polynomials in YVARS."""
+    coeffs = {}
+    for idx in combinations(range(1, dim + 1), k):
+        if not draw(st.booleans()):
+            continue
+        c = Fraction(draw(st.integers(-4, 4)), draw(st.integers(1, 3)))
+        if ring == FLT:
+            c = float(c) * 0.7
+        elif ring == YRING:
+            c = Poly(YVARS, {tuple(draw(st.lists(st.integers(0, 2), min_size=DIM,
+                                                 max_size=DIM))): c})
+        coeffs[idx] = c
+    return KForm(dim, k, ring, coeffs)
+
+
+@pytest.mark.parametrize("ring", [RAT, FLT, YRING], ids=["rat", "flt", "poly"])
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_d_invariant_equals_the_reference_loop_in_value_and_key_order(ring, data):
+    # random structure equations on 2..7 axes (d^2 = 0 is not needed for d
+    # to be the derivation extension); a 2-form needs at least two axes
+    dim = data.draw(st.integers(2, DIM))
+    eqs = StructureEqs(dim, [data.draw(sparse_forms(dim, 2)) for _ in range(dim)])
+    form = data.draw(sparse_forms(dim, data.draw(st.integers(0, dim)), ring))
+    assert_same_d(eqs, form)
