@@ -15,12 +15,15 @@ given by one pair of small sign tables (105 and 210 entries) evaluated in
 the form's own ring -- integer numerators over a common denominator for a
 rational form, visiting only nonzero entries, and for float rows one
 product with each table and B = (A K) A^T matrix by matrix, in blocks of
-rows.  The Hodge star and the inner product share one kernel for the
-k x k minors det(g^-1[I, J]): for a rational metric, integer minors of an
-integer matrix G with g^-1 = s G, by Laplace expansion with the smaller
-minors memoised; for a float one, closed-form minors of size at most 3 --
-of g^-1 for k <= 3, and for k >= 4 of g itself by Jacobi's identity
-det(g^-1[I, J]) = +-det(g[J', I']) / det g, so no inverse enters there.
+rows.  The Hodge star and the inner product of a rational metric share
+one integer kernel built on Jacobi's identity, det(g^-1[I, J]) equals
++-det(g[J', I']) / det g for the complements I', J'.  With B = N / d and
+36 det B = r^9, each reads sum_J (-1)^(sum J) a_J det N[I', J'] for all I'
+at once from the wedge of N's columns in J', built from the lowest column
+up over nonzero entries and memoised by column mask.  The coefficient is
+r^(k+1) times a rational number, and N is never inverted.  A float metric
+has closed-form minors of size at most 3 -- of g^-1 for k <= 3, and for
+k >= 4 of g itself by the same identity.
 
 Exact linear algebra (determinants, Sylvester's test, inverses) runs
 fraction-free on integer numerators over one common denominator.  A
@@ -28,12 +31,11 @@ rational form's G2Data holds B = N / d as integers, the Fraction vol^3
 and r = (r^3)^{1/3}: g = N / (d r), g^-1 = r d N^-1 and sqrt(det g) =
 r / 6 are Fractions where r is rational (exact data) and floats
 otherwise.  ``metric`` and ``metric_inv`` are built on first read, and
-the integer inverse of N at most once.  A float form's metric is
+only ``metric_inv`` inverts N.  A float form's metric is
 B / (36 det B)^{1/9}, with Sylvester's test by eigenvalues.
 '''
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -264,13 +266,6 @@ def _bareiss(A):
     return sign * prev, leading
 
 
-def det_exact(M):
-    """Exact determinant of a square matrix of rationals, as a Fraction:
-    Bareiss elimination on its integer numerators over one denominator."""
-    A, D = _integer_numerators(M)
-    return Fraction(_bareiss(A)[0], D ** len(A))
-
-
 def _inverse_integer(A):
     """(R, p) with A^-1 = R / p for a square integer matrix A, by
     fraction-free Gauss-Jordan elimination of [A | I]: it ends at [p I | R]
@@ -332,7 +327,8 @@ class G2Data:
         data._r = nth_root_fraction(r3, 3) or float(r3) ** (1.0 / 3.0)
         data.exact = isinstance(data._r, Fraction)
         data.phi, data.vol_cubed, data.sqrt_det = phi, r3 / 216, data._r / 6
-        data._ints, data._inv = (N, d), None
+        # _wedges is the memo of _column_wedge; the empty wedge is 1
+        data._ints, data._wedges = (N, d), {0: {0: 1}}
         return data
 
     @cached_property
@@ -343,23 +339,10 @@ class G2Data:
 
     @cached_property
     def metric_inv(self) -> list:
-        # g^-1 = r B^-1 = r q G
-        G, q = self._inverse()
-        return [[Fraction(x * q.numerator, q.denominator) * self._r for x in row]
-                for row in G]
-
-    def _inverse(self):
-        """(G, q) with d N^-1 = q G: G an integer matrix, q a Fraction;
-        found once and kept."""
-        if self._inv is None:
-            # d N^-1 = d R / p, with R divided by the gcd c of its entries:
-            # R is made of cofactors of N, far longer than the reduced
-            # entries of g^-1
-            N, d = self._ints
-            R, p = _inverse_integer(N)
-            c = math.gcd(*(x for row in R for x in row))
-            self._inv = [[x // c for x in row] for row in R], Fraction(d * c, p)
-        return self._inv
+        # g^-1 = r B^-1 = r d N^-1
+        N, d = self._ints
+        R, p = _inverse_integer(N)
+        return [[Fraction(d * x, p) * self._r for x in row] for row in R]
 
     def metric_array(self) -> np.ndarray:
         return np.array([[float(x) for x in row] for row in self.metric])
@@ -425,8 +408,16 @@ _STAR_SIGNS = [[merge_sign(I, comp)[1] for I, comp in zip(subs, comps)]
                for subs, comps in zip(_SUBSETS, _COMPLEMENTS)]
 
 
-#: the set bits (0-based axes) of each 7-bit mask, in increasing order
-_BITS = [tuple(i for i in range(DIM) if m >> i & 1) for m in range(1 << DIM)]
+#: for the exact kernel: per multi-index J, the mask of its complement J'
+#: and (-1)^(sum of J); per degree k, that pair for each I' of _COMPLEMENTS[k]
+#: with the sign sign(I, I') (-1)^(sum of I)
+_COMPLEMENT_MASKS = {J: ((1 << DIM) - 1 ^ m, (-1) ** sum(J)) for J, m in _MASKS.items()}
+_STAR_ROWS = [[(_COMPLEMENT_MASKS[I][0], s * _COMPLEMENT_MASKS[I][1])
+               for I, s in zip(subs, signs)] for subs, signs in zip(_SUBSETS, _STAR_SIGNS)]
+#: _ABOVE[i][m] = (-1)^(number of bits of m above bit i): the sign of
+#: theta^R ^ theta^(i+1), for R the axes of m, once it is sorted
+_ABOVE = [[(-1) ** bin(m >> (i + 1)).count("1") for m in range(1 << DIM)]
+          for i in range(DIM)]
 #: for the float minors: each multi-index's position in _SUBSETS[k], and
 #: per k the 0-based axes of the k-subsets and of their complements, and
 #: the sign (-1)^(sum of I) of each k-subset I
@@ -454,48 +445,45 @@ def _small_minors(M: np.ndarray, R: np.ndarray, C: np.ndarray) -> np.ndarray:
     return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
-def _gram_minors(data: G2Data, exact: bool, k: int, rows, cols):
-    """The minors det(g^-1[I, J]) for I in rows, J in cols (k-subsets of the
-    axes).  Exact: (M, scale) with det(g^-1[I, J]) = scale M[I][J], where
-    g^-1 = s G for the integer matrix G of data._inverse(), s = r q and
-    scale = s^k; M[I][J] comes from Laplace expansion along J's first
-    column, with the smaller minors memoised across I and J (keyed by the
-    bit masks of their axes), so the k-th compound of G is built only for
-    the columns asked for.  Float: an ndarray of closed-form minors, of
-    g^-1 for k <= 3 and of g (Jacobi) for k >= 4."""
-    if exact:
-        G, q = data._inverse()
-        s = data._r * q
-        memo = {}
+def _column_wedge(data: G2Data, mask: int) -> dict:
+    """The wedge of the columns of N in `mask` (bit j for column j), as
+    {row mask: det N[rows, columns]}: the wedge of the lower columns, kept
+    in data._wedges by column mask, times the highest column, visiting only
+    nonzero entries.  A diagonal N costs one product per column."""
+    w = data._wedges.get(mask)
+    if w is None:
+        j = mask.bit_length() - 1
+        lower = _column_wedge(data, mask ^ 1 << j)
+        w = {}
+        for i, row in enumerate(data._ints[0]):
+            x, bit, above = row[j], 1 << i, _ABOVE[i]
+            if x:
+                for rows, y in lower.items():
+                    if not rows & bit:
+                        key = rows | bit
+                        w[key] = w.get(key, 0) + above[rows] * x * y
+        data._wedges[mask] = w
+    return w
 
-        def expand(mi, mj):
-            low = mj & -mj
-            col, rest, m, odd = low.bit_length() - 1, mj ^ low, 0, False
-            for i in _BITS[mi]:
-                x = G[i][col]
-                if x:
-                    x *= minor(mi ^ (1 << i), rest)
-                    m = m - x if odd else m + x
-                odd = not odd
-            return m
 
-        def minor(mi, mj):
-            if mj & (mj - 1) == 0:      # one column, or none
-                return G[_BITS[mi][0]][_BITS[mj][0]] if mj else 1
-            key = mi << DIM | mj
-            m = memo.get(key)
-            if m is None:
-                m = memo[key] = expand(mi, mj)
-            return m
+def _jacobi_sums(data: G2Data, nums: dict) -> dict:
+    """{mask of I': sum_J (-1)^(sum J) n_J det N[I', J']} for the integer
+    numerators n_J of a rational form.  With Jacobi's identity and det N =
+    r^9 d^7 / 36, det(g^-1[I, J]) = 36 (-1)^(sum I + sum J) det N[I', J'] /
+    (d^(7-k) r^(9-k)), so these sums carry the star and the inner product."""
+    sums = {}
+    for J, n in nums.items():
+        mask, parity = _COMPLEMENT_MASKS[J]
+        n *= parity
+        for rows, m in _column_wedge(data, mask).items():
+            sums[rows] = sums.get(rows, 0) + n * m
+    return sums
 
-        # each top-level (I, J) is asked for once, so it is not memoised
-        top = expand if k > 1 else minor
-        cmasks = [_MASKS[J] for J in cols]
-        minors = [[top(_MASKS[I], mj) for mj in cmasks] for I in rows]
-        # expand and minor refer to each other, so the memo would otherwise
-        # live until the next cycle collection
-        memo.clear()
-        return minors, s ** k
+
+def _gram_minors(data: G2Data, k: int, rows, cols) -> np.ndarray:
+    """The float minors det(g^-1[I, J]) for I in rows, J in cols (k-subsets
+    of the axes), in closed form: of g^-1 for k <= 3 and of g (Jacobi) for
+    k >= 4."""
     pr = [_POSITIONS[I] for I in rows]
     pc = [_POSITIONS[J] for J in cols]
     if k <= 3:
@@ -516,12 +504,17 @@ def inner_product(data: G2Data, a: KForm, b: KForm):
     if a.is_zero() or b.is_zero():
         return Fraction(0) if exact else 0.0
     if exact:
+        # <a, b> = 36 / (d^(7-k) r^(9-k)) sum_I (-1)^(sum I) a_I sums[I']
+        k, d = a.degree, data._ints[1]
         (na, da), (nb, db) = a._ints(), b._ints()
-        minors, scale = _gram_minors(data, True, a.degree, list(na), list(nb))
-        return Fraction(scale.numerator * sum(x * sum(y * m for y, m in zip(nb.values(), row))
-                                              for x, row in zip(na.values(), minors)),
-                        scale.denominator * da * db)
-    minors = _gram_minors(data, False, a.degree, list(a.coeffs), list(b.coeffs))
+        sums = _jacobi_sums(data, nb)
+        total = 0
+        for I, n in na.items():
+            mask, parity = _COMPLEMENT_MASKS[I]
+            total += parity * n * sums.get(mask, 0)
+        c = 36 / (d ** (DIM - k) * data._r ** (9 - k))
+        return Fraction(c.numerator * total, c.denominator * da * db)
+    minors = _gram_minors(data, a.degree, list(a.coeffs), list(b.coeffs))
     ca = np.array([float(c) for c in a.coeffs.values()])
     cb = np.array([float(c) for c in b.coeffs.values()])
     return float(ca @ minors @ cb)
@@ -534,16 +527,19 @@ def norm(data: G2Data, a: KForm) -> float:
 
 def hodge_star(data: G2Data, a: KForm) -> KForm:
     """Hodge star for the metric of `data`, defined by a ^ *b = <a,b> vol:
-    (*a)_{I'} = sign(I, I') sqrt(det g) sum_J a_J det(g^-1[I, J])."""
+    (*a)_{I'} = sign(I, I') sqrt(det g) sum_J a_J det(g^-1[I, J]).  For
+    exact data and a rational form, with sqrt(det g) = r / 6 and Jacobi's
+    identity, (*a)_{I'} = sign(I, I') (-1)^(sum I) 6 / (d^(7-k) r^(8-k))
+    sum_J (-1)^(sum J) a_J det N[I', J'], all integers but the coefficient."""
     k = a.degree
     if data.exact and a.ring == RAT:
         na, da = a._ints()
-        minors, scale = _gram_minors(data, True, k, _SUBSETS[k], list(na))
-        c = scale * data.sqrt_det
-        sums = (sign * c.numerator * sum(x * m for x, m in zip(na.values(), row))
-                for sign, row in zip(_STAR_SIGNS[k], minors))
-        return KForm._trusted(DIM, DIM - k, RAT, dict(zip(_COMPLEMENTS[k], sums)), c.denominator * da)
-    minors = _gram_minors(data, False, k, _SUBSETS[k], list(a.coeffs))
+        sums = _jacobi_sums(data, na)
+        c = 6 / (data._ints[1] ** (DIM - k) * data._r ** (8 - k))
+        num = {comp: sign * c.numerator * sums.get(mask, 0)
+               for comp, (mask, sign) in zip(_COMPLEMENTS[k], _STAR_ROWS[k])}
+        return KForm._trusted(DIM, DIM - k, RAT, num, c.denominator * da)
+    minors = _gram_minors(data, k, _SUBSETS[k], list(a.coeffs))
     sums = (minors @ np.array([float(c) for c in a.coeffs.values()])).tolist()
     sq = float(data.sqrt_det)
     return KForm._trusted(DIM, DIM - k, FLT, {comp: s * sq * sign for comp, sign, s

@@ -13,10 +13,10 @@ from g2calc.catalog import nakamura_model, phi_abl_mu
 from g2calc.forms import KForm
 from g2calc.g2core import (STANDARD_PHI_TERMS, DegenerateFiberError, G2Data,
                            NotStableError, OrientationMismatchError,
-                           SU2FiberData, bilinear_from_3form, det_exact,
-                           hodge_star, inner_product, inverse_exact,
-                           is_g2_type, metric_batch, norm, phi_to_vector,
-                           standard_phi, su2_assemble, vector_to_phi)
+                           SU2FiberData, bilinear_from_3form, hodge_star,
+                           inner_product, inverse_exact, is_g2_type,
+                           metric_batch, norm, phi_to_vector, standard_phi,
+                           su2_assemble, vector_to_phi)
 from g2calc.rings import FLT, RAT, nth_root_fraction
 from g2calc.scaling import INCIDENCE
 
@@ -358,7 +358,8 @@ def test_inner_product_with_the_zero_form_is_the_zero_of_its_arithmetic(monkeypa
     def no_minors(*args):
         raise AssertionError("minors computed for the zero form")
 
-    monkeypatch.setattr(g2core, "_gram_minors", no_minors)
+    for kernel in ("_gram_minors", "_jacobi_sums", "_column_wedge"):
+        monkeypatch.setattr(g2core, kernel, no_minors)
     for d, x, want in ((data, a, Fraction), (fdata, a, float),
                        (data, a.in_ring(FLT), float)):
         z = zero.in_ring(x.ring)
@@ -456,6 +457,14 @@ def _det_cases(n):
         P[0], P[1] = P[1], P[0]
         cases += [Z, S, P]
     return cases
+
+
+def det_exact(M):
+    """Exact determinant of a square matrix of rationals, as a Fraction: the
+    production Bareiss elimination on its integer numerators over one
+    denominator."""
+    A, D = g2core._integer_numerators(M)
+    return Fraction(g2core._bareiss(A)[0], D ** len(A))
 
 
 @pytest.mark.parametrize("n", range(1, DIM + 1))
@@ -624,38 +633,75 @@ def test_indefinite_b_with_a_rational_ninth_root_is_not_stable():
     assert seen > 0
 
 
-def _per_pair_hodge_star(data, a):
-    """Reference exact Hodge star: one Fraction elimination per (I, J) pair."""
-    k, ginv = a.degree, data.metric_inv
+def _per_pair_minors(ginv):
+    """det(g^-1[I, J]) by one elimination per (I, J) pair, memoised so that
+    the star and the inner product of one metric share them: Bareiss on
+    the integer numerators G of g^-1 = G / D, tested against Leibniz above."""
+    G, D = g2core._integer_numerators(ginv)
+    memo = {}
+
+    def minor(I, J):
+        if (I, J) not in memo:
+            det = g2core._bareiss([[G[x - 1][y - 1] for y in J] for x in I])[0]
+            memo[I, J] = Fraction(det, D ** len(I))
+        return memo[I, J]
+    return minor
+
+
+def _per_pair_hodge_star(data, a, minor):
+    """Reference exact Hodge star: (*a)_{I'} = sign(I, I') sqrt(det g)
+    sum_J a_J det(g^-1[I, J]), with the minors above."""
     out = {}
-    for I in combinations(range(1, DIM + 1), k):
+    for I in combinations(range(1, DIM + 1), a.degree):
         comp = tuple(x for x in range(1, DIM + 1) if x not in I)
         sign = th(*I).wedge(th(*comp)).top_coefficient()
-        s = sum((c * _fraction_det([[ginv[x - 1][y - 1] for y in J] for x in I])
-                 for J, c in a.coeffs.items()), Fraction(0))
+        s = sum((c * m for J, c in a.coeffs.items() if (m := minor(I, J))), Fraction(0))
         out[comp] = s * data.sqrt_det * sign
-    return KForm(DIM, DIM - k, RAT, out)
+    return KForm(DIM, DIM - a.degree, RAT, out)
+
+
+def _exact_star_cases():
+    """Twenty exact 3-forms: ten dense rational frames, and ten diagonal
+    metrics -- points of the phi(alpha, beta, lambda; mu) grid, multiples
+    of the standard form by cubes, and diagonal frames."""
+    rng = np.random.default_rng(60)
+    m = nakamura_model()
+    diags = [[[Fraction(x) if r == c else Fraction(0) for c in range(DIM)]
+              for r, x in enumerate(entries)]
+             for entries in ((2, Fraction(1, 3), 1, 5, Fraction(3, 2), 1, 4),
+                             (1, 1, 7, 1, Fraction(2, 9), 1, 1),
+                             (Fraction(5, 4), 3, 2, Fraction(1, 2), 6, Fraction(7, 3), 1),
+                             (-1, -2, 1, 1, 1, 1, Fraction(1, 5)))]
+    return ([_frame_phi(A) for A in _random_frames(rng, 10)]
+            + [phi_abl_mu(a, b, lam, mu, m) for a, b, lam, mu in
+               ((1, 2, (1, 0), 2), (2, Fraction(1, 3), (8, 0), Fraction(3, 2)),
+                (Fraction(1, 2), 2, (0, 1), 3), (3, 1, (0, 8), 2))]
+            + [Fraction(27, 8) * standard_phi(), Fraction(1, 64) * standard_phi()]
+            + [_frame_phi(A) for A in diags])
 
 
 def test_exact_star_and_inner_product_match_per_pair_eliminations():
-    rng = np.random.default_rng(60)
-    for A in _random_frames(rng, 2):
-        data = is_g2_type(_frame_phi(A))
+    # every degree, with sparse and with dense forms: values, numerators and
+    # the key order of the star, which follows the complements I'
+    rng = np.random.default_rng(61)
+    nonzero = [x for x in range(-5, 6) if x]
+    for phi in _exact_star_cases():
+        data = is_g2_type(phi)
         assert data.exact and data.sqrt_det != 1
-        for k in range(DIM + 1):
+        minor = _per_pair_minors(data.metric_inv)
+        for k, density in product(range(DIM + 1), (0.4, 1.0)):
             subsets = list(combinations(range(1, DIM + 1), k))
-            a, b = (KForm(DIM, k, RAT, {I: Fraction(int(rng.integers(-5, 6)),
+            a, b = (KForm(DIM, k, RAT, {I: Fraction(int(rng.choice(nonzero)),
                                                     int(rng.integers(1, 4)))
-                                        for I in subsets if rng.random() < 0.6})
+                                        for I in subsets if rng.random() < density})
                     for _ in range(2))
-            assert hodge_star(data, a) == _per_pair_hodge_star(data, a)
+            star, want = hodge_star(data, a), _per_pair_hodge_star(data, a, minor)
+            assert star == want and list(star.coeffs) == list(want.coeffs)
             ip = inner_product(data, a, b)
-            ginv = data.metric_inv
             assert type(ip) is Fraction
-            assert ip == sum((ca * cb * _fraction_det([[ginv[x - 1][y - 1] for y in J]
-                                                       for x in I])
-                              for I, ca in a.coeffs.items()
-                              for J, cb in b.coeffs.items()), Fraction(0))
+            assert ip == sum((ca * cb * m for I, ca in a.coeffs.items()
+                              for J, cb in b.coeffs.items() if (m := minor(I, J))),
+                             Fraction(0))
 
 
 # --------------------------------------------------------------------------
@@ -685,8 +731,8 @@ def test_g2data_constructor_builds_float_data_only():
 
 
 def test_exact_data_inverts_n_at_most_once(monkeypatch):
-    # the volume law reads only sqrt_det; a Laplacian takes two stars of
-    # one metric
+    # the volume law reads only sqrt_det, and a Laplacian's two stars read
+    # wedges of N's columns: neither inverts N.  metric_inv inverts it once
     calls = []
     inverse = g2core._inverse_integer
     monkeypatch.setattr(g2core, "_inverse_integer",
@@ -695,8 +741,12 @@ def test_exact_data_inverts_n_at_most_once(monkeypatch):
     assert type(out["volume_factor"]) is Fraction and out["volume_factor"] == 3
     assert calls == []
     m = nakamura_model()
-    lap = flow.laplacian(phi_abl_mu(2, Fraction(1, 3), (8, 0), Fraction(3, 2), m), m)
+    phi = phi_abl_mu(2, Fraction(1, 3), (8, 0), Fraction(3, 2), m)
+    lap = flow.laplacian(phi, m)
     assert lap.ring == RAT and lap.coeffs
+    assert calls == []
+    data = is_g2_type(phi)
+    assert data.metric_inv is data.metric_inv
     assert calls == [1]
 
 

@@ -32,7 +32,6 @@ def test_no_unused_imports(path):
 #: reason each one stays
 NO_CALLER_IN_SRC = {
     # oracles: independent references that tests hold the kernels against
-    "g2core.det_exact": "exact-determinant oracle for tests of the exact G2 data",
     "flow.flow_closed_form": "closed-form oracle for the integrated flow line",
     "forms.KForm.contract": "interior-product oracle for the B-map",
     "forms.KForm.eval_at": "one-point reference that the tests assemble chart rows against",
