@@ -18,7 +18,8 @@ Every multi-index has a 7-bit mask in `_MASKS` (bit i-1 set for axis i).
 The index-pair loops of `wedge`, `d_chart` and `liecdga.d_invariant` test
 two masks for a shared bit before they call `merge_sign`, so a pair that
 repeats an axis costs one integer AND; `merge_sign` still gives the sign and
-the merged index of every disjoint pair.
+the merged index of every disjoint pair.  A top-degree wedge looks each left
+term's one partner up by the complement of its mask.
 '''
 from __future__ import annotations
 
@@ -287,10 +288,14 @@ class KForm:
         else:
             a, b = self.in_ring(ring).coeffs, other.in_ring(ring).coeffs
         right = [(_MASKS[i2], i2, c2) for i2, c2 in b.items()]
+        # in top degree a left term's only partner is the right term on the
+        # complement of its mask
+        by_mask = {t[0]: (t,) for t in right} if deg == self.dim else None
+        full = (1 << deg) - 1
         out = {}
         for i1, c1 in a.items():
             m1 = _MASKS[i1]
-            for m2, i2, c2 in right:
+            for m2, i2, c2 in (right if by_mask is None else by_mask.get(full ^ m1, ())):
                 if m1 & m2:
                     continue
                 merged, sign = merge_sign(i1, i2)

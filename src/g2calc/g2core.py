@@ -26,13 +26,15 @@ has closed-form minors of size at most 3 -- of g^-1 for k <= 3, and for
 k >= 4 of g itself by the same identity.
 
 Exact linear algebra (determinants, Sylvester's test, inverses) runs
-fraction-free on integer numerators over one common denominator.  A
-rational form's G2Data holds B = N / d as integers, the Fraction vol^3
-and r = (r^3)^{1/3}: g = N / (d r), g^-1 = r d N^-1 and sqrt(det g) =
-r / 6 are Fractions where r is rational (exact data) and floats
-otherwise.  ``metric`` and ``metric_inv`` are built on first read, and
-only ``metric_inv`` inverts N.  A float form's metric is
-B / (36 det B)^{1/9}, with Sylvester's test by eigenvalues.
+fraction-free on integer numerators over one common denominator.  For a
+rational form over D, B = N / d with d = D^3, and r^3 = (36 det N)^{1/3} /
+D^7 has an integer root: r^3 D^7 is rational (vol^3 is a polynomial in
+phi) and its cube 36 det N is an integer.  G2Data holds N, d and r^3, and
+takes r = (r^3)^{1/3} on the first read of ``exact``, ``sqrt_det`` or the
+metric: g = N / (d r), g^-1 = r d N^-1 and sqrt(det g) = r / 6 are
+Fractions where r is rational (exact data) and floats otherwise.  Only
+``metric_inv`` inverts N.  A float form's metric is B / (36 det B)^{1/9},
+with Sylvester's test by eigenvalues.
 '''
 from __future__ import annotations
 
@@ -44,7 +46,7 @@ from itertools import combinations
 import numpy as np
 
 from .forms import _MASKS, KForm, merge_sign
-from .rings import FLT, RAT, _over_common_denominator, nth_root_fraction
+from .rings import FLT, RAT, _int_nth_root, _over_common_denominator, nth_root_fraction
 
 DIM = 7
 TRIPLES = list(combinations(range(1, 8), 3))
@@ -260,8 +262,11 @@ def _bareiss(A):
         for i in range(k + 1, n):
             rowi = A[i]
             x = rowi[k]
-            rowi[k + 1:] = [(p * y - x * z) // prev
-                            for y, z in zip(rowi[k + 1:], rowk[k + 1:])]
+            if x:
+                rowi[k + 1:] = [(p * y - x * z) // prev
+                                for y, z in zip(rowi[k + 1:], rowk[k + 1:])]
+            else:   # the row is only rescaled, as on a diagonal N
+                rowi[k + 1:] = [p * y // prev for y in rowi[k + 1:]]
         prev = p
     return sign * prev, leading
 
@@ -324,12 +329,17 @@ class G2Data:
     def _from_integers(cls, phi: KForm, N, d: int, r3: Fraction) -> G2Data:
         """Data for B = N / d with (36 det B)^{1/3} = r3 > 0."""
         data = cls.__new__(cls)
-        data._r = nth_root_fraction(r3, 3) or float(r3) ** (1.0 / 3.0)
-        data.exact = isinstance(data._r, Fraction)
-        data.phi, data.vol_cubed, data.sqrt_det = phi, r3 / 216, data._r / 6
+        data.phi, data._r3, data.vol_cubed = phi, r3, r3 / 216
         # _wedges is the memo of _column_wedge; the empty wedge is 1
         data._ints, data._wedges = (N, d), {0: {0: 1}}
         return data
+
+    @cached_property
+    def _r(self):
+        return nth_root_fraction(self._r3, 3) or float(self._r3) ** (1.0 / 3.0)
+
+    exact = cached_property(lambda self: isinstance(self._r, Fraction))
+    sqrt_det = cached_property(lambda self: self._r / 6)
 
     @cached_property
     def metric(self) -> list:
@@ -375,9 +385,8 @@ def is_g2_type(phi: KForm) -> G2Data:
             raise NotStableError("det B < 0 and no orientation flip helps")
         if min(leading) <= 0:
             raise NotStableError("normalised metric not positive definite")
-        r3 = nth_root_fraction(Fraction(36 * detN, d ** DIM), 3)
-        if r3 is None:
-            raise ArithmeticError("36 det B is not a rational cube")
+        # d = D^3, so r^3 = (36 det N)^{1/3} / D^7, and the root is an integer
+        r3 = Fraction(_int_nth_root(36 * detN, 3), phi._ints()[1] ** DIM)
         return G2Data._from_integers(phi, N, d, r3)
     row = phi_to_vector(phi)[None]
     try:

@@ -102,16 +102,18 @@ def _rational(c):
     raise MixedRingError(f"polynomial coefficients must be ints or Fractions, got {c!r}")
 
 
+def _ratio_root(num: int, den: int, k: int):
+    """Exact k-th root of num / den, for coprime num and den > 0, as a
+    Fraction, or None when irrational."""
+    rn = _int_nth_root(num, k)
+    rd = None if rn is None else _int_nth_root(den, k)
+    return None if rd is None else Fraction(rn, rd)
+
+
 def nth_root_fraction(q: Fraction, k: int):
     """Exact k-th root of a Fraction, or None when irrational."""
     q = Fraction(q)
-    num = _int_nth_root(q.numerator, k)
-    if num is None:
-        return None
-    den = _int_nth_root(q.denominator, k)
-    if den is None:
-        return None
-    return Fraction(num, den)
+    return _ratio_root(q.numerator, q.denominator, k)
 
 
 class Poly:

@@ -442,6 +442,21 @@ def test_random_wedges_match_the_fraction_loop(ring):
         assert list(got.coeffs) == list(want.coeffs)
 
 
+@pytest.mark.parametrize("dim, k", [(7, 3), (7, 4), (7, 2), (7, 1), (7, 0), (7, 7), (5, 2), (4, 3)])
+def test_top_degree_float_wedge_is_bit_identical_to_the_pair_scan(dim, k):
+    # the complement lookup adds the same products in the same left-term
+    # order as the scan over every pair
+    rng = random.Random(31 + 10 * dim + k)
+    for density in (1.0, 0.6):
+        a, b = ({idx: rng.uniform(-3, 3) / 7 for idx in combinations(range(1, dim + 1), deg)
+                 if rng.random() < density} for deg in (k, dim - k))
+        a, b = KForm(dim, k, FLT, a), KForm(dim, dim - k, FLT, b)
+        got, want = a.wedge(b), _reference_wedge(a, b)
+        assert [(i, c.hex()) for i, c in got.coeffs.items()] == \
+            [(i, c.hex()) for i, c in want.coeffs.items()]
+        assert list(got.coeffs) == ([tuple(range(1, dim + 1))] if got.coeffs else [])
+
+
 @st.composite
 def sparse_forms(draw, dim, k, ring):
     """A k-form on `dim` axes in `ring`, each index kept or dropped: rational

@@ -505,6 +505,40 @@ def test_elimination_reports_the_leading_minors():
     assert swaps >= 20
 
 
+def _structured_cases(n, rng):
+    """Integer matrices whose pivot columns hold zeros below the pivot:
+    diagonal, a row permutation of a diagonal, sparse (a third of the entries
+    nonzero), and singular ones (a zero row; a repeated row)."""
+    diag = [[int(rng.integers(1, 50)) * (1 if rng.random() < 0.7 else -1) if r == c else 0
+             for c in range(n)] for r in range(n)]
+    perm = [diag[i] for i in rng.permutation(n)]
+    sparse = [[int(rng.integers(-9, 10)) if rng.random() < 0.35 else 0 for _ in range(n)]
+              for _ in range(n)]
+    cases = [diag, perm, sparse]
+    if n >= 2:
+        zero_row = [row[:] for row in sparse]
+        zero_row[int(rng.integers(n))] = [0] * n
+        repeated = [row[:] for row in diag]
+        repeated[-1] = [x + y for x, y in zip(repeated[0], repeated[-1])]
+        repeated[0] = repeated[-1][:]
+        cases += [zero_row, repeated]
+    return cases
+
+
+@pytest.mark.parametrize("n", range(1, DIM + 1))
+def test_bareiss_on_structured_matrices_matches_leibniz(n):
+    # a row whose pivot-column entry is zero is only rescaled; the leading
+    # minors, up to the first zero one, and det must match Leibniz
+    rng = np.random.default_rng(90 + n)
+    for _ in range(3 if n < DIM else 2):
+        for A in _structured_cases(n, rng):
+            minors = [_leibniz_det([row[:k] for row in A[:k]]) for k in range(1, n + 1)]
+            want = minors[:minors.index(0) + 1] if 0 in minors[:-1] else minors
+            det, leading = g2core._bareiss([row[:] for row in A])
+            assert det == minors[-1]
+            assert leading == want
+
+
 def test_inverse_exact_matches_the_fraction_reference():
     rng = np.random.default_rng(40)
     mats = [INCIDENCE, [[2]], [[0, 1], [1, 0]]]
@@ -564,6 +598,80 @@ def test_is_g2_type_exact_matches_the_fraction_reference():
             A = frames[i - 3]
             assert data.metric == _matmul([list(c) for c in zip(*A)], A)
             assert data.sqrt_det == _fraction_det(A)
+
+
+def _dense_definite_forms(rng):
+    """Rational 3-forms with every coefficient nonzero, paired with the sign
+    s for which s phi is definite for the frame's orientation: the standard
+    form pulled back along dense frames of either orientation, scaled by
+    rationals whose numerators and denominators share primes with the
+    frames' (so 36 det N and d^7 have common factors), and +-phi_0 plus a
+    dense rational perturbation."""
+    out = []
+    scales = (Fraction(1), Fraction(2, 3), Fraction(4, 9), Fraction(6, 5), Fraction(1, 12), 8)
+    frames = _random_frames(rng, 6)
+    frames += [[A[1], A[0]] + A[2:] for A in _random_frames(rng, 6)]   # det A < 0
+    for i, A in enumerate(frames):
+        phi = scales[i % len(scales)] * _frame_phi(A)
+        if len(phi.coeffs) == 35:
+            out.append((phi, 1 if _fraction_det(A) > 0 else -1))
+    for sign in (1, -1):
+        for _ in range(4):
+            base = sign * standard_phi()
+            noise = KForm(DIM, 3, RAT, {idx: Fraction(int(rng.integers(-3, 4)) or 1,
+                                                      int(rng.integers(30, 60)))
+                                        for idx in combinations(range(1, DIM + 1), 3)})
+            phi = base + noise
+            if len(phi.coeffs) == 35:
+                out.append((phi, sign))
+    return out
+
+
+def test_vol_cubed_matches_the_ninth_root_reference_on_dense_forms():
+    # r^3 = (36 det N)^(1/3) / D^7 with no Fraction radicand, against the
+    # cube root of the reduced Fraction 36 det B from the wedge-built B
+    rng = np.random.default_rng(60)
+    seen, unreduced = set(), 0
+    for phi, sign in _dense_definite_forms(rng):
+        if sign < 0:
+            with pytest.raises(OrientationMismatchError):
+                is_g2_type(phi)
+            phi = -phi
+        data = is_g2_type(phi)
+        detB = _fraction_det(_wedge_bilinear(phi))
+        want = nth_root_fraction(36 * detB, 3) / 216
+        assert type(data.vol_cubed) is Fraction and data.vol_cubed == want
+        N, d = g2core._bilinear_numerators(phi)
+        unreduced += math.gcd(36 * g2core._bareiss([row[:] for row in N])[0], d ** DIM) > 1
+        assert data.exact == (nth_root_fraction(want, 3) is not None)
+        seen.add((sign, data.exact))
+    assert seen == {(1, True), (1, False), (-1, True), (-1, False)}
+    assert unreduced >= 10
+
+
+def test_rational_g2data_takes_its_root_on_first_read(monkeypatch):
+    # building the data keeps r^3; the first read of sqrt_det, exact or the
+    # metric takes the one cube root, and later reads reuse it
+    calls = []
+
+    def counting_root(q, k):
+        calls.append((q, k))
+        return nth_root_fraction(q, k)
+
+    monkeypatch.setattr(g2core, "nth_root_fraction", counting_root)
+    cube = scaling.scaled_form([8, 1, Fraction(1, 27), 64, 1, 1, 27])
+    noncube = scaling.scaled_form([2, 1, Fraction(1, 3), 5, 1, 1, 7])
+    for phi, exact in ((cube, True), (noncube, False), (standard_phi(), True)):
+        for attr in ("sqrt_det", "exact", "metric"):
+            data = is_g2_type(phi)
+            assert type(data.vol_cubed) is Fraction
+            assert calls == []
+            getattr(data, attr)
+            assert calls == [(216 * data.vol_cubed, 3)]
+            assert data.exact is exact
+            data.sqrt_det, data.metric, data.metric_inv
+            assert len(calls) == 1
+            calls.clear()
 
 
 def test_int_nth_root_is_exact_beyond_double_precision():

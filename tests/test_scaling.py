@@ -1,14 +1,19 @@
 """Frame-scaling solve and the exact volume-scaling law."""
+import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from g2calc.g2core import is_g2_type
-from g2calc.rings import nth_root_fraction
-from g2calc.scaling import (INCIDENCE_INV, NonPositiveScaleError, hitchin_scaling_law,
-                            scaled_form, scaled_volume_factor, solve_scaling)
+from g2calc import g2core, scaling
+from g2calc.forms import KForm
+from g2calc.g2core import STANDARD_PHI_TERMS, is_g2_type
+from g2calc.rings import RAT, nth_root_fraction
+from g2calc.scaling import (INCIDENCE_INV, InvalidScaleError, NonPositiveScaleError,
+                            hitchin_scaling_law, scaled_form, scaled_volume_factor,
+                            solve_scaling)
 
 TRIPLES = ((1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7),
            (3, 4, 7), (3, 5, 6))
@@ -129,3 +134,130 @@ def test_hitchin_scaling_law_bundle():
     # the law gives (prod lambda)^{1/3} = 8^{7/3}; check via the cube
     assert out["volume_factor"] ** 3 == Fraction(8) ** 7
     assert out["exact"]
+
+
+# --------------------------------------------------------------------------
+# the integer path against Fraction references
+# --------------------------------------------------------------------------
+
+def _fraction_law(lams):
+    """Reference for hitchin_scaling_law in Fraction arithmetic: (volume
+    factor, mus, exact), with mu_i^6 = prod_t lambda_t^(6 Minv[i][t]) and
+    the volume factor (prod lambda)^(1/3), each a Fraction root or a float."""
+    lams = [Fraction(l) for l in lams]
+    prod = Fraction(1)
+    for l in lams:
+        prod *= l
+    vol = nth_root_fraction(prod, 3)
+    if vol is None:
+        vol = float(prod) ** (1.0 / 3.0)
+    radicands = []
+    for row in INCIDENCE_INV:
+        r = Fraction(1)
+        for l, x in zip(lams, row):
+            r *= l ** int(6 * x)
+        radicands.append(r)
+    roots = [nth_root_fraction(r, 6) for r in radicands]
+    if all(q is not None for q in roots):
+        return vol, tuple(roots), True
+    return vol, tuple(float(r) ** (1.0 / 6.0) if q is None else float(q)
+                      for r, q in zip(radicands, roots)), False
+
+
+_RATIO = st.builds(Fraction, st.integers(1, 64), st.integers(1, 64))
+
+
+@st.composite
+def _lambda_tuples(draw):
+    """Seven lambdas of one kind: rational cubes, sixth powers, any
+    rationals (mostly a non-cube product), Python ints, or ints mixed with
+    Fractions (some of them whole)."""
+    kind = draw(st.sampled_from(("cube", "sixth", "noncube", "integer", "mixed")))
+    if kind == "cube":
+        return [draw(_RATIO) ** 3 for _ in range(7)]
+    if kind == "sixth":
+        return [Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 9))) ** 6
+                for _ in range(7)]
+    if kind == "noncube":
+        return [draw(_RATIO) for _ in range(7)]
+    if kind == "integer":
+        return [draw(st.integers(1, 10 ** 6)) for _ in range(7)]
+    return [draw(st.one_of(st.integers(1, 300), _RATIO, st.integers(1, 9).map(Fraction)))
+            for _ in range(7)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lambda_tuples())
+def test_scaled_form_matches_the_fraction_build(lams):
+    got = scaled_form(lams)
+    want = KForm(7, 3, RAT, {idx: Fraction(l) * c for l, (c, idx) in zip(lams, STANDARD_PHI_TERMS)})
+    assert got == want
+    assert got._ints() == want._ints()
+    assert list(got.coeffs.items()) == list(want.coeffs.items())
+    assert all(type(c) is Fraction for c in got.coeffs.values())
+
+
+@settings(max_examples=200, deadline=None)
+@given(_lambda_tuples())
+# mu_3^6 = 6^6, mu_4^6 = (2/9)^6 and mu_7^6 = 3^-6 are sixth powers only
+# in lowest terms; other mus are irrational, so these three are the floats
+# of exact roots (6.0, not the float sixth root 5.999999999999999)
+@example([Fraction(27, 8), Fraction(512, 729), Fraction(8, 27), Fraction(27, 64),
+          Fraction(9, 4), Fraction(4, 9), Fraction(64)])
+def test_volume_law_matches_the_fraction_reference(lams):
+    vol, mus, exact = _fraction_law(lams)
+    got = scaled_volume_factor(lams)
+    assert type(got) is type(vol) and got == vol
+    out = hitchin_scaling_law(lams)
+    assert type(out["volume_factor"]) is type(vol) and out["volume_factor"] == vol
+    assert out["exact"] is exact
+    assert out["mus"] == mus
+    assert [type(m) for m in out["mus"]] == [type(m) for m in mus]
+    assert out["lambdas"] == (tuple(Fraction(l) for l in lams) if exact else tuple(lams))
+
+
+def test_the_volume_law_takes_no_nth_root_fraction(monkeypatch):
+    # G2Data keeps r^3 and the law reads vol^3 only: no Fraction root at all
+    calls = []
+
+    def counting_root(q, k):
+        calls.append((q, k))
+        return nth_root_fraction(q, k)
+
+    monkeypatch.setattr(g2core, "nth_root_fraction", counting_root)
+    for lams in ([Fraction(8)] * 7, [Fraction(2, 3)] * 7, [64, 1, 1, Fraction(1, 729), 8, 27, 1]):
+        hitchin_scaling_law(lams)
+    assert calls == []
+
+
+def _refuse_linear_algebra(monkeypatch):
+    def no_linear_algebra(phi):
+        raise AssertionError("is_g2_type reached")
+    monkeypatch.setattr(scaling, "is_g2_type", no_linear_algebra)
+
+
+@pytest.mark.parametrize("lams", [[True] * 7, [1, 1, 1, False, 1, 1, 1],
+                                  [Fraction(1, 2)] * 6 + [True]],
+                         ids=["all_true", "one_false", "true_among_fractions"])
+def test_bools_are_refused_by_name(lams, monkeypatch):
+    # bool is an int subclass, and [True] * 7 once gave an exact volume of 1
+    _refuse_linear_algebra(monkeypatch)
+    bad = next(l for l in lams if isinstance(l, bool))
+    for fn in (solve_scaling, scaled_form, scaled_volume_factor, hitchin_scaling_law):
+        with pytest.raises(InvalidScaleError, match=re.escape(repr(bad))):
+            fn(lams)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf"), np.float64("nan")],
+                         ids=["nan", "inf", "minus_inf", "numpy_nan"])
+def test_non_finite_floats_are_refused_by_name(bad, monkeypatch):
+    # a NaN passes `l <= 0`; it used to die in numpy's eigenvalue solver
+    _refuse_linear_algebra(monkeypatch)
+    lams = [1.5, 2.0, 1, Fraction(1, 3), bad, 1.0, 1.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn in (solve_scaling, scaled_form, scaled_volume_factor, hitchin_scaling_law):
+            with pytest.raises(InvalidScaleError, match=re.escape(repr(bad))) as err:
+                fn(lams)
+            assert isinstance(err.value, ValueError)
+            assert not isinstance(err.value, NonPositiveScaleError)
