@@ -19,11 +19,11 @@ import numpy as np
 
 from . import catalog, collapse, ehmetric, flow, g2core, scaling
 from .forms import KForm, PolynomialMap, poly_ring
-from .g2core import (SU2FiberData, hodge_star, is_g2_type, standard_phi,
-                     su2_assemble)
+from .g2core import (SU2FiberData, bilinear_from_3form, hodge_star, is_g2_type,
+                     standard_phi, star_parts, su2_assemble)
 from .liecdga import (JacobiError, StructureEqs, check_d_squared, d_invariant,
                       load_model, model_from_dict, model_to_dict)
-from .rings import FLT, RAT, Poly
+from .rings import RAT, Poly
 
 DIM = 7
 
@@ -174,44 +174,106 @@ def _check_standard_metric(rng):
     return ok, "g_phi0 = id, vol = 1, exact"
 
 
+# The exact sampled checks draw their inputs uniformly from a grid of S
+# values per coordinate.  By Schwartz and Zippel, a nonzero polynomial of
+# total degree D vanishes at such a point with probability at most D/S, or
+# (D/S)/acceptance when the draws that are not definite are thrown away:
+# that is the false-pass bound of one sample.  Each identity is cleared of
+# r by r^9 = 36 det B, with B cubic in phi:
+#   **a = a: *a = 6 r^(k-8) M_{7-k}(a), M_j(a) linear in a over the j x j
+#     minors of B (degree 3j in phi), so **a = M_k(M_{7-k}(a)) / det B,
+#     and det B a = M_k(M_{7-k}(a)) has D = 21 + 1 = 22 in (delta, a).
+#   phi ^ *phi = 7 vol: *phi = 6 r^-5 M_4(phi), and Q = top(phi ^ M_4(phi))
+#     has degree 14, so 36 Q = 7 r^6, or cubed (36 Q)^3 = 343 (36 det B)^2:
+#     D = 42 in delta.
+#   the SU(2) family (phi linear in nu): B = 6 diag(nu^2, 1, 1, nu, nu, nu,
+#     nu) has D = 3; vol^3 = nu^2 reads 36 det B = 216^3 nu^6, D = 21; and
+#     *phi = r Y cubes as above to (6 M_4(phi))^3 = (36 det B)^2 Y^3, where
+#     Y has denominators nu, so nu^3 times it has D = 3 + 42 = 45.
+#: the grid 10^-6 Z of every exact sample; delta and the test forms lie in
+#: [-1/5, 1/5] (S = 400001 values), nu in [1/5, 5] (S = 4800001)
+GRID, BOX = 10 ** 6, 2 * 10 ** 5
+#: definite samples per star check
+STAR_SAMPLES = 8
+
+
+def _grid_form(rng, idxs) -> KForm:
+    """A form on the multi-indices idxs, its coefficients drawn uniformly
+    from the grid in [-1/5, 1/5] in one call."""
+    nums = rng.integers(-BOX, BOX + 1, size=len(idxs)).tolist()
+    return KForm._trusted(DIM, len(idxs[0]), RAT, dict(zip(idxs, nums)), GRID)
+
+
 def _definite_samples(rng):
-    """(phi, is_g2_type(phi)) for each definite form among 100 random
-    perturbations of phi_0; lazy, so a caller's own draws from rng come
-    between the forms' draws."""
-    v0 = g2core.phi_to_vector(standard_phi().in_ring(FLT))
-    for _ in range(100):
-        phi = g2core.vector_to_phi(v0 + 0.2 * rng.normal(size=v0.shape))
+    """(phi, is_g2_type(phi), draws so far) for the first STAR_SAMPLES
+    definite forms phi = phi_0 + delta among at most 100 draws, delta on the
+    grid; lazy, so a caller's own draws from rng come between the forms'
+    draws."""
+    phi0, found = standard_phi(), 0
+    for draws in range(1, 101):
+        phi = phi0 + _grid_form(rng, g2core.TRIPLES)
         try:
             data = is_g2_type(phi)
         except g2core.NotStableError:
             continue
-        yield phi, data
+        yield phi, data, draws
+        found += 1
+        if found == STAR_SAMPLES:
+            return
+
+
+def _exact_star(data, a):
+    """star_parts(data, a) = (Y, p), *a = r^p Y, required to be exact: every
+    coefficient of Y a Fraction, as no float may pass for one."""
+    y, p = star_parts(data, a)
+    if y.ring != RAT or not all(type(c) is Fraction for c in y.coeffs.values()):
+        raise ArithmeticError(f"*a of a rational form came out inexact ({y})")
+    return y, p
+
+
+def _sampled_detail(what, found, draws, degree):
+    """(ok, detail) of an exact star check after its samples: the sample
+    count, the grid and the false-pass bound."""
+    if found < STAR_SAMPLES:
+        return False, f"only {found} of {draws} draws of phi_0 + delta are definite"
+    S = 2 * BOX + 1
+    return True, (f"{what}, exact at {found} definite phi = phi_0 + delta "
+                  f"({draws} draws), all inputs on the grid 10^-6 Z in "
+                  f"[-1/5, 1/5]; false-pass bound per sample (D/S)/acceptance "
+                  f"= ({degree}/{S})/({found}/{draws}) = "
+                  f"{degree / S * draws / found:.1e}")
 
 
 def _check_star_star(rng):
-    worst = 0.0
-    for _, data in _definite_samples(rng):
+    found = draws = 0
+    for _, data, draws in _definite_samples(rng):
+        found += 1
+        r3 = 216 * data.vol_cubed
         for k in (2, 3):
-            a = KForm(DIM, k, FLT, {
-                idx: float(rng.normal())
-                for idx in list(combinations(range(1, DIM + 1), k))[:10]})
-            back = hodge_star(data, hodge_star(data, a))
-            diff = back - a
-            worst = max(worst, max((abs(float(c)) for c in diff.coeffs.values()),
-                                   default=0.0))
-    return worst < 1e-10, f"max |**a - a| = {worst:.3e} over random definite metrics"
+            a = _grid_form(rng, list(combinations(range(1, DIM + 1), k))[:10])
+            y, p = _exact_star(data, a)
+            back, q = _exact_star(data, y)
+            # **a = r^(p+q) back, and p + q is 0 or 3
+            if r3 ** ((p + q) // 3) * back != a:
+                return False, f"**a != a at k = {k}, sample {found}"
+    return _sampled_detail("**a = a at k = 2, 3 on 10-term a", found, draws, 22)
 
 
 def _check_seven_vol(rng):
-    worst = 0.0
-    for phi, data in _definite_samples(rng):
-        top = phi.wedge(hodge_star(data, phi)).top_coefficient()
-        worst = max(worst, abs(float(top) - 7.0 * float(data.sqrt_det)))
-    return worst < 1e-10, f"max |phi ^ *phi - 7 vol| = {worst:.3e}"
+    found = draws = 0
+    for phi, data, draws in _definite_samples(rng):
+        found += 1
+        y, _ = _exact_star(data, phi)
+        # *phi = r Y and 7 vol = 7 r / 6
+        top = phi.wedge(y).top_coefficient()
+        if top != Fraction(7, 6):
+            return False, f"top(phi ^ Y) = {top} != 7/6 at sample {found}"
+    return _sampled_detail("phi ^ *phi = 7 vol as *phi = r Y, top(phi ^ Y) = 7/6",
+                           found, draws, 42)
 
 
-def _su2_family(nu, ring=RAT):
-    th = lambda *i: KForm.basis(DIM, i, ring)
+def _su2_family(nu):
+    th = lambda *i: KForm.basis(DIM, i, RAT)
     om = nu * (th(4, 5) + th(6, 7))
     re = th(4, 6) - th(5, 7)
     im = th(4, 7) + th(5, 6)
@@ -243,25 +305,30 @@ def _check_su2_nu8(rng):
 
 
 def _check_su2_random_nu(rng):
-    worst = 0.0
-    for _ in range(20):
-        nu = float(rng.uniform(0.2, 5.0))
-        phi, fiber, om, re, im = _su2_family(nu, FLT)
+    th = lambda *i: KForm.basis(DIM, i, RAT)
+    for n in rng.integers(BOX, 25 * BOX + 1, size=20).tolist():
+        nu = Fraction(n, GRID)
+        phi, fiber, om, re, im = _su2_family(nu)
+        if fiber.nu != nu:
+            return False, f"normalisation constant {fiber.nu} != {nu}"
         data = is_g2_type(phi)
-        g = data.metric_array()
-        expect = np.diag([nu ** (4 / 3)] + [nu ** (-2 / 3)] * 2 + [nu ** (1 / 3)] * 4)
-        worst = max(worst, float(np.abs(g - expect).max()) / nu ** (4 / 3))
-        worst = max(worst, abs(float(data.sqrt_det) - nu ** (2 / 3)) / nu ** (2 / 3))
-        th = lambda *i: KForm.basis(DIM, i, FLT)
-        star = hodge_star(data, phi)
-        star_exp = (nu ** (2 / 3) * th(4, 5, 6, 7)
-                    + nu ** (-4 / 3) * th(2, 3).wedge(om)
-                    + nu ** (2 / 3) * th(1, 3).wedge(re)
-                    + nu ** (2 / 3) * th(1, 2).wedge(im))
-        diff = star - star_exp
-        worst = max(worst, max((abs(float(c)) for c in diff.coeffs.values()),
-                               default=0.0) / nu ** (2 / 3))
-    return worst < 1e-12, f"20 random nu, worst relative error {worst:.3e}"
+        # vol = nu^(2/3) and g = diag(nu^(4/3), nu^(-2/3) x 2, nu^(1/3) x 4),
+        # so g vol = B / 6 = diag(nu^2, 1, 1, nu, nu, nu, nu)
+        if data.vol_cubed != nu ** 2:
+            return False, f"vol^3 = {data.vol_cubed} != nu^2 at nu = {nu}"
+        diag = (nu ** 2, 1, 1, nu, nu, nu, nu)
+        if bilinear_from_3form(phi) != [[6 * x if i == j else 0 for j in range(DIM)]
+                                        for i, x in enumerate(diag)]:
+            return False, f"metric disagrees with the displayed diagonal at nu = {nu}"
+        # nu^(2/3) = r / 6 and nu^(-4/3) = r / (6 nu^2), so *phi = r Y
+        want = Fraction(1, 6) * (th(4, 5, 6, 7) + (1 / nu ** 2) * th(2, 3).wedge(om)
+                                 + th(1, 3).wedge(re) + th(1, 2).wedge(im))
+        if _exact_star(data, phi) != (want, 1):
+            return False, f"*phi disagrees with the displayed closed form at nu = {nu}"
+    S = 24 * BOX + 1
+    return True, (f"metric, volume and *phi match the closed forms exactly at 20 "
+                  f"random nu on the grid 10^-6 Z in [1/5, 5]; false-pass bound "
+                  f"per sample D/S = 45/{S} = {45 / S:.1e}")
 
 
 def _rand_cube_lambdas(rng):
@@ -443,8 +510,10 @@ def _check_flow_unit(rng):
 
 
 def _check_flow_family(rng):
-    gap = flow.check_flow_consistency(2, 1, (1, 1), 2.0)
-    return gap < 1e-10, f"relative gap to 4 L^(2/3)/(alpha mu^2) g^1^omega: {gap:.3e}"
+    gap = flow.check_flow_consistency(2, 1, (1, 1), 2)
+    return type(gap) is Fraction and gap == 0, \
+        (f"Delta phi(2, 1, 1+i; 2) = r Z against 4 L^(2/3)/(alpha mu^2) g^1^omega: "
+         f"relative gap of the cubes {gap}, exact")
 
 
 def _check_flow_ffkm(rng):

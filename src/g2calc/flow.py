@@ -14,18 +14,26 @@ from fractions import Fraction
 
 from .catalog import _lam_sq, nakamura_model, phi_abl_mu
 from .forms import KForm
-from .g2core import is_g2_type, hodge_star
+from .g2core import hodge_star, is_g2_type, star_parts
 from .liecdga import InvariantModel, d_invariant
 from .rings import nth_root_fraction
 
 
-def laplacian(phi: KForm, model: InvariantModel) -> KForm:
-    """Delta_phi phi = -d * d * phi (Hodge star of phi's own metric)."""
+def _laplacian_over_r(phi: KForm, model: InvariantModel):
+    """(data, Z) with Delta_phi phi = r Z and Z rational, for a rational phi:
+    *phi = r Y (star_parts, p = 1 on a 3-form), and the star of the 5-form
+    dY carries no power of r, so Delta phi = -r d*dY."""
     data = is_g2_type(phi)
-    star_phi = hodge_star(data, phi)            # 4-form
-    d_star = d_invariant(model.eqs, star_phi)   # 5-form
-    star_d_star = hodge_star(data, d_star)      # 2-form
-    return -d_invariant(model.eqs, star_d_star)
+    y, _ = star_parts(data, phi)                                   # 4-form
+    star_dy = hodge_star(data, d_invariant(model.eqs, y))          # 2-form
+    return data, -d_invariant(model.eqs, star_dy)
+
+
+def laplacian(phi: KForm, model: InvariantModel) -> KForm:
+    """Delta_phi phi = -d * d * phi (Hodge star of phi's own metric) for a
+    rational phi: r Z, exact where r is rational and float(r) Z otherwise."""
+    data, z = _laplacian_over_r(phi, model)
+    return data.r_power(1) * z
 
 
 def _l_two_thirds(lam) -> float:
@@ -90,18 +98,25 @@ def flow_integrate(alpha, beta, lam, t_end: float, steps: int) -> list:
     return rows
 
 
-def check_flow_consistency(alpha, beta, lam, mu: float,
-                           model: InvariantModel | None = None) -> float:
+def check_flow_consistency(alpha, beta, lam, mu,
+                           model: InvariantModel | None = None) -> Fraction:
     """Relative gap between laplacian(phi(...; mu)) and the flow tangent
-    6 mu^5 mu_dot alpha g^1 ^ omega; should vanish on flow lines."""
+    6 mu^5 mu_dot alpha g^1 ^ omega = c L^(2/3) g^1 ^ omega, c = 4 / (alpha
+    mu^2); it vanishes on flow lines.  Exact: the parameters are read as
+    rationals (a float by its binary value), Delta phi = r Z with Z and r^3
+    rational, and the gap compares cubes, max_I |r^3 Z_I^3 - t_I^3| /
+    max_I |t_I^3| with t^3 = c^3 L^2 on g^1 ^ omega, as a Fraction."""
     m = model or nakamura_model()
-    lap = laplacian(phi_abl_mu(alpha, beta, lam, mu, m).in_ring("float"), m)
-    coeff = 6.0 * float(mu) ** 5 * mu_dot(alpha, lam, mu) * float(alpha)
-    target = coeff * m.named_forms["g1"].wedge(m.named_forms["omega"]).in_ring("float")
-    diff = lap - target
-    scale = max(abs(float(c)) for c in target.coeffs.values())
-    gap = max((abs(float(c)) for c in diff.coeffs.values()), default=0.0)
-    return gap / scale
+    lam = tuple(map(Fraction, lam)) if isinstance(lam, tuple) else Fraction(lam)
+    alpha, beta, mu = Fraction(alpha), Fraction(beta), Fraction(mu)
+    data, z = _laplacian_over_r(phi_abl_mu(alpha, beta, lam, mu, m), m)
+    t3 = (4 / (alpha * mu ** 2)) ** 3 * _lam_sq(lam) ** 2
+    target = m.named_forms["g1"].wedge(m.named_forms["omega"])
+    cubes = {idx: data.vol_cubed * 216 * c ** 3 for idx, c in z.coeffs.items()}
+    for idx, c in target.coeffs.items():
+        cubes[idx] = cubes.get(idx, 0) - c ** 3 * t3
+    scale = max(abs(c) for c in target.coeffs.values()) ** 3 * t3
+    return max(abs(x) for x in cubes.values()) / scale
 
 
 def trajectory_to_csv(rows, path) -> None:

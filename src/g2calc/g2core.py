@@ -15,15 +15,16 @@ given by one pair of small sign tables (105 and 210 entries) evaluated in
 the form's own ring -- integer numerators over a common denominator for a
 rational form, visiting only nonzero entries, and for float rows one
 product with each table and B = (A K) A^T matrix by matrix, in blocks of
-rows.  The Hodge star and the inner product of a rational metric share
-one integer kernel built on Jacobi's identity, det(g^-1[I, J]) equals
-+-det(g[J', I']) / det g for the complements I', J'.  With B = N / d and
-36 det B = r^9, each reads sum_J (-1)^(sum J) a_J det N[I', J'] for all I'
-at once from the wedge of N's columns in J', built from the lowest column
-up over nonzero entries and memoised by column mask.  The coefficient is
-r^(k+1) times a rational number, and N is never inverted.  A float metric
-has closed-form minors of size at most 3 -- of g^-1 for k <= 3, and for
-k >= 4 of g itself by the same identity.
+rows.  The Hodge star of a rational form is one integer kernel built on
+Jacobi's identity, det(g^-1[I, J]) = +-det(g[J', I']) / det g for the
+complements I', J'.  With B = N / d and 36 det B = r^9, it reads
+sum_J (-1)^(sum J) a_J det N[I', J'] for all I' at once from the wedge of
+N's columns in J', built from the lowest column up over nonzero entries
+and memoised by column mask; N is never inverted.  The coefficient is
+r^(k+1) times a rational number and r^3 is rational, so *a = r^p Y with
+p = (k+1) mod 3 and Y rational (`star_parts`), and <a, b> follows from
+a ^ *b = <a, b> vol.  A float form has no star; its inner product, in
+degrees k <= 3, takes the closed-form minors of g^-1.
 
 Exact linear algebra (determinants, Sylvester's test, inverses) runs
 fraction-free on integer numerators over one common denominator.  For a
@@ -319,6 +320,8 @@ class G2Data:
     (see the module docstring); its ``vol_cubed`` is always a Fraction.
     """
 
+    _ints = None    # (N, d) with B = N / d, on a rational form's data
+
     def __init__(self, phi: KForm, metric, metric_inv, sqrt_det):
         self.phi, self.sqrt_det, self.exact = phi, sqrt_det, False
         self.vol_cubed = sqrt_det ** 3
@@ -340,6 +343,11 @@ class G2Data:
 
     exact = cached_property(lambda self: isinstance(self._r, Fraction))
     sqrt_det = cached_property(lambda self: self._r / 6)
+
+    def r_power(self, p: int):
+        """r^p for the data of a rational form, r = 6 sqrt(det g): a
+        Fraction where r is rational or p = 0, else a float."""
+        return self._r ** p if p else Fraction(1)
 
     @cached_property
     def metric(self) -> list:
@@ -409,33 +417,24 @@ def is_g2_type(phi: KForm) -> G2Data:
 # --------------------------------------------------------------------------
 
 #: per degree k: the k-subsets I of {1..7} in combinations order, and for
-#: each the complement I' and the sign of theta^I ^ theta^I' = sign vol
+#: each its complement I'
 _SUBSETS = [list(combinations(range(1, DIM + 1), k)) for k in range(DIM + 1)]
 _COMPLEMENTS = [[tuple(x for x in range(1, DIM + 1) if x not in I) for I in subs]
                 for subs in _SUBSETS]
-_STAR_SIGNS = [[merge_sign(I, comp)[1] for I, comp in zip(subs, comps)]
-               for subs, comps in zip(_SUBSETS, _COMPLEMENTS)]
-
-
-#: for the exact kernel: per multi-index J, the mask of its complement J'
-#: and (-1)^(sum of J); per degree k, that pair for each I' of _COMPLEMENTS[k]
-#: with the sign sign(I, I') (-1)^(sum of I)
+#: for the exact kernel: per multi-index J, the mask of J' and (-1)^(sum J);
+#: per k and I' of _COMPLEMENTS[k], its mask and sign(I, I') (-1)^(sum I)
 _COMPLEMENT_MASKS = {J: ((1 << DIM) - 1 ^ m, (-1) ** sum(J)) for J, m in _MASKS.items()}
-_STAR_ROWS = [[(_COMPLEMENT_MASKS[I][0], s * _COMPLEMENT_MASKS[I][1])
-               for I, s in zip(subs, signs)] for subs, signs in zip(_SUBSETS, _STAR_SIGNS)]
+_STAR_ROWS = [[(_COMPLEMENT_MASKS[I][0], merge_sign(I, comp)[1] * _COMPLEMENT_MASKS[I][1])
+               for I, comp in zip(subs, comps)] for subs, comps in zip(_SUBSETS, _COMPLEMENTS)]
 #: _ABOVE[i][m] = (-1)^(number of bits of m above bit i): the sign of
 #: theta^R ^ theta^(i+1), for R the axes of m, once it is sorted
 _ABOVE = [[(-1) ** bin(m >> (i + 1)).count("1") for m in range(1 << DIM)]
           for i in range(DIM)]
-#: for the float minors: each multi-index's position in _SUBSETS[k], and
-#: per k the 0-based axes of the k-subsets and of their complements, and
-#: the sign (-1)^(sum of I) of each k-subset I
-_POSITIONS = {I: i for subs in _SUBSETS for i, I in enumerate(subs)}
+#: for the float Gram minors, degrees k <= 3 only: each multi-index's
+#: position in _SUBSETS[k], and per k the 0-based axes of the k-subsets
+_POSITIONS = {I: i for subs in _SUBSETS[:4] for i, I in enumerate(subs)}
 _AXES = [np.array(subs, dtype=np.intp).reshape(len(subs), k) - 1
-         for k, subs in enumerate(_SUBSETS)]
-_COMPLEMENT_AXES = [np.array(comps, dtype=np.intp).reshape(len(comps), DIM - k) - 1
-                    for k, comps in enumerate(_COMPLEMENTS)]
-_PARITIES = [np.array([(-1.0) ** sum(I) for I in subs]) for subs in _SUBSETS]
+         for k, subs in enumerate(_SUBSETS[:4])]
 
 
 def _small_minors(M: np.ndarray, R: np.ndarray, C: np.ndarray) -> np.ndarray:
@@ -479,7 +478,7 @@ def _jacobi_sums(data: G2Data, nums: dict) -> dict:
     """{mask of I': sum_J (-1)^(sum J) n_J det N[I', J']} for the integer
     numerators n_J of a rational form.  With Jacobi's identity and det N =
     r^9 d^7 / 36, det(g^-1[I, J]) = 36 (-1)^(sum I + sum J) det N[I', J'] /
-    (d^(7-k) r^(9-k)), so these sums carry the star and the inner product."""
+    (d^(7-k) r^(9-k)), so these sums carry the star."""
     sums = {}
     for J, n in nums.items():
         mask, parity = _COMPLEMENT_MASKS[J]
@@ -491,39 +490,32 @@ def _jacobi_sums(data: G2Data, nums: dict) -> dict:
 
 def _gram_minors(data: G2Data, k: int, rows, cols) -> np.ndarray:
     """The float minors det(g^-1[I, J]) for I in rows, J in cols (k-subsets
-    of the axes), in closed form: of g^-1 for k <= 3 and of g (Jacobi) for
-    k >= 4."""
-    pr = [_POSITIONS[I] for I in rows]
-    pc = [_POSITIONS[J] for J in cols]
-    if k <= 3:
-        ginv = np.array(data.metric_inv, dtype=float)
-        return _small_minors(ginv, _AXES[k][pr], _AXES[k][pc])
-    # Jacobi: det(g^-1[I, J]) = (-1)^(sum I + sum J) det(g[J', I']) / det g,
-    # a minor of g of size 7 - k <= 3, and no inverse
-    g = np.array(data.metric, dtype=float)
-    minors = _small_minors(g, _COMPLEMENT_AXES[k][pc], _COMPLEMENT_AXES[k][pr]).T
-    return minors * np.outer(_PARITIES[k][pr], _PARITIES[k][pc]) / float(data.sqrt_det) ** 2
+    of the axes, k <= 3), in closed form."""
+    ginv = np.array(data.metric_inv, dtype=float)
+    return _small_minors(ginv, _AXES[k][[_POSITIONS[I] for I in rows]],
+                         _AXES[k][[_POSITIONS[J] for J in cols]])
 
 
 def inner_product(data: G2Data, a: KForm, b: KForm):
-    """<a, b>_g as a scalar (Fraction when everything is exact)."""
+    """<a, b>_g.  For rational forms and the data of a rational 3-form it is
+    exact by a ^ *b = <a, b> vol with vol = r / 6: r^(k mod 3) times a
+    Fraction, scaled by G2Data.r_power.  Otherwise it is a float from the
+    minors of g^-1, for degrees k <= 3 only."""
     if a.degree != b.degree:
         raise ValueError("inner product needs equal degrees")
-    exact = data.exact and a.ring == RAT and b.ring == RAT
+    k = a.degree
+    if data._ints is not None and a.ring == RAT and b.ring == RAT:
+        # <a, b> = 6 r^(p-1) top(a ^ Y) for *b = r^p Y, and r^-1 = r^2 / r^3
+        x, p = Fraction(0), (k + 1) % 3
+        if not (a.is_zero() or b.is_zero()):
+            y, p = star_parts(data, b)
+            x = 6 * a.wedge(y).top_coefficient()
+        return data.r_power(p - 1) * x if p else data.r_power(2) * x / data._r3
+    if k > 3:
+        raise TypeError(f"the float inner product takes degrees <= 3, got {k}")
     if a.is_zero() or b.is_zero():
-        return Fraction(0) if exact else 0.0
-    if exact:
-        # <a, b> = 36 / (d^(7-k) r^(9-k)) sum_I (-1)^(sum I) a_I sums[I']
-        k, d = a.degree, data._ints[1]
-        (na, da), (nb, db) = a._ints(), b._ints()
-        sums = _jacobi_sums(data, nb)
-        total = 0
-        for I, n in na.items():
-            mask, parity = _COMPLEMENT_MASKS[I]
-            total += parity * n * sums.get(mask, 0)
-        c = 36 / (d ** (DIM - k) * data._r ** (9 - k))
-        return Fraction(c.numerator * total, c.denominator * da * db)
-    minors = _gram_minors(data, a.degree, list(a.coeffs), list(b.coeffs))
+        return 0.0
+    minors = _gram_minors(data, k, list(a.coeffs), list(b.coeffs))
     ca = np.array([float(c) for c in a.coeffs.values()])
     cb = np.array([float(c) for c in b.coeffs.values()])
     return float(ca @ minors @ cb)
@@ -534,25 +526,32 @@ def norm(data: G2Data, a: KForm) -> float:
     return float(inner_product(data, a, a)) ** 0.5
 
 
+def star_parts(data: G2Data, a: KForm):
+    """(Y, p) with *a = r^p Y for a rational k-form a and the data of a
+    rational 3-form: Y a rational (7-k)-form, p = (k+1) mod 3.  By
+    sqrt(det g) = r / 6 and Jacobi's identity, (*a)_{I'} = sign(I, I')
+    (-1)^(sum I) 6 r^(k+1) / (d^(7-k) r^9) sum_J (-1)^(sum J) a_J
+    det N[I', J'].  Raises TypeError for any other form or data."""
+    if data._ints is None or a.ring != RAT:
+        raise TypeError("the Hodge star takes a rational form and the data "
+                        "of a rational 3-form")
+    k = a.degree
+    na, da = a._ints()
+    sums = _jacobi_sums(data, na)
+    # r^(k+1) = r^p (r^3)^q, and r^9 = (r^3)^3
+    q, p = divmod(k + 1, 3)
+    c = Fraction(6, data._ints[1] ** (DIM - k)) / data._r3 ** (3 - q)
+    num = {comp: sign * c.numerator * sums.get(mask, 0)
+           for comp, (mask, sign) in zip(_COMPLEMENTS[k], _STAR_ROWS[k])}
+    return KForm._trusted(DIM, DIM - k, RAT, num, c.denominator * da), p
+
+
 def hodge_star(data: G2Data, a: KForm) -> KForm:
     """Hodge star for the metric of `data`, defined by a ^ *b = <a,b> vol:
-    (*a)_{I'} = sign(I, I') sqrt(det g) sum_J a_J det(g^-1[I, J]).  For
-    exact data and a rational form, with sqrt(det g) = r / 6 and Jacobi's
-    identity, (*a)_{I'} = sign(I, I') (-1)^(sum I) 6 / (d^(7-k) r^(8-k))
-    sum_J (-1)^(sum J) a_J det N[I', J'], all integers but the coefficient."""
-    k = a.degree
-    if data.exact and a.ring == RAT:
-        na, da = a._ints()
-        sums = _jacobi_sums(data, na)
-        c = 6 / (data._ints[1] ** (DIM - k) * data._r ** (8 - k))
-        num = {comp: sign * c.numerator * sums.get(mask, 0)
-               for comp, (mask, sign) in zip(_COMPLEMENTS[k], _STAR_ROWS[k])}
-        return KForm._trusted(DIM, DIM - k, RAT, num, c.denominator * da)
-    minors = _gram_minors(data, k, _SUBSETS[k], list(a.coeffs))
-    sums = (minors @ np.array([float(c) for c in a.coeffs.values()])).tolist()
-    sq = float(data.sqrt_det)
-    return KForm._trusted(DIM, DIM - k, FLT, {comp: s * sq * sign for comp, sign, s
-                                              in zip(_COMPLEMENTS[k], _STAR_SIGNS[k], sums)})
+    r^p Y for (Y, p) = star_parts(data, a).  It is a rational form where
+    r^p is rational (exact data, or k = 2, 5) and float(r^p) Y otherwise."""
+    y, p = star_parts(data, a)
+    return data.r_power(p) * y if p else y
 
 
 # --------------------------------------------------------------------------

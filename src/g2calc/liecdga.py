@@ -117,15 +117,23 @@ def verify_primitive(eqs: StructureEqs, primitive: KForm, target: KForm) -> None
 
 def _frac(s) -> Fraction:
     if isinstance(s, str):
-        return Fraction(s)
+        try:
+            return Fraction(s)
+        except ZeroDivisionError:
+            raise ValueError(f"rational {s!r} has a zero denominator") from None
     if isinstance(s, int) and not isinstance(s, bool):
         return Fraction(s)
     raise ValueError(f"rationals must be strings or ints, got {s!r}")
 
 
 def _form_from_json(dim, entries) -> KForm:
-    terms = [(tuple(idx), _frac(c)) for c, idx in entries]
-    for entry, (idx, _) in zip(entries, terms):
+    terms = []
+    for entry in entries:
+        c, idx = entry
+        try:
+            terms.append((tuple(idx), _frac(c)))
+        except ValueError as e:
+            raise ValueError(f"term {entry!r}: {e}") from None
         if len(set(idx)) != len(idx):
             raise ValueError(f"term {entry!r} repeats an axis in its multi-index")
     deg = len(terms[0][0]) if terms else 0

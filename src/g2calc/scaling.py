@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 
 from .forms import KForm
 from .g2core import DIM, STANDARD_PHI_TERMS, is_g2_type, inverse_exact
@@ -64,6 +65,10 @@ def _validated(lambdas):
         if isinstance(l, bool) or not (isinstance(l, (int, Fraction)) or math.isfinite(l)):
             raise InvalidScaleError(f"scaling coefficient {l!r} is not a finite number")
     rational = all(isinstance(l, (int, Fraction)) for l in lambdas)
+    if not rational and all(isinstance(l, (int, Fraction, Integral)) for l in lambdas):
+        # numpy's integers are rational too, as Python ints: their own powers wrap
+        lambdas, rational = tuple(l if isinstance(l, (int, Fraction)) else int(l)
+                                  for l in lambdas), True
     if not all((l.numerator if rational else l) > 0 for l in lambdas):
         raise NonPositiveScaleError(f"non-positive scaling coefficients in {lambdas}")
     return lambdas, [(l.numerator, l.denominator) for l in lambdas] if rational else None

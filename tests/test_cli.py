@@ -256,3 +256,57 @@ def test_random_invariant_forms_take_one_draw_per_index():
             got = cli._rand_invariant_form(batched, k)
             assert got.coeffs == want and list(got.coeffs) == list(want)
         assert scalar.random() == batched.random()
+
+
+#: the checks that run the exact Hodge star on sampled rational inputs
+EXACT_STAR_CHECKS = ["_check_star_star", "_check_seven_vol", "_check_su2_random_nu"]
+
+
+@pytest.mark.parametrize("seed", [4, 13, 88, 930])
+@pytest.mark.parametrize("check", EXACT_STAR_CHECKS)
+def test_exact_star_checks_pass_where_the_float_star_failed(check, seed):
+    # the float star failed **a = a at seeds 4, 13 and 930 and 7 vol at
+    # seed 88 by conditioning; the exact checks have no tolerance
+    ok, detail = getattr(cli, check)(np.random.default_rng(seed))
+    assert ok, detail
+    assert "exact" in detail and "false-pass bound per sample" in detail
+
+
+@pytest.mark.parametrize("check", EXACT_STAR_CHECKS)
+def test_exact_star_checks_reject_a_float_star_with_exact_values(check, monkeypatch):
+    # a float 1.0 equals Fraction(1): a star whose coefficients are floats
+    # must not pass, even where its values are right
+    real = cli.star_parts
+    monkeypatch.setattr(cli, "star_parts",
+                        lambda data, a: (lambda y, p: (y.in_ring("float"), p))(*real(data, a)))
+    with pytest.raises(ArithmeticError, match="inexact"):
+        getattr(cli, check)(np.random.default_rng(0))
+
+
+def _with_r_cubed_times_8(real):
+    """is_g2_type with r^3 (and so vol^3) multiplied by 8: wrong data that
+    is still exact."""
+    def wrong(phi):
+        data = real(phi)
+        data._r3 *= 8
+        data.vol_cubed *= 8
+        return data
+    return wrong
+
+
+@pytest.mark.parametrize("check", EXACT_STAR_CHECKS)
+def test_exact_star_checks_fail_on_a_wrong_r_cubed(check, monkeypatch):
+    # no tautology: r^3 times 8 scales **a by 1/8^3 and phi ^ *phi by 1/8^2
+    monkeypatch.setattr(cli, "is_g2_type", _with_r_cubed_times_8(cli.is_g2_type))
+    ok, detail = getattr(cli, check)(np.random.default_rng(0))
+    assert not ok, detail
+
+
+def test_flow_family_check_fails_on_a_wrong_r_cubed(monkeypatch):
+    from g2calc import flow
+    ok, detail = cli._check_flow_family(np.random.default_rng(0))
+    assert ok and detail.endswith("relative gap of the cubes 0, exact")
+    monkeypatch.setattr(flow, "is_g2_type", _with_r_cubed_times_8(flow.is_g2_type))
+    ok, detail = cli._check_flow_family(np.random.default_rng(0))
+    # Delta phi scales by 2 / 8^3, so its cube by 8 / 8^9 = 2^-24
+    assert not ok and "relative gap of the cubes 16777215/16777216, exact" in detail

@@ -53,41 +53,99 @@ def test_degenerate_form_rejected():
 # Hodge star identities on random definite forms
 # --------------------------------------------------------------------------
 
-def _random_definite(rng, scale=0.2):
-    v = phi_to_vector(standard_phi().in_ring(FLT))
-    return vector_to_phi(v + scale * rng.normal(size=v.shape))
+def _rational_definite(rng, count):
+    """`count` definite forms phi_0 + delta, delta dense with coefficients in
+    (1/60) [-12, 12]: their volumes are irrational but for a few."""
+    out = []
+    while len(out) < count:
+        phi = standard_phi() + KForm(DIM, 3, RAT, {
+            idx: Fraction(int(rng.integers(-12, 13)), 60)
+            for idx in combinations(range(1, DIM + 1), 3)})
+        try:
+            out.append((phi, is_g2_type(phi)))
+        except NotStableError:
+            pass
+    return out
+
+
+def _dense_rational(rng, k):
+    return KForm(DIM, k, RAT, {idx: Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
+                               for idx in combinations(range(1, DIM + 1), k)})
 
 
 def test_star_star_is_identity():
+    # exact at irrational volume: *a = r^p Y and **a = r^(p+q) Y' with p + q
+    # a multiple of 3 and r^3 = 216 vol^3 rational; where r is rational the
+    # star itself is exact.  Frames give exact data.
     rng = np.random.default_rng(0)
-    worst = 0.0
-    count = 0
-    while count < 100:
-        try:
-            data = is_g2_type(_random_definite(rng))
-        except NotStableError:
-            continue
-        count += 1
-        for k in (1, 2, 3):
-            a = KForm(DIM, k, FLT,
-                      {idx: float(rng.normal())
-                       for idx in combinations(range(1, DIM + 1), k)})
-            diff = hodge_star(data, hodge_star(data, a)) - a
-            worst = max(worst, max((abs(float(c)) for c in diff.coeffs.values()),
-                                   default=0.0))
-    assert worst < 1e-9
+    samples = _rational_definite(rng, 4)
+    samples += [(phi, is_g2_type(phi)) for phi in map(_frame_phi, _random_frames(rng, 2))]
+    assert {data.exact for _, data in samples} == {True, False}
+    for _, data in samples:
+        r3 = 216 * data.vol_cubed
+        for k in range(DIM + 1):
+            a = _dense_rational(rng, k)
+            y, p = g2core.star_parts(data, a)
+            back, q = g2core.star_parts(data, y)
+            assert (p, q) == ((k + 1) % 3, (DIM - k + 1) % 3)
+            assert r3 ** ((p + q) // 3) * back == a
+            if data.exact:
+                assert hodge_star(data, hodge_star(data, a)) == a
 
 
 def test_phi_wedge_star_phi_is_seven_vol():
+    # *phi = r Y, so phi ^ *phi = 7 vol = 7 r / 6 reads top(phi ^ Y) = 7/6
     rng = np.random.default_rng(1)
-    for _ in range(100):
-        try:
-            phi = _random_definite(rng)
-            data = is_g2_type(phi)
-        except NotStableError:
-            continue
-        top = float(phi.wedge(hodge_star(data, phi)).top_coefficient())
-        assert abs(top - 7.0 * float(data.sqrt_det)) < 1e-10
+    samples = _rational_definite(rng, 6)
+    samples += [(phi, is_g2_type(phi)) for phi in map(_frame_phi, _random_frames(rng, 2))]
+    for phi, data in samples:
+        y, p = g2core.star_parts(data, phi)
+        assert p == 1 and phi.wedge(y).top_coefficient() == Fraction(7, 6)
+        if data.exact:
+            assert phi.wedge(hodge_star(data, phi)).top_coefficient() == 7 * data.sqrt_det
+
+
+def test_the_star_of_a_rational_form_carries_its_power_of_r():
+    # at irrational r, *a is float(r^p) times the exact Y, except for k = 2
+    # and 5, where p = 0 and the star is exact; <a, b> is r^(k mod 3) times
+    # a rational number in the same way
+    rng = np.random.default_rng(2)
+    (phi, data), = _rational_definite(rng, 1)
+    assert not data.exact
+    r = float(216 * data.vol_cubed) ** (1 / 3)
+    for k in range(DIM + 1):
+        a, b = _dense_rational(rng, k), _dense_rational(rng, k)
+        y, p = g2core.star_parts(data, a)
+        star = hodge_star(data, a)
+        if p == 0:
+            assert star == y and star.ring == RAT
+        else:
+            assert star.ring == FLT
+            assert star.coeffs == {I: float(c) * data.r_power(p)
+                                   for I, c in y.coeffs.items()}
+            assert math.isclose(data.r_power(p), r ** p, rel_tol=1e-15)
+        ip = inner_product(data, a, b)
+        assert (type(ip) is Fraction) == (k % 3 == 0)
+        # a ^ *b = <a, b> vol with vol = r / 6
+        top = a.wedge(g2core.star_parts(data, b)[0]).top_coefficient()
+        r_top = r ** ((k + 1) % 3) * float(top)
+        assert math.isclose(float(ip) * r / 6, r_top, rel_tol=1e-12, abs_tol=1e-12)
+
+
+def test_the_hodge_star_refuses_float_forms_and_float_data():
+    data = is_g2_type(standard_phi())
+    with pytest.raises(TypeError):
+        hodge_star(data, th(1, 2, 3).in_ring(FLT))
+    fdata = is_g2_type(standard_phi().in_ring(FLT))
+    with pytest.raises(TypeError):
+        hodge_star(fdata, th(1, 2, 3))
+    with pytest.raises(TypeError):
+        g2core.star_parts(fdata, th(1, 2, 3))
+    # the float inner product stops at degree 3
+    assert inner_product(fdata, th(1, 2, 3).in_ring(FLT),
+                         th(1, 2, 3).in_ring(FLT)) == pytest.approx(1.0)
+    with pytest.raises(TypeError):
+        inner_product(fdata, th(1, 2, 3, 4).in_ring(FLT), th(1, 2, 3, 4).in_ring(FLT))
 
 
 def test_star_exact_on_standard_form():
@@ -300,6 +358,19 @@ def test_hodge_star_and_inner_product_match_per_pair_minors(ring):
         a, b = (KForm(DIM, k, ring, {I: Fraction(int(rng.integers(-5, 6)), 2)
                                      for I in subsets if rng.random() < 0.6})
                 for _ in range(2))
+        ip_want = sum(ca * cb * _minor(data.metric_inv, I, J, ring)
+                      for I, ca in a.coeffs.items() for J, cb in b.coeffs.items())
+        if ring == FLT:
+            # float data has no Hodge star, and its inner product stops at k = 3
+            with pytest.raises(TypeError):
+                hodge_star(data, a)
+            if k > 3:
+                with pytest.raises(TypeError):
+                    inner_product(data, a, b)
+            else:
+                assert math.isclose(inner_product(data, a, b), ip_want,
+                                    rel_tol=1e-12, abs_tol=1e-12)
+            continue
         star = hodge_star(data, a)
         want = {}
         for I in subsets:
@@ -309,37 +380,23 @@ def test_hodge_star_and_inner_product_match_per_pair_minors(ring):
                     for J, c in a.coeffs.items())
             want[comp] = s * data.sqrt_det * sign
         ip = inner_product(data, a, b)
-        ip_want = sum(ca * cb * _minor(data.metric_inv, I, J, ring)
-                      for I, ca in a.coeffs.items() for J, cb in b.coeffs.items())
         assert star.ring == ring and star.degree == DIM - k
-        if ring == RAT:
-            assert star == KForm(DIM, DIM - k, RAT, want)
-            assert ip == ip_want and type(ip) is Fraction
-        else:
-            scale = max([1.0] + [abs(v) for v in want.values()])
-            assert all(abs(star.coeffs.get(comp, 0.0) - v) <= 1e-12 * scale
-                       for comp, v in want.items())
-            assert math.isclose(ip, ip_want, rel_tol=1e-12, abs_tol=1e-12)
+        assert star == KForm(DIM, DIM - k, RAT, want)
+        assert ip == ip_want and type(ip) is Fraction
 
 
-def test_float_star_and_inner_product_match_the_exact_ones():
-    # exact values are independent references for both float kernels: the
-    # minors of g^-1 for k <= 3 and, through Jacobi's identity, the
-    # complementary minors of g for k >= 4.  cond(g) is about 9e3 here.
+def test_float_inner_product_matches_the_exact_one():
+    # exact values are an independent reference for the float kernel, the
+    # minors of g^-1 in degrees k <= 3.  cond(g) is about 9e3 here.
     data = _exact_skewed_data()
     fdata = G2Data(data.phi, [[float(x) for x in r] for r in data.metric],
                    [[float(x) for x in r] for r in data.metric_inv],
                    float(data.sqrt_det))
     rng = np.random.default_rng(9)
-    for k in range(DIM + 1):
+    for k in range(4):
         a, b = (KForm(DIM, k, RAT, {I: Fraction(int(rng.integers(-5, 6)), 2)
                                     for I in combinations(range(1, DIM + 1), k)})
                 for _ in range(2))
-        star, fstar = hodge_star(data, a), hodge_star(fdata, a.in_ring(FLT))
-        assert fstar.ring == FLT
-        scale = max(abs(float(c)) for c in star.coeffs.values())
-        assert all(abs(fstar.coeffs.get(I, 0.0) - float(star.coeffs.get(I, 0)))
-                   <= 1e-13 * scale for I in combinations(range(1, DIM + 1), DIM - k))
         # relative to |a| |b|, the scale of <a, b> before any cancellation
         ab = float(inner_product(data, a, a) * inner_product(data, b, b)) ** 0.5
         ip = inner_product(fdata, a.in_ring(FLT), b.in_ring(FLT))
@@ -884,26 +941,28 @@ def test_su2_closed_forms_exact_at_nu_8():
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_su2_closed_forms_random_nu(seed):
+    # exact at rational nu, where vol = nu^(2/3) is mostly irrational:
+    # vol^3 = nu^2, g vol = B / 6 = diag(nu^2, 1, 1, nu, nu, nu, nu), and
+    # with nu^(2/3) = r / 6 and nu^(-4/3) = r / (6 nu^2), *phi' = r Y
     rng = np.random.default_rng(seed)
+    seen = set()
     for _ in range(10):
-        nu = float(rng.uniform(0.2, 6.0))
-        fiber = _fiber(nu, FLT)
-        phi = su2_assemble(th(1, ring=FLT), th(2, ring=FLT), th(3, ring=FLT),
-                           fiber)
+        nu = Fraction(int(rng.integers(1, 60)), int(rng.integers(1, 10)))
+        fiber = _fiber(nu)
+        phi = su2_assemble(th(1), th(2), th(3), fiber)
         data = is_g2_type(phi)
-        expect = np.diag([nu ** (4 / 3)] + [nu ** (-2 / 3)] * 2
-                         + [nu ** (1 / 3)] * 4)
-        assert np.abs(data.metric_array() - expect).max() < 1e-12 * nu ** (4 / 3)
-        assert float(data.sqrt_det) == pytest.approx(nu ** (2 / 3),
-                                                     rel=1e-12)
-        want = (nu ** (2 / 3) * th(4, 5, 6, 7, ring=FLT)
-                + nu ** (-4 / 3) * th(2, 3, ring=FLT).wedge(fiber.omega)
-                + nu ** (2 / 3) * th(1, 3, ring=FLT).wedge(fiber.omega_re)
-                + nu ** (2 / 3) * th(1, 2, ring=FLT).wedge(fiber.omega_im))
-        diff = hodge_star(data, phi) - want
-        rel = max((abs(float(c)) for c in diff.coeffs.values()),
-                  default=0.0) / nu ** (2 / 3)
-        assert rel < 1e-12
+        seen.add(data.exact)
+        assert data.vol_cubed == nu ** 2
+        assert bilinear_from_3form(phi) == [[6 * x if i == j else 0 for j in range(DIM)]
+                                            for i, x in enumerate((nu ** 2, 1, 1, nu, nu, nu, nu))]
+        want = Fraction(1, 6) * (th(4, 5, 6, 7) + (1 / nu ** 2) * th(2, 3).wedge(fiber.omega)
+                                 + th(1, 3).wedge(fiber.omega_re)
+                                 + th(1, 2).wedge(fiber.omega_im))
+        assert g2core.star_parts(data, phi) == (want, 1)
+        expect = np.diag([float(nu) ** (4 / 3)] + [float(nu) ** (-2 / 3)] * 2
+                         + [float(nu) ** (1 / 3)] * 4)
+        assert np.allclose(data.metric_array(), expect, rtol=1e-14, atol=0)
+    assert False in seen
 
 
 def test_su2_degenerate_fiber_rejected():

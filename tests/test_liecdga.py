@@ -1,6 +1,7 @@
 """Invariant differential, Jacobi guard, and model (de)serialization."""
 import json
 import random
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -107,6 +108,10 @@ BAD_MODELS = {
     "unknown_d_generator": (_two_dim_model(d={"zz": [["1", [1, 2]]]}), "zz"),
     "unknown_involution_generator": (_two_dim_model(involution={"a": "-1", "zz": "1"}), "zz"),
     "bool_involution": (_two_dim_model(involution={"a": True}), "True"),
+    "zero_denominator": (_two_dim_model(d={"a": [["1/0", [1, 2]]]}),
+                         re.escape("term ['1/0', [1, 2]]: rational '1/0' has a zero denominator")),
+    "zero_denominator_involution": (_two_dim_model(involution={"a": "1/0", "b": "1"}),
+                                    "'1/0' has a zero denominator"),
     "repeated_generator": (_two_dim_model(generators=("a", "a")), "repeat"),
     "involution_not_a_sign": (_two_dim_model(involution={"a": "3", "b": "0"}),
                               "1 or -1"),
@@ -127,6 +132,17 @@ def test_model_from_dict_rejects_malformed_input(case):
     data, problem = BAD_MODELS[case]
     with pytest.raises(ValueError, match=problem):
         model_from_dict(data)
+
+
+def test_a_zero_denominator_in_a_model_file_is_refused_by_name(tmp_path):
+    # Fraction("1/0") raises ZeroDivisionError; a model file gets a ValueError
+    data = model_to_dict(nakamura_model())
+    gen = next(iter(data["d"]))
+    data["d"][gen][0][0] = "1/0"
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ValueError, match=re.escape(f"term {data['d'][gen][0]!r}")):
+        load_model(path)
 
 
 @pytest.mark.parametrize("model", [nakamura_model, ffkm_model])

@@ -261,3 +261,16 @@ def test_non_finite_floats_are_refused_by_name(bad, monkeypatch):
                 fn(lams)
             assert isinstance(err.value, ValueError)
             assert not isinstance(err.value, NonPositiveScaleError)
+
+
+@pytest.mark.parametrize("make", [np.int64, np.int32, np.uint8], ids=lambda t: t.__name__)
+def test_numpy_integers_are_exact_integers(make):
+    # a numpy integer used to take the float path: 8^7 gave a volume factor
+    # of 127.99999999999997, where the exact law gives 2^7
+    out = hitchin_scaling_law([make(8)] * 7)
+    assert out == hitchin_scaling_law([8] * 7)
+    assert type(out["volume_factor"]) is Fraction and out["volume_factor"] == 128
+    assert out["exact"] and all(type(l) is Fraction for l in out["lambdas"])
+    # numpy's fixed-width powers would wrap; the law runs on Python ints
+    big = hitchin_scaling_law([np.int64(2 ** 60)] + [1] * 6)
+    assert big["volume_factor"] == 2 ** 20 and big["exact"]

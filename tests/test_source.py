@@ -33,11 +33,10 @@ def test_no_unused_imports(path):
 NO_CALLER_IN_SRC = {
     # oracles: independent references that tests hold the kernels against
     "flow.flow_closed_form": "closed-form oracle for the integrated flow line",
+    "flow.mu_dot": "the flow ODE's right-hand side, against which the tests hold the "
+                   "closed form and the RK4 loop",
     "forms.KForm.contract": "interior-product oracle for the B-map",
     "forms.KForm.eval_at": "one-point reference that the tests assemble chart rows against",
-    # the table B-map of one form, which the tests hold against the
-    # wedge-product oracle tests/test_g2core.py::_wedge_bilinear
-    "g2core.bilinear_from_3form": "the B-map of one form, as nested lists",
     # waiting for the exact cohomology checks (ROADMAP item 7)
     "liecdga.verify_primitive": "to certify the ledger's primitives",
     "liecdga.InvariantModel.involution_pullback": "to compute invariant classes",
