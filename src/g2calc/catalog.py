@@ -32,7 +32,7 @@ from .forms import KForm, PolynomialMap, chart_vars, merge_sign, poly_ring
 from .g2core import (TRIPLE_POS, TRIPLES, is_g2_type, metric_batch, norm,
                      phi_to_vector, vector_to_phi)
 from .liecdga import InvariantModel, StructureEqs, check_d_squared, d_invariant
-from .rings import FLT, RAT, Poly
+from .rings import RAT, Poly, _exact_real
 
 Q = Fraction
 
@@ -149,27 +149,28 @@ def nakamura_model() -> InvariantModel:
 
 
 def _lam_parts(lam):
-    """lambda as (re, im), Fractions where possible."""
+    """lambda (re, (re, im) or complex) as exact (re, im), a float by its
+    binary value."""
     if isinstance(lam, tuple):
         re, im = lam
     elif isinstance(lam, complex):
         re, im = lam.real, lam.imag
     else:
         re, im = lam, 0
-    if isinstance(re, (int, Fraction)) and isinstance(im, (int, Fraction)):
-        return Q(re), Q(im)
-    return float(re), float(im)
+    return _exact_real(re, "Re lambda"), _exact_real(im, "Im lambda")
 
 
 def _lam_sq(lam):
-    """|lambda|^2: a Fraction when lambda is exact, else a float."""
+    """|lambda|^2, exact."""
     re, im = _lam_parts(lam)
     return re ** 2 + im ** 2
 
 
 def phi_abl(alpha, beta, lam, model: InvariantModel | None = None) -> KForm:
     """phi(alpha, beta, lambda) = alpha beta g^{123} + alpha g^1 ^ omega
-    - beta g^2 ^ Re(lambda Omega) + g^3 ^ Im(lambda Omega)."""
+    - beta g^2 ^ Re(lambda Omega) + g^3 ^ Im(lambda Omega), a rational form
+    for every finite parameter: a float is read by its binary value."""
+    alpha, beta = _exact_real(alpha, "alpha"), _exact_real(beta, "beta")
     if alpha == 0 or beta == 0:
         raise ValueError("alpha, beta must be nonzero")
     re, im = _lam_parts(lam)
@@ -189,18 +190,13 @@ def phi_abl(alpha, beta, lam, model: InvariantModel | None = None) -> KForm:
 def phi_abl_mu(alpha, beta, lam, mu, model: InvariantModel | None = None) -> KForm:
     """Same family with the fiber symplectic term inflated by mu^6; lies in
     the class of phi(alpha, beta, lambda) with primitive (mu^6-1)/2 alpha rho."""
+    alpha, mu = _exact_real(alpha, "alpha"), _exact_real(mu, "mu")
     if mu < 1:
         raise ValueError("mu must be >= 1")
     m = model or nakamura_model()
     base = phi_abl(alpha, beta, lam, m)
-    extra = (alpha * (_pow6(mu) - 1)) * m.named_forms["g1"].wedge(m.named_forms["omega"])
+    extra = (alpha * (mu ** 6 - 1)) * m.named_forms["g1"].wedge(m.named_forms["omega"])
     return base + extra
-
-
-def _pow6(mu):
-    if isinstance(mu, (int, Fraction)):
-        return Q(mu) ** 6
-    return float(mu) ** 6
 
 
 #: pairing forms of the class detector, ordered so that
@@ -262,12 +258,10 @@ def ffkm_model() -> InvariantModel:
 
 
 def phi_check_mu(mu) -> KForm:
-    """Invariant family mu^6 theta^{123} + (remaining six terms of phi)."""
-    c = _pow6(mu)
-    ring = RAT if isinstance(c, Fraction) else FLT
-    phi = ffkm_model().named_forms["phi"].in_ring(ring)
-    extra = (c - 1) * KForm.basis(7, (1, 2, 3), ring)
-    return phi + extra
+    """Invariant family mu^6 theta^{123} + (remaining six terms of phi), a
+    rational form for every finite mu: a float is read by its binary value."""
+    mu = _exact_real(mu, "mu")
+    return ffkm_model().named_forms["phi"] + (mu ** 6 - 1) * KForm.basis(7, (1, 2, 3))
 
 
 # ----- charts around the singular locus ------------------------------------
@@ -440,9 +434,9 @@ def xi_mu_chart():
 
 
 def _xi_mu_weights(mu) -> list:
-    """The diagonal of xi^mu's metric: mu^4 on dy^{1,2,3}, mu^-2 on dy^{4..7};
-    Fractions for an exact mu, else floats."""
-    m = Q(mu) if isinstance(mu, (int, Fraction)) else float(mu)
+    """The diagonal of xi^mu's metric, in floats: mu^4 on dy^{1,2,3}, mu^-2
+    on dy^{4..7}."""
+    m = float(mu)
     return [m ** 4] * 3 + [m ** -2] * 4
 
 

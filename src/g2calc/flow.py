@@ -16,7 +16,7 @@ from .catalog import _lam_sq, nakamura_model, phi_abl_mu
 from .forms import KForm
 from .g2core import hodge_star, is_g2_type, star_parts
 from .liecdga import InvariantModel, d_invariant
-from .rings import nth_root_fraction
+from .rings import _exact_real, nth_root_fraction
 
 
 def _laplacian_over_r(phi: KForm, model: InvariantModel):
@@ -39,11 +39,8 @@ def laplacian(phi: KForm, model: InvariantModel) -> KForm:
 def _l_two_thirds(lam) -> float:
     """(lambda lambdabar)^{2/3}, exact when the modulus squared is a cube."""
     L = _lam_sq(lam)
-    if isinstance(L, Fraction):
-        root = nth_root_fraction(L ** 2, 3)
-        if root is not None:
-            return root
-    return float(L) ** (2.0 / 3.0)
+    root = nth_root_fraction(L ** 2, 3)
+    return float(L) ** (2.0 / 3.0) if root is None else root
 
 
 def _rate_constants(alpha, lam) -> tuple:
@@ -59,19 +56,6 @@ def _mu_dot(two_l23, three_a2, mu: float) -> float:
 
 def _mu_closed(sixteen_l23, three_a2, t: float) -> float:
     return (sixteen_l23 * t / three_a2 + 1.0) ** 0.125
-
-
-def flow_closed_form(alpha, lam, t) -> float:
-    """mu(t) along the flow line through phi(alpha, beta, lambda)."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    _, sixteen_l23, three_a2 = _rate_constants(alpha, lam)
-    return _mu_closed(sixteen_l23, three_a2, float(t))
-
-
-def mu_dot(alpha, lam, mu: float) -> float:
-    two_l23, _, three_a2 = _rate_constants(alpha, lam)
-    return _mu_dot(two_l23, three_a2, float(mu))
 
 
 def flow_integrate(alpha, beta, lam, t_end: float, steps: int) -> list:
@@ -103,14 +87,14 @@ def check_flow_consistency(alpha, beta, lam, mu,
     """Relative gap between laplacian(phi(...; mu)) and the flow tangent
     6 mu^5 mu_dot alpha g^1 ^ omega = c L^(2/3) g^1 ^ omega, c = 4 / (alpha
     mu^2); it vanishes on flow lines.  Exact: the parameters are read as
-    rationals (a float by its binary value), Delta phi = r Z with Z and r^3
-    rational, and the gap compares cubes, max_I |r^3 Z_I^3 - t_I^3| /
-    max_I |t_I^3| with t^3 = c^3 L^2 on g^1 ^ omega, as a Fraction."""
+    rationals (a float by its binary value, as phi_abl_mu and _lam_sq read
+    them), Delta phi = r Z with Z and r^3 rational, and the gap compares
+    cubes, max_I |r^3 Z_I^3 - t_I^3| / max_I |t_I^3| with t^3 = c^3 L^2 on
+    g^1 ^ omega, as a Fraction."""
     m = model or nakamura_model()
-    lam = tuple(map(Fraction, lam)) if isinstance(lam, tuple) else Fraction(lam)
-    alpha, beta, mu = Fraction(alpha), Fraction(beta), Fraction(mu)
+    alpha, mu = _exact_real(alpha, "alpha"), _exact_real(mu, "mu")
     data, z = _laplacian_over_r(phi_abl_mu(alpha, beta, lam, mu, m), m)
-    t3 = (4 / (alpha * mu ** 2)) ** 3 * _lam_sq(lam) ** 2
+    t3 = Fraction(4, alpha * mu ** 2) ** 3 * _lam_sq(lam) ** 2
     target = m.named_forms["g1"].wedge(m.named_forms["omega"])
     cubes = {idx: data.vol_cubed * 216 * c ** 3 for idx, c in z.coeffs.items()}
     for idx, c in target.coeffs.items():

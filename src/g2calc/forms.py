@@ -5,8 +5,8 @@ strictly increasing multi-indices from the axis set {1..dim} and the
 coefficients c_I live in one of the rings of :mod:`g2calc.rings`
 (rationals, floats, or polynomials in named chart coordinates).
 
-Operations: wedge, contraction with a vector, chart exterior derivative
-(polynomial ring only) and pullback along a polynomial map.
+Operations: wedge, chart exterior derivative (polynomial ring only) and
+pullback along a polynomial map.
 
 A rational form is held as integer numerators over one denominator, the
 lcm of its coefficients' denominators, which makes the pair reduced and
@@ -28,7 +28,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping
 
-from .rings import (FLT, RAT, MixedRingError, Poly, _over_common_denominator,
+from .rings import (RAT, MixedRingError, Poly, _over_common_denominator,
                     _reduced, coerce_to, ring_of, ring_zero, scalar_is_zero)
 
 MultiIndex = tuple  # strictly increasing tuple of axis labels (1-based ints)
@@ -306,34 +306,6 @@ class KForm:
                     out[merged] = c
         return KForm._trusted(self.dim, deg, ring, out, den)
 
-    def contract(self, vector) -> "KForm":
-        """Interior product with a vector given as components over axes 1..dim
-        (sequence, or mapping axis->component)."""
-        if self.degree == 0:
-            raise ValueError("cannot contract a 0-form")
-        if isinstance(vector, Mapping):
-            comp = {int(k): v for k, v in vector.items()}
-        else:
-            comp = {i + 1: v for i, v in enumerate(vector)}
-        out = {}
-        ring = self.ring
-        for idx, c in self.coeffs.items():
-            for pos, axis in enumerate(idx):
-                v = comp.get(axis, 0)
-                if isinstance(v, (int, Fraction)) and v == 0:
-                    continue
-                rest = idx[:pos] + idx[pos + 1:]
-                term = coerce_to(ring, v) * c if ring_of(v) in (RAT, ring) else None
-                if term is None:
-                    raise MixedRingError("vector components live in a different ring")
-                if pos % 2 == 1:
-                    term = -term
-                if rest in out:
-                    out[rest] = out[rest] + term
-                else:
-                    out[rest] = term
-        return KForm._trusted(self.dim, self.degree - 1, ring, out)
-
     # ----- calculus in a chart ------------------------------------------
     def d_chart(self) -> "KForm":
         """Exterior derivative for polynomial coefficients.
@@ -354,13 +326,6 @@ class KForm:
                 val = dc if sign == 1 else -dc
                 terms[merged] = terms[merged] + val if merged in terms else val
         return KForm._trusted(self.dim, self.degree + 1, self.ring, terms)
-
-    def eval_at(self, point: Mapping[str, float]) -> "KForm":
-        """Evaluate polynomial coefficients at a chart point -> float form."""
-        if not (isinstance(self.ring, tuple) and self.ring[0] == "poly"):
-            return self.in_ring(FLT)
-        return KForm._trusted(self.dim, self.degree, FLT,
-                              {i: c.eval(point) for i, c in self.coeffs.items()})
 
     # ----- misc ----------------------------------------------------------
     def top_coefficient(self):

@@ -11,7 +11,9 @@ Three rings are supported:
 Mixing scalars from different rings inside one form is a hard error, raised
 by the form layer (see :mod:`g2calc.forms`).  Helpers here also give
 exact n-th roots of rationals, or None where the root is irrational; each
-caller decides what an irrational root means for it.
+caller decides what an irrational root means for it.  One helper reads a
+finite real exactly, a float by its binary value; every entry to the exact
+layer (the scaling law, the closed families) reads its parameters by it.
 
 A polynomial evaluates at one point or, entry by entry, at every row of a
 set of point columns, by one method (:meth:`Poly.eval`).  It raises powers
@@ -25,6 +27,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import reduce
+from numbers import Integral, Real
 from operator import add
 from types import MappingProxyType
 from typing import Mapping
@@ -100,6 +103,17 @@ def _rational(c):
     if isinstance(c, (int, Fraction)) and not isinstance(c, bool):
         return c
     raise MixedRingError(f"polynomial coefficients must be ints or Fractions, got {c!r}")
+
+
+def _exact_real(x, name, error=ValueError):
+    """`x`, a finite real (int, Fraction, float or numpy scalar), as an int
+    or a Fraction, a float by its binary value (0.1 is 3602879701896397 /
+    2^55); a bool, NaN, +-inf or a non-real raises `error`, naming `x`."""
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        return x
+    if not isinstance(x, bool) and isinstance(x, Real) and math.isfinite(x):
+        return int(x) if isinstance(x, Integral) else Fraction(*x.as_integer_ratio())
+    raise error(f"{name} {x!r} is not a finite real number")
 
 
 def _ratio_root(num: int, den: int, k: int):

@@ -10,29 +10,30 @@ the mu_i, one equation per basis term.  The induced volume obeys
 
 In cubed form the law is the polynomial identity vol_(lambda)^3 =
 prod_i lambda_i.  scaled_volume_factor checks it against is_g2_type's
-exact vol^3 with zero tolerance at every rational lambda, whether or not
-the volume itself is rational.
+exact vol^3 with zero tolerance at every lambda, whether or not the volume
+itself is rational.
 
 Each entry point checks lambda by one function (seven finite, positive
-numbers; no bools) and carries a rational lambda_t = n_t / d_t as the
-integer pair (n_t, d_t): phi_(lambda) has numerators over lcm(d_t), prod
-lambda is (prod n_t, prod d_t), and mu_i = prod_t lambda_t^{E[i][t] / 6},
-with E = 6 M^-1 an integer matrix (checked at import), comes from one
-integer numerator and denominator of mu_i^6 (n_t^e up and d_t^e down for
-e > 0, the other way round for e < 0) reduced by one gcd.  Every root is an
-integer root of a reduced pair, or a float where it is irrational; the
-solve is exact when every mu_i^6 is a sixth power.
+reals; no bools) and reads it exactly, a float by its binary value (8.0 is
+8, 0.1 is 3602879701896397 / 2^55), so one path serves every lambda.  A
+rational lambda_t = n_t / d_t is carried as the integer pair (n_t, d_t):
+phi_(lambda) has numerators over lcm(d_t), prod lambda is (prod n_t, prod
+d_t), and mu_i = prod_t lambda_t^{E[i][t] / 6}, with E = 6 M^-1 an integer
+matrix (checked at import), comes from one integer numerator and
+denominator of mu_i^6 (n_t^e up and d_t^e down for e > 0, the other way
+round for e < 0) reduced by one gcd.  Every root is an integer root of a
+reduced pair, or a float where it is irrational; the solve is exact when
+every mu_i^6 is a sixth power.
 '''
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Integral
 
 from .forms import KForm
 from .g2core import DIM, STANDARD_PHI_TERMS, is_g2_type, inverse_exact
-from .rings import FLT, RAT, _ratio_root
+from .rings import RAT, _exact_real, _ratio_root
 
 #: incidence matrix M of the log-linear system: row t, column i is 1 when
 #: axis i appears in the triple of the standard form's term t, so that
@@ -48,7 +49,7 @@ _SIXTH_EXPONENTS = tuple(tuple(int(6 * x) for x in row) for row in INCIDENCE_INV
 
 
 class InvalidScaleError(ValueError):
-    """A scaling coefficient is not a finite number, or is a bool."""
+    """A scaling coefficient is not a finite real number, or is a bool."""
 
 
 class NonPositiveScaleError(InvalidScaleError):
@@ -56,22 +57,17 @@ class NonPositiveScaleError(InvalidScaleError):
 
 
 def _validated(lambdas):
-    """(lambdas as a tuple, their (numerator, denominator) pairs or None for
-    the float path); raises on a bool, NaN, inf or lambda <= 0."""
+    """(lambdas as ints and Fractions, their (numerator, denominator)
+    pairs); raises on a bool, NaN, inf, a non-real or lambda <= 0."""
     lambdas = tuple(lambdas)
     if len(lambdas) != DIM:
         raise ValueError("need seven scaling coefficients")
-    for l in lambdas:
-        if isinstance(l, bool) or not (isinstance(l, (int, Fraction)) or math.isfinite(l)):
-            raise InvalidScaleError(f"scaling coefficient {l!r} is not a finite number")
-    rational = all(isinstance(l, (int, Fraction)) for l in lambdas)
-    if not rational and all(isinstance(l, (int, Fraction, Integral)) for l in lambdas):
-        # numpy's integers are rational too, as Python ints: their own powers wrap
-        lambdas, rational = tuple(l if isinstance(l, (int, Fraction)) else int(l)
-                                  for l in lambdas), True
-    if not all((l.numerator if rational else l) > 0 for l in lambdas):
+    if not all(type(l) is int or type(l) is Fraction for l in lambdas):
+        lambdas = tuple(_exact_real(l, "scaling coefficient", InvalidScaleError)
+                        for l in lambdas)
+    if not all(l.numerator > 0 for l in lambdas):
         raise NonPositiveScaleError(f"non-positive scaling coefficients in {lambdas}")
-    return lambdas, [(l.numerator, l.denominator) for l in lambdas] if rational else None
+    return lambdas, [(l.numerator, l.denominator) for l in lambdas]
 
 
 @dataclass
@@ -89,11 +85,6 @@ class ScalingExponents:
 def solve_scaling(lambdas) -> ScalingExponents:
     """Solve mu_a mu_b mu_c = lambda_t over the seven triples {abc}."""
     lambdas, pairs = _validated(lambdas)
-    if pairs is None:
-        logs = [math.log(float(l)) for l in lambdas]
-        mus = tuple(math.exp(sum(float(INCIDENCE_INV[i][t]) * logs[t] for t in range(DIM)))
-                    for i in range(DIM))
-        return ScalingExponents(lambdas, mus, False)
     mus = []
     for row in _SIXTH_EXPONENTS:
         num = den = 1
@@ -119,26 +110,13 @@ def _rational_form(pairs) -> KForm:
                                         in zip(pairs, STANDARD_PHI_TERMS)}, D)
 
 
-def scaled_form(lambdas) -> KForm:
-    """phi_(lambda) = sum_i lambda_i phi_i."""
-    lambdas, pairs = _validated(lambdas)
-    return _rational_form(pairs) if pairs else KForm(DIM, 3, FLT, {
-        idx: float(l) * float(c) for l, (c, idx) in zip(lambdas, STANDARD_PHI_TERMS)})
-
-
 def scaled_volume_factor(lambdas):
     """Volume of phi_(lambda) relative to the standard volume by the closed
     law, checked against the volume of the induced metric; raises on
-    disagreement.  For rational lambda the check is exact at every tuple,
-    vol^3 = prod lambda; the law itself is a Fraction when prod lambda is
-    a rational cube and a float otherwise."""
-    lambdas, pairs = _validated(lambdas)
-    if pairs is None:
-        law = float(math.prod(lambdas)) ** (1.0 / 3.0)
-        vol = float(is_g2_type(scaled_form(lambdas)).sqrt_det)
-        if abs(law - vol) > 1e-10 * max(1.0, law):
-            raise AssertionError(f"volume law {law} != induced volume {vol}")
-        return law
+    disagreement.  The check is exact at every tuple, vol^3 = prod lambda;
+    the law itself is a Fraction when prod lambda is a rational cube and a
+    float otherwise."""
+    _, pairs = _validated(lambdas)
     vol3 = is_g2_type(_rational_form(pairs)).vol_cubed
     num, den = math.prod(n for n, _ in pairs), math.prod(d for _, d in pairs)
     if vol3.numerator * den != num * vol3.denominator:

@@ -1,5 +1,6 @@
 """The two 7-manifold models: closed families, class map, gluing identities."""
 import math
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -16,7 +17,8 @@ from g2calc.catalog import (ResolutionForms, ch_map, ffkm_model,
 from g2calc.forms import KForm
 from g2calc.g2core import is_g2_type, metric_batch, phi_to_vector, vector_to_phi
 from g2calc.liecdga import d_invariant
-from g2calc.rings import FLT
+from g2calc.rings import FLT, RAT
+from oracles import eval_at
 
 Q = Fraction
 
@@ -54,6 +56,29 @@ def test_mu_below_one_rejected():
         phi_abl_mu(1, 1, 1, Q(1, 2))
     with pytest.raises(ValueError):
         phi_abl(0, 1, 1)
+
+
+@pytest.mark.parametrize("build, name, bad", [
+    (lambda x: phi_abl_mu(1, 1, 1, x), "mu", float("nan")),
+    (lambda x: phi_abl_mu(x, 1, 1, 2), "alpha", float("nan")),
+    (lambda x: phi_abl(1, x, 1), "beta", float("inf")),
+    (lambda x: phi_abl(1, 1, (1, x)), "Im lambda", float("nan")),
+    (lambda x: phi_check_mu(x), "mu", -float("inf")),
+], ids=["mu_nan", "alpha_nan", "beta_inf", "im_lambda_nan", "check_mu_minus_inf"])
+def test_non_finite_parameters_are_refused_by_name(build, name, bad):
+    # nan < 1 is False, so a NaN mu used to build a form of NaN coefficients
+    with pytest.raises(ValueError, match=re.escape(f"{name} {bad!r}")):
+        build(bad)
+
+
+def test_float_parameters_give_the_rational_family():
+    # a float is read by its binary value: 2.0 is 2 and 1.5 is 3/2
+    assert phi_check_mu(2.0) == phi_check_mu(2)
+    assert phi_check_mu(2.0).ring == RAT
+    got = phi_abl_mu(2.0, 1, (1.0, 1), 1.5)
+    assert got == phi_abl_mu(2, 1, (1, 1), Q(3, 2))
+    assert got.ring == RAT
+    assert phi_abl(np.float32(0.5), 1, 1 + 2j) == phi_abl(Q(1, 2), 1, (1, 2))
 
 
 def test_class_map_values_and_injectivity():
@@ -190,7 +215,7 @@ def test_glued_form_outer_region_is_invariant():
     assert out["f"][0] == pytest.approx(1.0)
     assert out["fprime"][0] == 0.0
     invariant = pullback_invariant_form(phi_check_mu(2))
-    want = phi_to_vector(invariant.eval_at(dict(zip(catalog.YVARS, point))))
+    want = phi_to_vector(eval_at(invariant, dict(zip(catalog.YVARS, point))))
     assert out["phi"][0] == pytest.approx(want, rel=1e-14, abs=1e-15)
 
 
@@ -312,7 +337,7 @@ def test_glued_form_chain_rule_matches_finite_differences(y0):
     def field(y):
         pt = dict(zip(catalog.YVARS, y))
         f = _cutoff_at(math.sqrt(y[0] ** 2 + y[1] ** 2 + y[4] ** 2 + y[5] ** 2) / eps)[0]
-        return {idx: f * c for idx, c in alpha.eval_at(pt).coeffs.items()}
+        return {idx: f * c for idx, c in eval_at(alpha, pt).coeffs.items()}
 
     out = glued_form_at([y0], mu, eps)
     assert 0.0 < out["fprime"][0]
@@ -340,15 +365,20 @@ def test_sigma_chain_rule_matches_finite_differences(y0):
 
 def test_xi_metric_diagonal():
     # the gap norms weigh dy^{1,2,3} by mu^-4 and dy^{4..7} by mu^2: the
-    # metric of xi^mu, computed exactly, is the diagonal of these weights
+    # metric of xi^mu, computed exactly, is diagonal, and the float weights
+    # are its diagonal to within one rounding
     flat = ffkm_model().named_forms["phi"]
     for mu in (1, 2, Q(3, 2)):
         xi = flat + (Q(mu) ** 6 - 1) * KForm.basis(7, (1, 2, 3))
         g = is_g2_type(xi)
-        weights = catalog._xi_mu_weights(mu)
-        assert g.exact and all(type(w) is Fraction for w in weights)
-        assert g.metric == [[weights[i] if i == j else 0 for j in range(7)]
+        diag = [g.metric[i][i] for i in range(7)]
+        assert g.exact
+        assert g.metric == [[diag[i] if i == j else 0 for j in range(7)]
                             for i in range(7)], mu
+        weights = catalog._xi_mu_weights(mu)
+        assert all(type(w) is float for w in weights)
+        assert all(abs(Fraction(w) - d) <= d / 2 ** 52 for w, d in zip(weights, diag)), mu
+        assert diag == [Q(mu) ** 4] * 3 + [Q(mu) ** -2] * 4, mu
 
 
 def test_quadlem_constant_stable_under_refinement():
@@ -401,7 +431,7 @@ def test_norm_in_diag_on_columns_matches_each_point_and_mu():
     batch = catalog._norm_in_diag(catalog._eval_columns(alpha, cols), weights)
     assert batch.shape == (len(pts), len(mus))
     for i, p in enumerate(pts.tolist()):
-        coeffs = alpha.eval_at(dict(zip(catalog.YVARS, p))).coeffs
+        coeffs = eval_at(alpha, dict(zip(catalog.YVARS, p))).coeffs
         row = {idx: np.array([c]) for idx, c in coeffs.items()}
         for j, mu in enumerate(mus):
             got = catalog._norm_in_diag(row, catalog._xi_mu_weights(mu))
@@ -412,10 +442,10 @@ def _d_cutoff_by_wedges(point, scale, a, da):
     """d[f(r/scale) a] = f da + (f'/scale) dr ^ a assembled from forms."""
     r = math.sqrt(sum(point[n] * point[n] for _, n in catalog._TRANSVERSE))
     f, fd = _cutoff_at(r / scale)
-    out = f * da.eval_at(point)
+    out = f * eval_at(da, point)
     if fd != 0.0 and r > 0:
         dr = KForm(7, 1, FLT, {(i,): point[n] / r for i, n in catalog._TRANSVERSE})
-        out = out + (fd / scale) * dr.wedge(a.eval_at(point))
+        out = out + (fd / scale) * dr.wedge(eval_at(a, point))
     return out
 
 

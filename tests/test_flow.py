@@ -8,12 +8,12 @@ import pytest
 
 from g2calc import flow
 from g2calc.catalog import ffkm_model, nakamura_model, phi_abl_mu
-from g2calc.flow import (check_flow_consistency, flow_closed_form,
-                         flow_integrate, laplacian, mu_dot, trajectory_to_csv)
+from g2calc.flow import check_flow_consistency, flow_integrate, laplacian, trajectory_to_csv
 from g2calc.forms import KForm
 from g2calc.liecdga import InvariantModel, StructureEqs
 from g2calc.g2core import standard_phi
 from g2calc.rings import RAT, nth_root_fraction
+from oracles import flow_closed_form, mu_dot
 
 DIM = 7
 
@@ -129,13 +129,13 @@ def _rk4_calling_mu_dot(alpha, lam, t_end, steps):
     return rows
 
 
-@pytest.mark.parametrize("alpha, lam, searches",
-                         [(1, (1, 1), 1), (3, 8, 1), (0.5, (2, -1.5), 0)],
+@pytest.mark.parametrize("alpha, lam", [(1, (1, 1)), (3, 8), (0.5, (2, -1.5))],
                          ids=["no-cube-root", "exact-root", "float"])
-def test_trajectory_equals_the_per_step_reference(alpha, lam, searches, monkeypatch):
+def test_trajectory_equals_the_per_step_reference(alpha, lam, monkeypatch):
     # lambda = (1, 1): L^2 = 4 has no rational cube root, so the search
-    # misses; lambda = 8: L^2 = 16^3 and the root is exact.  Either way the
-    # root is searched for once per trajectory, and never for a float lambda.
+    # misses; lambda = 8: L^2 = 16^3 and the root is exact; a float lambda
+    # is read by its binary value, (2, -3/2) with L^2 = (25/4)^2, and misses.
+    # Each way the root is searched for once per trajectory.
     roots = []
 
     def counting_root(q, k):
@@ -144,5 +144,5 @@ def test_trajectory_equals_the_per_step_reference(alpha, lam, searches, monkeypa
 
     monkeypatch.setattr(flow, "nth_root_fraction", counting_root)
     rows = flow_integrate(alpha, 1, lam, 2.0, 300)
-    assert len(roots) == searches
+    assert len(roots) == 1
     assert rows == _rk4_calling_mu_dot(alpha, lam, 2.0, 300)

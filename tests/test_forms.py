@@ -14,6 +14,7 @@ from g2calc.catalog import chart_map, ffkm_model, nakamura_model
 from g2calc.forms import KForm, PolynomialMap, chart_vars, merge_sign, poly_ring
 from g2calc.liecdga import d_invariant
 from g2calc.rings import FLT, RAT, MixedRingError, Poly
+from oracles import contract, eval_at
 
 DIM = 7
 YVARS = chart_vars("y", DIM)
@@ -239,7 +240,7 @@ def test_in_ring_roundtrip():
 def test_contract_then_wedge_degrees():
     a = KForm.basis(DIM, (1, 2, 3))
     v = [1, 0, 0, 0, 0, 0, 0]
-    ia = a.contract(v)
+    ia = contract(a, v)
     assert ia.degree == 2
     assert ia == KForm.basis(DIM, (2, 3))
 
@@ -247,7 +248,7 @@ def test_contract_then_wedge_degrees():
 def test_eval_at_substitutes_polynomials():
     y1 = Poly.var(YVARS, "y1")
     a = KForm(DIM, 1, YRING, {(2,): y1 * y1})
-    out = a.eval_at({"y1": 3.0})
+    out = eval_at(a, {"y1": 3.0})
     assert float(out.coeffs[(2,)]) == 9.0
 
 
@@ -320,11 +321,11 @@ def test_kernel_outputs_equal_their_validated_rebuild(ring):
                 d_invariant(rng.choice(eqs), a),
                 KForm.basis(DIM, (1, 2), ring, rng.randint(1, 3))]
         if a.degree:
-            outs.append(a.contract(v))
+            outs.append(contract(a, v))
         if ring == RAT:
             outs.append(a.in_ring(FLT))
         if ring == YRING:
-            outs += [a.d_chart(), F.pullback(a), a.eval_at({y: 0.5 for y in YVARS})]
+            outs += [a.d_chart(), F.pullback(a), eval_at(a, {y: 0.5 for y in YVARS})]
         for out in outs:
             assert_canonical(out)
 
@@ -335,7 +336,7 @@ def test_cancelled_coefficients_leave_zero_forms(ring):
     a = e[1] + e[2]
     assert a.wedge(a).is_zero()                       # e12 + e21 cancel
     assert (a.wedge(e[3]) - a.wedge(e[3])).is_zero()
-    assert (e[1].wedge(e[2]) + e[1].wedge(e[3])).contract([0, 1, -1]).is_zero()
+    assert contract(e[1].wedge(e[2]) + e[1].wedge(e[3]), [0, 1, -1]).is_zero()
     if ring == YRING:
         x1 = Poly.var(YVARS, "y1")
         p = KForm(DIM, 1, YRING, {(2,): x1 * x1})

@@ -19,6 +19,7 @@ from g2calc.g2core import (STANDARD_PHI_TERMS, DegenerateFiberError, G2Data,
                            su2_assemble, vector_to_phi)
 from g2calc.rings import FLT, RAT, nth_root_fraction
 from g2calc.scaling import INCIDENCE
+from oracles import contract
 
 DIM = 7
 
@@ -183,7 +184,7 @@ def test_metric_batch_matches_single_evaluation():
 
 def _wedge_bilinear(phi):
     """Reference B: (i_{e_i} phi) ^ (i_{e_j} phi) ^ phi, one wedge per entry."""
-    contr = [phi.contract({i: 1}) for i in range(1, DIM + 1)]
+    contr = [contract(phi, {i: 1}) for i in range(1, DIM + 1)]
     return [[contr[i].wedge(contr[j]).wedge(phi).top_coefficient()
              for j in range(DIM)] for i in range(DIM)]
 
@@ -716,8 +717,8 @@ def test_rational_g2data_takes_its_root_on_first_read(monkeypatch):
         return nth_root_fraction(q, k)
 
     monkeypatch.setattr(g2core, "nth_root_fraction", counting_root)
-    cube = scaling.scaled_form([8, 1, Fraction(1, 27), 64, 1, 1, 27])
-    noncube = scaling.scaled_form([2, 1, Fraction(1, 3), 5, 1, 1, 7])
+    cube = scaling._rational_form(scaling._validated([8, 1, Fraction(1, 27), 64, 1, 1, 27])[1])
+    noncube = scaling._rational_form(scaling._validated([2, 1, Fraction(1, 3), 5, 1, 1, 7])[1])
     for phi, exact in ((cube, True), (noncube, False), (standard_phi(), True)):
         for attr in ("sqrt_det", "exact", "metric"):
             data = is_g2_type(phi)

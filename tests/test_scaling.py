@@ -12,8 +12,8 @@ from g2calc.forms import KForm
 from g2calc.g2core import STANDARD_PHI_TERMS, is_g2_type
 from g2calc.rings import RAT, nth_root_fraction
 from g2calc.scaling import (INCIDENCE_INV, InvalidScaleError, NonPositiveScaleError,
-                            hitchin_scaling_law, scaled_form, scaled_volume_factor,
-                            solve_scaling)
+                            _rational_form, _validated, hitchin_scaling_law,
+                            scaled_volume_factor, solve_scaling)
 
 TRIPLES = ((1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7),
            (3, 4, 7), (3, 5, 6))
@@ -107,9 +107,14 @@ def test_volume_law_numeric_for_general_lambdas():
         assert vol == pytest.approx(prod ** (1 / 3), rel=1e-10)
 
 
+def _scaled_form(lams) -> KForm:
+    """phi_(lambda) = sum_i lambda_i phi_i, by the integer build."""
+    return _rational_form(_validated(lams)[1])
+
+
 def test_scaled_form_definite_and_closed_class():
     lams = [Fraction(8), 1, 1, Fraction(27), 1, 1, Fraction(1, 8)]
-    phi = scaled_form(lams)
+    phi = _scaled_form(lams)
     data = is_g2_type(phi)
     assert data.sqrt_det == scaled_volume_factor(lams)
 
@@ -189,7 +194,7 @@ def _lambda_tuples(draw):
 @settings(max_examples=200, deadline=None)
 @given(_lambda_tuples())
 def test_scaled_form_matches_the_fraction_build(lams):
-    got = scaled_form(lams)
+    got = _scaled_form(lams)
     want = KForm(7, 3, RAT, {idx: Fraction(l) * c for l, (c, idx) in zip(lams, STANDARD_PHI_TERMS)})
     assert got == want
     assert got._ints() == want._ints()
@@ -243,7 +248,7 @@ def test_bools_are_refused_by_name(lams, monkeypatch):
     # bool is an int subclass, and [True] * 7 once gave an exact volume of 1
     _refuse_linear_algebra(monkeypatch)
     bad = next(l for l in lams if isinstance(l, bool))
-    for fn in (solve_scaling, scaled_form, scaled_volume_factor, hitchin_scaling_law):
+    for fn in (solve_scaling, scaled_volume_factor, hitchin_scaling_law):
         with pytest.raises(InvalidScaleError, match=re.escape(repr(bad))):
             fn(lams)
 
@@ -256,7 +261,7 @@ def test_non_finite_floats_are_refused_by_name(bad, monkeypatch):
     lams = [1.5, 2.0, 1, Fraction(1, 3), bad, 1.0, 1.0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for fn in (solve_scaling, scaled_form, scaled_volume_factor, hitchin_scaling_law):
+        for fn in (solve_scaling, scaled_volume_factor, hitchin_scaling_law):
             with pytest.raises(InvalidScaleError, match=re.escape(repr(bad))) as err:
                 fn(lams)
             assert isinstance(err.value, ValueError)
@@ -274,3 +279,40 @@ def test_numpy_integers_are_exact_integers(make):
     # numpy's fixed-width powers would wrap; the law runs on Python ints
     big = hitchin_scaling_law([np.int64(2 ** 60)] + [1] * 6)
     assert big["volume_factor"] == 2 ** 20 and big["exact"]
+
+
+@pytest.mark.parametrize("bad", [1 + 0j, "2"], ids=["complex", "string"])
+def test_non_reals_are_refused_by_name(bad, monkeypatch):
+    # a complex or a string used to reach math.isfinite, which raised a
+    # bare TypeError
+    _refuse_linear_algebra(monkeypatch)
+    for fn in (solve_scaling, scaled_volume_factor, hitchin_scaling_law):
+        with pytest.raises(InvalidScaleError, match=re.escape(repr(bad))):
+            fn([bad] + [1] * 6)
+
+
+def test_float_lambdas_give_the_exact_law():
+    # a float is read by its binary value, so 8.0 is 8: the float path used
+    # to give a volume factor of 127.99999999999997 and exact False
+    out = hitchin_scaling_law([8.0] * 7)
+    assert type(out["volume_factor"]) is Fraction and out["volume_factor"] == 128
+    assert out["exact"] and out == hitchin_scaling_law([8] * 7)
+
+
+_FLOAT = st.floats(min_value=1e-3, max_value=1e3, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(_FLOAT, min_size=7, max_size=7),
+       st.sampled_from((float, np.float64, np.float32)))
+@example([8.0, 0.125, 1.0, 27.0, 0.5, 2.0, 1.5], float)
+def test_floats_take_the_exact_path_by_their_binary_value(lams, make):
+    lams = [make(l) for l in lams]
+    got = hitchin_scaling_law(lams)
+    want = hitchin_scaling_law([Fraction(float(l)) for l in lams])
+    assert got["volume_factor"] == want["volume_factor"]
+    assert type(got["volume_factor"]) is type(want["volume_factor"])
+    assert got["mus"] == want["mus"]
+    assert [type(m) for m in got["mus"]] == [type(m) for m in want["mus"]]
+    assert got["exact"] is want["exact"]
+    assert scaled_volume_factor(lams) == want["volume_factor"]

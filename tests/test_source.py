@@ -31,16 +31,11 @@ def test_no_unused_imports(path):
 #: public functions and methods that no code in src/g2calc calls, with the
 #: reason each one stays
 NO_CALLER_IN_SRC = {
-    # oracles: independent references that tests hold the kernels against
-    "flow.flow_closed_form": "closed-form oracle for the integrated flow line",
-    "flow.mu_dot": "the flow ODE's right-hand side, against which the tests hold the "
-                   "closed form and the RK4 loop",
-    "forms.KForm.contract": "interior-product oracle for the B-map",
-    "forms.KForm.eval_at": "one-point reference that the tests assemble chart rows against",
+    # waiting for the self-check of a supplied model (ROADMAP item 3)
+    "liecdga.verify_primitive": "to certify each witness primitive of a model",
     # waiting for the exact cohomology checks (ROADMAP item 7)
-    "liecdga.verify_primitive": "to certify the ledger's primitives",
     "liecdga.InvariantModel.involution_pullback": "to compute invariant classes",
-    # waiting for the certified cutoff (ROADMAP item 8)
+    # waiting for the certified cutoff (ROADMAP item 9)
     "catalog.CutoffFn.deriv_bound": "the bound the certified cutoff proves",
     "catalog.CutoffFn.certify": "the grid check the certified cutoff replaces",
 }
