@@ -11,9 +11,8 @@ Three rings are supported:
 Mixing scalars from different rings inside one form is a hard error, raised
 by the form layer (see :mod:`g2calc.forms`).  Helpers here also give
 exact n-th roots of rationals, or None where the root is irrational; each
-caller decides what an irrational root means for it.  One helper reads a
-finite real exactly, a float by its binary value; every entry to the exact
-layer (the scaling law, the closed families) reads its parameters by it.
+caller decides what an irrational root means for it.  Every entry to the
+exact layer reads a finite real by one helper, a float by its binary value.
 
 A polynomial evaluates at one point or, entry by entry, at every row of a
 set of point columns, by one method (:meth:`Poly.eval`).  It raises powers

@@ -22,12 +22,14 @@ d_t), and mu_i = prod_t lambda_t^{E[i][t] / 6}, with E = 6 M^-1 an integer
 matrix (checked at import), comes from one integer numerator and
 denominator of mu_i^6 (n_t^e up and d_t^e down for e > 0, the other way
 round for e < 0) reduced by one gcd.  Every root is an integer root of a
-reduced pair, or a float where it is irrational; the solve is exact when
-every mu_i^6 is a sixth power.
+reduced pair, or a float where it is irrational (from the integers' logs
+past the float range); the solve is exact when every mu_i^6 is a sixth
+power.
 '''
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -46,10 +48,12 @@ if any((6 * x).denominator != 1 for row in INCIDENCE_INV for x in row):
     raise AssertionError("incidence inverse should be sixth-integral")
 #: E = 6 M^-1, the integer exponents of mu_i^6 = prod_t lambda_t^E[i][t]
 _SIXTH_EXPONENTS = tuple(tuple(int(6 * x) for x in row) for row in INCIDENCE_INV)
+_LOG_MIN, _LOG_MAX = math.log(sys.float_info.min), math.log(sys.float_info.max)
 
 
 class InvalidScaleError(ValueError):
-    """A scaling coefficient is not a finite real number, or is a bool."""
+    """A scaling coefficient is not a finite real or is a bool, or a root
+    of the law lies outside the float range."""
 
 
 class NonPositiveScaleError(InvalidScaleError):
@@ -57,17 +61,29 @@ class NonPositiveScaleError(InvalidScaleError):
 
 
 def _validated(lambdas):
-    """(lambdas as ints and Fractions, their (numerator, denominator)
+    """(lambdas as given, as a tuple; their exact (numerator, denominator)
     pairs); raises on a bool, NaN, inf, a non-real or lambda <= 0."""
     lambdas = tuple(lambdas)
     if len(lambdas) != DIM:
         raise ValueError("need seven scaling coefficients")
-    if not all(type(l) is int or type(l) is Fraction for l in lambdas):
-        lambdas = tuple(_exact_real(l, "scaling coefficient", InvalidScaleError)
-                        for l in lambdas)
-    if not all(l.numerator > 0 for l in lambdas):
+    exact = [_exact_real(l, "scaling coefficient", InvalidScaleError) for l in lambdas]
+    if not all(l.numerator > 0 for l in exact):
         raise NonPositiveScaleError(f"non-positive scaling coefficients in {lambdas}")
-    return lambdas, [(l.numerator, l.denominator) for l in lambdas]
+    return lambdas, [(l.numerator, l.denominator) for l in exact]
+
+
+def _float_root(num, den, k, lambdas):
+    """Irrational (num / den)^(1/k), num and den coprime and > 0, as a normal
+    float: of the rounded ratio where normal, else by logs; or raises."""
+    try:
+        if (q := num / den) >= sys.float_info.min:
+            return q ** (1.0 / k)
+    except OverflowError:
+        pass
+    if _LOG_MIN < (x := (math.log(num) - math.log(den)) / k) < _LOG_MAX:
+        return math.exp(x)
+    raise InvalidScaleError(f"scaling coefficients {lambdas}: an irrational (1/{k})-th power "
+                            "lies outside the float range")
 
 
 @dataclass
@@ -97,9 +113,9 @@ def solve_scaling(lambdas) -> ScalingExponents:
                 den *= n ** -e
         g = math.gcd(num, den)
         num, den = num // g, den // g
-        mus.append(_ratio_root(num, den, 6) or (num / den) ** (1.0 / 6.0))
+        mus.append(_ratio_root(num, den, 6) or _float_root(num, den, 6, lambdas))
     if all(type(m) is Fraction for m in mus):
-        return ScalingExponents(tuple(Fraction(l) for l in lambdas), tuple(mus), True)
+        return ScalingExponents(tuple(Fraction(n, d) for n, d in pairs), tuple(mus), True)
     return ScalingExponents(lambdas, tuple(float(m) for m in mus), False)
 
 
@@ -116,7 +132,7 @@ def scaled_volume_factor(lambdas):
     disagreement.  The check is exact at every tuple, vol^3 = prod lambda;
     the law itself is a Fraction when prod lambda is a rational cube and a
     float otherwise."""
-    _, pairs = _validated(lambdas)
+    lambdas, pairs = _validated(lambdas)
     vol3 = is_g2_type(_rational_form(pairs)).vol_cubed
     num, den = math.prod(n for n, _ in pairs), math.prod(d for _, d in pairs)
     if vol3.numerator * den != num * vol3.denominator:
@@ -124,16 +140,17 @@ def scaled_volume_factor(lambdas):
                              f"!= prod lambda = {Fraction(num, den)}")
     # vol^3 is prod lambda in lowest terms
     num, den = vol3.numerator, vol3.denominator
-    return _ratio_root(num, den, 3) or (num / den) ** (1.0 / 3.0)
+    return _ratio_root(num, den, 3) or _float_root(num, den, 3, lambdas)
 
 
 def hitchin_scaling_law(lambdas) -> dict:
-    """Bundle (mu, volume factor, definiteness certificate) for one lambda."""
+    """Bundle (mu, volume factor, definiteness certificate) for one lambda;
+    "lambdas" is exact (Fractions) when the mus are, else as given."""
     expo = solve_scaling(lambdas)
     vol = scaled_volume_factor(lambdas)
-    pm = expo.volume_factor()
-    ok = (pm == vol) if expo.exact and isinstance(vol, Fraction) \
-        else abs(float(pm) - float(vol)) <= 1e-10 * max(1.0, abs(float(vol)))
+    n, d = vol.as_integer_ratio()   # prod mu may leave the float range: compare logs
+    ok = expo.volume_factor() == vol if expo.exact else \
+        abs(math.fsum(map(math.log, expo.mus)) - math.log(n) + math.log(d)) <= 1e-10
     if not ok:
         raise AssertionError("prod(mu) disagrees with the volume factor")
     return {"lambdas": expo.lambdas, "mus": expo.mus, "exact": expo.exact,

@@ -1,4 +1,5 @@
 """Frame-scaling solve and the exact volume-scaling law."""
+import math
 import re
 import warnings
 from fractions import Fraction
@@ -316,3 +317,46 @@ def test_floats_take_the_exact_path_by_their_binary_value(lams, make):
     assert [type(m) for m in got["mus"]] == [type(m) for m in want["mus"]]
     assert got["exact"] is want["exact"]
     assert scaled_volume_factor(lams) == want["volume_factor"]
+
+
+def test_inexact_laws_return_the_callers_lambdas():
+    out = hitchin_scaling_law([0.1] * 7)
+    assert not out["exact"]
+    assert out["lambdas"] == (0.1,) * 7 and all(type(l) is float for l in out["lambdas"])
+    assert out["volume_factor"] == pytest.approx(0.1 ** (7 / 3), rel=1e-14, abs=0)
+
+
+@pytest.mark.parametrize("lam", [1e-200, 1e200], ids=["tiny", "huge"])
+def test_roots_outside_the_float_ratio_range_come_from_the_logs(lam):
+    # mu_i = lambda^(1/3), while lambda^2 / lambda^4 leaves the float range:
+    # the float ratio of the integers once gave mus of 0.0 at 1e-200 and an
+    # OverflowError at 1e200
+    out = solve_scaling([lam] * 7)
+    assert not out.exact
+    assert out.mus == pytest.approx([math.exp(math.log(lam) / 3)] * 7, rel=1e-13, abs=0)
+    # the volume factor lambda^(7/3) is itself outside the float range
+    refused = re.escape(repr(lam)) + r".*\(1/3\)-th power lies outside the float range"
+    for fn in (scaled_volume_factor, hitchin_scaling_law):
+        with pytest.raises(InvalidScaleError, match=refused):
+            fn([lam] * 7)
+
+
+@pytest.mark.parametrize("lams, vol", [
+    ([1e-100] * 7, math.exp(math.log(1e-100) * 7 / 3)),
+    ([1e300, 1e300, 1, 1, 1, 1, 2.0], math.exp((2 * math.log(1e300) + math.log(2)) / 3)),
+    ([10 ** 400, 1, 1, 1, 1, 1, 2], math.exp((400 * math.log(10) + math.log(2)) / 3)),
+], ids=["tiny_tuple", "two_huge", "huge_int"])
+def test_extreme_lambdas_with_a_float_volume(lams, vol):
+    # prod mu leaves the float range in mid-product for the last two; the
+    # law is cross-checked in logs
+    out = hitchin_scaling_law(lams)
+    assert not out["exact"] and out["volume_factor"] == pytest.approx(vol, rel=1e-12, abs=0)
+    assert math.fsum(map(math.log, out["mus"])) == pytest.approx(math.log(vol), rel=1e-13, abs=0)
+
+
+def test_an_exact_volume_past_the_float_range():
+    # prod lambda = 2^3081 is a cube, but mu_1^6 = 2^879 is not a sixth
+    # power: the float mus multiply past the float range
+    out = hitchin_scaling_law([2 ** 440] * 6 + [2 ** 441])
+    assert not out["exact"]
+    assert type(out["volume_factor"]) is Fraction and out["volume_factor"] == 2 ** 1027
