@@ -29,8 +29,8 @@ import numpy as np
 
 from .ehmetric import _UPPER, _plateau, _plateau_integral, fd_d, omega_at
 from .forms import KForm, PolynomialMap, chart_vars, merge_sign, poly_ring
-from .g2core import (TRIPLE_POS, TRIPLES, is_g2_type, metric_batch, norm,
-                     phi_to_vector, vector_to_phi)
+from .g2core import (TRIPLE_POS, TRIPLES, is_g2_type, metric_batch, norm_batch,
+                     phi_to_vector)
 from .liecdga import InvariantModel, StructureEqs, check_d_squared, d_invariant
 from .rings import RAT, Poly, _exact_real
 
@@ -233,6 +233,8 @@ def ch_map(xi: KForm, model: InvariantModel | None = None) -> tuple:
 #: the seven terms of the flat FFKM 3-form theta^{123} + ... + theta^{356}
 _FFKM_TERMS = (((1, 2, 3), 1), ((1, 4, 5), 1), ((1, 6, 7), 1), ((2, 4, 6), -1),
                ((2, 5, 7), 1), ((3, 4, 7), 1), ((3, 5, 6), 1))
+#: the flat FFKM 3-form, the invariant form "phi" of ffkm_model()
+_FFKM_PHI = KForm.from_terms(7, 3, _FFKM_TERMS, RAT)
 
 
 def ffkm_model() -> InvariantModel:
@@ -245,7 +247,7 @@ def ffkm_model() -> InvariantModel:
     ]
     eqs = StructureEqs(7, d_gen, tuple(f"t{i}" for i in range(1, 8)))
     check_d_squared(eqs)
-    named = {"phi": KForm.from_terms(7, 3, _FFKM_TERMS, RAT)}
+    named = {"phi": _FFKM_PHI}
     invo = {"t1": Q(-1), "t2": Q(-1), "t3": Q(1), "t4": Q(1),
             "t5": Q(-1), "t6": Q(-1), "t7": Q(1)}
     witnesses = {
@@ -261,7 +263,7 @@ def phi_check_mu(mu) -> KForm:
     """Invariant family mu^6 theta^{123} + (remaining six terms of phi), a
     rational form for every finite mu: a float is read by its binary value."""
     mu = _exact_real(mu, "mu")
-    return ffkm_model().named_forms["phi"] + (mu ** 6 - 1) * KForm.basis(7, (1, 2, 3))
+    return _FFKM_PHI + (mu ** 6 - 1) * KForm.basis(7, (1, 2, 3))
 
 
 # ----- charts around the singular locus ------------------------------------
@@ -434,10 +436,11 @@ def xi_mu_chart():
 
 
 def _xi_mu_weights(mu) -> list:
-    """The diagonal of xi^mu's metric, in floats: mu^4 on dy^{1,2,3}, mu^-2
-    on dy^{4..7}."""
-    m = float(mu)
-    return [m ** 4] * 3 + [m ** -2] * 4
+    """The diagonal of xi^mu's metric (mu^4 on dy^{1,2,3}, mu^-2 on
+    dy^{4..7}), in floats, read off the exact metric of phi_check_mu(mu):
+    xi^mu has the same coefficients in the chart coframe."""
+    g = is_g2_type(phi_check_mu(mu)).metric
+    return [float(g[i][i]) for i in range(7)]
 
 
 def alpha_a():
@@ -492,7 +495,7 @@ def _eval_columns(form: KForm, cols: dict) -> dict:
 
 
 #: the coefficient row of xi^1, the flat FFKM form, in TRIPLES order
-_FLAT_XI_ROW = phi_to_vector(KForm.from_terms(7, 3, _FFKM_TERMS, RAT))
+_FLAT_XI_ROW = phi_to_vector(_FFKM_PHI)
 
 
 def glued_form_at(points, mu: float, epsilon: float = DEFAULT_EPSILON) -> dict:
@@ -639,10 +642,12 @@ class ResolutionForms:
         return self._zeta_rows(cols) + self.mu ** -3 * self._sigma_rows(cols)
 
     def margins(self, n: int = 200, seed: int = 0) -> dict:
-        """|zeta^mu - zeta|_zeta = mu^-3 |sigma|_zeta, with |sigma|_zeta
-        measured once per point, on the outer region {r >= eps/2} and on the
-        inner region; both gaps must stay below eps/2, the inner one being
-        C/mu^3 for the largest inner |sigma|_zeta = C (reported)."""
+        """|zeta^mu - zeta|_zeta = mu^-3 |sigma|_zeta, on the outer region
+        {r >= eps/2} and on the inner region; both gaps must stay below
+        eps/2, the inner one being C/mu^3 for the largest inner
+        |sigma|_zeta = C (reported).  Every |sigma|_zeta comes from one
+        metric_batch call over the zeta rows and one norm_batch over the
+        sigma rows."""
         rng = np.random.default_rng(seed)
         points, targets = [], []
         for _ in range(n):
@@ -656,9 +661,7 @@ class ResolutionForms:
         for axis, _ in _TRANSVERSE:
             points[:, axis - 1] *= stretch
         cols = _columns(points)
-        sizes = np.array([norm(is_g2_type(vector_to_phi(z)), vector_to_phi(s))
-                          for z, s in zip(self._zeta_rows(cols),
-                                          self._sigma_rows(cols))])
+        sizes = norm_batch(metric_batch(self._zeta_rows(cols))[0], self._sigma_rows(cols))
         outer = targets >= 0.5 * self.epsilon
         inner_C = float(sizes[~outer].max(initial=0.0))
         outer_gap = float(self.mu ** -3 * sizes[outer].max(initial=0.0))

@@ -20,16 +20,15 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .catalog import (DEFAULT_EPSILON, ResolutionForms, _FFKM_TERMS, _lam_sq,
                       _point_row, glued_form_at, nakamura_model, phi_abl_mu,
                       phi_check_mu)
-from .forms import KForm
 from .g2core import (DIM, TRIPLE_POS, TRIPLES, NotStableError, is_g2_type,
                      metric_batch, phi_to_vector, standard_phi)
-from .rings import FLT
 
 
 @dataclass
@@ -89,8 +88,7 @@ def nakamura_metric(alpha, beta, lam, mu, rescaled: bool = False) -> MetricSampl
         + [m ** 2 * L13] * 4
     g = np.diag(diag)
     model = nakamura_model()
-    phi = phi_abl_mu(alpha, beta, lam, mu, model).in_ring(FLT)
-    computed = is_g2_type(phi).metric_array()
+    computed = is_g2_type(phi_abl_mu(alpha, beta, lam, mu, model)).metric_array()
     gap = _op_norm(g - computed) / max(1.0, _op_norm(g))
     if gap > 1e-10:
         raise AssertionError(f"closed-form metric disagrees with the "
@@ -163,14 +161,17 @@ def premise_check(samples, base) -> dict:
 
 # ----- resolved nilmanifold: region metrics -----------------------------------
 
-def _w_outer_form(y1: float, mu: float) -> KForm:
-    """upphi^mu on the surgery annulus (outside the resolution core):
-    dy^{123} + mu^{-6}{dy^{145} + ... + dy^{356} + y1 dy^{147}}."""
+def _w_outer_row(y1: float, mu: float) -> np.ndarray:
+    """upphi^mu on the surgery annulus (outside the resolution core),
+    dy^{123} + mu^{-6}{dy^{145} + ... + dy^{356} + y1 dy^{147}}, as its
+    coefficient row in TRIPLES order."""
     c = float(mu) ** -6
-    coeffs = {idx: c * s for idx, s in _FFKM_TERMS}
-    coeffs[(1, 2, 3)] = 1.0
-    coeffs[(1, 4, 7)] = c * float(y1)
-    return KForm(DIM, 3, FLT, coeffs)
+    row = np.zeros(len(TRIPLES))
+    for idx, s in _FFKM_TERMS:
+        row[TRIPLE_POS[idx]] = c * s
+    row[TRIPLE_POS[(1, 2, 3)]] = 1.0
+    row[TRIPLE_POS[(1, 4, 7)]] = c * float(y1)
+    return row
 
 
 def w_outer_closed_form(y1: float, mu: float) -> np.ndarray:
@@ -227,8 +228,8 @@ def ffkm_region_metrics(region: str, point, mu,
     closed form for g^mu itself."""
     m = float(mu)
     if region == "interior":
-        g2 = is_g2_type(phi_check_mu(m).in_ring(FLT))
-        g = g2.metric_array() / m ** 4
+        # mu^-6 phi_check_mu has the metric g^mu / mu^4, exactly
+        g = is_g2_type(Fraction(m) ** -6 * phi_check_mu(m)).metric_array()
         closed = np.diag([1.0] * 3 + [m ** -6] * 4)
         if _op_norm(g - closed) > 1e-10:
             raise AssertionError("interior metric disagrees with its display")
@@ -237,7 +238,7 @@ def ffkm_region_metrics(region: str, point, mu,
     if region == "w_outer":
         pt = dict(point)
         y1 = float(pt.get("y1", 0.0))
-        g = is_g2_type(_w_outer_form(y1, m)).metric_array()
+        g = metric_batch(_w_outer_row(y1, m)[None])[0][0]
         closed = w_outer_closed_form(y1, m)
         if _op_norm(g - closed) > 1e-10 * max(1.0, _op_norm(closed)):
             raise AssertionError("annulus metric disagrees with its display")
@@ -358,7 +359,7 @@ def measure_metric_comparison(n: int = 400, delta: float = 1e-4,
     rng = np.random.default_rng(seed)
     dirs = rng.normal(size=(n, 35))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    v0 = phi_to_vector(standard_phi().in_ring(FLT))
+    v0 = phi_to_vector(standard_phi())
     gs, _ = metric_batch(v0[None, :] + delta * dirs)
     eye = np.eye(DIM)
     Delta0 = float(np.linalg.norm(gs - eye, axis=(1, 2)).max()) / delta

@@ -22,9 +22,7 @@ sum_J (-1)^(sum J) a_J det N[I', J'] for all I' at once from the wedge of
 N's columns in J', built from the lowest column up over nonzero entries
 and memoised by column mask; N is never inverted.  The coefficient is
 r^(k+1) times a rational number and r^3 is rational, so *a = r^p Y with
-p = (k+1) mod 3 and Y rational (`star_parts`), and <a, b> follows from
-a ^ *b = <a, b> vol.  A float form has no star; its inner product, in
-degrees k <= 3, takes the closed-form minors of g^-1.
+p = (k+1) mod 3 and Y rational (`star_parts`).
 
 Exact linear algebra (determinants, Sylvester's test, inverses) runs
 fraction-free on integer numerators over one common denominator.  For a
@@ -32,22 +30,25 @@ rational form over D, B = N / d with d = D^3, and r^3 = (36 det N)^{1/3} /
 D^7 has an integer root: r^3 D^7 is rational (vol^3 is a polynomial in
 phi) and its cube 36 det N is an integer.  G2Data holds N, d and r^3, and
 takes r = (r^3)^{1/3} on the first read of ``exact``, ``sqrt_det`` or the
-metric: g = N / (d r), g^-1 = r d N^-1 and sqrt(det g) = r / 6 are
-Fractions where r is rational (exact data) and floats otherwise.  Only
-``metric_inv`` inverts N.  A float form's metric is B / (36 det B)^{1/9},
-with Sylvester's test by eigenvalues.
+metric: g = N / (d r) and sqrt(det g) = r / 6 are Fractions where r is
+rational (exact data) and floats otherwise.
+
+`is_g2_type` and G2Data take rational forms only.  Float 3-forms are
+coefficient rows: `metric_batch` gives their metrics, B / (36 det B)^{1/9}
+with Sylvester's test by eigenvalues, and `norm_batch` the norms of 3-form
+rows in those metrics.
 '''
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
 from .forms import _MASKS, KForm, merge_sign
-from .rings import FLT, RAT, _int_nth_root, _over_common_denominator, nth_root_fraction
+from .rings import RAT, _int_nth_root, _over_common_denominator, nth_root_fraction
 
 DIM = 7
 TRIPLES = list(combinations(range(1, 8), 3))
@@ -142,16 +143,13 @@ _ROWS_PER_BLOCK = 2 ** 14 // (2 * DIM * len(PAIRS) + len(PAIRS) ** 2 + DIM * DIM
 def bilinear_from_3form(phi: KForm):
     """7x7 matrix of top-form coefficients of (i_u phi)^(i_v phi)^phi.
 
-    Returns a list of lists of scalars in phi's ring: Fractions for a
-    rational form (exact), floats for a float form.  B = A K A^T is
-    symmetric because K is.
+    Returns a list of lists of Fractions for a rational form; float
+    coefficient rows go to `bilinear_batch`.  B = A K A^T is symmetric
+    because K is.
     """
     if phi.degree != 3 or phi.dim != DIM:
         raise ValueError("expected a 3-form in dimension 7")
-    if phi.ring == FLT:
-        return bilinear_batch(phi_to_vector(phi))[0].tolist()
-    if phi.ring != RAT:
-        raise TypeError("evaluate polynomial forms at a point first")
+    _require_rational(phi)
     num, den = _bilinear_numerators(phi)
     return [[Fraction(x, den) for x in row] for row in num]
 
@@ -187,10 +185,6 @@ def phi_to_vector(phi: KForm) -> np.ndarray:
     for idx, c in phi.coeffs.items():
         v[TRIPLE_POS[idx]] = float(c)
     return v
-
-
-def vector_to_phi(v) -> KForm:
-    return KForm._trusted(DIM, 3, FLT, {t: float(v[i]) for i, t in enumerate(TRIPLES)})
 
 
 def bilinear_batch(phis: np.ndarray) -> np.ndarray:
@@ -309,33 +303,19 @@ def inverse_exact(M):
 # --------------------------------------------------------------------------
 
 class G2Data:
-    """Metric package of a definite 3-form on a framed 7-dim space.
+    """Metric package of a definite rational 3-form on a framed 7-dim space,
+    built from integers (see the module docstring): B = N / d with
+    (36 det B)^{1/3} = r3 > 0.
 
-    ``metric`` and ``metric_inv`` are 7x7 nested lists of scalars,
-    ``sqrt_det`` a scalar with vol = sqrt_det theta^{1..7}, ``vol_cubed``
-    its cube, and ``exact`` says whether they are Fractions.  The
-    constructor builds float data and holds the lists it is given.
-
-    A rational form's data is built from integers by `_from_integers`
-    (see the module docstring); its ``vol_cubed`` is always a Fraction.
+    ``metric`` is a 7x7 nested list of scalars, ``sqrt_det`` a scalar
+    with vol = sqrt_det theta^{1..7}, and ``exact`` says whether they are
+    Fractions; ``vol_cubed`` = r3 / 216 is always a Fraction.
     """
 
-    _ints = None    # (N, d) with B = N / d, on a rational form's data
-
-    def __init__(self, phi: KForm, metric, metric_inv, sqrt_det):
-        self.phi, self.sqrt_det, self.exact = phi, sqrt_det, False
-        self.vol_cubed = sqrt_det ** 3
-        # instance attributes shadow the lazy views below
-        self.metric, self.metric_inv = metric, metric_inv
-
-    @classmethod
-    def _from_integers(cls, phi: KForm, N, d: int, r3: Fraction) -> G2Data:
-        """Data for B = N / d with (36 det B)^{1/3} = r3 > 0."""
-        data = cls.__new__(cls)
-        data.phi, data._r3, data.vol_cubed = phi, r3, r3 / 216
+    def __init__(self, phi: KForm, N, d: int, r3: Fraction):
+        self.phi, self._r3, self.vol_cubed = phi, r3, r3 / 216
         # _wedges is the memo of _column_wedge; the empty wedge is 1
-        data._ints, data._wedges = (N, d), {0: {0: 1}}
-        return data
+        self._ints, self._wedges = (N, d), {0: {0: 1}}
 
     @cached_property
     def _r(self):
@@ -355,61 +335,45 @@ class G2Data:
         N, d = self._ints
         return [[Fraction(x, d) / self._r for x in row] for row in N]
 
-    @cached_property
-    def metric_inv(self) -> list:
-        # g^-1 = r B^-1 = r d N^-1
-        N, d = self._ints
-        R, p = _inverse_integer(N)
-        return [[Fraction(d * x, p) * self._r for x in row] for row in R]
-
     def metric_array(self) -> np.ndarray:
         return np.array([[float(x) for x in row] for row in self.metric])
 
 
-def is_g2_type(phi: KForm) -> G2Data:
-    """Normalise B(phi) into a metric; raise NotStableError /
-    OrientationMismatchError when phi is not definite for the given frame.
+def _require_rational(phi: KForm) -> None:
+    if phi.ring != RAT:
+        raise TypeError("a rational 3-form is needed: evaluate a polynomial "
+                        "form at a point, and send float coefficient rows to "
+                        "metric_batch")
 
-    A rational form is decided exactly and its vol^3 is a Fraction; the
-    metric is exact too whenever vol^3 is a rational cube.  A float form
-    gives float data.
+
+def is_g2_type(phi: KForm) -> G2Data:
+    """Normalise B(phi) into a metric, exactly, for a rational 3-form; raise
+    NotStableError / OrientationMismatchError when phi is not definite for
+    the given frame, and TypeError for a float or polynomial form.
+
+    vol^3 is a Fraction, and the metric is exact too whenever vol^3 is a
+    rational cube.
     """
-    if isinstance(phi.ring, tuple):
-        raise TypeError("evaluate polynomial forms at a point first")
     if phi.degree != 3 or phi.dim != DIM:
         raise ValueError("expected a 3-form in dimension 7")
-    if phi.ring == RAT:
-        # B = N / d; one elimination of N gives det B and the leading minors
-        # m_k of N for Sylvester's test (the list stops at a zero one)
-        N, d = _bilinear_numerators(phi)
-        detN, leading = _bareiss([row[:] for row in N])
-        if detN == 0:
-            raise NotStableError("det B = 0")
-        if detN < 0:
-            # -N is definite iff (-1)^k m_k > 0 for all seven k
-            if all((-1) ** k * m > 0 for k, m in enumerate(leading, 1)):
-                raise OrientationMismatchError(
-                    "3-form is definite for the opposite orientation of this frame")
-            raise NotStableError("det B < 0 and no orientation flip helps")
-        if min(leading) <= 0:
-            raise NotStableError("normalised metric not positive definite")
-        # d = D^3, so r^3 = (36 det N)^{1/3} / D^7, and the root is an integer
-        r3 = Fraction(_int_nth_root(36 * detN, 3), phi._ints()[1] ** DIM)
-        return G2Data._from_integers(phi, N, d, r3)
-    row = phi_to_vector(phi)[None]
-    try:
-        g, sqrt_det = metric_batch(row)
-    except NotStableError as err:
-        # B is cubic in phi, so B(-phi) = -B(phi) bit for bit: phi is
-        # definite for the reversed frame exactly when -phi normalises
-        try:
-            metric_batch(-row)
-        except NotStableError:
-            raise NotStableError("3-form is not definite for either "
-                                 "orientation of this frame") from err
-        raise OrientationMismatchError(
-            "3-form is definite for the opposite orientation of this frame") from None
-    return G2Data(phi, g[0].tolist(), np.linalg.inv(g[0]).tolist(), float(sqrt_det[0]))
+    _require_rational(phi)
+    # B = N / d; one elimination of N gives det B and the leading minors
+    # m_k of N for Sylvester's test (the list stops at a zero one)
+    N, d = _bilinear_numerators(phi)
+    detN, leading = _bareiss([row[:] for row in N])
+    if detN == 0:
+        raise NotStableError("det B = 0")
+    if detN < 0:
+        # -N is definite iff (-1)^k m_k > 0 for all seven k
+        if all((-1) ** k * m > 0 for k, m in enumerate(leading, 1)):
+            raise OrientationMismatchError(
+                "3-form is definite for the opposite orientation of this frame")
+        raise NotStableError("det B < 0 and no orientation flip helps")
+    if min(leading) <= 0:
+        raise NotStableError("normalised metric not positive definite")
+    # d = D^3, so r^3 = (36 det N)^{1/3} / D^7, and the root is an integer
+    r3 = Fraction(_int_nth_root(36 * detN, 3), phi._ints()[1] ** DIM)
+    return G2Data(phi, N, d, r3)
 
 
 # --------------------------------------------------------------------------
@@ -430,27 +394,6 @@ _STAR_ROWS = [[(_COMPLEMENT_MASKS[I][0], merge_sign(I, comp)[1] * _COMPLEMENT_MA
 #: theta^R ^ theta^(i+1), for R the axes of m, once it is sorted
 _ABOVE = [[(-1) ** bin(m >> (i + 1)).count("1") for m in range(1 << DIM)]
           for i in range(DIM)]
-#: for the float Gram minors, degrees k <= 3 only: each multi-index's
-#: position in _SUBSETS[k], and per k the 0-based axes of the k-subsets
-_POSITIONS = {I: i for subs in _SUBSETS[:4] for i, I in enumerate(subs)}
-_AXES = [np.array(subs, dtype=np.intp).reshape(len(subs), k) - 1
-         for k, subs in enumerate(_SUBSETS[:4])]
-
-
-def _small_minors(M: np.ndarray, R: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """The m x m minors det(M[I, J]) for the rows of R (axes of I) against
-    the rows of C (axes of J), m <= 3, in closed form."""
-    m = R.shape[1]
-    if m == 0:
-        return np.ones((len(R), len(C)))
-    # X[r, c] = M[I_r, J_c] for all (I, J) at once, each an (|R|, |C|) block
-    X = M[R.T][:, :, C.T].transpose(0, 2, 1, 3).copy()
-    if m == 1:
-        return X[0, 0]
-    if m == 2:
-        return X[0, 0] * X[1, 1] - X[0, 1] * X[1, 0]
-    (a, b, c), (d, e, f), (g, h, i) = X
-    return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
 
 
 def _column_wedge(data: G2Data, mask: int) -> dict:
@@ -488,42 +431,30 @@ def _jacobi_sums(data: G2Data, nums: dict) -> dict:
     return sums
 
 
-def _gram_minors(data: G2Data, k: int, rows, cols) -> np.ndarray:
-    """The float minors det(g^-1[I, J]) for I in rows, J in cols (k-subsets
-    of the axes, k <= 3), in closed form."""
-    ginv = np.array(data.metric_inv, dtype=float)
-    return _small_minors(ginv, _AXES[k][[_POSITIONS[I] for I in rows]],
-                         _AXES[k][[_POSITIONS[J] for J in cols]])
+#: the antisymmetric tensor of a 3-form row, entry (a, b, c) in row-major
+#: order: the row's entry at the position of the sorted triple, times the
+#: sign of the sort (0, at position 0, where two axes agree); and the
+#: entries of the sorted triples, in TRIPLES order
+_AXES3 = list(product(range(1, DIM + 1), repeat=3))
+_TENSOR_POS = [TRIPLE_POS.get(tuple(sorted(t)), 0) for t in _AXES3]
+_TENSOR_SIGN = np.array([np.sign((b - a) * (c - a) * (c - b)) for a, b, c in _AXES3])
+_SORTED_POS = [_AXES3.index(t) for t in TRIPLES]
 
 
-def inner_product(data: G2Data, a: KForm, b: KForm):
-    """<a, b>_g.  For rational forms and the data of a rational 3-form it is
-    exact by a ^ *b = <a, b> vol with vol = r / 6: r^(k mod 3) times a
-    Fraction, scaled by G2Data.r_power.  Otherwise it is a float from the
-    minors of g^-1, for degrees k <= 3 only."""
-    if a.degree != b.degree:
-        raise ValueError("inner product needs equal degrees")
-    k = a.degree
-    if data._ints is not None and a.ring == RAT and b.ring == RAT:
-        # <a, b> = 6 r^(p-1) top(a ^ Y) for *b = r^p Y, and r^-1 = r^2 / r^3
-        x, p = Fraction(0), (k + 1) % 3
-        if not (a.is_zero() or b.is_zero()):
-            y, p = star_parts(data, b)
-            x = 6 * a.wedge(y).top_coefficient()
-        return data.r_power(p - 1) * x if p else data.r_power(2) * x / data._r3
-    if k > 3:
-        raise TypeError(f"the float inner product takes degrees <= 3, got {k}")
-    if a.is_zero() or b.is_zero():
-        return 0.0
-    minors = _gram_minors(data, k, list(a.coeffs), list(b.coeffs))
-    ca = np.array([float(c) for c in a.coeffs.values()])
-    cb = np.array([float(c) for c in b.coeffs.values()])
-    return float(ca @ minors @ cb)
-
-
-def norm(data: G2Data, a: KForm) -> float:
-    """|a|_g = sqrt(<a, a>)."""
-    return float(inner_product(data, a, a)) ** 0.5
+def norm_batch(g: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """|a_i| in the metric g_i, for (n, 7, 7) metrics g (as `metric_batch`
+    gives them) and (n, 35) coefficient rows of 3-forms a_i in TRIPLES
+    order: |a|^2 = sum over sorted abc of a_abc a^abc, each index of a's
+    antisymmetric tensor raised by g^-1 in turn.  The contractions are
+    np.einsum loops, not BLAS products, and the last sum runs along each
+    row, so a row gets the same bits alone or in any batch."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    ginv = np.linalg.inv(g)
+    up = (rows[:, _TENSOR_POS] * _TENSOR_SIGN).reshape(-1, DIM, DIM, DIM)
+    up = np.einsum("nia,nabc->nibc", ginv, up)
+    up = np.einsum("njb,nibc->nijc", ginv, up)
+    up = np.einsum("nkc,nijc->nijk", ginv, up)
+    return np.sqrt((rows * up.reshape(len(rows), -1)[:, _SORTED_POS]).sum(axis=1))
 
 
 def star_parts(data: G2Data, a: KForm):
@@ -531,10 +462,9 @@ def star_parts(data: G2Data, a: KForm):
     rational 3-form: Y a rational (7-k)-form, p = (k+1) mod 3.  By
     sqrt(det g) = r / 6 and Jacobi's identity, (*a)_{I'} = sign(I, I')
     (-1)^(sum I) 6 r^(k+1) / (d^(7-k) r^9) sum_J (-1)^(sum J) a_J
-    det N[I', J'].  Raises TypeError for any other form or data."""
-    if data._ints is None or a.ring != RAT:
-        raise TypeError("the Hodge star takes a rational form and the data "
-                        "of a rational 3-form")
+    det N[I', J'].  Raises TypeError for a float or polynomial form."""
+    if a.ring != RAT:
+        raise TypeError("the Hodge star takes a rational form")
     k = a.degree
     na, da = a._ints()
     sums = _jacobi_sums(data, na)

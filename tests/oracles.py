@@ -1,10 +1,11 @@
 """Independent references that the tests hold the package's kernels against:
-the interior product and one-point evaluation of a form, and the closed
-form and right-hand side of the scalar flow line.  No code in src/g2calc
-calls them."""
+the interior product and one-point evaluation of a form, the inverse metric
+and exact inner product of G2Data, and the closed form and right-hand side
+of the scalar flow line.  No code in src/g2calc calls them."""
 from fractions import Fraction
 from typing import Mapping
 
+from g2calc import g2core
 from g2calc.flow import _mu_closed, _mu_dot, _rate_constants
 from g2calc.forms import KForm
 from g2calc.rings import FLT, RAT, MixedRingError, coerce_to, ring_of
@@ -46,6 +47,27 @@ def eval_at(form: KForm, point: Mapping[str, float]) -> KForm:
         return form.in_ring(FLT)
     return KForm._trusted(form.dim, form.degree, FLT,
                           {i: c.eval(point) for i, c in form.coeffs.items()})
+
+
+def metric_inv(data) -> list:
+    """g^-1 = r B^-1 = r d N^-1 of the data of a rational 3-form, as Fractions
+    where r is rational and floats otherwise."""
+    N, d = data._ints
+    R, p = g2core._inverse_integer(N)
+    return [[Fraction(d * x, p) * data._r for x in row] for row in R]
+
+
+def inner_product(data, a: KForm, b: KForm):
+    """<a, b>_g of rational forms by a ^ *b = <a, b> vol with vol = r / 6:
+    r^(k mod 3) times a Fraction.  For *b = r^p Y it is 6 r^(p-1) top(a ^ Y),
+    and r^-1 = r^2 / r^3."""
+    if a.degree != b.degree:
+        raise ValueError("inner product needs equal degrees")
+    x, p = Fraction(0), (a.degree + 1) % 3
+    if not (a.is_zero() or b.is_zero()):
+        y, p = g2core.star_parts(data, b)
+        x = 6 * a.wedge(y).top_coefficient()
+    return data.r_power(p - 1) * x if p else data.r_power(2) * x / data._r3
 
 
 def flow_closed_form(alpha, lam, t) -> float:

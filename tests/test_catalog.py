@@ -15,12 +15,17 @@ from g2calc.catalog import (ResolutionForms, ch_map, ffkm_model,
                             primitive_ledger, pullback_invariant_form,
                             resolution_boundary_identity)
 from g2calc.forms import KForm
-from g2calc.g2core import is_g2_type, metric_batch, phi_to_vector, vector_to_phi
+from g2calc.g2core import TRIPLES, is_g2_type, metric_batch, phi_to_vector
 from g2calc.liecdga import d_invariant
 from g2calc.rings import FLT, RAT
 from oracles import eval_at
 
 Q = Fraction
+
+
+def _row_form(row) -> KForm:
+    """A float 3-form from its coefficient row in TRIPLES order."""
+    return KForm(7, 3, FLT, dict(zip(TRIPLES, map(float, row))))
 
 
 # --------------------------------------------------------------------------
@@ -32,7 +37,7 @@ def test_product_family_closed_and_definite():
     for a, b, lam in ((1, 1, 1), (2, 3, (1, 2)), (Q(1, 2), 5, (Q(-1, 3), Q(2, 7)))):
         phi = phi_abl(a, b, lam, m)
         assert d_invariant(m.eqs, phi).is_zero()
-        is_g2_type(phi.in_ring(FLT))  # raises if indefinite
+        is_g2_type(phi)  # raises if indefinite
 
 
 def test_mu_family_closed_with_exact_primitive():
@@ -343,7 +348,7 @@ def test_glued_form_chain_rule_matches_finite_differences(y0):
     assert 0.0 < out["fprime"][0]
     xi = (ffkm_model().named_forms["phi"].in_ring(FLT)
           + (mu ** 6 - 1.0) * KForm.basis(7, (1, 2, 3), FLT))
-    corr = vector_to_phi(out["phi"][0]) - xi - KForm(7, 3, FLT, {(1, 4, 7): float(y0[0])})
+    corr = _row_form(out["phi"][0]) - xi - KForm(7, 3, FLT, {(1, 4, 7): float(y0[0])})
     _assert_matches_fd(corr, field, y0)
 
 
@@ -359,16 +364,17 @@ def test_sigma_chain_rule_matches_finite_differences(y0):
 
     r = math.sqrt(y0[0] ** 2 + y0[1] ** 2 + y0[4] ** 2 + y0[5] ** 2)
     assert 0.0 < _cutoff_at(2.0 * r / eps)[1]
-    _assert_matches_fd(vector_to_phi(_sigma_rows(ResolutionForms(4, eps), [y0])[0]),
+    _assert_matches_fd(_row_form(_sigma_rows(ResolutionForms(4, eps), [y0])[0]),
                        field, y0)
 
 
 def test_xi_metric_diagonal():
     # the gap norms weigh dy^{1,2,3} by mu^-4 and dy^{4..7} by mu^2: the
     # metric of xi^mu, computed exactly, is diagonal, and the float weights
-    # are its diagonal to within one rounding
+    # are its diagonal rounded once, also at a float mu (read by its binary
+    # value)
     flat = ffkm_model().named_forms["phi"]
-    for mu in (1, 2, Q(3, 2)):
+    for mu in (1, 2, Q(3, 2), Q(1.7)):
         xi = flat + (Q(mu) ** 6 - 1) * KForm.basis(7, (1, 2, 3))
         g = is_g2_type(xi)
         diag = [g.metric[i][i] for i in range(7)]
@@ -378,6 +384,7 @@ def test_xi_metric_diagonal():
         weights = catalog._xi_mu_weights(mu)
         assert all(type(w) is float for w in weights)
         assert all(abs(Fraction(w) - d) <= d / 2 ** 52 for w, d in zip(weights, diag)), mu
+        assert weights == [float(d) for d in diag] == catalog._xi_mu_weights(float(mu))
         assert diag == [Q(mu) ** 4] * 3 + [Q(mu) ** -2] * 4, mu
 
 
@@ -453,7 +460,8 @@ def test_glued_form_rows_match_one_row_calls_and_a_form_assembly():
     # every column of a batch call holds, row by row, the bits of the
     # one-row call; a row is xi^mu + y1 dy^{147} + d[f(r/eps) alpha]
     # assembled from forms at the point, up to the order of its sums, and
-    # its metric is the one is_g2_type gives the row's form
+    # its metric is the exact metric of the row's values, to the last few
+    # bits
     eps, mu = 0.1, 2
     alpha, dalpha, _, _ = catalog._alpha_and_d()
     xi = (ffkm_model().named_forms["phi"].in_ring(FLT)
@@ -475,8 +483,8 @@ def test_glued_form_rows_match_one_row_calls_and_a_form_assembly():
         want = catalog._norm_in_diag(dict(zip(catalog.TRIPLES, phi_to_vector(gap)[:, None])),
                                      weights)[0]
         assert out["gap"][i] == pytest.approx(want, rel=1e-14)
-        data = is_g2_type(vector_to_phi(out["phi"][i]))
-        assert out["metric"][i].tolist() == data.metric
+        data = is_g2_type(KForm(7, 3, RAT, dict(zip(TRIPLES, map(Q, out["phi"][i].tolist())))))
+        assert out["metric"][i] == pytest.approx(data.metric_array(), rel=1e-14, abs=1e-15)
         assert out["sqrt_det"][i] == pytest.approx(data.sqrt_det, rel=1e-14)
 
 

@@ -3,13 +3,13 @@ import importlib.util
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from g2calc import catalog, cli, ehmetric
 from g2calc.cli import build_suites, main
-from g2calc.g2core import G2Data
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 VERIFY_IDS = [cid for checks in build_suites(0).values() for cid, _ in checks]
@@ -200,9 +200,10 @@ def test_collapse_command_reports_lambda_one(tmp_path, capsys):
 
 
 def _float_copy(data):
-    return G2Data(data.phi, [[float(x) for x in row] for row in data.metric],
-                  [[float(x) for x in row] for row in data.metric_inv],
-                  float(data.sqrt_det))
+    """A stand-in for float data: the values of `data` as floats, not exact."""
+    return SimpleNamespace(phi=data.phi, exact=False,
+                           metric=[[float(x) for x in row] for row in data.metric],
+                           sqrt_det=float(data.sqrt_det), vol_cubed=float(data.vol_cubed))
 
 
 @pytest.mark.parametrize("check", ["_check_standard_metric", "_check_su2_nu8",

@@ -1,6 +1,7 @@
 """Collapse premises: rescaled metric convergence, lower bounds, fiber
 diameter decay, and the limit length structure."""
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -105,6 +106,12 @@ def test_interior_metric_and_limit():
     s = ffkm_region_metrics("interior", (), 8)
     assert np.allclose(s.matrix, np.diag([1.0] * 3 + [8.0 ** -6] * 4))
     assert np.array_equal(s.limit, interior_limit_metric())
+    # the metric comes from the exact data of mu^-6 phi_check_mu, so the gap
+    # |g^mu - g^infty| is mu^-6 rounded once (1.0000000000000002 at mu = 1
+    # on a float metric)
+    mus = (1, 2, 1.5, 1.7, 3, 6, 16)
+    gaps = region_gap_decay("interior", (), mus)["gaps"]
+    assert gaps == [float(Fraction(mu) ** -6) for mu in mus]
 
 
 def test_annulus_closed_form_cross_checked():

@@ -9,17 +9,17 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from g2calc import flow, g2core, rings, scaling
-from g2calc.catalog import nakamura_model, phi_abl_mu
+from g2calc.catalog import nakamura_model, phi_abl_mu, xi_mu_chart
 from g2calc.forms import KForm
 from g2calc.g2core import (STANDARD_PHI_TERMS, DegenerateFiberError, G2Data,
                            NotStableError, OrientationMismatchError,
                            SU2FiberData, bilinear_from_3form, hodge_star,
-                           inner_product, inverse_exact, is_g2_type,
-                           metric_batch, norm, phi_to_vector, standard_phi,
-                           su2_assemble, vector_to_phi)
+                           inverse_exact, is_g2_type,
+                           metric_batch, norm_batch, phi_to_vector, standard_phi,
+                           su2_assemble)
 from g2calc.rings import FLT, RAT, nth_root_fraction
 from g2calc.scaling import INCIDENCE
-from oracles import contract
+from oracles import contract, inner_product, metric_inv
 
 DIM = 7
 
@@ -134,19 +134,26 @@ def test_the_star_of_a_rational_form_carries_its_power_of_r():
 
 
 def test_the_hodge_star_refuses_float_forms_and_float_data():
+    # there is no float data to give it, as is_g2_type refuses a float
+    # form; the star refuses one too, in every degree
     data = is_g2_type(standard_phi())
-    with pytest.raises(TypeError):
-        hodge_star(data, th(1, 2, 3).in_ring(FLT))
-    fdata = is_g2_type(standard_phi().in_ring(FLT))
-    with pytest.raises(TypeError):
-        hodge_star(fdata, th(1, 2, 3))
-    with pytest.raises(TypeError):
-        g2core.star_parts(fdata, th(1, 2, 3))
-    # the float inner product stops at degree 3
-    assert inner_product(fdata, th(1, 2, 3).in_ring(FLT),
-                         th(1, 2, 3).in_ring(FLT)) == pytest.approx(1.0)
-    with pytest.raises(TypeError):
-        inner_product(fdata, th(1, 2, 3, 4).in_ring(FLT), th(1, 2, 3, 4).in_ring(FLT))
+    for k in range(DIM + 1):
+        a = th(*range(1, k + 1)).in_ring(FLT)
+        with pytest.raises(TypeError):
+            hodge_star(data, a)
+        with pytest.raises(TypeError):
+            g2core.star_parts(data, a)
+
+
+def test_is_g2_type_takes_rational_forms_only():
+    # a float form raises, however definite, and the message names the float
+    # path; so does a polynomial form, and the exact B-map refuses both
+    for form in (standard_phi().in_ring(FLT), KForm(DIM, 3, FLT, {(1, 2, 3): 0.5}),
+                 xi_mu_chart()):
+        with pytest.raises(TypeError, match="metric_batch"):
+            is_g2_type(form)
+        with pytest.raises(TypeError, match="metric_batch"):
+            bilinear_from_3form(form)
 
 
 def test_star_exact_on_standard_form():
@@ -159,23 +166,30 @@ def test_star_exact_on_standard_form():
 
 
 def test_norm_of_unit_basis_form():
-    data = is_g2_type(standard_phi())
-    assert norm(data, th(1, 2, 3, ring=RAT).in_ring(FLT)) == pytest.approx(1.0)
+    g, _ = metric_batch(phi_to_vector(standard_phi()))
+    assert norm_batch(g, phi_to_vector(th(1, 2, 3))) == pytest.approx([1.0], rel=1e-15)
+    assert norm_batch(g, np.zeros(len(_TRIPLES))).tolist() == [0.0]
 
 
 def test_metric_batch_matches_single_evaluation():
-    # one normaliser for both paths: a row's metric and volume do not
-    # depend on the batch it came in, to the last bit, also across the
-    # blocks that bilinear_batch splits a batch into
+    # a row's metric, volume and norms do not depend on the batch it came
+    # in, to the last bit: alone, in slices, in reverse order, and across
+    # the blocks that bilinear_batch splits a batch into
     rng = np.random.default_rng(2)
-    v0 = phi_to_vector(standard_phi().in_ring(FLT))
+    v0 = phi_to_vector(standard_phi())
     vs = v0[None, :] + 0.05 * rng.normal(size=(205, v0.size))
+    sigmas = rng.normal(size=vs.shape) * rng.uniform(0.0, 3.0, size=(len(vs), 1))
     assert len(vs) > 2 * g2core._ROWS_PER_BLOCK
     gs, vols = metric_batch(vs)
-    for row, g, vol in zip(vs, gs, vols):
-        data = is_g2_type(vector_to_phi(row))
-        assert np.array_equal(g, data.metric_array())
-        assert float(vol) == data.sqrt_det
+    norms = norm_batch(gs, sigmas)
+    for i, (row, sigma) in enumerate(zip(vs, sigmas)):
+        g, vol = metric_batch(row)
+        assert np.array_equal(g[0], gs[i]) and vol[0] == vols[i]
+        assert norm_batch(g, sigma)[0] == norms[i]
+    for part in (slice(3, 10), slice(100, 205), slice(None, None, -1)):
+        g, vol = metric_batch(vs[part])
+        assert np.array_equal(g, gs[part]) and np.array_equal(vol, vols[part])
+        assert np.array_equal(norm_batch(g, sigmas[part]), norms[part])
 
 
 # --------------------------------------------------------------------------
@@ -236,7 +250,7 @@ def test_irrational_volume_keeps_vol_cubed_exact_and_the_metric_in_floats():
         assert not data.exact and data.phi is phi
         want = np.array(ref, dtype=float) / (36.0 * float(detB)) ** (1.0 / 9.0)
         assert np.allclose(data.metric_array(), want, rtol=1e-14, atol=0)
-        assert np.allclose(data.metric_inv, np.linalg.inv(want), rtol=1e-14, atol=0)
+        assert np.allclose(metric_inv(data), np.linalg.inv(want), rtol=1e-14, atol=0)
         assert math.isclose(data.sqrt_det, float(np.sqrt(np.linalg.det(want))),
                             rel_tol=1e-14)
 
@@ -296,7 +310,7 @@ def test_bilinear_table_matches_wedge_reference_on_floats():
                 idx: float(rng.normal())
                 for idx in combinations(range(1, DIM + 1), 3)
                 if rng.random() < density})
-            B = np.array(bilinear_from_3form(phi))
+            B = g2core.bilinear_batch(phi_to_vector(phi))[0]
             ref = np.array(_wedge_bilinear(phi))
             assert np.abs(B - ref).max() <= 1e-14 * np.abs(ref).max()
 
@@ -322,7 +336,7 @@ def _exact_skewed_data():
          for r in range(DIM)]  # unit upper triangular, det 1
     data = is_g2_type(_frame_phi(A))
     assert data.exact
-    assert any(data.metric_inv[r][c] != 0 for r in range(DIM) for c in range(DIM)
+    assert any(metric_inv(data)[r][c] != 0 for r in range(DIM) for c in range(DIM)
                if r != c)
     return data
 
@@ -349,37 +363,35 @@ def _minor(ginv, I, J, ring):
 @pytest.mark.parametrize("ring", [RAT, FLT])
 def test_hodge_star_and_inner_product_match_per_pair_minors(ring):
     data = _exact_skewed_data()
-    if ring == FLT:
-        data = G2Data(data.phi, [[float(x) for x in r] for r in data.metric],
-                      [[float(x) for x in r] for r in data.metric_inv],
-                      float(data.sqrt_det))
+    ginv = metric_inv(data)
     rng = np.random.default_rng(6)
     for k in range(DIM + 1):
         subsets = list(combinations(range(1, DIM + 1), k))
         a, b = (KForm(DIM, k, ring, {I: Fraction(int(rng.integers(-5, 6)), 2)
                                      for I in subsets if rng.random() < 0.6})
                 for _ in range(2))
-        ip_want = sum(ca * cb * _minor(data.metric_inv, I, J, ring)
-                      for I, ca in a.coeffs.items() for J, cb in b.coeffs.items())
         if ring == FLT:
-            # float data has no Hodge star, and its inner product stops at k = 3
+            # float forms have no star; a float 3-form row takes its norm
+            # from norm_batch on the float metric
             with pytest.raises(TypeError):
                 hodge_star(data, a)
-            if k > 3:
-                with pytest.raises(TypeError):
-                    inner_product(data, a, b)
-            else:
-                assert math.isclose(inner_product(data, a, b), ip_want,
-                                    rel_tol=1e-12, abs_tol=1e-12)
+            if k == 3:
+                aa_want = sum(ca * cb * _minor(ginv, I, J, ring)
+                              for I, ca in a.coeffs.items() for J, cb in a.coeffs.items())
+                g, _ = metric_batch(phi_to_vector(data.phi))
+                assert math.isclose(norm_batch(g, phi_to_vector(a))[0] ** 2, aa_want,
+                                    rel_tol=1e-12)
             continue
         star = hodge_star(data, a)
         want = {}
         for I in subsets:
             comp = tuple(x for x in range(1, DIM + 1) if x not in I)
             sign = th(*I).wedge(th(*comp)).top_coefficient()
-            s = sum(c * _minor(data.metric_inv, I, J, ring)
+            s = sum(c * _minor(ginv, I, J, ring)
                     for J, c in a.coeffs.items())
             want[comp] = s * data.sqrt_det * sign
+        ip_want = sum(ca * cb * _minor(ginv, I, J, ring)
+                      for I, ca in a.coeffs.items() for J, cb in b.coeffs.items())
         ip = inner_product(data, a, b)
         assert star.ring == ring and star.degree == DIM - k
         assert star == KForm(DIM, DIM - k, RAT, want)
@@ -387,67 +399,53 @@ def test_hodge_star_and_inner_product_match_per_pair_minors(ring):
 
 
 def test_float_inner_product_matches_the_exact_one():
-    # exact values are an independent reference for the float kernel, the
-    # minors of g^-1 in degrees k <= 3.  cond(g) is about 9e3 here.
-    data = _exact_skewed_data()
-    fdata = G2Data(data.phi, [[float(x) for x in r] for r in data.metric],
-                   [[float(x) for x in r] for r in data.metric_inv],
-                   float(data.sqrt_det))
+    # the exact <a, a> of a rational 3-form is a Fraction even where vol is
+    # irrational, an independent reference for the float norms of
+    # norm_batch, on the metrics of metric_batch (cond(g) about 3).  On the
+    # skewed form cond(g) is about 9e3, and the float metric is itself off
+    # by 3e-14, so its norms (9e-15 seen) run on the rounded exact metric.
     rng = np.random.default_rng(9)
-    for k in range(4):
-        a, b = (KForm(DIM, k, RAT, {I: Fraction(int(rng.integers(-5, 6)), 2)
-                                    for I in combinations(range(1, DIM + 1), k)})
-                for _ in range(2))
-        # relative to |a| |b|, the scale of <a, b> before any cancellation
-        ab = float(inner_product(data, a, a) * inner_product(data, b, b)) ** 0.5
-        ip = inner_product(fdata, a.in_ring(FLT), b.in_ring(FLT))
-        assert abs(ip - float(inner_product(data, a, b))) <= 1e-13 * ab
-
-
-def test_inner_product_with_the_zero_form_is_the_zero_of_its_arithmetic(monkeypatch):
-    # the zero comes back before any minor is computed
-    data = _exact_skewed_data()
-    fdata = G2Data(data.phi, [[float(x) for x in r] for r in data.metric],
-                   [[float(x) for x in r] for r in data.metric_inv],
-                   float(data.sqrt_det))
-    a = th(1, 2, 3) + Fraction(-5, 3) * th(2, 4, 7)
-    zero = KForm(DIM, 3, RAT, {})
-
-    def no_minors(*args):
-        raise AssertionError("minors computed for the zero form")
-
-    for kernel in ("_gram_minors", "_jacobi_sums", "_column_wedge"):
-        monkeypatch.setattr(g2core, kernel, no_minors)
-    for d, x, want in ((data, a, Fraction), (fdata, a, float),
-                       (data, a.in_ring(FLT), float)):
-        z = zero.in_ring(x.ring)
-        for u, v in ((z, x), (x, z), (z, z)):
-            ip = inner_product(d, u, v)
-            assert ip == 0 and type(ip) is want
-    assert norm(data, zero) == 0.0
+    skewed = _exact_skewed_data()
+    for data in [skewed] + [d for _, d in _rational_definite(rng, 3)]:
+        sigmas = [KForm(DIM, 3, RAT, {I: Fraction(int(rng.integers(-5, 6)), 2)
+                                      for I in _TRIPLES if rng.random() < 0.7})
+                  for _ in range(6)]
+        if data is skewed:
+            g = np.repeat(data.metric_array()[None], len(sigmas), axis=0)
+        else:
+            g, _ = metric_batch(np.repeat(phi_to_vector(data.phi)[None], len(sigmas), axis=0))
+        got = norm_batch(g, [phi_to_vector(a) for a in sigmas])
+        for x, a in zip(got, sigmas):
+            ip = inner_product(data, a, a)
+            assert type(ip) is Fraction
+            assert abs(x - float(ip) ** 0.5) <= 1e-13 * float(ip) ** 0.5
 
 
 @pytest.mark.parametrize("ring", [RAT, FLT])
 def test_instability_and_orientation_errors_follow_the_signature_of_b(ring):
     # the 128 sign patterns of the standard terms cover every outcome: B
     # positive definite (definite), negative definite (opposite orientation)
-    # or indefinite (not definite)
+    # or indefinite (not definite).  The float path is metric_batch on the
+    # coefficient row, and both failures are a NotStableError there
+    def g2(phi):
+        return is_g2_type(phi) if ring == RAT else metric_batch(phi_to_vector(phi))
+
     seen = set()
     for signs in product((1, -1), repeat=7):
         phi = KForm(DIM, 3, RAT, {idx: s * c for s, (c, idx)
-                                  in zip(signs, STANDARD_PHI_TERMS)}).in_ring(ring)
+                                  in zip(signs, STANDARD_PHI_TERMS)})
         eig = np.linalg.eigvalsh(np.array(_wedge_bilinear(phi), dtype=float))
         want = (None if eig[0] > 0 else OrientationMismatchError
                 if eig[-1] < 0 else NotStableError)
         seen.add(want)
         if want is None:
-            is_g2_type(phi)
+            g2(phi)
         else:
-            with pytest.raises(want):
-                is_g2_type(phi)
+            with pytest.raises(want if ring == RAT else NotStableError):
+                g2(phi)
     assert seen == {None, OrientationMismatchError, NotStableError}
     with pytest.raises(NotStableError):
-        is_g2_type(th(1, 2, 3, ring=ring))
+        g2(th(1, 2, 3))
 
 
 # --------------------------------------------------------------------------
@@ -647,8 +645,8 @@ def test_is_g2_type_exact_matches_the_fraction_reference():
         data = is_g2_type(phi)
         g, ginv, sq = _reference_exact_g2(phi)
         assert data.exact and data.phi is phi
-        assert data.metric == g and data.metric_inv == ginv and data.sqrt_det == sq
-        assert all(type(x) is Fraction for M in (data.metric, data.metric_inv)
+        assert data.metric == g and metric_inv(data) == ginv and data.sqrt_det == sq
+        assert all(type(x) is Fraction for M in (data.metric, metric_inv(data))
                    for row in M for x in row)
         assert type(data.sqrt_det) is Fraction
         assert np.array_equal(data.metric_array(), np.array(g, dtype=float))
@@ -727,7 +725,7 @@ def test_rational_g2data_takes_its_root_on_first_read(monkeypatch):
             getattr(data, attr)
             assert calls == [(216 * data.vol_cubed, 3)]
             assert data.exact is exact
-            data.sqrt_det, data.metric, data.metric_inv
+            data.sqrt_det, data.metric, metric_inv(data)
             assert len(calls) == 1
             calls.clear()
 
@@ -854,7 +852,7 @@ def test_exact_star_and_inner_product_match_per_pair_eliminations():
     for phi in _exact_star_cases():
         data = is_g2_type(phi)
         assert data.exact and data.sqrt_det != 1
-        minor = _per_pair_minors(data.metric_inv)
+        minor = _per_pair_minors(metric_inv(data))
         for k, density in product(range(DIM + 1), (0.4, 1.0)):
             subsets = list(combinations(range(1, DIM + 1), k))
             a, b = (KForm(DIM, k, RAT, {I: Fraction(int(rng.choice(nonzero)),
@@ -885,20 +883,22 @@ def _fiber(nu, ring=RAT):
     return SU2FiberData(om, re, im)
 
 
-def test_g2data_constructor_builds_float_data_only():
-    # exact data comes from is_g2_type alone: the constructor has no way to
-    # mark the lists it holds as exact, even when they are Fractions
+def test_g2data_exactness_is_read_off_its_integers():
+    # the one constructor takes the integers of B = N / d and r^3, and has
+    # no way to mark data exact: exactness is whether r^3 is a cube
     data = is_g2_type(_frame_phi(_random_frames(np.random.default_rng(3), 1)[0]))
     assert data.exact
-    assert list(inspect.signature(G2Data).parameters) == [
-        "phi", "metric", "metric_inv", "sqrt_det"]
-    copy = G2Data(data.phi, data.metric, data.metric_inv, data.sqrt_det)
+    assert list(inspect.signature(G2Data).parameters) == ["phi", "N", "d", "r3"]
+    N, d = data._ints
+    assert G2Data(data.phi, N, d, data.vol_cubed * 216).exact is True
+    copy = G2Data(data.phi, N, d, data.vol_cubed * 432)
     assert copy.exact is False
 
 
 def test_exact_data_inverts_n_at_most_once(monkeypatch):
     # the volume law reads only sqrt_det, and a Laplacian's two stars read
-    # wedges of N's columns: neither inverts N.  metric_inv inverts it once
+    # wedges of N's columns: neither inverts N.  The oracle g^-1 inverts it
+    # once
     calls = []
     inverse = g2core._inverse_integer
     monkeypatch.setattr(g2core, "_inverse_integer",
@@ -911,8 +911,7 @@ def test_exact_data_inverts_n_at_most_once(monkeypatch):
     lap = flow.laplacian(phi, m)
     assert lap.ring == RAT and lap.coeffs
     assert calls == []
-    data = is_g2_type(phi)
-    assert data.metric_inv is data.metric_inv
+    metric_inv(is_g2_type(phi))
     assert calls == [1]
 
 

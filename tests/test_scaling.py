@@ -220,6 +220,9 @@ def test_volume_law_matches_the_fraction_reference(lams):
     assert out["mus"] == mus
     assert [type(m) for m in out["mus"]] == [type(m) for m in mus]
     assert out["lambdas"] == (tuple(Fraction(l) for l in lams) if exact else tuple(lams))
+    if exact:
+        # the frame scales carry the volume: prod mu = vol
+        assert math.prod(out["mus"]) == out["volume_factor"]
 
 
 def test_the_volume_law_takes_no_nth_root_fraction(monkeypatch):
@@ -347,8 +350,8 @@ def test_roots_outside_the_float_ratio_range_come_from_the_logs(lam):
     ([10 ** 400, 1, 1, 1, 1, 1, 2], math.exp((400 * math.log(10) + math.log(2)) / 3)),
 ], ids=["tiny_tuple", "two_huge", "huge_int"])
 def test_extreme_lambdas_with_a_float_volume(lams, vol):
-    # prod mu leaves the float range in mid-product for the last two; the
-    # law is cross-checked in logs
+    # prod mu leaves the float range in mid-product for the last two, so
+    # the law is checked here in logs
     out = hitchin_scaling_law(lams)
     assert not out["exact"] and out["volume_factor"] == pytest.approx(vol, rel=1e-12, abs=0)
     assert math.fsum(map(math.log, out["mus"])) == pytest.approx(math.log(vol), rel=1e-13, abs=0)
