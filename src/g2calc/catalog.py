@@ -23,11 +23,13 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from functools import cache
 from itertools import combinations
 
 import numpy as np
 
-from .ehmetric import _UPPER, _plateau, _plateau_integral, fd_d, omega_at
+from .ehmetric import (_UPPER, _plateau, _plateau_integral, build_profile,
+                       default_t_for_epsilon, fd_d, omega_at)
 from .forms import KForm, PolynomialMap, chart_vars, merge_sign, poly_ring
 from .g2core import (TRIPLE_POS, TRIPLES, is_g2_type, metric_batch, norm_batch,
                      phi_to_vector)
@@ -96,6 +98,9 @@ class CutoffFn:
 
 DEFAULT_CUTOFF = CutoffFn()
 DEFAULT_EPSILON = 0.1
+#: the Eguchi-Hanson profile that the resolution surgery glues into each
+#: chart: R = 4, c = 1 and t = eps / (2R), so that tR = eps / 2
+SURGERY_PROFILE = build_profile(default_t_for_epsilon(DEFAULT_EPSILON, 4.0), 4.0)
 MU_SWEEP = (1, 2, 4, 8, 16)
 
 
@@ -125,7 +130,9 @@ def _kf(*terms):
     return KForm.from_terms(7, len(terms[0][1]), [(idx, c) for c, idx in terms], RAT)
 
 
+@cache
 def nakamura_model() -> InvariantModel:
+    """The product model, built once and shared: callers must not change it."""
     d_gen = [
         None, None, None,
         _kf((1, (1, 4)), (-1, (2, 5))),
@@ -594,11 +601,12 @@ def _point_row(point: dict) -> list:
 
 
 class ResolutionForms:
-    """The surgery 3-forms sigma, zeta, zeta^mu, by one row kernel.
+    """The surgery 3-forms sigma, zeta, zeta^mu, by one row kernel, at chart
+    radius eps = DEFAULT_EPSILON.
 
     sigma = d[f(2r/eps) (y1)^2/2 dy^{47}]; it vanishes near the exceptional
     locus and equals y1 dy^{147} once f == 1.  zeta replaces the flat fiber
-    form by the interpolated Kaehler form omega_t; zeta^mu = zeta + mu^-3 sigma.
+    form by the Kaehler form omega_t of SURGERY_PROFILE; zeta^mu = zeta + mu^-3 sigma.
     zeta_mu_rows writes the (n, 35) coefficient rows of zeta^mu at an (n, 7)
     array of chart points (zeta_rows those of zeta): omega_t from omega_at
     and sigma from the chain rule _d_cutoff_rows, both on point columns; a
@@ -610,22 +618,16 @@ class ResolutionForms:
     _SIGMA_A = KForm(7, 2, YRING, {(4, 7): Q(1, 2) * _y("y1") * _y("y1")})
     _SIGMA_DA = _SIGMA_A.d_chart()
 
-    def __init__(self, mu: float, epsilon: float = DEFAULT_EPSILON, profile=None):
+    def __init__(self, mu: float):
         self.mu = float(mu)
-        self.epsilon = float(epsilon)
-        self.profile = profile
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
 
     def _sigma_rows(self, cols: dict) -> np.ndarray:
-        return _d_cutoff_rows(cols, 0.5 * self.epsilon, self._SIGMA_A,
+        return _d_cutoff_rows(cols, 0.5 * DEFAULT_EPSILON, self._SIGMA_A,
                               self._SIGMA_DA)[0]
 
     def _zeta_rows(self, cols: dict) -> np.ndarray:
         fiber = np.stack([cols[n] for _, n in _TRANSVERSE], axis=1)
-        # without a profile the fiber form is the flat one, om_tilde_0
-        om = omega_at(fiber, profile=self.profile,
-                      t=0.0 if self.profile is None else None)
+        om = omega_at(fiber, profile=SURGERY_PROFILE)
         rows = np.tile(_ZETA_REST, (len(fiber), 1))
         for col, sign, i, j in _ZETA_OMEGA:
             rows[:, col] = sign * om[:, i, j]
@@ -655,22 +657,22 @@ class ResolutionForms:
             inner = rng.random() < 0.5
             target = (rng.uniform(0.02, 0.499) if inner
                       else rng.uniform(0.5, 0.999 * self.mu ** 3 / 2 + 0.5))
-            targets.append(min(target, 4.0) * self.epsilon)
+            targets.append(min(target, 4.0) * DEFAULT_EPSILON)
         points, targets = np.array(points), np.array(targets)
         stretch = targets / np.maximum(_transverse_r(_columns(points)), 1e-12)
         for axis, _ in _TRANSVERSE:
             points[:, axis - 1] *= stretch
         cols = _columns(points)
         sizes = norm_batch(metric_batch(self._zeta_rows(cols))[0], self._sigma_rows(cols))
-        outer = targets >= 0.5 * self.epsilon
+        outer = targets >= 0.5 * DEFAULT_EPSILON
         inner_C = float(sizes[~outer].max(initial=0.0))
         outer_gap = float(self.mu ** -3 * sizes[outer].max(initial=0.0))
         inner_gap = self.mu ** -3 * inner_C
-        bound = 0.5 * self.epsilon
+        bound = 0.5 * DEFAULT_EPSILON
         return {"outer_gap": outer_gap, "outer_bound": bound,
                 "inner_gap": inner_gap, "inner_C": inner_C,
                 "inner_bound_ok": inner_gap <= bound + 1e-12,
-                "mu": self.mu, "epsilon": self.epsilon, "n": n, "seed": seed,
+                "mu": self.mu, "epsilon": DEFAULT_EPSILON, "n": n, "seed": seed,
                 "g2_certified": outer_gap <= bound + 1e-12}
 
 

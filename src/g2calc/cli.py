@@ -489,14 +489,8 @@ def _check_glued_definite(rng):
                   f"{{1,2,8}}; smallest metric eigenvalue {lowest:.4g}")
 
 
-def _resolution_profile():
-    """The EH profile that the surgery forms glue in at eps = 0.1, R = 4."""
-    return ehmetric.build_profile(ehmetric.default_t_for_epsilon(0.1, 4.0), 4.0)
-
-
 def _check_resolution_margins(rng):
-    out = catalog.ResolutionForms(8, 0.1, profile=_resolution_profile()).margins(
-        n=80, seed=0)
+    out = catalog.ResolutionForms(8).margins(n=80, seed=0)
     return out["g2_certified"] and out["inner_bound_ok"], \
         (f"outer gap {out['outer_gap']:.3e} and inner gap C/mu^3 = "
          f"{out['inner_gap']:.3e} <= eps/2, C = {out['inner_C']:.3f}")
@@ -533,14 +527,14 @@ def _check_flow_torus(rng):
 
 
 def _check_flow_trajectory(rng):
-    rows = flow.flow_integrate(1, 1, (1, 1), 1.0, 10000)
+    rows = flow.flow_integrate(1, (1, 1), 1.0, 10000)
     err = max(r[3] for r in rows)
     return err < 1e-10, f"max |mu_RK4 - mu_closed| = {err:.3e} at 10^4 steps"
 
 
 def _check_flow_order(rng):
-    e1 = flow.flow_integrate(1, 1, (2, 1), 1.0, 40)[-1][3]
-    e2 = flow.flow_integrate(1, 1, (2, 1), 1.0, 80)[-1][3]
+    e1 = flow.flow_integrate(1, (2, 1), 1.0, 40)[-1][3]
+    e2 = flow.flow_integrate(1, (2, 1), 1.0, 80)[-1][3]
     ratio = e1 / e2
     return 12.0 < ratio < 20.0, f"halving-step error ratio {ratio:.2f} (expect ~16)"
 
@@ -620,9 +614,8 @@ FFKM_CHART_POINT = {"y1": 0.02, "y2": 0.01, "y4": 0.3, "y5": 0.015, "y6": 0.01,
 def _nakamura_premises(mus):
     """Convergence premises of the rescaled product family at NAKAMURA_POINT
     over `mus`, against its limit as read off at mu = 2."""
-    base = collapse.nakamura_metric(*NAKAMURA_POINT, 2, rescaled=True).limit
-    samples = [collapse.nakamura_metric(*NAKAMURA_POINT, mu, rescaled=True)
-               for mu in mus]
+    base = collapse.nakamura_metric(*NAKAMURA_POINT, 2).limit
+    samples = [collapse.nakamura_metric(*NAKAMURA_POINT, mu) for mu in mus]
     return collapse.premise_check(samples, base)
 
 
@@ -653,23 +646,23 @@ def _check_collapse_lower_bound(rng):
                collapse.ffkm_region_metrics("w_outer", {"y1": 0.3}, mu),
                collapse.ffkm_region_metrics("chart", {"y1": 0.02, "y4": 0.3,
                                                       "y7": 0.2}, mu)]
-    ups = math.sqrt(0.5)
+    ups = catalog.SURGERY_PROFILE.upsilon
     rep = collapse.lower_bound_global(mu, samples, ups, C=1.0,
                                       Delta0=mc["Delta0"])
-    res = collapse.resolution_equality_probe(_resolution_profile(), mu)
+    res = collapse.resolution_equality_probe(mu)
     return rep["pass"] and res["pass"], \
         (f"PSD margin {rep['min_eig_margin']:.3e}; resolution equality gap "
          f"{res['equality_gap']:.3e} at the tight radius")
 
 
 def _check_collapse_fiber_diameter(rng):
-    out = collapse.fiber_diameter_probe(profile=_resolution_profile())
+    out = collapse.fiber_diameter_probe()
     ok = out["exponent_ok"] and out["monotone_in_k"] and out["mu_uniform"]
     return ok, f"decay exponent {out['exponent']:.4f} (need <= -2.7)"
 
 
 def _check_collapse_finsler(rng):
-    ups = math.sqrt(0.5)
+    ups = catalog.SURGERY_PROFILE.upsilon
     generic = collapse.limit_quasi_finsler("generic", [0, 0, 1], ups)
     sing = collapse.limit_quasi_finsler("singular", [0, 0, 1], ups,
                                         y1_samples=(0.0, 0.4))
@@ -829,8 +822,8 @@ def cmd_flow(args) -> int:
     for flag, x in (("--tol", args.tol), ("--t-end", args.t_end), ("--steps", args.steps)):
         _value(flag, x)
     _value("--alpha", args.alpha, lambda a: a != 0, "nonzero")
-    rows = flow.flow_integrate(args.alpha, args.beta,
-                               _parse_lambda(args.lam), args.t_end, args.steps)
+    rows = flow.flow_integrate(args.alpha, _parse_lambda(args.lam), args.t_end,
+                               args.steps)
     path = args.out or "flow_trajectory.csv"
     flow.trajectory_to_csv(rows, path)
     err = max(r[3] for r in rows)
@@ -914,7 +907,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     f = sub.add_parser("flow", help="integrate the flow line and export CSV")
     f.add_argument("--alpha", type=float, default=1.0)
-    f.add_argument("--beta", type=float, default=1.0)
     f.add_argument("--lambda", dest="lam", default="1", help="'re' or 're,im'")
     f.add_argument("--t-end", dest="t_end", type=float, default=1.0)
     f.add_argument("--steps", type=int, default=10000)

@@ -24,8 +24,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .catalog import (DEFAULT_EPSILON, ResolutionForms, _FFKM_TERMS, _lam_sq,
-                      _point_row, glued_form_at, nakamura_model, phi_abl_mu,
+from .catalog import (DEFAULT_EPSILON, SURGERY_PROFILE, ResolutionForms, _FFKM_TERMS,
+                      _lam_sq, _point_row, glued_form_at, nakamura_model, phi_abl_mu,
                       phi_check_mu)
 from .g2core import (DIM, TRIPLE_POS, TRIPLES, NotStableError, is_g2_type,
                      metric_batch, phi_to_vector, standard_phi)
@@ -74,13 +74,12 @@ def _loglog_slope(xs, ys) -> float:
 
 # ----- product model: closed-form metric family ------------------------------
 
-def nakamura_metric(alpha, beta, lam, mu, rescaled: bool = False) -> MetricSample:
-    """Closed-form metric of phi(alpha, beta, lambda; mu) on the product
-    model, in the invariant coframe (g^1, g^2, g^3, theta^4..theta^7);
-    cross-checked against the from-scratch computation on the form itself.
-
-    The rescaled flag applies mu^{-12} to the form, i.e. mu^{-8} to the
-    metric, which is the normalization whose large-mu limit is the circle."""
+def nakamura_metric(alpha, beta, lam, mu) -> MetricSample:
+    """Rescaled metric of phi(alpha, beta, lambda; mu) on the product model,
+    in the invariant coframe (g^1, g^2, g^3, theta^4..theta^7), with its
+    large-mu limit, the circle, attached.  The closed-form metric of the
+    form is cross-checked against the from-scratch computation on the form
+    itself, then rescaled: mu^{-12} on the form is mu^{-8} on the metric."""
     a, b, m = float(alpha), float(beta), float(mu)
     L = float(_lam_sq(lam))
     L13, L23 = L ** (1.0 / 3.0), L ** (2.0 / 3.0)
@@ -93,11 +92,9 @@ def nakamura_metric(alpha, beta, lam, mu, rescaled: bool = False) -> MetricSampl
     if gap > 1e-10:
         raise AssertionError(f"closed-form metric disagrees with the "
                              f"computed one (relative gap {gap})")
-    if rescaled:
-        g = g / m ** 8
     limit = np.zeros((DIM, DIM))
     limit[0, 0] = a ** 2 / L23
-    return MetricSample("product", (), m, g, limit=limit if rescaled else None)
+    return MetricSample("product", (), m, g / m ** 8, limit=limit)
 
 
 def rescaled_decay_exponents(alpha, beta, lam, mu1: float, mu2: float) -> dict:
@@ -105,7 +102,7 @@ def rescaled_decay_exponents(alpha, beta, lam, mu1: float, mu2: float) -> dict:
     the fiber sympletic block (expected mu^-6) and the (g^2, g^3) block
     (expected mu^-12)."""
     mus = (mu1, mu2)
-    g = [nakamura_metric(alpha, beta, lam, mu, rescaled=True).matrix for mu in mus]
+    g = [nakamura_metric(alpha, beta, lam, mu).matrix for mu in mus]
     return {"omega_block": _loglog_slope(mus, [m[3, 3] for m in g]),
             "transverse_block": _loglog_slope(mus, [m[1, 1] for m in g])}
 
@@ -290,17 +287,17 @@ def lower_bound_global(mu, samples, upsilon: float, C: float,
     return report
 
 
-def resolution_equality_probe(profile, mu, epsilon: float = DEFAULT_EPSILON,
-                              n: int = 60) -> dict:
-    """On the resolution region the bound's tight direction is dy^3 at the
-    equality radius of the fiber volume estimate: the coefficient nu(r) with
-    g_zeta >= nu^{4/3} (dy^3)^{x2} attains its minimum ups there."""
-    rf = ResolutionForms(mu, epsilon, profile=profile)
-    ups = profile.upsilon
-    r_eq = profile.r_frak
+def resolution_equality_probe(mu, n: int = 60) -> dict:
+    """On the resolution region of catalog's surgery the bound's tight
+    direction is dy^3 at the equality radius of the fiber volume estimate:
+    the coefficient nu(r) with g_zeta >= nu^{4/3} (dy^3)^{x2} attains its
+    minimum ups there."""
+    rf = ResolutionForms(mu)
+    ups = SURGERY_PROFILE.upsilon
+    r_eq = SURGERY_PROFILE.r_frak
     radii = np.append(np.linspace(0.55 * r_eq, 1.45 * r_eq, n), r_eq)
     lams = radii * radii
-    min_nu = float(np.sqrt(1.0 + profile.k(lams) / (2.0 * lams)).min())
+    min_nu = float(np.sqrt(1.0 + SURGERY_PROFILE.k(lams) / (2.0 * lams)).min())
     pts = np.zeros((len(radii), DIM))
     pts[:, 0] = radii
     g, _ = metric_batch(rf.zeta_rows(pts))
@@ -415,26 +412,25 @@ def _arc(p1, d2, n_seg):
     return pts
 
 
-def fiber_diameter_probe(ks=(2, 4, 8), mus=(8, 16, 32),
-                         epsilon: float = DEFAULT_EPSILON, profile=None,
-                         n_seg: int = 16) -> dict:
+def fiber_diameter_probe(ks=(2, 4, 8), mus=(8, 16, 32), n_seg: int = 16) -> dict:
     """Path-length estimates of the intrinsic fiber diameters in the
-    shrinking surgery regions.  Working in resolution coordinates, the
-    fiber over a circle point inside the k-th region is the product of the
-    resolved ball of radius eps/2 (mu/k)^3 with a 2-torus, carrying the
-    resolved 3-form; coordinate-frame diameters are rescaled by mu^{-3}.
+    shrinking regions of catalog's resolution surgery.  Working in
+    resolution coordinates, the fiber over a circle point inside the k-th
+    region is the product of the resolved ball of radius eps/2 (mu/k)^3
+    (eps = DEFAULT_EPSILON) with a 2-torus, carrying the resolved 3-form;
+    coordinate-frame diameters are rescaled by mu^{-3}.
     The segment midpoints of a (mu, k) cell's paths go through
     ResolutionForms.zeta_mu_rows and one metric_batch call.  Fits the decay
     exponent in k at the largest mu."""
     table = {}
     for mu in mus:
-        rf = ResolutionForms(mu, epsilon, profile=profile)
+        rf = ResolutionForms(mu)
         for k in ks:
             # at mu close to k the rescaled torus factor (size ~ mu^-3, not
             # k^-3) would dominate the estimate, so keep mu >= 2k
             if mu < 2 * k:
                 continue
-            R = 0.5 * epsilon * (float(mu) / k) ** 3
+            R = 0.5 * DEFAULT_EPSILON * (float(mu) / k) ** 3
             # antipodal pairs on the boundary sphere of the resolved ball,
             # joined by half great-circles (paths avoid the exceptional set)
             axes = [np.array([1.0, 0, 0, 0, 0, 0, 0]),

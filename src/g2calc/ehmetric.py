@@ -308,19 +308,16 @@ def omega_at(points, profile: EHProfile | None = None, t: float | None = None):
     if rows.ndim != 2 or rows.shape[1] != 4:
         raise ValueError(f"expected an (n, 4) array of points, got shape {rows.shape}")
     out = np.zeros((len(rows), 4, 4))
-    if profile is None and t == 0:
-        out[:] = _J0
+    x1, y1, x2, y2 = rows.T
+    lam = ((x1 * x1 + y1 * y1) + x2 * x2) + y2 * y2
+    if (lam <= 0).any():
+        raise ValueError("the origin is excluded")
+    if profile is None:
+        ap, app = eh_aprime(t, lam), _eh_asecond(t, lam)
     else:
-        x1, y1, x2, y2 = rows.T
-        lam = ((x1 * x1 + y1 * y1) + x2 * x2) + y2 * y2
-        if (lam <= 0).any():
-            raise ValueError("the origin is excluded")
-        if profile is None:
-            ap, app = eh_aprime(t, lam), _eh_asecond(t, lam)
-        else:
-            _, ap, app = _profile_slopes(profile, lam)
-        for (i, j), m in _upper(x1, y1, x2, y2, ap, app).items():
-            out[:, i, j], out[:, j, i] = m, -m
+        _, ap, app = _profile_slopes(profile, lam)
+    for (i, j), m in _upper(x1, y1, x2, y2, ap, app).items():
+        out[:, i, j], out[:, j, i] = m, -m
     return out
 
 

@@ -4,7 +4,8 @@ For a closed definite 3-form phi the flow is d phi/dt = Delta_phi phi
 = -d * d * phi.  On the product model the flow line through
 phi(alpha, beta, lambda) stays inside the family: mu(t) solves
 d mu/dt = 2 (lambda lambdabar)^{2/3} / (3 alpha^2 mu^7), with closed form
-mu(t) = (16 (lambda lambdabar)^{2/3} t / (3 alpha^2) + 1)^{1/8}.
+mu(t) = (16 (lambda lambdabar)^{2/3} t / (3 alpha^2) + 1)^{1/8}.  Neither
+depends on beta, so the integrator takes (alpha, lambda) only.
 A fixed-step RK4 integrator provides the numeric cross-check.
 '''
 from __future__ import annotations
@@ -58,7 +59,7 @@ def _mu_closed(sixteen_l23, three_a2, t: float) -> float:
     return (sixteen_l23 * t / three_a2 + 1.0) ** 0.125
 
 
-def flow_integrate(alpha, beta, lam, t_end: float, steps: int) -> list:
+def flow_integrate(alpha, lam, t_end: float, steps: int) -> list:
     """Classical RK4 on the scalar flow ODE; returns trajectory rows
     (t, mu_numeric, mu_closed, abs_err).  L^{2/3} is found once for the
     whole trajectory."""

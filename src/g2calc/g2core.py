@@ -48,7 +48,8 @@ from itertools import combinations, product
 import numpy as np
 
 from .forms import _MASKS, KForm, merge_sign
-from .rings import RAT, _int_nth_root, _over_common_denominator, nth_root_fraction
+from .rings import (RAT, _float_root, _int_nth_root, _over_common_denominator,
+                    nth_root_fraction)
 
 DIM = 7
 TRIPLES = list(combinations(range(1, 8), 3))
@@ -319,7 +320,8 @@ class G2Data:
 
     @cached_property
     def _r(self):
-        return nth_root_fraction(self._r3, 3) or float(self._r3) ** (1.0 / 3.0)
+        r3 = self._r3
+        return nth_root_fraction(r3, 3) or _float_root(r3.numerator, r3.denominator, 3, "r^3")
 
     exact = cached_property(lambda self: isinstance(self._r, Fraction))
     sqrt_det = cached_property(lambda self: self._r / 6)
@@ -514,8 +516,9 @@ class SU2FiberData:
                 raise DegenerateFiberError("2 omega^2 not proportional to Omega^conj(Omega)")
         if ratio is None or ratio <= 0:
             raise DegenerateFiberError("normalisation nu^2 must be positive")
-        sq = nth_root_fraction(ratio, 2) if isinstance(ratio, Fraction) else None
-        self.nu = sq if sq is not None else float(ratio) ** 0.5
+        q = Fraction(ratio)             # a float ratio by its binary value
+        sq = nth_root_fraction(q, 2) if isinstance(ratio, Fraction) else None
+        self.nu = sq or _float_root(q.numerator, q.denominator, 2, "nu^2")
 
 
 def su2_assemble(g1: KForm, g2: KForm, g3: KForm, fiber: SU2FiberData) -> KForm:

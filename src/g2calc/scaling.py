@@ -22,20 +22,18 @@ d_t), and mu_i = prod_t lambda_t^{E[i][t] / 6}, with E = 6 M^-1 an integer
 matrix (checked at import), comes from one integer numerator and
 denominator of mu_i^6 (n_t^e up and d_t^e down for e > 0, the other way
 round for e < 0) reduced by one gcd.  Every root is an integer root of a
-reduced pair, or a float where it is irrational (from the integers' logs
-past the float range); the solve is exact when every mu_i^6 is a sixth
-power.
+reduced pair, or a float where it is irrational (`rings._float_root`); the
+solve is exact when every mu_i^6 is a sixth power.
 '''
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .forms import KForm
 from .g2core import DIM, STANDARD_PHI_TERMS, is_g2_type, inverse_exact
-from .rings import RAT, _exact_real, _ratio_root
+from .rings import RAT, _exact_real, _float_root, _ratio_root
 
 #: incidence matrix M of the log-linear system: row t, column i is 1 when
 #: axis i appears in the triple of the standard form's term t, so that
@@ -52,7 +50,6 @@ _SIXTH_EXPONENTS = tuple(tuple(int(6 * x) for x in row) for row in INCIDENCE_INV
 # frame scales give the volume law by construction
 if any(sum(col) != 2 for col in zip(*_SIXTH_EXPONENTS)):
     raise AssertionError("the columns of 6 M^-1 should sum to 2")
-_LOG_MIN, _LOG_MAX = math.log(sys.float_info.min), math.log(sys.float_info.max)
 
 
 class InvalidScaleError(ValueError):
@@ -74,20 +71,6 @@ def _validated(lambdas):
     if not all(l.numerator > 0 for l in exact):
         raise NonPositiveScaleError(f"non-positive scaling coefficients in {lambdas}")
     return lambdas, [(l.numerator, l.denominator) for l in exact]
-
-
-def _float_root(num, den, k, lambdas):
-    """Irrational (num / den)^(1/k), num and den coprime and > 0, as a normal
-    float: of the rounded ratio where normal, else by logs; or raises."""
-    try:
-        if (q := num / den) >= sys.float_info.min:
-            return q ** (1.0 / k)
-    except OverflowError:
-        pass
-    if _LOG_MIN < (x := (math.log(num) - math.log(den)) / k) < _LOG_MAX:
-        return math.exp(x)
-    raise InvalidScaleError(f"scaling coefficients {lambdas}: an irrational (1/{k})-th power "
-                            "lies outside the float range")
 
 
 @dataclass
@@ -113,7 +96,8 @@ def solve_scaling(lambdas) -> ScalingExponents:
                 den *= n ** -e
         g = math.gcd(num, den)
         num, den = num // g, den // g
-        mus.append(_ratio_root(num, den, 6) or _float_root(num, den, 6, lambdas))
+        mus.append(_ratio_root(num, den, 6)
+                   or _float_root(num, den, 6, lambdas, InvalidScaleError))
     if all(type(m) is Fraction for m in mus):
         return ScalingExponents(tuple(Fraction(n, d) for n, d in pairs), tuple(mus), True)
     return ScalingExponents(lambdas, tuple(float(m) for m in mus), False)
@@ -140,7 +124,7 @@ def scaled_volume_factor(lambdas):
                              f"!= prod lambda = {Fraction(num, den)}")
     # vol^3 is prod lambda in lowest terms
     num, den = vol3.numerator, vol3.denominator
-    return _ratio_root(num, den, 3) or _float_root(num, den, 3, lambdas)
+    return _ratio_root(num, den, 3) or _float_root(num, den, 3, lambdas, InvalidScaleError)
 
 
 def hitchin_scaling_law(lambdas) -> dict:

@@ -7,7 +7,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from g2calc import catalog, cli, ehmetric
+from g2calc import catalog, cli, collapse, ehmetric
 from g2calc.catalog import (ResolutionForms, ch_map, ffkm_model,
                             glued_form_at, master_identity_check,
                             measure_quadlem_constant, nakamura_model,
@@ -355,7 +355,7 @@ def test_glued_form_chain_rule_matches_finite_differences(y0):
 @pytest.mark.parametrize("y0", _RAMP_POINTS)
 def test_sigma_chain_rule_matches_finite_differences(y0):
     # sigma = d[f(2r/eps) (y1)^2/2 dy^47]
-    eps = 0.1
+    eps = catalog.DEFAULT_EPSILON
     y0 = 0.6 * y0
 
     def field(y):
@@ -364,7 +364,7 @@ def test_sigma_chain_rule_matches_finite_differences(y0):
 
     r = math.sqrt(y0[0] ** 2 + y0[1] ** 2 + y0[4] ** 2 + y0[5] ** 2)
     assert 0.0 < _cutoff_at(2.0 * r / eps)[1]
-    _assert_matches_fd(_row_form(_sigma_rows(ResolutionForms(4, eps), [y0])[0]),
+    _assert_matches_fd(_row_form(_sigma_rows(ResolutionForms(4), [y0])[0]),
                        field, y0)
 
 
@@ -521,16 +521,21 @@ def test_cutoff_chain_rule_rows_match_the_point_form():
 # resolution surgery forms
 # --------------------------------------------------------------------------
 
-@pytest.fixture(scope="module")
-def profile():
-    return ehmetric.build_profile(ehmetric.default_t_for_epsilon(0.1, 4.0), 4.0)
-
-
-@pytest.mark.parametrize("with_profile", [False, True])
-def test_resolution_forms_reject_a_nonpositive_epsilon(profile, with_profile):
-    for eps in (0.0, -0.1):
-        with pytest.raises(ValueError, match="epsilon must be positive"):
-            ResolutionForms(2, eps, profile=profile if with_profile else None)
+def test_the_surgery_profile_has_t_r_at_half_the_chart_radius(monkeypatch):
+    p = catalog.SURGERY_PROFILE
+    assert (p.R, p.c) == (4.0, 1.0)
+    assert p.t * p.R == catalog.DEFAULT_EPSILON / 2
+    assert p.upsilon == math.sqrt(0.5)
+    # both collapse checks of the CLI take upsilon from this profile
+    seen = []
+    for name in ("lower_bound_global", "limit_quasi_finsler"):
+        fn = getattr(collapse, name)
+        monkeypatch.setattr(collapse, name,
+                            lambda *a, fn=fn, **kw: seen.append(a[2]) or fn(*a, **kw))
+    monkeypatch.setattr(p, "upsilon", 0.5)
+    cli._check_collapse_lower_bound(np.random.default_rng(0))
+    cli._check_collapse_finsler(np.random.default_rng(0))
+    assert seen == [0.5] * 3        # the lower bound and two Finsler lengths
 
 
 def _sigma_rows(rf, points):
@@ -538,8 +543,8 @@ def _sigma_rows(rf, points):
     return rf._sigma_rows(catalog._columns(points))
 
 
-def test_resolution_margins_certified(profile):
-    out = ResolutionForms(8, 0.1, profile=profile).margins(n=60, seed=0)
+def test_resolution_margins_certified():
+    out = ResolutionForms(8).margins(n=60, seed=0)
     assert out["g2_certified"]
     assert out["inner_bound_ok"]
     assert out["outer_gap"] <= 0.05 + 1e-12
@@ -547,31 +552,31 @@ def test_resolution_margins_certified(profile):
     assert out["inner_gap"] == 8.0 ** -3 * out["inner_C"] > 0.0
 
 
-def test_resolution_margins_fail_for_a_large_sigma(profile, monkeypatch):
+def test_resolution_margins_fail_for_a_large_sigma(monkeypatch):
     # sigma scaled by 10^3 puts C/mu^3 past eps/2 on the inner region: the
     # inner bound, and so the verify check, must fail
     rows = ResolutionForms._sigma_rows
     monkeypatch.setattr(ResolutionForms, "_sigma_rows",
                         lambda self, cols: 1e3 * rows(self, cols))
-    out = ResolutionForms(8, 0.1, profile=profile).margins(n=80, seed=0)
+    out = ResolutionForms(8).margins(n=80, seed=0)
     assert out["inner_C"] / 8.0 ** 3 > out["outer_bound"] == 0.05
     assert not out["inner_bound_ok"]
     assert cli._check_resolution_margins(np.random.default_rng(0))[0] is False
 
 
-def test_sigma_vanishes_at_exceptional_locus(profile):
-    rf = ResolutionForms(4, 0.1, profile=profile)
+def test_sigma_vanishes_at_exceptional_locus():
+    rf = ResolutionForms(4)
     assert not _sigma_rows(rf, np.zeros((1, 7))).any()
 
 
-def test_sigma_saturates_outside(profile):
-    rf = ResolutionForms(4, 0.1, profile=profile)
+def test_sigma_saturates_outside():
+    rf = ResolutionForms(4)
     row = _sigma_rows(rf, [[0.2, 0, 0, 0, 0, 0, 0]])[0]
     assert row[catalog.TRIPLE_POS[(1, 4, 7)]] == pytest.approx(0.2)
 
 
-def test_zeta_mu_definite_across_regions(profile):
-    rf = ResolutionForms(8, 0.1, profile=profile)
+def test_zeta_mu_definite_across_regions():
+    rf = ResolutionForms(8)
     pts = np.zeros((4, 7))
     pts[:, 0] = (0.02, 0.05, 0.2, 1.0)
     metric_batch(rf.zeta_mu_rows(pts))  # raises if a row is indefinite
@@ -584,16 +589,13 @@ def _zeta_mu_by_wedges(rf, point):
     pt = {n: float(point.get(n, 0.0)) for n in catalog.YVARS}
     axes = (1, 2, 5, 6)
     fib = [pt[f"y{a}"] for a in axes]
-    if rf.profile is None:
-        om = KForm(7, 2, FLT, {(1, 2): 1.0, (5, 6): 1.0})
-    else:
-        M = ehmetric.omega_at([fib], profile=rf.profile)[0]
-        om = KForm(7, 2, FLT, {(axes[i], axes[j]): M[i][j]
-                               for i in range(4) for j in range(i + 1, 4)})
+    M = ehmetric.omega_at([fib], profile=catalog.SURGERY_PROFILE)[0]
+    om = KForm(7, 2, FLT, {(axes[i], axes[j]): M[i][j]
+                           for i in range(4) for j in range(i + 1, 4)})
     zeta = (KForm.basis(7, (3, 4, 7), FLT) + KForm.basis(7, (3,), FLT).wedge(om)
             - KForm.basis(7, (4,), FLT).wedge(KForm(7, 2, FLT, {(1, 5): 1.0, (2, 6): -1.0}))
             + KForm.basis(7, (7,), FLT).wedge(KForm(7, 2, FLT, {(1, 6): 1.0, (2, 5): 1.0})))
-    s = 0.5 * rf.epsilon
+    s = 0.5 * catalog.DEFAULT_EPSILON
     r = math.sqrt(sum(v * v for v in fib))
     f, fd = _cutoff_at(r / s)
     sigma = f * KForm(7, 3, FLT, {(1, 4, 7): pt["y1"]})
@@ -615,13 +617,13 @@ def _points_at_radii(radii, seed):
 # eps = 0.1 and the profile's t R = eps/2: the EH core is r < eps/4, the
 # cutoff of sigma ramps over 0.51 < 2r/eps < 0.99 and both are flat past eps/2
 _ZETA_REGIONS = {"flat": (0.05, 0.3), "ramp": (0.0256, 0.0494),
-                 "core": (0.001, 0.0249), "no-profile": (0.0256, 0.3)}
+                 "core": (0.001, 0.0249)}
 
 
 @pytest.mark.parametrize("region", list(_ZETA_REGIONS))
-def test_zeta_mu_rows_match_a_form_assembly(profile, region):
+def test_zeta_mu_rows_match_a_form_assembly(region):
     lo, hi = _ZETA_REGIONS[region]
-    rf = ResolutionForms(4, 0.1, profile=None if region == "no-profile" else profile)
+    rf = ResolutionForms(4)
     pts = _points_at_radii(np.linspace(lo, hi, 40), seed=len(region))
     rows = rf.zeta_mu_rows(pts)
     assert rows.shape == (40, 35)

@@ -110,6 +110,14 @@ def test_flow_command_writes_trajectory(tmp_path, capsys):
     assert max(float(l.split(",")[3]) for l in lines[1:]) < 1e-10
 
 
+def test_flow_has_no_beta_flag(tmp_path, capsys):
+    # the flow line mu(t) does not depend on beta, so flow takes no --beta
+    with pytest.raises(SystemExit) as info:
+        run(["flow", "--beta", "2", "--out", str(tmp_path / "traj.csv")])
+    assert info.value.code == 2
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_eh_command_emits_profile_and_certificate(tmp_path, capsys):
     prefix = tmp_path / "eh"
     code = run(["eh", "--t", "0.1", "--R", "auto", "--c", "auto",

@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from g2calc import collapse, ehmetric, g2core
-from g2calc.catalog import ResolutionForms
+from g2calc import collapse, g2core
+from g2calc.catalog import SURGERY_PROFILE, ResolutionForms
 from g2calc.g2core import NotStableError
 from g2calc.collapse import (MetricSample, base_pullback,
                              fiber_diameter_probe, ffkm_region_metrics,
@@ -21,11 +21,6 @@ from g2calc.collapse import (MetricSample, base_pullback,
                              w_outer_closed_form)
 
 UPS = math.sqrt(0.5)
-
-
-@pytest.fixture(scope="module")
-def profile():
-    return ehmetric.build_profile(ehmetric.default_t_for_epsilon(0.1, 4.0), 4.0)
 
 
 # --------------------------------------------------------------------------
@@ -42,11 +37,11 @@ def test_nakamura_metric_closed_form_cross_checked():
     # 1e-10 from the metric computed from the 3-form; exercise a spread
     for mu in (1, 2, 8, 32):
         nakamura_metric(2, 1, (1, 1), mu)
-        nakamura_metric(3, 2, (1, -2), mu, rescaled=True)
+        nakamura_metric(3, 2, (1, -2), mu)
 
 
 def test_rescaled_limit_is_the_circle_metric():
-    s = nakamura_metric(2, 1, (1, 1), 16, rescaled=True)
+    s = nakamura_metric(2, 1, (1, 1), 16)
     # alpha^2 / L^{2/3} with alpha = 2 and L = |1 + i|^2 = 2
     assert s.limit[0, 0] == pytest.approx(4.0 / 2 ** (2 / 3), rel=1e-14)
     assert np.count_nonzero(s.limit) == 1
@@ -61,9 +56,8 @@ def test_tail_decay_exponents():
 
 def test_lambda_is_one_along_the_family():
     # collapse.product_lambda_one runs the base point (2, 1, 1 + i)
-    base = nakamura_metric(3, 2, (2, -1), 2, rescaled=True).limit
-    samples = [nakamura_metric(3, 2, (2, -1), mu, rescaled=True)
-               for mu in (1, 2, 4, 8, 16, 32)]
+    base = nakamura_metric(3, 2, (2, -1), 2).limit
+    samples = [nakamura_metric(3, 2, (2, -1), mu) for mu in (1, 2, 4, 8, 16, 32)]
     rep = premise_check(samples, base)
     assert rep["pass"]
     for lam in rep["lambdas"].values():
@@ -164,10 +158,10 @@ def test_lower_bound_raises_on_violation():
         lower_bound_global(8, [flat], UPS, C=1.0, Delta0=1.0)
 
 
-def test_resolution_equality_at_the_marked_radius(profile):
-    out = resolution_equality_probe(profile, 8)
+def test_resolution_equality_at_the_marked_radius():
+    out = resolution_equality_probe(8)
     assert out["pass"]
-    assert out["min_nu"] == pytest.approx(profile.upsilon, abs=1e-9)
+    assert out["min_nu"] == pytest.approx(SURGERY_PROFILE.upsilon, abs=1e-9)
     assert out["equality_gap"] < 1e-12
 
 
@@ -254,8 +248,8 @@ def test_lc_vs_norm_requires_definite_g():
 # --------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
-def probe(profile):
-    return fiber_diameter_probe(profile=profile)
+def probe():
+    return fiber_diameter_probe()
 
 
 def test_fiber_diameter_exponent(probe):
@@ -279,8 +273,8 @@ def test_fiber_diameter_table_keeps_the_per_point_values(probe):
         (4, 32.0): 0.0024504285390984735, (8, 32.0): 0.00030630356359014933}
 
 
-def test_path_length_does_not_depend_on_its_batch(profile):
-    rf = ResolutionForms(16, 0.1, profile=profile)
+def test_path_length_does_not_depend_on_its_batch():
+    rf = ResolutionForms(16)
     axes = np.eye(7)[[0, 1, 4]]
     paths = []
     # the probe's boundary sphere at (mu, k) = (16, 4), and a sphere inside

@@ -283,9 +283,8 @@ def test_omega_at_on_a_point_array_matches_per_point_calls(profile, field):
     # a point is a one-row array, never a bare 4-vector
     with pytest.raises(ValueError, match=r"\(n, 4\)"):
         omega_at(pts[7], **kw)
-    if field != "flat":
-        with pytest.raises(ValueError, match="origin"):
-            omega_at(np.vstack([pts[:2], np.zeros((1, 4))]), **kw)
+    with pytest.raises(ValueError, match="origin"):
+        omega_at(np.vstack([pts[:2], np.zeros((1, 4))]), **kw)
 
 
 def test_positivity_and_volume_certificate(profile):

@@ -778,6 +778,25 @@ def test_is_g2_type_stays_exact_on_a_frame_with_large_entries():
     assert np.array_equal(data.metric_array(), float(m * m) * np.eye(DIM))
 
 
+@pytest.mark.parametrize("e", [200, -200])
+def test_an_irrational_volume_past_the_float_range_of_r_cubed(e):
+    # 2^e phi_0 has g = 2^(2e/3) I and vol = 2^(7e/3), both irrational, and
+    # r^3 = 216 * 2^(7e) outside the float range: reading the data raised
+    # OverflowError at e = 200, and gave sqrt_det 0.0 and then a
+    # ZeroDivisionError at e = -200
+    data = is_g2_type(Fraction(2) ** e * standard_phi())
+    assert data.exact is False
+
+    def two_to_the_thirds(n):        # 2^(n/3)
+        q, rem = divmod(n, 3)
+        return math.ldexp(2.0 ** (rem / 3), q)
+
+    assert data.sqrt_det == pytest.approx(two_to_the_thirds(7 * e), rel=1e-15, abs=0)
+    g = data.metric_array()
+    assert np.isfinite(g).all()
+    assert np.allclose(g, two_to_the_thirds(2 * e) * np.eye(DIM), rtol=1e-14, atol=0)
+
+
 def test_indefinite_b_with_a_rational_ninth_root_is_not_stable():
     # B = diag(+-6) with an even number of minus signs: det B = 6^7 > 0 and
     # 36 det B = 6^9, but B is indefinite, so only Sylvester's test rejects it

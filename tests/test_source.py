@@ -1,4 +1,5 @@
-"""Source hygiene of the package: every import in src/g2calc is used."""
+"""Source hygiene of the package: every import in src/g2calc is used, every
+public function has a caller, and every parameter of one is read."""
 import ast
 from pathlib import Path
 
@@ -90,3 +91,23 @@ def test_a_method_is_called_only_through_an_attribute_read():
                      "for subs in range(3): used()\n"
                      "lone_value = P().diff\n")
     assert _without_a_caller({"m": tree}) == ["m.P.subs", "m.lone"]
+
+
+def _unread_parameters(trees):
+    """(qualified name, parameter) for each parameter of a public function
+    or method (of the modules name -> ast tree) that its body never reads."""
+    unread = []
+    for module, tree in trees.items():
+        for qualname, fn in _public_defs(tree, module):
+            a = fn.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg)
+                                                              if p]
+            read = {n.id for stmt in fn.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name)}
+            unread += [(qualname, p.arg) for p in params if p.arg not in read]
+    return sorted(unread)
+
+
+def test_every_parameter_of_a_public_function_is_read():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert _unread_parameters(trees) == []
