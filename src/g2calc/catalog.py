@@ -244,7 +244,10 @@ _FFKM_TERMS = (((1, 2, 3), 1), ((1, 4, 5), 1), ((1, 6, 7), 1), ((2, 4, 6), -1),
 _FFKM_PHI = KForm.from_terms(7, 3, _FFKM_TERMS, RAT)
 
 
+@cache
 def ffkm_model() -> InvariantModel:
+    """The nilmanifold model, built once and shared: callers must not
+    change it."""
     d_gen = [
         None, None, None,
         _kf((1, (1, 2))),
@@ -547,11 +550,12 @@ def _norm_in_diag(coeffs: dict, weights) -> np.ndarray:
     return np.sqrt(total)
 
 
-def measure_quadlem_constant(epsilon: float = DEFAULT_EPSILON,
-                             mus=MU_SWEEP, n: int = 400, seed: int = 0) -> dict:
+def measure_quadlem_constant(n: int = 400, seed: int = 0) -> dict:
     """Grid estimate of the constant C with |alpha| <= C r^2 / mu and
-    |d alpha| <= C r in the xi^mu norm, over the chart ball.  The points
-    are evaluated as columns, all mus at once."""
+    |d alpha| <= C r in the xi^mu norm, over the chart ball of radius
+    DEFAULT_EPSILON, for mu in MU_SWEEP.  The points are evaluated as
+    columns, all mus at once."""
+    epsilon, mus = DEFAULT_EPSILON, MU_SWEEP
     rng = np.random.default_rng(seed)
     alpha, dalpha, _, _ = _alpha_and_d()
     cols = _columns(rng.uniform(-1.0, 1.0, size=(n, 7)))
@@ -702,8 +706,9 @@ def resolution_boundary_identity() -> bool:
 
 # ----- primitive ledger -------------------------------------------------------
 
-def primitive_ledger(mu, epsilon: float = DEFAULT_EPSILON) -> list:
-    """Region-by-region exactness certificates for phi^mu - phi.
+def primitive_ledger(mu) -> list:
+    """Region-by-region exactness certificates for phi^mu - phi, with the
+    cutoff at radius DEFAULT_EPSILON.
 
     Every polynomial identity is checked exactly (mu as an exact rational).
     The identities involving the cutoff are checked by evaluating d(f Q)
@@ -748,7 +753,7 @@ def primitive_ledger(mu, epsilon: float = DEFAULT_EPSILON) -> list:
           + KForm(7, 1, YRING, {(3,): half * y1 * y2}))
     # d(f * Q) contributes d(d(...)) = 0; probe d^2 = 0 through the cutoff
     # numerically at sample radii
-    ok_fd = _closedness_probe_fQ(Qf, float(epsilon))
+    ok_fd = _closedness_probe_fQ(Qf, DEFAULT_EPSILON)
     entry("middle", "cutoff-dressed term stays closed after d (finite "
           "differences, tol 1e-6)", ok_fd)
 
@@ -756,7 +761,7 @@ def primitive_ledger(mu, epsilon: float = DEFAULT_EPSILON) -> list:
     # the cutoff-dressed term d(f(r/eps) c6 Q) must vanish so that only the
     # resolution-side terms of the primitive remain; at the control point in
     # the ramp the same evaluation must not vanish unless c6 = 0
-    eps = float(epsilon)
+    eps = DEFAULT_EPSILON
     cQ, cdQ = c6 * Qf, c6 * Qf.d_chart()
     band = DEFAULT_CUTOFF.a - DEFAULT_CUTOFF.h
     # four points in the zero band, then the control point

@@ -347,12 +347,13 @@ def limit_quasi_finsler(base_tag: str, direction, upsilon: float,
 
 # ----- measured comparison constants -------------------------------------------
 
-def measure_metric_comparison(n: int = 400, delta: float = 1e-4,
-                              seed: int = 0) -> dict:
+def measure_metric_comparison(n: int = 400, seed: int = 0) -> dict:
     """Measured constants (delta_1, De_0) of the pointwise comparison
     |g_phi - g_phi0| <= De_0 |phi - phi0| near the standard form: De_0 from
-    the linearization at scale delta, delta_1 as the largest tested radius
-    at which every sampled perturbation still yields a definite form."""
+    the linearization at scale delta = 1e-4, delta_1 as the largest tested
+    radius at which every sampled perturbation still yields a definite
+    form."""
+    delta = 1e-4
     rng = np.random.default_rng(seed)
     dirs = rng.normal(size=(n, 35))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)

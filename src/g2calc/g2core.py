@@ -8,14 +8,18 @@ With vol = s theta^{1..7} and r = 6 s, g = B / r and 36 det B = r^9; vol^3
 is a polynomial in phi (vol is homogeneous of degree 7/3), so
 r^3 = 216 vol^3 is rational for every rational phi.
 
-B has one implementation for every caller, the factorisation
-B = A K A^T.  A (7 x 21) holds the 2-forms i_{e_i} phi and K (21 x 21) the
-pairing top(alpha ^ beta ^ phi) = alpha^T K beta; both are linear in phi,
-given by one pair of small sign tables (105 and 210 entries) evaluated in
-the form's own ring -- integer numerators over a common denominator for a
-rational form, visiting only nonzero entries, and for float rows one
-product with each table and B = (A K) A^T matrix by matrix, in blocks of
-rows.  The Hodge star of a rational form is one integer kernel built on
+B has one definition for every caller, the factorisation B = A K A^T.
+A (7 x 21) holds the 2-forms i_{e_i} phi and K (21 x 21) the pairing
+top(alpha ^ beta ^ phi) = alpha^T K beta; both are linear in phi, given by
+one pair of small sign tables (105 and 210 entries).  For float rows B is
+one product with each table and B = (A K) A^T matrix by matrix, in blocks
+of rows.  For a rational form the product is expanded once, on first use,
+into a cubic table: each entry of B is a sum of products x_a x_b x_c of
+three distinct coefficients, each weighted +-3 or +-6, 735 in all.  The
+integer numerators of B are summed over the monomials whose three triples
+lie in the form's support, so the cost follows the support: the seven
+terms of a scaled standard form meet seven monomials, one per diagonal
+entry.  The Hodge star of a rational form is one integer kernel built on
 Jacobi's identity, det(g^-1[I, J]) = +-det(g[J', I']) / det g for the
 complements I', J'.  With B = N / d and 36 det B = r^9, it reads
 sum_J (-1)^(sum J) a_J det N[I', J'] for all I' at once from the wedge of
@@ -25,13 +29,16 @@ r^(k+1) times a rational number and r^3 is rational, so *a = r^p Y with
 p = (k+1) mod 3 and Y rational (`star_parts`).
 
 Exact linear algebra (determinants, Sylvester's test, inverses) runs
-fraction-free on integer numerators over one common denominator.  For a
-rational form over D, B = N / d with d = D^3, and r^3 = (36 det N)^{1/3} /
-D^7 has an integer root: r^3 D^7 is rational (vol^3 is a polynomial in
-phi) and its cube 36 det N is an integer.  G2Data holds N, d and r^3, and
-takes r = (r^3)^{1/3} on the first read of ``exact``, ``sqrt_det`` or the
-metric: g = N / (d r) and sqrt(det g) = r / 6 are Fractions where r is
-rational (exact data) and floats otherwise.
+fraction-free on integer numerators over one common denominator.  The
+determinant's elimination (Bareiss) defers the rescaling of a row whose
+pivot-column entry is zero until the row is read, so a diagonal N costs
+one product per pivot.  For a rational form over D, B = N / d with
+d = D^3, and r^3 = (36 det N)^{1/3} / D^7 has an integer root: r^3 D^7 is
+rational (vol^3 is a polynomial in phi) and its cube 36 det N is an
+integer.  G2Data holds N, d and r^3, and takes r = (r^3)^{1/3} on the
+first read of ``exact``, ``sqrt_det`` or the metric: g = N / (d r) and
+sqrt(det g) = r / 6 are Fractions where r is rational (exact data) and
+floats otherwise.
 
 `is_g2_type` and G2Data take rational forms only.  Float 3-forms are
 coefficient rows: `metric_batch` gives their metrics, B / (36 det B)^{1/9}
@@ -42,7 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations, product
 
 import numpy as np
@@ -155,30 +162,73 @@ def bilinear_from_3form(phi: KForm):
     return [[Fraction(x, den) for x in row] for row in num]
 
 
+#: _UPPER_POS[i][j]: the position of the entry (min(i, j), max(i, j)) of a
+#: symmetric 7x7 matrix in its upper triangle, listed row by row
+_UPPER_PAIRS = [(i, j) for i in range(DIM) for j in range(i, DIM)]
+_UPPER_POS = [[_UPPER_PAIRS.index((min(i, j), max(i, j))) for j in range(DIM)]
+              for i in range(DIM)]
+
+
+@cache
+def _cubic_table():
+    """N = A K A^T expanded into cubic monomials of the coefficients, from
+    the two sign tables: table[a][b] lists (c, position, coefficient) for
+    each monomial x_a x_b x_c with a < b < c (triple positions) and its
+    nonzero coefficient in the upper-triangle entry at `position` of N.
+    Equal monomials are summed and zero sums dropped: 735 entries over
+    the full support, and the seven N_ii = +-6 x_a x_b x_c of the standard
+    form's support.  No monomial repeats a triple (A's and K's triples of
+    one product are distinct), which the strict order a < b < c checks."""
+    a_rows, a_cols, k_rows = [[] for _ in range(DIM)], [[] for _ in PAIRS], [[] for _ in PAIRS]
+    for t, group in enumerate(_A_ENTRIES):
+        for i, p, s in group:
+            a_rows[i].append((p, t, s))
+            a_cols[p].append((i, t, s))
+    for t, group in enumerate(_K_ENTRIES):
+        for p, q, s in group:
+            k_rows[p].append((q, t, s))
+    sums = {}
+    for i in range(DIM):
+        for p, ta, sa in a_rows[i]:
+            for q, tk, sk in k_rows[p]:
+                for j, tb, sb in a_cols[q]:
+                    if j >= i:
+                        key = (*sorted((ta, tk, tb)), _UPPER_POS[i][j])
+                        sums[key] = sums.get(key, 0) + sa * sk * sb
+    table = [[[] for _ in TRIPLES] for _ in TRIPLES]
+    for (a, b, c, pos), coef in sorted(sums.items()):
+        if coef:
+            if not a < b < c:
+                raise AssertionError("a monomial of N repeats a triple")
+            table[a][b].append((c, pos, coef))
+    return [[tuple(entries) for entries in row] for row in table]
+
+
 def _bilinear_numerators(phi: KForm):
     """(N, d) with B = N / d for a rational form: N a 7x7 integer matrix
-    (nested lists) and d the cube of phi's common denominator.  A and K are
-    filled from the triples in phi's support, and only their nonzero entries
-    are multiplied."""
+    (nested lists) and d the cube of phi's common denominator.  N is summed
+    from the cubic table, walking only the pairs a < b of phi's sorted
+    support and only the entries whose c is in the support too, so the
+    cost follows the support: a term-wise scaled standard form meets 7
+    monomials, a dense form 735."""
     nums, den = phi._ints()
-    # the nonzero (column, value) entries of each row of A and of K
-    A = [[] for _ in range(DIM)]
-    K = [[] for _ in PAIRS]
+    xs = [None] * len(TRIPLES)     # the numerator at each triple position
     for idx, x in nums.items():
-        t = TRIPLE_POS[idx]
-        for i, p, s in _A_ENTRIES[t]:
-            A[i].append((p, s * x))
-        for p, q, s in _K_ENTRIES[t]:
-            K[p].append((q, s * x))
-    N = [[0] * DIM for _ in range(DIM)]
-    for i, row in enumerate(A):
-        AK = [0] * len(PAIRS)
-        for p, y in row:
-            for q, z in K[p]:
-                AK[q] += y * z
-        for j in range(i, DIM):
-            N[i][j] = N[j][i] = sum(AK[q] * v for q, v in A[j])
-    return N, den ** 3
+        xs[TRIPLE_POS[idx]] = x
+    support = sorted(map(TRIPLE_POS.__getitem__, nums))
+    table = _cubic_table()
+    upper = [0] * len(_UPPER_PAIRS)
+    for n, a in enumerate(support, 1):
+        row, xa = table[a], xs[a]
+        for b in support[n:]:
+            entries = row[b]
+            if entries:
+                xab = xa * xs[b]
+                for c, pos, coef in entries:
+                    xc = xs[c]
+                    if xc is not None:
+                        upper[pos] += coef * xab * xc
+    return [[upper[pos] for pos in row] for row in _UPPER_POS], den ** 3
 
 
 def phi_to_vector(phi: KForm) -> np.ndarray:
@@ -242,27 +292,48 @@ def _bareiss(A):
     """Fraction-free (Bareiss) elimination of the square integer matrix A, in
     place.  Returns (det A, leading): the leading principal minors of A in
     order, up to the first zero one, after which rows are swapped and no
-    further leading minor is known."""
+    further leading minor is known.
+
+    Step k with pivot p_k would rescale every row whose entry in the
+    pivot column is zero by p_k / p_(k-1).  The factors telescope, so such
+    a row is left as it is: it keeps p_s, the pivot of the step that last
+    eliminated it (1 before any), and at step k its value is p_(k-1) / p_s
+    times what it holds.  A zero stays zero under the factor, so a stale
+    row still shows whether it must be eliminated.  The whole factor is
+    applied in one pass when the row is read: to its pivot entry at its own
+    step (after a swap too), to its tail once a row below is eliminated
+    against it, and, folded into the step's division, (p_k y - x z) / p_s,
+    when it is eliminated.  A diagonal A costs one product per pivot; a
+    dense A, whose every row is eliminated at every step, takes the classic
+    path.  The entries left in A are therefore partly stale."""
     n = len(A)
     sign, prev, leading = 1, 1, []
+    last = [1] * n     # last[i]: p_s of row i
     for k in range(n):
-        if 0 not in leading:
-            leading.append(A[k][k])
-        if A[k][k] == 0:
+        rowk = A[k]
+        if rowk[k] == 0:
+            if 0 not in leading:
+                leading.append(0)
             piv = next((r for r in range(k + 1, n) if A[r][k]), None)
             if piv is None:
                 return 0, leading
-            A[k], A[piv] = A[piv], A[k]
+            A[k], A[piv] = A[piv], rowk
+            last[k], last[piv] = last[piv], last[k]
+            rowk = A[k]
             sign = -sign
-        p, rowk = A[k][k], A[k]
+        s = last[k]
+        p = rowk[k] if s == prev else prev * rowk[k] // s
+        if 0 not in leading:
+            leading.append(p)
+        tail = None
         for i in range(k + 1, n):
             rowi = A[i]
             x = rowi[k]
             if x:
-                rowi[k + 1:] = [(p * y - x * z) // prev
-                                for y, z in zip(rowi[k + 1:], rowk[k + 1:])]
-            else:   # the row is only rescaled, as on a diagonal N
-                rowi[k + 1:] = [p * y // prev for y in rowi[k + 1:]]
+                if tail is None:
+                    tail = rowk[k + 1:] if s == prev else [prev * z // s for z in rowk[k + 1:]]
+                si, last[i] = last[i], p
+                rowi[k + 1:] = [(p * y - x * z) // si for y, z in zip(rowi[k + 1:], tail)]
         prev = p
     return sign * prev, leading
 

@@ -112,7 +112,7 @@ def verify_primitive(eqs: StructureEqs, primitive: KForm, target: KForm) -> None
 #  "involution": {"t1": "-1", ...},           # optional diagonal pullback:
 #                                             # 1 or -1 for every generator
 #  "witnesses": {"name": {"primitive": [...], "target": [...]}},  # optional
-#  "domain_volume": "2.0"}                    # optional float constant
+#  "domain_volume": "2.0"}                    # optional, positive and finite
 # --------------------------------------------------------------------------
 
 def _frac(s) -> Fraction:
@@ -211,8 +211,19 @@ def model_from_dict(data) -> InvariantModel:
     for name, w in data.get("witnesses", {}).items():
         wits[name] = (_form_from_json(dim, w["primitive"]),
                       _form_from_json(dim, w["target"]))
-    vol = float(data["domain_volume"]) if "domain_volume" in data else None
+    vol = _domain_volume(data["domain_volume"]) if "domain_volume" in data else None
     return InvariantModel(eqs, named, invo, wits, vol, label=data.get("label", ""))
+
+
+def _domain_volume(s) -> float:
+    """The "domain_volume" entry as a positive finite float."""
+    try:
+        vol = math.nan if isinstance(s, bool) else float(s)
+    except (TypeError, ValueError):
+        vol = math.nan
+    if not (math.isfinite(vol) and vol > 0):     # NaN fails both
+        raise ValueError(f"'domain_volume' must be a positive finite number, got {s!r}")
+    return vol
 
 
 def model_to_dict(model: InvariantModel) -> dict:

@@ -83,7 +83,10 @@ class ScalingExponents:
 
 def solve_scaling(lambdas) -> ScalingExponents:
     """Solve mu_a mu_b mu_c = lambda_t over the seven triples {abc}."""
-    lambdas, pairs = _validated(lambdas)
+    return _solve(*_validated(lambdas))
+
+
+def _solve(lambdas, pairs) -> ScalingExponents:
     mus = []
     for row in _SIXTH_EXPONENTS:
         num = den = 1
@@ -116,7 +119,10 @@ def scaled_volume_factor(lambdas):
     disagreement.  The check is exact at every tuple, vol^3 = prod lambda;
     the law itself is a Fraction when prod lambda is a rational cube and a
     float otherwise."""
-    lambdas, pairs = _validated(lambdas)
+    return _volume_factor(*_validated(lambdas))
+
+
+def _volume_factor(lambdas, pairs):
     vol3 = is_g2_type(_rational_form(pairs)).vol_cubed
     num, den = math.prod(n for n, _ in pairs), math.prod(d for _, d in pairs)
     if vol3.numerator * den != num * vol3.denominator:
@@ -131,7 +137,8 @@ def hitchin_scaling_law(lambdas) -> dict:
     """Bundle (mu, volume factor, definiteness certificate) for one lambda;
     "lambdas" is exact (Fractions) when the mus are, else as given.  The
     volume factor is prod mu by construction (checked on E at import)."""
-    expo = solve_scaling(lambdas)
-    vol = scaled_volume_factor(lambdas)
+    lambdas, pairs = _validated(lambdas)
+    expo = _solve(lambdas, pairs)
+    vol = _volume_factor(lambdas, pairs)
     return {"lambdas": expo.lambdas, "mus": expo.mus, "exact": expo.exact,
             "volume_factor": vol}

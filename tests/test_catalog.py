@@ -108,6 +108,10 @@ def test_class_map_invariant_under_mu():
 # nilmanifold model
 # --------------------------------------------------------------------------
 
+def test_the_nilmanifold_model_is_built_once():
+    assert ffkm_model() is ffkm_model()
+
+
 def test_nilmanifold_family_closed():
     m = ffkm_model()
     for mu in (1, 2, 3):

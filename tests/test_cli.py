@@ -10,6 +10,7 @@ import pytest
 
 from g2calc import catalog, cli, ehmetric
 from g2calc.cli import build_suites, main
+from g2calc.liecdga import model_to_dict
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 VERIFY_IDS = [cid for checks in build_suites(0).values() for cid, _ in checks]
@@ -70,6 +71,21 @@ def test_corrupted_model_fails_naming_the_check(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "check_d_squared" in captured.out + captured.err
+
+
+def test_a_model_with_a_negative_volume_fails_naming_the_key(tmp_path):
+    data = model_to_dict(catalog.nakamura_model())
+    data["domain_volume"] = "-3"
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "report.json"
+    code = run(["verify", "--suite", "liecdga", "--model", str(path), "--out", str(out)])
+    assert code == 1
+    rows = {r["id"]: r for r in json.loads(out.read_text())["checks"]}
+    row = rows["liecdga.check_d_squared.custom_model"]
+    assert row["status"] == "fail"
+    assert "'domain_volume'" in row["detail"] and "'-3'" in row["detail"]
+    assert all(r["status"] == "pass" for cid, r in rows.items() if cid != row["id"])
 
 
 @pytest.mark.parametrize("data, problem", [

@@ -212,6 +212,65 @@ def _random_rational_3form(rng, density):
     return KForm(DIM, 3, RAT, coeffs)
 
 
+def _support_size_forms(rng, size):
+    """Three rational forms on `size` triples: random signed coefficients on
+    a random support; phi_0 on its support (a part of it below seven
+    triples) plus small random terms on the rest; and the negative of that
+    one, definite for the opposite orientation where the second is
+    definite."""
+    def coefficient(scale):
+        return Fraction(int(rng.choice([-1, 1])) * int(rng.integers(1, 13)),
+                        int(rng.integers(1, 10)) * scale)
+
+    standard = [idx for _, idx in STANDARD_PHI_TERMS]
+    others = [idx for idx in combinations(range(1, DIM + 1), 3) if idx not in standard]
+    rest = [others[i] for i in rng.permutation(len(others))]
+    at_random = [g2core.TRIPLES[i] for i in rng.choice(35, size, replace=False)]
+    near = {idx: c for c, idx in STANDARD_PHI_TERMS[:size]}
+    near.update({idx: coefficient(40) for idx in rest[:max(size - DIM, 0)]})
+    phi = KForm(DIM, 3, RAT, near)
+    return [KForm(DIM, 3, RAT, {idx: coefficient(1) for idx in at_random}), phi, -1 * phi]
+
+
+def test_cubic_table_b_matches_the_wedge_reference_at_every_support_size():
+    # the table walks only the pairs of phi's support and the entries whose
+    # third triple is in it too; every support size from the zero form to a
+    # dense one, on definite, indefinite and opposite-orientation forms
+    rng = np.random.default_rng(36)
+    outcomes = {}
+    for size in range(len(g2core.TRIPLES) + 1):
+        for phi in _support_size_forms(rng, size):
+            assert len(phi.coeffs) == size
+            N, d = g2core._bilinear_numerators(phi)
+            assert [[Fraction(x, d) for x in row] for row in N] == _wedge_bilinear(phi)
+            try:
+                is_g2_type(phi)
+                kind = "definite"
+            except OrientationMismatchError:
+                kind = "opposite"
+            except NotStableError:
+                kind = "not stable"
+            outcomes[kind] = outcomes.get(kind, 0) + 1
+    assert min(outcomes.get(k, 0) for k in ("definite", "opposite", "not stable")) >= 10
+
+
+def test_the_cubic_table_has_one_entry_per_monomial_of_n():
+    table = g2core._cubic_table()
+    entries = [(a, b, c, pos, coef) for a, row in enumerate(table)
+               for b, group in enumerate(row) for c, pos, coef in group]
+    assert len(entries) == 735
+    assert len({e[:4] for e in entries}) == 735
+    assert all(a < b < c and coef in (-6, -3, 3, 6) for a, b, c, _, coef in entries)
+    # on the standard form's support only N_ii = +-6 x_a x_b x_c remain
+    support = {g2core.TRIPLE_POS[idx] for _, idx in STANDARD_PHI_TERMS}
+    on_support = [e for e in entries if set(e[:3]) <= support]
+    diagonal = {g2core._UPPER_POS[i][i] for i in range(DIM)}
+    assert len(on_support) == DIM and {e[3] for e in on_support} == diagonal
+    assert {abs(e[4]) for e in on_support} == {6}
+    assert g2core._bilinear_numerators(standard_phi()) == (
+        [[6 * (i == j) for j in range(DIM)] for i in range(DIM)], 1)
+
+
 @pytest.mark.parametrize("density", [0.25, 1.0])
 def test_bilinear_table_matches_wedge_reference_exactly(density):
     rng = np.random.default_rng(3)
@@ -562,29 +621,47 @@ def test_elimination_reports_the_leading_minors():
 
 
 def _structured_cases(n, rng):
-    """Integer matrices whose pivot columns hold zeros below the pivot:
-    diagonal, a row permutation of a diagonal, sparse (a third of the entries
-    nonzero), and singular ones (a zero row; a repeated row)."""
+    """Integer matrices whose pivot columns hold zeros below the pivot, so
+    that rows sit out steps of the elimination and are read later:
+    diagonal (each pivot row is stale), a row permutation of a diagonal and
+    the same with one coupling entry (a stale row is swapped in), sparse (a
+    third of the entries nonzero), block diagonal (rows of the second block
+    are eliminated against a stale pivot row), lower triangular and a row
+    permutation of it (a stale row is eliminated at a later step), and
+    singular ones (a zero row; a repeated row; a row of the second block
+    twice one of the first)."""
+    def entry():
+        return int(rng.integers(1, 20)) * int(rng.choice([-1, 1]))
+
     diag = [[int(rng.integers(1, 50)) * (1 if rng.random() < 0.7 else -1) if r == c else 0
              for c in range(n)] for r in range(n)]
     perm = [diag[i] for i in rng.permutation(n)]
+    coupled = [row[:] for row in perm]
+    coupled[-1][0] = coupled[-1][0] or entry()
     sparse = [[int(rng.integers(-9, 10)) if rng.random() < 0.35 else 0 for _ in range(n)]
               for _ in range(n)]
-    cases = [diag, perm, sparse]
+    cut = int(rng.integers(1, n)) if n > 1 else 1
+    block = [[entry() if (r < cut) == (c < cut) else 0 for c in range(n)] for r in range(n)]
+    lower = [[entry() if c == r or (c < r and rng.random() < 0.5) else 0 for c in range(n)]
+             for r in range(n)]
+    cases = [diag, perm, coupled, sparse, block, lower, [lower[i] for i in rng.permutation(n)]]
     if n >= 2:
         zero_row = [row[:] for row in sparse]
         zero_row[int(rng.integers(n))] = [0] * n
         repeated = [row[:] for row in diag]
         repeated[-1] = [x + y for x, y in zip(repeated[0], repeated[-1])]
         repeated[0] = repeated[-1][:]
-        cases += [zero_row, repeated]
+        multiple = [row[:] for row in block]
+        multiple[-1] = [2 * x for x in block[cut - 1]]
+        cases += [zero_row, repeated, multiple]
     return cases
 
 
 @pytest.mark.parametrize("n", range(1, DIM + 1))
 def test_bareiss_on_structured_matrices_matches_leibniz(n):
-    # a row whose pivot-column entry is zero is only rescaled; the leading
-    # minors, up to the first zero one, and det must match Leibniz
+    # a row whose pivot-column entry is zero is only rescaled, and that
+    # rescaling waits until the row is read; the leading minors, up to the
+    # first zero one, and det must match Leibniz
     rng = np.random.default_rng(90 + n)
     for _ in range(3 if n < DIM else 2):
         for A in _structured_cases(n, rng):
@@ -593,6 +670,26 @@ def test_bareiss_on_structured_matrices_matches_leibniz(n):
             det, leading = g2core._bareiss([row[:] for row in A])
             assert det == minors[-1]
             assert leading == want
+
+
+def test_bareiss_matches_the_fraction_reference_on_random_sparse_matrices():
+    rng = np.random.default_rng(55)
+    swaps = 0
+    for _ in range(600):
+        n = int(rng.integers(1, DIM + 2))
+        density = rng.choice([0.15, 0.3, 0.5, 0.8])
+        A = [[int(rng.integers(-9, 10)) if rng.random() < density else 0 for _ in range(n)]
+             for _ in range(n)]
+        for r in range(n):      # mostly nonsingular: a nonzero diagonal
+            A[r][r] = A[r][r] or int(rng.integers(1, 9))
+        if rng.random() < 0.3:
+            A = [A[i] for i in rng.permutation(n)]
+        minors = [_fraction_det([row[:k] for row in A[:k]]) for k in range(1, n + 1)]
+        want = minors[:minors.index(0) + 1] if 0 in minors[:-1] else minors
+        det, leading = g2core._bareiss([row[:] for row in A])
+        assert det == minors[-1] and leading == want
+        swaps += 0 in minors[:-1]
+    assert swaps >= 50
 
 
 def test_inverse_exact_matches_the_fraction_reference():

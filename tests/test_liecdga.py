@@ -124,6 +124,10 @@ BAD_MODELS = {
                                  "repeats an axis"),
     "repeated_axis_witness": (dict(_two_dim_model(), witnesses={"w": {
         "primitive": [["1", [1]]], "target": [["1", [2, 2]]]}}), "repeats an axis"),
+    **{f"domain_volume_{v}": (dict(_two_dim_model(), domain_volume=v),
+                              re.escape(f"'domain_volume' must be a positive finite number, "
+                                        f"got {v!r}"))
+       for v in ("-3", "0", "nan", "inf", True)},
 }
 
 
@@ -132,6 +136,13 @@ def test_model_from_dict_rejects_malformed_input(case):
     data, problem = BAD_MODELS[case]
     with pytest.raises(ValueError, match=problem):
         model_from_dict(data)
+
+
+def test_a_positive_domain_volume_loads_and_survives_the_round_trip():
+    assert model_from_dict(dict(_two_dim_model(), domain_volume="2.0")).domain_volume == 2.0
+    m = nakamura_model()
+    assert m.domain_volume > 0
+    assert model_from_dict(model_to_dict(m)).domain_volume == m.domain_volume
 
 
 def test_a_zero_denominator_in_a_model_file_is_refused_by_name(tmp_path):

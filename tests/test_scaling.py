@@ -272,6 +272,20 @@ def test_non_finite_floats_are_refused_by_name(bad, monkeypatch):
             assert not isinstance(err.value, NonPositiveScaleError)
 
 
+def test_the_law_validates_lambda_once(monkeypatch):
+    # solve_scaling and scaled_volume_factor each validate; the law shares
+    # their bodies and validates its tuple once
+    calls = []
+    validated = scaling._validated
+    monkeypatch.setattr(scaling, "_validated", lambda l: calls.append(l) or validated(l))
+    lams = [Fraction(3, 2), 2, 0.5, 1, 8, Fraction(1, 3), 4.0]
+    out = hitchin_scaling_law(lams)
+    assert len(calls) == 1
+    assert out["mus"] == solve_scaling(lams).mus
+    assert out["volume_factor"] == scaled_volume_factor(lams)
+    assert len(calls) == 3
+
+
 @pytest.mark.parametrize("make", [np.int64, np.int32, np.uint8], ids=lambda t: t.__name__)
 def test_numpy_integers_are_exact_integers(make):
     # a numpy integer used to take the float path: 8^7 gave a volume factor

@@ -39,6 +39,8 @@ NO_CALLER_IN_SRC = {
     # waiting for the certified cutoff (ROADMAP item 9)
     "catalog.CutoffFn.deriv_bound": "the bound the certified cutoff proves",
     "catalog.CutoffFn.certify": "the grid check the certified cutoff replaces",
+    # hitchin_scaling_law validates lambda once and calls the shared body
+    "scaling.solve_scaling": "the frame scales alone, for a caller outside src",
 }
 
 
