@@ -3,13 +3,20 @@
 * A mapping-torus product ``N = X x S^1`` of a complex solvmanifold X,
   carrying an invariant SU(2)-type fiber structure (omega, rho, Omega) and a
   four-parameter family of closed definite 3-forms phi(alpha, beta, lambda)
-  together with a cohomology-class detector ch.
+  together with a cohomology-class detector ch.  The family is linear in
+  six fixed basis 3-forms (g^123, g^1 ^ omega and g^2, g^3 wedged with
+  Re Omega and Im Omega), which are wedged once per model, on first use;
+  phi(alpha, beta, lambda; mu) is their sum with the parameters' products
+  as coefficients, over one common denominator.  ch's five pairing 4-forms
+  and its unit are made once per model in the same way.
 
 * A 2-step nilmanifold M with a non-free involution, its orbifold quotient,
   chart coordinates around the singular locus, a cutoff-glued family of
   definite 3-forms with unbounded volume in a fixed class, the surgery data
   for resolving the singular locus by Eguchi-Hanson interpolation, and the
   region-by-region primitive ledger certifying exactness of phi^mu - phi.
+  Its invariant family phi-check^mu is the same kind of sum, of the flat
+  form and theta^123.
 
 All polynomial identities here are verified in exact rational arithmetic;
 the smooth cutoff enters numerically only.  Each sampled quantity (the
@@ -30,7 +37,7 @@ import numpy as np
 
 from .ehmetric import (_UPPER, _plateau, _plateau_integral, build_profile,
                        default_t_for_epsilon, fd_d, omega_at)
-from .forms import KForm, PolynomialMap, chart_vars, merge_sign, poly_ring
+from .forms import KForm, PolynomialMap, _add_term, chart_vars, merge_sign, poly_ring
 from .g2core import (TRIPLE_POS, TRIPLES, is_g2_type, metric_batch, norm_batch,
                      phi_to_vector)
 from .liecdga import InvariantModel, StructureEqs, check_d_squared, d_invariant
@@ -173,48 +180,73 @@ def _lam_sq(lam):
     return re ** 2 + im ** 2
 
 
+def _combination(terms) -> KForm:
+    """sum_k c_k F_k for exact scalars c_k and rational 3-forms F_k, given
+    as their (numerators, D_k), over one common denominator.  Keys come in
+    order of first appearance and a sum that cancels drops its key, as
+    adding the forms c_k F_k one by one does; a zero c_k adds nothing."""
+    terms = list(terms)
+    den = math.lcm(*(c.denominator * d for c, (_, d) in terms))
+    out = {}
+    for c, (num, d) in terms:
+        f = c.numerator * (den // (c.denominator * d))
+        for idx, n in num.items():
+            _add_term(out, idx, f * n)
+    return KForm._trusted(7, 3, RAT, out, den)
+
+
+@cache
+def _phi_basis(model: InvariantModel) -> tuple:
+    """The basis 3-forms of phi(alpha, beta, lambda; mu) on `model`, as
+    (numerators, denominator): g^123, g^1 ^ omega, g^2 ^ Re Omega,
+    g^2 ^ Im Omega, g^3 ^ Im Omega and g^3 ^ Re Omega.  Made once per model,
+    on first use."""
+    nf = model.named_forms
+    g1, g2, g3 = nf["g1"], nf["g2"], nf["g3"]
+    re_om, im_om = nf["Omega_re"], nf["Omega_im"]
+    return tuple(f._ints() for f in (g1.wedge(g2).wedge(g3), g1.wedge(nf["omega"]),
+                                     g2.wedge(re_om), g2.wedge(im_om),
+                                     g3.wedge(im_om), g3.wedge(re_om)))
+
+
 def phi_abl(alpha, beta, lam, model: InvariantModel | None = None) -> KForm:
     """phi(alpha, beta, lambda) = alpha beta g^{123} + alpha g^1 ^ omega
     - beta g^2 ^ Re(lambda Omega) + g^3 ^ Im(lambda Omega), a rational form
     for every finite parameter: a float is read by its binary value."""
-    alpha, beta = _exact_real(alpha, "alpha"), _exact_real(beta, "beta")
+    return phi_abl_mu(alpha, beta, lam, 1, model)
+
+
+def phi_abl_mu(alpha, beta, lam, mu, model: InvariantModel | None = None) -> KForm:
+    """Same family with the fiber symplectic term inflated by mu^6; lies in
+    the class of phi(alpha, beta, lambda) with primitive (mu^6-1)/2 alpha rho.
+    The basis forms of `_phi_basis` with the coefficients alpha beta,
+    alpha mu^6, -beta Re lambda, beta Im lambda, Re lambda and Im lambda."""
+    alpha, mu = _exact_real(alpha, "alpha"), _exact_real(mu, "mu")
+    if mu < 1:
+        raise ValueError("mu must be >= 1")
+    beta = _exact_real(beta, "beta")
     if alpha == 0 or beta == 0:
         raise ValueError("alpha, beta must be nonzero")
     re, im = _lam_parts(lam)
     if re == 0 and im == 0:
         raise ValueError("lambda must be nonzero")
-    m = model or nakamura_model()
-    nf = m.named_forms
-    re_l_om = re * nf["Omega_re"] - im * nf["Omega_im"]
-    im_l_om = re * nf["Omega_im"] + im * nf["Omega_re"]
-    g1, g2, g3 = nf["g1"], nf["g2"], nf["g3"]
-    return ((alpha * beta) * g1.wedge(g2).wedge(g3)
-            + alpha * g1.wedge(nf["omega"])
-            - beta * g2.wedge(re_l_om)
-            + g3.wedge(im_l_om))
+    coeffs = (alpha * beta, alpha * mu ** 6, -beta * re, beta * im, re, im)
+    return _combination(zip(coeffs, _phi_basis(model or nakamura_model())))
 
 
-def phi_abl_mu(alpha, beta, lam, mu, model: InvariantModel | None = None) -> KForm:
-    """Same family with the fiber symplectic term inflated by mu^6; lies in
-    the class of phi(alpha, beta, lambda) with primitive (mu^6-1)/2 alpha rho."""
-    alpha, mu = _exact_real(alpha, "alpha"), _exact_real(mu, "mu")
-    if mu < 1:
-        raise ValueError("mu must be >= 1")
-    m = model or nakamura_model()
-    base = phi_abl(alpha, beta, lam, m)
-    extra = (alpha * (mu ** 6 - 1)) * m.named_forms["g1"].wedge(m.named_forms["omega"])
-    return base + extra
-
-
-#: pairing forms of the class detector, ordered so that
-#: ch(phi(alpha, beta, lambda)) = (alpha beta, Re l, Im l, beta Re l, beta Im l)
-def _ch_pairings(model: InvariantModel):
+@cache
+def _ch_data(model: InvariantModel) -> tuple:
+    """(pairings, unit) of the class detector on `model`, made once per
+    model: the five pairing 4-forms, ordered so that
+    ch(phi(alpha, beta, lambda)) = (alpha beta, Re l, Im l, beta Re l,
+    beta Im l), and top(g^{123} ^ (Re Omega)^2)."""
     nf = model.named_forms
     g1, g2, g3 = nf["g1"], nf["g2"], nf["g3"]
     re_om, im_om = nf["Omega_re"], nf["Omega_im"]
     g12, g13 = g1.wedge(g2), g1.wedge(g3)
-    return (re_om.wedge(re_om), g12.wedge(im_om), g12.wedge(re_om),
-            g13.wedge(re_om), -1 * g13.wedge(im_om))
+    pairings = (re_om.wedge(re_om), g12.wedge(im_om), g12.wedge(re_om),
+                g13.wedge(re_om), -1 * g13.wedge(im_om))
+    return pairings, g12.wedge(g3).wedge(pairings[0]).top_coefficient()
 
 
 def ch_map(xi: KForm, model: InvariantModel | None = None) -> tuple:
@@ -222,10 +254,7 @@ def ch_map(xi: KForm, model: InvariantModel | None = None) -> tuple:
     4-forms, normalised so the distinguished volume g^{123}^(Re Omega)^2
     integrates to 1 (i.e. values are in units of the fundamental-domain
     constant A)."""
-    m = model or nakamura_model()
-    pairings = _ch_pairings(m)
-    unit = m.named_forms["g1"].wedge(m.named_forms["g2"]).wedge(m.named_forms["g3"]) \
-        .wedge(pairings[0]).top_coefficient()
+    pairings, unit = _ch_data(model or nakamura_model())
     out = []
     for eta in pairings:
         c = xi.wedge(eta).top_coefficient()
@@ -242,6 +271,8 @@ _FFKM_TERMS = (((1, 2, 3), 1), ((1, 4, 5), 1), ((1, 6, 7), 1), ((2, 4, 6), -1),
                ((2, 5, 7), 1), ((3, 4, 7), 1), ((3, 5, 6), 1))
 #: the flat FFKM 3-form, the invariant form "phi" of ffkm_model()
 _FFKM_PHI = KForm.from_terms(7, 3, _FFKM_TERMS, RAT)
+#: theta^{123} as (numerators, denominator)
+_THETA123 = ({(1, 2, 3): 1}, 1)
 
 
 @cache
@@ -273,7 +304,7 @@ def phi_check_mu(mu) -> KForm:
     """Invariant family mu^6 theta^{123} + (remaining six terms of phi), a
     rational form for every finite mu: a float is read by its binary value."""
     mu = _exact_real(mu, "mu")
-    return _FFKM_PHI + (mu ** 6 - 1) * KForm.basis(7, (1, 2, 3))
+    return _combination(((1, _FFKM_PHI._ints()), (mu ** 6 - 1, _THETA123)))
 
 
 # ----- charts around the singular locus ------------------------------------

@@ -15,11 +15,12 @@ integers and build no Fraction; Fractions are made only when `coeffs` is
 read.
 
 Every multi-index has a 7-bit mask in `_MASKS` (bit i-1 set for axis i).
-The index-pair loops of `wedge`, `d_chart` and `liecdga.d_invariant` test
-two masks for a shared bit before they call `merge_sign`, so a pair that
-repeats an axis costs one integer AND; `merge_sign` still gives the sign and
-the merged index of every disjoint pair.  A top-degree wedge looks each left
-term's one partner up by the complement of its mask.
+The index-pair loops of `wedge`, `d_chart` and the table rows of
+`liecdga.StructureEqs` test two masks for a shared bit before they call
+`merge_sign`, so a pair that repeats an axis costs one integer AND;
+`merge_sign` still gives the sign and the merged index of every disjoint
+pair.  A top-degree wedge looks each left term's one partner up by the
+complement of its mask.
 '''
 from __future__ import annotations
 

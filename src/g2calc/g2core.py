@@ -531,28 +531,37 @@ def norm_batch(g: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
 
 def star_parts(data: G2Data, a: KForm):
-    """(Y, p) with *a = r^p Y for a rational k-form a and the data of a
-    rational 3-form: Y a rational (7-k)-form, p = (k+1) mod 3.  By
-    sqrt(det g) = r / 6 and Jacobi's identity, (*a)_{I'} = sign(I, I')
-    (-1)^(sum I) 6 r^(k+1) / (d^(7-k) r^9) sum_J (-1)^(sum J) a_J
-    det N[I', J'].  Raises TypeError for a float or polynomial form."""
+    """(Y, p) with *a = r^p Y for a rational k-form a on the 7-dim frame
+    and the data of a rational 3-form: Y a rational (7-k)-form,
+    p = (k+1) mod 3.  By sqrt(det g) = r / 6 and Jacobi's identity,
+    (*a)_{I'} = sign(I, I') (-1)^(sum I) 6 r^(k+1) / (d^(7-k) r^9)
+    sum_J (-1)^(sum J) a_J det N[I', J'].  With r^(k+1) = r^p (r^3)^q and
+    r^3 = n / m in lowest terms, the constant is the integer ratio
+    6 m^(3-q) / (d^(7-k) n^(3-q)).  Complements whose sum has no term are
+    skipped; Y keeps the complements' order.  Raises TypeError for a float
+    or polynomial form and ValueError for a form in another dimension."""
     if a.ring != RAT:
         raise TypeError("the Hodge star takes a rational form")
+    if a.dim != DIM:
+        raise ValueError(f"the Hodge star takes a form in dimension {DIM}, "
+                         f"got dimension {a.dim}")
     k = a.degree
     na, da = a._ints()
     sums = _jacobi_sums(data, na)
-    # r^(k+1) = r^p (r^3)^q, and r^9 = (r^3)^3
     q, p = divmod(k + 1, 3)
-    c = Fraction(6, data._ints[1] ** (DIM - k)) / data._r3 ** (3 - q)
-    num = {comp: sign * c.numerator * sums.get(mask, 0)
-           for comp, (mask, sign) in zip(_COMPLEMENTS[k], _STAR_ROWS[k])}
-    return KForm._trusted(DIM, DIM - k, RAT, num, c.denominator * da), p
+    r3 = data._r3
+    c = 6 * r3.denominator ** (3 - q)
+    num = {comp: sign * c * sums[mask]
+           for comp, (mask, sign) in zip(_COMPLEMENTS[k], _STAR_ROWS[k]) if mask in sums}
+    den = data._ints[1] ** (DIM - k) * r3.numerator ** (3 - q) * da
+    return KForm._trusted(DIM, DIM - k, RAT, num, den), p
 
 
 def hodge_star(data: G2Data, a: KForm) -> KForm:
     """Hodge star for the metric of `data`, defined by a ^ *b = <a,b> vol:
     r^p Y for (Y, p) = star_parts(data, a).  It is a rational form where
-    r^p is rational (exact data, or k = 2, 5) and float(r^p) Y otherwise."""
+    r^p is rational (exact data, or k = 2, 5) and float(r^p) Y otherwise;
+    it refuses what star_parts refuses."""
     y, p = star_parts(data, a)
     return data.r_power(p) * y if p else y
 

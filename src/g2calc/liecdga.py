@@ -1,9 +1,14 @@
 '''Invariant differential on a framed Lie-group quotient.
 
 Structure equations prescribe d of each coframe generator as a constant
-2-form; d extends to all invariant forms as a degree-one derivation.  This
-module also handles the JSON model-file format used by the built-in
-catalogue and by the command line tool.
+2-form; d extends to all invariant forms as a degree-one derivation.  d is
+linear with constant coefficients, so StructureEqs keeps it as a table:
+the row of a multi-index I lists d(theta^I) as (merged index, signed
+integer constant over the lcm of the equations' denominators), in the
+order of the derivation's sum, and is filled on the first use of I.
+`d_invariant` is one loop over a form's terms and their rows, for every
+ring.  This module also handles the JSON model-file format used by the
+built-in catalogue and by the command line tool.
 '''
 from __future__ import annotations
 
@@ -24,7 +29,8 @@ class PrimitiveMismatch(ValueError):
 
 
 class StructureEqs:
-    """d(theta^i) for each generator, as constant-coefficient 2-forms."""
+    """d(theta^i) for each generator, as constant-coefficient 2-forms, and
+    d(theta^I) for each multi-index I, as a table row made on first use."""
 
     def __init__(self, dim: int, d_gen, generators=None):
         self.dim = dim
@@ -32,55 +38,83 @@ class StructureEqs:
             f"t{i}" for i in range(1, dim + 1))
         if len(self.generators) != dim:
             raise ValueError("need one generator name per axis")
-        self.d_gen = []
+        checked = []
         for i in range(dim):
             f = d_gen[i]
             if f is None:
                 f = KForm.zero(dim, 2, RAT)
             if f.degree != 2 or f.dim != dim or f.ring != RAT:
                 raise ValueError("structure equations must be rational 2-forms")
-            self.d_gen.append(f)
-        # d_invariant's integer table: d(theta^i) as (pair, mask of pair, n)
-        # rows over self._den
+            checked.append(f)
+        # a tuple, so that the table built from it cannot go stale
+        self.d_gen = tuple(checked)
+        # d(theta^i) as (pair, mask of pair, n) rows over self._den
         ints = [f._ints() for f in self.d_gen]
         self._den = math.lcm(*(d for _, d in ints))
-        self._rows = [[(pair, _MASKS[pair], n * (self._den // d)) for pair, n in num.items()]
-                      for num, d in ints]
+        self._gen_rows = tuple(
+            tuple((pair, _MASKS[pair], n * (self._den // d)) for pair, n in num.items())
+            for num, d in ints)
+        # multi-index -> row of d; ring -> {k: k / _den in that ring}
+        self._table, self._scalars = {}, {}
+
+    def _row(self, idx) -> tuple:
+        """d(theta^idx) as (merged index, k) pairs, k / _den the signed
+        constant: sum_k (-1)^(k-1) theta^(i_1..) ^ d(theta^(i_k)) ^ ..,
+        term by term in that order.  A pair of d(theta^(i_k)) whose mask
+        meets that of the rest of idx repeats an axis and is skipped before
+        merge_sign.  Kept in the table."""
+        m = _MASKS[idx]
+        row = []
+        for pos, axis in enumerate(idx):
+            rest = idx[:pos] + idx[pos + 1:]
+            m_rest = m ^ (1 << (axis - 1))
+            for pair, m_pair, n in self._gen_rows[axis - 1]:
+                if m_pair & m_rest:
+                    continue
+                merged, sign = merge_sign(pair, rest)
+                row.append((merged, n if (sign == 1) == (pos % 2 == 0) else -n))
+        row = self._table[idx] = tuple(row)
+        return row
+
+    def _in_ring(self, ring) -> dict:
+        """Each constant k of the table as k / _den in a non-rational ring,
+        made on the first d of a form in that ring."""
+        scalars = self._scalars.get(ring)
+        if scalars is None:
+            scalars = self._scalars[ring] = {
+                k: coerce_to(ring, Fraction(k, self._den))
+                for row in self._gen_rows for _, _, n in row for k in (n, -n)}
+        return scalars
 
 
 def d_invariant(eqs: StructureEqs, form: KForm) -> KForm:
     """Derivation extension of the structure equations.
 
     d(theta^I) = sum_k (-1)^{k-1} theta^{i_1..} ^ d(theta^{i_k}) ^ ..theta^{i_m},
-    collected with constant coefficients.  A rational form runs on its integer
-    numerators and those of eqs' table, over the product of the denominators.
-    A pair of d(theta^{i_k}) whose mask meets that of the rest of I repeats an
-    axis and is skipped before merge_sign.
+    collected with constant coefficients: each term of the form meets the
+    table row of its index.  A rational form runs on its integer numerators
+    and the row's integers, over the product of the denominators; a float
+    or polynomial coefficient meets each constant in its own ring.  Raises
+    ValueError when the form's dimension is not that of the equations.
     """
     dim = eqs.dim
+    if form.dim != dim:
+        raise ValueError(f"d_invariant got a form in dimension {form.dim} for "
+                         f"structure equations in dimension {dim}")
     if form.degree >= dim:
         return KForm.zero(dim, dim, form.ring)
     if form.ring == RAT:
         terms, den = form._ints()
-        rows, den = eqs._rows, den * eqs._den
+        den, scalars = den * eqs._den, None
     else:
-        terms, den = form.coeffs, None
-        rows = [[(pair, _MASKS[pair], coerce_to(form.ring, c)) for pair, c in dg.coeffs.items()]
-                for dg in eqs.d_gen]
-    out = {}
+        terms, den, scalars = form.coeffs, None, eqs._in_ring(form.ring)
+    table, out = eqs._table, {}
     for idx, c in terms.items():
-        m = _MASKS[idx]
-        for pos, axis in enumerate(idx):
-            rest = idx[:pos] + idx[pos + 1:]
-            m_rest = m ^ (1 << (axis - 1))
-            for pair, m_pair, c2 in rows[axis - 1]:
-                if m_pair & m_rest:
-                    continue
-                merged, sign = merge_sign(pair, rest)
-                total = c * c2
-                if (sign == 1) != (pos % 2 == 0):
-                    total = -total
-                _add_term(out, merged, total)
+        row = table.get(idx)
+        if row is None:
+            row = eqs._row(idx)
+        for merged, k in row:
+            _add_term(out, merged, c * k if scalars is None else c * scalars[k])
     return KForm._trusted(dim, form.degree + 1, form.ring, out, den)
 
 

@@ -17,13 +17,15 @@ Each entry point checks lambda by one function (seven finite, positive
 reals; no bools) and reads it exactly, a float by its binary value (8.0 is
 8, 0.1 is 3602879701896397 / 2^55), so one path serves every lambda.  A
 rational lambda_t = n_t / d_t is carried as the integer pair (n_t, d_t):
-phi_(lambda) has numerators over lcm(d_t), prod lambda is (prod n_t, prod
-d_t), and mu_i = prod_t lambda_t^{E[i][t] / 6}, with E = 6 M^-1 an integer
-matrix (checked at import), comes from one integer numerator and
-denominator of mu_i^6 (n_t^e up and d_t^e down for e > 0, the other way
-round for e < 0) reduced by one gcd.  Every root is an integer root of a
-reduced pair, or a float where it is irrational (`rings._float_root`); the
-solve is exact when every mu_i^6 is a sixth power.
+phi_(lambda) has numerators over lcm(d_t), and prod lambda is P = (prod n_t,
+prod d_t).  The frame scales solve M log(mu) = log(lambda); row i of
+E = 6 M^-1 is 2 on the three triples through axis i and -1 elsewhere
+(checked against the exact inverse at import), so mu_i^6 = L_i^3 / P with
+L_i the product of the three lambda_t through axis i.  mu_i^6 is one
+integer numerator and denominator reduced by one gcd.  Every root is an
+integer root of a reduced pair, or a float where it is irrational
+(`rings._float_root`); the solve is exact when every mu_i^6 is a sixth
+power.
 '''
 from __future__ import annotations
 
@@ -42,14 +44,18 @@ INCIDENCE = [[1 if i in t else 0 for i in range(1, DIM + 1)] for _, t in STANDAR
 
 INCIDENCE_INV = inverse_exact(INCIDENCE)   # entries in (1/6)Z
 
-if any((6 * x).denominator != 1 for row in INCIDENCE_INV for x in row):
-    raise AssertionError("incidence inverse should be sixth-integral")
-#: E = 6 M^-1, the integer exponents of mu_i^6 = prod_t lambda_t^E[i][t]
-_SIXTH_EXPONENTS = tuple(tuple(int(6 * x) for x in row) for row in INCIDENCE_INV)
-# every column of E sums to 2, so prod mu^6 = (prod lambda)^2 = vol^6: the
-# frame scales give the volume law by construction
-if any(sum(col) != 2 for col in zip(*_SIXTH_EXPONENTS)):
-    raise AssertionError("the columns of 6 M^-1 should sum to 2")
+#: per axis i, the positions t of the three terms whose triples hold i and
+#: of the four that do not
+_TERMS_BY_AXIS = tuple(
+    tuple(tuple(t for t, (_, triple) in enumerate(STANDARD_PHI_TERMS) if (i in triple) == on)
+          for on in (True, False))
+    for i in range(1, DIM + 1))
+# 6 M^-1 is 2 on the triples through i and -1 elsewhere, so mu_i^6 =
+# L_i^3 / P; every column sums to 3 * 2 - 4 = 2, so prod mu^6 = (prod
+# lambda)^2 = vol^6: the frame scales give the volume law by construction
+if [[6 * x for x in row] for row in INCIDENCE_INV] != [
+        [2 if t in through else -1 for t in range(DIM)] for through, _ in _TERMS_BY_AXIS]:
+    raise AssertionError("6 M^-1 should be 2 on the triples through each axis, -1 elsewhere")
 
 
 class InvalidScaleError(ValueError):
@@ -87,16 +93,13 @@ def solve_scaling(lambdas) -> ScalingExponents:
 
 
 def _solve(lambdas, pairs) -> ScalingExponents:
+    ns, ds = [n for n, _ in pairs], [d for _, d in pairs]
     mus = []
-    for row in _SIXTH_EXPONENTS:
-        num = den = 1
-        for (n, d), e in zip(pairs, row):
-            if e > 0:
-                num *= n ** e
-                den *= d ** e
-            elif e < 0:
-                num *= d ** -e
-                den *= n ** -e
+    for (a, b, c), (w, x, y, z) in _TERMS_BY_AXIS:
+        # mu_i^6 = L_i^3 / P = L_i^2 / (P / L_i), the last over the four
+        # terms off axis i
+        num = (ns[a] * ns[b] * ns[c]) ** 2 * ds[w] * ds[x] * ds[y] * ds[z]
+        den = (ds[a] * ds[b] * ds[c]) ** 2 * ns[w] * ns[x] * ns[y] * ns[z]
         g = math.gcd(num, den)
         num, den = num // g, den // g
         mus.append(_ratio_root(num, den, 6)
@@ -136,7 +139,7 @@ def _volume_factor(lambdas, pairs):
 def hitchin_scaling_law(lambdas) -> dict:
     """Bundle (mu, volume factor, definiteness certificate) for one lambda;
     "lambdas" is exact (Fractions) when the mus are, else as given.  The
-    volume factor is prod mu by construction (checked on E at import)."""
+    volume factor is prod mu by construction (checked on 6 M^-1 at import)."""
     lambdas, pairs = _validated(lambdas)
     expo = _solve(lambdas, pairs)
     vol = _volume_factor(lambdas, pairs)

@@ -1,14 +1,21 @@
 """Independent references that the tests hold the package's kernels against:
-the interior product and one-point evaluation of a form, the inverse metric
-and exact inner product of G2Data, and the closed form and right-hand side
-of the scalar flow line.  No code in src/g2calc calls them."""
+the interior product and one-point evaluation of a form; the inverse metric,
+exact inner product and Fraction-constant star of G2Data; the closed form
+and right-hand side of the scalar flow line; the closed families and class
+detector built by wedges of the model's named forms; and the frame scales
+of the volume law by a walk over the exponent matrix E = 6 M^-1.  No code
+in src/g2calc calls them."""
+import math
 from fractions import Fraction
 from typing import Mapping
 
 from g2calc import g2core
+from g2calc.catalog import _FFKM_PHI, _lam_parts, nakamura_model
 from g2calc.flow import _mu_closed, _mu_dot, _rate_constants
 from g2calc.forms import KForm
-from g2calc.rings import FLT, RAT, MixedRingError, coerce_to, ring_of
+from g2calc.rings import (FLT, RAT, MixedRingError, _exact_real, _float_root, _ratio_root,
+                          coerce_to, ring_of)
+from g2calc.scaling import INCIDENCE_INV, InvalidScaleError, ScalingExponents, _validated
 
 
 def contract(form: KForm, vector) -> KForm:
@@ -70,6 +77,19 @@ def inner_product(data, a: KForm, b: KForm):
     return data.r_power(p - 1) * x if p else data.r_power(2) * x / data._r3
 
 
+def star_parts_fraction(data, a: KForm):
+    """g2core.star_parts with its constant 6 / (d^(7-k) (r^3)^(3-q)) as a
+    Fraction and a row for every complement of a's degree."""
+    k = a.degree
+    na, da = a._ints()
+    sums = g2core._jacobi_sums(data, na)
+    q, p = divmod(k + 1, 3)
+    c = Fraction(6, data._ints[1] ** (g2core.DIM - k)) / data._r3 ** (3 - q)
+    num = {comp: sign * c.numerator * sums.get(mask, 0)
+           for comp, (mask, sign) in zip(g2core._COMPLEMENTS[k], g2core._STAR_ROWS[k])}
+    return KForm._trusted(g2core.DIM, g2core.DIM - k, RAT, num, c.denominator * da), p
+
+
 def flow_closed_form(alpha, lam, t) -> float:
     """mu(t) along the flow line through phi(alpha, beta, lambda)."""
     if t < 0:
@@ -82,3 +102,78 @@ def mu_dot(alpha, lam, mu: float) -> float:
     """The flow ODE's right-hand side, 2 L^(2/3) / (3 alpha^2 mu^7)."""
     two_l23, _, three_a2 = _rate_constants(alpha, lam)
     return _mu_dot(two_l23, three_a2, float(mu))
+
+
+def phi_abl(alpha, beta, lam, model=None) -> KForm:
+    """phi(alpha, beta, lambda) as four wedges of the model's named forms:
+    alpha beta g^123 + alpha g^1 ^ omega - beta g^2 ^ Re(lambda Omega)
+    + g^3 ^ Im(lambda Omega)."""
+    alpha, beta = _exact_real(alpha, "alpha"), _exact_real(beta, "beta")
+    if alpha == 0 or beta == 0:
+        raise ValueError("alpha, beta must be nonzero")
+    re, im = _lam_parts(lam)
+    if re == 0 and im == 0:
+        raise ValueError("lambda must be nonzero")
+    nf = (model or nakamura_model()).named_forms
+    re_l_om = re * nf["Omega_re"] - im * nf["Omega_im"]
+    im_l_om = re * nf["Omega_im"] + im * nf["Omega_re"]
+    g1, g2, g3 = nf["g1"], nf["g2"], nf["g3"]
+    return ((alpha * beta) * g1.wedge(g2).wedge(g3)
+            + alpha * g1.wedge(nf["omega"])
+            - beta * g2.wedge(re_l_om)
+            + g3.wedge(im_l_om))
+
+
+def phi_abl_mu(alpha, beta, lam, mu, model=None) -> KForm:
+    """phi(alpha, beta, lambda) plus alpha (mu^6 - 1) g^1 ^ omega."""
+    alpha, mu = _exact_real(alpha, "alpha"), _exact_real(mu, "mu")
+    if mu < 1:
+        raise ValueError("mu must be >= 1")
+    nf = (model or nakamura_model()).named_forms
+    return (phi_abl(alpha, beta, lam, model)
+            + (alpha * (mu ** 6 - 1)) * nf["g1"].wedge(nf["omega"]))
+
+
+def phi_check_mu(mu) -> KForm:
+    """The flat FFKM form plus (mu^6 - 1) theta^123."""
+    return _FFKM_PHI + (_exact_real(mu, "mu") ** 6 - 1) * KForm.basis(7, (1, 2, 3))
+
+
+def ch_map(xi: KForm, model=None) -> tuple:
+    """The five class pairings of xi, each 4-form and the unit wedged anew."""
+    nf = (model or nakamura_model()).named_forms
+    g1, g2, g3 = nf["g1"], nf["g2"], nf["g3"]
+    re_om, im_om = nf["Omega_re"], nf["Omega_im"]
+    pairings = (re_om.wedge(re_om), g1.wedge(g2).wedge(im_om), g1.wedge(g2).wedge(re_om),
+                g1.wedge(g3).wedge(re_om), -1 * g1.wedge(g3).wedge(im_om))
+    unit = g1.wedge(g2).wedge(g3).wedge(pairings[0]).top_coefficient()
+    out = []
+    for eta in pairings:
+        c = xi.wedge(eta).top_coefficient()
+        out.append(Fraction(c) / Fraction(unit) if xi.ring == RAT else float(c) / float(unit))
+    return tuple(out)
+
+
+def solve_scaling(lambdas) -> ScalingExponents:
+    """mu_i = (prod_t lambda_t^E[i][t])^(1/6) by a walk over each row of the
+    integer matrix E = 6 M^-1: n_t^e up and d_t^e down for e > 0, the other
+    way round for e < 0, reduced by one gcd."""
+    lambdas, pairs = _validated(lambdas)
+    mus = []
+    for row in INCIDENCE_INV:
+        num = den = 1
+        for (n, d), x in zip(pairs, row):
+            e = int(6 * x)
+            if e > 0:
+                num *= n ** e
+                den *= d ** e
+            elif e < 0:
+                num *= d ** -e
+                den *= n ** -e
+        g = math.gcd(num, den)
+        num, den = num // g, den // g
+        mus.append(_ratio_root(num, den, 6)
+                   or _float_root(num, den, 6, lambdas, InvalidScaleError))
+    if all(type(m) is Fraction for m in mus):
+        return ScalingExponents(tuple(Fraction(n, d) for n, d in pairs), tuple(mus), True)
+    return ScalingExponents(lambdas, tuple(float(m) for m in mus), False)

@@ -16,8 +16,9 @@ from g2calc.catalog import (ResolutionForms, ch_map, ffkm_model,
                             resolution_boundary_identity)
 from g2calc.forms import KForm
 from g2calc.g2core import TRIPLES, is_g2_type, metric_batch, phi_to_vector
-from g2calc.liecdga import d_invariant
+from g2calc.liecdga import InvariantModel, d_invariant
 from g2calc.rings import FLT, RAT
+import oracles
 from oracles import eval_at
 
 Q = Fraction
@@ -84,6 +85,74 @@ def test_float_parameters_give_the_rational_family():
     assert got == phi_abl_mu(2, 1, (1, 1), Q(3, 2))
     assert got.ring == RAT
     assert phi_abl(np.float32(0.5), 1, 1 + 2j) == phi_abl(Q(1, 2), 1, (1, 2))
+
+
+def _same_form(got, want):
+    assert got == want
+    assert list(got.coeffs.items()) == list(want.coeffs.items())
+    assert list(got._ints()[0].items()) == list(want._ints()[0].items())
+
+
+# real, imaginary and complex lambda, given as a number, a pair or a complex
+FAMILY_LAMBDAS = [1, -3, 2.5, (0, 2), (0, -0.75), 3j, (Q(1, 2), Q(-3, 4)), 1 + 2j,
+                  (0.1, 2.5), (-2, 0)]
+
+
+def _model_with_fractional_forms():
+    """The product model with its named 1- and 2-forms rescaled by
+    fractions, so that its basis 3-forms have denominators other than 1."""
+    m = nakamura_model()
+    scales = {"g1": Q(1, 2), "g3": Q(-3, 5), "omega": Q(2, 3), "Omega_re": Q(5, 7),
+              "Omega_im": 3}
+    named = {k: scales.get(k, 1) * f for k, f in m.named_forms.items()}
+    return InvariantModel(m.eqs, named, label="rescaled")
+
+
+@pytest.mark.parametrize("mu", [1, Q(3, 2), 1.5], ids=["mu_1", "mu_3_2", "mu_float_1_5"])
+@pytest.mark.parametrize("make_model", [nakamura_model, _model_with_fractional_forms],
+                         ids=["nakamura", "fractional_forms"])
+def test_the_families_equal_the_wedge_built_reference_in_value_and_key_order(mu, make_model):
+    # the cached basis forms summed with the parameters' products against
+    # the four to six wedges of the model's named forms
+    m = make_model()
+    if m is not nakamura_model():
+        assert any(d != 1 for _, d in catalog._phi_basis(m))
+    for alpha in (1, -2, 2.5, Q(1, 3), 0.1):
+        for beta in (1, Q(-2, 7), 3.25):
+            for lam in FAMILY_LAMBDAS:
+                want = oracles.phi_abl_mu(alpha, beta, lam, mu, m)
+                _same_form(phi_abl_mu(alpha, beta, lam, mu, m), want)
+                if mu == 1:
+                    _same_form(phi_abl(alpha, beta, lam, m), oracles.phi_abl(alpha, beta, lam, m))
+    _same_form(phi_abl_mu(2, 3, 1 + 1j, mu), oracles.phi_abl_mu(2, 3, 1 + 1j, mu))
+
+
+def test_the_nilmanifold_family_equals_the_sum_reference_in_value_and_key_order():
+    # at mu = 0 the theta^123 term cancels and leaves the form
+    for mu in (1, Q(3, 2), 1.5, 2, 0, -1, 0.3):
+        _same_form(phi_check_mu(mu), oracles.phi_check_mu(mu))
+    assert (1, 2, 3) not in phi_check_mu(0).coeffs
+
+
+def test_the_family_errors_keep_their_order():
+    # several bad inputs: the first one checked names itself, as before
+    cases = [(("x", 0, 0, 0), "alpha"), ((1, "x", 0, 0), "mu must be"),
+             ((1, "x", 0, 1), "beta"), ((0, 0, "x", 1), "alpha, beta must be"),
+             ((1, 1, (0, "x"), 1), "Im lambda"), ((1, 1, 0, 1), "lambda must be")]
+    for args, message in cases:
+        for build in (phi_abl_mu, oracles.phi_abl_mu):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                build(*args)
+
+
+def test_the_class_map_equals_the_wedge_built_reference():
+    m = nakamura_model()
+    for lam in FAMILY_LAMBDAS:
+        for xi in (phi_abl(2, Q(1, 3), lam, m), phi_abl_mu(0.5, 3, lam, 2, m),
+                   phi_abl(1, 1, lam).in_ring(FLT)):
+            got, want = ch_map(xi, m), oracles.ch_map(xi, m)
+            assert got == want
+            assert [type(x) for x in got] == [type(x) for x in want]
 
 
 def test_class_map_values_and_injectivity():

@@ -1,6 +1,8 @@
 """Exit codes, artifacts, and determinism of the command-line driver."""
 import importlib.util
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -39,6 +41,31 @@ def test_registry_matches_the_benchmark_contract(monkeypatch):
     assert list(suites.items()) == list(workloads.EXPECTED_CHECKS.items())
     assert [cid for cid, _ in cli.CHECKS] == [
         cid for ids in workloads.EXPECTED_CHECKS.values() for cid in ids]
+
+
+# run in a fresh interpreter, as the tests in this one have filled the caches
+IMPORT_BUILDS_NOTHING = """
+import gc, json
+import g2calc.cli
+from g2calc import catalog, g2core
+from g2calc.liecdga import StructureEqs
+rows = sum(len(eqs._table) for eqs in gc.get_objects() if isinstance(eqs, StructureEqs))
+built = {f.__name__: f.cache_info().currsize for f in (
+    catalog._phi_basis, catalog._ch_data, catalog.nakamura_model, catalog.ffkm_model,
+    g2core._cubic_table)}
+print(json.dumps({"table_rows": rows, "built": built}))
+"""
+
+
+def test_importing_the_cli_builds_no_table_and_no_basis():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+    out = subprocess.run([sys.executable, "-c", IMPORT_BUILDS_NOTHING], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert json.loads(out) == {"table_rows": 0, "built": {
+        "_phi_basis": 0, "_ch_data": 0, "nakamura_model": 0, "ffkm_model": 0,
+        "_cubic_table": 0}}
 
 
 def test_verify_single_suite_passes(tmp_path, capsys):

@@ -19,7 +19,7 @@ from g2calc.g2core import (STANDARD_PHI_TERMS, DegenerateFiberError, G2Data,
                            su2_assemble)
 from g2calc.rings import FLT, RAT, nth_root_fraction
 from g2calc.scaling import INCIDENCE
-from oracles import contract, inner_product, metric_inv
+from oracles import contract, inner_product, metric_inv, star_parts_fraction
 
 DIM = 7
 
@@ -143,6 +143,38 @@ def test_the_hodge_star_refuses_float_forms_and_float_data():
             hodge_star(data, a)
         with pytest.raises(TypeError):
             g2core.star_parts(data, a)
+
+
+def test_the_hodge_star_refuses_a_form_off_the_seven_dim_frame():
+    # it used to read a 6-dim 2-form's indices on the 7-dim frame and give
+    # e34567 in dimension 7
+    data = is_g2_type(standard_phi())
+    for dim, idx in ((6, (1, 2)), (3, (1,)), (5, (1, 2, 3, 4, 5))):
+        a = KForm.basis(dim, idx)
+        for star in (hodge_star, g2core.star_parts):
+            with pytest.raises(ValueError, match=f"in dimension 7, got dimension {dim}"):
+                star(data, a)
+            # a float form is refused by its ring first, as before
+            with pytest.raises(TypeError):
+                star(data, a.in_ring(FLT))
+
+
+def test_star_parts_equals_the_fraction_constant_build_in_value_and_key_order():
+    # the constant 6 / (d^(7-k) (r^3)^(3-q)) as integers, and complements
+    # with an empty sum skipped, against the Fraction constant over every
+    # complement
+    rng = np.random.default_rng(8)
+    datas = [data for _, data in _rational_definite(rng, 3)] + [is_g2_type(standard_phi())]
+    for data in datas:
+        for k in range(DIM + 1):
+            for a in (_dense_rational(rng, k), th(*range(1, k + 1)),
+                      KForm.basis(DIM, tuple(range(DIM - k + 1, DIM + 1)), RAT,
+                                  Fraction(-5, 12))):
+                got, p = g2core.star_parts(data, a)
+                want, p_want = star_parts_fraction(data, a)
+                assert (got, p) == (want, p_want)
+                assert list(got.coeffs.items()) == list(want.coeffs.items())
+                assert got._ints() == want._ints()
 
 
 def test_is_g2_type_takes_rational_forms_only():

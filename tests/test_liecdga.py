@@ -54,6 +54,41 @@ def test_d_invariant_leibniz():
     assert lhs == rhs
 
 
+def test_d_invariant_refuses_a_form_of_another_dimension():
+    # a 4-dim form under 5-dim equations used to give a 5-dim form, and a
+    # 7-dim one an IndexError
+    eqs = StructureEqs(5, [None, None, None, KForm.basis(5, (1, 2)), KForm.basis(5, (1, 3))])
+    for dim in (4, 7):
+        for form in (KForm.basis(dim, (1, 2)), KForm.basis(dim, (4,), FLT),
+                     KForm.zero(dim, dim)):
+            with pytest.raises(ValueError, match=f"dimension {dim} for structure "
+                                                 "equations in dimension 5"):
+                d_invariant(eqs, form)
+    assert d_invariant(eqs, KForm.basis(5, (4,))) == KForm.basis(5, (1, 2))
+
+
+def test_equations_with_the_same_indices_do_not_share_table_rows():
+    # the same pairs with other constants: each fills its own table, in
+    # either order of first use
+    def eqs(c):
+        return StructureEqs(DIM, [None, None, None, kf2((c, (1, 2))),
+                                  kf2((2 * c, (1, 3)), (1, (2, 4))), None, None])
+    form = KForm.from_terms(DIM, 2, [((4, 6), 1), ((5, 7), Fraction(1, 3)), ((4, 5), 2)])
+    for first, second in ((1, Fraction(-3, 5)), (Fraction(-3, 5), 1), (1, 1)):
+        a, b = eqs(first), eqs(second)
+        got = [d_invariant(a, form), d_invariant(b, form)]
+        assert got == [_d_invariant_fraction_loop(a, form), _d_invariant_fraction_loop(b, form)]
+        assert (got[0] == got[1]) == (first == second)
+        assert a._table is not b._table
+
+
+def test_the_generator_equations_are_a_tuple():
+    eqs = nakamura_model().eqs
+    assert type(eqs.d_gen) is tuple
+    with pytest.raises(TypeError):
+        eqs.d_gen[3] = KForm.zero(DIM, 2)
+
+
 def test_verify_primitive_accepts_and_rejects():
     m = nakamura_model()
     rho, target = m.witnesses["two_g1_wedge_omega"]

@@ -1,8 +1,11 @@
 """Frame-scaling solve and the exact volume-scaling law."""
+import importlib.util
 import math
 import re
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from g2calc import g2core, scaling
 from g2calc.forms import KForm
 from g2calc.g2core import STANDARD_PHI_TERMS, is_g2_type
 from g2calc.rings import RAT, nth_root_fraction
+import oracles
 from g2calc.scaling import (INCIDENCE_INV, InvalidScaleError, NonPositiveScaleError,
                             _rational_form, _validated, hitchin_scaling_law,
                             scaled_volume_factor, solve_scaling)
@@ -67,6 +71,32 @@ def test_solve_scaling_matches_the_fraction_power_reference(lams, sixth):
         assert out.mus == tuple(float(r) ** (1.0 / 6.0) if q is None else float(q)
                                 for r, q in zip(radicands, roots))
         assert all(type(m) is float for m in out.mus)
+
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
+
+@pytest.mark.parametrize("seed", [0, 7, 23])
+def test_closed_form_mus_equal_the_exponent_walk_bit_for_bit(seed, monkeypatch):
+    # the benchmark's scaling tuples: cubes of ratios of 1..8 and of 1..64,
+    # sixth powers, and tuples whose product is not a cube; each also as
+    # floats, whose binary values are the same rationals
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)   # leave perfbench/ as it is
+    spec = importlib.util.spec_from_file_location("_perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    tuples = workloads.exact_inputs(seed)["tuples"]
+    assert sorted({kind for kind, _ in tuples}) == ["cube", "noncube"]
+    n_exact = 0
+    for _, lams in tuples:
+        for given_lams in (lams, [float(l) for l in lams]):
+            got, want = solve_scaling(given_lams), oracles.solve_scaling(given_lams)
+            assert repr(got) == repr(want)
+            assert [type(m) for m in got.mus] == [type(m) for m in want.mus]
+            n_exact += got.exact
+    # at least the rational sixth powers (a quarter of the tuples) solve
+    # exactly, so both paths of the root are compared
+    assert len(tuples) // 4 <= n_exact < 2 * len(tuples)
 
 
 def test_nonpositive_scale_rejected():
