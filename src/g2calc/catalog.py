@@ -302,8 +302,11 @@ def ffkm_model() -> InvariantModel:
 
 def phi_check_mu(mu) -> KForm:
     """Invariant family mu^6 theta^{123} + (remaining six terms of phi), a
-    rational form for every finite mu: a float is read by its binary value."""
+    rational form for every finite mu >= 1: a float is read by its binary
+    value."""
     mu = _exact_real(mu, "mu")
+    if mu < 1:
+        raise ValueError("mu must be >= 1")
     return _combination(((1, _FFKM_PHI._ints()), (mu ** 6 - 1, _THETA123)))
 
 
@@ -456,9 +459,8 @@ def pullback_invariant_form(form: KForm, extra_vars=()) -> KForm:
     return out
 
 
-def _dy(idx, ring=YRING, coeff=1):
-    c = coeff if isinstance(coeff, Poly) else Poly.const(ring[1], coeff)
-    return KForm(7, len(idx), ring, {tuple(idx): c})
+def _dy(idx):
+    return KForm(7, len(idx), YRING, {tuple(idx): Poly.const(YVARS, 1)})
 
 
 def _flat_xi(ring, c123=None) -> KForm:
@@ -489,7 +491,7 @@ def alpha_a():
     returned as (alpha, beta, gamma) with alpha = dy1^beta + dy3^gamma."""
     y1, y2, y5, y6 = (_y(n) for n in ("y1", "y2", "y5", "y6"))
     half = Q(1, 2)
-    beta = (_dy((6,), coeff=Poly.const(YVARS, 1)).scale(y1 * y5 + half * y2 * y2)
+    beta = (_dy((6,)).scale(y1 * y5 + half * y2 * y2)
             + _dy((4,)).scale(y1 * y1 * y5 + half * y1 * y2 * y2)
             + _dy((3,)).scale(Q(-1, 2) * y1 * y1 * y6))
     gamma = (_dy((4,)).scale(Q(-1, 2) * y1 * y1 + Q(-1, 8) * y1 ** 4)
@@ -539,20 +541,18 @@ def _eval_columns(form: KForm, cols: dict) -> dict:
 _FLAT_XI_ROW = phi_to_vector(_FFKM_PHI)
 
 
-def glued_form_at(points, mu: float, epsilon: float = DEFAULT_EPSILON) -> dict:
+def glued_form_at(points, mu: float) -> dict:
     """phi^mu = xi^mu + y1 dy^{147} + d[f(r/eps) alpha] at an (n, 7) array of
-    points of the chart ball r < eps, as columns: "phi", the (n, 35)
-    coefficient rows in TRIPLES order; "metric" and "sqrt_det" from one
+    points of the chart ball r < eps = DEFAULT_EPSILON, as columns: "phi",
+    the (n, 35) coefficient rows in TRIPLES order; "metric" and "sqrt_det" from one
     metric_batch call, which raises NotStableError at the first indefinite
     row; "gap", |phi^mu - xi^mu| in the xi^mu norm; and r, f and f'.  A
     row does not depend on the other points."""
-    if epsilon <= 0:
-        raise ValueError("chart radius must be positive")
     cols = _columns(points)
     alpha, dalpha, _, _ = _alpha_and_d()
-    corr, r, fval, fder = _d_cutoff_rows(cols, epsilon, alpha, dalpha)
-    if not np.all(r < epsilon):
-        raise ValueError(f"point outside the chart ball of radius {epsilon}")
+    corr, r, fval, fder = _d_cutoff_rows(cols, DEFAULT_EPSILON, alpha, dalpha)
+    if not np.all(r < DEFAULT_EPSILON):
+        raise ValueError(f"point outside the chart ball of radius {DEFAULT_EPSILON}")
     # phi^mu = (xi^mu + y1 dy^{147}) + d[f alpha], summed in this order
     y1, p147 = cols["y1"], TRIPLE_POS[(1, 4, 7)]
     phi = np.repeat(_FLAT_XI_ROW[None], len(r), axis=0)
@@ -784,7 +784,7 @@ def primitive_ledger(mu) -> list:
           + KForm(7, 1, YRING, {(3,): half * y1 * y2}))
     # d(f * Q) contributes d(d(...)) = 0; probe d^2 = 0 through the cutoff
     # numerically at sample radii
-    ok_fd = _closedness_probe_fQ(Qf, DEFAULT_EPSILON)
+    ok_fd = _closedness_probe_fQ(Qf)
     entry("middle", "cutoff-dressed term stays closed after d (finite "
           "differences, tol 1e-6)", ok_fd)
 
@@ -815,13 +815,14 @@ def primitive_ledger(mu) -> list:
     return report
 
 
-def _closedness_probe_fQ(Qf: KForm, epsilon: float, tol: float = 1e-6) -> bool:
-    """Finite-difference check that d[d(f(r/eps) Q)] = 0 at sample points.
+def _closedness_probe_fQ(Qf: KForm) -> bool:
+    """Finite-difference check that d[d(f(r/eps) Q)] = 0, to 1e-6, at sample
+    points of the chart ball, eps = DEFAULT_EPSILON.
 
     d(fQ) is evaluated via the chain rule; a second numerical d of the
     resulting 2-form field must vanish.
     """
-    dQ = Qf.d_chart()
+    epsilon, dQ = DEFAULT_EPSILON, Qf.d_chart()
 
     def two_form_field(ys):
         rows = _d_cutoff_rows(_columns(ys), epsilon, Qf, dQ)[0]
@@ -831,5 +832,5 @@ def _closedness_probe_fQ(Qf: KForm, epsilon: float, tol: float = 1e-6) -> bool:
                np.array([0.5, -0.4, 0.1, 0.3, 0.3, 0.2, -0.2]) * epsilon,
                np.array([-0.6, 0.3, -0.5, 0.1, 0.2, -0.3, 0.1]) * epsilon]
     triples = ((1, 2, 5), (1, 4, 7), (2, 5, 6), (1, 2, 3))
-    return all(abs(v) <= tol for y0 in samples
+    return all(abs(v) <= 1e-6 for y0 in samples
                for v in fd_d(two_form_field, y0, 1e-5 * epsilon, triples))

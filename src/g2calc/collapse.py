@@ -109,14 +109,15 @@ def rescaled_decay_exponents(alpha, beta, lam, mu1: float, mu2: float) -> dict:
 
 # ----- convergence premises ---------------------------------------------------
 
-def largest_lambda(mats, base, tol: float = 1e-10) -> float:
-    """Largest La with g - La^2 * base PSD at every sample (bisection)."""
+def largest_lambda(mats, base) -> float:
+    """Largest La with g - La^2 * base PSD at every sample (bisection), to
+    a relative eigenvalue slack of 1e-10."""
     mats = [np.asarray(m, float) for m in mats]
     base = np.asarray(base, float)
     scale = max(1.0, max(_op_norm(m) for m in mats))
 
     def ok(la):
-        return all(_min_eig(m - la * la * base) >= -tol * scale for m in mats)
+        return all(_min_eig(m - la * la * base) >= -1e-10 * scale for m in mats)
 
     if not ok(0.0):
         return 0.0
@@ -218,8 +219,7 @@ def _chart_limit_metric(phi_row: np.ndarray) -> np.ndarray:
     return g
 
 
-def ffkm_region_metrics(region: str, point, mu,
-                        epsilon: float = DEFAULT_EPSILON) -> MetricSample:
+def ffkm_region_metrics(region: str, point, mu) -> MetricSample:
     """Evaluate g^mu from the actual forms of the resolved family, attach the
     matching closed-form limit metric g^infty, and cross-check any displayed
     closed form for g^mu itself."""
@@ -243,16 +243,16 @@ def ffkm_region_metrics(region: str, point, mu,
                             limit=w_limit_metric(y1))
     if region == "chart":
         pt = dict(point)
-        res = glued_form_at(_point_row(pt), m, epsilon)
+        res = glued_form_at(_point_row(pt), m)
         g = res["metric"][0] / m ** 4
         return MetricSample(region, tuple(sorted(pt.items())), m, g,
                             limit=_chart_limit_metric(res["phi"][0]))
     raise ValueError(f"unknown region {region!r}")
 
 
-def region_gap_decay(region: str, point, mus, epsilon: float = DEFAULT_EPSILON) -> dict:
+def region_gap_decay(region: str, point, mus) -> dict:
     """sup|g^mu - g^infty| over the mu grid and the fitted decay exponent."""
-    gaps = [ffkm_region_metrics(region, point, mu, epsilon).gap() for mu in mus]
+    gaps = [ffkm_region_metrics(region, point, mu).gap() for mu in mus]
     slope = _loglog_slope([float(mu) for mu in mus], [max(gp, 1e-300) for gp in gaps])
     return {"mus": list(mus), "gaps": gaps, "rate": slope}
 
@@ -287,15 +287,15 @@ def lower_bound_global(mu, samples, upsilon: float, C: float,
     return report
 
 
-def resolution_equality_probe(mu, n: int = 60) -> dict:
+def resolution_equality_probe(mu) -> dict:
     """On the resolution region of catalog's surgery the bound's tight
     direction is dy^3 at the equality radius of the fiber volume estimate:
     the coefficient nu(r) with g_zeta >= nu^{4/3} (dy^3)^{x2} attains its
-    minimum ups there."""
+    minimum ups there.  Samples 60 radii around it, and r_eq itself."""
     rf = ResolutionForms(mu)
     ups = SURGERY_PROFILE.upsilon
     r_eq = SURGERY_PROFILE.r_frak
-    radii = np.append(np.linspace(0.55 * r_eq, 1.45 * r_eq, n), r_eq)
+    radii = np.append(np.linspace(0.55 * r_eq, 1.45 * r_eq, 60), r_eq)
     lams = radii * radii
     min_nu = float(np.sqrt(1.0 + SURGERY_PROFILE.k(lams) / (2.0 * lams)).min())
     pts = np.zeros((len(radii), DIM))
@@ -373,8 +373,9 @@ def measure_metric_comparison(n: int = 400, seed: int = 0) -> dict:
             "seed": seed}
 
 
-def lc_vs_norm_holds(h, g, tol: float = 1e-10) -> bool:
-    """h <= ||h||_g * g for a symmetric form h and an inner product g."""
+def lc_vs_norm_holds(h, g) -> bool:
+    """h <= ||h||_g * g for a symmetric form h and an inner product g, to a
+    relative eigenvalue slack of 1e-10."""
     h = np.asarray(h, float)
     g = np.asarray(g, float)
     w, V = np.linalg.eigh(g)
@@ -383,7 +384,7 @@ def lc_vs_norm_holds(h, g, tol: float = 1e-10) -> bool:
     S = V @ np.diag(w ** -0.5) @ V.T
     M = S @ h @ S
     norm = float(np.linalg.norm(M))
-    return _min_eig(norm * np.eye(len(M)) - M) >= -tol * max(norm, 1.0)
+    return _min_eig(norm * np.eye(len(M)) - M) >= -1e-10 * max(norm, 1.0)
 
 
 # ----- fiber diameter decay -----------------------------------------------------
@@ -413,7 +414,7 @@ def _arc(p1, d2, n_seg):
     return pts
 
 
-def fiber_diameter_probe(ks=(2, 4, 8), mus=(8, 16, 32), n_seg: int = 16) -> dict:
+def fiber_diameter_probe() -> dict:
     """Path-length estimates of the intrinsic fiber diameters in the
     shrinking regions of catalog's resolution surgery.  Working in
     resolution coordinates, the fiber over a circle point inside the k-th
@@ -422,7 +423,9 @@ def fiber_diameter_probe(ks=(2, 4, 8), mus=(8, 16, 32), n_seg: int = 16) -> dict
     coordinate-frame diameters are rescaled by mu^{-3}.
     The segment midpoints of a (mu, k) cell's paths go through
     ResolutionForms.zeta_mu_rows and one metric_batch call.  Fits the decay
-    exponent in k at the largest mu."""
+    exponent in k at the largest mu, over k = 2, 4, 8 and mu = 8, 16, 32,
+    with 16 segments per half great-circle."""
+    ks, mus, n_seg = (2, 4, 8), (8, 16, 32), 16
     table = {}
     for mu in mus:
         rf = ResolutionForms(mu)

@@ -297,13 +297,10 @@ def _profile_slopes(profile: EHProfile, lams) -> tuple:
     return k, ap, app
 
 
-def omega_at(points, profile: EHProfile | None = None, t: float | None = None):
-    """Evaluate om_tilde_t (pure t) or om_check_t (profile) on C^2/{+-1}
-    minus the origin, on the rows (x1, y1, x2, y2) of an (n, 4) array: an
-    (n, 4, 4) array, column by column, so slice i has the bits of the
-    one-row call at point i."""
-    if profile is None and t is None:
-        raise ValueError("need a profile or a pure-EH parameter t")
+def omega_at(points, profile: EHProfile):
+    """Evaluate om_check_t of the profile on C^2/{+-1} minus the origin, on
+    the rows (x1, y1, x2, y2) of an (n, 4) array: an (n, 4, 4) array, column
+    by column, so slice i has the bits of the one-row call at point i."""
     rows = np.asarray(points, dtype=float)
     if rows.ndim != 2 or rows.shape[1] != 4:
         raise ValueError(f"expected an (n, 4) array of points, got shape {rows.shape}")
@@ -312,10 +309,7 @@ def omega_at(points, profile: EHProfile | None = None, t: float | None = None):
     lam = ((x1 * x1 + y1 * y1) + x2 * x2) + y2 * y2
     if (lam <= 0).any():
         raise ValueError("the origin is excluded")
-    if profile is None:
-        ap, app = eh_aprime(t, lam), _eh_asecond(t, lam)
-    else:
-        _, ap, app = _profile_slopes(profile, lam)
+    _, ap, app = _profile_slopes(profile, lam)
     for (i, j), m in _upper(x1, y1, x2, y2, ap, app).items():
         out[:, i, j], out[:, j, i] = m, -m
     return out
@@ -357,9 +351,8 @@ def ricci_residual(t: float, lams) -> float:
 
 
 def positivity_and_volume_certificate(profile: EHProfile, n_r: int = 1000,
-                                      n_ang: int = 20, delta: float = 0.05,
-                                      seed: int = 0) -> dict:
-    """Grid certificate over r in [tR/2 (1-delta), tR (1+delta)]:
+                                      n_ang: int = 20, seed: int = 0) -> dict:
+    """Grid certificate over r in [tR/2 (1-delta), tR (1+delta)], delta = 0.05:
     positivity margin |om_hat - om_check|_{om_hat} < 1, volume ratio
     om_check^2 / vol_0 >= 2 ups^2, and the closed-form ratio cross-check.
 
@@ -372,7 +365,7 @@ def positivity_and_volume_certificate(profile: EHProfile, n_r: int = 1000,
     roundoff."""
     if n_r < 1 or n_ang < 1:
         raise ValueError("the grid needs at least one radius and one direction")
-    t, R = profile.t, profile.R
+    t, R, delta = profile.t, profile.R, 0.05
     radii = np.linspace(0.5 * t * R * (1.0 - delta), t * R * (1.0 + delta), n_r)
     dirs = _directions(n_ang, seed)
     lams = radii * radii
@@ -437,19 +430,20 @@ def fd_d(field, y0, h: float, triples) -> list:
             for i, j, k in triples]
 
 
-def closedness_residual(profile: EHProfile, n: int = 6, step: float = 3e-6) -> float:
-    """Finite-difference d(om_check) on interior points of the annulus;
-    om_check is d of a potential, so this should vanish to FD accuracy."""
+def closedness_residual(profile: EHProfile) -> float:
+    """Finite-difference d(om_check) at six random interior points of the
+    annulus, with step 3e-6 tR; om_check is d of a potential, so this should
+    vanish to FD accuracy."""
     t, R = profile.t, profile.R
     rng = np.random.default_rng(1)
-    hstep = step * t * R
+    hstep = 3e-6 * t * R
 
     def field(ps):
         M = omega_at(ps, profile=profile)
         return {(i + 1, j + 1): M[:, i, j] for i, j in _UPPER}
 
     worst = 0.0
-    for _ in range(n):
+    for _ in range(6):
         d = rng.normal(size=4)
         d /= np.linalg.norm(d)
         pt = np.array(d) * rng.uniform(0.55, 0.95) * t * R
@@ -467,10 +461,10 @@ def measure_dlam_constant(n_r: int = 50, n_ang: int = 20, seed: int = 0) -> floa
     return float((4.0 * _two_form_norm(up.values()) / (4.0 * r * r)).max())
 
 
-def positivity_budget(R: float, C: float | None = None) -> dict:
+def positivity_budget(R: float) -> dict:
     """The proof's sufficient condition 4 sqrt(2)/R^2 + 16 C / R^4 + C c / 2 < 1
-    with c = 1/C; reports the measured C by default."""
-    C = measure_dlam_constant() if C is None else float(C)
+    with c = 1/C, at the measured C of measure_dlam_constant."""
+    C = measure_dlam_constant()
     c = 1.0 / C
     total = 4.0 * math.sqrt(2.0) / R ** 2 + 16.0 * C / R ** 4 + C * c / 2.0
     return {"R": R, "C": C, "c": c, "budget": total, "ok": total < 1.0}

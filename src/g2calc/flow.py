@@ -83,16 +83,15 @@ def flow_integrate(alpha, lam, t_end: float, steps: int) -> list:
     return rows
 
 
-def check_flow_consistency(alpha, beta, lam, mu,
-                           model: InvariantModel | None = None) -> Fraction:
+def check_flow_consistency(alpha, beta, lam, mu) -> Fraction:
     """Relative gap between laplacian(phi(...; mu)) and the flow tangent
     6 mu^5 mu_dot alpha g^1 ^ omega = c L^(2/3) g^1 ^ omega, c = 4 / (alpha
-    mu^2); it vanishes on flow lines.  Exact: the parameters are read as
+    mu^2), on the product model; it vanishes on flow lines.  Exact: the parameters are read as
     rationals (a float by its binary value, as phi_abl_mu and _lam_sq read
     them), Delta phi = r Z with Z and r^3 rational, and the gap compares
     cubes, max_I |r^3 Z_I^3 - t_I^3| / max_I |t_I^3| with t^3 = c^3 L^2 on
     g^1 ^ omega, as a Fraction."""
-    m = model or nakamura_model()
+    m = nakamura_model()
     alpha, mu = _exact_real(alpha, "alpha"), _exact_real(mu, "mu")
     data, z = _laplacian_over_r(phi_abl_mu(alpha, beta, lam, mu, m), m)
     t3 = Fraction(4, alpha * mu ** 2) ** 3 * _lam_sq(lam) ** 2

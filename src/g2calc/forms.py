@@ -170,9 +170,9 @@ class KForm:
         return cls(dim, degree, ring, {})
 
     @classmethod
-    def basis(cls, dim, idx, ring=RAT, coeff=1):
+    def basis(cls, dim, idx, ring=RAT):
         idx = tuple(idx)
-        return cls(dim, len(idx), ring, {idx: coeff})
+        return cls(dim, len(idx), ring, {idx: 1})
 
     @classmethod
     def from_terms(cls, dim, degree, terms, ring=RAT):

@@ -70,8 +70,8 @@ STANDARD_PHI_TERMS = (
 )
 
 
-def standard_phi(ring=RAT) -> KForm:
-    return KForm(DIM, 3, RAT, {idx: c for c, idx in STANDARD_PHI_TERMS}).in_ring(ring)
+def standard_phi() -> KForm:
+    return KForm(DIM, 3, RAT, {idx: c for c, idx in STANDARD_PHI_TERMS})
 
 
 class NotStableError(ValueError):

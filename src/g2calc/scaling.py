@@ -87,12 +87,8 @@ class ScalingExponents:
     exact: bool
 
 
-def solve_scaling(lambdas) -> ScalingExponents:
-    """Solve mu_a mu_b mu_c = lambda_t over the seven triples {abc}."""
-    return _solve(*_validated(lambdas))
-
-
 def _solve(lambdas, pairs) -> ScalingExponents:
+    """Solve mu_a mu_b mu_c = lambda_t over the seven triples {abc}."""
     ns, ds = [n for n, _ in pairs], [d for _, d in pairs]
     mus = []
     for (a, b, c), (w, x, y, z) in _TERMS_BY_AXIS:

@@ -128,10 +128,13 @@ def test_the_families_equal_the_wedge_built_reference_in_value_and_key_order(mu,
 
 
 def test_the_nilmanifold_family_equals_the_sum_reference_in_value_and_key_order():
-    # at mu = 0 the theta^123 term cancels and leaves the form
-    for mu in (1, Q(3, 2), 1.5, 2, 0, -1, 0.3):
+    for mu in (1, Q(3, 2), 1.5, 2):
         _same_form(phi_check_mu(mu), oracles.phi_check_mu(mu))
-    assert (1, 2, 3) not in phi_check_mu(0).coeffs
+    # the family has mu >= 1: mu = 0 would drop the theta^123 term, and
+    # mu = -1 would repeat mu = 1
+    for mu in (0, -1, 0.3):
+        with pytest.raises(ValueError, match="mu must be >= 1"):
+            phi_check_mu(mu)
 
 
 def test_the_family_errors_keep_their_order():
@@ -278,12 +281,6 @@ def test_glued_form_outside_chart_rejected():
         glued_form_at(pts, 2)
 
 
-@pytest.mark.parametrize("eps", [0.0, -0.1])
-def test_glued_form_rejects_a_nonpositive_radius(eps):
-    with pytest.raises(ValueError, match="chart radius must be positive"):
-        glued_form_at([[0.01, 0, 0, 0, 0, 0, 0]], 2, eps)
-
-
 def test_glued_form_outer_region_is_invariant():
     # once the cutoff saturates (r/eps >= 0.99 within tolerance of 1) the
     # glued form is xi^mu + y1 dy^{147} + d(alpha), the chart expression of
@@ -409,7 +406,7 @@ _RAMP_POINTS = [np.array([0.04, 0.03, 0.2, -0.1, 0.035, -0.025, 0.3]),
 @pytest.mark.parametrize("y0", _RAMP_POINTS)
 def test_glued_form_chain_rule_matches_finite_differences(y0):
     # phi^mu - xi^mu - y1 dy^147 = d[f(r/eps) alpha]
-    eps, mu = 0.1, 2
+    eps, mu = catalog.DEFAULT_EPSILON, 2
     alpha = catalog.alpha_a()[0]
 
     def field(y):
@@ -417,7 +414,7 @@ def test_glued_form_chain_rule_matches_finite_differences(y0):
         f = _cutoff_at(math.sqrt(y[0] ** 2 + y[1] ** 2 + y[4] ** 2 + y[5] ** 2) / eps)[0]
         return {idx: f * c for idx, c in eval_at(alpha, pt).coeffs.items()}
 
-    out = glued_form_at([y0], mu, eps)
+    out = glued_form_at([y0], mu)
     assert 0.0 < out["fprime"][0]
     xi = (ffkm_model().named_forms["phi"].in_ring(FLT)
           + (mu ** 6 - 1.0) * KForm.basis(7, (1, 2, 3), FLT))
@@ -535,17 +532,17 @@ def test_glued_form_rows_match_one_row_calls_and_a_form_assembly():
     # assembled from forms at the point, up to the order of its sums, and
     # its metric is the exact metric of the row's values, to the last few
     # bits
-    eps, mu = 0.1, 2
+    eps, mu = catalog.DEFAULT_EPSILON, 2
     alpha, dalpha, _, _ = catalog._alpha_and_d()
     xi = (ffkm_model().named_forms["phi"].in_ring(FLT)
           + (mu ** 6 - 1.0) * KForm.basis(7, (1, 2, 3), FLT))
     weights = catalog._xi_mu_weights(mu)
     pts = np.array(_RAMP_POINTS + [0.6 * p for p in _RAMP_POINTS]
                    + [[0.03, 0.0, 0.1, 0.2, 0.0, 0.0, 0.3], np.zeros(7)])
-    out = glued_form_at(pts, mu, eps)
+    out = glued_form_at(pts, mu)
     assert (out["fprime"] != 0).sum() >= len(_RAMP_POINTS)
     for i, p in enumerate(pts.tolist()):
-        one = glued_form_at(pts[i:i + 1], mu, eps)
+        one = glued_form_at(pts[i:i + 1], mu)
         assert one.keys() == out.keys()
         for key, col in out.items():
             assert one[key].tolist() == [col[i].tolist()], key

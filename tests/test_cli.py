@@ -224,9 +224,10 @@ def test_eh_empty_grid_is_usage_error(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["collapse", "--mu", "0"], ["collapse", "--mu", "1,abc"],
     ["collapse", "--model", "ffkm", "--mu", "2"],
-    ["collapse", "--model", "ffkm", "--epsilon", "0"],
+    ["collapse", "--mu", "inf"], ["collapse", "--model", "ffkm", "--mu", "2,inf"],
     ["flow", "--steps", "0"], ["flow", "--t-end", "-1"], ["flow", "--lambda", "1,x"],
-    ["flow", "--lambda", "0,0"], ["flow", "--alpha", "0"],
+    ["flow", "--lambda", "0,0"], ["flow", "--alpha", "0"], ["flow", "--alpha", "nan"],
+    ["flow", "--alpha", "inf"], ["flow", "--t-end", "inf"], ["flow", "--tol", "inf"],
     ["eh", "--t", "0"], ["eh", "--c", "3"], ["eh", "--R", "abc"],
     ["scan", "--grid", "0"], ["verify", "--seed", "-1"], ["scan", "--seed", "-1"],
     ["eh", "--seed", "-1"],

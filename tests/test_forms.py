@@ -319,7 +319,7 @@ def test_kernel_outputs_equal_their_validated_rebuild(ring):
         v = [rng.randint(-2, 2) for _ in range(DIM)]
         outs = [a.wedge(b), a + a.scale(Fraction(1, 3)), -a, 2 * a,
                 d_invariant(rng.choice(eqs), a),
-                KForm.basis(DIM, (1, 2), ring, rng.randint(1, 3))]
+                rng.randint(1, 3) * KForm.basis(DIM, (1, 2), ring)]
         if a.degree:
             outs.append(contract(a, v))
         if ring == RAT:

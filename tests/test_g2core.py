@@ -168,8 +168,7 @@ def test_star_parts_equals_the_fraction_constant_build_in_value_and_key_order():
     for data in datas:
         for k in range(DIM + 1):
             for a in (_dense_rational(rng, k), th(*range(1, k + 1)),
-                      KForm.basis(DIM, tuple(range(DIM - k + 1, DIM + 1)), RAT,
-                                  Fraction(-5, 12))):
+                      Fraction(-5, 12) * KForm.basis(DIM, tuple(range(DIM - k + 1, DIM + 1)))):
                 got, p = g2core.star_parts(data, a)
                 want, p_want = star_parts_fraction(data, a)
                 assert (got, p) == (want, p_want)

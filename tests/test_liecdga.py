@@ -301,7 +301,7 @@ def test_integer_d_invariant_matches_the_fraction_loop_on_every_basis_form(make_
     n = 0
     for k in range(DIM):
         for idx in combinations(range(1, DIM + 1), k):
-            assert_same_d(eqs, KForm.basis(DIM, idx, RAT, Fraction(3, 7)))
+            assert_same_d(eqs, Fraction(3, 7) * KForm.basis(DIM, idx, RAT))
             n += 1
     assert n == 2 ** DIM - 1
 
@@ -318,8 +318,7 @@ def test_integer_d_invariant_matches_the_fraction_loop_on_random_forms(make_eqs)
         form = KForm(DIM, k, RAT, coeffs)
         # built from Fractions, from integers (a wedge), and in floats
         assert_same_d(eqs, form)
-        assert_same_d(eqs, form.wedge(KForm.basis(DIM, (rng.randint(1, DIM),), RAT,
-                                                  Fraction(1, 5))))
+        assert_same_d(eqs, form.wedge(Fraction(1, 5) * KForm.basis(DIM, (rng.randint(1, DIM),))))
         assert_same_d(eqs, form.in_ring(FLT))
 
 

@@ -17,25 +17,26 @@ from g2calc.g2core import STANDARD_PHI_TERMS, is_g2_type
 from g2calc.rings import RAT, nth_root_fraction
 import oracles
 from g2calc.scaling import (INCIDENCE_INV, InvalidScaleError, NonPositiveScaleError,
-                            _rational_form, _validated, hitchin_scaling_law,
-                            scaled_volume_factor, solve_scaling)
+                            _rational_form, _solve, _validated, hitchin_scaling_law,
+                            scaled_volume_factor)
 
 TRIPLES = ((1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7),
            (3, 4, 7), (3, 5, 6))
 
 
 def test_unit_scaling_is_identity():
-    out = solve_scaling([1] * 7)
-    assert out.mus == (Fraction(1),) * 7
-    assert out.exact
+    out = hitchin_scaling_law([1] * 7)
+    assert out["mus"] == (Fraction(1),) * 7
+    assert out["exact"]
 
 
 def test_solved_mus_reproduce_lambdas():
     lams = [Fraction(2), Fraction(3), Fraction(1, 2), 1, 1, Fraction(5), 4]
-    out = solve_scaling(lams)
+    out = hitchin_scaling_law(lams)
+    mus = out["mus"]
     for t, (a, b, c) in enumerate(TRIPLES):
-        prod = out.mus[a - 1] * out.mus[b - 1] * out.mus[c - 1]
-        if out.exact:
+        prod = mus[a - 1] * mus[b - 1] * mus[c - 1]
+        if out["exact"]:
             assert prod == Fraction(lams[t])
         else:
             assert float(prod) == pytest.approx(float(lams[t]), rel=1e-12)
@@ -59,18 +60,18 @@ def test_solve_scaling_matches_the_fraction_power_reference(lams, sixth):
             r *= Fraction(l) ** int(6 * x)
         radicands.append(r)
     roots = [nth_root_fraction(r, 6) for r in radicands]
-    out = solve_scaling(lams)
-    assert out.exact == all(r is not None for r in roots)
+    out = hitchin_scaling_law(lams)
+    assert out["exact"] == all(r is not None for r in roots)
     if sixth:
-        assert out.exact
-    if out.exact:
-        assert out.mus == tuple(roots)
-        assert all(type(m) is Fraction for m in out.mus)
-        assert out.lambdas == tuple(Fraction(l) for l in lams)
+        assert out["exact"]
+    if out["exact"]:
+        assert out["mus"] == tuple(roots)
+        assert all(type(m) is Fraction for m in out["mus"])
+        assert out["lambdas"] == tuple(Fraction(l) for l in lams)
     else:
-        assert out.mus == tuple(float(r) ** (1.0 / 6.0) if q is None else float(q)
-                                for r, q in zip(radicands, roots))
-        assert all(type(m) is float for m in out.mus)
+        assert out["mus"] == tuple(float(r) ** (1.0 / 6.0) if q is None else float(q)
+                                   for r, q in zip(radicands, roots))
+        assert all(type(m) is float for m in out["mus"])
 
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
@@ -90,10 +91,11 @@ def test_closed_form_mus_equal_the_exponent_walk_bit_for_bit(seed, monkeypatch):
     n_exact = 0
     for _, lams in tuples:
         for given_lams in (lams, [float(l) for l in lams]):
-            got, want = solve_scaling(given_lams), oracles.solve_scaling(given_lams)
-            assert repr(got) == repr(want)
-            assert [type(m) for m in got.mus] == [type(m) for m in want.mus]
-            n_exact += got.exact
+            got, want = hitchin_scaling_law(given_lams), oracles.solve_scaling(given_lams)
+            assert repr((got["lambdas"], got["mus"], got["exact"])) == repr(
+                (want.lambdas, want.mus, want.exact))
+            assert [type(m) for m in got["mus"]] == [type(m) for m in want.mus]
+            n_exact += got["exact"]
     # at least the rational sixth powers (a quarter of the tuples) solve
     # exactly, so both paths of the root are compared
     assert len(tuples) // 4 <= n_exact < 2 * len(tuples)
@@ -101,7 +103,7 @@ def test_closed_form_mus_equal_the_exponent_walk_bit_for_bit(seed, monkeypatch):
 
 def test_nonpositive_scale_rejected():
     with pytest.raises(NonPositiveScaleError):
-        solve_scaling([1, 1, 1, -2, 1, 1, 1])
+        hitchin_scaling_law([1, 1, 1, -2, 1, 1, 1])
     with pytest.raises(NonPositiveScaleError):
         scaled_volume_factor([0, 1, 1, 1, 1, 1, 1])
 
@@ -282,7 +284,7 @@ def test_bools_are_refused_by_name(lams, monkeypatch):
     # bool is an int subclass, and [True] * 7 once gave an exact volume of 1
     _refuse_linear_algebra(monkeypatch)
     bad = next(l for l in lams if isinstance(l, bool))
-    for fn in (solve_scaling, scaled_volume_factor, hitchin_scaling_law):
+    for fn in (scaled_volume_factor, hitchin_scaling_law):
         with pytest.raises(InvalidScaleError, match=re.escape(repr(bad))):
             fn(lams)
 
@@ -295,7 +297,7 @@ def test_non_finite_floats_are_refused_by_name(bad, monkeypatch):
     lams = [1.5, 2.0, 1, Fraction(1, 3), bad, 1.0, 1.0]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for fn in (solve_scaling, scaled_volume_factor, hitchin_scaling_law):
+        for fn in (scaled_volume_factor, hitchin_scaling_law):
             with pytest.raises(InvalidScaleError, match=re.escape(repr(bad))) as err:
                 fn(lams)
             assert isinstance(err.value, ValueError)
@@ -303,17 +305,16 @@ def test_non_finite_floats_are_refused_by_name(bad, monkeypatch):
 
 
 def test_the_law_validates_lambda_once(monkeypatch):
-    # solve_scaling and scaled_volume_factor each validate; the law shares
-    # their bodies and validates its tuple once
+    # scaled_volume_factor validates; the law shares its body and the
+    # frame-scale solve, and validates its tuple once
     calls = []
     validated = scaling._validated
     monkeypatch.setattr(scaling, "_validated", lambda l: calls.append(l) or validated(l))
     lams = [Fraction(3, 2), 2, 0.5, 1, 8, Fraction(1, 3), 4.0]
     out = hitchin_scaling_law(lams)
     assert len(calls) == 1
-    assert out["mus"] == solve_scaling(lams).mus
     assert out["volume_factor"] == scaled_volume_factor(lams)
-    assert len(calls) == 3
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("make", [np.int64, np.int32, np.uint8], ids=lambda t: t.__name__)
@@ -334,7 +335,7 @@ def test_non_reals_are_refused_by_name(bad, monkeypatch):
     # a complex or a string used to reach math.isfinite, which raised a
     # bare TypeError
     _refuse_linear_algebra(monkeypatch)
-    for fn in (solve_scaling, scaled_volume_factor, hitchin_scaling_law):
+    for fn in (scaled_volume_factor, hitchin_scaling_law):
         with pytest.raises(InvalidScaleError, match=re.escape(repr(bad))):
             fn([bad] + [1] * 6)
 
@@ -378,7 +379,8 @@ def test_roots_outside_the_float_ratio_range_come_from_the_logs(lam):
     # mu_i = lambda^(1/3), while lambda^2 / lambda^4 leaves the float range:
     # the float ratio of the integers once gave mus of 0.0 at 1e-200 and an
     # OverflowError at 1e200
-    out = solve_scaling([lam] * 7)
+    # the law refuses the tuple below, so the solve is read directly
+    out = _solve(*_validated([lam] * 7))
     assert not out.exact
     assert out.mus == pytest.approx([math.exp(math.log(lam) / 3)] * 7, rel=1e-13, abs=0)
     # the volume factor lambda^(7/3) is itself outside the float range

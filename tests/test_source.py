@@ -1,6 +1,8 @@
 """Source hygiene of the package: every import in src/g2calc is used, every
-public function has a caller, and every parameter of one is read."""
+public function has a caller, every parameter of one is read, and every
+default of one is overridden by some caller."""
 import ast
+import math
 from pathlib import Path
 
 import pytest
@@ -32,15 +34,13 @@ def test_no_unused_imports(path):
 #: public functions and methods that no code in src/g2calc calls, with the
 #: reason each one stays
 NO_CALLER_IN_SRC = {
-    # waiting for the self-check of a supplied model (ROADMAP item 3)
+    # waiting for the self-check of a supplied model (ROADMAP item 2)
     "liecdga.verify_primitive": "to certify each witness primitive of a model",
     # waiting for the exact cohomology checks (ROADMAP item 7)
     "liecdga.InvariantModel.involution_pullback": "to compute invariant classes",
-    # waiting for the certified cutoff (ROADMAP item 9)
+    # waiting for the certified cutoff (ROADMAP item 8)
     "catalog.CutoffFn.deriv_bound": "the bound the certified cutoff proves",
     "catalog.CutoffFn.certify": "the grid check the certified cutoff replaces",
-    # hitchin_scaling_law validates lambda once and calls the shared body
-    "scaling.solve_scaling": "the frame scales alone, for a caller outside src",
 }
 
 
@@ -113,3 +113,96 @@ def _unread_parameters(trees):
 def test_every_parameter_of_a_public_function_is_read():
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
     assert _unread_parameters(trees) == []
+
+
+#: defaulted parameters of public functions and methods that no call in
+#: src/g2calc passes, with the reason each one stays settable
+NO_SETTER_IN_SRC = {
+    "cli.main.argv": "the console script calls main() and argparse reads sys.argv",
+    "collapse.measure_metric_comparison.seed": "the tests sweep the seed",
+    "ehmetric.measure_dlam_constant.seed": "the tests sweep the seed",
+}
+
+
+def _calls(trees):
+    """(module, line, callee name, read as an attribute, positional count,
+    keyword names) of each call in the modules (name -> ast tree); a
+    functools.partial(f, ...) counts as a call of f with the arguments
+    after f.  A spread *args makes the count infinite, and a spread
+    **kwargs adds the keyword None, which matches every name."""
+    out = []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            fn, args = node.func, node.args
+            if getattr(fn, "id", getattr(fn, "attr", None)) == "partial" and args:
+                fn, args = args[0], args[1:]
+            if isinstance(fn, ast.Name):
+                name, attr = fn.id, False
+            elif isinstance(fn, ast.Attribute):
+                name, attr = fn.attr, True
+            else:
+                continue
+            n = math.inf if any(isinstance(a, ast.Starred) for a in args) else len(args)
+            out.append((module, node.lineno, name, attr, n, {k.arg for k in node.keywords}))
+    return out
+
+
+def _never_passed_defaults(trees, skip=()):
+    """Qualified names `f.p` of each defaulted parameter p of a public
+    function or method f (of the modules name -> ast tree, f not in skip)
+    that no call outside f's own body passes, positionally or by keyword.
+    A call is matched by name as in _without_a_caller; a method's first
+    parameter is its receiver unless it is a staticmethod."""
+    calls = _calls(trees)
+    unset = []
+    for module, tree in trees.items():
+        for qualname, fn in _public_defs(tree, module):
+            if qualname in skip:
+                continue
+            method = qualname.count(".") == 2
+            static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+            a = fn.args
+            positional = a.posonlyargs + a.args
+            receiver = int(method and not static)
+            first = len(positional) - len(a.defaults)
+            defaulted = [(i - receiver, p.arg) for i, p in enumerate(positional) if i >= first]
+            defaulted += [(math.inf, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+                          if d is not None]
+            mine = [(n, kws) for m, line, name, attr, n, kws in calls
+                    if name == fn.name and (attr or not method)
+                    and not (m == module and fn.lineno <= line <= fn.end_lineno)]
+            unset += [f"{qualname}.{p}" for i, p in defaulted
+                      if not any(n > i or p in kws or None in kws for n, kws in mine)]
+    return sorted(unset)
+
+
+def test_every_default_of_a_public_function_is_passed_by_a_caller_in_src():
+    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
+    assert _never_passed_defaults(trees, skip=NO_CALLER_IN_SRC) == sorted(NO_SETTER_IN_SRC)
+
+
+def test_a_default_counts_as_passed_by_keyword_partial_or_position():
+    tree = ast.parse("import functools\n"
+                     "def f(a, pos=1, kw=2, part=3, never=4):\n"
+                     "    return f(a, never=never)\n"
+                     "class P:\n"
+                     "    def m(self, pos=1, never=2): pass\n"
+                     "    @staticmethod\n"
+                     "    def s(pos=1, never=2): pass\n"
+                     "f(0, 5)\n"
+                     "f(0, kw=6)\n"
+                     "g = functools.partial(f, part=7)\n"
+                     "m(1, 2)\n"
+                     "P().m(8)\n"
+                     "P.s(9)\n")
+    # f's own recursive call does not pass `never`; a bare m(1, 2) is not a
+    # call of the method; the receiver takes m's first slot, not s's
+    assert _never_passed_defaults({"m": tree}) == ["m.P.m.never", "m.P.s.never", "m.f.never"]
+    # a spread *args or **kwargs may pass any default
+    spread = ast.parse("def h(a=1, b=2): pass\n"
+                       "def k(a=1, *, b=2): pass\n"
+                       "h(*xs)\n"
+                       "k(**kw)\n")
+    assert _never_passed_defaults({"m": spread}) == []
