@@ -253,13 +253,11 @@ def ch_map(xi: KForm, model: InvariantModel | None = None) -> tuple:
     """Five wedge pairings of an invariant 3-form against the reference
     4-forms, normalised so the distinguished volume g^{123}^(Re Omega)^2
     integrates to 1 (i.e. values are in units of the fundamental-domain
-    constant A)."""
+    constant A).  Fractions, for a rational xi; a float or polynomial xi
+    raises TypeError."""
     pairings, unit = _ch_data(model or nakamura_model())
-    out = []
-    for eta in pairings:
-        c = xi.wedge(eta).top_coefficient()
-        out.append(Q(c) / Q(unit) if xi.ring == RAT else float(c) / float(unit))
-    return tuple(out)
+    xi._ints()      # refuses a float or polynomial form
+    return tuple(xi.wedge(eta).top_coefficient() / unit for eta in pairings)
 
 
 # ===========================================================================

@@ -21,8 +21,9 @@ from . import catalog, collapse, ehmetric, flow, g2core, scaling
 from .forms import KForm, PolynomialMap, poly_ring
 from .g2core import (SU2FiberData, bilinear_from_3form, hodge_star, is_g2_type,
                      standard_phi, star_parts, su2_assemble)
-from .liecdga import (JacobiError, StructureEqs, check_d_squared, d_invariant,
-                      load_model, model_from_dict, model_to_dict)
+from .liecdga import (JacobiError, PrimitiveMismatch, StructureEqs, check_d_squared,
+                      d_invariant, load_model, model_from_dict, model_to_dict,
+                      verify_primitive)
 from .rings import RAT, Poly
 
 DIM = 7
@@ -31,6 +32,16 @@ DIM = 7
 class UsageError(ValueError):
     """A command-line value outside its domain: main prints it on one
     stderr line and returns 2, before any output file is written."""
+
+
+#: the largest magnitude of a scale value (--mu, --alpha, --lambda, --t-end,
+#: --t, --R), and the inverse of the smallest for --alpha, --t and --c,
+#: which divide.  The commands raise these values to powers up to the 18th
+#: (B of phi^mu has entries of order mu^18; eh forms t^4 and (t R)^6, with
+#: an automatic R of order c^(-1/4); one RK4 step of flow takes mu^7 at mu
+#: of order t-end / alpha^2): in [1e-8, 1e8] every such float stays in
+#: range, and at 1e100 or 1e-100 some leave it
+SCALE = 1e8
 
 
 def _value(flag: str, text, ok=lambda x: x > 0, need: str = "positive") -> float:
@@ -423,13 +434,16 @@ def _check_closed_families(rng):
 def _check_exactness_witness(rng):
     m = catalog.nakamura_model()
     rho, target = m.witnesses["two_g1_wedge_omega"]
-    ok = d_invariant(m.eqs, rho) == target
     # and the class primitive of phi^mu - phi
     mu = Fraction(2)
     prim = (mu ** 6 - 1) * Fraction(1, 2) * Fraction(3) * rho  # alpha = 3
     diff = catalog.phi_abl_mu(3, 1, 1, mu, m) - catalog.phi_abl(3, 1, 1, m)
-    ok = ok and d_invariant(m.eqs, prim) == diff
-    return ok, "d(rho) = 2 g^1^omega and the mu-family primitive, exact"
+    for name, primitive, want in (("rho", rho, target), ("mu-family", prim, diff)):
+        try:
+            verify_primitive(m.eqs, primitive, want)
+        except PrimitiveMismatch as e:
+            return False, f"{name} primitive: {e}"
+    return True, "d(rho) = 2 g^1^omega and the mu-family primitive, exact"
 
 
 def _check_primitive_ledger(rng):
@@ -814,16 +828,19 @@ def cmd_scan(args) -> int:
 
 def _parse_lambda(s):
     """'re' or 're,im' as a float or a pair of floats."""
-    parts = [_value("--lambda", x, lambda x: True) for x in s.split(",", 1)]
+    parts = [_value("--lambda", x, lambda x: abs(x) <= SCALE, f"at most {SCALE:g} in size")
+             for x in s.split(",", 1)]
     if not any(parts):
         raise UsageError(f"--lambda must be nonzero, got {s!r}")
     return tuple(parts) if len(parts) == 2 else parts[0]
 
 
 def cmd_flow(args) -> int:
-    for flag, x in (("--tol", args.tol), ("--t-end", args.t_end), ("--steps", args.steps)):
-        _value(flag, x)
-    _value("--alpha", args.alpha, lambda a: a != 0, "nonzero")
+    _value("--tol", args.tol)
+    _value("--t-end", args.t_end, lambda x: 0 < x <= SCALE, f"in (0, {SCALE:g}]")
+    _value("--steps", args.steps)
+    _value("--alpha", args.alpha, lambda a: 1 / SCALE <= abs(a) <= SCALE,
+           f"nonzero, between {1 / SCALE:g} and {SCALE:g} in size")
     rows = flow.flow_integrate(args.alpha, _parse_lambda(args.lam), args.t_end,
                                args.steps)
     path = args.out or "flow_trajectory.csv"
@@ -836,12 +853,14 @@ def cmd_flow(args) -> int:
 
 def cmd_eh(args) -> int:
     _value("--grid", args.grid)
-    _value("--t", args.t)
-    c = 1.0 if args.c == "auto" else _value("--c", args.c, lambda x: 0 < x < 2, "in (0, 2)")
+    _value("--t", args.t, lambda x: 1 / SCALE <= x <= SCALE, f"in [{1 / SCALE:g}, {SCALE:g}]")
+    c = 1.0
+    if args.c != "auto":
+        c = _value("--c", args.c, lambda x: 1 / SCALE <= x < 2, f"in [{1 / SCALE:g}, 2)")
     if args.R == "auto":
         R = max(4.0, 1.05 * ehmetric.feasibility_threshold(c))
     else:
-        R = _value("--R", args.R)
+        R = _value("--R", args.R, lambda x: 0 < x <= SCALE, f"in (0, {SCALE:g}]")
     try:
         profile = ehmetric.build_profile(args.t, R, c)
     except (ehmetric.Infeasible, ehmetric.ConstructionFailed) as e:
@@ -862,7 +881,8 @@ def cmd_eh(args) -> int:
 
 
 def cmd_collapse(args) -> int:
-    mus = [_value("--mu", m, lambda x: x >= 1, ">= 1") for m in args.mu.split(",")]
+    mus = [_value("--mu", m, lambda x: 1 <= x <= SCALE, f"in [1, {SCALE:g}]")
+           for m in args.mu.split(",")]
     if args.model == "nakamura":
         rep = _nakamura_premises(mus)
         rep["model"] = "nakamura"

@@ -12,7 +12,10 @@ A rational form is held as integer numerators over one denominator, the
 lcm of its coefficients' denominators, which makes the pair reduced and
 canonical.  Its wedge, sum, negation, scaling and equality run on these
 integers and build no Fraction; Fractions are made only when `coeffs` is
-read.
+read.  Every exact operation of the package (the B-map, metric and star of
+`g2core`, `liecdga.d_invariant`, `catalog.ch_map`) reads its forms through
+`KForm._ints`, which refuses a float or polynomial form with a TypeError:
+exact operations take rational forms, and that is decided here only.
 
 Every multi-index has a 7-bit mask in `_MASKS` (bit i-1 set for axis i).
 The index-pair loops of `wedge`, `d_chart` and the table rows of
@@ -29,7 +32,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import Mapping
 
-from .rings import (RAT, MixedRingError, Poly, _over_common_denominator,
+from .rings import (FLT, RAT, MixedRingError, Poly, _over_common_denominator,
                     _reduced, coerce_to, ring_of, ring_zero, scalar_is_zero)
 
 MultiIndex = tuple  # strictly increasing tuple of axis labels (1-based ints)
@@ -158,8 +161,15 @@ class KForm:
         return MappingProxyType(c)
 
     def _ints(self):
-        """(numerators, D) of a rational form, made on first use and kept."""
+        """(numerators, D) of a rational form, made on first use and kept.
+        Every exact operation reads its forms here, so this is where a float
+        or polynomial form is refused, with a TypeError naming its ring."""
         if self._num is None:
+            if self.ring != RAT:
+                ring = self.ring if self.ring == FLT else f"polynomials in {self.ring[1]}"
+                raise TypeError(f"exact operations take rational forms, got one over "
+                                f"{ring}: evaluate a polynomial form at a point, and "
+                                "send float 3-form rows to g2core.metric_batch")
             nums, self._den = _over_common_denominator(self._coeffs.values())
             self._num = dict(zip(self._coeffs, nums))
         return self._num, self._den

@@ -28,22 +28,25 @@ and memoised by column mask; N is never inverted.  The coefficient is
 r^(k+1) times a rational number and r^3 is rational, so *a = r^p Y with
 p = (k+1) mod 3 and Y rational (`star_parts`).
 
-Exact linear algebra (determinants, Sylvester's test, inverses) runs
-fraction-free on integer numerators over one common denominator.  The
-determinant's elimination (Bareiss) defers the rescaling of a row whose
-pivot-column entry is zero until the row is read, so a diagonal N costs
-one product per pivot.  For a rational form over D, B = N / d with
-d = D^3, and r^3 = (36 det N)^{1/3} / D^7 has an integer root: r^3 D^7 is
-rational (vol^3 is a polynomial in phi) and its cube 36 det N is an
-integer.  G2Data holds N, d and r^3, and takes r = (r^3)^{1/3} on the
-first read of ``exact``, ``sqrt_det`` or the metric: g = N / (d r) and
+Exact linear algebra (determinants and Sylvester's test) runs
+fraction-free on integer numerators over one common denominator, by one
+elimination; nothing here inverts a matrix exactly.  The elimination
+(Bareiss) defers the rescaling of a row whose pivot-column entry is zero
+until the row is read, so a diagonal N costs one product per pivot.  For
+a rational form over D, B = N / d with d = D^3, and
+r^3 = (36 det N)^{1/3} / D^7 has an integer root: r^3 D^7 is rational
+(vol^3 is a polynomial in phi) and its cube 36 det N is an integer.
+G2Data holds N, d and r^3, and takes r = (r^3)^{1/3} on the first read
+of ``exact``, ``sqrt_det`` or the metric: g = N / (d r) and
 sqrt(det g) = r / 6 are Fractions where r is rational (exact data) and
 floats otherwise.
 
-`is_g2_type` and G2Data take rational forms only.  Float 3-forms are
-coefficient rows: `metric_batch` gives their metrics, B / (36 det B)^{1/9}
-with Sylvester's test by eigenvalues, and `norm_batch` the norms of 3-form
-rows in those metrics.
+`is_g2_type`, the B-map, the star and SU2FiberData take rational forms
+only: they read a form's integers, and `forms.KForm._ints` refuses a float
+or polynomial form with a TypeError.  Float 3-forms are coefficient rows:
+`metric_batch` gives their metrics, B / (36 det B)^{1/9} with Sylvester's
+test by eigenvalues, and `norm_batch` the norms of 3-form rows in those
+metrics.
 '''
 from __future__ import annotations
 
@@ -55,8 +58,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .forms import _MASKS, KForm, merge_sign
-from .rings import (RAT, _float_root, _int_nth_root, _over_common_denominator,
-                    nth_root_fraction)
+from .rings import RAT, _float_root, _int_nth_root, nth_root_fraction
 
 DIM = 7
 TRIPLES = list(combinations(range(1, 8), 3))
@@ -157,7 +159,6 @@ def bilinear_from_3form(phi: KForm):
     """
     if phi.degree != 3 or phi.dim != DIM:
         raise ValueError("expected a 3-form in dimension 7")
-    _require_rational(phi)
     num, den = _bilinear_numerators(phi)
     return [[Fraction(x, den) for x in row] for row in num]
 
@@ -280,14 +281,6 @@ def metric_batch(phis: np.ndarray):
 # exact linear algebra: integer numerators over a common denominator
 # --------------------------------------------------------------------------
 
-def _integer_numerators(M):
-    """(A, D) with M = A / D: A a square integer matrix (nested lists)."""
-    n = len(M)
-    flat, D = _over_common_denominator(
-        x if isinstance(x, (int, Fraction)) else Fraction(x) for row in M for x in row)
-    return [flat[n * r:n * (r + 1)] for r in range(n)], D
-
-
 def _bareiss(A):
     """Fraction-free (Bareiss) elimination of the square integer matrix A, in
     place.  Returns (det A, leading): the leading principal minors of A in
@@ -338,38 +331,6 @@ def _bareiss(A):
     return sign * prev, leading
 
 
-def _inverse_integer(A):
-    """(R, p) with A^-1 = R / p for a square integer matrix A, by
-    fraction-free Gauss-Jordan elimination of [A | I]: it ends at [p I | R]
-    with p = +-det A the last pivot."""
-    n = len(A)
-    A = [row + [int(c == r) for c in range(n)] for r, row in enumerate(A)]
-    prev = 1
-    for k in range(n):
-        if A[k][k] == 0:
-            piv = next((r for r in range(k + 1, n) if A[r][k]), None)
-            if piv is None:
-                raise ZeroDivisionError("singular matrix")
-            A[k], A[piv] = A[piv], A[k]
-        p, rowk = A[k][k], A[k]
-        for i in range(n):
-            if i != k:
-                rowi = A[i]
-                x = rowi[k]
-                # columns <= k are not read again
-                rowi[k + 1:] = [(p * y - x * z) // prev
-                                for y, z in zip(rowi[k + 1:], rowk[k + 1:])]
-        prev = p
-    return [row[n:] for row in A], prev
-
-
-def inverse_exact(M):
-    """Exact inverse of a square matrix of rationals, as Fractions."""
-    A, D = _integer_numerators(M)
-    R, p = _inverse_integer(A)
-    return [[Fraction(D * x, p) for x in row] for row in R]
-
-
 # --------------------------------------------------------------------------
 # G2Data
 # --------------------------------------------------------------------------
@@ -412,13 +373,6 @@ class G2Data:
         return np.array([[float(x) for x in row] for row in self.metric])
 
 
-def _require_rational(phi: KForm) -> None:
-    if phi.ring != RAT:
-        raise TypeError("a rational 3-form is needed: evaluate a polynomial "
-                        "form at a point, and send float coefficient rows to "
-                        "metric_batch")
-
-
 def is_g2_type(phi: KForm) -> G2Data:
     """Normalise B(phi) into a metric, exactly, for a rational 3-form; raise
     NotStableError / OrientationMismatchError when phi is not definite for
@@ -429,7 +383,6 @@ def is_g2_type(phi: KForm) -> G2Data:
     """
     if phi.degree != 3 or phi.dim != DIM:
         raise ValueError("expected a 3-form in dimension 7")
-    _require_rational(phi)
     # B = N / d; one elimination of N gives det B and the leading minors
     # m_k of N for Sylvester's test (the list stops at a zero one)
     N, d = _bilinear_numerators(phi)
@@ -539,14 +492,12 @@ def star_parts(data: G2Data, a: KForm):
     r^3 = n / m in lowest terms, the constant is the integer ratio
     6 m^(3-q) / (d^(7-k) n^(3-q)).  Complements whose sum has no term are
     skipped; Y keeps the complements' order.  Raises TypeError for a float
-    or polynomial form and ValueError for a form in another dimension."""
-    if a.ring != RAT:
-        raise TypeError("the Hodge star takes a rational form")
+    or polynomial form and then ValueError for a form in another dimension."""
+    na, da = a._ints()
     if a.dim != DIM:
         raise ValueError(f"the Hodge star takes a form in dimension {DIM}, "
                          f"got dimension {a.dim}")
     k = a.degree
-    na, da = a._ints()
     sums = _jacobi_sums(data, na)
     q, p = divmod(k + 1, 3)
     r3 = data._r3
@@ -572,8 +523,9 @@ def hodge_star(data: G2Data, a: KForm) -> KForm:
 
 @dataclass
 class SU2FiberData:
-    """Fiber data (omega, Omega), with the normalisation nu fixed by
-    2 omega^2 = nu^2 Omega ^ conj(Omega)."""
+    """Rational fiber data (omega, Omega), with the normalisation nu fixed by
+    2 omega^2 = nu^2 Omega ^ conj(Omega): a Fraction where nu^2 is a
+    rational square, else a float."""
     omega: KForm
     omega_re: KForm      # Re Omega
     omega_im: KForm      # Im Omega
@@ -582,23 +534,21 @@ class SU2FiberData:
     def __post_init__(self):
         conj_wedge = self.omega_re.wedge(self.omega_re) + self.omega_im.wedge(self.omega_im)
         two_om2 = self.omega.wedge(self.omega) + self.omega.wedge(self.omega)
+        (conj, dc), (top, dt) = conj_wedge._ints(), two_om2._ints()
         ratio = None
-        for idx, c in conj_wedge.coeffs.items():
-            if c == 0:
-                continue
-            top = two_om2.coeffs.get(idx)
-            if top is None:
+        for idx, c in conj.items():
+            t = top.get(idx)
+            if t is None:
                 raise DegenerateFiberError("2 omega^2 not proportional to Omega^conj(Omega)")
-            r = Fraction(top) / Fraction(c) if self.omega.ring == RAT else float(top) / float(c)
+            r = Fraction(t * dc, c * dt)
             if ratio is None:
                 ratio = r
             elif ratio != r:
                 raise DegenerateFiberError("2 omega^2 not proportional to Omega^conj(Omega)")
         if ratio is None or ratio <= 0:
             raise DegenerateFiberError("normalisation nu^2 must be positive")
-        q = Fraction(ratio)             # a float ratio by its binary value
-        sq = nth_root_fraction(q, 2) if isinstance(ratio, Fraction) else None
-        self.nu = sq or _float_root(q.numerator, q.denominator, 2, "nu^2")
+        self.nu = (nth_root_fraction(ratio, 2)
+                   or _float_root(ratio.numerator, ratio.denominator, 2, "nu^2"))
 
 
 def su2_assemble(g1: KForm, g2: KForm, g3: KForm, fiber: SU2FiberData) -> KForm:

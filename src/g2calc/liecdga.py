@@ -6,9 +6,10 @@ linear with constant coefficients, so StructureEqs keeps it as a table:
 the row of a multi-index I lists d(theta^I) as (merged index, signed
 integer constant over the lcm of the equations' denominators), in the
 order of the derivation's sum, and is filled on the first use of I.
-`d_invariant` is one loop over a form's terms and their rows, for every
-ring.  This module also handles the JSON model-file format used by the
-built-in catalogue and by the command line tool.
+`d_invariant` is one integer loop over a rational form's terms and their
+rows; a float or polynomial form is refused (by `forms.KForm._ints`), as
+by every exact operation.  This module also handles the JSON model-file
+format used by the built-in catalogue and by the command line tool.
 '''
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import math
 from fractions import Fraction
 
 from .forms import _MASKS, KForm, _add_term, merge_sign
-from .rings import RAT, coerce_to
+from .rings import RAT
 
 
 class JacobiError(ValueError):
@@ -54,8 +55,8 @@ class StructureEqs:
         self._gen_rows = tuple(
             tuple((pair, _MASKS[pair], n * (self._den // d)) for pair, n in num.items())
             for num, d in ints)
-        # multi-index -> row of d; ring -> {k: k / _den in that ring}
-        self._table, self._scalars = {}, {}
+        # multi-index -> row of d
+        self._table = {}
 
     def _row(self, idx) -> tuple:
         """d(theta^idx) as (merged index, k) pairs, k / _den the signed
@@ -76,46 +77,32 @@ class StructureEqs:
         row = self._table[idx] = tuple(row)
         return row
 
-    def _in_ring(self, ring) -> dict:
-        """Each constant k of the table as k / _den in a non-rational ring,
-        made on the first d of a form in that ring."""
-        scalars = self._scalars.get(ring)
-        if scalars is None:
-            scalars = self._scalars[ring] = {
-                k: coerce_to(ring, Fraction(k, self._den))
-                for row in self._gen_rows for _, _, n in row for k in (n, -n)}
-        return scalars
-
 
 def d_invariant(eqs: StructureEqs, form: KForm) -> KForm:
     """Derivation extension of the structure equations.
 
     d(theta^I) = sum_k (-1)^{k-1} theta^{i_1..} ^ d(theta^{i_k}) ^ ..theta^{i_m},
-    collected with constant coefficients: each term of the form meets the
-    table row of its index.  A rational form runs on its integer numerators
-    and the row's integers, over the product of the denominators; a float
-    or polynomial coefficient meets each constant in its own ring.  Raises
-    ValueError when the form's dimension is not that of the equations.
+    collected with constant coefficients: each term of the rational form
+    meets the table row of its index, integer numerators times the row's
+    integers, over the product of the denominators.  Raises ValueError when
+    the form's dimension is not that of the equations, and TypeError for a
+    float or polynomial form.
     """
     dim = eqs.dim
     if form.dim != dim:
         raise ValueError(f"d_invariant got a form in dimension {form.dim} for "
                          f"structure equations in dimension {dim}")
+    terms, den = form._ints()
     if form.degree >= dim:
-        return KForm.zero(dim, dim, form.ring)
-    if form.ring == RAT:
-        terms, den = form._ints()
-        den, scalars = den * eqs._den, None
-    else:
-        terms, den, scalars = form.coeffs, None, eqs._in_ring(form.ring)
+        return KForm.zero(dim, dim)
     table, out = eqs._table, {}
     for idx, c in terms.items():
         row = table.get(idx)
         if row is None:
             row = eqs._row(idx)
         for merged, k in row:
-            _add_term(out, merged, c * k if scalars is None else c * scalars[k])
-    return KForm._trusted(dim, form.degree + 1, form.ring, out, den)
+            _add_term(out, merged, c * k)
+    return KForm._trusted(dim, form.degree + 1, RAT, out, den * eqs._den)
 
 
 def check_d_squared(eqs: StructureEqs) -> None:
@@ -130,9 +117,12 @@ def check_d_squared(eqs: StructureEqs) -> None:
 
 
 def verify_primitive(eqs: StructureEqs, primitive: KForm, target: KForm) -> None:
-    """Check d(primitive) == target in exact arithmetic, else raise."""
+    """Check d(primitive) == target in exact arithmetic, else raise
+    PrimitiveMismatch naming both forms; a float or polynomial form raises
+    TypeError."""
     got = d_invariant(eqs, primitive)
-    if got != target.in_ring(got.ring):
+    target._ints()      # refuses a float or polynomial target
+    if got != target:
         raise PrimitiveMismatch(f"d(primitive) = {got}, expected {target}")
 
 
@@ -195,15 +185,14 @@ class InvariantModel:
         return self.eqs.dim
 
     def involution_pullback(self, form: KForm) -> KForm:
+        """The pullback of a rational form along the diagonal involution:
+        each term times the signs of its axes."""
         if not self.involution:
             raise ValueError("model carries no involution")
-        out = {}
-        for idx, c in form.coeffs.items():
-            s = Fraction(1)
-            for axis in idx:
-                s *= self.involution[self.eqs.generators[axis - 1]]
-            out[idx] = c * coerce_to(form.ring, s)
-        return KForm(form.dim, form.degree, form.ring, out)
+        num, den = form._ints()
+        signs = [int(self.involution[g]) for g in self.eqs.generators]
+        return KForm._trusted(form.dim, form.degree, RAT, {
+            idx: n * math.prod(signs[axis - 1] for axis in idx) for idx, n in num.items()}, den)
 
 
 def load_model(path) -> InvariantModel:
@@ -212,9 +201,17 @@ def load_model(path) -> InvariantModel:
     return model_from_dict(data)
 
 
+def _required(data, key, where="the model"):
+    """data[key]; a missing key raises ValueError naming it."""
+    try:
+        return data[key]
+    except KeyError:
+        raise ValueError(f"{where} has no {key!r} entry") from None
+
+
 def model_from_dict(data) -> InvariantModel:
-    dim = int(data["dim"])
-    gens = list(data["generators"])
+    dim = int(_required(data, "dim"))
+    gens = list(_required(data, "generators"))
     dmap = data.get("d", {})
     if len(set(gens)) != len(gens):
         raise ValueError(f"generator names repeat: {gens}")
@@ -243,8 +240,9 @@ def model_from_dict(data) -> InvariantModel:
                              "give a sign for every generator")
     wits = {}
     for name, w in data.get("witnesses", {}).items():
-        wits[name] = (_form_from_json(dim, w["primitive"]),
-                      _form_from_json(dim, w["target"]))
+        where = f"witness {name!r}"
+        wits[name] = (_form_from_json(dim, _required(w, "primitive", where)),
+                      _form_from_json(dim, _required(w, "target", where)))
     vol = _domain_volume(data["domain_volume"]) if "domain_volume" in data else None
     return InvariantModel(eqs, named, invo, wits, vol, label=data.get("label", ""))
 

@@ -20,12 +20,12 @@ rational lambda_t = n_t / d_t is carried as the integer pair (n_t, d_t):
 phi_(lambda) has numerators over lcm(d_t), and prod lambda is P = (prod n_t,
 prod d_t).  The frame scales solve M log(mu) = log(lambda); row i of
 E = 6 M^-1 is 2 on the three triples through axis i and -1 elsewhere
-(checked against the exact inverse at import), so mu_i^6 = L_i^3 / P with
-L_i the product of the three lambda_t through axis i.  mu_i^6 is one
-integer numerator and denominator reduced by one gcd.  Every root is an
-integer root of a reduced pair, or a float where it is irrational
-(`rings._float_root`); the solve is exact when every mu_i^6 is a sixth
-power.
+(built so, and checked by M E = 6 I in integers at import), so mu_i^6 =
+L_i^3 / P with L_i the product of the three lambda_t through axis i.
+mu_i^6 is one integer numerator and denominator reduced by one gcd.  Every
+root is an integer root of a reduced pair, or a float where it is
+irrational (`rings._float_root`); the solve is exact when every mu_i^6 is
+a sixth power.
 '''
 from __future__ import annotations
 
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .forms import KForm
-from .g2core import DIM, STANDARD_PHI_TERMS, is_g2_type, inverse_exact
+from .g2core import DIM, STANDARD_PHI_TERMS, is_g2_type
 from .rings import RAT, _exact_real, _float_root, _ratio_root
 
 #: incidence matrix M of the log-linear system: row t, column i is 1 when
@@ -42,20 +42,23 @@ from .rings import RAT, _exact_real, _float_root, _ratio_root
 #: M log(mu) = log(lambda)
 INCIDENCE = [[1 if i in t else 0 for i in range(1, DIM + 1)] for _, t in STANDARD_PHI_TERMS]
 
-INCIDENCE_INV = inverse_exact(INCIDENCE)   # entries in (1/6)Z
-
 #: per axis i, the positions t of the three terms whose triples hold i and
 #: of the four that do not
 _TERMS_BY_AXIS = tuple(
     tuple(tuple(t for t, (_, triple) in enumerate(STANDARD_PHI_TERMS) if (i in triple) == on)
           for on in (True, False))
     for i in range(1, DIM + 1))
-# 6 M^-1 is 2 on the triples through i and -1 elsewhere, so mu_i^6 =
+# E = 6 M^-1 is 2 on the triples through i and -1 elsewhere, so mu_i^6 =
 # L_i^3 / P; every column sums to 3 * 2 - 4 = 2, so prod mu^6 = (prod
-# lambda)^2 = vol^6: the frame scales give the volume law by construction
-if [[6 * x for x in row] for row in INCIDENCE_INV] != [
-        [2 if t in through else -1 for t in range(DIM)] for through, _ in _TERMS_BY_AXIS]:
-    raise AssertionError("6 M^-1 should be 2 on the triples through each axis, -1 elsewhere")
+# lambda)^2 = vol^6: the frame scales give the volume law by construction.
+# M E = 6 I is checked in integers: entry (t, u) is the sum of E[i][u] over
+# the three axes i of triple t, 3 * 2 on the diagonal and 2 - 1 - 1 = 0 off
+# it, as two triples of the standard form share exactly one axis
+_E = [[2 if t in through else -1 for t in range(DIM)] for through, _ in _TERMS_BY_AXIS]
+if [[sum(m * e for m, e in zip(row, col)) for col in zip(*_E)] for row in INCIDENCE] != [
+        [6 * (t == u) for u in range(DIM)] for t in range(DIM)]:
+    raise AssertionError("M E should be 6 I, with E 2 on the triples through each axis "
+                         "and -1 elsewhere")
 
 
 class InvalidScaleError(ValueError):
@@ -135,7 +138,7 @@ def _volume_factor(lambdas, pairs):
 def hitchin_scaling_law(lambdas) -> dict:
     """Bundle (mu, volume factor, definiteness certificate) for one lambda;
     "lambdas" is exact (Fractions) when the mus are, else as given.  The
-    volume factor is prod mu by construction (checked on 6 M^-1 at import)."""
+    volume factor is prod mu by construction (M E = 6 I, checked at import)."""
     lambdas, pairs = _validated(lambdas)
     expo = _solve(lambdas, pairs)
     vol = _volume_factor(lambdas, pairs)

@@ -1,10 +1,11 @@
 """Independent references that the tests hold the package's kernels against:
-the interior product and one-point evaluation of a form; the inverse metric,
-exact inner product and Fraction-constant star of G2Data; the closed form
-and right-hand side of the scalar flow line; the closed families and class
+the interior product and one-point evaluation of a form; a matrix inverse
+by Fraction Gauss-Jordan elimination; the inverse metric, exact inner
+product and Fraction-constant star of G2Data; the closed form and
+right-hand side of the scalar flow line; the closed families and class
 detector built by wedges of the model's named forms; and the frame scales
-of the volume law by a walk over the exponent matrix E = 6 M^-1.  No code
-in src/g2calc calls them."""
+of the volume law by a walk over the exponent matrix E = 6 M^-1, with M^-1
+from the Fraction inverse.  No code in src/g2calc calls them."""
 import math
 from fractions import Fraction
 from typing import Mapping
@@ -15,7 +16,7 @@ from g2calc.flow import _mu_closed, _mu_dot, _rate_constants
 from g2calc.forms import KForm
 from g2calc.rings import (FLT, RAT, MixedRingError, _exact_real, _float_root, _ratio_root,
                           coerce_to, ring_of)
-from g2calc.scaling import INCIDENCE_INV, InvalidScaleError, ScalingExponents, _validated
+from g2calc.scaling import INCIDENCE, InvalidScaleError, ScalingExponents, _validated
 
 
 def contract(form: KForm, vector) -> KForm:
@@ -56,12 +57,31 @@ def eval_at(form: KForm, point: Mapping[str, float]) -> KForm:
                           {i: c.eval(point) for i, c in form.coeffs.items()})
 
 
+def fraction_inverse(M) -> list:
+    """Reference inverse: Gauss-Jordan elimination on Fractions."""
+    n = len(M)
+    A = [[Fraction(x) for x in M[r]] + [Fraction(int(c == r)) for c in range(n)]
+         for r in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if A[r][col] != 0)
+        A[col], A[piv] = A[piv], A[col]
+        A[col] = [x / A[col][col] for x in A[col]]
+        for r in range(n):
+            if r != col and A[r][col]:
+                f = A[r][col]
+                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
+    return [row[n:] for row in A]
+
+
+#: M^-1 of the volume law's incidence matrix, entries in (1/6) Z
+INCIDENCE_INV = fraction_inverse(INCIDENCE)
+
+
 def metric_inv(data) -> list:
     """g^-1 = r B^-1 = r d N^-1 of the data of a rational 3-form, as Fractions
     where r is rational and floats otherwise."""
     N, d = data._ints
-    R, p = g2core._inverse_integer(N)
-    return [[Fraction(d * x, p) * data._r for x in row] for row in R]
+    return [[x * d * data._r for x in row] for row in fraction_inverse(N)]
 
 
 def inner_product(data, a: KForm, b: KForm):
@@ -147,11 +167,7 @@ def ch_map(xi: KForm, model=None) -> tuple:
     pairings = (re_om.wedge(re_om), g1.wedge(g2).wedge(im_om), g1.wedge(g2).wedge(re_om),
                 g1.wedge(g3).wedge(re_om), -1 * g1.wedge(g3).wedge(im_om))
     unit = g1.wedge(g2).wedge(g3).wedge(pairings[0]).top_coefficient()
-    out = []
-    for eta in pairings:
-        c = xi.wedge(eta).top_coefficient()
-        out.append(Fraction(c) / Fraction(unit) if xi.ring == RAT else float(c) / float(unit))
-    return tuple(out)
+    return tuple(Fraction(xi.wedge(eta).top_coefficient()) / Fraction(unit) for eta in pairings)
 
 
 def solve_scaling(lambdas) -> ScalingExponents:

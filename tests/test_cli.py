@@ -120,7 +120,11 @@ def test_a_model_with_a_negative_volume_fails_naming_the_key(tmp_path):
      "rationals must be strings or ints, got True"),
     ({"dim": 2, "generators": ["a", "b"], "d": {"zz": [["1", [1, 2]]]}},
      "'d' names generators ['zz']"),
-], ids=["bool", "unknown_generator"])
+    ({"generators": ["a", "b"]}, "ValueError: the model has no 'dim' entry"),
+    ({"dim": 2}, "ValueError: the model has no 'generators' entry"),
+    ({"dim": 2, "generators": ["a", "b"], "witnesses": {"w": {"primitive": [["1", [1]]]}}},
+     "ValueError: witness 'w' has no 'target' entry"),
+], ids=["bool", "unknown_generator", "no_dim", "no_generators", "witness_without_target"])
 def test_malformed_model_fails_with_the_problem_named(tmp_path, data, problem):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
@@ -231,6 +235,13 @@ def test_eh_empty_grid_is_usage_error(tmp_path):
     ["eh", "--t", "0"], ["eh", "--c", "3"], ["eh", "--R", "abc"],
     ["scan", "--grid", "0"], ["verify", "--seed", "-1"], ["scan", "--seed", "-1"],
     ["eh", "--seed", "-1"],
+    # finite values past the float range of the work: each once ended in an
+    # OverflowError, ZeroDivisionError or ValueError traceback
+    ["collapse", "--mu", "1e300"], ["collapse", "--model", "ffkm", "--mu", "2,1e300"],
+    ["flow", "--alpha", "1e300"], ["flow", "--alpha", "1e-200"],
+    ["flow", "--steps", "1", "--t-end", "1e300"], ["flow", "--lambda", "1e300"],
+    ["eh", "--t", "1e300"], ["eh", "--t", "1e-300"], ["eh", "--R", "1e300"],
+    ["eh", "--t", "1000", "--c", "1e-300"],
 ], ids=" ".join)
 def test_out_of_domain_values_are_usage_errors(argv, tmp_path, capsys):
     # exit 2 with one stderr line naming the flag, and no output file
@@ -267,6 +278,19 @@ def test_exact_checks_reject_a_float_metric_with_exact_values(check, monkeypatch
     monkeypatch.setattr(cli, "is_g2_type", lambda phi: _float_copy(real(phi)))
     with pytest.raises(ArithmeticError, match="inexact"):
         getattr(cli, check)(np.random.default_rng(0))
+
+
+def test_the_exactness_witness_check_names_the_mismatching_forms(monkeypatch):
+    # a witness whose target is three times d(rho) fails through
+    # verify_primitive, and the detail shows both forms
+    m = catalog.nakamura_model()
+    rho, target = m.witnesses["two_g1_wedge_omega"]
+    wrong = catalog.InvariantModel(m.eqs, m.named_forms,
+                                   witnesses={"two_g1_wedge_omega": (rho, 3 * target)})
+    monkeypatch.setattr(catalog, "nakamura_model", lambda: wrong)
+    ok, detail = cli._check_exactness_witness(np.random.default_rng(0))
+    assert not ok
+    assert detail == f"rho primitive: d(primitive) = {target}, expected {3 * target}"
 
 
 def test_glued_definite_check_names_the_indefinite_point(monkeypatch):

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from g2calc import forms as forms_module
+from g2calc import g2core
 from g2calc import rings as rings_module
-from g2calc.catalog import chart_map, ffkm_model, nakamura_model
+from g2calc.catalog import ch_map, chart_map, ffkm_model, nakamura_model
 from g2calc.forms import KForm, PolynomialMap, chart_vars, merge_sign, poly_ring
-from g2calc.liecdga import d_invariant
+from g2calc.liecdga import d_invariant, verify_primitive
 from g2calc.rings import FLT, RAT, MixedRingError, Poly
 from oracles import contract, eval_at
 
@@ -317,13 +318,13 @@ def test_kernel_outputs_equal_their_validated_rebuild(ring):
         a = random_form(rng, rng.randint(0, 3), ring)
         b = random_form(rng, rng.randint(0, 3), ring)
         v = [rng.randint(-2, 2) for _ in range(DIM)]
+        e = rng.choice(eqs)
         outs = [a.wedge(b), a + a.scale(Fraction(1, 3)), -a, 2 * a,
-                d_invariant(rng.choice(eqs), a),
                 rng.randint(1, 3) * KForm.basis(DIM, (1, 2), ring)]
         if a.degree:
             outs.append(contract(a, v))
-        if ring == RAT:
-            outs.append(a.in_ring(FLT))
+        if ring == RAT:     # d is exact: it refuses the other rings
+            outs += [d_invariant(e, a), a.in_ring(FLT)]
         if ring == YRING:
             outs += [a.d_chart(), F.pullback(a), eval_at(a, {y: 0.5 for y in YVARS})]
         for out in outs:
@@ -836,3 +837,43 @@ def test_equality_agrees_with_the_fraction_dicts():
                 assert (x == y) == same and (y == x) == same
                 verdicts.add(same)
     assert verdicts == {True, False}
+
+
+# --------------------------------------------------------------------------
+# the exact layer takes rational forms only, refused in one place
+# --------------------------------------------------------------------------
+
+def _exact_entry_points() -> dict:
+    """Each exact operation of the package as call(convert), which runs it
+    on fixed rational forms with `convert` applied to the form it reads."""
+    phi = g2core.standard_phi()
+    data = g2core.is_g2_type(phi)
+    ffkm = ffkm_model()
+    rho, target = ffkm.witnesses["theta123"]
+    th = lambda *idx: KForm.basis(DIM, idx)
+    fiber = (th(4, 5) + th(6, 7), th(4, 6) - th(5, 7), th(4, 7) + th(5, 6))
+    return {
+        "is_g2_type": lambda f: g2core.is_g2_type(f(phi)),
+        "bilinear_from_3form": lambda f: g2core.bilinear_from_3form(f(phi)),
+        "star_parts": lambda f: g2core.star_parts(data, f(phi)),
+        "hodge_star": lambda f: g2core.hodge_star(data, f(phi)),
+        "d_invariant": lambda f: d_invariant(ffkm.eqs, f(rho)),
+        "ch_map": lambda f: ch_map(f(phi), nakamura_model()),
+        "SU2FiberData": lambda f: g2core.SU2FiberData(*map(f, fiber)),
+        "verify_primitive": lambda f: verify_primitive(ffkm.eqs, f(rho), target),
+        "verify_primitive.target": lambda f: verify_primitive(ffkm.eqs, rho, f(target)),
+        "involution_pullback": lambda f: ffkm.involution_pullback(f(phi)),
+    }
+
+
+@pytest.mark.parametrize("ring", [FLT, YRING], ids=["flt", "poly"])
+@pytest.mark.parametrize("entry", [
+    "is_g2_type", "bilinear_from_3form", "star_parts", "hodge_star", "d_invariant", "ch_map",
+    "SU2FiberData", "verify_primitive", "verify_primitive.target", "involution_pullback"])
+def test_every_exact_entry_point_refuses_a_float_or_polynomial_form(entry, ring):
+    # KForm._ints refuses the form, naming its ring, wherever it is read
+    call = _exact_entry_points()[entry]
+    call(lambda form: form)
+    with pytest.raises(TypeError, match="exact operations take rational forms, got one over "
+                                        + ("float" if ring == FLT else "polynomials in")):
+        call(lambda form: form.in_ring(ring))

@@ -8,18 +8,17 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from g2calc import flow, g2core, rings, scaling
+from g2calc import g2core, rings, scaling
 from g2calc.catalog import nakamura_model, phi_abl_mu, xi_mu_chart
 from g2calc.forms import KForm
 from g2calc.g2core import (STANDARD_PHI_TERMS, DegenerateFiberError, G2Data,
                            NotStableError, OrientationMismatchError,
                            SU2FiberData, bilinear_from_3form, hodge_star,
-                           inverse_exact, is_g2_type,
-                           metric_batch, norm_batch, phi_to_vector, standard_phi,
+                           is_g2_type, metric_batch, norm_batch, phi_to_vector, standard_phi,
                            su2_assemble)
 from g2calc.rings import FLT, RAT, nth_root_fraction
-from g2calc.scaling import INCIDENCE
-from oracles import contract, inner_product, metric_inv, star_parts_fraction
+from oracles import (contract, fraction_inverse, inner_product, metric_inv,
+                     star_parts_fraction)
 
 DIM = 7
 
@@ -562,22 +561,6 @@ def _fraction_det(M):
     return det
 
 
-def _fraction_inverse(M):
-    """Reference inverse: Gauss-Jordan elimination on Fractions."""
-    n = len(M)
-    A = [[Fraction(x) for x in M[r]] + [Fraction(int(c == r)) for c in range(n)]
-         for r in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if A[r][col] != 0)
-        A[col], A[piv] = A[piv], A[col]
-        A[col] = [x / A[col][col] for x in A[col]]
-        for r in range(n):
-            if r != col and A[r][col]:
-                f = A[r][col]
-                A[r] = [x - f * y for x, y in zip(A[r], A[col])]
-    return [row[n:] for row in A]
-
-
 def _matmul(X, Y):
     return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in zip(*Y)]
             for row in X]
@@ -606,11 +589,12 @@ def _det_cases(n):
 
 
 def det_exact(M):
-    """Exact determinant of a square matrix of rationals, as a Fraction: the
-    production Bareiss elimination on its integer numerators over one
-    denominator."""
-    A, D = g2core._integer_numerators(M)
-    return Fraction(g2core._bareiss(A)[0], D ** len(A))
+    """Exact determinant of a square matrix of rationals (floats read by
+    their binary values), as a Fraction: the production Bareiss elimination
+    on its integer numerators over one denominator."""
+    n = len(M)
+    flat, D = rings._over_common_denominator(Fraction(x) for row in M for x in row)
+    return Fraction(g2core._bareiss([flat[n * r:n * (r + 1)] for r in range(n)])[0], D ** n)
 
 
 @pytest.mark.parametrize("n", range(1, DIM + 1))
@@ -723,24 +707,6 @@ def test_bareiss_matches_the_fraction_reference_on_random_sparse_matrices():
     assert swaps >= 50
 
 
-def test_inverse_exact_matches_the_fraction_reference():
-    rng = np.random.default_rng(40)
-    mats = [INCIDENCE, [[2]], [[0, 1], [1, 0]]]
-    for n in range(1, DIM + 1):
-        mats += [M for M in _det_cases(n) if _fraction_det(M) != 0]
-    for M in mats:
-        inv = inverse_exact(M)
-        n = len(M)
-        assert all(type(x) is Fraction for row in inv for x in row)
-        assert inv == _fraction_inverse(M)
-        assert _matmul(inv, M) == [[int(r == c) for c in range(n)] for r in range(n)]
-    assert all((6 * x).denominator == 1 for row in inverse_exact(INCIDENCE) for x in row)
-    with pytest.raises(ZeroDivisionError):
-        inverse_exact([[1, 2], [2, 4]])
-    with pytest.raises(ZeroDivisionError):
-        inverse_exact(_det_cases(4)[-2])
-
-
 def _reference_exact_g2(phi):
     """The Fraction-elimination exact branch of is_g2_type: (metric,
     metric_inv, sqrt_det) from the wedge-built B."""
@@ -748,7 +714,7 @@ def _reference_exact_g2(phi):
     root = nth_root_fraction(36 * _fraction_det(B), 9)
     g = [[x / root for x in row] for row in B]
     assert all(_fraction_det([row[:k] for row in g[:k]]) > 0 for k in range(1, DIM + 1))
-    return g, _fraction_inverse(g), nth_root_fraction(_fraction_det(g), 2)
+    return g, fraction_inverse(g), nth_root_fraction(_fraction_det(g), 2)
 
 
 def _random_frames(rng, count):
@@ -948,7 +914,9 @@ def _per_pair_minors(ginv):
     """det(g^-1[I, J]) by one elimination per (I, J) pair, memoised so that
     the star and the inner product of one metric share them: Bareiss on
     the integer numerators G of g^-1 = G / D, tested against Leibniz above."""
-    G, D = g2core._integer_numerators(ginv)
+    n = len(ginv)
+    flat, D = rings._over_common_denominator(x for row in ginv for x in row)
+    G = [flat[n * r:n * (r + 1)] for r in range(n)]
     memo = {}
 
     def minor(I, J):
@@ -1023,10 +991,10 @@ def _su2_family_phi(nu):
     return su2_assemble(th(1), th(2), th(3), _fiber(nu))
 
 
-def _fiber(nu, ring=RAT):
-    om = nu * (th(4, 5, ring=ring) + th(6, 7, ring=ring))
-    re = th(4, 6, ring=ring) - th(5, 7, ring=ring)
-    im = th(4, 7, ring=ring) + th(5, 6, ring=ring)
+def _fiber(nu):
+    om = nu * (th(4, 5) + th(6, 7))
+    re = th(4, 6) - th(5, 7)
+    im = th(4, 7) + th(5, 6)
     return SU2FiberData(om, re, im)
 
 
@@ -1040,26 +1008,6 @@ def test_g2data_exactness_is_read_off_its_integers():
     assert G2Data(data.phi, N, d, data.vol_cubed * 216).exact is True
     copy = G2Data(data.phi, N, d, data.vol_cubed * 432)
     assert copy.exact is False
-
-
-def test_exact_data_inverts_n_at_most_once(monkeypatch):
-    # the volume law reads only sqrt_det, and a Laplacian's two stars read
-    # wedges of N's columns: neither inverts N.  The oracle g^-1 inverts it
-    # once
-    calls = []
-    inverse = g2core._inverse_integer
-    monkeypatch.setattr(g2core, "_inverse_integer",
-                        lambda A: calls.append(1) or inverse(A))
-    out = scaling.hitchin_scaling_law([Fraction(8), 1, Fraction(27, 64), 1, 1, 8, 1])
-    assert type(out["volume_factor"]) is Fraction and out["volume_factor"] == 3
-    assert calls == []
-    m = nakamura_model()
-    phi = phi_abl_mu(2, Fraction(1, 3), (8, 0), Fraction(3, 2), m)
-    lap = flow.laplacian(phi, m)
-    assert lap.ring == RAT and lap.coeffs
-    assert calls == []
-    metric_inv(is_g2_type(phi))
-    assert calls == [1]
 
 
 def test_su2_normalisation_constant():

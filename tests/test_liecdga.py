@@ -13,7 +13,7 @@ from g2calc.forms import KForm, _add_term, merge_sign, sort_with_sign
 from g2calc.liecdga import (InvariantModel, JacobiError, StructureEqs,
                             check_d_squared, d_invariant, load_model,
                             model_from_dict, model_to_dict, verify_primitive)
-from g2calc.rings import FLT, RAT, Poly, coerce_to
+from g2calc.rings import FLT, RAT, Poly
 
 DIM = 7
 
@@ -219,12 +219,13 @@ def test_structure_eqs_reject_float_constants():
 
 
 def _d_invariant_term_by_term(eqs, form):
-    """d as one form per term, added up one at a time through the validating
-    constructor, with signs from sorting (no merge-sign memo)."""
+    """d of a rational form as one form per term, added up one at a time
+    through the validating constructor, with signs from sorting (no
+    merge-sign memo)."""
     dim = eqs.dim
     if form.degree >= dim:
-        return KForm.zero(dim, dim, form.ring)
-    out = KForm.zero(dim, form.degree + 1, form.ring)
+        return KForm.zero(dim, dim)
+    out = KForm.zero(dim, form.degree + 1)
     for idx, c in form.coeffs.items():
         for pos, axis in enumerate(idx):
             rest = idx[:pos] + idx[pos + 1:]
@@ -232,10 +233,10 @@ def _d_invariant_term_by_term(eqs, form):
                 merged, sign = sort_with_sign(pair + rest)
                 if sign == 0:
                     continue
-                total = c * coerce_to(form.ring, c2)
+                total = c * c2
                 if (sign == 1) != (pos % 2 == 0):
                     total = -total
-                out = out + KForm(dim, form.degree + 1, form.ring, {merged: total})
+                out = out + KForm(dim, form.degree + 1, RAT, {merged: total})
     return out
 
 
@@ -249,6 +250,10 @@ def test_d_invariant_matches_term_by_term_sum(model, ring):
         coeffs = {idx: Fraction(rng.randint(-5, 5), rng.randint(1, 4))
                   for idx in combinations(range(1, DIM + 1), k) if rng.random() < 0.5}
         form = KForm(DIM, k, RAT, coeffs).in_ring(ring)
+        if ring == FLT:     # d is exact: a float form is refused
+            with pytest.raises(TypeError, match="over float"):
+                d_invariant(eqs, form)
+            continue
         got, want = d_invariant(eqs, form), _d_invariant_term_by_term(eqs, form)
         assert got == want
         # same coefficients bit for bit, in the same order
@@ -256,11 +261,11 @@ def test_d_invariant_matches_term_by_term_sum(model, ring):
 
 
 def _d_invariant_fraction_loop(eqs, form):
-    """d_invariant as one Fraction (or float) product per term, each structure
-    constant coerced into the form's ring, summed through _add_term."""
+    """d_invariant of a rational form as one Fraction product per term,
+    summed through _add_term."""
     dim = eqs.dim
     if form.degree >= dim:
-        return KForm.zero(dim, dim, form.ring)
+        return KForm.zero(dim, dim)
     out = {}
     for idx, c in form.coeffs.items():
         for pos, axis in enumerate(idx):
@@ -272,11 +277,11 @@ def _d_invariant_fraction_loop(eqs, form):
                 merged, sign = merge_sign(pair, rest)
                 if sign == 0:
                     continue
-                total = c * coerce_to(form.ring, c2)
+                total = c * c2
                 if (sign == 1) != (pos % 2 == 0):
                     total = -total
                 _add_term(out, merged, total)
-    return KForm._trusted(dim, form.degree + 1, form.ring, out)
+    return KForm._trusted(dim, form.degree + 1, RAT, out)
 
 
 def _two_thirds_eqs():
@@ -316,10 +321,12 @@ def test_integer_d_invariant_matches_the_fraction_loop_on_random_forms(make_eqs)
         coeffs = {idx: Fraction(rng.randint(-6, 6), rng.randint(1, 12))
                   for idx in combinations(range(1, DIM + 1), k) if rng.random() < 0.6}
         form = KForm(DIM, k, RAT, coeffs)
-        # built from Fractions, from integers (a wedge), and in floats
+        # built from Fractions and from integers (a wedge); in floats it is
+        # refused
         assert_same_d(eqs, form)
         assert_same_d(eqs, form.wedge(Fraction(1, 5) * KForm.basis(DIM, (rng.randint(1, DIM),))))
-        assert_same_d(eqs, form.in_ring(FLT))
+        with pytest.raises(TypeError, match="over float"):
+            d_invariant(eqs, form.in_ring(FLT))
 
 
 YVARS = tuple(f"y{i}" for i in range(1, DIM + 1))
@@ -353,4 +360,8 @@ def test_d_invariant_equals_the_reference_loop_in_value_and_key_order(ring, data
     dim = data.draw(st.integers(2, DIM))
     eqs = StructureEqs(dim, [data.draw(sparse_forms(dim, 2)) for _ in range(dim)])
     form = data.draw(sparse_forms(dim, data.draw(st.integers(0, dim)), ring))
-    assert_same_d(eqs, form)
+    if ring == RAT:
+        assert_same_d(eqs, form)
+    else:               # d is exact: a float or polynomial form is refused
+        with pytest.raises(TypeError, match="over float|over polynomials"):
+            d_invariant(eqs, form)

@@ -16,9 +16,8 @@ from g2calc.forms import KForm
 from g2calc.g2core import STANDARD_PHI_TERMS, is_g2_type
 from g2calc.rings import RAT, nth_root_fraction
 import oracles
-from g2calc.scaling import (INCIDENCE_INV, InvalidScaleError, NonPositiveScaleError,
-                            _rational_form, _solve, _validated, hitchin_scaling_law,
-                            scaled_volume_factor)
+from g2calc.scaling import (InvalidScaleError, NonPositiveScaleError, _rational_form,
+                            _solve, _validated, hitchin_scaling_law, scaled_volume_factor)
 
 TRIPLES = ((1, 2, 3), (1, 4, 5), (1, 6, 7), (2, 4, 6), (2, 5, 7),
            (3, 4, 7), (3, 5, 6))
@@ -54,7 +53,7 @@ def test_solve_scaling_matches_the_fraction_power_reference(lams, sixth):
     if sixth:
         lams = [l ** 6 for l in lams]
     radicands = []
-    for row in INCIDENCE_INV:
+    for row in oracles.INCIDENCE_INV:
         r = Fraction(1)
         for l, x in zip(lams, row):
             r *= Fraction(l) ** int(6 * x)
@@ -190,7 +189,7 @@ def _fraction_law(lams):
     if vol is None:
         vol = float(prod) ** (1.0 / 3.0)
     radicands = []
-    for row in INCIDENCE_INV:
+    for row in oracles.INCIDENCE_INV:
         r = Fraction(1)
         for l, x in zip(lams, row):
             r *= l ** int(6 * x)

@@ -34,8 +34,6 @@ def test_no_unused_imports(path):
 #: public functions and methods that no code in src/g2calc calls, with the
 #: reason each one stays
 NO_CALLER_IN_SRC = {
-    # waiting for the self-check of a supplied model (ROADMAP item 2)
-    "liecdga.verify_primitive": "to certify each witness primitive of a model",
     # waiting for the exact cohomology checks (ROADMAP item 7)
     "liecdga.InvariantModel.involution_pullback": "to compute invariant classes",
     # waiting for the certified cutoff (ROADMAP item 8)
