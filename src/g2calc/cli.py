@@ -574,8 +574,8 @@ def _check_eh_certificate(rng):
     # positive, which fails this check; a returned report is positive
     prof = ehmetric.build_profile(1.0, 4.0, 1.0)
     rep = ehmetric.positivity_and_volume_certificate(prof, n_r=300, n_ang=12)
-    floor = 2.0 * prof.upsilon ** 2
-    ok = rep["min_ratio"] >= floor - 1e-9 and abs(rep["min_ratio"] - floor) < 1e-6
+    floor = rep["volume_floor"]
+    ok = rep["volume_ok"] and abs(rep["min_ratio"] - floor) < 1e-6
     return ok, (f"margin {rep['min_margin']:.4f} > 0 (the certificate raises "
                 f"otherwise), volume ratio "
                 f"{rep['min_ratio']:.12f} vs floor {floor:.12f}")
@@ -652,8 +652,9 @@ def _check_collapse_product_rates(rng):
 def _check_collapse_region_rates(rng):
     chart = collapse.region_gap_decay("chart", FFKM_CHART_POINT, (4, 8, 16))["rate"]
     wreg = collapse.region_gap_decay("w_outer", {"y1": 0.3}, (2, 4, 8))["rate"]
-    ok = chart <= -2.7 and wreg <= -2.7
-    return ok, f"sup-gap rates: chart {chart:.3f}, annulus {wreg:.3f} (need <= -2.7)"
+    ok = chart <= collapse.RATE_BOUND and wreg <= collapse.RATE_BOUND
+    return ok, (f"sup-gap rates: chart {chart:.3f}, annulus {wreg:.3f} "
+                f"(need <= {collapse.RATE_BOUND})")
 
 
 def _check_collapse_lower_bound(rng):
@@ -663,11 +664,10 @@ def _check_collapse_lower_bound(rng):
                collapse.ffkm_region_metrics("w_outer", {"y1": 0.3}, mu),
                collapse.ffkm_region_metrics("chart", {"y1": 0.02, "y4": 0.3,
                                                       "y7": 0.2}, mu)]
-    ups = catalog.SURGERY_PROFILE.upsilon
-    rep = collapse.lower_bound_global(mu, samples, ups, C=1.0,
-                                      Delta0=mc["Delta0"])
+    # the lower bound raises unless it holds, which fails this check
+    rep = collapse.lower_bound_global(mu, samples, Delta0=mc["Delta0"])
     res = collapse.resolution_equality_probe(mu)
-    return rep["pass"] and res["pass"], \
+    return res["pass"], \
         (f"PSD margin {rep['min_eig_margin']:.3e}; resolution equality gap "
          f"{res['equality_gap']:.3e} at the tight radius")
 
@@ -675,14 +675,13 @@ def _check_collapse_lower_bound(rng):
 def _check_collapse_fiber_diameter(rng):
     out = collapse.fiber_diameter_probe()
     ok = out["exponent_ok"] and out["monotone_in_k"] and out["mu_uniform"]
-    return ok, f"decay exponent {out['exponent']:.4f} (need <= -2.7)"
+    return ok, f"decay exponent {out['exponent']:.4f} (need <= {collapse.RATE_BOUND})"
 
 
 def _check_collapse_finsler(rng):
     ups = catalog.SURGERY_PROFILE.upsilon
-    generic = collapse.limit_quasi_finsler("generic", [0, 0, 1], ups)
-    sing = collapse.limit_quasi_finsler("singular", [0, 0, 1], ups,
-                                        y1_samples=(0.0, 0.4))
+    generic = collapse.limit_quasi_finsler("generic", [0, 0, 1])
+    sing = collapse.limit_quasi_finsler("singular", [0, 0, 1], y1_samples=(0.0, 0.4))
     ok = abs(generic - 1.0) < 1e-12 and abs(sing - ups ** (2 / 3)) < 1e-12
     return ok, f"lengths: generic {generic}, singular {sing} = ups^(2/3)"
 
@@ -889,11 +888,14 @@ def cmd_collapse(args) -> int:
     else:   # ffkm; argparse admits no other model
         if len(set(mus)) < 2:
             raise UsageError("--mu needs two distinct values for the ffkm rate fits")
+        if max(mus) > collapse.FFKM_MU_MAX:
+            raise UsageError(f"--mu must be at most {collapse.FFKM_MU_MAX:g} for "
+                             f"--model ffkm, got {args.mu!r}")
         rep = {"model": "ffkm",
                "chart": collapse.region_gap_decay("chart", FFKM_CHART_POINT, mus),
                "interior": collapse.region_gap_decay("interior", (), mus)}
-        rep["pass"] = (rep["chart"]["rate"] <= -2.7
-                       and rep["interior"]["rate"] <= -2.7)
+        rep["pass"] = all(rep[r]["rate"] <= collapse.RATE_BOUND
+                          for r in ("chart", "interior"))
     path = args.out or "collapse_report.json"
     collapse.report_to_json(rep, path)
     print(f"wrote {path}; pass = {rep['pass']}")

@@ -9,6 +9,9 @@ and is never recomputed):
   * intrinsic fiber diameter decay in the shrinking surgery regions,
   * the global lower bound g^mu >= (1 - C De_0 / mu^3) ups^{4/3} f*g_E.
 
+Each is read off a closed form: La_mu from one largest eigenvalue per
+sample, limit lengths from the base block of g^infty.
+
 Region conventions for the resolved nilmanifold family: "interior" is the
 bulk where the form is left-invariant (theta-coframe); "chart" is a lattice
 chart around a singular circle where the glued form phi^mu = xi^mu +
@@ -29,6 +32,18 @@ from .catalog import (DEFAULT_EPSILON, SURGERY_PROFILE, ResolutionForms, _FFKM_T
                       phi_check_mu)
 from .g2core import (DIM, TRIPLE_POS, TRIPLES, NotStableError, is_g2_type,
                      metric_batch, phi_to_vector, standard_phi)
+
+
+#: the decay exponent (mu^-3 or k^-3, slack 0.3) sup-gaps and fiber diameters must reach
+RATE_BOUND = -2.7
+
+#: the largest mu of an ffkm rate fit: the chart gap, of order mu^-6, is
+#: 1.0e-12 at mu = 100; past 200 float rounding takes it over, and the rate
+#: fitted on (2, mu) drifts from -6 to -4.72 at 1000 and -2.28 at 1e6
+FFKM_MU_MAX = 100.0
+
+#: the constant C of the global lower bound (1 - C De_0 / mu^3) ups^{4/3} f*g_E
+LOWER_BOUND_C = 1.0
 
 
 @dataclass
@@ -110,28 +125,20 @@ def rescaled_decay_exponents(alpha, beta, lam, mu1: float, mu2: float) -> dict:
 # ----- convergence premises ---------------------------------------------------
 
 def largest_lambda(mats, base) -> float:
-    """Largest La with g - La^2 * base PSD at every sample (bisection), to
-    a relative eigenvalue slack of 1e-10."""
-    mats = [np.asarray(m, float) for m in mats]
-    base = np.asarray(base, float)
-    scale = max(1.0, max(_op_norm(m) for m in mats))
-
-    def ok(la):
-        return all(_min_eig(m - la * la * base) >= -1e-10 * scale for m in mats)
-
-    if not ok(0.0):
-        return 0.0
-    hi = 1.0
-    while ok(hi) and hi < 4.0:
-        hi *= 2.0
-    lo = 0.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        if ok(mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    """Largest La with g - La^2 * base PSD at every sample g.  For g = L L^T
+    positive definite, g - t * base is PSD iff t * lambda_max(L^-1 base L^-T)
+    <= 1, so La^2 is the least 1 / lambda_max over the samples; a sample
+    that is not positive definite gives La = 0."""
+    top = 0.0
+    for m in mats:
+        try:
+            Linv = np.linalg.inv(np.linalg.cholesky(np.asarray(m, float)))
+        except np.linalg.LinAlgError:
+            return 0.0
+        top = max(top, float(np.linalg.eigvalsh(Linv @ base @ Linv.T)[-1]))
+    if top <= 0.0:
+        raise ValueError("the base has no positive direction")
+    return math.sqrt(1.0 / top)
 
 
 def premise_check(samples, base) -> dict:
@@ -190,8 +197,7 @@ def w_outer_closed_form(y1: float, mu: float) -> np.ndarray:
 def w_limit_metric(y1: float) -> np.ndarray:
     """g^infty on the annulus: the base block of the closed form."""
     g = w_outer_closed_form(y1, 1.0)
-    g[3:, :] = 0.0
-    g[:, 3:] = 0.0
+    g[3:] = g[:, 3:] = 0.0
     return g
 
 
@@ -214,8 +220,7 @@ def _chart_limit_metric(phi_row: np.ndarray) -> np.ndarray:
     hat[_FIBER_PAIR_POS] = phi_row[_FIBER_PAIR_POS]
     hat[TRIPLE_POS[(1, 2, 3)]] = 1.0
     g = metric_batch(hat[None])[0][0]
-    g[3:, :] = 0.0
-    g[:, 3:] = 0.0
+    g[3:] = g[:, 3:] = 0.0
     return g
 
 
@@ -267,24 +272,20 @@ def base_pullback() -> np.ndarray:
     return g
 
 
-def lower_bound_global(mu, samples, upsilon: float, C: float,
-                       Delta0: float) -> dict:
-    """Check g^mu >= (1 - C De_0 / mu^3) ups^{4/3} f*g_E at every sample."""
+def lower_bound_global(mu, samples, Delta0: float) -> dict:
+    """Check g^mu >= (1 - C De_0 / mu^3) ups^{4/3} f*g_E at every sample (C =
+    LOWER_BOUND_C, ups of the surgery profile); a violation raises."""
     m = float(mu)
-    pref = (1.0 - C * Delta0 / m ** 3) * upsilon ** (4.0 / 3.0)
+    pref = (1.0 - LOWER_BOUND_C * Delta0 / m ** 3) * SURGERY_PROFILE.upsilon ** (4.0 / 3.0)
     target = pref * base_pullback()
-    worst, worst_sample = math.inf, None
-    for s in samples:
-        me = _min_eig(s.matrix - target)
-        if me < worst:
-            worst, worst_sample = me, (s.region, s.point)
-    ok = worst >= -1e-10
-    report = {"mu": m, "prefactor": pref, "min_eig_margin": worst,
-              "worst_sample": worst_sample, "pass": ok}
-    if not ok:
+    worst, at = min(((_min_eig(s.matrix - target), s) for s in samples),
+                    key=lambda pair: pair[0])
+    worst_sample = (at.region, at.point)
+    if worst < -1e-10:
         raise AssertionError(f"lower bound fails at {worst_sample} "
                              f"(margin {worst})")
-    return report
+    return {"mu": m, "prefactor": pref, "min_eig_margin": worst,
+            "worst_sample": worst_sample}
 
 
 def resolution_equality_probe(mu) -> dict:
@@ -315,19 +316,19 @@ def resolution_equality_probe(mu) -> dict:
 
 def _lift_norm(G: np.ndarray, u) -> float:
     """min |u'|_G over lifts u' with the base projection (first three
-    coordinates) equal to u: a 4-variable constrained least-squares."""
+    coordinates) equal to u.  A limit metric vanishes on the fiber, so every
+    lift costs sqrt(u^T G_bb u) with G_bb the base block; a G with a nonzero
+    fiber entry is refused, not assumed away."""
     G = np.asarray(G, float)
-    u = np.asarray(u, float)
-    Gbb, Gbf, Gff = G[:3, :3], G[:3, 3:], G[3:, 3:]
-    z, *_ = np.linalg.lstsq(Gff, -Gbf.T @ u, rcond=None)
-    val = u @ Gbb @ u + 2.0 * u @ Gbf @ z + z @ Gff @ z
-    return math.sqrt(max(val, 0.0))
+    if G[3:].any() or G[:, 3:].any():
+        raise ValueError("a limit metric with a nonzero fiber entry")
+    return math.sqrt(max(u @ G[:3, :3] @ u, 0.0))
 
 
-def limit_quasi_finsler(base_tag: str, direction, upsilon: float,
-                        y1_samples=(0.0,)) -> float:
+def limit_quasi_finsler(base_tag: str, direction, y1_samples=(0.0,)) -> float:
     """Length assigned to a base tangent direction by the limit structure:
-    the min over fiber strata of the g^infty-norm of the cheapest lift."""
+    the min over fiber strata of the g^infty-norm of the cheapest lift; the
+    singular stratum is ups^{4/3} (dy^3)^2, ups of the surgery profile."""
     u = np.asarray(direction, float)
     if not u.any():
         raise ValueError("direction must be nonzero")
@@ -338,7 +339,7 @@ def limit_quasi_finsler(base_tag: str, direction, upsilon: float,
             raise ValueError("singular strata are tangent to the circle "
                              "direction only")
         sing = np.zeros((DIM, DIM))
-        sing[2, 2] = upsilon ** (4.0 / 3.0)
+        sing[2, 2] = SURGERY_PROFILE.upsilon ** (4.0 / 3.0)
         strata = [w_limit_metric(y1) for y1 in y1_samples] + [sing]
     else:
         raise ValueError(f"unknown base stratum {base_tag!r}")
@@ -463,7 +464,7 @@ def fiber_diameter_probe() -> dict:
         if len(vals) > 1:
             const_spread[k] = max(vals) / min(vals)
     return {"table": table, "exponent": slope,
-            "exponent_ok": slope <= -3.0 + 0.3,
+            "exponent_ok": slope <= RATE_BOUND,
             "monotone_in_k": monotone,
             "constant_spread": const_spread,
             "mu_uniform": all(v <= 2.0 for v in const_spread.values())}
@@ -472,17 +473,6 @@ def fiber_diameter_probe() -> dict:
 # ----- exports ------------------------------------------------------------------
 
 def report_to_json(report: dict, path) -> None:
-    def clean(obj):
-        if isinstance(obj, dict):
-            return {str(k): clean(v) for k, v in obj.items()}
-        if isinstance(obj, (list, tuple)):
-            return [clean(v) for v in obj]
-        if isinstance(obj, (np.floating, np.integer)):
-            return float(obj)
-        if isinstance(obj, np.ndarray):
-            return obj.tolist()
-        if isinstance(obj, np.bool_):
-            return bool(obj)
-        return obj
+    """Indented JSON; numpy arrays and scalars go through their tolist()."""
     with open(path, "w") as fh:
-        json.dump(clean(report), fh, indent=2)
+        json.dump(report, fh, indent=2, default=lambda o: o.tolist())

@@ -355,6 +355,7 @@ def positivity_and_volume_certificate(profile: EHProfile, n_r: int = 1000,
     """Grid certificate over r in [tR/2 (1-delta), tR (1+delta)], delta = 0.05:
     positivity margin |om_hat - om_check|_{om_hat} < 1, volume ratio
     om_check^2 / vol_0 >= 2 ups^2, and the closed-form ratio cross-check.
+    A margin that is not positive raises ConstructionFailed.
 
     om_check = a'(lam) om_hat + (1/4) a''(lam) dlam ^ d^c lam is U(2)-
     invariant: U(2) fixes om_hat, the flat metric and lam = r^2, hence
@@ -389,10 +390,9 @@ def positivity_and_volume_certificate(profile: EHProfile, n_r: int = 1000,
               "r_frak": profile.r_frak, "min_margin": min_margin,
               "min_ratio": min_ratio, "volume_floor": floor,
               "pfaffian_vs_formula": max_formula_gap,
-              "positivity_ok": min_margin > 0.0,
               "volume_ok": min_ratio >= floor - 1e-9,
               "worst_r": worst_r}
-    if not report["positivity_ok"]:
+    if not min_margin > 0.0:
         raise ConstructionFailed(
             f"positivity margin {min_margin} violated at r = {worst_r}")
     return report

@@ -153,6 +153,8 @@ def _frac(s) -> Fraction:
 def _form_from_json(dim, entries) -> KForm:
     terms = []
     for entry in entries:
+        if not (isinstance(entry, list) and len(entry) == 2 and isinstance(entry[1], list)):
+            raise ValueError(f"term {entry!r} is not a [coefficient, index list] pair")
         c, idx = entry
         try:
             terms.append((tuple(idx), _frac(c)))
@@ -210,8 +212,12 @@ def _required(data, key, where="the model"):
 
 
 def model_from_dict(data) -> InvariantModel:
+    if not isinstance(data, dict):
+        raise ValueError(f"the model is a {type(data).__name__}, not a JSON object")
     dim = int(_required(data, "dim"))
-    gens = list(_required(data, "generators"))
+    gens = _required(data, "generators")
+    if not (isinstance(gens, list) and all(isinstance(g, str) for g in gens)):
+        raise ValueError(f"'generators' must be a list of names, got {gens!r}")
     dmap = data.get("d", {})
     if len(set(gens)) != len(gens):
         raise ValueError(f"generator names repeat: {gens}")

@@ -598,16 +598,15 @@ def test_the_surgery_profile_has_t_r_at_half_the_chart_radius(monkeypatch):
     assert (p.R, p.c) == (4.0, 1.0)
     assert p.t * p.R == catalog.DEFAULT_EPSILON / 2
     assert p.upsilon == math.sqrt(0.5)
-    # both collapse checks of the CLI take upsilon from this profile
-    seen = []
-    for name in ("lower_bound_global", "limit_quasi_finsler"):
-        fn = getattr(collapse, name)
-        monkeypatch.setattr(collapse, name,
-                            lambda *a, fn=fn, **kw: seen.append(a[2]) or fn(*a, **kw))
+    # the collapse lower bound and the singular limit length read upsilon
+    # from this profile
+    sample = [collapse.MetricSample("syn", (), 8, np.eye(7))]
+    before = collapse.lower_bound_global(8, sample, Delta0=1.0)["prefactor"]
     monkeypatch.setattr(p, "upsilon", 0.5)
-    cli._check_collapse_lower_bound(np.random.default_rng(0))
-    cli._check_collapse_finsler(np.random.default_rng(0))
-    assert seen == [0.5] * 3        # the lower bound and two Finsler lengths
+    after = collapse.lower_bound_global(8, sample, Delta0=1.0)["prefactor"]
+    assert after == (1.0 - 1.0 / 8 ** 3) * 0.5 ** (4 / 3) != before
+    assert collapse.limit_quasi_finsler("singular", [0, 0, 1]) == pytest.approx(
+        0.5 ** (2 / 3), rel=1e-15)
 
 
 def _sigma_rows(rf, points):

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from g2calc import catalog, cli, ehmetric
+from g2calc import catalog, cli, collapse, ehmetric
 from g2calc.cli import build_suites, main
 from g2calc.liecdga import model_to_dict
 
@@ -124,7 +124,15 @@ def test_a_model_with_a_negative_volume_fails_naming_the_key(tmp_path):
     ({"dim": 2}, "ValueError: the model has no 'generators' entry"),
     ({"dim": 2, "generators": ["a", "b"], "witnesses": {"w": {"primitive": [["1", [1]]]}}},
      "ValueError: witness 'w' has no 'target' entry"),
-], ids=["bool", "unknown_generator", "no_dim", "no_generators", "witness_without_target"])
+    ([{"dim": 2}], "ValueError: the model is a list, not a JSON object"),
+    ({"dim": 2, "generators": ["a", "b"], "d": {"a": [["1"]]}},
+     "ValueError: term ['1'] is not a [coefficient, index list] pair"),
+    ({"dim": 2, "generators": "ab"},
+     "ValueError: 'generators' must be a list of names, got 'ab'"),
+    ({"dim": 2, "generators": ["a", "b"], "d": {"a": [["1", 12]]}},
+     "ValueError: term ['1', 12] is not a [coefficient, index list] pair"),
+], ids=["bool", "unknown_generator", "no_dim", "no_generators", "witness_without_target",
+        "top_level_list", "one_element_term", "generators_string", "index_not_a_list"])
 def test_malformed_model_fails_with_the_problem_named(tmp_path, data, problem):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
@@ -228,6 +236,8 @@ def test_eh_empty_grid_is_usage_error(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["collapse", "--mu", "0"], ["collapse", "--mu", "1,abc"],
     ["collapse", "--model", "ffkm", "--mu", "2"],
+    # past mu = 100 the ffkm chart gap sinks into float rounding
+    ["collapse", "--model", "ffkm", "--mu", "2,1000"],
     ["collapse", "--mu", "inf"], ["collapse", "--model", "ffkm", "--mu", "2,inf"],
     ["flow", "--steps", "0"], ["flow", "--t-end", "-1"], ["flow", "--lambda", "1,x"],
     ["flow", "--lambda", "0,0"], ["flow", "--alpha", "0"], ["flow", "--alpha", "nan"],
@@ -260,6 +270,34 @@ def test_collapse_command_reports_lambda_one(tmp_path, capsys):
     assert rep["pass"] is True
     for lam in rep["lambdas"].values():
         assert abs(lam - 1.0) < 1e-6
+
+
+def _hand_rolled_json(report):
+    """The converter report_to_json once carried, as the reference."""
+    def clean(obj):
+        if isinstance(obj, dict):
+            return {str(k): clean(v) for k, v in obj.items()}
+        if isinstance(obj, (list, tuple)):
+            return [clean(v) for v in obj]
+        if isinstance(obj, (np.floating, np.integer)):
+            return float(obj)
+        if isinstance(obj, np.ndarray):
+            return obj.tolist()
+        if isinstance(obj, np.bool_):
+            return bool(obj)
+        return obj
+    return json.dumps(clean(report), indent=2).encode()
+
+
+@pytest.mark.parametrize("model", ["nakamura", "ffkm"])
+def test_collapse_report_json_matches_the_hand_rolled_converter(model, tmp_path,
+                                                                monkeypatch):
+    seen, real = [], collapse.report_to_json
+    monkeypatch.setattr(collapse, "report_to_json",
+                        lambda rep, path: seen.append(rep) or real(rep, path))
+    out = tmp_path / "col.json"
+    assert run(["collapse", "--model", model, "--out", str(out)]) == 0
+    assert out.read_bytes() == _hand_rolled_json(seen[0])
 
 
 def _float_copy(data):

@@ -86,10 +86,35 @@ def test_premise_check_rejects_stalled_defect():
     assert not premise_check(samples, base)["pass"]
 
 
-def test_largest_lambda_bisection_value():
-    base = np.eye(7)
-    assert largest_lambda([0.25 * np.eye(7)], base) == pytest.approx(0.5,
-                                                                     abs=1e-9)
+def test_largest_lambda_closed_form_value():
+    assert largest_lambda([0.25 * np.eye(7)], np.eye(7)) == 0.5
+
+
+def _psd_base(rng, rank):
+    B = rng.normal(size=(7, rank))
+    return B @ B.T
+
+
+@pytest.mark.parametrize("rank", [1, 3])
+def test_largest_lambda_is_the_psd_edge(rank):
+    # g - La^2 base is PSD at every sample, and La^2 (1 + 1e-9) is past the edge
+    rng = np.random.default_rng(rank)
+    for _ in range(10):
+        mats = []
+        for _ in range(3):
+            A = rng.normal(size=(7, 7))
+            mats.append(A @ A.T + np.eye(7))
+        base = _psd_base(rng, rank)
+        la2 = largest_lambda(mats, base) ** 2
+        scale = max(np.linalg.norm(m, 2) for m in mats)
+        assert min(collapse._min_eig(m - la2 * base) for m in mats) >= -1e-12 * scale
+        assert min(collapse._min_eig(m - la2 * (1 + 1e-9) * base) for m in mats) < 0.0
+
+
+def test_largest_lambda_is_zero_on_a_sample_that_is_not_definite():
+    base = _psd_base(np.random.default_rng(0), 3)
+    for bad in (np.diag([1.0] * 6 + [0.0]), np.diag([1.0] * 6 + [-1e-3])):
+        assert largest_lambda([np.eye(7), bad], base) == 0.0
 
 
 # --------------------------------------------------------------------------
@@ -132,7 +157,7 @@ def test_unknown_region_rejected():
 def test_region_gaps_decay(region, point, mus):
     out = region_gap_decay(region, point, mus)
     assert out["gaps"] == sorted(out["gaps"], reverse=True)
-    assert out["rate"] <= -2.7
+    assert out["rate"] <= collapse.RATE_BOUND
 
 
 # --------------------------------------------------------------------------
@@ -147,15 +172,15 @@ def test_lower_bound_psd_at_region_samples():
                                              "y7": 0.2}, 8),
                ffkm_region_metrics("chart", {"y1": 0.02, "y2": 0.01, "y4": 0.3,
                                              "y5": 0.015, "y6": 0.01, "y7": 0.2}, 8)]
-    rep = lower_bound_global(8, samples, UPS, C=1.0, Delta0=mc["Delta0"])
-    assert rep["pass"]
-    assert rep["prefactor"] < UPS ** (4 / 3)
+    rep = lower_bound_global(8, samples, Delta0=mc["Delta0"])
+    assert rep["min_eig_margin"] >= -1e-10
+    assert rep["prefactor"] == (1 - mc["Delta0"] / 8 ** 3) * UPS ** (4 / 3)
 
 
 def test_lower_bound_raises_on_violation():
     flat = MetricSample("syn", (), 8, 1e-6 * np.eye(7))
     with pytest.raises(AssertionError):
-        lower_bound_global(8, [flat], UPS, C=1.0, Delta0=1.0)
+        lower_bound_global(8, [flat], Delta0=1.0)
 
 
 def test_resolution_equality_at_the_marked_radius():
@@ -170,23 +195,34 @@ def test_resolution_equality_at_the_marked_radius():
 # --------------------------------------------------------------------------
 
 def test_limit_lengths():
-    assert limit_quasi_finsler("generic", [0, 0, 1], UPS) == pytest.approx(1.0)
-    got = limit_quasi_finsler("singular", [0, 0, 1], UPS,
-                              y1_samples=(0.0, 0.4))
+    assert limit_quasi_finsler("generic", [0, 0, 1]) == pytest.approx(1.0)
+    got = limit_quasi_finsler("singular", [0, 0, 1], y1_samples=(0.0, 0.4))
     assert got == pytest.approx(UPS ** (2 / 3), rel=1e-12)
 
 
 def test_singular_stratum_rejects_transverse_directions():
     with pytest.raises(ValueError):
-        limit_quasi_finsler("singular", [1, 0, 0], UPS)
+        limit_quasi_finsler("singular", [1, 0, 0])
     with pytest.raises(ValueError):
-        limit_quasi_finsler("generic", [0, 0, 0], UPS)
+        limit_quasi_finsler("generic", [0, 0, 0])
+
+
+def test_lift_norm_reads_the_base_block_and_refuses_a_fiber_entry():
+    G = w_limit_metric(0.4)
+    u = np.array([0.3, -1.0, 2.0])
+    assert collapse._lift_norm(G, u) == math.sqrt(u @ G[:3, :3] @ u)
+    G[3, 3] = 1e-3
+    with pytest.raises(ValueError, match="fiber"):
+        collapse._lift_norm(G, u)
+    G[3, 3], G[0, 5], G[5, 0] = 0.0, 1e-3, 1e-3
+    with pytest.raises(ValueError, match="fiber"):
+        collapse._lift_norm(G, u)
 
 
 @given(st.floats(-4, 4).filter(lambda s: abs(s) > 1e-3))
 def test_limit_length_is_homogeneous(s):
-    base = limit_quasi_finsler("generic", [0.3, -1.0, 2.0], UPS)
-    scaled = limit_quasi_finsler("generic", [0.3 * s, -1.0 * s, 2.0 * s], UPS)
+    base = limit_quasi_finsler("generic", [0.3, -1.0, 2.0])
+    scaled = limit_quasi_finsler("generic", [0.3 * s, -1.0 * s, 2.0 * s])
     assert scaled == pytest.approx(abs(s) * base, rel=1e-9)
 
 
@@ -253,7 +289,7 @@ def probe():
 
 
 def test_fiber_diameter_exponent(probe):
-    assert probe["exponent"] <= -3.0 + 0.3
+    assert probe["exponent"] <= collapse.RATE_BOUND
     assert probe["exponent_ok"]
 
 
