@@ -172,12 +172,12 @@ def _check_model_roundtrip(rng):
 
 
 def _exact_g2(phi):
-    """is_g2_type(phi), required to have run in exact arithmetic: a float
-    1.0 also equals Fraction(1), so an exact check must not pass on floats."""
+    """is_g2_type(phi), required to have a rational metric and volume: an
+    exact check reads them, and must not run where r is irrational."""
     data = is_g2_type(phi)
-    if not (data.exact and isinstance(data.sqrt_det, Fraction)):
-        raise ArithmeticError(f"metric of a rational form came out inexact "
-                              f"(sqrt_det {data.sqrt_det!r})")
+    if not data.exact:
+        raise ArithmeticError(f"metric of a rational form is inexact: r = 6 vol "
+                              f"is irrational (vol^3 = {data.vol_cubed})")
     return data
 
 
@@ -299,8 +299,8 @@ def _su2_family(nu):
 def _check_su2_nu8(rng):
     nu = Fraction(8)
     phi, fiber, om, re, im = _su2_family(nu)
-    if fiber.nu != nu:
-        return False, f"normalisation constant {fiber.nu} != 8"
+    if fiber.nu_sq != nu ** 2:
+        return False, f"normalisation constant nu^2 = {fiber.nu_sq} != 64"
     data = _exact_g2(phi)
     g = data.metric_array()
     expect = np.diag([16.0, 0.25, 0.25, 2.0, 2.0, 2.0, 2.0])
@@ -323,8 +323,8 @@ def _check_su2_random_nu(rng):
     for n in rng.integers(BOX, 25 * BOX + 1, size=20).tolist():
         nu = Fraction(n, GRID)
         phi, fiber, om, re, im = _su2_family(nu)
-        if fiber.nu != nu:
-            return False, f"normalisation constant {fiber.nu} != {nu}"
+        if fiber.nu_sq != nu ** 2:
+            return False, f"normalisation constant nu^2 = {fiber.nu_sq} != {nu ** 2}"
         data = is_g2_type(phi)
         # vol = nu^(2/3) and g = diag(nu^(4/3), nu^(-2/3) x 2, nu^(1/3) x 4),
         # so g vol = B / 6 = diag(nu^2, 1, 1, nu, nu, nu, nu)
@@ -882,12 +882,12 @@ def cmd_eh(args) -> int:
 def cmd_collapse(args) -> int:
     mus = [_value("--mu", m, lambda x: 1 <= x <= SCALE, f"in [1, {SCALE:g}]")
            for m in args.mu.split(",")]
+    if len(set(mus)) < 2:
+        raise UsageError("--mu needs two distinct values to compare")
     if args.model == "nakamura":
         rep = _nakamura_premises(mus)
         rep["model"] = "nakamura"
     else:   # ffkm; argparse admits no other model
-        if len(set(mus)) < 2:
-            raise UsageError("--mu needs two distinct values for the ffkm rate fits")
         if max(mus) > collapse.FFKM_MU_MAX:
             raise UsageError(f"--mu must be at most {collapse.FFKM_MU_MAX:g} for "
                              f"--model ffkm, got {args.mu!r}")

@@ -30,8 +30,9 @@ import numpy as np
 from .catalog import (DEFAULT_EPSILON, SURGERY_PROFILE, ResolutionForms, _FFKM_TERMS,
                       _lam_sq, _point_row, glued_form_at, nakamura_model, phi_abl_mu,
                       phi_check_mu)
-from .g2core import (DIM, TRIPLE_POS, TRIPLES, NotStableError, is_g2_type,
-                     metric_batch, phi_to_vector, standard_phi)
+from .g2core import (DIM, TRIPLE_POS, TRIPLES, NotStableError, bilinear_from_3form,
+                     is_g2_type, metric_batch, phi_to_vector, standard_phi)
+from .rings import _exact_real
 
 
 #: the decay exponent (mu^-3 or k^-3, slack 0.3) sup-gaps and fiber diameters must reach
@@ -92,24 +93,33 @@ def _loglog_slope(xs, ys) -> float:
 def nakamura_metric(alpha, beta, lam, mu) -> MetricSample:
     """Rescaled metric of phi(alpha, beta, lambda; mu) on the product model,
     in the invariant coframe (g^1, g^2, g^3, theta^4..theta^7), with its
-    large-mu limit, the circle, attached.  The closed-form metric of the
-    form is cross-checked against the from-scratch computation on the form
-    itself, then rescaled: mu^{-12} on the form is mu^{-8} on the metric."""
-    a, b, m = float(alpha), float(beta), float(mu)
-    L = float(_lam_sq(lam))
-    L13, L23 = L ** (1.0 / 3.0), L ** (2.0 / 3.0)
+    large-mu limit, the circle, attached.  The closed form diag(c_i) is
+    checked on the form, exactly (parameters read as rationals): B = r g is
+    diagonal with B_ii^3 = c_i^3 r^3, r^3 = 216 vol^3, and the float c_i
+    match their cubes to 1e-10.  Then it is rescaled: mu^{-12} on the form
+    is mu^{-8} on the metric."""
+    alpha, beta, mu = (_exact_real(x, name) for x, name in
+                       ((alpha, "alpha"), (beta, "beta"), (mu, "mu")))
+    L = Fraction(_lam_sq(lam))     # so that every cube is a Fraction
+    cubes = [mu ** 24 * alpha ** 6 / L ** 2, beta ** 6 * L / mu ** 12, L / mu ** 12] \
+        + [mu ** 6 * L] * 4
+    phi = phi_abl_mu(alpha, beta, lam, mu, nakamura_model())
+    r3 = 216 * is_g2_type(phi).vol_cubed
+    B = bilinear_from_3form(phi)
+    if any(B[i][j] for i in range(DIM) for j in range(DIM) if i != j) \
+            or any(B[i][i] ** 3 != c * r3 for i, c in enumerate(cubes)):
+        raise AssertionError("closed-form metric disagrees with the B-map of the form")
+    a, b, m, Lf = float(alpha), float(beta), float(mu), float(L)
+    L13, L23 = Lf ** (1.0 / 3.0), Lf ** (2.0 / 3.0)
     diag = [m ** 8 * a ** 2 / L23, b ** 2 * L13 / m ** 4, L13 / m ** 4] \
         + [m ** 2 * L13] * 4
-    g = np.diag(diag)
-    model = nakamura_model()
-    computed = is_g2_type(phi_abl_mu(alpha, beta, lam, mu, model)).metric_array()
-    gap = _op_norm(g - computed) / max(1.0, _op_norm(g))
-    if gap > 1e-10:
-        raise AssertionError(f"closed-form metric disagrees with the "
-                             f"computed one (relative gap {gap})")
+    worst = max(abs(Fraction(x) ** 3 / c - 1) for x, c in zip(diag, cubes))
+    if worst > 1e-10:
+        raise AssertionError(f"float metric disagrees with its exact cubes "
+                             f"(relative gap {float(worst)})")
     limit = np.zeros((DIM, DIM))
     limit[0, 0] = a ** 2 / L23
-    return MetricSample("product", (), m, g / m ** 8, limit=limit)
+    return MetricSample("product", (), m, np.diag(diag) / m ** 8, limit=limit)
 
 
 def rescaled_decay_exponents(alpha, beta, lam, mu1: float, mu2: float) -> dict:
@@ -145,14 +155,15 @@ def premise_check(samples, base) -> dict:
     """Certify the convergence premises on a mu-grid of samples: the largest
     La_mu with g^mu >= La_mu^2 * base everywhere, and sup|g^mu - base|.
     Verdict passes iff 1 - La_mu contracts along the grid (geometric factor
-    0.9 per step, with additive slack 1e-9) and the sup-gap never grows."""
-    if not samples:
-        raise ValueError("no samples")
+    0.9 per step, with additive slack 1e-9) and the sup-gap never grows.
+    Raises ValueError for samples at fewer than two distinct mu."""
     base = np.asarray(base, float)
     by_mu: dict = {}
     for s in samples:
         by_mu.setdefault(float(s.mu), []).append(s.matrix)
     mus = sorted(by_mu)
+    if len(mus) < 2:
+        raise ValueError(f"contraction needs samples at two distinct mu, got {mus}")
     lambdas = {mu: largest_lambda(by_mu[mu], base) for mu in mus}
     gaps = {mu: max(_op_norm(m - base) for m in by_mu[mu]) for mu in mus}
     ok = True

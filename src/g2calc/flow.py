@@ -32,9 +32,10 @@ def _laplacian_over_r(phi: KForm, model: InvariantModel):
 
 def laplacian(phi: KForm, model: InvariantModel) -> KForm:
     """Delta_phi phi = -d * d * phi (Hodge star of phi's own metric) for a
-    rational phi: r Z, exact where r is rational and float(r) Z otherwise."""
+    rational phi: r Z, rational; sqrt_det raises where r is irrational, and
+    `_laplacian_over_r` is the exact route there."""
     data, z = _laplacian_over_r(phi, model)
-    return data.r_power(1) * z
+    return 6 * data.sqrt_det * z
 
 
 def _l_two_thirds(lam) -> float:

@@ -36,10 +36,10 @@ until the row is read, so a diagonal N costs one product per pivot.  For
 a rational form over D, B = N / d with d = D^3, and
 r^3 = (36 det N)^{1/3} / D^7 has an integer root: r^3 D^7 is rational
 (vol^3 is a polynomial in phi) and its cube 36 det N is an integer.
-G2Data holds N, d and r^3, and takes r = (r^3)^{1/3} on the first read
-of ``exact``, ``sqrt_det`` or the metric: g = N / (d r) and
-sqrt(det g) = r / 6 are Fractions where r is rational (exact data) and
-floats otherwise.
+G2Data holds N, d and r^3, and tries the rational root r = (r^3)^{1/3}
+on the first read of ``exact``, ``sqrt_det`` or the metric: g = N / (d r)
+and sqrt(det g) = r / 6 are Fractions where r is rational (exact data),
+and raise ArithmeticError where it is not: no irrational root is taken.
 
 `is_g2_type`, the B-map, the star and SU2FiberData take rational forms
 only: they read a form's integers, and `forms.KForm._ints` refuses a float
@@ -58,7 +58,7 @@ from itertools import combinations, product
 import numpy as np
 
 from .forms import _MASKS, KForm, merge_sign
-from .rings import RAT, _float_root, _int_nth_root, nth_root_fraction
+from .rings import RAT, _int_nth_root, nth_root_fraction
 
 DIM = 7
 TRIPLES = list(combinations(range(1, 8), 3))
@@ -340,9 +340,10 @@ class G2Data:
     built from integers (see the module docstring): B = N / d with
     (36 det B)^{1/3} = r3 > 0.
 
-    ``metric`` is a 7x7 nested list of scalars, ``sqrt_det`` a scalar
-    with vol = sqrt_det theta^{1..7}, and ``exact`` says whether they are
-    Fractions; ``vol_cubed`` = r3 / 216 is always a Fraction.
+    ``vol_cubed`` = r3 / 216 is a Fraction, and ``exact`` (which never
+    raises) says whether r = 6 sqrt(det g) is rational.  ``metric`` (7x7
+    nested lists), ``sqrt_det`` (vol = sqrt_det theta^{1..7}) and the
+    floats of ``metric_array()`` raise ArithmeticError where it is not.
     """
 
     def __init__(self, phi: KForm, N, d: int, r3: Fraction):
@@ -350,24 +351,23 @@ class G2Data:
         # _wedges is the memo of _column_wedge; the empty wedge is 1
         self._ints, self._wedges = (N, d), {0: {0: 1}}
 
-    @cached_property
-    def _r(self):
-        r3 = self._r3
-        return nth_root_fraction(r3, 3) or _float_root(r3.numerator, r3.denominator, 3, "r^3")
+    _r = cached_property(lambda self: nth_root_fraction(self._r3, 3))
+    exact = cached_property(lambda self: self._r is not None)
 
-    exact = cached_property(lambda self: isinstance(self._r, Fraction))
-    sqrt_det = cached_property(lambda self: self._r / 6)
+    def _rational_r(self) -> Fraction:
+        if self._r is None:
+            raise ArithmeticError(f"r = 6 vol is irrational (vol^3 = {self.vol_cubed}): read "
+                                  f"vol_cubed, star_parts, or metric_batch for floats")
+        return self._r
 
-    def r_power(self, p: int):
-        """r^p for the data of a rational form, r = 6 sqrt(det g): a
-        Fraction where r is rational or p = 0, else a float."""
-        return self._r ** p if p else Fraction(1)
+    sqrt_det = cached_property(lambda self: self._rational_r() / 6)
 
     @cached_property
     def metric(self) -> list:
         # g = B / r
         N, d = self._ints
-        return [[Fraction(x, d) / self._r for x in row] for row in N]
+        r = self._rational_r()
+        return [[Fraction(x, d) / r for x in row] for row in N]
 
     def metric_array(self) -> np.ndarray:
         return np.array([[float(x) for x in row] for row in self.metric])
@@ -378,8 +378,8 @@ def is_g2_type(phi: KForm) -> G2Data:
     NotStableError / OrientationMismatchError when phi is not definite for
     the given frame, and TypeError for a float or polynomial form.
 
-    vol^3 is a Fraction, and the metric is exact too whenever vol^3 is a
-    rational cube.
+    vol^3 is a Fraction; the metric and volume are Fractions where vol^3
+    is a rational cube, and raise ArithmeticError where it is not.
     """
     if phi.degree != 3 or phi.dim != DIM:
         raise ValueError("expected a 3-form in dimension 7")
@@ -510,11 +510,11 @@ def star_parts(data: G2Data, a: KForm):
 
 def hodge_star(data: G2Data, a: KForm) -> KForm:
     """Hodge star for the metric of `data`, defined by a ^ *b = <a,b> vol:
-    r^p Y for (Y, p) = star_parts(data, a).  It is a rational form where
-    r^p is rational (exact data, or k = 2, 5) and float(r^p) Y otherwise;
-    it refuses what star_parts refuses."""
+    the rational form r^p Y for (Y, p) = star_parts(data, a), with r read
+    through sqrt_det where p > 0 (k != 2, 5), so it raises ArithmeticError
+    at an irrational r; it refuses what star_parts refuses."""
     y, p = star_parts(data, a)
-    return data.r_power(p) * y if p else y
+    return (6 * data.sqrt_det) ** p * y if p else y
 
 
 # --------------------------------------------------------------------------
@@ -524,31 +524,22 @@ def hodge_star(data: G2Data, a: KForm) -> KForm:
 @dataclass
 class SU2FiberData:
     """Rational fiber data (omega, Omega), with the normalisation nu fixed by
-    2 omega^2 = nu^2 Omega ^ conj(Omega): a Fraction where nu^2 is a
-    rational square, else a float."""
+    2 omega^2 = nu^2 Omega ^ conj(Omega); nu_sq = nu^2 is a Fraction."""
     omega: KForm
     omega_re: KForm      # Re Omega
     omega_im: KForm      # Im Omega
-    nu: object = field(init=False)
+    nu_sq: Fraction = field(init=False)
 
     def __post_init__(self):
         conj_wedge = self.omega_re.wedge(self.omega_re) + self.omega_im.wedge(self.omega_im)
         two_om2 = self.omega.wedge(self.omega) + self.omega.wedge(self.omega)
         (conj, dc), (top, dt) = conj_wedge._ints(), two_om2._ints()
-        ratio = None
-        for idx, c in conj.items():
-            t = top.get(idx)
-            if t is None:
-                raise DegenerateFiberError("2 omega^2 not proportional to Omega^conj(Omega)")
-            r = Fraction(t * dc, c * dt)
-            if ratio is None:
-                ratio = r
-            elif ratio != r:
-                raise DegenerateFiberError("2 omega^2 not proportional to Omega^conj(Omega)")
-        if ratio is None or ratio <= 0:
+        ratios = {Fraction(top.get(idx, 0) * dc, c * dt) for idx, c in conj.items()}
+        if len(ratios) != 1 or top.keys() != conj.keys():
+            raise DegenerateFiberError("2 omega^2 not proportional to Omega^conj(Omega)")
+        self.nu_sq, = ratios
+        if self.nu_sq <= 0:
             raise DegenerateFiberError("normalisation nu^2 must be positive")
-        self.nu = (nth_root_fraction(ratio, 2)
-                   or _float_root(ratio.numerator, ratio.denominator, 2, "nu^2"))
 
 
 def su2_assemble(g1: KForm, g2: KForm, g3: KForm, fiber: SU2FiberData) -> KForm:

@@ -182,10 +182,6 @@ class InvariantModel:
         self.domain_volume = domain_volume
         self.label = label
 
-    @property
-    def dim(self):
-        return self.eqs.dim
-
     def involution_pullback(self, form: KForm) -> KForm:
         """The pullback of a rational form along the diagonal involution:
         each term times the signs of its axes."""

@@ -1,7 +1,7 @@
 """Independent references that the tests hold the package's kernels against:
 the interior product and one-point evaluation of a form; a matrix inverse
-by Fraction Gauss-Jordan elimination; the inverse metric, exact inner
-product and Fraction-constant star of G2Data; the closed form and
+by Fraction Gauss-Jordan elimination; the float metric (at any r), inverse
+metric, exact inner product and Fraction-constant star of G2Data; the closed form and
 right-hand side of the scalar flow line; the closed families and class
 detector built by wedges of the model's named forms; and the frame scales
 of the volume law by a walk over the exponent matrix E = 6 M^-1, with M^-1
@@ -9,6 +9,8 @@ from the Fraction inverse.  No code in src/g2calc calls them."""
 import math
 from fractions import Fraction
 from typing import Mapping
+
+import numpy as np
 
 from g2calc import g2core
 from g2calc.catalog import _FFKM_PHI, _lam_parts, nakamura_model
@@ -77,11 +79,32 @@ def fraction_inverse(M) -> list:
 INCIDENCE_INV = fraction_inverse(INCIDENCE)
 
 
+def float_r(data) -> float:
+    """r = 6 vol of the data of a rational 3-form as a float: the cube root
+    of 216 vol^3, taken here rather than in g2core, which takes none."""
+    return float(216 * data.vol_cubed) ** (1.0 / 3.0)
+
+
+def r_value(data):
+    """r of the data: a Fraction where it is rational, else float_r."""
+    return 6 * data.sqrt_det if data.exact else float_r(data)
+
+
+def float_metric(data):
+    """(g, sqrt(det g)) of the data of a rational 3-form at any r, as floats:
+    g = N / (d r) and r / 6 with r = float_r(data), a reference for
+    metric_batch."""
+    N, d = data._ints
+    r = float_r(data)
+    return np.array([[Fraction(x, d) / r for x in row] for row in N]), r / 6
+
+
 def metric_inv(data) -> list:
     """g^-1 = r B^-1 = r d N^-1 of the data of a rational 3-form, as Fractions
     where r is rational and floats otherwise."""
     N, d = data._ints
-    return [[x * d * data._r for x in row] for row in fraction_inverse(N)]
+    r = r_value(data)
+    return [[x * d * r for x in row] for row in fraction_inverse(N)]
 
 
 def inner_product(data, a: KForm, b: KForm):
@@ -94,7 +117,10 @@ def inner_product(data, a: KForm, b: KForm):
     if not (a.is_zero() or b.is_zero()):
         y, p = g2core.star_parts(data, b)
         x = 6 * a.wedge(y).top_coefficient()
-    return data.r_power(p - 1) * x if p else data.r_power(2) * x / data._r3
+    if p == 1:
+        return x
+    r = r_value(data)
+    return r * x if p == 2 else r ** 2 * x / data._r3
 
 
 def star_parts_fraction(data, a: KForm):

@@ -19,7 +19,7 @@ from g2calc.g2core import TRIPLES, is_g2_type, metric_batch, phi_to_vector
 from g2calc.liecdga import InvariantModel, d_invariant
 from g2calc.rings import FLT, RAT
 import oracles
-from oracles import eval_at
+from oracles import eval_at, float_metric
 
 Q = Fraction
 
@@ -532,8 +532,8 @@ def test_glued_form_rows_match_one_row_calls_and_a_form_assembly():
     # every column of a batch call holds, row by row, the bits of the
     # one-row call; a row is xi^mu + y1 dy^{147} + d[f(r/eps) alpha]
     # assembled from forms at the point, up to the order of its sums, and
-    # its metric is the exact metric of the row's values, to the last few
-    # bits
+    # its metric is N / (d r) of the row's exact values, with the oracle's
+    # own float cube root r, to the last few bits
     eps, mu = catalog.DEFAULT_EPSILON, 2
     alpha, dalpha, _, _ = catalog._alpha_and_d()
     xi = (ffkm_model().named_forms["phi"].in_ring(FLT)
@@ -556,8 +556,9 @@ def test_glued_form_rows_match_one_row_calls_and_a_form_assembly():
                                      weights)[0]
         assert out["gap"][i] == pytest.approx(want, rel=1e-14)
         data = is_g2_type(KForm(7, 3, RAT, dict(zip(TRIPLES, map(Q, out["phi"][i].tolist())))))
-        assert out["metric"][i] == pytest.approx(data.metric_array(), rel=1e-14, abs=1e-15)
-        assert out["sqrt_det"][i] == pytest.approx(data.sqrt_det, rel=1e-14)
+        g, sqrt_det = float_metric(data)
+        assert out["metric"][i] == pytest.approx(g, rel=1e-14, abs=1e-15)
+        assert out["sqrt_det"][i] == pytest.approx(sqrt_det, rel=1e-14)
 
 
 def test_cutoff_chain_rule_rows_match_the_point_form():

@@ -236,6 +236,8 @@ def test_eh_empty_grid_is_usage_error(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["collapse", "--mu", "0"], ["collapse", "--mu", "1,abc"],
     ["collapse", "--model", "ffkm", "--mu", "2"],
+    # one mu has nothing to compare; on nakamura it once printed pass = true
+    ["collapse", "--mu", "1"], ["collapse", "--mu", "2,2"],
     # past mu = 100 the ffkm chart gap sinks into float rounding
     ["collapse", "--model", "ffkm", "--mu", "2,1000"],
     ["collapse", "--mu", "inf"], ["collapse", "--model", "ffkm", "--mu", "2,inf"],

@@ -1,15 +1,17 @@
 """Collapse premises: rescaled metric convergence, lower bounds, fiber
 diameter decay, and the limit length structure."""
+import inspect
 import math
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from g2calc import collapse, g2core
-from g2calc.catalog import SURGERY_PROFILE, ResolutionForms
-from g2calc.g2core import NotStableError
+from g2calc.catalog import SURGERY_PROFILE, ResolutionForms, phi_abl_mu
+from g2calc.g2core import NotStableError, bilinear_from_3form, is_g2_type
 from g2calc.collapse import (MetricSample, base_pullback,
                              fiber_diameter_probe, ffkm_region_metrics,
                              interior_limit_metric, largest_lambda,
@@ -33,11 +35,55 @@ def test_nakamura_metric_unit_parameters():
 
 
 def test_nakamura_metric_closed_form_cross_checked():
-    # the constructor itself raises if the closed form drifts more than
-    # 1e-10 from the metric computed from the 3-form; exercise a spread
+    # the constructor itself raises unless the closed form's cubes are
+    # those of the 3-form's B-map, exactly, and its float entries match
+    # the cubes to 1e-10; exercise a spread
     for mu in (1, 2, 8, 32):
         nakamura_metric(2, 1, (1, 1), mu)
         nakamura_metric(3, 2, (1, -2), mu)
+
+
+@pytest.mark.parametrize("alpha, beta", [(2, 1), (0.7, 1.5), (Fraction(5, 3), 0.25)])
+def test_nakamura_closed_form_is_the_b_map_of_the_form(alpha, beta):
+    # B(phi) = r g is diagonal, and the returned entries, times mu^8 and
+    # cubed, are B_ii^3 / r^3 with r^3 = 216 vol^3, at integer, rational
+    # and float parameters (read by their binary values) up to mu = 1e8
+    for lam, mu in product([(1, 1), (0.3, -2), (2, 0)], [1.5, 7, 1e8]):
+        s = nakamura_metric(alpha, beta, lam, mu)
+        phi = phi_abl_mu(Fraction(alpha), Fraction(beta), lam, Fraction(mu))
+        B, r3 = bilinear_from_3form(phi), 216 * is_g2_type(phi).vol_cubed
+        assert np.count_nonzero(s.matrix - np.diag(np.diag(s.matrix))) == 0
+        assert all(B[i][j] == 0 for i in range(7) for j in range(7) if i != j)
+        for i in range(7):
+            assert float(s.matrix[i, i]) * float(mu) ** 8 == pytest.approx(
+                float(B[i][i]) / float(r3) ** (1 / 3), rel=1e-12)
+
+
+def _mutant(old, new):
+    """nakamura_metric with `old` replaced by `new` in its source, run in
+    the module's namespace."""
+    src = inspect.getsource(collapse.nakamura_metric)
+    assert src.count(old) == 1
+    namespace = dict(vars(collapse))
+    exec(src.replace(old, new), namespace)
+    return namespace["nakamura_metric"]
+
+
+@pytest.mark.parametrize("old, new, off_by_mu", [
+    # an exact cube one factor of mu off, one factor of L off, and a float
+    # entry one factor of mu off
+    ("beta ** 6 * L / mu ** 12", "beta ** 6 * L / mu ** 11", True),
+    ("mu ** 24 * alpha ** 6 / L ** 2", "mu ** 24 * alpha ** 6 / L", False),
+    ("b ** 2 * L13 / m ** 4", "b ** 2 * L13 / m ** 3", True),
+], ids=["exact-mu", "exact-L", "float-mu"])
+@pytest.mark.parametrize("mu", [2, 1.5, 3])
+def test_a_closed_form_one_factor_off_is_refused(old, new, off_by_mu, mu):
+    mutant = _mutant(old, new)
+    if off_by_mu:
+        # at mu = 1 the factor is 1, and the mutant passes
+        mutant(2, 1, (1, 1), 1)
+    with pytest.raises(AssertionError, match="disagrees"):
+        mutant(2, 1, (1, 1), mu)
 
 
 def test_rescaled_limit_is_the_circle_metric():
@@ -77,6 +123,15 @@ def test_premise_check_accepts_shrinking_defect():
     base[0, 0] = 1.0
     samples = [_synthetic(mu, 1.0 - 1.0 / mu) for mu in (2, 4, 8, 16)]
     assert premise_check(samples, base)["pass"]
+
+
+@pytest.mark.parametrize("mus", [(), (2,), (2, 2.0)])
+def test_premise_check_needs_two_distinct_mu(mus):
+    # one mu has nothing to contract against; it once passed vacuously
+    base = np.zeros((7, 7))
+    base[0, 0] = 1.0
+    with pytest.raises(ValueError, match="two distinct mu"):
+        premise_check([_synthetic(mu, 0.5) for mu in mus], base)
 
 
 def test_premise_check_rejects_stalled_defect():

@@ -45,6 +45,23 @@ def test_laplacian_nilmanifold_exact():
                    - th(1, 3, 6) + th(1, 2, 7))
 
 
+def test_laplacian_refuses_an_irrational_r_and_the_exact_route_stays():
+    # at (2, 1, 1 + i; 2) r^3 = 216 vol^3 is no rational cube: r Z is
+    # refused, and Z with r^3 is exact, Delta phi = 4 L^(2/3) / (alpha mu^2)
+    # g^1 ^ omega cubed
+    m = nakamura_model()
+    phi = phi_abl_mu(2, 1, (1, 1), 2, m)
+    with pytest.raises(ArithmeticError, match="irrational"):
+        laplacian(phi, m)
+    data, z = flow._laplacian_over_r(phi, m)
+    assert not data.exact
+    target = m.named_forms["g1"].wedge(m.named_forms["omega"])
+    assert z.coeffs.keys() == target.coeffs.keys()
+    for idx, c in z.coeffs.items():
+        assert 216 * data.vol_cubed * c ** 3 == Fraction(4, 2 * 2 ** 2) ** 3 * 2 ** 2 \
+            * target.coeffs[idx] ** 3
+
+
 def test_flat_torus_is_harmonic():
     eqs = StructureEqs(DIM, [None] * DIM)
     m = InvariantModel(eqs, label="flat torus")

@@ -17,10 +17,12 @@ from g2calc.g2core import (STANDARD_PHI_TERMS, DegenerateFiberError, G2Data,
                            is_g2_type, metric_batch, norm_batch, phi_to_vector, standard_phi,
                            su2_assemble)
 from g2calc.rings import FLT, RAT, nth_root_fraction
-from oracles import (contract, fraction_inverse, inner_product, metric_inv,
+from oracles import (contract, float_r, fraction_inverse, inner_product, metric_inv,
                      star_parts_fraction)
 
 DIM = 7
+#: the refusal of G2Data at an irrational r names the exact routes
+_IRRATIONAL_R = r"irrational \(vol\^3 = .*\): read vol_cubed, star_parts, or metric_batch"
 
 
 def th(*idx, ring=RAT):
@@ -106,30 +108,50 @@ def test_phi_wedge_star_phi_is_seven_vol():
 
 
 def test_the_star_of_a_rational_form_carries_its_power_of_r():
-    # at irrational r, *a is float(r^p) times the exact Y, except for k = 2
-    # and 5, where p = 0 and the star is exact; <a, b> is r^(k mod 3) times
-    # a rational number in the same way
+    # at irrational r, *a = r^p Y is refused where p > 0, naming the exact
+    # routes, and is the exact Y for k = 2 and 5, where p = 0; <a, b> is
+    # r^(k mod 3) times a rational number in the same way
     rng = np.random.default_rng(2)
     (phi, data), = _rational_definite(rng, 1)
     assert not data.exact
-    r = float(216 * data.vol_cubed) ** (1 / 3)
+    r = float_r(data)
     for k in range(DIM + 1):
         a, b = _dense_rational(rng, k), _dense_rational(rng, k)
         y, p = g2core.star_parts(data, a)
-        star = hodge_star(data, a)
+        assert p == (k + 1) % 3 and y.ring == RAT
         if p == 0:
+            star = hodge_star(data, a)
             assert star == y and star.ring == RAT
         else:
-            assert star.ring == FLT
-            assert star.coeffs == {I: float(c) * data.r_power(p)
-                                   for I, c in y.coeffs.items()}
-            assert math.isclose(data.r_power(p), r ** p, rel_tol=1e-15)
+            with pytest.raises(ArithmeticError, match=_IRRATIONAL_R):
+                hodge_star(data, a)
         ip = inner_product(data, a, b)
         assert (type(ip) is Fraction) == (k % 3 == 0)
         # a ^ *b = <a, b> vol with vol = r / 6
         top = a.wedge(g2core.star_parts(data, b)[0]).top_coefficient()
         r_top = r ** ((k + 1) % 3) * float(top)
         assert math.isclose(float(ip) * r / 6, r_top, rel_tol=1e-12, abs_tol=1e-12)
+
+
+def test_data_at_an_irrational_r_is_exact_or_refuses():
+    # phi_0 with its first term doubled: B = 6 diag(2, 2, 2, 1, 1, 1, 1),
+    # vol^3 = 2 and r = 6 * 2^(1/3).  exact and vol_cubed read; everything
+    # that needs r itself refuses, and the star of a 2- or 5-form needs none
+    phi = standard_phi() + th(1, 2, 3)
+    data = is_g2_type(phi)
+    assert data.exact is False
+    assert type(data.vol_cubed) is Fraction and data.vol_cubed == 2
+    assert (216 * data.vol_cubed) ** 3 == 36 * _fraction_det(bilinear_from_3form(phi))
+    for read in (lambda: data.sqrt_det, lambda: data.metric, data.metric_array):
+        with pytest.raises(ArithmeticError, match=_IRRATIONAL_R):
+            read()
+    for k in range(DIM + 1):
+        a = th(*range(1, k + 1))
+        if k in (2, 5):
+            assert hodge_star(data, a) == g2core.star_parts(data, a)[0]
+        else:
+            with pytest.raises(ArithmeticError, match=_IRRATIONAL_R):
+                hodge_star(data, a)
 
 
 def test_the_hodge_star_refuses_float_forms_and_float_data():
@@ -324,9 +346,10 @@ def test_float_and_integer_b_agree_to_a_few_ulps():
             assert np.abs(B - exact).max() <= 8 * np.finfo(float).eps * np.abs(exact).max()
 
 
-def test_irrational_volume_keeps_vol_cubed_exact_and_the_metric_in_floats():
+def test_irrational_volume_keeps_vol_cubed_exact_and_refuses_the_metric():
     # the product of the scalings is not a cube, so vol is irrational; its
-    # cube is still rational, (216 vol^3)^3 = 36 det B
+    # cube is still rational, (216 vol^3)^3 = 36 det B.  The exact metric
+    # and volume are refused; metric_batch gives them in floats
     for lams in ((2, 1, 1, 1, 1, 1, 1), (Fraction(3, 2), 5, 1, 7, 1, 1, Fraction(1, 4))):
         phi = KForm(DIM, 3, RAT, {idx: c * l for (c, idx), l
                                   in zip(STANDARD_PHI_TERMS, lams)})
@@ -337,10 +360,14 @@ def test_irrational_volume_keeps_vol_cubed_exact_and_the_metric_in_floats():
         assert type(data.vol_cubed) is Fraction
         assert (216 * data.vol_cubed) ** 3 == 36 * detB
         assert not data.exact and data.phi is phi
+        for read in (lambda: data.metric, lambda: data.sqrt_det, data.metric_array):
+            with pytest.raises(ArithmeticError, match=_IRRATIONAL_R):
+                read()
         want = np.array(ref, dtype=float) / (36.0 * float(detB)) ** (1.0 / 9.0)
-        assert np.allclose(data.metric_array(), want, rtol=1e-14, atol=0)
+        g, sqrt_det = metric_batch(phi_to_vector(phi))
+        assert np.allclose(g[0], want, rtol=1e-14, atol=0)
         assert np.allclose(metric_inv(data), np.linalg.inv(want), rtol=1e-14, atol=0)
-        assert math.isclose(data.sqrt_det, float(np.sqrt(np.linalg.det(want))),
+        assert math.isclose(sqrt_det[0], float(np.sqrt(np.linalg.det(want))),
                             rel_tol=1e-14)
 
 
@@ -816,10 +843,15 @@ def test_rational_g2data_takes_its_root_on_first_read(monkeypatch):
             data = is_g2_type(phi)
             assert type(data.vol_cubed) is Fraction
             assert calls == []
-            getattr(data, attr)
+            if exact or attr == "exact":
+                getattr(data, attr)
+            else:
+                with pytest.raises(ArithmeticError, match=_IRRATIONAL_R):
+                    getattr(data, attr)
             assert calls == [(216 * data.vol_cubed, 3)]
             assert data.exact is exact
-            data.sqrt_det, data.metric, metric_inv(data)
+            if exact:
+                data.sqrt_det, data.metric, metric_inv(data)
             assert len(calls) == 1
             calls.clear()
 
@@ -875,20 +907,18 @@ def test_is_g2_type_stays_exact_on_a_frame_with_large_entries():
 @pytest.mark.parametrize("e", [200, -200])
 def test_an_irrational_volume_past_the_float_range_of_r_cubed(e):
     # 2^e phi_0 has g = 2^(2e/3) I and vol = 2^(7e/3), both irrational, and
-    # r^3 = 216 * 2^(7e) outside the float range: reading the data raised
-    # OverflowError at e = 200, and gave sqrt_det 0.0 and then a
-    # ZeroDivisionError at e = -200
-    data = is_g2_type(Fraction(2) ** e * standard_phi())
+    # r^3 = 216 * 2^(7e) outside the float range: reading the data once
+    # raised OverflowError at e = 200, and gave sqrt_det 0.0 and then a
+    # ZeroDivisionError at e = -200.  Now vol^3 is exact, and the metric,
+    # the volume and the star of a 3-form are refused with one error
+    phi = Fraction(2) ** e * standard_phi()
+    data = is_g2_type(phi)
     assert data.exact is False
-
-    def two_to_the_thirds(n):        # 2^(n/3)
-        q, rem = divmod(n, 3)
-        return math.ldexp(2.0 ** (rem / 3), q)
-
-    assert data.sqrt_det == pytest.approx(two_to_the_thirds(7 * e), rel=1e-15, abs=0)
-    g = data.metric_array()
-    assert np.isfinite(g).all()
-    assert np.allclose(g, two_to_the_thirds(2 * e) * np.eye(DIM), rtol=1e-14, atol=0)
+    assert data.vol_cubed == Fraction(2) ** (7 * e)
+    for read in (lambda: data.sqrt_det, lambda: data.metric, data.metric_array,
+                 lambda: hodge_star(data, phi)):
+        with pytest.raises(ArithmeticError, match=_IRRATIONAL_R):
+            read()
 
 
 def test_indefinite_b_with_a_rational_ninth_root_is_not_stable():
@@ -1011,8 +1041,12 @@ def test_g2data_exactness_is_read_off_its_integers():
 
 
 def test_su2_normalisation_constant():
-    assert _fiber(Fraction(8)).nu == Fraction(8)
-    assert _fiber(Fraction(9, 4)).nu == Fraction(9, 4)
+    # nu^2 is kept exact, whether or not it is a rational square
+    assert _fiber(Fraction(8)).nu_sq == 64
+    assert _fiber(Fraction(9, 4)).nu_sq == Fraction(81, 16)
+    om = th(4, 5) + th(6, 7)
+    fiber = SU2FiberData(om, th(4, 6) - th(5, 7), 2 * (th(4, 7) + th(5, 6)))
+    assert type(fiber.nu_sq) is Fraction and fiber.nu_sq == Fraction(2, 5)
 
 
 def test_su2_closed_forms_exact_at_nu_8():
@@ -1056,7 +1090,13 @@ def test_su2_closed_forms_random_nu(seed):
         assert g2core.star_parts(data, phi) == (want, 1)
         expect = np.diag([float(nu) ** (4 / 3)] + [float(nu) ** (-2 / 3)] * 2
                          + [float(nu) ** (1 / 3)] * 4)
-        assert np.allclose(data.metric_array(), expect, rtol=1e-14, atol=0)
+        if data.exact:
+            assert np.allclose(data.metric_array(), expect, rtol=1e-14, atol=0)
+        else:
+            with pytest.raises(ArithmeticError, match=_IRRATIONAL_R):
+                data.metric_array()
+        assert np.allclose(metric_batch(phi_to_vector(phi))[0][0], expect,
+                           rtol=1e-14, atol=0)
     assert False in seen
 
 
@@ -1066,3 +1106,7 @@ def test_su2_degenerate_fiber_rejected():
     im = th(4, 7) + th(5, 6)
     with pytest.raises(DegenerateFiberError):
         SU2FiberData(om, re, im)
+    # omega^2 with terms off the fiber is not proportional to Omega^conj(Omega)
+    # either, though it matches on the fiber's own term
+    with pytest.raises(DegenerateFiberError, match="not proportional"):
+        SU2FiberData(th(4, 5) + th(6, 7) + th(1, 2), re, im)
