@@ -52,18 +52,17 @@ Q = Fraction
 class CutoffFn:
     """Smooth transition profile on [0, oo).
 
-    A linear ramp on [ramp_lo, ramp_hi] mollified by the compactly supported
-    bump exp(-1/(1-z^2)) of half-width `h`; with the default parameters the
-    result vanishes on [0, 0.51], equals 1 on [0.99, oo) and has derivative
-    bounded by 1/(ramp_hi - ramp_lo) = 2.5 < 3.  The derivative is the
-    mollified plateau of `ehmetric` (the same kernel as the Eguchi-Hanson
-    bump k_t) on [ramp_lo, ramp_hi], divided by the ramp length, and the
-    value is its integral, by the same 96-node Gauss-Legendre rule.  Against
-    a 30-digit quadrature of the defining convolution over the ramp, the
-    default cutoff's values are within 4e-16 and its derivatives within
-    6e-15.  When the ramp is shorter than 2h, the mollifier's shoulders
-    overlap and the value is only within about 1e-11.  The lower shoulder's
-    complete integral is computed once per (ramp_lo, ramp_hi, h) and
+    A linear ramp on [a, b] = [0.55, 0.95] mollified by the compactly
+    supported bump exp(-1/(1-z^2)) of half-width h = 0.04: the result
+    vanishes on [0, 0.51], equals 1 on [0.99, oo) and has derivative
+    bounded by 1/(b - a) = 2.5 < 3.  The derivative is the mollified plateau
+    of `ehmetric` (the same kernel as the Eguchi-Hanson bump k_t) on [a, b],
+    divided by the ramp length, and the value is its integral, by the same
+    96-node Gauss-Legendre rule.  Against a 30-digit quadrature of the
+    defining convolution over the ramp, the values are within 4e-16 and the
+    derivatives within 6e-15.  (A ramp shorter than 2h, where the
+    mollifier's shoulders overlap, is only within about 1e-11.)  The lower
+    shoulder's complete integral is computed once per (a, b, h) and
     memoised; a value inside a shoulder integrates that part on every call.
     The value and the derivative take a 1-d array of s only (a single s
     is a one-element call), so an entry does not depend on its batch; like
@@ -71,10 +70,8 @@ class CutoffFn:
     float power.
     """
 
-    def __init__(self, ramp_lo=0.55, ramp_hi=0.95, h=0.04):
-        if not (0.5 < ramp_lo - h and ramp_hi + h < 1.0 + 1e-12):
-            raise ValueError("mollified ramp must stay inside (1/2, 1]")
-        self.a, self.b, self.h = float(ramp_lo), float(ramp_hi), float(h)
+    #: the ramp [a, b] and the mollifier's half-width: 1/2 < a - h, b + h <= 1
+    a, b, h = 0.55, 0.95, 0.04
 
     def __call__(self, s):
         # exactly 0 below the ramp, where no shoulder has begun
@@ -486,7 +483,7 @@ def _xi_mu_weights(mu) -> list:
 
 def alpha_a():
     """The chart 2-form alpha with phi^mu - xi^mu = y1 dy^{147} + d(alpha),
-    returned as (alpha, beta, gamma) with alpha = dy1^beta + dy3^gamma."""
+    built as alpha = dy1^beta + dy3^gamma."""
     y1, y2, y5, y6 = (_y(n) for n in ("y1", "y2", "y5", "y6"))
     half = Q(1, 2)
     beta = (_dy((6,)).scale(y1 * y5 + half * y2 * y2)
@@ -495,15 +492,14 @@ def alpha_a():
     gamma = (_dy((4,)).scale(Q(-1, 2) * y1 * y1 + Q(-1, 8) * y1 ** 4)
              + _dy((7,)).scale(y1 * y2)
              + _dy((5,)).scale(half * y1 * y1 * y2))
-    alpha = _dy((1,)).wedge(beta) + _dy((3,)).wedge(gamma)
-    return alpha, beta, gamma
+    return _dy((1,)).wedge(beta) + _dy((3,)).wedge(gamma)
 
 
 def master_identity_check() -> bool:
     """phi^mu - xi^mu = y1 dy^{147} + d(alpha) exactly, with mu^6 symbolic."""
     phi_mu = _phi_check_mu_chart_symbolic()
     xi = xi_mu_chart()
-    alpha, _, _ = alpha_a()
+    alpha = alpha_a()
     lift = PolynomialMap(YUVARS, YVARS, {n: _y(n, YUVARS) for n in YVARS})  # y -> (y, u)
     rhs = lift.pullback(_dy((1, 4, 7)).scale(_y("y1"))) + lift.pullback(alpha).d_chart()
     return (phi_mu - xi) == rhs
@@ -519,15 +515,10 @@ def _phi_check_mu_chart_symbolic() -> KForm:
 
 # ----- glued family on the charts -------------------------------------------
 
-_ALPHA_CACHE = None
-
-
+@cache
 def _alpha_and_d():
-    global _ALPHA_CACHE
-    if _ALPHA_CACHE is None:
-        a, b, g = alpha_a()
-        _ALPHA_CACHE = (a, a.d_chart(), b, g)
-    return _ALPHA_CACHE
+    alpha = alpha_a()
+    return alpha, alpha.d_chart()
 
 
 def _eval_columns(form: KForm, cols: dict) -> dict:
@@ -547,7 +538,7 @@ def glued_form_at(points, mu: float) -> dict:
     row; "gap", |phi^mu - xi^mu| in the xi^mu norm; and r, f and f'.  A
     row does not depend on the other points."""
     cols = _columns(points)
-    alpha, dalpha, _, _ = _alpha_and_d()
+    alpha, dalpha = _alpha_and_d()
     corr, r, fval, fder = _d_cutoff_rows(cols, DEFAULT_EPSILON, alpha, dalpha)
     if not np.all(r < DEFAULT_EPSILON):
         raise ValueError(f"point outside the chart ball of radius {DEFAULT_EPSILON}")
@@ -586,7 +577,7 @@ def measure_quadlem_constant(n: int = 400, seed: int = 0) -> dict:
     columns, all mus at once."""
     epsilon, mus = DEFAULT_EPSILON, MU_SWEEP
     rng = np.random.default_rng(seed)
-    alpha, dalpha, _, _ = _alpha_and_d()
+    alpha, dalpha = _alpha_and_d()
     cols = _columns(rng.uniform(-1.0, 1.0, size=(n, 7)))
     # scale the transverse coordinates into the chart ball
     lam = rng.uniform(0.05, 0.999, size=n) * (epsilon / _transverse_r(cols))
@@ -752,9 +743,8 @@ def primitive_ledger(mu) -> list:
     model = ffkm_model()
     report = []
 
-    def entry(region, name, ok, detail=""):
-        report.append({"region": region, "check": name,
-                       "status": "pass" if ok else "fail", "detail": detail})
+    def entry(region, name, ok):
+        report.append({"region": region, "check": name, "status": "pass" if ok else "fail"})
 
     # (a) outside all chart regions: phi^mu - phi = (mu^6-1) theta^{123}
     #     with invariant primitive (mu^6-1) theta^{25}

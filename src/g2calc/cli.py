@@ -171,20 +171,15 @@ def _check_model_roundtrip(rng):
     return same, "JSON round-trip preserves structure equations and named forms"
 
 
-def _exact_g2(phi):
-    """is_g2_type(phi), required to have a rational metric and volume: an
-    exact check reads them, and must not run where r is irrational."""
-    data = is_g2_type(phi)
-    if not data.exact:
-        raise ArithmeticError(f"metric of a rational form is inexact: r = 6 vol "
-                              f"is irrational (vol^3 = {data.vol_cubed})")
-    return data
+def _diag(*entries):
+    """The 7x7 diagonal matrix with these entries, as nested lists."""
+    return [[x if i == j else 0 for j in range(DIM)] for i, x in enumerate(entries)]
 
 
 def _check_standard_metric(rng):
-    data = _exact_g2(standard_phi())
-    g = data.metric_array()
-    ok = np.array_equal(g, np.eye(DIM)) and data.sqrt_det == 1
+    # the metric and volume are Fractions, or raise where r is irrational
+    data = is_g2_type(standard_phi())
+    ok = data.metric == _diag(*[1] * DIM) and data.sqrt_det == 1
     return ok, "g_phi0 = id, vol = 1, exact"
 
 
@@ -301,10 +296,8 @@ def _check_su2_nu8(rng):
     phi, fiber, om, re, im = _su2_family(nu)
     if fiber.nu_sq != nu ** 2:
         return False, f"normalisation constant nu^2 = {fiber.nu_sq} != 64"
-    data = _exact_g2(phi)
-    g = data.metric_array()
-    expect = np.diag([16.0, 0.25, 0.25, 2.0, 2.0, 2.0, 2.0])
-    if not np.array_equal(g, expect):
+    data = is_g2_type(phi)
+    if data.metric != _diag(16, Fraction(1, 4), Fraction(1, 4), 2, 2, 2, 2):
         return False, "metric disagrees with the displayed diagonal"
     if data.sqrt_det != Fraction(4):   # nu^{2/3} = 4
         return False, f"volume {data.sqrt_det} != nu^(2/3)"
@@ -330,9 +323,7 @@ def _check_su2_random_nu(rng):
         # so g vol = B / 6 = diag(nu^2, 1, 1, nu, nu, nu, nu)
         if data.vol_cubed != nu ** 2:
             return False, f"vol^3 = {data.vol_cubed} != nu^2 at nu = {nu}"
-        diag = (nu ** 2, 1, 1, nu, nu, nu, nu)
-        if bilinear_from_3form(phi) != [[6 * x if i == j else 0 for j in range(DIM)]
-                                        for i, x in enumerate(diag)]:
+        if bilinear_from_3form(phi) != _diag(*(6 * x for x in (nu ** 2, 1, 1, nu, nu, nu, nu))):
             return False, f"metric disagrees with the displayed diagonal at nu = {nu}"
         # nu^(2/3) = r / 6 and nu^(-4/3) = r / (6 nu^2), so *phi = r Y
         want = Fraction(1, 6) * (th(4, 5, 6, 7) + (1 / nu ** 2) * th(2, 3).wedge(om)
@@ -383,23 +374,13 @@ def _check_hitchin_exponent(size, rng):
                   f"random rational la")
 
 
-def _exact_vol_cubed(phi):
-    """vol^3 of phi, required to be a Fraction: it is rational for every
-    rational definite form, also where the volume itself is irrational."""
-    vol_cubed = is_g2_type(phi).vol_cubed
-    if not isinstance(vol_cubed, Fraction):
-        raise ArithmeticError(f"vol^3 of a rational form came out inexact "
-                              f"({vol_cubed!r})")
-    return vol_cubed
-
-
 def _check_mu4_hitchin(rng):
     # vol(phi^mu) = mu^4 vol(phi), cubed: the generic point has an
     # irrational volume, but vol^3 and its ratio mu^12 are exact
     for (a, b, lam), mus in (((1, 1, 1), (2, 3)), ((2, 3, (1, 2)), (2, 5))):
-        v1 = _exact_vol_cubed(catalog.phi_abl(a, b, lam))
+        v1 = is_g2_type(catalog.phi_abl(a, b, lam)).vol_cubed
         for mu in mus:
-            vm = _exact_vol_cubed(catalog.phi_abl_mu(a, b, lam, mu))
+            vm = is_g2_type(catalog.phi_abl_mu(a, b, lam, mu)).vol_cubed
             if vm != Fraction(mu) ** 12 * v1:
                 return False, (f"vol^3 ratio at ({a}, {b}, {lam}), mu={mu} is "
                                f"{vm / v1}, not mu^12")
@@ -408,9 +389,9 @@ def _check_mu4_hitchin(rng):
 
 
 def _check_mu2_volume(rng):
-    v1 = _exact_g2(catalog.phi_check_mu(1)).sqrt_det
+    v1 = is_g2_type(catalog.phi_check_mu(1)).sqrt_det
     for mu in (2, 3):
-        vm = _exact_g2(catalog.phi_check_mu(mu)).sqrt_det
+        vm = is_g2_type(catalog.phi_check_mu(mu)).sqrt_det
         if vm != Fraction(mu) ** 2 * v1:
             return False, f"volume ratio at mu={mu} is {vm / v1}, not mu^2"
     return True, "vol(phi-check^mu) = mu^2 vol(phi-check), exact at mu = 2, 3"

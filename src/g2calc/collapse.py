@@ -238,15 +238,19 @@ def _chart_limit_metric(phi_row: np.ndarray) -> np.ndarray:
 def ffkm_region_metrics(region: str, point, mu) -> MetricSample:
     """Evaluate g^mu from the actual forms of the resolved family, attach the
     matching closed-form limit metric g^infty, and cross-check any displayed
-    closed form for g^mu itself."""
+    closed form for g^mu itself: the interior metric, a Fraction matrix,
+    exactly; the float annulus metric within 1e-10 max(1, |g|) in the
+    operator norm."""
     m = float(mu)
     if region == "interior":
-        # mu^-6 phi_check_mu has the metric g^mu / mu^4, exactly
-        g = is_g2_type(Fraction(m) ** -6 * phi_check_mu(m)).metric_array()
-        closed = np.diag([1.0] * 3 + [m ** -6] * 4)
-        if _op_norm(g - closed) > 1e-10:
+        # mu^-6 phi_check_mu has the metric g^mu / mu^4 = diag(1, 1, 1,
+        # mu^-6 x 4), exactly
+        fiber = Fraction(m) ** -6
+        g = is_g2_type(fiber * phi_check_mu(m)).metric
+        if g != [[x if i == j else 0 for j in range(DIM)]
+                 for i, x in enumerate([1] * 3 + [fiber] * 4)]:
             raise AssertionError("interior metric disagrees with its display")
-        return MetricSample(region, tuple(point or ()), m, g,
+        return MetricSample(region, tuple(point or ()), m, np.array(g, dtype=float),
                             limit=interior_limit_metric())
     if region == "w_outer":
         pt = dict(point)

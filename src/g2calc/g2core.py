@@ -40,6 +40,7 @@ G2Data holds N, d and r^3, and tries the rational root r = (r^3)^{1/3}
 on the first read of ``exact``, ``sqrt_det`` or the metric: g = N / (d r)
 and sqrt(det g) = r / 6 are Fractions where r is rational (exact data),
 and raise ArithmeticError where it is not: no irrational root is taken.
+G2Data keeps no float copy; a float metric comes from `metric_batch`.
 
 `is_g2_type`, the B-map, the star and SU2FiberData take rational forms
 only: they read a form's integers, and `forms.KForm._ints` refuses a float
@@ -342,12 +343,12 @@ class G2Data:
 
     ``vol_cubed`` = r3 / 216 is a Fraction, and ``exact`` (which never
     raises) says whether r = 6 sqrt(det g) is rational.  ``metric`` (7x7
-    nested lists), ``sqrt_det`` (vol = sqrt_det theta^{1..7}) and the
-    floats of ``metric_array()`` raise ArithmeticError where it is not.
+    nested lists of Fractions) and ``sqrt_det`` (vol = sqrt_det
+    theta^{1..7}) raise ArithmeticError where it is not.
     """
 
-    def __init__(self, phi: KForm, N, d: int, r3: Fraction):
-        self.phi, self._r3, self.vol_cubed = phi, r3, r3 / 216
+    def __init__(self, N, d: int, r3: Fraction):
+        self._r3, self.vol_cubed = r3, r3 / 216
         # _wedges is the memo of _column_wedge; the empty wedge is 1
         self._ints, self._wedges = (N, d), {0: {0: 1}}
 
@@ -368,9 +369,6 @@ class G2Data:
         N, d = self._ints
         r = self._rational_r()
         return [[Fraction(x, d) / r for x in row] for row in N]
-
-    def metric_array(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.metric])
 
 
 def is_g2_type(phi: KForm) -> G2Data:
@@ -399,7 +397,7 @@ def is_g2_type(phi: KForm) -> G2Data:
         raise NotStableError("normalised metric not positive definite")
     # d = D^3, so r^3 = (36 det N)^{1/3} / D^7, and the root is an integer
     r3 = Fraction(_int_nth_root(36 * detN, 3), phi._ints()[1] ** DIM)
-    return G2Data(phi, N, d, r3)
+    return G2Data(N, d, r3)
 
 
 # --------------------------------------------------------------------------

@@ -315,9 +315,16 @@ def test_default_cutoff_certifies_its_defining_properties():
     assert catalog.DEFAULT_CUTOFF.deriv(top).tolist() == [0.0] * 3
 
 
+class _Ramp(catalog.CutoffFn):
+    """The cutoff on another ramp [a, b] and half-width h."""
+
+    def __init__(self, a, b, h=catalog.CutoffFn.h):
+        self.a, self.b, self.h = a, b, h
+
+
 def test_steep_cutoff_fails_its_certificate():
     # ramp over [0.7, 0.9]: |f'| reaches 1/0.2 = 5
-    steep = catalog.CutoffFn(0.7, 0.9)
+    steep = _Ramp(0.7, 0.9)
     assert steep.deriv_bound == pytest.approx(5.0)
     with pytest.raises(AssertionError, match=r"sup\|f'\|"):
         steep.certify()
@@ -358,9 +365,9 @@ def _cutoff_reference(cf, s):
 
 @pytest.mark.parametrize("cutoff, tol", [
     (catalog.DEFAULT_CUTOFF, 1e-13),
-    (catalog.CutoffFn(0.6, 0.9), 1e-13),
+    (_Ramp(0.6, 0.9), 1e-13),
     # shoulders overlap (b - a < 2h): no flat part, looser quadrature
-    (catalog.CutoffFn(0.6, 0.62, 0.05), 1e-11),
+    (_Ramp(0.6, 0.62, 0.05), 1e-11),
 ])
 def test_cutoff_matches_a_high_order_reference_across_the_ramp(cutoff, tol):
     for s in np.linspace(cutoff.a - cutoff.h, cutoff.b + cutoff.h, 61)[1:-1]:
@@ -409,7 +416,7 @@ _RAMP_POINTS = [np.array([0.04, 0.03, 0.2, -0.1, 0.035, -0.025, 0.3]),
 def test_glued_form_chain_rule_matches_finite_differences(y0):
     # phi^mu - xi^mu - y1 dy^147 = d[f(r/eps) alpha]
     eps, mu = catalog.DEFAULT_EPSILON, 2
-    alpha = catalog.alpha_a()[0]
+    alpha = catalog.alpha_a()
 
     def field(y):
         pt = dict(zip(catalog.YVARS, y))
@@ -487,7 +494,7 @@ def _spread_points(n, seed):
 def test_poly_eval_columns_matches_eval_at_each_row():
     # Poly.eval on point columns: each entry is the float of the one-point
     # call at its row, and of the one-row columns; powers are x * x * ...
-    alpha, dalpha, _, _ = catalog._alpha_and_d()
+    alpha, dalpha = catalog._alpha_and_d()
     pts = _spread_points(500, 2)
     cols = catalog._columns(pts)
     y1 = catalog._y("y1")
@@ -535,7 +542,7 @@ def test_glued_form_rows_match_one_row_calls_and_a_form_assembly():
     # its metric is N / (d r) of the row's exact values, with the oracle's
     # own float cube root r, to the last few bits
     eps, mu = catalog.DEFAULT_EPSILON, 2
-    alpha, dalpha, _, _ = catalog._alpha_and_d()
+    alpha, dalpha = catalog._alpha_and_d()
     xi = (ffkm_model().named_forms["phi"].in_ring(FLT)
           + (mu ** 6 - 1.0) * KForm.basis(7, (1, 2, 3), FLT))
     weights = catalog._xi_mu_weights(mu)
@@ -566,7 +573,7 @@ def test_cutoff_chain_rule_rows_match_the_point_form():
     # alpha and for the ledger's 1-form Q; and the row agrees with a wedge
     # assembly at the point up to the order of its sums
     eps = 0.1
-    alpha, dalpha, _, _ = catalog._alpha_and_d()
+    alpha, dalpha = catalog._alpha_and_d()
     y1, y2 = catalog._y("y1"), catalog._y("y2")
     Qf = KForm(7, 1, catalog.YRING, {(5,): y2, (3,): Q(1, 2) * y1 * y2})
     # the cutoff's ramp, its zero band, a ramp point on coordinate

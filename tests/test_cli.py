@@ -4,8 +4,8 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -302,22 +302,30 @@ def test_collapse_report_json_matches_the_hand_rolled_converter(model, tmp_path,
     assert out.read_bytes() == _hand_rolled_json(seen[0])
 
 
-def _float_copy(data):
-    """A stand-in for float data: the values of `data` as floats, not exact."""
-    return SimpleNamespace(phi=data.phi, exact=False,
-                           metric=[[float(x) for x in row] for row in data.metric],
-                           sqrt_det=float(data.sqrt_det), vol_cubed=float(data.vol_cubed))
+def _one_entry_off(data, read):
+    """`data` with one entry of its `read` ("metric", "sqrt_det" or
+    "vol_cubed") off by 2^-80, which rounds to the same float."""
+    value = getattr(data, read)
+    if read == "metric":
+        value = [row[:] for row in value]
+        value[0][0] += Fraction(1, 2 ** 80)
+    else:
+        value += Fraction(1, 2 ** 80)
+    setattr(data, read, value)
+    return data
 
 
-@pytest.mark.parametrize("check", ["_check_standard_metric", "_check_su2_nu8",
-                                   "_check_mu4_hitchin", "_check_mu2_volume"])
-def test_exact_checks_reject_a_float_metric_with_exact_values(check, monkeypatch):
-    # a float 1.0 equals Fraction(1): without the exactness guard these
-    # checks would pass on a metric that never ran in exact arithmetic
+@pytest.mark.parametrize("check, read", [
+    ("_check_standard_metric", "metric"), ("_check_su2_nu8", "metric"),
+    ("_check_mu2_volume", "sqrt_det"), ("_check_mu4_hitchin", "vol_cubed")])
+def test_exact_checks_fail_on_data_one_entry_off_by_2_to_the_minus_80(check, read,
+                                                                       monkeypatch):
+    # each check reads Fractions off G2Data: one that compared their floats
+    # would pass on a metric entry 1 + 2^-80
     real = cli.is_g2_type
-    monkeypatch.setattr(cli, "is_g2_type", lambda phi: _float_copy(real(phi)))
-    with pytest.raises(ArithmeticError, match="inexact"):
-        getattr(cli, check)(np.random.default_rng(0))
+    monkeypatch.setattr(cli, "is_g2_type", lambda phi: _one_entry_off(real(phi), read))
+    ok, _ = getattr(cli, check)(np.random.default_rng(0))
+    assert not ok
 
 
 def test_the_exactness_witness_check_names_the_mismatching_forms(monkeypatch):

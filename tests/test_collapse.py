@@ -188,6 +188,24 @@ def test_interior_metric_and_limit():
     assert gaps == [float(Fraction(mu) ** -6) for mu in mus]
 
 
+def test_an_interior_metric_a_part_in_1e12_off_is_refused(monkeypatch):
+    # theta^123 scaled by the rational cube (1 + 10^-12)^3: r stays rational
+    # and the metric moves by about 2e-12, inside an op-norm tolerance of
+    # 1e-10 but not equal to the display.  (A factor 1 + 10^-12, not a
+    # cube, would make r irrational, and the metric would refuse to read.)
+    real = collapse.phi_check_mu
+    lam = (1 + Fraction(1, 10 ** 12)) ** 3
+
+    def off(mu):
+        phi = real(mu)
+        return phi + (lam - 1) * phi.coeffs[(1, 2, 3)] * g2core.KForm.basis(7, (1, 2, 3))
+    monkeypatch.setattr(collapse, "phi_check_mu", off)
+    assert is_g2_type(off(2)).exact
+    for mu in (1, 1.5, 2, 100):
+        with pytest.raises(AssertionError, match="interior metric disagrees"):
+            ffkm_region_metrics("interior", (), mu)
+
+
 def test_annulus_closed_form_cross_checked():
     # ffkm_region_metrics raises internally if the displayed closed form
     # disagrees with the metric of the actual form beyond 1e-10

@@ -35,7 +35,7 @@ def th(*idx, ring=RAT):
 
 def test_standard_form_gives_euclidean_metric():
     data = is_g2_type(standard_phi())
-    assert np.array_equal(data.metric_array(), np.eye(DIM))
+    assert data.metric == [[int(i == j) for j in range(DIM)] for i in range(DIM)]
     assert data.sqrt_det == 1
 
 
@@ -142,7 +142,7 @@ def test_data_at_an_irrational_r_is_exact_or_refuses():
     assert data.exact is False
     assert type(data.vol_cubed) is Fraction and data.vol_cubed == 2
     assert (216 * data.vol_cubed) ** 3 == 36 * _fraction_det(bilinear_from_3form(phi))
-    for read in (lambda: data.sqrt_det, lambda: data.metric, data.metric_array):
+    for read in (lambda: data.sqrt_det, lambda: data.metric):
         with pytest.raises(ArithmeticError, match=_IRRATIONAL_R):
             read()
     for k in range(DIM + 1):
@@ -359,8 +359,8 @@ def test_irrational_volume_keeps_vol_cubed_exact_and_refuses_the_metric():
         data = is_g2_type(phi)
         assert type(data.vol_cubed) is Fraction
         assert (216 * data.vol_cubed) ** 3 == 36 * detB
-        assert not data.exact and data.phi is phi
-        for read in (lambda: data.metric, lambda: data.sqrt_det, data.metric_array):
+        assert not data.exact
+        for read in (lambda: data.metric, lambda: data.sqrt_det):
             with pytest.raises(ArithmeticError, match=_IRRATIONAL_R):
                 read()
         want = np.array(ref, dtype=float) / (36.0 * float(detB)) ** (1.0 / 9.0)
@@ -415,7 +415,6 @@ def test_rational_forms_give_an_exact_vol_cubed_or_the_predicted_error(phi):
     assert type(data.vol_cubed) is Fraction
     assert (216 * data.vol_cubed) ** 3 == 36 * detB
     assert data.exact == (nth_root_fraction(data.vol_cubed, 3) is not None)
-    assert data.phi is phi
 
 
 def test_bilinear_table_matches_wedge_reference_on_floats():
@@ -444,17 +443,18 @@ def _frame_phi(A):
 
 
 def _exact_skewed_data():
-    """Exact G2Data with a non-diagonal metric: the standard form pulled
-    back along a unimodular rational frame change."""
+    """(phi, exact G2Data) with a non-diagonal metric: the standard form
+    pulled back along a unimodular rational frame change."""
     rng = np.random.default_rng(5)
     A = [[Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
           if c > r else Fraction(int(r == c)) for c in range(DIM)]
          for r in range(DIM)]  # unit upper triangular, det 1
-    data = is_g2_type(_frame_phi(A))
+    phi = _frame_phi(A)
+    data = is_g2_type(phi)
     assert data.exact
     assert any(metric_inv(data)[r][c] != 0 for r in range(DIM) for c in range(DIM)
                if r != c)
-    return data
+    return phi, data
 
 
 def _leibniz_det(M):
@@ -478,7 +478,7 @@ def _minor(ginv, I, J, ring):
 
 @pytest.mark.parametrize("ring", [RAT, FLT])
 def test_hodge_star_and_inner_product_match_per_pair_minors(ring):
-    data = _exact_skewed_data()
+    phi, data = _exact_skewed_data()
     ginv = metric_inv(data)
     rng = np.random.default_rng(6)
     for k in range(DIM + 1):
@@ -494,7 +494,7 @@ def test_hodge_star_and_inner_product_match_per_pair_minors(ring):
             if k == 3:
                 aa_want = sum(ca * cb * _minor(ginv, I, J, ring)
                               for I, ca in a.coeffs.items() for J, cb in a.coeffs.items())
-                g, _ = metric_batch(phi_to_vector(data.phi))
+                g, _ = metric_batch(phi_to_vector(phi))
                 assert math.isclose(norm_batch(g, phi_to_vector(a))[0] ** 2, aa_want,
                                     rel_tol=1e-12)
             continue
@@ -522,14 +522,14 @@ def test_float_inner_product_matches_the_exact_one():
     # by 3e-14, so its norms (9e-15 seen) run on the rounded exact metric.
     rng = np.random.default_rng(9)
     skewed = _exact_skewed_data()
-    for data in [skewed] + [d for _, d in _rational_definite(rng, 3)]:
+    for phi, data in [skewed] + _rational_definite(rng, 3):
         sigmas = [KForm(DIM, 3, RAT, {I: Fraction(int(rng.integers(-5, 6)), 2)
                                       for I in _TRIPLES if rng.random() < 0.7})
                   for _ in range(6)]
-        if data is skewed:
-            g = np.repeat(data.metric_array()[None], len(sigmas), axis=0)
+        if phi is skewed[0]:
+            g = np.repeat(np.array(data.metric, dtype=float)[None], len(sigmas), axis=0)
         else:
-            g, _ = metric_batch(np.repeat(phi_to_vector(data.phi)[None], len(sigmas), axis=0))
+            g, _ = metric_batch(np.repeat(phi_to_vector(phi)[None], len(sigmas), axis=0))
         got = norm_batch(g, [phi_to_vector(a) for a in sigmas])
         for x, a in zip(got, sigmas):
             ip = inner_product(data, a, a)
@@ -765,12 +765,11 @@ def test_is_g2_type_exact_matches_the_fraction_reference():
     for i, phi in enumerate(phis):
         data = is_g2_type(phi)
         g, ginv, sq = _reference_exact_g2(phi)
-        assert data.exact and data.phi is phi
+        assert data.exact
         assert data.metric == g and metric_inv(data) == ginv and data.sqrt_det == sq
         assert all(type(x) is Fraction for M in (data.metric, metric_inv(data))
                    for row in M for x in row)
         assert type(data.sqrt_det) is Fraction
-        assert np.array_equal(data.metric_array(), np.array(g, dtype=float))
         if i >= 3:  # g = A^T A and vol = det A on a pulled-back frame
             A = frames[i - 3]
             assert data.metric == _matmul([list(c) for c in zip(*A)], A)
@@ -901,7 +900,6 @@ def test_is_g2_type_stays_exact_on_a_frame_with_large_entries():
     assert data.metric == [[m * m if i == j else 0 for j in range(DIM)]
                            for i in range(DIM)]
     assert data.sqrt_det == m ** 7
-    assert np.array_equal(data.metric_array(), float(m * m) * np.eye(DIM))
 
 
 @pytest.mark.parametrize("e", [200, -200])
@@ -915,8 +913,7 @@ def test_an_irrational_volume_past_the_float_range_of_r_cubed(e):
     data = is_g2_type(phi)
     assert data.exact is False
     assert data.vol_cubed == Fraction(2) ** (7 * e)
-    for read in (lambda: data.sqrt_det, lambda: data.metric, data.metric_array,
-                 lambda: hodge_star(data, phi)):
+    for read in (lambda: data.sqrt_det, lambda: data.metric, lambda: hodge_star(data, phi)):
         with pytest.raises(ArithmeticError, match=_IRRATIONAL_R):
             read()
 
@@ -1033,10 +1030,10 @@ def test_g2data_exactness_is_read_off_its_integers():
     # no way to mark data exact: exactness is whether r^3 is a cube
     data = is_g2_type(_frame_phi(_random_frames(np.random.default_rng(3), 1)[0]))
     assert data.exact
-    assert list(inspect.signature(G2Data).parameters) == ["phi", "N", "d", "r3"]
+    assert list(inspect.signature(G2Data).parameters) == ["N", "d", "r3"]
     N, d = data._ints
-    assert G2Data(data.phi, N, d, data.vol_cubed * 216).exact is True
-    copy = G2Data(data.phi, N, d, data.vol_cubed * 432)
+    assert G2Data(N, d, data.vol_cubed * 216).exact is True
+    copy = G2Data(N, d, data.vol_cubed * 432)
     assert copy.exact is False
 
 
@@ -1055,8 +1052,8 @@ def test_su2_closed_forms_exact_at_nu_8():
     phi = su2_assemble(th(1), th(2), th(3), fiber)
     data = is_g2_type(phi)
     # metric: nu^{4/3} on g^1, nu^{-2/3} on g^2, g^3, nu^{1/3} on the fiber
-    assert np.array_equal(data.metric_array(),
-                          np.diag([16.0, 0.25, 0.25, 2.0, 2.0, 2.0, 2.0]))
+    assert data.metric == [[x if i == j else 0 for j in range(DIM)] for i, x
+                           in enumerate((16, Fraction(1, 4), Fraction(1, 4), 2, 2, 2, 2))]
     # volume: nu^{2/3}
     assert data.sqrt_det == Fraction(4)
     # *phi': nu^{2/3}/4 Om^conj(Om) + nu^{-4/3} g^{23}^om
@@ -1091,10 +1088,10 @@ def test_su2_closed_forms_random_nu(seed):
         expect = np.diag([float(nu) ** (4 / 3)] + [float(nu) ** (-2 / 3)] * 2
                          + [float(nu) ** (1 / 3)] * 4)
         if data.exact:
-            assert np.allclose(data.metric_array(), expect, rtol=1e-14, atol=0)
+            assert np.allclose(np.array(data.metric, dtype=float), expect, rtol=1e-14, atol=0)
         else:
             with pytest.raises(ArithmeticError, match=_IRRATIONAL_R):
-                data.metric_array()
+                data.metric
         assert np.allclose(metric_batch(phi_to_vector(phi))[0][0], expect,
                            rtol=1e-14, atol=0)
     assert False in seen

@@ -1,6 +1,7 @@
 """Source hygiene of the package: every import in src/g2calc is used, every
 public function has a caller, every parameter of one is read, and every
-default of one is overridden by some caller."""
+default of one, or of a public class's constructor, is overridden by some
+caller."""
 import ast
 import math
 from pathlib import Path
@@ -147,29 +148,44 @@ def _calls(trees):
     return out
 
 
+def _callables(tree, module):
+    """(qualified name, def node, the name a call reads, whether only an
+    attribute read of it counts, receiver slots) of each public function
+    and method, as _public_defs, and of each public class's `__init__`,
+    which a call reads by the class name."""
+    for qualname, fn in _public_defs(tree, module):
+        method = qualname.count(".") == 2
+        static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
+        yield qualname, fn, fn.name, method, int(method and not static)
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef) and sub.name == "__init__":
+                    yield f"{module}.{node.name}.__init__", sub, node.name, False, 1
+
+
 def _never_passed_defaults(trees, skip=()):
     """Qualified names `f.p` of each defaulted parameter p of a public
-    function or method f (of the modules name -> ast tree, f not in skip)
-    that no call outside f's own body passes, positionally or by keyword.
-    A call is matched by name as in _without_a_caller; a method's first
-    parameter is its receiver unless it is a staticmethod."""
+    function, method or constructor f (of the modules name -> ast tree, f
+    not in skip) that no call outside f's own body passes, positionally or
+    by keyword.  A call is matched by name as in _without_a_caller, a
+    constructor's by its class name read either way; the first parameter
+    of a method or constructor is its receiver unless it is a
+    staticmethod."""
     calls = _calls(trees)
     unset = []
     for module, tree in trees.items():
-        for qualname, fn in _public_defs(tree, module):
+        for qualname, fn, callee, attr_only, receiver in _callables(tree, module):
             if qualname in skip:
                 continue
-            method = qualname.count(".") == 2
-            static = any(getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list)
             a = fn.args
             positional = a.posonlyargs + a.args
-            receiver = int(method and not static)
             first = len(positional) - len(a.defaults)
             defaulted = [(i - receiver, p.arg) for i, p in enumerate(positional) if i >= first]
             defaulted += [(math.inf, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults)
                           if d is not None]
             mine = [(n, kws) for m, line, name, attr, n, kws in calls
-                    if name == fn.name and (attr or not method)
+                    if name == callee and (attr or not attr_only)
                     and not (m == module and fn.lineno <= line <= fn.end_lineno)]
             unset += [f"{qualname}.{p}" for i, p in defaulted
                       if not any(n > i or p in kws or None in kws for n, kws in mine)]
@@ -204,3 +220,16 @@ def test_a_default_counts_as_passed_by_keyword_partial_or_position():
                        "h(*xs)\n"
                        "k(**kw)\n")
     assert _never_passed_defaults({"m": spread}) == []
+
+
+def test_a_constructor_default_counts_as_passed_by_a_call_of_its_class():
+    tree = ast.parse("class C:\n"
+                     "    def __init__(self, a, knob=1, kw=2): pass\n"
+                     "class D:\n"
+                     "    def __init__(self, pos=1): pass\n"
+                     "class _Hidden:\n"
+                     "    def __init__(self, knob=1): pass\n"
+                     "C(0, kw=3)\n"
+                     "mod.D(4)\n")
+    # the receiver takes no slot of a call, and a private class is not read
+    assert _never_passed_defaults({"m": tree}) == ["m.C.__init__.knob"]
