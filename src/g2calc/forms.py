@@ -17,13 +17,17 @@ read.  Every exact operation of the package (the B-map, metric and star of
 `KForm._ints`, which refuses a float or polynomial form with a TypeError:
 exact operations take rational forms, and that is decided here only.
 
+Forms combine in one ring: a sum or wedge of forms over two rings, and a
+form scaled by a float or polynomial scalar of another ring, raise
+`MixedRingError`.  An int or Fraction scalar is taken into the form's ring,
+and `in_ring` is the one conversion of a form into another ring.
+
 Every multi-index has a 7-bit mask in `_MASKS` (bit i-1 set for axis i).
 The index-pair loops of `wedge`, `d_chart` and the table rows of
 `liecdga.StructureEqs` test two masks for a shared bit before they call
 `merge_sign`, so a pair that repeats an axis costs one integer AND;
 `merge_sign` still gives the sign and the merged index of every disjoint
-pair.  A top-degree wedge looks each left term's one partner up by the
-complement of its mask.
+pair.
 '''
 from __future__ import annotations
 
@@ -70,11 +74,8 @@ def sort_with_sign(idx):
 #: multi-indices share an axis exactly when their masks share a bit
 _MASKS = {tuple(i + 1 for i in range(7) if m >> i & 1): m for m in range(1 << 7)}
 
-#: merge_sign's memo, a -> {b -> (merged, sign)}, filled on first use of a
-#: pair; _MERGE_RESULTS interns the value tuples so that rows share them
+#: merge_sign's memo, a -> {b -> (merged, sign)}, filled on first use of a pair
 _MERGE_MEMO = {}
-_MERGE_RESULTS = {}
-_OVERLAP = (None, 0)
 
 
 def merge_sign(a: MultiIndex, b: MultiIndex):
@@ -83,11 +84,7 @@ def merge_sign(a: MultiIndex, b: MultiIndex):
         return _MERGE_MEMO[a][b]
     except KeyError:
         pass
-    if set(a) & set(b):
-        hit = _OVERLAP
-    else:
-        hit = sort_with_sign(a + b)
-        hit = _MERGE_RESULTS.setdefault(hit, hit)
+    hit = sort_with_sign(a + b)
     _MERGE_MEMO.setdefault(a, {})[b] = hit
     return hit
 
@@ -205,16 +202,13 @@ class KForm:
         if self.dim != other.dim:
             raise ValueError("forms live on spaces of different dimension")
         if self.ring != other.ring:
-            # rationals upgrade silently into floats or polynomials; anything
-            # else (float meets poly, polys over different charts) is an error
-            if self.ring == RAT:
-                return other.ring
-            if other.ring == RAT:
-                return self.ring
-            raise MixedRingError(f"cannot combine rings {self.ring} and {other.ring}")
+            raise MixedRingError(f"cannot combine rings {self.ring} and {other.ring}; "
+                                 "convert a form with in_ring")
         return self.ring
 
     def in_ring(self, ring) -> "KForm":
+        """This form with its coefficients taken into `ring`: the one
+        conversion between rings, from the rationals into any ring."""
         if ring == self.ring:
             return self
         return KForm._trusted(self.dim, self.degree, ring,
@@ -234,7 +228,7 @@ class KForm:
             coeffs = {i: n * (den // da) for i, n in na.items()}
             b = {i: n * (den // db) for i, n in nb.items()}
         else:
-            coeffs, b = dict(self.in_ring(ring).coeffs), other.in_ring(ring).coeffs
+            coeffs, b = dict(self.coeffs), other.coeffs
         for i, c in b.items():
             _add_term(coeffs, i, c)
         return KForm._trusted(self.dim, self.degree, ring, coeffs, den)
@@ -251,22 +245,20 @@ class KForm:
         return self + (-other)
 
     def scale(self, s) -> "KForm":
-        tag = ring_of(s)
-        ring = self.ring
+        """s times this form; an int or Fraction s is taken into the form's
+        ring, and any other s must lie in it."""
+        tag, ring = ring_of(s), self.ring
         if tag != ring:
-            if tag == RAT:
-                s = coerce_to(ring, s)
-            elif ring == RAT:
-                ring = tag
-            else:
+            if tag != RAT:
                 raise MixedRingError(f"cannot scale {ring} form by {tag} scalar")
+            s = coerce_to(ring, s)
         if ring == RAT:
             num, den = self._ints()
             return KForm._trusted(self.dim, self.degree, RAT,
                                   {i: n * s.numerator for i, n in num.items()},
                                   den * s.denominator)
         return KForm._trusted(self.dim, self.degree, ring,
-                              {i: c * s for i, c in self.in_ring(ring).coeffs.items()})
+                              {i: c * s for i, c in self.coeffs.items()})
 
     def __rmul__(self, s):
         return self.scale(s)
@@ -297,16 +289,12 @@ class KForm:
             (a, da), (b, db) = self._ints(), other._ints()
             den = da * db
         else:
-            a, b = self.in_ring(ring).coeffs, other.in_ring(ring).coeffs
+            a, b = self.coeffs, other.coeffs
         right = [(_MASKS[i2], i2, c2) for i2, c2 in b.items()]
-        # in top degree a left term's only partner is the right term on the
-        # complement of its mask
-        by_mask = {t[0]: (t,) for t in right} if deg == self.dim else None
-        full = (1 << deg) - 1
         out = {}
         for i1, c1 in a.items():
             m1 = _MASKS[i1]
-            for m2, i2, c2 in (right if by_mask is None else by_mask.get(full ^ m1, ())):
+            for m2, i2, c2 in right:
                 if m1 & m2:
                     continue
                 merged, sign = merge_sign(i1, i2)

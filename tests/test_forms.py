@@ -216,7 +216,7 @@ def test_top_coefficient():
 
 
 def test_mixed_ring_rejected():
-    # rationals upgrade silently; float/polynomial mixing is an error
+    # forms combine in one ring: float/polynomial mixing is an error
     a = KForm.basis(DIM, (1, 2), FLT)
     b = KForm(DIM, 1, YRING, {(3,): Poly.var(YVARS, "y1")})
     with pytest.raises(MixedRingError):
@@ -226,9 +226,27 @@ def test_mixed_ring_rejected():
 
 
 def test_rational_upgrades_into_float():
+    # only through in_ring: a wedge does not convert its operands
     a = KForm.basis(DIM, (1, 2), RAT)
     b = KForm.basis(DIM, (3,), FLT)
-    assert a.wedge(b).ring == FLT
+    assert a.in_ring(FLT).wedge(b).ring == FLT
+
+
+def test_sum_wedge_and_scale_refuse_a_rational_polynomial_mix():
+    rat = KForm.basis(DIM, (1,), RAT)
+    poly = KForm(DIM, 1, YRING, {(2,): Poly.var(YVARS, "y1")})
+    for a, b in ((rat, poly), (poly, rat)):
+        with pytest.raises(MixedRingError):
+            a + b
+        with pytest.raises(MixedRingError):
+            a.wedge(b)
+    for s in (Poly.var(YVARS, "y2"), 0.5):
+        with pytest.raises(MixedRingError):
+            rat.scale(s)
+    # an int or Fraction scalar is taken into the form's ring, and in_ring
+    # takes a rational form into it
+    assert Fraction(1, 2) * poly == KForm(DIM, 1, YRING, {(2,): Poly.var(YVARS, "y1") * Fraction(1, 2)})
+    assert (poly + rat.in_ring(YRING)).ring == YRING
 
 
 def test_in_ring_roundtrip():
@@ -356,7 +374,6 @@ def _reference_wedge(a, b):
     """Wedge multiplying and adding one Fraction (or float, or Poly) per
     index pair; every ring takes this loop."""
     ring = a._match(b)
-    a, b = a.in_ring(ring), b.in_ring(ring)
     deg = a.degree + b.degree
     if deg > a.dim:
         return KForm.zero(a.dim, min(deg, a.dim), ring)
@@ -395,10 +412,12 @@ WEDGE_CASES = {
     "deg_above_dim": (_rat(DIM, ((1, 2, 3, 4), Fr(1, 2))), _rat(DIM, ((4, 5, 6, 7), Fr(1, 3)))),
     "dim_4_top": (_rat(4, ((1, 3), Fr(1, 2)), ((2, 4), Fr(1, 5))),
                   _rat(4, ((2, 4), Fr(1, 3)), ((1, 3), Fr(-1, 7)))),
-    "rat_into_float": (_rat(DIM, ((1,), Fr(1, 3)), ((2,), Fr(-2, 7))),
+    # a rational operand taken into the other operand's ring by in_ring
+    "rat_into_float": (_rat(DIM, ((1,), Fr(1, 3)), ((2,), Fr(-2, 7))).in_ring(FLT),
                        KForm(DIM, 2, FLT, {(3, 4): 0.25, (1, 5): -1.5})),
-    "float_from_rat": (KForm(DIM, 1, FLT, {(6,): 0.1}), _rat(DIM, ((1, 2), Fr(1, 3)))),
-    "rat_into_poly": (_rat(DIM, ((1,), Fr(1, 6)), ((7,), Fr(3, 4))),
+    "float_from_rat": (KForm(DIM, 1, FLT, {(6,): 0.1}),
+                       _rat(DIM, ((1, 2), Fr(1, 3))).in_ring(FLT)),
+    "rat_into_poly": (_rat(DIM, ((1,), Fr(1, 6)), ((7,), Fr(3, 4))).in_ring(YRING),
                       KForm(DIM, 1, YRING, {(2,): Poly.var(YVARS, "y1") * Fr(1, 2),
                                             (7,): Poly.const(YVARS, 5)})),
 }
@@ -437,7 +456,7 @@ def test_cancelled_key_keeps_its_first_place():
 def test_random_wedges_match_the_fraction_loop(ring):
     rng = random.Random(23)
     for _ in range(60):
-        a = random_form(rng, rng.randint(0, 4), rng.choice((RAT, ring)))
+        a = random_form(rng, rng.randint(0, 4), rng.choice((RAT, ring))).in_ring(ring)
         b = random_form(rng, rng.randint(0, 4), ring)
         got, want = a.wedge(b), _reference_wedge(a, b)
         assert got == want
@@ -446,8 +465,9 @@ def test_random_wedges_match_the_fraction_loop(ring):
 
 @pytest.mark.parametrize("dim, k", [(7, 3), (7, 4), (7, 2), (7, 1), (7, 0), (7, 7), (5, 2), (4, 3)])
 def test_top_degree_float_wedge_is_bit_identical_to_the_pair_scan(dim, k):
-    # the complement lookup adds the same products in the same left-term
-    # order as the scan over every pair
+    # the mask test leaves each left term its one partner on the complement,
+    # so the kernel adds the same products in the same left-term order as
+    # the scan over every pair
     rng = random.Random(31 + 10 * dim + k)
     for density in (1.0, 0.6):
         a, b = ({idx: rng.uniform(-3, 3) / 7 for idx in combinations(range(1, dim + 1), deg)
@@ -484,7 +504,7 @@ def test_wedge_equals_the_reference_loop_in_value_and_key_order(ring, data):
     dim = data.draw(st.integers(1, DIM))
     k = data.draw(st.integers(0, dim))
     l = data.draw(st.integers(0, dim - k))
-    a = data.draw(sparse_forms(dim, k, data.draw(st.sampled_from((RAT, ring)))))
+    a = data.draw(sparse_forms(dim, k, data.draw(st.sampled_from((RAT, ring))))).in_ring(ring)
     b = data.draw(sparse_forms(dim, l, ring))
     got, want = a.wedge(b), _reference_wedge(a, b)
     assert got == want
