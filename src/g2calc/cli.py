@@ -927,7 +927,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if getattr(args, "seed", 0) < 0:    # numpy's generators refuse it
+        # numpy's generators (verify, scan) refuse it; eh refuses it too,
+        # so that --seed takes the same values in every command
+        if getattr(args, "seed", 0) < 0:
             raise UsageError(f"--seed must be non-negative, got {args.seed}")
         return args.fn(args)
     except UsageError as e:

@@ -58,15 +58,37 @@ print(json.dumps({"table_rows": rows, "built": built}))
 """
 
 
-def test_importing_the_cli_builds_no_table_and_no_basis():
+def _fresh_python(code, *args):
+    """The stdout of `python -c code args` in a new interpreter that imports
+    g2calc from this checkout's src."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    out = subprocess.run([sys.executable, "-c", IMPORT_BUILDS_NOTHING], env=env,
-                         capture_output=True, text=True, check=True).stdout
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
+def test_importing_the_cli_builds_no_table_and_no_basis():
+    out = _fresh_python(IMPORT_BUILDS_NOTHING)
     assert json.loads(out) == {"table_rows": 0, "built": {
         "_phi_basis": 0, "_ch_data": 0, "nakamura_model": 0, "ffkm_model": 0,
         "_cubic_table": 0}}
+
+
+# the eh command in a fresh interpreter, as this one has loaded numpy.random
+EH_RUN = """
+import json, sys
+from g2calc import cli
+code = cli.main(["eh", "--t", "0.1", "--grid", "50", "--out", sys.argv[1]])
+print(json.dumps({"code": code, "numpy.random": "numpy.random" in sys.modules}))
+"""
+
+
+def test_eh_command_never_imports_numpy_random(tmp_path):
+    # its witness directions come from the stdlib generator; importing
+    # numpy.random is a large share of a cold eh pass
+    out = _fresh_python(EH_RUN, str(tmp_path / "eh"))
+    assert json.loads(out.splitlines()[-1]) == {"code": 0, "numpy.random": False}
 
 
 def test_verify_single_suite_passes(tmp_path, capsys):

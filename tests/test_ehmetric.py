@@ -74,6 +74,65 @@ def test_mass_identity_exact(profile):
     assert abs(_one(profile.h, profile.q) + t ** 4) < 1e-10 * t ** 4
 
 
+def _profiles_built(monkeypatch):
+    """A list that gains one entry per EHProfile built from here on."""
+    built = []
+    post_init = EHProfile.__post_init__
+
+    def counting(self):
+        built.append(self.p_hi)
+        post_init(self)
+
+    monkeypatch.setattr(EHProfile, "__post_init__", counting)
+    return built
+
+
+def _four_step_p_hi(t, R, c):
+    """p_hi after the mass correction's three nudges with no early stop: the
+    profile that the loop's fourth and last step builds."""
+    shape = build_profile(t, R, c)
+    moment = 1.0 / (c * R ** 4)
+    p_hi = math.sqrt(shape.p_lo ** 2 + 2.0 * moment)
+    for _ in range(3):
+        trial = EHProfile(t=shape.t, R=shape.R, c=shape.c, q=shape.q,
+                          p_lo=shape.p_lo, p_hi=p_hi, rho=shape.rho)
+        p_hi += (moment - trial._moment([1.0])[0]) / p_hi
+    return p_hi
+
+
+@pytest.mark.parametrize("t", [0.1, 1.0])
+def test_mass_correction_builds_one_profile_at_the_cli_defaults(t, monkeypatch):
+    # the closed-form p_hi is already as near the target as a double gets
+    want = _four_step_p_hi(t, 4.0, 1.0)
+    built = _profiles_built(monkeypatch)
+    p = build_profile(t, 4.0, 1.0)
+    assert built == [p.p_hi] == [want]
+
+
+@pytest.mark.parametrize("t, R, c, steps", [
+    # the closed form misses by 1.8e-13 of the moment: one nudge, and then
+    # the moment is within half a step of p_hi
+    (0.1, 10.0, 1.5, 2),
+    # two p_hi one ulp apart that nudge to each other, up to the cap
+    (0.1, 1.05 * feasibility_threshold(1e-8), 1e-8, 4),
+    (1.0, 1.05 * feasibility_threshold(0.5), 0.5, 4),
+], ids=["nudged", "cycle_c1e-8", "cycle_c0.5"])
+def test_mass_correction_stops_only_when_a_nudge_leaves_p_hi(t, R, c, steps,
+                                                             monkeypatch):
+    want = _four_step_p_hi(t, R, c)
+    moment = 1.0 / (c * R ** 4)
+    built = _profiles_built(monkeypatch)
+    p = build_profile(t, R, c)
+    assert p.p_hi == want
+    assert len(built) == steps
+    assert built[0] == math.sqrt(p.p_lo ** 2 + 2.0 * moment) != p.p_hi
+    if steps < 4:
+        # within half the moment step of one ulp of p_hi: the tolerance
+        gap = moment - p._moment([1.0])[0]
+        assert abs(gap) <= 0.5 * p.p_hi * math.ulp(p.p_hi)
+        assert p.p_hi + gap / p.p_hi == p.p_hi
+
+
 def _adaptive_simpson(f, a, b, tol, fa=None, fb=None, fm=None, depth=30):
     """Adaptive Simpson quadrature of f on [a, b], with Richardson's
     correction: the reference the mollifier's Gauss-Legendre rule is held
@@ -288,6 +347,27 @@ def test_omega_at_on_a_point_array_matches_per_point_calls(profile, field):
         omega_at(pts[7], **kw)
     with pytest.raises(ValueError, match="origin"):
         omega_at(np.vstack([pts[:2], np.zeros((1, 4))]), **kw)
+
+
+def test_directions_are_seeded_unit_rows():
+    for n in (1, 7, 20):
+        dirs = _directions(n, 3)
+        assert dirs.shape == (n, 4)
+        assert np.abs(np.linalg.norm(dirs, axis=1) - 1.0).max() < 1e-15
+        assert dirs.tolist() == _directions(n, 3).tolist()
+        assert dirs.tolist() != _directions(n, 4).tolist()
+
+
+@pytest.mark.parametrize("t", [0.1, 1.0])
+def test_certificate_minima_do_not_depend_on_the_seed(t):
+    # by U(2) invariance the margin and the ratio depend on r alone, so the
+    # directions are a witness: another draw moves the minima at roundoff
+    p = build_profile(t, 4.0, 1.0)
+    reps = [positivity_and_volume_certificate(p, n_r=400, n_ang=20, seed=seed)
+            for seed in (0, 1, 7)]
+    for key in ("min_margin", "min_ratio"):
+        values = [rep[key] for rep in reps]
+        assert max(values) - min(values) <= 1e-12, key
 
 
 def test_positivity_and_volume_certificate(profile):
