@@ -363,15 +363,19 @@ def limit_quasi_finsler(base_tag: str, direction, y1_samples=(0.0,)) -> float:
 
 # ----- measured comparison constants -------------------------------------------
 
-def measure_metric_comparison(n: int = 400, seed: int = 0) -> dict:
+#: measure_metric_comparison's fixed draw: its directions and their seed
+COMPARISON_POINTS, COMPARISON_SEED = 200, 0
+
+
+def measure_metric_comparison() -> dict:
     """Measured constants (delta_1, De_0) of the pointwise comparison
     |g_phi - g_phi0| <= De_0 |phi - phi0| near the standard form: De_0 from
     the linearization at scale delta = 1e-4, delta_1 as the largest tested
-    radius at which every sampled perturbation still yields a definite
-    form."""
+    radius at which every sampled perturbation still yields a definite form,
+    over the COMPARISON_* draw, which `verify --seed` does not reach."""
     delta = 1e-4
-    rng = np.random.default_rng(seed)
-    dirs = rng.normal(size=(n, 35))
+    rng = np.random.default_rng(COMPARISON_SEED)
+    dirs = rng.normal(size=(COMPARISON_POINTS, 35))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     v0 = phi_to_vector(standard_phi())
     gs, _ = metric_batch(v0[None, :] + delta * dirs)
@@ -385,8 +389,8 @@ def measure_metric_comparison(n: int = 400, seed: int = 0) -> dict:
             break
         except NotStableError:
             continue
-    return {"Delta0": Delta0, "delta1": delta1, "n": n, "delta": delta,
-            "seed": seed}
+    return {"Delta0": Delta0, "delta1": delta1, "n": COMPARISON_POINTS,
+            "delta": delta, "seed": COMPARISON_SEED}
 
 
 def lc_vs_norm_holds(h, g) -> bool:

@@ -177,25 +177,20 @@ class KForm:
         return cls(dim, degree, ring, {})
 
     @classmethod
-    def basis(cls, dim, idx, ring=RAT):
+    def basis(cls, dim, idx):
+        """The rational form theta^idx; `in_ring` takes it to another ring."""
         idx = tuple(idx)
-        return cls(dim, len(idx), ring, {idx: 1})
+        return cls(dim, len(idx), RAT, {idx: 1})
 
     @classmethod
-    def from_terms(cls, dim, degree, terms, ring=RAT):
-        """Build from possibly unsorted index tuples; signs handled here."""
+    def from_terms(cls, dim, degree, terms):
+        """The rational form sum c theta^idx over (idx, c) in terms; idx may be unsorted."""
         coeffs = {}
-        r0 = ring
         for idx, c in terms:
             sidx, sign = sort_with_sign(tuple(idx))
-            if sign == 0:
-                continue
-            c = coerce_to(r0, c) if sign == 1 else coerce_to(r0, c) * (-1)
-            if sidx in coeffs:
-                coeffs[sidx] = coeffs[sidx] + c
-            else:
-                coeffs[sidx] = c
-        return cls(dim, degree, r0, coeffs)
+            if sign:
+                coeffs[sidx] = coeffs.get(sidx, 0) + sign * coerce_to(RAT, c)
+        return cls(dim, degree, RAT, coeffs)
 
     # ----- ring handling ----------------------------------------------------
     def _match(self, other: "KForm"):

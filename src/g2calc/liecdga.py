@@ -33,10 +33,9 @@ class StructureEqs:
     """d(theta^i) for each generator, as constant-coefficient 2-forms, and
     d(theta^I) for each multi-index I, as a table row made on first use."""
 
-    def __init__(self, dim: int, d_gen, generators=None):
+    def __init__(self, dim: int, d_gen, generators):
         self.dim = dim
-        self.generators = tuple(generators) if generators else tuple(
-            f"t{i}" for i in range(1, dim + 1))
+        self.generators = tuple(generators)
         if len(self.generators) != dim:
             raise ValueError("need one generator name per axis")
         checked = []
@@ -108,7 +107,7 @@ def d_invariant(eqs: StructureEqs, form: KForm) -> KForm:
 def check_d_squared(eqs: StructureEqs) -> None:
     """Raise JacobiError unless d^2 vanishes on every generator."""
     for i in range(eqs.dim):
-        theta = KForm.basis(eqs.dim, (i + 1,), RAT)
+        theta = KForm.basis(eqs.dim, (i + 1,))
         dd = d_invariant(eqs, d_invariant(eqs, theta))
         if not dd.is_zero():
             raise JacobiError(
@@ -163,7 +162,7 @@ def _form_from_json(dim, entries) -> KForm:
         if len(set(idx)) != len(idx):
             raise ValueError(f"term {entry!r} repeats an axis in its multi-index")
     deg = len(terms[0][0]) if terms else 0
-    return KForm.from_terms(dim, deg, terms, RAT)
+    return KForm.from_terms(dim, deg, terms)
 
 
 def _form_to_json(form: KForm):
@@ -171,12 +170,12 @@ def _form_to_json(form: KForm):
 
 
 class InvariantModel:
-    """Structure equations plus optional named forms / involution / witnesses."""
+    """Structure equations and named forms, plus optional involution / witnesses."""
 
-    def __init__(self, eqs: StructureEqs, named_forms=None, involution=None,
-                 witnesses=None, domain_volume=None, label=""):
+    def __init__(self, eqs: StructureEqs, named_forms, involution=None,
+                 witnesses=None, domain_volume=None, *, label):
         self.eqs = eqs
-        self.named_forms = dict(named_forms or {})
+        self.named_forms = dict(named_forms)
         self.involution = dict(involution or {})   # generator -> Fraction(+-1)
         self.witnesses = dict(witnesses or {})     # name -> (primitive, target)
         self.domain_volume = domain_volume

@@ -162,10 +162,10 @@ class Poly:
 
     __slots__ = ("vars", "_num", "_den", "_terms")
 
-    def __init__(self, vars: tuple, terms: Mapping[tuple, Fraction] | None = None):
+    def __init__(self, vars: tuple, terms: Mapping[tuple, Fraction]):
         self.vars = tuple(vars)
         clean = {}
-        for expo, c in (terms or {}).items():
+        for expo, c in terms.items():
             c = _rational(c)
             if c != 0:
                 if len(expo) != len(self.vars):

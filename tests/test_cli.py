@@ -357,7 +357,8 @@ def test_the_exactness_witness_check_names_the_mismatching_forms(monkeypatch):
     m = catalog.nakamura_model()
     rho, target = m.witnesses["two_g1_wedge_omega"]
     wrong = catalog.InvariantModel(m.eqs, m.named_forms,
-                                   witnesses={"two_g1_wedge_omega": (rho, 3 * target)})
+                                   witnesses={"two_g1_wedge_omega": (rho, 3 * target)},
+                                   label=m.label)
     monkeypatch.setattr(catalog, "nakamura_model", lambda: wrong)
     ok, detail = cli._check_exactness_witness(np.random.default_rng(0))
     assert not ok

@@ -12,14 +12,14 @@ from g2calc.flow import check_flow_consistency, flow_integrate, laplacian, traje
 from g2calc.forms import KForm
 from g2calc.liecdga import InvariantModel, StructureEqs
 from g2calc.g2core import standard_phi
-from g2calc.rings import RAT, nth_root_fraction
+from g2calc.rings import nth_root_fraction
 from oracles import flow_closed_form, mu_dot
 
 DIM = 7
 
 
 def th(*idx):
-    return KForm.basis(DIM, idx, RAT)
+    return KForm.basis(DIM, idx)
 
 
 # --------------------------------------------------------------------------
@@ -63,8 +63,8 @@ def test_laplacian_refuses_an_irrational_r_and_the_exact_route_stays():
 
 
 def test_flat_torus_is_harmonic():
-    eqs = StructureEqs(DIM, [None] * DIM)
-    m = InvariantModel(eqs, label="flat torus")
+    eqs = StructureEqs(DIM, [None] * DIM, [f"t{i}" for i in range(1, DIM + 1)])
+    m = InvariantModel(eqs, {}, label="flat torus")
     assert laplacian(standard_phi(), m).is_zero()
 
 

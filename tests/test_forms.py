@@ -110,7 +110,7 @@ def test_pullback_is_a_ring_map(a, b):
 def _reference_compose(p, F):
     """p∘F one Fraction term at a time: each coefficient times the powers of
     the components, summed in key order."""
-    out = Poly(F.source_vars)
+    out = Poly(F.source_vars, {})
     for e, c in p.terms.items():
         term = Poly.const(F.source_vars, c)
         for v, k in zip(p.vars, e):
@@ -193,7 +193,7 @@ def test_memoised_pullback_keeps_forms_of_different_dimension_apart():
         dim = 2 + n % 2
         pairs.append((F, _random_poly_form(rng, rng.randint(0, dim), F.target_vars, dim)))
     _assert_pullbacks_match(pairs)
-    for wrong in (KForm.basis(3, (1,), FLT), _random_poly_form(rng, 1, s, 3)):
+    for wrong in (KForm.basis(3, (1,)).in_ring(FLT), _random_poly_form(rng, 1, s, 3)):
         with pytest.raises(MixedRingError):
             F.pullback(wrong)
 
@@ -217,23 +217,23 @@ def test_top_coefficient():
 
 def test_mixed_ring_rejected():
     # forms combine in one ring: float/polynomial mixing is an error
-    a = KForm.basis(DIM, (1, 2), FLT)
+    a = KForm.basis(DIM, (1, 2)).in_ring(FLT)
     b = KForm(DIM, 1, YRING, {(3,): Poly.var(YVARS, "y1")})
     with pytest.raises(MixedRingError):
         a.wedge(b)
     with pytest.raises(MixedRingError):
-        b + KForm.basis(DIM, (3,), FLT)
+        b + KForm.basis(DIM, (3,)).in_ring(FLT)
 
 
 def test_rational_upgrades_into_float():
     # only through in_ring: a wedge does not convert its operands
-    a = KForm.basis(DIM, (1, 2), RAT)
-    b = KForm.basis(DIM, (3,), FLT)
+    a = KForm.basis(DIM, (1, 2))
+    b = KForm.basis(DIM, (3,)).in_ring(FLT)
     assert a.in_ring(FLT).wedge(b).ring == FLT
 
 
 def test_sum_wedge_and_scale_refuse_a_rational_polynomial_mix():
-    rat = KForm.basis(DIM, (1,), RAT)
+    rat = KForm.basis(DIM, (1,))
     poly = KForm(DIM, 1, YRING, {(2,): Poly.var(YVARS, "y1")})
     for a, b in ((rat, poly), (poly, rat)):
         with pytest.raises(MixedRingError):
@@ -338,7 +338,7 @@ def test_kernel_outputs_equal_their_validated_rebuild(ring):
         v = [rng.randint(-2, 2) for _ in range(DIM)]
         e = rng.choice(eqs)
         outs = [a.wedge(b), a + a.scale(Fraction(1, 3)), -a, 2 * a,
-                rng.randint(1, 3) * KForm.basis(DIM, (1, 2), ring)]
+                rng.randint(1, 3) * KForm.basis(DIM, (1, 2)).in_ring(ring)]
         if a.degree:
             outs.append(contract(a, v))
         if ring == RAT:     # d is exact: it refuses the other rings
@@ -351,7 +351,7 @@ def test_kernel_outputs_equal_their_validated_rebuild(ring):
 
 @pytest.mark.parametrize("ring", [RAT, FLT, YRING], ids=["rat", "flt", "poly"])
 def test_cancelled_coefficients_leave_zero_forms(ring):
-    e = {i: KForm.basis(DIM, (i,), ring) for i in (1, 2, 3)}
+    e = {i: KForm.basis(DIM, (i,)).in_ring(ring) for i in (1, 2, 3)}
     a = e[1] + e[2]
     assert a.wedge(a).is_zero()                       # e12 + e21 cancel
     assert (a.wedge(e[3]) - a.wedge(e[3])).is_zero()
@@ -552,7 +552,7 @@ def _reference_poly_diff(p, name):
 
 
 def _random_poly(rng, vars):
-    p = Poly(vars)
+    p = Poly(vars, {})
     for _ in range(rng.randint(0, 4)):
         term = Poly.const(vars, Fraction(rng.randint(-3, 3), rng.randint(1, 4)))
         for _ in range(rng.randint(0, 3)):
@@ -567,7 +567,7 @@ def test_poly_ring_matches_the_fraction_loops():
     half = Fraction(1, 2)
     fixed = [(x * half + y, x * half - y),       # the xy terms cancel
              (x + y * half, -(x + y * half)),    # the sum cancels to zero
-             (Poly(vars), x * Fraction(2, 3)),   # an empty factor
+             (Poly(vars, {}), x * Fraction(2, 3)),   # an empty factor
              (Poly.const(vars, Fraction(3, 4)), Poly.const(vars, Fraction(-3, 4)))]
     rng = random.Random(5)
     pairs = fixed + [(_random_poly(rng, vars), _random_poly(rng, vars)) for _ in range(80)]
@@ -576,7 +576,7 @@ def test_poly_ring_matches_the_fraction_loops():
                 (-p, Poly(vars, {e: -c for e, c in p.terms.items()}))]
         partials = p.partials(len(vars))
         assert list(partials) == [i for i, v in enumerate(vars) if _reference_poly_diff(p, v)]
-        outs += [(partials.get(i, Poly(vars)), _reference_poly_diff(p, v))
+        outs += [(partials.get(i, Poly(vars, {})), _reference_poly_diff(p, v))
                  for i, v in enumerate(vars)]
         for got, want in outs:
             assert got == want

@@ -26,7 +26,7 @@ _IRRATIONAL_R = r"irrational \(vol\^3 = .*\): read vol_cubed, star_parts, or met
 
 
 def th(*idx, ring=RAT):
-    return KForm.basis(DIM, idx, ring)
+    return KForm.basis(DIM, idx).in_ring(ring)
 
 
 # --------------------------------------------------------------------------

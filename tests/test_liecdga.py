@@ -18,6 +18,11 @@ from g2calc.rings import FLT, RAT, Poly
 DIM = 7
 
 
+def _eqs(dim, d_gen):
+    """Structure equations on generators named t1..t<dim>."""
+    return StructureEqs(dim, d_gen, [f"t{i}" for i in range(1, dim + 1)])
+
+
 def kf2(*terms):
     return KForm.from_terms(DIM, 2, [(idx, Fraction(c)) for c, idx in terms])
 
@@ -32,7 +37,7 @@ def test_jacobi_failure_detected():
     # together with d theta^3 = theta^{12} makes d^2 theta^4 != 0
     d_gen = [None, None, kf2((1, (1, 2))),
              kf2((1, (1, 2)), (1, (3, 4))), None, None, None]
-    eqs = StructureEqs(DIM, d_gen)
+    eqs = _eqs(DIM, d_gen)
     with pytest.raises(JacobiError) as err:
         check_d_squared(eqs)
     assert "Jacobi" in str(err.value)
@@ -57,9 +62,9 @@ def test_d_invariant_leibniz():
 def test_d_invariant_refuses_a_form_of_another_dimension():
     # a 4-dim form under 5-dim equations used to give a 5-dim form, and a
     # 7-dim one an IndexError
-    eqs = StructureEqs(5, [None, None, None, KForm.basis(5, (1, 2)), KForm.basis(5, (1, 3))])
+    eqs = _eqs(5, [None, None, None, KForm.basis(5, (1, 2)), KForm.basis(5, (1, 3))])
     for dim in (4, 7):
-        for form in (KForm.basis(dim, (1, 2)), KForm.basis(dim, (4,), FLT),
+        for form in (KForm.basis(dim, (1, 2)), KForm.basis(dim, (4,)).in_ring(FLT),
                      KForm.zero(dim, dim)):
             with pytest.raises(ValueError, match=f"dimension {dim} for structure "
                                                  "equations in dimension 5"):
@@ -71,8 +76,8 @@ def test_equations_with_the_same_indices_do_not_share_table_rows():
     # the same pairs with other constants: each fills its own table, in
     # either order of first use
     def eqs(c):
-        return StructureEqs(DIM, [None, None, None, kf2((c, (1, 2))),
-                                  kf2((2 * c, (1, 3)), (1, (2, 4))), None, None])
+        return _eqs(DIM, [None, None, None, kf2((c, (1, 2))),
+                          kf2((2 * c, (1, 3)), (1, (2, 4))), None, None])
     form = KForm.from_terms(DIM, 2, [((4, 6), 1), ((5, 7), Fraction(1, 3)), ((4, 5), 2)])
     for first, second in ((1, Fraction(-3, 5)), (Fraction(-3, 5), 1), (1, 1)):
         a, b = eqs(first), eqs(second)
@@ -120,10 +125,10 @@ def test_model_file_roundtrip(tmp_path):
 
 
 def test_rational_coefficients_survive_serialization(tmp_path):
-    eqs = StructureEqs(DIM, [None, None, None,
-                             kf2((Fraction(2, 3), (1, 2))),
-                             None, None, None])
-    m = InvariantModel(eqs, label="third")
+    eqs = _eqs(DIM, [None, None, None,
+                     kf2((Fraction(2, 3), (1, 2))),
+                     None, None, None])
+    m = InvariantModel(eqs, {}, label="third")
     path = tmp_path / "third.json"
     path.write_text(json.dumps(model_to_dict(m)))
     m2 = load_model(path)
@@ -210,12 +215,12 @@ def test_d_squared_vanishes_on_random_forms(model):
 
 def test_structure_eqs_reject_wrong_degree():
     with pytest.raises(ValueError):
-        StructureEqs(DIM, [KForm.basis(DIM, (1, 2, 3))] + [None] * 6)
+        _eqs(DIM, [KForm.basis(DIM, (1, 2, 3))] + [None] * 6)
 
 
 def test_structure_eqs_reject_float_constants():
     with pytest.raises(ValueError, match="rational"):
-        StructureEqs(DIM, [KForm.basis(DIM, (1, 2), FLT)] + [None] * 6)
+        _eqs(DIM, [KForm.basis(DIM, (1, 2)).in_ring(FLT)] + [None] * 6)
 
 
 def _d_invariant_term_by_term(eqs, form):
@@ -287,9 +292,9 @@ def _d_invariant_fraction_loop(eqs, form):
 def _two_thirds_eqs():
     # the model of test_rational_coefficients_survive_serialization, with a
     # second fractional constant so that the table's denominator is an lcm
-    return StructureEqs(DIM, [None, None, None, kf2((Fraction(2, 3), (1, 2))),
-                              kf2((Fraction(-5, 4), (1, 3)), (Fraction(1, 6), (2, 4))),
-                              None, None])
+    return _eqs(DIM, [None, None, None, kf2((Fraction(2, 3), (1, 2))),
+                      kf2((Fraction(-5, 4), (1, 3)), (Fraction(1, 6), (2, 4))),
+                      None, None])
 
 
 def assert_same_d(eqs, form):
@@ -306,7 +311,7 @@ def test_integer_d_invariant_matches_the_fraction_loop_on_every_basis_form(make_
     n = 0
     for k in range(DIM):
         for idx in combinations(range(1, DIM + 1), k):
-            assert_same_d(eqs, Fraction(3, 7) * KForm.basis(DIM, idx, RAT))
+            assert_same_d(eqs, Fraction(3, 7) * KForm.basis(DIM, idx))
             n += 1
     assert n == 2 ** DIM - 1
 
@@ -358,7 +363,7 @@ def test_d_invariant_equals_the_reference_loop_in_value_and_key_order(ring, data
     # random structure equations on 2..7 axes (d^2 = 0 is not needed for d
     # to be the derivation extension); a 2-form needs at least two axes
     dim = data.draw(st.integers(2, DIM))
-    eqs = StructureEqs(dim, [data.draw(sparse_forms(dim, 2)) for _ in range(dim)])
+    eqs = _eqs(dim, [data.draw(sparse_forms(dim, 2)) for _ in range(dim)])
     form = data.draw(sparse_forms(dim, data.draw(st.integers(0, dim)), ring))
     if ring == RAT:
         assert_same_d(eqs, form)

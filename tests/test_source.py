@@ -1,14 +1,19 @@
 """Source hygiene of the package: every import in src/g2calc is used, every
 public function has a caller, every parameter of one is read, and every
-default of one, or of a public class's constructor, is overridden by some
-caller."""
+default of one, or of a public class's constructor, has two values in use:
+some call in src/g2calc overrides it with another value, and some call
+relies on it by omitting the argument or passing the default's text."""
 import ast
-import math
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "g2calc"
+
+
+def _src_trees():
+    """Module name -> ast tree of each module of the package."""
+    return {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
 
 
 def _unused_imports(path):
@@ -79,8 +84,7 @@ def _without_a_caller(trees):
 
 
 def test_every_public_function_has_a_caller_in_src():
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    assert _without_a_caller(trees) == sorted(NO_CALLER_IN_SRC)
+    assert _without_a_caller(_src_trees()) == sorted(NO_CALLER_IN_SRC)
 
 
 def test_a_method_is_called_only_through_an_attribute_read():
@@ -110,25 +114,27 @@ def _unread_parameters(trees):
 
 
 def test_every_parameter_of_a_public_function_is_read():
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    assert _unread_parameters(trees) == []
+    assert _unread_parameters(_src_trees()) == []
 
 
 #: defaulted parameters of public functions and methods that no call in
-#: src/g2calc passes, with the reason each one stays settable
+#: src/g2calc passes with another value, with the reason each one stays
+#: settable
 NO_SETTER_IN_SRC = {
     "cli.main.argv": "the console script calls main() and argparse reads sys.argv",
-    "collapse.measure_metric_comparison.seed": "the tests sweep the seed",
-    "ehmetric.measure_dlam_constant.seed": "the tests sweep the seed",
 }
+
+#: the text of an argument that a spread *args or **kwargs may pass
+SPREAD = object()
 
 
 def _calls(trees):
-    """(module, line, callee name, read as an attribute, positional count,
-    keyword names) of each call in the modules (name -> ast tree); a
+    """(module, line, callee name, read as an attribute, positional
+    argument texts, keyword name -> argument text) of each call in the
+    modules (name -> ast tree), each text as ast.unparse writes it; a
     functools.partial(f, ...) counts as a call of f with the arguments
-    after f.  A spread *args makes the count infinite, and a spread
-    **kwargs adds the keyword None, which matches every name."""
+    after f.  A spread *args ends the positional texts with SPREAD, and a
+    spread **kwargs adds the keyword None, whose text is SPREAD."""
     out = []
     for module, tree in trees.items():
         for node in ast.walk(tree):
@@ -143,8 +149,15 @@ def _calls(trees):
                 name, attr = fn.attr, True
             else:
                 continue
-            n = math.inf if any(isinstance(a, ast.Starred) for a in args) else len(args)
-            out.append((module, node.lineno, name, attr, n, {k.arg for k in node.keywords}))
+            texts = []
+            for a in args:
+                if isinstance(a, ast.Starred):
+                    texts.append(SPREAD)
+                    break
+                texts.append(ast.unparse(a))
+            kws = {k.arg: SPREAD if k.arg is None else ast.unparse(k.value)
+                   for k in node.keywords}
+            out.append((module, node.lineno, name, attr, texts, kws))
     return out
 
 
@@ -164,16 +177,26 @@ def _callables(tree, module):
                     yield f"{module}.{node.name}.__init__", sub, node.name, False, 1
 
 
-def _never_passed_defaults(trees, skip=()):
-    """Qualified names `f.p` of each defaulted parameter p of a public
-    function, method or constructor f (of the modules name -> ast tree, f
-    not in skip) that no call outside f's own body passes, positionally or
-    by keyword.  A call is matched by name as in _without_a_caller, a
-    constructor's by its class name read either way; the first parameter
-    of a method or constructor is its receiver unless it is a
-    staticmethod."""
+def _passed(slot, name, texts, kws):
+    """The text that one call passes for the parameter `name` (positional
+    slot `slot`, None if keyword-only): None if the call omits it, SPREAD
+    if a spread argument may pass it."""
+    if slot is not None and slot < len(texts):
+        return texts[slot]
+    if slot is not None and texts and texts[-1] is SPREAD:
+        return SPREAD
+    return kws.get(name, kws.get(None))
+
+
+def _default_uses(trees, skip=()):
+    """(`f.p`, the default's text, the texts that the calls of f pass for
+    p) for each defaulted parameter p of a public function, method or
+    constructor f (of the modules name -> ast tree, f not in skip), over
+    the calls outside f's own body; a text is None where a call omits p.
+    A call is matched by name as in _without_a_caller, a constructor's by
+    its class name read either way; the first parameter of a method or
+    constructor is its receiver unless it is a staticmethod."""
     calls = _calls(trees)
-    unset = []
     for module, tree in trees.items():
         for qualname, fn, callee, attr_only, receiver in _callables(tree, module):
             if qualname in skip:
@@ -181,20 +204,43 @@ def _never_passed_defaults(trees, skip=()):
             a = fn.args
             positional = a.posonlyargs + a.args
             first = len(positional) - len(a.defaults)
-            defaulted = [(i - receiver, p.arg) for i, p in enumerate(positional) if i >= first]
-            defaulted += [(math.inf, p.arg) for p, d in zip(a.kwonlyargs, a.kw_defaults)
+            defaulted = [(i - receiver, p.arg, d)
+                         for i, (p, d) in enumerate(zip(positional[first:], a.defaults), first)]
+            defaulted += [(None, p.arg, d) for p, d in zip(a.kwonlyargs, a.kw_defaults)
                           if d is not None]
-            mine = [(n, kws) for m, line, name, attr, n, kws in calls
+            mine = [(texts, kws) for m, line, name, attr, texts, kws in calls
                     if name == callee and (attr or not attr_only)
                     and not (m == module and fn.lineno <= line <= fn.end_lineno)]
-            unset += [f"{qualname}.{p}" for i, p in defaulted
-                      if not any(n > i or p in kws or None in kws for n, kws in mine)]
-    return sorted(unset)
+            for slot, p, d in defaulted:
+                yield (f"{qualname}.{p}", ast.unparse(d),
+                       [_passed(slot, p, texts, kws) for texts, kws in mine])
+
+
+def _never_overridden(trees, skip=()):
+    """Defaults (as _default_uses) that no call passes with a text other
+    than the default's own: each call omits the parameter or passes the
+    default's text, so the parameter has one value in use."""
+    return sorted(name for name, default, passed in _default_uses(trees, skip)
+                  if all(t is None or t == default for t in passed))
+
+
+def _never_relied_on(trees, skip=()):
+    """Defaults (as _default_uses) that every call passes, each with a text
+    other than the default's own, so the default is never used.  A spread
+    argument may pass the parameter, and it does not rely on the default."""
+    return sorted(name for name, default, passed in _default_uses(trees, skip)
+                  if not any(t is None or t == default for t in passed))
 
 
 def test_every_default_of_a_public_function_is_passed_by_a_caller_in_src():
-    trees = {path.stem: ast.parse(path.read_text()) for path in sorted(SRC.glob("*.py"))}
-    assert _never_passed_defaults(trees, skip=NO_CALLER_IN_SRC) == sorted(NO_SETTER_IN_SRC)
+    # passed with another value than the default's: a setting with one
+    # value in use is a constant
+    assert _never_overridden(_src_trees(), skip=NO_CALLER_IN_SRC) == sorted(NO_SETTER_IN_SRC)
+
+
+def test_every_default_of_a_public_function_is_relied_on_by_a_caller_in_src():
+    # a default that every caller overrides is a required parameter
+    assert _never_relied_on(_src_trees(), skip=NO_CALLER_IN_SRC) == []
 
 
 def test_a_default_counts_as_passed_by_keyword_partial_or_position():
@@ -213,13 +259,41 @@ def test_a_default_counts_as_passed_by_keyword_partial_or_position():
                      "P.s(9)\n")
     # f's own recursive call does not pass `never`; a bare m(1, 2) is not a
     # call of the method; the receiver takes m's first slot, not s's
-    assert _never_passed_defaults({"m": tree}) == ["m.P.m.never", "m.P.s.never", "m.f.never"]
+    assert _never_overridden({"m": tree}) == ["m.P.m.never", "m.P.s.never", "m.f.never"]
     # a spread *args or **kwargs may pass any default
     spread = ast.parse("def h(a=1, b=2): pass\n"
                        "def k(a=1, *, b=2): pass\n"
                        "h(*xs)\n"
                        "k(**kw)\n")
-    assert _never_passed_defaults({"m": spread}) == []
+    assert _never_overridden({"m": spread}) == []
+
+
+def test_a_default_passed_with_its_own_text_is_not_overridden():
+    tree = ast.parse("def f(ring=RAT, seed=0, n=3, *, grid=400): pass\n"
+                     "f(RAT, seed=0, grid=400)\n"
+                     "f(ring=FLT, n=3)\n"
+                     "f(n=4)\n")
+    # seed and grid are passed only as their defaults' text, or omitted
+    assert _never_overridden({"m": tree}) == ["m.f.grid", "m.f.seed"]
+
+
+def test_a_default_is_relied_on_by_omitting_it_or_passing_its_text():
+    tree = ast.parse("def f(a, omit=1, same=2, never=3, *, kw=4, kwnever=5): pass\n"
+                     "def g(x=1):\n"
+                     "    return g()\n"
+                     "class C:\n"
+                     "    def __init__(self, knob=1): pass\n"
+                     "def h(a=1, *, b=2): pass\n"
+                     "f(0, 7, 2, 8, kwnever=9)\n"
+                     "f(0, same=3, never=6, kwnever=5.0)\n"
+                     "g(2)\n"
+                     "C(2)\n"
+                     "h(*xs)\n"
+                     "h(**kw)\n")
+    # 5.0 is not the text 5; g's own call does not count; a spread passes
+    # a, and *xs cannot pass the keyword-only b, which h(*xs) omits
+    assert _never_relied_on({"m": tree}) == ["m.C.__init__.knob", "m.f.kwnever",
+                                              "m.f.never", "m.g.x", "m.h.a"]
 
 
 def test_a_constructor_default_counts_as_passed_by_a_call_of_its_class():
@@ -232,4 +306,4 @@ def test_a_constructor_default_counts_as_passed_by_a_call_of_its_class():
                      "C(0, kw=3)\n"
                      "mod.D(4)\n")
     # the receiver takes no slot of a call, and a private class is not read
-    assert _never_passed_defaults({"m": tree}) == ["m.C.__init__.knob"]
+    assert _never_overridden({"m": tree}) == ["m.C.__init__.knob"]
