@@ -36,7 +36,7 @@ from itertools import combinations
 import numpy as np
 
 from .ehmetric import (_UPPER, _plateau, _plateau_integral, build_profile,
-                       default_t_for_epsilon, fd_d, omega_at)
+                       default_t_for_epsilon, fd_d, omega_at, uniforms)
 from .forms import KForm, PolynomialMap, _add_term, chart_vars, merge_sign, poly_ring
 from .g2core import (TRIPLE_POS, TRIPLES, is_g2_type, metric_batch, norm_batch,
                      phi_to_vector)
@@ -570,17 +570,16 @@ def _norm_in_diag(coeffs: dict, weights) -> np.ndarray:
     return np.sqrt(total)
 
 
-def measure_quadlem_constant(n: int = 400, seed: int = 0) -> dict:
+def measure_quadlem_constant(rng, n: int = 400) -> dict:
     """Grid estimate of the constant C with |alpha| <= C r^2 / mu and
-    |d alpha| <= C r in the xi^mu norm, over the chart ball of radius
-    DEFAULT_EPSILON, for mu in MU_SWEEP.  The points are evaluated as
-    columns, all mus at once."""
+    |d alpha| <= C r in the xi^mu norm, over n points of the chart ball of
+    radius DEFAULT_EPSILON drawn from rng, for mu in MU_SWEEP.  The points
+    are evaluated as columns, all mus at once."""
     epsilon, mus = DEFAULT_EPSILON, MU_SWEEP
-    rng = np.random.default_rng(seed)
     alpha, dalpha = _alpha_and_d()
-    cols = _columns(rng.uniform(-1.0, 1.0, size=(n, 7)))
+    cols = _columns(uniforms(rng, -1.0, 1.0, (n, 7)))
     # scale the transverse coordinates into the chart ball
-    lam = rng.uniform(0.05, 0.999, size=n) * (epsilon / _transverse_r(cols))
+    lam = uniforms(rng, 0.05, 0.999, (n,)) * (epsilon / _transverse_r(cols))
     for _, name in _TRANSVERSE:
         cols[name] = cols[name] * lam
     r = _transverse_r(cols)
@@ -595,7 +594,7 @@ def measure_quadlem_constant(n: int = 400, seed: int = 0) -> dict:
     best_da = float(ratio_da.max(initial=0.0))
     return {"C_alpha": best_a, "C_dalpha": best_da,
             "C": max(best_a, best_da), "grid": n, "mus": tuple(mus),
-            "epsilon": epsilon, "seed": seed}
+            "epsilon": epsilon}
 
 
 # ----- resolution surgery data ----------------------------------------------
@@ -624,8 +623,8 @@ def _point_row(point: dict) -> list:
     return [[float(point.get(n, 0.0)) for n in YVARS]]
 
 
-#: ResolutionForms.margins' fixed draw: its number of points and its seed
-MARGIN_POINTS, MARGIN_SEED = 80, 0
+#: ResolutionForms.margins' number of points
+MARGIN_POINTS = 80
 
 
 class ResolutionForms:
@@ -671,22 +670,21 @@ class ResolutionForms:
         cols = _columns(points)
         return self._zeta_rows(cols) + self.mu ** -3 * self._sigma_rows(cols)
 
-    def margins(self) -> dict:
+    def margins(self, rng) -> dict:
         """|zeta^mu - zeta|_zeta = mu^-3 |sigma|_zeta, on the outer region
         {r >= eps/2} and on the inner region; both gaps must stay below eps/2,
         the inner one being C/mu^3 for the largest inner |sigma|_zeta = C
-        (reported), over the MARGIN_* draw, which `verify --seed` does not
-        reach.  Every |sigma|_zeta comes from one metric_batch call over the
-        zeta rows and one norm_batch over the sigma rows."""
-        rng = np.random.default_rng(MARGIN_SEED)
-        points, targets = [], []
+        (reported), over MARGIN_POINTS points drawn from rng, each in the
+        inner region or the outer one with probability 1/2.  Every
+        |sigma|_zeta comes from one metric_batch call over the zeta rows and
+        one norm_batch over the sigma rows."""
+        points = uniforms(rng, -1.0, 1.0, (MARGIN_POINTS, 7))
+        targets = []
         for _ in range(MARGIN_POINTS):
-            points.append(rng.uniform(-1.0, 1.0, size=7))
-            inner = rng.random() < 0.5
-            target = (rng.uniform(0.02, 0.499) if inner
+            target = (rng.uniform(0.02, 0.499) if rng.random() < 0.5
                       else rng.uniform(0.5, 0.999 * self.mu ** 3 / 2 + 0.5))
             targets.append(min(target, 4.0) * DEFAULT_EPSILON)
-        points, targets = np.array(points), np.array(targets)
+        targets = np.array(targets)
         stretch = targets / np.maximum(_transverse_r(_columns(points)), 1e-12)
         for axis, _ in _TRANSVERSE:
             points[:, axis - 1] *= stretch
@@ -701,7 +699,7 @@ class ResolutionForms:
                 "inner_gap": inner_gap, "inner_C": inner_C,
                 "inner_bound_ok": inner_gap <= bound + 1e-12,
                 "mu": self.mu, "epsilon": DEFAULT_EPSILON, "n": MARGIN_POINTS,
-                "seed": MARGIN_SEED, "g2_certified": outer_gap <= bound + 1e-12}
+                "g2_certified": outer_gap <= bound + 1e-12}
 
 
 def resolution_boundary_identity() -> bool:

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import random
 import sys
 from fractions import Fraction
 from functools import partial
@@ -62,20 +63,20 @@ def _value(flag: str, text, ok=lambda x: x > 0, need: str = "positive") -> float
 # verify suites
 # ===========================================================================
 # Each check is a function fn(rng) -> (ok, detail), registered in CHECKS under
-# a stable id whose prefix before the first dot names its suite.
+# a stable id whose prefix before the first dot names its suite; rng is a
+# random.Random seeded with --seed, and every sampled check draws from it.
 
 def _rand_invariant_form(rng, k) -> KForm:
     """A k-form on R^7 with integer coefficients in [-4, 4], drawn in one
-    call, one per index in index order (the same draws as one call per
-    index)."""
+    call, one per index in index order."""
     idxs = list(combinations(range(1, DIM + 1), k))
-    cs = rng.integers(-4, 5, size=len(idxs)).tolist()
+    cs = rng.choices(range(-4, 5), k=len(idxs))
     return KForm._trusted(DIM, k, RAT, dict(zip(idxs, cs)), 1)
 
 
 def _check_graded_commutativity(rng):
     for _ in range(100):
-        k, l = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        k, l = rng.randrange(1, 4), rng.randrange(1, 4)
         a, b = _rand_invariant_form(rng, k), _rand_invariant_form(rng, l)
         sign = (-1) ** (k * l)
         if a.wedge(b) != sign * b.wedge(a):
@@ -85,9 +86,9 @@ def _check_graded_commutativity(rng):
 
 def _check_wedge_associativity(rng):
     for _ in range(100):
-        a = _rand_invariant_form(rng, int(rng.integers(1, 3)))
-        b = _rand_invariant_form(rng, int(rng.integers(1, 3)))
-        c = _rand_invariant_form(rng, int(rng.integers(1, 3)))
+        a = _rand_invariant_form(rng, rng.randrange(1, 3))
+        b = _rand_invariant_form(rng, rng.randrange(1, 3))
+        c = _rand_invariant_form(rng, rng.randrange(1, 3))
         if a.wedge(b).wedge(c) != a.wedge(b.wedge(c)):
             return False, "associativity failure"
     return True, "100 random triples, exact"
@@ -97,28 +98,28 @@ def _rand_poly_form(rng, k, vars) -> KForm:
     """Each index kept with probability 1/2, with the coefficient c x_u x_w:
     c an integer in [-3, 3], u and w two variable picks (with replacement),
     each factor kept with probability 0.6.  The keep flags, coefficients,
-    picks and factor flags are drawn as one array each."""
+    picks and factor flags are drawn as one list each, the picks and the
+    factor flags two per index."""
     idxs = list(combinations(range(1, DIM + 1), k))
     n = len(idxs)
-    keep = (rng.random(n) >= 0.5).tolist()
-    cs = rng.integers(-3, 4, size=n).tolist()
-    picks = rng.integers(0, len(vars), size=(n, 2)).tolist()
-    factors = (rng.random((n, 2)) < 0.6).tolist()
+    keep = [rng.random() >= 0.5 for _ in range(n)]
+    cs = rng.choices(range(-3, 4), k=n)
+    picks = rng.choices(range(len(vars)), k=2 * n)
+    factors = [rng.random() < 0.6 for _ in range(2 * n)]
     coeffs = {}
-    for idx, kept, c, pick, fac in zip(idxs, keep, cs, picks, factors):
-        if kept:
+    for i, idx in enumerate(idxs):
+        if keep[i]:
             e = [0] * len(vars)
-            for v, f in zip(pick, fac):
-                if f:
-                    e[v] += 1
-            coeffs[idx] = Poly(vars, {tuple(e): c})
+            for j in (2 * i, 2 * i + 1):
+                e[picks[j]] += factors[j]
+            coeffs[idx] = Poly(vars, {tuple(e): cs[i]})
     return KForm(DIM, k, poly_ring(vars), coeffs)
 
 
 def _check_d_chart_squared(rng):
     vars = tuple(f"y{i}" for i in range(1, 8))
     for _ in range(60):
-        a = _rand_poly_form(rng, int(rng.integers(0, 3)), vars)
+        a = _rand_poly_form(rng, rng.randrange(0, 3), vars)
         if not a.d_chart().d_chart().is_zero():
             return False, "d(d a) != 0"
     return True, "60 random polynomial forms, exact"
@@ -135,7 +136,7 @@ def _check_pullback_commutes_d(rng):
         comps[v] = p
     F = PolynomialMap(vars, vars, comps)
     for _ in range(40):
-        a = _rand_poly_form(rng, int(rng.integers(1, 3)), vars)
+        a = _rand_poly_form(rng, rng.randrange(1, 3), vars)
         if F.pullback(a.d_chart()) != F.pullback(a).d_chart():
             return False, "F^* d != d F^*"
     return True, "40 random polynomial forms, exact"
@@ -144,7 +145,7 @@ def _check_pullback_commutes_d(rng):
 def _check_leibniz(rng):
     eqs = catalog.ffkm_model().eqs
     for _ in range(100):
-        k, l = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        k, l = rng.randrange(1, 4), rng.randrange(1, 4)
         a, b = _rand_invariant_form(rng, k), _rand_invariant_form(rng, l)
         lhs = d_invariant(eqs, a.wedge(b))
         rhs = d_invariant(eqs, a).wedge(b) + (-1) ** k * a.wedge(d_invariant(eqs, b))
@@ -209,7 +210,7 @@ STAR_SAMPLES = 8
 def _grid_form(rng, idxs) -> KForm:
     """A form on the multi-indices idxs, its coefficients drawn uniformly
     from the grid in [-1/5, 1/5] in one call."""
-    nums = rng.integers(-BOX, BOX + 1, size=len(idxs)).tolist()
+    nums = rng.choices(range(-BOX, BOX + 1), k=len(idxs))
     return KForm._trusted(DIM, len(idxs[0]), RAT, dict(zip(idxs, nums)), GRID)
 
 
@@ -306,7 +307,7 @@ def _check_su2_nu8(rng):
 
 
 def _check_su2_random_nu(rng):
-    for n in rng.integers(BOX, 25 * BOX + 1, size=20).tolist():
+    for n in rng.choices(range(BOX, 25 * BOX + 1), k=20):
         nu = Fraction(n, GRID)
         phi, fiber, om, re, im = _su2_family(nu)
         if fiber.nu_sq != nu ** 2:
@@ -330,11 +331,11 @@ def _check_su2_random_nu(rng):
 
 
 def _rand_cube_lambdas(rng):
-    """Seven random positive rationals whose product is a perfect cube."""
-    lams = [Fraction(int(rng.integers(1, 9)), int(rng.integers(1, 9))) ** 3
-            for _ in range(6)]
-    lams.append(Fraction(int(rng.integers(1, 5))) ** 3)
-    return lams
+    """Seven random positive rationals whose product is a perfect cube: six
+    (a/b)^3, a and b in 1..8, and a cube c^3, c in 1..4."""
+    ab = rng.choices(range(1, 9), k=12)
+    return ([Fraction(a, b) ** 3 for a, b in zip(ab[::2], ab[1::2])]
+            + [Fraction(rng.randrange(1, 5)) ** 3])
 
 
 def _check_volume_law(rng):
@@ -360,7 +361,7 @@ def _check_hitchin_exponent(size, rng):
     if vol != rho ** size:
         return False, f"exact ratio {vol} != (1+la)^({size}/3)"
     for _ in range(10):
-        la = Fraction(float(rng.uniform(0.1, 9.0))).limit_denominator(1000)
+        la = Fraction(rng.uniform(0.1, 9.0)).limit_denominator(1000)
         scaling.scaled_volume_factor([1 + la if i < size else Fraction(1)
                                       for i in range(DIM)])
     return True, (f"exact at cube 1+la; vol^3 = (1+la)^{size} exact at 10 "
@@ -457,8 +458,9 @@ def _check_ch_map(rng):
 
 
 def _check_quadlem_constant(rng):
-    out = catalog.measure_quadlem_constant(n=200, seed=0)
-    out2 = catalog.measure_quadlem_constant(n=400, seed=1)
+    # two independent draws of different sizes
+    out = catalog.measure_quadlem_constant(rng, n=200)
+    out2 = catalog.measure_quadlem_constant(rng)
     c1, c2 = out["C"], out2["C"]
     stable = abs(c1 - c2) <= 0.2 * max(c1, c2)
     return stable, f"C = {c1:.4f} (n=200) vs {c2:.4f} (n=400)"
@@ -467,9 +469,8 @@ def _check_quadlem_constant(rng):
 def _check_glued_definite(rng):
     lowest = math.inf
     for mu in (1, 2, 8):
-        # one draw: the doubles, and the generator state after them, of
-        # 70 scalar draws
-        pts = rng.uniform(-0.05, 0.05, size=(10, 7))
+        # 70 uniforms, filling the 10 points row by row
+        pts = ehmetric.uniforms(rng, -0.05, 0.05, (10, 7))
         try:
             out = catalog.glued_form_at(pts, mu)
         except g2core.NotStableError as e:
@@ -481,7 +482,7 @@ def _check_glued_definite(rng):
 
 
 def _check_resolution_margins(rng):
-    out = catalog.ResolutionForms(8).margins()
+    out = catalog.ResolutionForms(8).margins(rng)
     return out["g2_certified"] and out["inner_bound_ok"], \
         (f"outer gap {out['outer_gap']:.3e} and inner gap C/mu^3 = "
          f"{out['inner_gap']:.3e} <= eps/2, C = {out['inner_C']:.3f}")
@@ -545,7 +546,7 @@ def _check_eh_certificate(rng):
     # the certificate raises ConstructionFailed unless the margin is
     # positive, which fails this check; a returned report is positive
     prof = ehmetric.build_profile(1.0, 4.0, 1.0)
-    rep = ehmetric.positivity_and_volume_certificate(prof, n_r=300, n_ang=12)
+    rep = ehmetric.positivity_and_volume_certificate(prof, rng, n_r=300, n_ang=12)
     floor = rep["volume_floor"]
     ok = rep["volume_ok"] and abs(rep["min_ratio"] - floor) < 1e-6
     return ok, (f"margin {rep['min_margin']:.4f} > 0 (the certificate raises "
@@ -557,7 +558,7 @@ def _check_eh_upsilon(rng):
     vals = []
     for t in (0.01, 0.1, 1.0):
         p = ehmetric.build_profile(t, 4.0, 1.0)
-        rep = ehmetric.positivity_and_volume_certificate(p, n_r=120, n_ang=8)
+        rep = ehmetric.positivity_and_volume_certificate(p, rng, n_r=120, n_ang=8)
         vals.append(rep["upsilon_measured"])
     spread = (max(vals) - min(vals)) / max(vals)
     return spread < 0.01, f"upsilon spread across t = 0.01/0.1/1: {spread:.2e}"
@@ -573,12 +574,15 @@ def _check_eh_equivariance(rng):
 
 
 def _check_eh_closedness(rng):
-    res = ehmetric.closedness_residual(ehmetric.build_profile(1.0, 4.0, 1.0))
-    return res < 1e-6, f"finite-difference d omega residual {res:.3e}"
+    out = ehmetric.closedness_residual(ehmetric.build_profile(1.0, 4.0, 1.0), rng)
+    return out["residual"] < 1e-6, (
+        f"Richardson finite-difference |d omega| <= {out['residual']:.3e} at "
+        f"{out['points']} points, largest at u = lam/q = {out['u']:.6f} (pinned: "
+        f"the shoulders u = p_lo, p_hi and u = 1/4)")
 
 
 def _check_eh_budget(rng):
-    c_meas = ehmetric.measure_dlam_constant()
+    c_meas = ehmetric.measure_dlam_constant(rng)
     budget = ehmetric.positivity_budget(4.0)
     return budget < 1.0 and abs(c_meas - 1.0) < 1e-12, \
         f"measured |dlam ^ dclam|/4r^2 constant {c_meas}, budget {budget:.4f} < 1"
@@ -630,7 +634,7 @@ def _check_collapse_region_rates(rng):
 
 
 def _check_collapse_lower_bound(rng):
-    mc = collapse.measure_metric_comparison()
+    mc = collapse.measure_metric_comparison(rng)
     mu = 8
     samples = [collapse.ffkm_region_metrics("interior", (), mu),
                collapse.ffkm_region_metrics("w_outer", {"y1": 0.3}, mu),
@@ -659,12 +663,10 @@ def _check_collapse_finsler(rng):
 
 
 def _check_collapse_comparison(rng):
-    mc = collapse.measure_metric_comparison()
+    mc = collapse.measure_metric_comparison(rng)
     ok = 0.0 < mc["Delta0"] < 10.0 and mc["delta1"] > 0
-    for _ in range(30):
-        A = rng.normal(size=(DIM, DIM))
+    for A, B in ehmetric.normals(rng, (30, 2, DIM, DIM)):
         h = A + A.T
-        B = rng.normal(size=(DIM, DIM))
         g = B @ B.T + 0.1 * np.eye(DIM)
         ok = ok and collapse.lc_vs_norm_holds(h, g)
     return ok, (f"Delta0 = {mc['Delta0']:.4f}, delta1 = {mc['delta1']}; "
@@ -728,11 +730,11 @@ CHECKS = [
 
 def build_suites(seed: int) -> dict:
     """Suite -> [(check id, zero-argument callable returning (ok, detail))],
-    each check bound to its own fresh generator seeded with `seed`."""
+    each check bound to its own fresh random.Random(seed)."""
     suites = {}
     for cid, fn in CHECKS:
         suites.setdefault(cid.split(".", 1)[0], []).append(
-            (cid, partial(fn, np.random.default_rng(seed))))
+            (cid, partial(fn, random.Random(seed))))
     return suites
 
 
@@ -780,7 +782,7 @@ def cmd_scan(args) -> int:
     """Volume-scaling sweep over random rational frame scalings."""
     import csv as _csv
     _value("--grid", args.grid)
-    rng = np.random.default_rng(args.seed)
+    rng = random.Random(args.seed)
     rows = []
     for _ in range(args.grid):
         lams = _rand_cube_lambdas(rng)
@@ -839,7 +841,7 @@ def cmd_eh(args) -> int:
         return 1
     try:
         rep = ehmetric.positivity_and_volume_certificate(
-            profile, n_r=args.grid, n_ang=20, seed=args.seed)
+            profile, random.Random(args.seed), n_r=args.grid, n_ang=20)
     except ehmetric.ConstructionFailed as e:
         print(f"certificate failed: {e}", file=sys.stderr)
         return 1
@@ -927,8 +929,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        # numpy's generators (verify, scan) refuse it; eh refuses it too,
-        # so that --seed takes the same values in every command
+        # random.Random seeds with the absolute value, so -s would repeat
+        # the draws of s: a seed is non-negative in every command
         if getattr(args, "seed", 0) < 0:
             raise UsageError(f"--seed must be non-negative, got {args.seed}")
         return args.fn(args)

@@ -30,6 +30,7 @@ import numpy as np
 from .catalog import (DEFAULT_EPSILON, SURGERY_PROFILE, ResolutionForms, _FFKM_TERMS,
                       _lam_sq, _point_row, glued_form_at, nakamura_model, phi_abl_mu,
                       phi_check_mu)
+from .ehmetric import normals
 from .g2core import (DIM, TRIPLE_POS, TRIPLES, NotStableError, bilinear_from_3form,
                      is_g2_type, metric_batch, phi_to_vector, standard_phi)
 from .rings import _exact_real
@@ -363,19 +364,18 @@ def limit_quasi_finsler(base_tag: str, direction, y1_samples=(0.0,)) -> float:
 
 # ----- measured comparison constants -------------------------------------------
 
-#: measure_metric_comparison's fixed draw: its directions and their seed
-COMPARISON_POINTS, COMPARISON_SEED = 200, 0
+#: measure_metric_comparison's number of directions
+COMPARISON_POINTS = 200
 
 
-def measure_metric_comparison() -> dict:
+def measure_metric_comparison(rng) -> dict:
     """Measured constants (delta_1, De_0) of the pointwise comparison
     |g_phi - g_phi0| <= De_0 |phi - phi0| near the standard form: De_0 from
     the linearization at scale delta = 1e-4, delta_1 as the largest tested
     radius at which every sampled perturbation still yields a definite form,
-    over the COMPARISON_* draw, which `verify --seed` does not reach."""
+    over COMPARISON_POINTS unit directions drawn from rng."""
     delta = 1e-4
-    rng = np.random.default_rng(COMPARISON_SEED)
-    dirs = rng.normal(size=(COMPARISON_POINTS, 35))
+    dirs = normals(rng, (COMPARISON_POINTS, 35))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     v0 = phi_to_vector(standard_phi())
     gs, _ = metric_batch(v0[None, :] + delta * dirs)
@@ -390,7 +390,7 @@ def measure_metric_comparison() -> dict:
         except NotStableError:
             continue
     return {"Delta0": Delta0, "delta1": delta1, "n": COMPARISON_POINTS,
-            "delta": delta, "seed": COMPARISON_SEED}
+            "delta": delta}
 
 
 def lc_vs_norm_holds(h, g) -> bool:

@@ -38,7 +38,6 @@ from __future__ import annotations
 import csv
 import json
 import math
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -332,17 +331,41 @@ def _two_form_norm(entries):
     return np.sqrt(sum(e ** 2 for e in entries))
 
 
-def _directions(n_ang: int, seed: int):
+def _directions(n_ang: int, rng):
     """n_ang >= 1 unit vectors of R^4, the rows of an (n_ang, 4) array:
-    standard normals drawn from Python's random.Random(seed), normalised.
-    The stdlib generator keeps the `eh` command from importing numpy.random,
-    a large share of a cold `eh` pass.  The directions are a witness of
-    U(2) invariance, so another draw moves a certificate only at roundoff."""
-    rng = random.Random(seed)
+    standard normals drawn by rng.gauss from the stdlib generator rng,
+    normalised.  The directions are a witness of U(2) invariance, so
+    another draw moves a certificate only at roundoff."""
     dirs = np.array([[rng.gauss(0.0, 1.0) for _ in range(4)]
                      for _ in range(n_ang)])
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     return dirs
+
+
+# ----- seeded draws ------------------------------------------------------------
+# Every sampled quantity of the package draws from a stdlib random.Random
+# seeded by the command's --seed, so no command imports numpy's generators.
+# Its draws are scalar calls; arrays of them are filled in bulk here.
+
+def uniforms(rng, lo: float, hi: float, shape: tuple) -> np.ndarray:
+    """An array of the given shape of uniforms lo + (hi - lo) u on [lo, hi],
+    u = rng.random() in row-major order, as rng.uniform(lo, hi) draws one."""
+    u = np.array([rng.random() for _ in range(math.prod(shape))])
+    return lo + (hi - lo) * u.reshape(shape)
+
+
+def normals(rng, shape: tuple) -> np.ndarray:
+    """An array of the given shape of standard normals, by the Box-Muller
+    transform of pairs of uniforms u = rng.random() (one array transform
+    for the batch, where rng.gauss costs a Python call per normal): the
+    first half of the draws give the radii sqrt(-2 log(1 - u)), the second
+    half the angles 2 pi u, and the cosines fill the array before the
+    sines."""
+    n = math.prod(shape)
+    m = (n + 1) // 2
+    u = np.array([rng.random() for _ in range(2 * m)])
+    radius, angle = np.sqrt(-2.0 * np.log1p(-u[:m])), 2.0 * math.pi * u[m:]
+    return np.concatenate([radius * np.cos(angle), radius * np.sin(angle)])[:n].reshape(shape)
 
 
 # ----- certification ---------------------------------------------------------
@@ -363,8 +386,8 @@ def ricci_residual(t: float, lams) -> float:
     return float(np.abs(deriv - 2.0 * lams).max(initial=0.0))
 
 
-def positivity_and_volume_certificate(profile: EHProfile, n_r: int, n_ang: int = 20,
-                                      seed: int = 0) -> dict:
+def positivity_and_volume_certificate(profile: EHProfile, rng, n_r: int,
+                                      n_ang: int = 20) -> dict:
     """Grid certificate over r in [tR/2 (1-delta), tR (1+delta)], delta = 0.05:
     positivity margin |om_hat - om_check|_{om_hat} < 1, volume ratio
     om_check^2 / vol_0 >= 2 ups^2, and the closed-form ratio cross-check.
@@ -376,13 +399,13 @@ def positivity_and_volume_certificate(profile: EHProfile, n_r: int, n_ang: int =
     margin and the ratio depend on r alone, and the profile (k, a', a'') is
     evaluated once, on the whole grid of radii.  The n_ang directions are
     kept as a witness of that invariance; their spread at one radius is
-    roundoff.  They are _directions(n_ang, seed), so by the same invariance
-    the margin and the ratio at any two seeds agree to roundoff."""
+    roundoff.  They are _directions(n_ang, rng), so by the same invariance
+    the margin and the ratio at any two draws agree to roundoff."""
     if n_r < 1 or n_ang < 1:
         raise ValueError("the grid needs at least one radius and one direction")
     t, R, delta = profile.t, profile.R, 0.05
     radii = np.linspace(0.5 * t * R * (1.0 - delta), t * R * (1.0 + delta), n_r)
-    dirs = _directions(n_ang, seed)
+    dirs = _directions(n_ang, rng)
     lams = radii * radii
     k, ap, app = (col[:, None] for col in _profile_slopes(profile, lams))
     ratio_formula = 2.0 + k / lams[:, None]
@@ -444,39 +467,55 @@ def fd_d(field, y0, h: float, triples) -> list:
             for i, j, k in triples]
 
 
-def closedness_residual(profile: EHProfile) -> float:
-    """Finite-difference d(om_check) at six random interior points of the
-    annulus, with step 3e-6 tR; om_check is d of a potential, so this should
-    vanish to FD accuracy."""
-    t, R = profile.t, profile.R
-    rng = np.random.default_rng(1)
-    hstep = 3e-6 * t * R
+#: closedness_residual's drawn points, besides its three pinned ones
+CLOSEDNESS_DRAWS = 6
+
+
+def closedness_residual(profile: EHProfile, rng) -> dict:
+    """Finite-difference d(om_check), which vanishes as om_check is d of a
+    potential, at points in directions drawn from rng: CLOSEDNESS_DRAWS at
+    radii drawn uniformly in [0.55, 0.95] tR, and three pinned by u = lam/q:
+    the middle of each of the bump's shoulders, u = p_lo and u = p_hi, where
+    k is steepest, and u = 1/4, below the bump's support (pure
+    Eguchi-Hanson).  Each component is the Richardson extrapolation
+    (4 D(h/2) - D(h))/3 of two central differences, h = 3e-6 tR: it cancels
+    their h^2 d^3(om)/6 term, which alone, where the step crosses a
+    shoulder, exceeds 1e-6.  Returns the largest |d om_check| (residual),
+    the u of its point and the number of points."""
+    tR = profile.t * profile.R
+    hstep = 3e-6 * tR
+    triples = ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))
+    us = [profile.p_lo, profile.p_hi, 0.25]
+    us += (uniforms(rng, 0.55, 0.95, (CLOSEDNESS_DRAWS,)) ** 2).tolist()
+    dirs = normals(rng, (len(us), 4))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
 
     def field(ps):
         M = omega_at(ps, profile=profile)
         return {(i + 1, j + 1): M[:, i, j] for i, j in _UPPER}
 
-    worst = 0.0
-    for _ in range(6):
-        d = rng.normal(size=4)
-        d /= np.linalg.norm(d)
-        pt = np.array(d) * rng.uniform(0.55, 0.95) * t * R
-        for val in fd_d(field, pt, hstep, ((1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4))):
-            worst = max(worst, abs(val))
-    return worst
+    def residual(u, d):
+        pt = d * (math.sqrt(u) * tR)
+        fine = fd_d(field, pt, 0.5 * hstep, triples)
+        coarse = fd_d(field, pt, hstep, triples)
+        return max(abs(4.0 * f - c) / 3.0 for f, c in zip(fine, coarse))
+
+    worst, worst_u = max((residual(u, d), u) for u, d in zip(us, dirs))
+    return {"residual": worst, "u": worst_u, "points": len(us)}
 
 
-#: measure_dlam_constant's fixed grid: radii, directions and their seed
-DLAM_RADII, DLAM_DIRECTIONS, DLAM_SEED = 20, 10, 0
+#: measure_dlam_constant's grid: its radii and its directions
+DLAM_RADII, DLAM_DIRECTIONS = 20, 10
 
 
-def measure_dlam_constant() -> float:
-    """Smallest C with |d(r^2) ^ d^c(r^2)|_{om_hat} <= 4 C r^2 on the DLAM_*
-    grid, which `verify --seed` does not reach (the ratio is scale-invariant,
-    so radii are a formality): the check of positivity_budget's C = 1."""
+def measure_dlam_constant(rng) -> float:
+    """Smallest C with |d(r^2) ^ d^c(r^2)|_{om_hat} <= 4 C r^2 on DLAM_RADII
+    radii in DLAM_DIRECTIONS directions drawn from rng (the ratio is
+    scale-invariant, so radii are a formality): the check of
+    positivity_budget's C = 1."""
     r = np.linspace(0.1, 2.0, DLAM_RADII)[:, None]
     # one (radii, directions) array per entry of (1/4) dlam ^ dclam, scaled by 4
-    up = _upper(*(r * _directions(DLAM_DIRECTIONS, DLAM_SEED).T[:, None, :]), 0.0, 1.0)
+    up = _upper(*(r * _directions(DLAM_DIRECTIONS, rng).T[:, None, :]), 0.0, 1.0)
     return float((4.0 * _two_form_norm(up.values()) / (4.0 * r * r)).max())
 
 

@@ -10,10 +10,9 @@ Three rings are supported:
 
 Mixing scalars from different rings inside one form is a hard error, raised
 by the form layer (see :mod:`g2calc.forms`).  Helpers here also give
-exact n-th roots of rationals, or None where the root is irrational, and
-one float root for that case; each caller decides what an irrational root
-means for it.  Every entry to the exact layer reads a finite real by one
-helper, a float by its binary value.
+exact n-th roots of rationals, or None where the root is irrational; each
+caller decides what an irrational root means for it.  Every entry to the
+exact layer reads a finite real by one helper, a float by its binary value.
 
 A polynomial evaluates at one point or, entry by entry, at every row of a
 set of point columns, by one method (:meth:`Poly.eval`).  It raises powers
@@ -25,7 +24,6 @@ x·x policy.
 from __future__ import annotations
 
 import math
-import sys
 from fractions import Fraction
 from functools import reduce
 from numbers import Integral, Real
@@ -129,26 +127,6 @@ def nth_root_fraction(q: Fraction, k: int):
     """Exact k-th root of a Fraction, or None when irrational."""
     q = Fraction(q)
     return _ratio_root(q.numerator, q.denominator, k)
-
-
-def _float_root(num: int, den: int, k: int, name, error=ValueError) -> float:
-    """(num / den)^(1/k), num and den > 0, as a normal float: the root of the
-    rounded ratio where that is normal, else 2^e times the root of the normal
-    num / (den 2^(ke)); raises `error`, naming `name`, past the float range."""
-    try:
-        if (q := num / den) >= sys.float_info.min:
-            return q ** (1.0 / k)
-    except OverflowError:
-        pass
-    # num / den = m 2^(ke) with m in (1/2, 2^k): the root is in (2^(e-1), 2^(e+1))
-    e = (num.bit_length() - den.bit_length()) // k
-    m = num / (den << k * e) if e >= 0 else (num << -k * e) / den
-    try:
-        if (root := math.ldexp(m ** (1.0 / k), e)) >= sys.float_info.min:
-            return root
-    except OverflowError:
-        pass
-    raise error(f"{name}: an irrational (1/{k})-th power lies outside the float range")
 
 
 class Poly:

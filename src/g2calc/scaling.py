@@ -24,18 +24,19 @@ E = 6 M^-1 is 2 on the three triples through axis i and -1 elsewhere
 L_i^3 / P with L_i the product of the three lambda_t through axis i.
 mu_i^6 is one integer numerator and denominator reduced by one gcd.  Every
 root is an integer root of a reduced pair, or a float where it is
-irrational (`rings._float_root`); the solve is exact when every mu_i^6 is
+irrational (`_float_root`); the solve is exact when every mu_i^6 is
 a sixth power.
 '''
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .forms import KForm
 from .g2core import DIM, STANDARD_PHI_TERMS, is_g2_type
-from .rings import RAT, _exact_real, _float_root, _ratio_root
+from .rings import RAT, _exact_real, _ratio_root
 
 #: incidence matrix M of the log-linear system: row t, column i is 1 when
 #: axis i appears in the triple of the standard form's term t, so that
@@ -70,6 +71,27 @@ class NonPositiveScaleError(InvalidScaleError):
     """Scaling coefficients must all be positive."""
 
 
+def _float_root(num: int, den: int, k: int, name) -> float:
+    """(num / den)^(1/k), num and den > 0, as a normal float: the root of the
+    rounded ratio where that is normal, else 2^e times the root of the normal
+    num / (den 2^(ke)); raises InvalidScaleError, naming `name`, past the
+    float range."""
+    try:
+        if (q := num / den) >= sys.float_info.min:
+            return q ** (1.0 / k)
+    except OverflowError:
+        pass
+    # num / den = m 2^(ke) with m in (1/2, 2^k): the root is in (2^(e-1), 2^(e+1))
+    e = (num.bit_length() - den.bit_length()) // k
+    m = num / (den << k * e) if e >= 0 else (num << -k * e) / den
+    try:
+        if (root := math.ldexp(m ** (1.0 / k), e)) >= sys.float_info.min:
+            return root
+    except OverflowError:
+        pass
+    raise InvalidScaleError(f"{name}: an irrational (1/{k})-th power lies outside the float range")
+
+
 def _validated(lambdas):
     """(lambdas as given, as a tuple; their exact (numerator, denominator)
     pairs); raises on a bool, NaN, inf, a non-real or lambda <= 0."""
@@ -102,7 +124,7 @@ def _solve(lambdas, pairs) -> ScalingExponents:
         g = math.gcd(num, den)
         num, den = num // g, den // g
         mus.append(_ratio_root(num, den, 6)
-                   or _float_root(num, den, 6, lambdas, InvalidScaleError))
+                   or _float_root(num, den, 6, lambdas))
     if all(type(m) is Fraction for m in mus):
         return ScalingExponents(tuple(Fraction(n, d) for n, d in pairs), tuple(mus), True)
     return ScalingExponents(lambdas, tuple(float(m) for m in mus), False)
@@ -132,7 +154,7 @@ def _volume_factor(lambdas, pairs):
                              f"!= prod lambda = {Fraction(num, den)}")
     # vol^3 is prod lambda in lowest terms
     num, den = vol3.numerator, vol3.denominator
-    return _ratio_root(num, den, 3) or _float_root(num, den, 3, lambdas, InvalidScaleError)
+    return _ratio_root(num, den, 3) or _float_root(num, den, 3, lambdas)
 
 
 def hitchin_scaling_law(lambdas) -> dict:

@@ -16,9 +16,9 @@ from g2calc import g2core
 from g2calc.catalog import _FFKM_PHI, _lam_parts, nakamura_model
 from g2calc.flow import _mu_closed, _mu_dot, _rate_constants
 from g2calc.forms import KForm
-from g2calc.rings import (FLT, RAT, MixedRingError, _exact_real, _float_root, _ratio_root,
-                          coerce_to, ring_of)
-from g2calc.scaling import INCIDENCE, InvalidScaleError, ScalingExponents, _validated
+from g2calc.rings import (FLT, RAT, MixedRingError, _exact_real, _ratio_root, coerce_to,
+                          ring_of)
+from g2calc.scaling import INCIDENCE, ScalingExponents, _float_root, _validated
 
 
 def contract(form: KForm, vector) -> KForm:
@@ -215,7 +215,7 @@ def solve_scaling(lambdas) -> ScalingExponents:
         g = math.gcd(num, den)
         num, den = num // g, den // g
         mus.append(_ratio_root(num, den, 6)
-                   or _float_root(num, den, 6, lambdas, InvalidScaleError))
+                   or _float_root(num, den, 6, lambdas))
     if all(type(m) is Fraction for m in mus):
         return ScalingExponents(tuple(Fraction(n, d) for n, d in pairs), tuple(mus), True)
     return ScalingExponents(lambdas, tuple(float(m) for m in mus), False)

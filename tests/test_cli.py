@@ -2,6 +2,7 @@
 import importlib.util
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -75,11 +76,12 @@ def test_importing_the_cli_builds_no_table_and_no_basis():
         "_cubic_table": 0}}
 
 
-# the eh command in a fresh interpreter, as this one has loaded numpy.random
-EH_RUN = """
-import json, sys
+# a command in a fresh interpreter, as this one has loaded numpy.random
+COMMAND_RUN = """
+import contextlib, io, json, sys
 from g2calc import cli
-code = cli.main(["eh", "--t", "0.1", "--grid", "50", "--out", sys.argv[1]])
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(sys.argv[1:])
 print(json.dumps({"code": code, "numpy.random": "numpy.random" in sys.modules}))
 """
 
@@ -87,8 +89,18 @@ print(json.dumps({"code": code, "numpy.random": "numpy.random" in sys.modules}))
 def test_eh_command_never_imports_numpy_random(tmp_path):
     # its witness directions come from the stdlib generator; importing
     # numpy.random is a large share of a cold eh pass
-    out = _fresh_python(EH_RUN, str(tmp_path / "eh"))
+    out = _fresh_python(COMMAND_RUN, "eh", "--t", "0.1", "--grid", "50",
+                        "--out", str(tmp_path / "eh"))
     assert json.loads(out.splitlines()[-1]) == {"code": 0, "numpy.random": False}
+
+
+def test_verify_never_imports_numpy_random(tmp_path):
+    # every sampled check draws from its random.Random(seed); numpy.random
+    # would hold about 5 MiB of a verify pass's peak memory
+    out = _fresh_python(COMMAND_RUN, "verify", "--seed", "3",
+                        "--out", str(tmp_path / "verify.json"))
+    assert json.loads(out.splitlines()[-1]) == {"code": 0, "numpy.random": False}
+    assert json.loads((tmp_path / "verify.json").read_text())["passed"] == len(VERIFY_IDS)
 
 
 def test_verify_single_suite_passes(tmp_path, capsys):
@@ -347,7 +359,7 @@ def test_exact_checks_fail_on_data_one_entry_off_by_2_to_the_minus_80(check, rea
     # would pass on a metric entry 1 + 2^-80
     real = cli.is_g2_type
     monkeypatch.setattr(cli, "is_g2_type", lambda phi: _one_entry_off(real(phi), read))
-    ok, _ = getattr(cli, check)(np.random.default_rng(0))
+    ok, _ = getattr(cli, check)(random.Random(0))
     assert not ok
 
 
@@ -360,7 +372,7 @@ def test_the_exactness_witness_check_names_the_mismatching_forms(monkeypatch):
                                    witnesses={"two_g1_wedge_omega": (rho, 3 * target)},
                                    label=m.label)
     monkeypatch.setattr(catalog, "nakamura_model", lambda: wrong)
-    ok, detail = cli._check_exactness_witness(np.random.default_rng(0))
+    ok, detail = cli._check_exactness_witness(random.Random(0))
     assert not ok
     assert detail == f"rho primitive: d(primitive) = {target}, expected {3 * target}"
 
@@ -371,8 +383,8 @@ def test_glued_definite_check_names_the_indefinite_point(monkeypatch):
     flip[4] = -1.0
     batch = catalog.metric_batch
     monkeypatch.setattr(catalog, "metric_batch", lambda rows: batch(rows * flip))
-    ok, detail = cli._check_glued_definite(np.random.default_rng(0))
-    fifth = np.random.default_rng(0).uniform(-0.05, 0.05, size=(10, 7))[4]
+    ok, detail = cli._check_glued_definite(random.Random(0))
+    fifth = ehmetric.uniforms(random.Random(0), -0.05, 0.05, (10, 7))[4]
     assert not ok
     assert detail.startswith(f"not definite at mu=1, (y1={fifth[0]:.4g}, y2=")
     assert f"y7={fifth[6]:.4g}): det B = " in detail
@@ -391,15 +403,15 @@ def test_eh_certificate_check_fails_when_positivity_fails(tmp_path, steep_profil
 
 
 def test_random_invariant_forms_take_one_draw_per_index():
-    # the forms (and the generator state after them) of one vectorised draw
-    # are those of one scalar draw per index, in index order
+    # the forms (and the generator state after them) of one bulk draw are
+    # those of one scalar draw per index, in index order
     from itertools import combinations
     for seed in range(5):
-        scalar, batched = np.random.default_rng(seed), np.random.default_rng(seed)
+        scalar, batched = random.Random(seed), random.Random(seed)
         for k in (0, 1, 2, 3, 7, 4, 2):
             want = {}
             for idx in combinations(range(1, 8), k):
-                c = int(scalar.integers(-4, 5))
+                c = scalar.choices(range(-4, 5))[0]
                 if c:
                     want[idx] = c
             got = cli._rand_invariant_form(batched, k)
@@ -415,8 +427,9 @@ EXACT_STAR_CHECKS = ["_check_star_star", "_check_seven_vol", "_check_su2_random_
 @pytest.mark.parametrize("check", EXACT_STAR_CHECKS)
 def test_exact_star_checks_pass_where_the_float_star_failed(check, seed):
     # the float star failed **a = a at seeds 4, 13 and 930 and 7 vol at
-    # seed 88 by conditioning; the exact checks have no tolerance
-    ok, detail = getattr(cli, check)(np.random.default_rng(seed))
+    # seed 88 of numpy's generator by conditioning; the exact checks have
+    # no tolerance, and they pass at these seeds' draws
+    ok, detail = getattr(cli, check)(random.Random(seed))
     assert ok, detail
     assert "exact" in detail and "false-pass bound per sample" in detail
 
@@ -431,7 +444,7 @@ def test_exact_star_checks_reject_a_float_star_with_exact_values(check, monkeypa
     monkeypatch.setattr(cli, "star_parts",
                         lambda data, a: (lambda y, p: (y.in_ring("float"), p))(*real(data, a)))
     try:
-        ok, detail = getattr(cli, check)(np.random.default_rng(0))
+        ok, detail = getattr(cli, check)(random.Random(0))
     except (TypeError, MixedRingError):
         return
     assert not ok, detail
@@ -452,15 +465,15 @@ def _with_r_cubed_times_8(real):
 def test_exact_star_checks_fail_on_a_wrong_r_cubed(check, monkeypatch):
     # no tautology: r^3 times 8 scales **a by 1/8^3 and phi ^ *phi by 1/8^2
     monkeypatch.setattr(cli, "is_g2_type", _with_r_cubed_times_8(cli.is_g2_type))
-    ok, detail = getattr(cli, check)(np.random.default_rng(0))
+    ok, detail = getattr(cli, check)(random.Random(0))
     assert not ok, detail
 
 
 def test_flow_family_check_fails_on_a_wrong_r_cubed(monkeypatch):
     from g2calc import flow
-    ok, detail = cli._check_flow_family(np.random.default_rng(0))
+    ok, detail = cli._check_flow_family(random.Random(0))
     assert ok and detail.endswith("relative gap of the cubes 0, exact")
     monkeypatch.setattr(flow, "is_g2_type", _with_r_cubed_times_8(flow.is_g2_type))
-    ok, detail = cli._check_flow_family(np.random.default_rng(0))
+    ok, detail = cli._check_flow_family(random.Random(0))
     # Delta phi scales by 2 / 8^3, so its cube by 8 / 8^9 = 2^-24
     assert not ok and "relative gap of the cubes 16777215/16777216, exact" in detail

@@ -2,6 +2,7 @@
 invariants, positivity/volume certificates, and closedness."""
 import json
 import math
+import random
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from g2calc.ehmetric import (ConstructionFailed, EHProfile, Infeasible,
                              certificate_to_json, closedness_residual,
                              default_t_for_epsilon, eh_aprime, fd_d,
                              feasibility_threshold, measure_dlam_constant,
-                             _directions, omega_at,
+                             _directions, normals, omega_at,
                              positivity_and_volume_certificate,
                              positivity_budget, ricci_residual)
 from g2calc.forms import KForm, chart_vars, poly_ring
@@ -368,11 +369,11 @@ def test_omega_at_on_a_point_array_matches_per_point_calls(profile, field):
 
 def test_directions_are_seeded_unit_rows():
     for n in (1, 7, 20):
-        dirs = _directions(n, 3)
+        dirs = _directions(n, random.Random(3))
         assert dirs.shape == (n, 4)
         assert np.abs(np.linalg.norm(dirs, axis=1) - 1.0).max() < 1e-15
-        assert dirs.tolist() == _directions(n, 3).tolist()
-        assert dirs.tolist() != _directions(n, 4).tolist()
+        assert dirs.tolist() == _directions(n, random.Random(3)).tolist()
+        assert dirs.tolist() != _directions(n, random.Random(4)).tolist()
 
 
 @pytest.mark.parametrize("t", [0.1, 1.0])
@@ -380,7 +381,7 @@ def test_certificate_minima_do_not_depend_on_the_seed(t):
     # by U(2) invariance the margin and the ratio depend on r alone, so the
     # directions are a witness: another draw moves the minima at roundoff
     p = build_profile(t, 4.0, 1.0)
-    reps = [positivity_and_volume_certificate(p, n_r=400, n_ang=20, seed=seed)
+    reps = [positivity_and_volume_certificate(p, random.Random(seed), n_r=400, n_ang=20)
             for seed in (0, 1, 7)]
     for key in ("min_margin", "min_ratio"):
         values = [rep[key] for rep in reps]
@@ -390,7 +391,8 @@ def test_certificate_minima_do_not_depend_on_the_seed(t):
 def test_positivity_and_volume_certificate(profile):
     floor = 2.0 * profile.upsilon ** 2
     for n_r in (300, 400):
-        rep = positivity_and_volume_certificate(profile, n_r=n_r, n_ang=12)
+        rep = positivity_and_volume_certificate(profile, random.Random(0), n_r=n_r,
+                                                n_ang=12)
         assert rep["volume_ok"] and rep["volume_floor"] == floor
         assert 0.0 < rep["min_margin"] < 1.0
         assert rep["min_ratio"] >= floor - 1e-9
@@ -412,7 +414,7 @@ def _reference_certificate(profile, n_r, n_ang, delta=0.05, seed=0):
           (0.0, 0.0, 0.0, 1.0), (0.0, 0.0, -1.0, 0.0))
     t, R = profile.t, profile.R
     radii = np.linspace(0.5 * t * R * (1.0 - delta), t * R * (1.0 + delta), n_r)
-    dirs = _directions(n_ang, seed)
+    dirs = _directions(n_ang, random.Random(seed))
     min_margin = math.inf
     min_ratio = math.inf
     worst_r = None
@@ -439,8 +441,8 @@ def _reference_certificate(profile, n_r, n_ang, delta=0.05, seed=0):
 def test_certificate_matches_the_per_point_loop(t, seed):
     p = build_profile(t, 4.0, 1.0)
     for n_ang in (1, 8, 20):
-        rep = positivity_and_volume_certificate(p, n_r=41, n_ang=n_ang,
-                                                seed=seed)
+        rep = positivity_and_volume_certificate(p, random.Random(seed), n_r=41,
+                                                n_ang=n_ang)
         ref = _reference_certificate(p, n_r=41, n_ang=n_ang, seed=seed)
         for key in ("min_margin", "min_ratio", "upsilon_measured"):
             assert abs(rep[key] - ref[key]) <= 1e-12, key
@@ -453,7 +455,7 @@ def test_certificate_evaluates_the_profile_once_per_radius(monkeypatch):
     batches = []
     h = p.h
     monkeypatch.setattr(p, "h", lambda lam: batches.append(lam) or h(lam))
-    positivity_and_volume_certificate(p, n_r=30, n_ang=20)
+    positivity_and_volume_certificate(p, random.Random(0), n_r=30, n_ang=20)
     # one call for the whole grid, and only the radii with r^2 < q need h
     assert len(batches) == 1
     calls = batches[0].tolist()
@@ -465,7 +467,7 @@ def test_certificate_evaluates_the_profile_once_per_radius(monkeypatch):
 def _per_radius_certificate(p, n_r, n_ang, delta=0.05, seed=0):
     """The certificate's minima from a loop over the radii, with one
     one-element _profile_slopes call per radius."""
-    dirs = _directions(n_ang, seed)
+    dirs = _directions(n_ang, random.Random(seed))
     radii = np.linspace(0.5 * p.t * p.R * (1.0 - delta),
                         p.t * p.R * (1.0 + delta), n_r)
     min_margin = min_ratio = math.inf
@@ -486,7 +488,7 @@ def _per_radius_certificate(p, n_r, n_ang, delta=0.05, seed=0):
 def test_certificate_matches_the_per_radius_scalar_profile(t):
     # exact equality: the batched profile has the one-element calls' bits
     p = build_profile(t, 4.0, 1.0)
-    rep = positivity_and_volume_certificate(p, n_r=400, n_ang=20)
+    rep = positivity_and_volume_certificate(p, random.Random(0), n_r=400, n_ang=20)
     ref = _per_radius_certificate(p, n_r=400, n_ang=20)
     for key in ("min_margin", "min_ratio", "worst_r"):
         assert rep[key] == ref[key], key
@@ -504,27 +506,84 @@ def test_certificate_failure_names_the_radius(monkeypatch):
     monkeypatch.setattr(p, "slopes", steep)
     with pytest.raises(ConstructionFailed,
                        match=r"violated at r = ") as info:
-        positivity_and_volume_certificate(p, n_r=40, n_ang=4)
+        positivity_and_volume_certificate(p, random.Random(0), n_r=40, n_ang=4)
     r = float(str(info.value).rsplit("r = ", 1)[1])
     radii = np.linspace(0.5 * p.t * p.R * (1.0 - 0.05),
                         p.t * p.R * (1.0 + 0.05), 40)
     assert r in radii.tolist()
     assert r * r < p.q
     with pytest.raises(ValueError):
-        positivity_and_volume_certificate(p, n_r=0)
+        positivity_and_volume_certificate(p, random.Random(0), n_r=0)
 
 
 def test_upsilon_stable_across_t():
     vals = []
     for t in (0.01, 0.1, 1.0):
         p = build_profile(t, 4.0, 1.0)
-        rep = positivity_and_volume_certificate(p, n_r=100, n_ang=8)
+        rep = positivity_and_volume_certificate(p, random.Random(0), n_r=100, n_ang=8)
         vals.append(rep["upsilon_measured"])
     assert (max(vals) - min(vals)) / max(vals) < 0.01
 
 
 def test_closedness_residual(profile):
-    assert closedness_residual(profile) < 1e-6
+    for seed in (0, 1, 14):
+        out = closedness_residual(profile, random.Random(seed))
+        assert out["residual"] < 1e-6
+        assert out["points"] == 3 + ehmetric.CLOSEDNESS_DRAWS
+        # the worst point is one of the pinned shoulders, where k is steepest
+        assert out["u"] in (profile.p_lo, profile.p_hi)
+
+
+def test_closedness_residual_pins_the_shoulders_and_a_point_off_the_bump(profile,
+                                                                        monkeypatch):
+    # the points, by u = lam/q: p_lo and p_hi, 1/4 (below the support
+    # [p_lo - rho, p_hi + rho]), then the drawn ones in [0.55, 0.95]^2
+    us = []
+    fd = ehmetric.fd_d
+
+    def record(field, y0, h, triples):
+        us.append(float(np.dot(y0, y0)) / profile.q)
+        return fd(field, y0, h, triples)
+    monkeypatch.setattr(ehmetric, "fd_d", record)
+    closedness_residual(profile, random.Random(0))
+    # two step sizes per point
+    assert us[::2] == us[1::2]
+    pinned, drawn = us[::2][:3], us[::2][3:]
+    assert pinned == pytest.approx([profile.p_lo, profile.p_hi, 0.25], rel=1e-12)
+    assert 0.25 < profile.p_lo - profile.rho
+    assert len(drawn) == ehmetric.CLOSEDNESS_DRAWS
+    assert all(0.55 ** 2 <= u <= 0.95 ** 2 for u in drawn)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_closedness_residual_fails_a_k_that_is_not_h_prime(seed, monkeypatch):
+    # a mutant whose k is 1 % off h' inside the bump: om_check is no longer
+    # d of a potential there, and the pinned shoulder points see it at
+    # every seed; the verify check fails on it
+    from g2calc import cli
+    k = EHProfile.k
+    monkeypatch.setattr(EHProfile, "k", lambda self, lams: 1.01 * k(self, lams))
+    out = closedness_residual(build_profile(1.0, 4.0, 1.0), random.Random(seed))
+    assert out["residual"] > 1e-4
+    ok, detail = cli._check_eh_closedness(random.Random(seed))
+    assert not ok and "largest at u = lam/q" in detail
+
+
+def test_normals_are_box_muller_pairs_of_uniforms():
+    rng, ref = random.Random(5), random.Random(5)
+    z = normals(rng, (3, 2))
+    u = [ref.random() for _ in range(6)]
+    radius = [math.sqrt(-2.0 * math.log(1.0 - x)) for x in u[:3]]
+    want = ([r * math.cos(2.0 * math.pi * a) for r, a in zip(radius, u[3:])]
+            + [r * math.sin(2.0 * math.pi * a) for r, a in zip(radius, u[3:])])
+    assert z.shape == (3, 2)
+    assert z.ravel().tolist() == pytest.approx(want, rel=1e-14, abs=1e-15)
+    # the generator state after them is that of the six uniforms
+    assert rng.random() == ref.random()
+    # an odd count drops the last sine; a large batch is standard normal
+    assert normals(random.Random(5), (5,)).tolist() == pytest.approx(want[:5], rel=1e-14)
+    big = normals(random.Random(0), (200000,))
+    assert abs(big.mean()) < 0.01 and abs(big.std() - 1.0) < 0.01
 
 
 def test_fd_d_matches_the_exact_d_of_a_polynomial_form():
@@ -553,19 +612,19 @@ def test_fd_d_matches_the_exact_d_of_a_polynomial_form():
 
 
 def test_dlam_constant_matches_the_per_point_loop():
-    assert (ehmetric.DLAM_RADII, ehmetric.DLAM_DIRECTIONS,
-            ehmetric.DLAM_SEED) == (20, 10, 0)
-    best = 0.0
-    for r in np.linspace(0.1, 2.0, ehmetric.DLAM_RADII):
-        for d in _directions(ehmetric.DLAM_DIRECTIONS, ehmetric.DLAM_SEED):
-            up = ehmetric._upper(*(r * d), 0.0, 1.0)
-            best = max(best, 4.0 * ehmetric._two_form_norm(up.values())
-                       / (4.0 * r * r))
-    assert measure_dlam_constant() == best
+    assert (ehmetric.DLAM_RADII, ehmetric.DLAM_DIRECTIONS) == (20, 10)
+    for seed in (0, 9):
+        best = 0.0
+        for r in np.linspace(0.1, 2.0, ehmetric.DLAM_RADII):
+            for d in _directions(ehmetric.DLAM_DIRECTIONS, random.Random(seed)):
+                up = ehmetric._upper(*(r * d), 0.0, 1.0)
+                best = max(best, 4.0 * ehmetric._two_form_norm(up.values())
+                           / (4.0 * r * r))
+        assert measure_dlam_constant(random.Random(seed)) == best
 
 
 def test_measured_quadratic_constant_and_budget():
-    assert measure_dlam_constant() == pytest.approx(1.0, abs=1e-12)
+    assert measure_dlam_constant(random.Random(0)) == pytest.approx(1.0, abs=1e-12)
     # at C = c = 1: 4 sqrt(2)/16 + 16/256 + 1/2
     assert positivity_budget(4.0) == pytest.approx(0.9160533905932737)
     assert positivity_budget(4.0) < 1.0
@@ -598,7 +657,7 @@ def test_profile_csv_export(tmp_path, profile):
 
 
 def test_certificate_json_export(tmp_path, profile):
-    rep = positivity_and_volume_certificate(profile, n_r=60, n_ang=6)
+    rep = positivity_and_volume_certificate(profile, random.Random(0), n_r=60, n_ang=6)
     path = tmp_path / "cert.json"
     certificate_to_json(rep, path)
     data = json.loads(path.read_text())
