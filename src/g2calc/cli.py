@@ -12,8 +12,9 @@ import json
 import math
 import random
 import sys
+from collections import deque
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations
 
 import numpy as np
@@ -517,14 +518,13 @@ def _check_flow_torus(rng):
 
 
 def _check_flow_trajectory(rng):
-    rows = flow.flow_integrate(1, (1, 1), 1.0, 10000)
-    err = max(r[3] for r in rows)
+    err = max(r[3] for r in flow.flow_integrate(1, (1, 1), 1.0, 10000))
     return err < 1e-10, f"max |mu_RK4 - mu_closed| = {err:.3e} at 10^4 steps"
 
 
 def _check_flow_order(rng):
-    e1 = flow.flow_integrate(1, (2, 1), 1.0, 40)[-1][3]
-    e2 = flow.flow_integrate(1, (2, 1), 1.0, 80)[-1][3]
+    e1, e2 = (deque(flow.flow_integrate(1, (2, 1), 1.0, steps), maxlen=1)[0][3]
+              for steps in (40, 80))
     ratio = e1 / e2
     return 12.0 < ratio < 20.0, f"halving-step error ratio {ratio:.2f} (expect ~16)"
 
@@ -633,8 +633,28 @@ def _check_collapse_region_rates(rng):
                 f"(need <= {collapse.RATE_BOUND})")
 
 
+@lru_cache(maxsize=1)
+def _comparison_from(state) -> tuple:
+    """collapse.measure_metric_comparison on a generator in `state`, and the
+    state its draws leave the generator in."""
+    rng = random.Random()
+    rng.setstate(state)
+    return collapse.measure_metric_comparison(rng), rng.getstate()
+
+
+def _metric_comparison(rng) -> dict:
+    """collapse.measure_metric_comparison(rng), measured once per verify
+    pass: both collapse checks that read it start from a fresh
+    random.Random(seed), so the second finds the first's start state in the
+    one-entry cache (build_suites empties it).  Either way rng ends where
+    the draws leave it."""
+    mc, end = _comparison_from(rng.getstate())
+    rng.setstate(end)
+    return mc
+
+
 def _check_collapse_lower_bound(rng):
-    mc = collapse.measure_metric_comparison(rng)
+    mc = _metric_comparison(rng)
     mu = 8
     samples = [collapse.ffkm_region_metrics("interior", (), mu),
                collapse.ffkm_region_metrics("w_outer", {"y1": 0.3}, mu),
@@ -663,7 +683,7 @@ def _check_collapse_finsler(rng):
 
 
 def _check_collapse_comparison(rng):
-    mc = collapse.measure_metric_comparison(rng)
+    mc = _metric_comparison(rng)
     ok = 0.0 < mc["Delta0"] < 10.0 and mc["delta1"] > 0
     for A, B in ehmetric.normals(rng, (30, 2, DIM, DIM)):
         h = A + A.T
@@ -731,6 +751,7 @@ CHECKS = [
 def build_suites(seed: int) -> dict:
     """Suite -> [(check id, zero-argument callable returning (ok, detail))],
     each check bound to its own fresh random.Random(seed)."""
+    _comparison_from.cache_clear()          # shared within a pass, not across
     suites = {}
     for cid, fn in CHECKS:
         suites.setdefault(cid.split(".", 1)[0], []).append(
@@ -817,9 +838,8 @@ def cmd_flow(args) -> int:
     rows = flow.flow_integrate(args.alpha, _parse_lambda(args.lam), args.t_end,
                                args.steps)
     path = args.out or "flow_trajectory.csv"
-    flow.trajectory_to_csv(rows, path)
-    err = max(r[3] for r in rows)
-    print(f"wrote {len(rows)} trajectory rows to {path}; "
+    n, err = flow.trajectory_to_csv(rows, path)
+    print(f"wrote {n} trajectory rows to {path}; "
           f"max |mu_numeric - mu_closed| = {err:.3e}")
     return 0 if err < args.tol else 1
 

@@ -60,18 +60,22 @@ def _mu_closed(sixteen_l23, three_a2, t: float) -> float:
     return (sixteen_l23 * t / three_a2 + 1.0) ** 0.125
 
 
-def flow_integrate(alpha, lam, t_end: float, steps: int) -> list:
-    """Classical RK4 on the scalar flow ODE; returns trajectory rows
-    (t, mu_numeric, mu_closed, abs_err).  L^{2/3} is found once for the
-    whole trajectory."""
+def flow_integrate(alpha, lam, t_end: float, steps: int):
+    """Classical RK4 on the scalar flow ODE: an iterator over the
+    trajectory rows (t, mu_numeric, mu_closed, abs_err), steps + 1 of them,
+    each made as it is asked for, so memory does not grow with `steps`.
+    t_end and steps are checked here, before any row; L^{2/3} is found once
+    for the whole trajectory."""
     if t_end <= 0:
         raise ValueError("t_end must be positive")
     if steps <= 0:
         raise ValueError("steps must be positive")
-    two_l23, sixteen_l23, three_a2 = _rate_constants(alpha, lam)
-    h = float(t_end) / steps
+    return _rk4_rows(*_rate_constants(alpha, lam), float(t_end) / steps, steps)
+
+
+def _rk4_rows(two_l23, sixteen_l23, three_a2, h: float, steps: int):
     mu, t = 1.0, 0.0
-    rows = [(0.0, 1.0, 1.0, 0.0)]
+    yield 0.0, 1.0, 1.0, 0.0
     for _ in range(steps):
         k1 = _mu_dot(two_l23, three_a2, mu)
         k2 = _mu_dot(two_l23, three_a2, mu + 0.5 * h * k1)
@@ -80,8 +84,7 @@ def flow_integrate(alpha, lam, t_end: float, steps: int) -> list:
         mu = mu + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         t += h
         closed = _mu_closed(sixteen_l23, three_a2, t)
-        rows.append((t, mu, closed, abs(mu - closed)))
-    return rows
+        yield t, mu, closed, abs(mu - closed)
 
 
 def check_flow_consistency(alpha, beta, lam, mu) -> Fraction:
@@ -104,9 +107,16 @@ def check_flow_consistency(alpha, beta, lam, mu) -> Fraction:
     return max(abs(x) for x in cubes.values()) / scale
 
 
-def trajectory_to_csv(rows, path) -> None:
+def trajectory_to_csv(rows, path) -> tuple:
+    """Write trajectory rows (an iterable such as flow_integrate's) to a CSV
+    file at 17 significant digits, one row as it arrives, and return
+    (rows written, largest abs_err)."""
+    n, err = 0, 0.0
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["t", "mu_numeric", "mu_closed", "abs_err"])
         for r in rows:
             w.writerow([f"{x:.17g}" for x in r])
+            n += 1
+            err = max(err, r[3])
+    return n, err

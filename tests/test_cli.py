@@ -5,13 +5,14 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from g2calc import catalog, cli, collapse, ehmetric
+from g2calc import catalog, cli, collapse, ehmetric, flow
 from g2calc.cli import build_suites, main
 from g2calc.liecdga import model_to_dict
 from g2calc.rings import MixedRingError
@@ -74,6 +75,13 @@ def test_importing_the_cli_builds_no_table_and_no_basis():
     assert json.loads(out) == {"table_rows": 0, "built": {
         "_phi_basis": 0, "_ch_data": 0, "nakamura_model": 0, "ffkm_model": 0,
         "_cubic_table": 0}}
+
+
+def test_importing_the_cli_loads_no_numpy_polynomial():
+    # the Gauss-Legendre rule is a constant: no import pays for
+    # numpy.polynomial or the eigensolve of leggauss
+    out = _fresh_python('import sys, g2calc.cli; print("numpy.polynomial" in sys.modules)')
+    assert out.strip() == "False"
 
 
 # a command in a fresh interpreter, as this one has loaded numpy.random
@@ -198,6 +206,22 @@ def test_flow_command_writes_trajectory(tmp_path, capsys):
     assert lines[0] == "t,mu_numeric,mu_closed,abs_err"
     assert len(lines) == 2002
     assert max(float(l.split(",")[3]) for l in lines[1:]) < 1e-10
+
+
+def test_flow_command_streams_its_trajectory(tmp_path, capsys):
+    # each row is written as it is computed, so the traced peak stays far
+    # under the ~17 MiB that a list of 10^5 row tuples holds
+    out, ref = tmp_path / "traj.csv", tmp_path / "ref.csv"
+    tracemalloc.start()
+    try:
+        assert run(["flow", "--steps", "100000", "--out", str(out)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+    assert capsys.readouterr().out.startswith(f"wrote 100001 trajectory rows to {out};")
+    flow.trajectory_to_csv(list(flow.flow_integrate(1.0, 1.0, 1.0, 100000)), ref)
+    assert out.read_bytes() == ref.read_bytes()
 
 
 def test_flow_has_no_beta_flag(tmp_path, capsys):
@@ -477,3 +501,28 @@ def test_flow_family_check_fails_on_a_wrong_r_cubed(monkeypatch):
     ok, detail = cli._check_flow_family(random.Random(0))
     # Delta phi scales by 2 / 8^3, so its cube by 8 / 8^9 = 2^-24
     assert not ok and "relative gap of the cubes 16777215/16777216, exact" in detail
+
+
+def test_one_verify_pass_measures_the_comparison_constants_once(monkeypatch):
+    calls = []
+
+    def counting(rng, real=collapse.measure_metric_comparison):
+        calls.append(1)
+        return real(rng)
+
+    monkeypatch.setattr(collapse, "measure_metric_comparison", counting)
+    ids = ("collapse.global_lower_bound", "collapse.metric_comparison_constants")
+    checks = dict(build_suites(4)["collapse"])
+    shared = [checks[cid]() for cid in ids]
+    assert len(calls) == 1
+    # each check alone, measuring for itself, reports the same
+    assert [dict(build_suites(4)["collapse"])[cid]() for cid in ids] == shared
+    assert len(calls) == 3
+    # a generator that finds the measurement shared ends where the draws
+    # leave one that made them: the comparison check's 30 pairs follow it
+    made, shared_rng, direct = random.Random(4), random.Random(4), random.Random(4)
+    cli._comparison_from.cache_clear()
+    assert cli._metric_comparison(made) == cli._metric_comparison(shared_rng)
+    counting(direct)
+    assert len(calls) == 5
+    assert made.getstate() == shared_rng.getstate() == direct.getstate()

@@ -297,6 +297,14 @@ def test_ricci_flat_closed_form():
         assert ricci_residual(t, np.linspace(0.5, 40.0, 25)) < 1e-8
 
 
+def test_gauss_legendre_constant_is_leggauss_96():
+    # the rule is held as literals so that no import runs leggauss; it must
+    # stay leggauss(96) bit for bit
+    nodes, weights = np.polynomial.legendre.leggauss(96)
+    assert np.array_equal(ehmetric._GL_NODES, nodes)
+    assert np.array_equal(ehmetric._GL_WEIGHTS, weights)
+
+
 # --------------------------------------------------------------------------
 # batched evaluation: a value does not depend on its batch
 # --------------------------------------------------------------------------

@@ -100,14 +100,14 @@ def test_negative_time_rejected():
 
 def test_trajectory_matches_closed_form():
     # flow.closed_form_trajectory runs the unit point; this is another one
-    rows = flow_integrate(2, (1, 2), 1.0, 10000)
+    rows = list(flow_integrate(2, (1, 2), 1.0, 10000))
     assert len(rows) == 10001
     assert max(r[3] for r in rows) < 1e-10
 
 
 def test_rk4_is_fourth_order():
-    e1 = flow_integrate(1, (2, 1), 1.0, 40)[-1][3]
-    e2 = flow_integrate(1, (2, 1), 1.0, 80)[-1][3]
+    e1 = list(flow_integrate(1, (2, 1), 1.0, 40))[-1][3]
+    e2 = list(flow_integrate(1, (2, 1), 1.0, 80))[-1][3]
     assert 12.0 < e1 / e2 < 22.0
 
 
@@ -118,7 +118,7 @@ def test_exact_two_thirds_power_for_cube_modulus():
 
 
 def test_trajectory_csv_roundtrip(tmp_path):
-    rows = flow_integrate(1, 1, 0.5, 100)
+    rows = list(flow_integrate(1, 1, 0.5, 100))
     path = tmp_path / "traj.csv"
     trajectory_to_csv(rows, path)
     with open(path) as fh:
@@ -160,6 +160,6 @@ def test_trajectory_equals_the_per_step_reference(alpha, lam, monkeypatch):
         return nth_root_fraction(q, k)
 
     monkeypatch.setattr(flow, "nth_root_fraction", counting_root)
-    rows = flow_integrate(alpha, lam, 2.0, 300)
+    rows = list(flow_integrate(alpha, lam, 2.0, 300))
     assert len(roots) == 1
     assert rows == _rk4_calling_mu_dot(alpha, lam, 2.0, 300)
