@@ -37,7 +37,7 @@ import numpy as np
 
 from .ehmetric import (_UPPER, _plateau, _plateau_integral, build_profile,
                        default_t_for_epsilon, fd_d, omega_at, uniforms)
-from .forms import KForm, PolynomialMap, _add_term, chart_vars, merge_sign, poly_ring
+from .forms import _MASKS, KForm, PolynomialMap, _add_term, chart_vars, merge_sign, poly_ring
 from .g2core import (TRIPLE_POS, TRIPLES, is_g2_type, metric_batch, norm_batch,
                      phi_to_vector)
 from .liecdga import InvariantModel, StructureEqs, check_d_squared, d_invariant
@@ -367,12 +367,12 @@ def _d_cutoff_rows(cols: dict, scale: float, a: KForm, da: KForm):
         rows[:, pos[idx]] = c.eval(cols) * f
     on = (fd != 0.0) & (r > 0)
     if np.any(on):
-        av = {idx: c.eval(cols) for idx, c in a.coeffs.items()}
+        av = {_MASKS[idx]: c.eval(cols) for idx, c in a.coeffs.items()}
         wedge = {}
         for i, n in _TRANSVERSE:
             dr = np.divide(cols[n], r, out=np.zeros(len(r)), where=on)
-            for idx, c in av.items():
-                merged, sign = merge_sign((i,), idx)
+            for m, c in av.items():
+                merged, sign = merge_sign(1 << (i - 1), m)
                 if sign:
                     term = dr * c if sign == 1 else -(dr * c)
                     wedge[merged] = wedge[merged] + term if merged in wedge else term
@@ -610,7 +610,7 @@ def _zeta_tables():
     axes = [a for a, _ in _TRANSVERSE]
     omega = []
     for i, j in _UPPER:
-        merged, sign = merge_sign((3,), (axes[i], axes[j]))
+        merged, sign = merge_sign(_MASKS[(3,)], _MASKS[(axes[i], axes[j])])
         omega.append((TRIPLE_POS[merged], float(sign), i, j))
     return phi_to_vector(rest), tuple(omega)
 

@@ -22,12 +22,12 @@ form scaled by a float or polynomial scalar of another ring, raise
 `MixedRingError`.  An int or Fraction scalar is taken into the form's ring,
 and `in_ring` is the one conversion of a form into another ring.
 
-Every multi-index has a 7-bit mask in `_MASKS` (bit i-1 set for axis i).
-The index-pair loops of `wedge`, `d_chart` and the table rows of
-`liecdga.StructureEqs` test two masks for a shared bit before they call
-`merge_sign`, so a pair that repeats an axis costs one integer AND;
-`merge_sign` still gives the sign and the merged index of every disjoint
-pair.
+Every multi-index has a 7-bit mask (bit i-1 for axis i): `_INDEX[m]` is
+the multi-index of mask m, `_MASKS` its inverse, and `_SIGN[b][a]`, the one
+sign table of the package, the sign of theta^A ^ theta^B once sorted (0
+where the masks meet).  The index-pair loops of `wedge`, `d_chart` and the
+table rows of `liecdga.StructureEqs` test two masks for a shared bit before
+they call `merge_sign`, so a pair that repeats an axis costs one integer AND.
 '''
 from __future__ import annotations
 
@@ -42,51 +42,48 @@ from .rings import (FLT, RAT, MixedRingError, Poly, _over_common_denominator,
 MultiIndex = tuple  # strictly increasing tuple of axis labels (1-based ints)
 
 
-def check_multi_index(idx, dim) -> MultiIndex:
-    idx = tuple(idx)
+def _check_axes(idx: tuple, dim) -> None:
     if any(type(i) is not int for i in idx):
         raise ValueError(f"multi-index entries must be ints: {idx}")
     if any(i < 1 or i > dim for i in idx):
         raise ValueError(f"multi-index {idx} out of range 1..{dim}")
+
+
+def check_multi_index(idx, dim) -> MultiIndex:
+    idx = tuple(idx)
+    _check_axes(idx, dim)
     if any(a >= b for a, b in zip(idx, idx[1:])):
         raise ValueError(f"multi-index {idx} must be strictly increasing")
     return idx
 
 
-def sort_with_sign(idx):
-    """Sort a repeated-free index tuple; return (sorted tuple, sign) or
-    (None, 0) when an axis repeats."""
-    idx = list(idx)
-    if len(set(idx)) != len(idx):
-        return None, 0
-    sign = 1
-    # insertion sort, counting transpositions; tuples are tiny
-    for i in range(1, len(idx)):
-        j = i
-        while j > 0 and idx[j - 1] > idx[j]:
-            idx[j - 1], idx[j] = idx[j], idx[j - 1]
-            sign = -sign
-            j -= 1
-    return tuple(idx), sign
-
-
-#: the 7-bit mask of each multi-index of axes 1..7, bit i-1 for axis i: two
+#: the multi-index of each 7-bit mask and the mask of each multi-index: two
 #: multi-indices share an axis exactly when their masks share a bit
-_MASKS = {tuple(i + 1 for i in range(7) if m >> i & 1): m for m in range(1 << 7)}
-
-#: merge_sign's memo, a -> {b -> (merged, sign)}, filled on first use of a pair
-_MERGE_MEMO = {}
+_INDEX = tuple(tuple(i + 1 for i in range(7) if m >> i & 1) for m in range(1 << 7))
+_MASKS = {idx: m for m, idx in enumerate(_INDEX)}
 
 
-def merge_sign(a: MultiIndex, b: MultiIndex):
-    """Merge two increasing multi-indices; return (merged, sign) or (None, 0)."""
-    try:
-        return _MERGE_MEMO[a][b]
-    except KeyError:
-        pass
-    hit = sort_with_sign(a + b)
-    _MERGE_MEMO.setdefault(a, {})[b] = hit
-    return hit
+def _sign_table():
+    """_SIGN[b][a]: the sign of theta^A ^ theta^B once sorted, 0 where the
+    masks meet.  With j the lowest axis of B and B' the rest, theta^A ^
+    theta^B = (-1)^popcount(a >> j) theta^(A+j) ^ theta^B'."""
+    table = [[1] * (1 << 7)]
+    for b in range(1, 1 << 7):
+        bit = b & -b
+        rest = table[b ^ bit]
+        table.append([0 if a & bit else (-1) ** (a // bit).bit_count() * rest[a | bit]
+                      for a in range(1 << 7)])
+    return tuple(table)
+
+
+_SIGN = _sign_table()
+
+
+def merge_sign(ma: int, mb: int):
+    """theta^A ^ theta^B for the multi-indices of the masks ma, mb, as
+    (merged index, sign); (None, 0) where they share an axis."""
+    s = _SIGN[mb][ma]
+    return (_INDEX[ma | mb], s) if s else (None, 0)
 
 
 def _add_term(acc: dict, idx, c) -> None:
@@ -184,12 +181,18 @@ class KForm:
 
     @classmethod
     def from_terms(cls, dim, degree, terms):
-        """The rational form sum c theta^idx over (idx, c) in terms; idx may be unsorted."""
+        """The rational form sum c theta^idx over (idx, c) in terms; idx may
+        be unsorted, and a term that repeats an axis is zero.  Each axis is
+        checked, then wedged on through _SIGN."""
+        cls.zero(dim, degree)   # a dim or degree out of range fails before _SIGN is read
         coeffs = {}
         for idx, c in terms:
-            sidx, sign = sort_with_sign(tuple(idx))
+            _check_axes(tuple(idx), dim)
+            m, sign = 0, 1
+            for bit in (1 << (i - 1) for i in idx):
+                m, sign = m | bit, sign * _SIGN[bit][m]
             if sign:
-                coeffs[sidx] = coeffs.get(sidx, 0) + sign * coerce_to(RAT, c)
+                coeffs[_INDEX[m]] = coeffs.get(_INDEX[m], 0) + sign * coerce_to(RAT, c)
         return cls(dim, degree, RAT, coeffs)
 
     # ----- ring handling ----------------------------------------------------
@@ -285,14 +288,14 @@ class KForm:
             den = da * db
         else:
             a, b = self.coeffs, other.coeffs
-        right = [(_MASKS[i2], i2, c2) for i2, c2 in b.items()]
+        right = [(_MASKS[i2], c2) for i2, c2 in b.items()]
         out = {}
         for i1, c1 in a.items():
             m1 = _MASKS[i1]
-            for m2, i2, c2 in right:
+            for m2, c2 in right:
                 if m1 & m2:
                     continue
-                merged, sign = merge_sign(i1, i2)
+                merged, sign = merge_sign(m1, m2)
                 c = c1 * c2 if sign == 1 else -(c1 * c2)
                 if merged in out:
                     out[merged] = out[merged] + c
@@ -316,7 +319,7 @@ class KForm:
             for i, dc in c.partials(self.dim).items():
                 if m >> i & 1:      # d(x_i) ^ theta^idx repeats axis i + 1
                     continue
-                merged, sign = merge_sign((i + 1,), idx)
+                merged, sign = merge_sign(1 << i, m)
                 val = dc if sign == 1 else -dc
                 terms[merged] = terms[merged] + val if merged in terms else val
         return KForm._trusted(self.dim, self.degree + 1, self.ring, terms)

@@ -58,7 +58,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .forms import _MASKS, KForm, merge_sign
+from .forms import _INDEX, _MASKS, _SIGN, KForm, merge_sign
 from .rings import RAT, _int_nth_root, nth_root_fraction
 
 DIM = 7
@@ -120,13 +120,13 @@ def _build_factor_tables():
         for pos, i in enumerate(triple):
             rest = triple[:pos] + triple[pos + 1:]
             a_entries[t].append((i - 1, PAIR_POS[rest], (-1) ** pos))
-    for p, pair_p in enumerate(PAIRS):
-        for q, pair_q in enumerate(PAIRS):
-            merged, s1 = merge_sign(pair_p, pair_q)
+    masks = [_MASKS[pair] for pair in PAIRS]
+    for p, mp in enumerate(masks):
+        for q, mq in enumerate(masks):
+            merged, s1 = merge_sign(mp, mq)
             if s1:
-                triple = tuple(x for x in range(1, DIM + 1) if x not in merged)
-                k_entries[TRIPLE_POS[triple]].append(
-                    (p, q, s1 * merge_sign(merged, triple)[1]))
+                rest = (1 << DIM) - 1 ^ mp ^ mq
+                k_entries[TRIPLE_POS[_INDEX[rest]]].append((p, q, s1 * _SIGN[rest][mp | mq]))
     return a_entries, k_entries
 
 
@@ -404,20 +404,15 @@ def is_g2_type(phi: KForm) -> G2Data:
 # Hodge star and norms
 # --------------------------------------------------------------------------
 
-#: per degree k: the k-subsets I of {1..7} in combinations order, and for
-#: each its complement I'
+#: per degree k: the k-subsets I of {1..7} in combinations order
 _SUBSETS = [list(combinations(range(1, DIM + 1), k)) for k in range(DIM + 1)]
-_COMPLEMENTS = [[tuple(x for x in range(1, DIM + 1) if x not in I) for I in subs]
-                for subs in _SUBSETS]
-#: for the exact kernel: per multi-index J, the mask of J' and (-1)^(sum J);
-#: per k and I' of _COMPLEMENTS[k], its mask and sign(I, I') (-1)^(sum I)
+#: for the exact kernel: per multi-index J, the mask of J' and (-1)^(sum J)
 _COMPLEMENT_MASKS = {J: ((1 << DIM) - 1 ^ m, (-1) ** sum(J)) for J, m in _MASKS.items()}
-_STAR_ROWS = [[(_COMPLEMENT_MASKS[I][0], merge_sign(I, comp)[1] * _COMPLEMENT_MASKS[I][1])
-               for I, comp in zip(subs, comps)] for subs, comps in zip(_SUBSETS, _COMPLEMENTS)]
-#: _ABOVE[i][m] = (-1)^(number of bits of m above bit i): the sign of
-#: theta^R ^ theta^(i+1), for R the axes of m, once it is sorted
-_ABOVE = [[(-1) ** bin(m >> (i + 1)).count("1") for m in range(1 << DIM)]
-          for i in range(DIM)]
+#: per k and I of _SUBSETS[k]: its complement I', and I''s mask and
+#: sign(I, I') (-1)^(sum I)
+_COMPLEMENTS = [[_INDEX[_COMPLEMENT_MASKS[I][0]] for I in subs] for subs in _SUBSETS]
+_STAR_ROWS = [[(c, _SIGN[c][c ^ (1 << DIM) - 1] * parity)
+               for c, parity in map(_COMPLEMENT_MASKS.get, subs)] for subs in _SUBSETS]
 
 
 def _column_wedge(data: G2Data, mask: int) -> dict:
@@ -431,7 +426,7 @@ def _column_wedge(data: G2Data, mask: int) -> dict:
         lower = _column_wedge(data, mask ^ 1 << j)
         w = {}
         for i, row in enumerate(data._ints[0]):
-            x, bit, above = row[j], 1 << i, _ABOVE[i]
+            x, bit, above = row[j], 1 << i, _SIGN[1 << i]
             if x:
                 for rows, y in lower.items():
                     if not rows & bit:

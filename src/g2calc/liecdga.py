@@ -48,11 +48,11 @@ class StructureEqs:
             checked.append(f)
         # a tuple, so that the table built from it cannot go stale
         self.d_gen = tuple(checked)
-        # d(theta^i) as (pair, mask of pair, n) rows over self._den
+        # d(theta^i) as (mask of pair, n) rows over self._den
         ints = [f._ints() for f in self.d_gen]
         self._den = math.lcm(*(d for _, d in ints))
         self._gen_rows = tuple(
-            tuple((pair, _MASKS[pair], n * (self._den // d)) for pair, n in num.items())
+            tuple((_MASKS[pair], n * (self._den // d)) for pair, n in num.items())
             for num, d in ints)
         # multi-index -> row of d
         self._table = {}
@@ -66,12 +66,11 @@ class StructureEqs:
         m = _MASKS[idx]
         row = []
         for pos, axis in enumerate(idx):
-            rest = idx[:pos] + idx[pos + 1:]
             m_rest = m ^ (1 << (axis - 1))
-            for pair, m_pair, n in self._gen_rows[axis - 1]:
+            for m_pair, n in self._gen_rows[axis - 1]:
                 if m_pair & m_rest:
                     continue
-                merged, sign = merge_sign(pair, rest)
+                merged, sign = merge_sign(m_pair, m_rest)
                 row.append((merged, n if (sign == 1) == (pos % 2 == 0) else -n))
         row = self._table[idx] = tuple(row)
         return row
@@ -159,7 +158,7 @@ def _form_from_json(dim, entries) -> KForm:
             terms.append((tuple(idx), _frac(c)))
         except ValueError as e:
             raise ValueError(f"term {entry!r}: {e}") from None
-        if len(set(idx)) != len(idx):
+        if any(idx.count(i) > 1 for i in idx):    # no hashing: an axis may be a list
             raise ValueError(f"term {entry!r} repeats an axis in its multi-index")
     deg = len(terms[0][0]) if terms else 0
     return KForm.from_terms(dim, deg, terms)

@@ -1,5 +1,6 @@
 """Independent references that the tests hold the package's kernels against:
-the interior product and one-point evaluation of a form; a matrix inverse
+the sign of the permutation that sorts a multi-index, by counting
+inversions; the interior product and one-point evaluation of a form; a matrix inverse
 by Fraction Gauss-Jordan elimination; the float metric (at any r), inverse
 metric, exact inner product and Fraction-constant star of G2Data; the closed form and
 right-hand side of the scalar flow line; the closed families and class
@@ -19,6 +20,18 @@ from g2calc.forms import KForm
 from g2calc.rings import (FLT, RAT, MixedRingError, _exact_real, _ratio_root, coerce_to,
                           ring_of)
 from g2calc.scaling import INCIDENCE, ScalingExponents, _float_root, _validated
+
+
+def sort_sign(seq) -> tuple:
+    """(sorted seq, sign of the permutation that sorts it) by counting
+    inversions, or (None, 0) when an axis repeats: theta^seq equals sign
+    theta^sorted."""
+    seq = tuple(seq)
+    if len(set(seq)) < len(seq):
+        return None, 0
+    inversions = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq))
+                     if seq[i] > seq[j])
+    return tuple(sorted(seq)), (-1) ** inversions
 
 
 def contract(form: KForm, vector) -> KForm:

@@ -2,7 +2,7 @@
 import math
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -12,10 +12,11 @@ from g2calc import forms as forms_module
 from g2calc import g2core
 from g2calc import rings as rings_module
 from g2calc.catalog import ch_map, chart_map, ffkm_model, nakamura_model
-from g2calc.forms import KForm, PolynomialMap, chart_vars, merge_sign, poly_ring
+from g2calc.forms import (_INDEX, _MASKS, _SIGN, KForm, PolynomialMap, chart_vars, merge_sign,
+                          poly_ring)
 from g2calc.liecdga import d_invariant, verify_primitive
 from g2calc.rings import FLT, RAT, MixedRingError, Poly
-from oracles import contract, eval_at
+from oracles import contract, eval_at, sort_sign
 
 DIM = 7
 YVARS = chart_vars("y", DIM)
@@ -272,29 +273,46 @@ def test_eval_at_substitutes_polynomials():
 
 
 # --------------------------------------------------------------------------
-# the kernel: memoised merge signs and the trusted build path
+# the kernel: the mask sign table and the trusted build path
 # --------------------------------------------------------------------------
 
 ALL_INDICES = [idx for k in range(DIM + 1) for idx in combinations(range(1, DIM + 1), k)]
 
 
-def _brute_merge(a, b):
-    """Sign of the permutation sorting a + b, by counting inversions."""
-    seq = a + b
-    if len(set(seq)) < len(seq):
-        return None, 0
-    inversions = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq))
-                     if seq[i] > seq[j])
-    return tuple(sorted(seq)), (-1) ** inversions
+def test_index_and_masks_are_inverse():
+    assert len(ALL_INDICES) == len(_INDEX) == len(_MASKS) == 128
+    assert sorted(_MASKS.values()) == list(range(128))
+    for idx in ALL_INDICES:
+        assert _INDEX[_MASKS[idx]] == idx
+        assert _MASKS[idx] == sum(1 << (i - 1) for i in idx)
+
+
+def test_sign_table_matches_the_oracle_on_every_mask_pair():
+    for a in ALL_INDICES:
+        for b in ALL_INDICES:
+            ma, mb = _MASKS[a], _MASKS[b]
+            assert _SIGN[mb][ma] == sort_sign(a + b)[1], (a, b)
+            assert (_SIGN[mb][ma] == 0) == bool(ma & mb), (a, b)
 
 
 def test_merge_sign_matches_brute_force_on_every_pair():
-    assert len(ALL_INDICES) == 128
     for a in ALL_INDICES:
         for b in ALL_INDICES:
-            want = _brute_merge(a, b)
-            assert merge_sign(a, b) == want, (a, b)
-            assert merge_sign(a, b) == want, (a, b)     # served from the memo
+            assert merge_sign(_MASKS[a], _MASKS[b]) == sort_sign(a + b), (a, b)
+
+
+def test_from_terms_matches_the_oracle_on_every_ordering():
+    # every tuple of axes of length <= 4: every permutation of every
+    # multi-index of degree <= 4, and every tuple that repeats an axis
+    c = Fraction(-3, 5)
+    for k in range(5):
+        for seq in product(range(1, DIM + 1), repeat=k):
+            got = KForm.from_terms(DIM, k, [(seq, c)])
+            merged, sign = sort_sign(seq)
+            if sign:
+                assert got == KForm(DIM, k, RAT, {merged: sign * c}), seq
+            else:
+                assert got.is_zero() and got.degree == k, seq
 
 
 _COEFF_TYPE = {RAT: Fraction, FLT: float}
@@ -380,7 +398,7 @@ def _reference_wedge(a, b):
     out = {}
     for i1, c1 in a.coeffs.items():
         for i2, c2 in b.coeffs.items():
-            merged, sign = forms_module.merge_sign(i1, i2)
+            merged, sign = sort_sign(i1 + i2)
             if sign == 0:
                 continue
             c = c1 * c2 if sign == 1 else -(c1 * c2)
@@ -434,13 +452,11 @@ def test_wedge_matches_the_fraction_loop(case, monkeypatch):
     monkeypatch.setattr(forms_module, "merge_sign", counting_merge_sign)
     a, b = WEDGE_CASES[case]
     got = a.wedge(b)
-    n_kernel = len(calls)
     want = _reference_wedge(a, b)
-    if a.degree + b.degree <= a.dim:
-        assert len(calls) - n_kernel == len(a.coeffs) * len(b.coeffs)
     # the kernel skips a pair that repeats an axis by its masks, so it calls
-    # merge_sign once per disjoint pair and for no other
-    assert n_kernel == sum(1 for i1 in a.coeffs for i2 in b.coeffs if not set(i1) & set(i2))
+    # merge_sign once per disjoint pair and for no other; the reference
+    # takes its signs from the oracle and makes no call
+    assert len(calls) == sum(1 for i1 in a.coeffs for i2 in b.coeffs if not set(i1) & set(i2))
     assert got == want
     assert list(got.coeffs) == list(want.coeffs)
     assert_canonical(got)

@@ -9,11 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from g2calc.catalog import ffkm_model, nakamura_model
-from g2calc.forms import KForm, _add_term, merge_sign, sort_with_sign
+from g2calc.forms import KForm, _add_term
 from g2calc.liecdga import (InvariantModel, JacobiError, StructureEqs,
                             check_d_squared, d_invariant, load_model,
                             model_from_dict, model_to_dict, verify_primitive)
 from g2calc.rings import FLT, RAT, Poly
+from oracles import sort_sign
 
 DIM = 7
 
@@ -164,6 +165,16 @@ BAD_MODELS = {
                                  "repeats an axis"),
     "repeated_axis_witness": (dict(_two_dim_model(), witnesses={"w": {
         "primitive": [["1", [1]]], "target": [["1", [2, 2]]]}}), "repeats an axis"),
+    # an axis that is not an int is refused before the term's sign is taken
+    "string_axis": (_two_dim_model(d={"a": [["1", ["x", 1]]]}),
+                    re.escape("multi-index entries must be ints: ('x', 1)")),
+    "string_axis_named_form": (dict(_two_dim_model(), named_forms={"w": [["1", ["x", 1]]]}),
+                               re.escape("multi-index entries must be ints: ('x', 1)")),
+    "list_axis": (_two_dim_model(d={"a": [["1", [[1], 2]]]}),
+                  re.escape("multi-index entries must be ints: ([1], 2)")),
+    # axis 8 lies past the sign table's 7 axes: the dimension is refused first
+    "dim_above_7": ({"dim": 8, "generators": list("abcdefgh"), "d": {"a": [["1", [8, 2]]]}},
+                    re.escape("need 0 <= degree <= dim <= 7")),
     **{f"domain_volume_{v}": (dict(_two_dim_model(), domain_volume=v),
                               re.escape(f"'domain_volume' must be a positive finite number, "
                                         f"got {v!r}"))
@@ -225,8 +236,8 @@ def test_structure_eqs_reject_float_constants():
 
 def _d_invariant_term_by_term(eqs, form):
     """d of a rational form as one form per term, added up one at a time
-    through the validating constructor, with signs from sorting (no
-    merge-sign memo)."""
+    through the validating constructor, with signs from the inversion-count
+    oracle."""
     dim = eqs.dim
     if form.degree >= dim:
         return KForm.zero(dim, dim)
@@ -235,7 +246,7 @@ def _d_invariant_term_by_term(eqs, form):
         for pos, axis in enumerate(idx):
             rest = idx[:pos] + idx[pos + 1:]
             for pair, c2 in eqs.d_gen[axis - 1].coeffs.items():
-                merged, sign = sort_with_sign(pair + rest)
+                merged, sign = sort_sign(pair + rest)
                 if sign == 0:
                     continue
                 total = c * c2
@@ -279,7 +290,7 @@ def _d_invariant_fraction_loop(eqs, form):
                 continue
             rest = idx[:pos] + idx[pos + 1:]
             for pair, c2 in dg.coeffs.items():
-                merged, sign = merge_sign(pair, rest)
+                merged, sign = sort_sign(pair + rest)
                 if sign == 0:
                     continue
                 total = c * c2
