@@ -22,11 +22,11 @@ terms of a scaled standard form meet seven monomials, one per diagonal
 entry.  The Hodge star of a rational form is one integer kernel built on
 Jacobi's identity, det(g^-1[I, J]) = +-det(g[J', I']) / det g for the
 complements I', J'.  With B = N / d and 36 det B = r^9, it reads
-sum_J (-1)^(sum J) a_J det N[I', J'] for all I' at once from the wedge of
-N's columns in J', built from the lowest column up over nonzero entries
-and memoised by column mask; N is never inverted.  The coefficient is
-r^(k+1) times a rational number and r^3 is rational, so *a = r^p Y with
-p = (k+1) mod 3 and Y rational (`star_parts`).
+sum_J (-1)^(sum J) a_J det N[I', J'] for all I' at once: the columns of
+every J' are pushed through N lowest first, over nonzero entries only, and
+terms at the same rows with the same columns left merge; N is never
+inverted.  The coefficient is r^(k+1) times a rational number and r^3 is
+rational, so *a = r^p Y with p = (k+1) mod 3 and Y rational (`star_parts`).
 
 Exact linear algebra (determinants and Sylvester's test) runs
 fraction-free on integer numerators over one common denominator, by one
@@ -349,8 +349,7 @@ class G2Data:
 
     def __init__(self, N, d: int, r3: Fraction):
         self._r3, self.vol_cubed = r3, r3 / 216
-        # _wedges is the memo of _column_wedge; the empty wedge is 1
-        self._ints, self._wedges = (N, d), {0: {0: 1}}
+        self._ints = (N, d)
 
     _r = cached_property(lambda self: nth_root_fraction(self._r3, 3))
     exact = cached_property(lambda self: self._r is not None)
@@ -415,39 +414,37 @@ _STAR_ROWS = [[(c, _SIGN[c][c ^ (1 << DIM) - 1] * parity)
                for c, parity in map(_COMPLEMENT_MASKS.get, subs)] for subs in _SUBSETS]
 
 
-def _column_wedge(data: G2Data, mask: int) -> dict:
-    """The wedge of the columns of N in `mask` (bit j for column j), as
-    {row mask: det N[rows, columns]}: the wedge of the lower columns, kept
-    in data._wedges by column mask, times the highest column, visiting only
-    nonzero entries.  A diagonal N costs one product per column."""
-    w = data._wedges.get(mask)
-    if w is None:
-        j = mask.bit_length() - 1
-        lower = _column_wedge(data, mask ^ 1 << j)
-        w = {}
-        for i, row in enumerate(data._ints[0]):
-            x, bit, above = row[j], 1 << i, _SIGN[1 << i]
-            if x:
-                for rows, y in lower.items():
-                    if not rows & bit:
-                        key = rows | bit
-                        w[key] = w.get(key, 0) + above[rows] * x * y
-        data._wedges[mask] = w
-    return w
-
-
-def _jacobi_sums(data: G2Data, nums: dict) -> dict:
+def _jacobi_sums(data: G2Data, nums: dict, k: int) -> dict:
     """{mask of I': sum_J (-1)^(sum J) n_J det N[I', J']} for the integer
-    numerators n_J of a rational form.  With Jacobi's identity and det N =
+    numerators n_J of a rational k-form.  With Jacobi's identity and det N =
     r^9 d^7 / 36, det(g^-1[I, J]) = 36 (-1)^(sum I + sum J) det N[I', J'] /
-    (d^(7-k) r^(9-k)), so these sums carry the star."""
-    sums = {}
+    (d^(7-k) r^(9-k)), so these sums carry the star.  The columns of every
+    J' are pushed through N together, lowest first, 7 - k times: a state is
+    one int, the columns still to push in bits 0-6 over the rows reached in
+    bits 7-13, and equal states merge.  Only nonzero entries of N are
+    visited, so a diagonal N costs one product per state and column."""
+    N = data._ints[0]
+    columns = [[(1 << i, 1 << DIM + i, _SIGN[1 << i], row[c]) for i, row in enumerate(N) if row[c]]
+               for c in range(DIM)]
+    state = {}
     for J, n in nums.items():
-        mask, parity = _COMPLEMENT_MASKS[J]
-        n *= parity
-        for rows, m in _column_wedge(data, mask).items():
-            sums[rows] = sums.get(rows, 0) + n * m
-    return sums
+        rest, parity = _COMPLEMENT_MASKS[J]
+        state[rest] = parity * n
+    for _ in range(DIM - k):
+        pushed = {}
+        for key, y in state.items():
+            rows, low = key >> DIM, key & -key
+            key ^= low
+            for bit, row_bit, above, x in columns[low.bit_length() - 1]:
+                if not rows & bit:
+                    to = key | row_bit
+                    # the sign is +-1: a branch, not a product of big integers
+                    if above[rows] > 0:
+                        pushed[to] = pushed.get(to, 0) + x * y
+                    else:
+                        pushed[to] = pushed.get(to, 0) - x * y
+        state = pushed
+    return {key >> DIM: y for key, y in state.items()}
 
 
 #: the antisymmetric tensor of a 3-form row, entry (a, b, c) in row-major
@@ -483,7 +480,9 @@ def star_parts(data: G2Data, a: KForm):
     (*a)_{I'} = sign(I, I') (-1)^(sum I) 6 r^(k+1) / (d^(7-k) r^9)
     sum_J (-1)^(sum J) a_J det N[I', J'].  With r^(k+1) = r^p (r^3)^q and
     r^3 = n / m in lowest terms, the constant is the integer ratio
-    6 m^(3-q) / (d^(7-k) n^(3-q)).  Complements whose sum has no term are
+    6 m^(3-q) / (d^(7-k) n^(3-q)).  The sums come from `_jacobi_sums` at
+    a's degree, which sets the number of columns pushed, so the zero k-form
+    has the zero (7-k)-form as its Y.  Complements whose sum has no term are
     skipped; Y keeps the complements' order.  Raises TypeError for a float
     or polynomial form and then ValueError for a form in another dimension."""
     na, da = a._ints()
@@ -491,7 +490,7 @@ def star_parts(data: G2Data, a: KForm):
         raise ValueError(f"the Hodge star takes a form in dimension {DIM}, "
                          f"got dimension {a.dim}")
     k = a.degree
-    sums = _jacobi_sums(data, na)
+    sums = _jacobi_sums(data, na, k)
     q, p = divmod(k + 1, 3)
     r3 = data._r3
     c = 6 * r3.denominator ** (3 - q)

@@ -141,7 +141,7 @@ def star_parts_fraction(data, a: KForm):
     Fraction and a row for every complement of a's degree."""
     k = a.degree
     na, da = a._ints()
-    sums = g2core._jacobi_sums(data, na)
+    sums = g2core._jacobi_sums(data, na, k)
     q, p = divmod(k + 1, 3)
     c = Fraction(6, data._ints[1] ** (g2core.DIM - k)) / data._r3 ** (3 - q)
     num = {comp: sign * c.numerator * sums.get(mask, 0)

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from g2calc import catalog, cli, collapse, ehmetric, flow
+from g2calc import catalog, cli, collapse, ehmetric, flow, g2core
 from g2calc.cli import build_suites, main
 from g2calc.liecdga import model_to_dict
 from g2calc.rings import MixedRingError
@@ -471,6 +471,22 @@ def test_exact_star_checks_reject_a_float_star_with_exact_values(check, monkeypa
         ok, detail = getattr(cli, check)(random.Random(0))
     except (TypeError, MixedRingError):
         return
+    assert not ok, detail
+
+
+@pytest.mark.parametrize("cid", ["g2core.star_star_identity", "g2core.phi_wedge_star_phi_7vol",
+                                 "flow.laplacian_unit_point"])
+def test_the_star_checks_fail_on_a_wrong_sign_in_the_star_kernel(cid, monkeypatch):
+    # no tautology: the exact star's kernel reads its signs from
+    # g2core._SIGN, and with the row of axis 4 negated every check that
+    # stands on the star turns red at seed 0
+    check = dict(cli.CHECKS)[cid]
+    ok, detail = check(random.Random(0))
+    assert ok, detail
+    table = list(g2core._SIGN)
+    table[1 << 3] = [-s for s in table[1 << 3]]
+    monkeypatch.setattr(g2core, "_SIGN", tuple(table))
+    ok, detail = check(random.Random(0))
     assert not ok, detail
 
 
