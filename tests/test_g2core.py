@@ -224,8 +224,8 @@ class _CountedInt(int):
 def test_the_star_kernel_takes_few_products_with_entries_of_n(k, bound):
     # a dense k-form on a dense N: pushing the columns of every J' at once
     # takes 2 982, 2 695 and 1 400 products with an entry of N at k = 2, 3
-    # and 4, where one column wedge per column mask took 5 628, 7 448 and
-    # 4 340; the count follows the support only, not the values
+    # and 4 (the count follows the support, not the values); a wedge of
+    # columns per column mask takes 5 628, 7 448 and 4 340
     rng = np.random.default_rng(11)
     (_, data), = _rational_definite(rng, 1)
     N, d = data._ints
