@@ -19,13 +19,13 @@ from itertools import combinations
 
 import numpy as np
 
-from . import catalog, collapse, ehmetric, flow, g2core, scaling
-from .forms import KForm, PolynomialMap, poly_ring
+from . import catalog, collapse, ehmetric, flow, forms, g2core, scaling
+from .forms import _INDEX, KForm, PolynomialMap, _label, merge_sign, poly_ring
 from .g2core import (SU2FiberData, bilinear_from_3form, hodge_star, is_g2_type,
                      standard_phi, star_parts, su2_assemble)
-from .liecdga import (InvariantModel, JacobiError, PrimitiveMismatch, StructureEqs,
-                      check_d_squared, d_invariant, load_model, model_from_dict,
-                      model_to_dict, verify_primitive)
+from .liecdga import (InvariantModel, JacobiError, LeibnizError, PrimitiveMismatch,
+                      StructureEqs, check_d_squared, check_leibniz, d_invariant,
+                      load_model, model_from_dict, model_to_dict, verify_primitive)
 from .rings import RAT, Poly
 
 DIM = 7
@@ -75,24 +75,82 @@ def _rand_invariant_form(rng, k) -> KForm:
     return KForm._trusted(DIM, k, RAT, dict(zip(idxs, cs)), 1)
 
 
+def _sum_over_terms(f, x) -> KForm:
+    """The sum of c f(theta^I) over the terms c theta^I of x, from f(0):
+    f(x) itself when f is additive and homogeneous."""
+    return sum((c * f(KForm.basis(DIM, idx)) for idx, c in x.coeffs.items()),
+               f(KForm.zero(DIM, x.degree)))
+
+
+def _basis(m: int) -> KForm:
+    return KForm.basis(DIM, _INDEX[m])
+
+
+def _labels(*masks) -> str:
+    return ", ".join(_label(_INDEX[m]) for m in masks)
+
+
+# The wedge and d read integer tables: forms._SIGN, read as an attribute of
+# forms because it is the table merge_sign reads, and the rows of d.  The
+# algebra checks prove their identity on every basis pair or triple of the
+# tables, and sample only what ties the code to them: products of random
+# basis monomials against merge_sign, and additivity and homogeneity on
+# dense random forms.
+MONOMIAL_DRAWS = 30
+DENSE_DRAWS = 2
+
+
 def _check_graded_commutativity(rng):
-    for _ in range(100):
+    sign = forms._SIGN
+    odd = [m.bit_count() & 1 for m in range(1 << DIM)]
+    for b, row in enumerate(sign):
+        for a, s in enumerate(row):
+            if a & b:
+                ok = s == 0
+            else:       # s t = +-1 makes both signs +-1
+                ok = s * sign[a][b] == (-1 if odd[a] & odd[b] else 1)
+            if not ok:
+                return False, f"sign table: the sign of {_labels(a, b)} is {s}"
+    for _ in range(MONOMIAL_DRAWS):
+        a, b = rng.randrange(1 << DIM), rng.randrange(1 << DIM)
+        idx, s = merge_sign(a, b)
+        if _basis(a).wedge(_basis(b)).coeffs != ({idx: s} if s else {}):
+            return False, f"the wedge of {_labels(a, b)} differs from merge_sign"
+    for _ in range(DENSE_DRAWS):
         k, l = rng.randrange(1, 4), rng.randrange(1, 4)
         a, b = _rand_invariant_form(rng, k), _rand_invariant_form(rng, l)
-        sign = (-1) ** (k * l)
-        if a.wedge(b) != sign * b.wedge(a):
-            return False, f"a^b != (-1)^kl b^a at degrees ({k},{l})"
-    return True, "100 random pairs, exact"
+        if a.wedge(b) != _sum_over_terms(lambda t: t.wedge(b), a):
+            return False, f"a ^ b is not additive and homogeneous in a at degrees ({k},{l})"
+    return True, (f"proved on all {len(sign) ** 2} ordered basis pairs of the sign table; "
+                  f"wedge equals merge_sign on {MONOMIAL_DRAWS} random basis pairs and is "
+                  f"linear in its left factor on {DENSE_DRAWS} random dense pairs, exact")
 
 
 def _check_wedge_associativity(rng):
-    for _ in range(100):
-        a = _rand_invariant_form(rng, rng.randrange(1, 3))
-        b = _rand_invariant_form(rng, rng.randrange(1, 3))
-        c = _rand_invariant_form(rng, rng.randrange(1, 3))
-        if a.wedge(b).wedge(c) != a.wedge(b.wedge(c)):
-            return False, "associativity failure"
-    return True, "100 random triples, exact"
+    sign, top = forms._SIGN, (1 << DIM) - 1
+    subsets = [[s for s in range(m + 1) if s & m == s] for m in range(top + 1)]
+    triples = 0
+    for a in range(top + 1):
+        for b in subsets[top ^ a]:
+            sab, ab = sign[b][a], a | b
+            for c in subsets[top ^ ab]:
+                triples += 1
+                if sab * sign[c][ab] != sign[c][b] * sign[b | c][a]:
+                    return False, f"sign table: not associative on {_labels(a, b, c)}"
+    for _ in range(MONOMIAL_DRAWS):
+        a, b, c = (rng.randrange(1 << DIM) for _ in range(3))
+        _, s = merge_sign(a, b)
+        abc, t = merge_sign(a | b, c)
+        if _basis(a).wedge(_basis(b)).wedge(_basis(c)).coeffs != ({abc: s * t} if s * t else {}):
+            return False, f"the wedge of {_labels(a, b, c)} differs from merge_sign"
+    for _ in range(DENSE_DRAWS):
+        k, l = rng.randrange(1, 4), rng.randrange(1, 4)
+        a, b = _rand_invariant_form(rng, k), _rand_invariant_form(rng, l)
+        if a.wedge(b) != _sum_over_terms(a.wedge, b):
+            return False, f"a ^ b is not additive and homogeneous in b at degrees ({k},{l})"
+    return True, (f"proved on all {triples} disjoint basis triples of the sign table; "
+                  f"wedge equals merge_sign on {MONOMIAL_DRAWS} random basis triples and is "
+                  f"linear in its right factor on {DENSE_DRAWS} random dense pairs, exact")
 
 
 def _rand_poly_form(rng, k, vars) -> KForm:
@@ -123,7 +181,7 @@ def _check_d_chart_squared(rng):
         a = _rand_poly_form(rng, rng.randrange(0, 3), vars)
         if not a.d_chart().d_chart().is_zero():
             return False, "d(d a) != 0"
-    return True, "60 random polynomial forms, exact"
+    return True, "sampled: 60 random polynomial forms (no finite basis), exact"
 
 
 def _check_pullback_commutes_d(rng):
@@ -140,27 +198,39 @@ def _check_pullback_commutes_d(rng):
         a = _rand_poly_form(rng, rng.randrange(1, 3), vars)
         if F.pullback(a.d_chart()) != F.pullback(a).d_chart():
             return False, "F^* d != d F^*"
-    return True, "40 random polynomial forms, exact"
+    return True, "sampled: 40 random polynomial forms (no finite basis), exact"
 
 
 def _check_leibniz(rng):
-    eqs = catalog.ffkm_model().eqs
-    for _ in range(100):
-        k, l = rng.randrange(1, 4), rng.randrange(1, 4)
-        a, b = _rand_invariant_form(rng, k), _rand_invariant_form(rng, l)
-        lhs = d_invariant(eqs, a.wedge(b))
-        rhs = d_invariant(eqs, a).wedge(b) + (-1) ** k * a.wedge(d_invariant(eqs, b))
-        if lhs != rhs:
-            return False, f"Leibniz failure at degrees ({k},{l})"
-    return True, "100 random pairs, exact"
+    for label, model_fn in (("product model", catalog.nakamura_model),
+                            ("nilmanifold model", catalog.ffkm_model)):
+        eqs = model_fn().eqs
+        try:
+            pairs = check_leibniz(eqs)
+        except LeibnizError as e:
+            return False, f"{label}: {e}"
+        for _ in range(DENSE_DRAWS):
+            a = _rand_invariant_form(rng, rng.randrange(1, 4))
+            if d_invariant(eqs, a) != _sum_over_terms(partial(d_invariant, eqs), a):
+                return False, (f"{label}: d is not additive and homogeneous on a "
+                               f"{a.degree}-form")
+    return True, (f"proved on all {pairs} basis pairs of each built-in model's d table; "
+                  f"d is linear on {DENSE_DRAWS} random dense forms per model, exact")
 
 
-def _check_d_squared(model_fn, label, rng):
+def _check_d_squared(model_fn, label, rng, on_all_forms=False):
+    """d^2 = 0 on the generators; `on_all_forms` adds the Leibniz rule on
+    every basis pair of the d table, which makes it d^2 = 0 on all forms."""
     try:
-        check_d_squared(model_fn().eqs)
-    except JacobiError as e:
+        eqs = model_fn().eqs
+        check_d_squared(eqs)
+        if not on_all_forms:
+            return True, f"{label}: d^2 = 0 on all generators, exact"
+        pairs = check_leibniz(eqs)
+    except (JacobiError, LeibnizError) as e:
         return False, f"{label}: {e}"
-    return True, f"{label}: d^2 = 0 on all generators, exact"
+    return True, (f"{label}: d^2 = 0 on all forms (on the generators, and the "
+                  f"Leibniz rule on all {pairs} basis pairs), exact")
 
 
 def _check_model_roundtrip(rng):
@@ -539,7 +609,7 @@ def _check_eh_mass(rng):
     for t in (0.5, 1.0, 2.0):
         p = ehmetric.build_profile(t, 4.0, 1.0)
         worst = max(worst, abs(p.h(np.array([p.q]))[0] + t ** 4) / t ** 4)
-    return worst < 1e-10, f"relative defect of integral(k) = -t^4: {worst:.3e}"
+    return bool(worst < 1e-10), f"relative defect of integral(k) = -t^4: {worst:.3e}"
 
 
 def _check_eh_certificate(rng):
@@ -770,7 +840,7 @@ def cmd_verify(args) -> int:
     if args.model:
         checks.insert(0, ("liecdga.check_d_squared.custom_model",
                           partial(_check_d_squared, partial(load_model, args.model),
-                                  "supplied model", None)))
+                                  "supplied model", None, on_all_forms=True)))
 
     rows = []
     for cid, fn in checks:

@@ -86,6 +86,11 @@ def merge_sign(ma: int, mb: int):
     return (_INDEX[ma | mb], s) if s else (None, 0)
 
 
+def _label(idx) -> str:
+    """e123 for the multi-index (1, 2, 3), and 1 for ()."""
+    return "e" + "".join(map(str, idx)) if idx else "1"
+
+
 def _add_term(acc: dict, idx, c) -> None:
     """acc[idx] += c; a sum that cancels leaves acc, so the key order is the
     one that adding the terms as forms one by one would give."""
@@ -338,8 +343,7 @@ class KForm:
         bits = []
         for idx in sorted(self.coeffs):
             c = self.coeffs[idx]
-            label = "e" + "".join(str(i) for i in idx) if idx else "1"
-            bits.append(f"({c})*{label}")
+            bits.append(f"({c})*{_label(idx)}")
         return " + ".join(bits)
 
     __repr__ = __str__

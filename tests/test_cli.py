@@ -12,10 +12,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from g2calc import catalog, cli, collapse, ehmetric, flow, g2core
+from g2calc import catalog, cli, collapse, ehmetric, flow, forms, g2core
 from g2calc.cli import build_suites, main
 from g2calc.liecdga import model_to_dict
-from g2calc.rings import MixedRingError
+from g2calc.forms import KForm
+from g2calc.rings import RAT, MixedRingError
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 VERIFY_IDS = [cid for checks in build_suites(0).values() for cid, _ in checks]
@@ -30,6 +31,15 @@ def test_verify_check(cid):
     # every verify check at seed 0, exactly as `g2calc verify` runs it
     ok, detail = dict(build_suites(0)[cid.split(".", 1)[0]])[cid]()
     assert ok, detail
+
+
+def test_every_verdict_is_a_python_bool():
+    # a runner that tests `ok is True` must read every verdict as it is:
+    # a numpy.bool_ is not True
+    for checks in build_suites(0).values():
+        for cid, fn in checks:
+            ok, detail = fn()
+            assert type(ok) is bool, (cid, type(ok))
 
 
 def test_registry_matches_the_benchmark_contract(monkeypatch):
@@ -141,6 +151,37 @@ def test_corrupted_model_fails_naming_the_check(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "check_d_squared" in captured.out + captured.err
+
+
+def _supplied_model_row(tmp_path, data):
+    path, out = tmp_path / "model.json", tmp_path / "report.json"
+    path.write_text(json.dumps(data))
+    code = run(["verify", "--suite", "liecdga", "--model", str(path), "--out", str(out)])
+    rows = {r["id"]: r for r in json.loads(out.read_text())["checks"]}
+    return code, rows["liecdga.check_d_squared.custom_model"]
+
+
+@pytest.mark.parametrize("data, pairs", [
+    (model_to_dict(catalog.nakamura_model()), 127 ** 2),
+    (model_to_dict(catalog.ffkm_model()), 127 ** 2),
+    ({"dim": 3, "generators": ["a", "b", "c"], "d": {"c": [["1", [1, 2]]]}}, 7 ** 2),
+], ids=["nakamura", "ffkm", "heisenberg3"])
+def test_a_supplied_model_gets_d_squared_on_all_forms(tmp_path, data, pairs):
+    # d^2 = 0 on the generators and the Leibniz rule on every pair of
+    # nonempty masks below 1 << dim of the model's own d table
+    code, row = _supplied_model_row(tmp_path, data)
+    assert code == 0 and row["status"] == "pass"
+    assert "d^2 = 0 on all forms" in row["detail"]
+    assert f"all {pairs} basis pairs" in row["detail"]
+
+
+def test_a_supplied_model_fails_the_leibniz_proof_on_a_wrong_sign_table(tmp_path,
+                                                                       monkeypatch):
+    data = model_to_dict(catalog.ffkm_model())
+    monkeypatch.setattr(forms, "_SIGN", _negated_sign(0b111, 0b111000))
+    code, row = _supplied_model_row(tmp_path, data)
+    assert code == 1 and row["status"] == "fail"
+    assert row["detail"].startswith("supplied model: d(e34 ^ e456) != ")
 
 
 def test_a_model_with_a_negative_volume_fails_naming_the_key(tmp_path):
@@ -488,6 +529,96 @@ def test_the_star_checks_fail_on_a_wrong_sign_in_the_star_kernel(cid, monkeypatc
     monkeypatch.setattr(g2core, "_SIGN", tuple(table))
     ok, detail = check(random.Random(0))
     assert not ok, detail
+
+
+def _negated_sign(a, b):
+    """forms._SIGN with the sign of theta^A ^ theta^B negated in both orders,
+    so that graded commutativity still holds."""
+    table = [list(row) for row in forms._SIGN]
+    table[b][a], table[a][b] = -table[b][a], -table[a][b]
+    return tuple(table)
+
+
+@pytest.fixture
+def rebuilt_models():
+    """The catalog's models, and the forms cached from them, are built
+    afresh in this test and after it: table rows filled under a mutant must
+    not reach another test."""
+    caches = (catalog.nakamura_model, catalog.ffkm_model, catalog._phi_basis,
+              catalog._ch_data, catalog._alpha_and_d)
+    for f in caches:
+        f.cache_clear()
+    yield
+    for f in caches:
+        f.cache_clear()
+
+
+#: sign-table mutants that keep graded commutativity: the masks of
+#: theta^12345 ^ theta^7 and of theta^123 ^ theta^456
+SIGN_MUTANTS = {"e12345^e7": (0b11111, 1 << 6), "e123^e456": (0b111, 0b111000)}
+
+
+@pytest.mark.parametrize("mutant", SIGN_MUTANTS)
+def test_the_algebra_checks_fail_on_a_wrong_sign_in_the_table(mutant, monkeypatch,
+                                                              rebuilt_models):
+    # when these checks sampled dense products, all 48 checks passed under
+    # the first mutant at seeds 0-9, and only liecdga.leibniz caught the
+    # second.  The table is not associative under either; the Leibniz rule
+    # breaks on both models under the first, and under the second only on
+    # the nilmanifold model, at e34 ^ e456, a pair that shares axis 4
+    checks = dict(cli.CHECKS)
+    red = ["forms.wedge_associativity", "liecdga.leibniz"]
+    for cid in red:
+        ok, detail = checks[cid](random.Random(0))
+        assert ok, detail
+    monkeypatch.setattr(forms, "_SIGN", _negated_sign(*SIGN_MUTANTS[mutant]))
+    for seed in range(10):
+        for cid in red:
+            ok, detail = checks[cid](random.Random(seed))
+            assert not ok, (cid, seed, detail)
+        ok, detail = checks["forms.graded_commutativity"](random.Random(seed))
+        assert ok, detail
+
+
+def _overwriting_wedge(self, other):
+    """KForm.wedge with each product written over the sum so far at its
+    index instead of added to it."""
+    deg = self.degree + other.degree
+    if deg > self.dim:
+        return KForm.zero(self.dim, self.dim)
+    (a, da), (b, db) = self._ints(), other._ints()
+    out = {}
+    for i1, c1 in a.items():
+        for i2, c2 in b.items():
+            merged, sign = forms.merge_sign(forms._MASKS[i1], forms._MASKS[i2])
+            if sign:
+                out[merged] = sign * c1 * c2
+    return KForm._trusted(self.dim, deg, RAT, out, da * db)
+
+
+@pytest.mark.parametrize("cid", ["forms.graded_commutativity", "forms.wedge_associativity"])
+def test_the_wedge_checks_fail_on_a_wedge_that_overwrites(cid, monkeypatch):
+    # the table proofs cannot see how the kernel sums its products, and a
+    # product of two basis monomials has one term: only the dense samples
+    # catch it
+    monkeypatch.setattr(KForm, "wedge", _overwriting_wedge)
+    for seed in range(10):
+        ok, detail = dict(cli.CHECKS)[cid](random.Random(seed))
+        assert not ok and "not additive and homogeneous" in detail, (seed, detail)
+
+
+@pytest.mark.parametrize("label, model", [("product model", "nakamura_model"),
+                                          ("nilmanifold model", "ffkm_model")])
+def test_the_leibniz_check_fails_on_one_integer_off_in_a_d_table_row(label, model,
+                                                                     rebuilt_models):
+    check = dict(cli.CHECKS)["liecdga.leibniz"]
+    ok, detail = check(random.Random(0))
+    assert ok, detail
+    eqs = getattr(catalog, model)().eqs
+    (idx, k), *rest = eqs._table[(4, 5)]
+    eqs._table[(4, 5)] = ((idx, k + 1), *rest)
+    ok, detail = check(random.Random(0))
+    assert not ok and detail.startswith(f"{label}: d("), detail
 
 
 def _with_r_cubed_times_8(real):

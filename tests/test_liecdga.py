@@ -8,10 +8,11 @@ from itertools import combinations
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from g2calc import forms
 from g2calc.catalog import ffkm_model, nakamura_model
 from g2calc.forms import KForm, _add_term
-from g2calc.liecdga import (InvariantModel, JacobiError, StructureEqs,
-                            check_d_squared, d_invariant, load_model,
+from g2calc.liecdga import (InvariantModel, JacobiError, LeibnizError, StructureEqs,
+                            check_d_squared, check_leibniz, d_invariant, load_model,
                             model_from_dict, model_to_dict, verify_primitive)
 from g2calc.rings import FLT, RAT, Poly
 from oracles import sort_sign
@@ -42,6 +43,43 @@ def test_jacobi_failure_detected():
     with pytest.raises(JacobiError) as err:
         check_d_squared(eqs)
     assert "Jacobi" in str(err.value)
+
+
+def _rebuilt(model):
+    """The model's structure equations, with a table of d rows of their own."""
+    eqs = model().eqs
+    return StructureEqs(eqs.dim, eqs.d_gen, eqs.generators)
+
+
+@pytest.mark.parametrize("model", [nakamura_model, ffkm_model])
+def test_the_leibniz_rule_holds_on_every_basis_pair_of_both_models(model):
+    assert check_leibniz(_rebuilt(model)) == 127 ** 2
+
+
+def test_the_leibniz_proof_covers_the_masks_below_the_dimension():
+    # the Heisenberg algebra, d t3 = t12: 7 nonempty masks, 49 pairs
+    assert check_leibniz(_eqs(3, [None, None, KForm.basis(3, (1, 2))])) == 49
+
+
+@pytest.mark.parametrize("model", [nakamura_model, ffkm_model])
+@pytest.mark.parametrize("idx", [(4,), (4, 5), (2, 5, 6), (3, 4, 5, 6, 7)])
+def test_the_leibniz_proof_fails_on_one_integer_off_in_a_table_row(model, idx):
+    eqs = _rebuilt(model)
+    (merged, k), *rest = eqs._row(idx)
+    eqs._table[idx] = ((merged, k + 1), *rest)
+    with pytest.raises(LeibnizError, match="in the table rows of d"):
+        check_leibniz(eqs)
+
+
+def test_the_leibniz_proof_needs_the_pairs_that_share_an_axis(monkeypatch):
+    # theta^123 ^ theta^456 negated in both orders of the sign table: on the
+    # nilmanifold model the first pair that breaks the rule shares axis 4
+    table = [list(row) for row in forms._SIGN]
+    table[0b111000][0b111] *= -1
+    table[0b111][0b111000] *= -1
+    monkeypatch.setattr(forms, "_SIGN", tuple(table))
+    with pytest.raises(LeibnizError, match=r"^d\(e34 \^ e456\) != d\(e34\) \^ e456 \+ "):
+        check_leibniz(_rebuilt(ffkm_model))
 
 
 def test_d_invariant_on_generators_matches_structure_eqs():
