@@ -33,8 +33,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import combinations
 
-import numpy as np
-
+from ._numpy import np
 from .ehmetric import (_UPPER, _plateau, _plateau_integral, build_profile,
                        default_t_for_epsilon, fd_d, omega_at, uniforms)
 from .forms import _MASKS, KForm, PolynomialMap, _add_term, chart_vars, merge_sign, poly_ring
@@ -102,10 +101,15 @@ class CutoffFn:
 
 DEFAULT_CUTOFF = CutoffFn()
 DEFAULT_EPSILON = 0.1
-#: the Eguchi-Hanson profile that the resolution surgery glues into each
-#: chart: R = 4, c = 1 and t = eps / (2R), so that tR = eps / 2
-SURGERY_PROFILE = build_profile(default_t_for_epsilon(DEFAULT_EPSILON, 4.0), 4.0)
 MU_SWEEP = (1, 2, 4, 8, 16)
+
+
+@cache
+def surgery_profile():
+    """The Eguchi-Hanson profile that the resolution surgery glues into each
+    chart: R = 4, c = 1 and t = eps / (2R), so that tR = eps / 2.  Built on
+    first use."""
+    return build_profile(default_t_for_epsilon(DEFAULT_EPSILON, 4.0), 4.0)
 
 
 # ===========================================================================
@@ -526,8 +530,10 @@ def _eval_columns(form: KForm, cols: dict) -> dict:
     return {idx: c.eval(cols) for idx, c in form.coeffs.items()}
 
 
-#: the coefficient row of xi^1, the flat FFKM form, in TRIPLES order
-_FLAT_XI_ROW = phi_to_vector(_FFKM_PHI)
+@cache
+def _flat_xi_row():
+    """The coefficient row of xi^1, the flat FFKM form, in TRIPLES order."""
+    return phi_to_vector(_FFKM_PHI)
 
 
 def glued_form_at(points, mu: float) -> dict:
@@ -544,7 +550,7 @@ def glued_form_at(points, mu: float) -> dict:
         raise ValueError(f"point outside the chart ball of radius {DEFAULT_EPSILON}")
     # phi^mu = (xi^mu + y1 dy^{147}) + d[f alpha], summed in this order
     y1, p147 = cols["y1"], TRIPLE_POS[(1, 4, 7)]
-    phi = np.repeat(_FLAT_XI_ROW[None], len(r), axis=0)
+    phi = np.repeat(_flat_xi_row()[None], len(r), axis=0)
     phi[:, TRIPLE_POS[(1, 2, 3)]] += float(mu) ** 6 - 1.0
     phi[:, p147] += y1
     phi += corr
@@ -599,6 +605,7 @@ def measure_quadlem_constant(rng, n: int = 400) -> dict:
 
 # ----- resolution surgery data ----------------------------------------------
 
+@cache
 def _zeta_tables():
     """zeta = dy^{347} + dy^3 ^ omega - dy^4 ^ Re Omega + dy^7 ^ Im Omega as
     the coefficient row of its terms without omega, and (column, sign, i, j)
@@ -613,9 +620,6 @@ def _zeta_tables():
         merged, sign = merge_sign(_MASKS[(3,)], _MASKS[(axes[i], axes[j])])
         omega.append((TRIPLE_POS[merged], float(sign), i, j))
     return phi_to_vector(rest), tuple(omega)
-
-
-_ZETA_REST, _ZETA_OMEGA = _zeta_tables()
 
 
 def _point_row(point: dict) -> list:
@@ -633,7 +637,8 @@ class ResolutionForms:
 
     sigma = d[f(2r/eps) (y1)^2/2 dy^{47}]; it vanishes near the exceptional
     locus and equals y1 dy^{147} once f == 1.  zeta replaces the flat fiber
-    form by the Kaehler form omega_t of SURGERY_PROFILE; zeta^mu = zeta + mu^-3 sigma.
+    form by the Kaehler form omega_t of `surgery_profile`; zeta^mu =
+    zeta + mu^-3 sigma.
     zeta_mu_rows writes the (n, 35) coefficient rows of zeta^mu at an (n, 7)
     array of chart points (zeta_rows those of zeta): omega_t from omega_at
     and sigma from the chain rule _d_cutoff_rows, both on point columns; a
@@ -654,9 +659,10 @@ class ResolutionForms:
 
     def _zeta_rows(self, cols: dict) -> np.ndarray:
         fiber = np.stack([cols[n] for _, n in _TRANSVERSE], axis=1)
-        om = omega_at(fiber, profile=SURGERY_PROFILE)
-        rows = np.tile(_ZETA_REST, (len(fiber), 1))
-        for col, sign, i, j in _ZETA_OMEGA:
+        om = omega_at(fiber, profile=surgery_profile())
+        rest, omega = _zeta_tables()
+        rows = np.tile(rest, (len(fiber), 1))
+        for col, sign, i, j in omega:
             rows[:, col] = sign * om[:, i, j]
         return rows
 

@@ -17,9 +17,8 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import combinations
 
-import numpy as np
-
 from . import catalog, collapse, ehmetric, flow, forms, g2core, scaling
+from ._numpy import np
 from .forms import _INDEX, KForm, PolynomialMap, _label, merge_sign, poly_ring
 from .g2core import (SU2FiberData, bilinear_from_3form, hodge_star, is_g2_type,
                      standard_phi, star_parts, su2_assemble)
@@ -745,7 +744,7 @@ def _check_collapse_fiber_diameter(rng):
 
 
 def _check_collapse_finsler(rng):
-    ups = catalog.SURGERY_PROFILE.upsilon
+    ups = catalog.surgery_profile().upsilon
     generic = collapse.limit_quasi_finsler("generic", [0, 0, 1])
     sing = collapse.limit_quasi_finsler("singular", [0, 0, 1], y1_samples=(0.0, 0.4))
     ok = abs(generic - 1.0) < 1e-12 and abs(sing - ups ** (2 / 3)) < 1e-12

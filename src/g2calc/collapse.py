@@ -25,11 +25,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .catalog import (DEFAULT_EPSILON, SURGERY_PROFILE, ResolutionForms, _FFKM_TERMS,
+from ._numpy import np
+from .catalog import (DEFAULT_EPSILON, ResolutionForms, _FFKM_TERMS,
                       _lam_sq, _point_row, glued_form_at, nakamura_model, phi_abl_mu,
-                      phi_check_mu)
+                      phi_check_mu, surgery_profile)
 from .ehmetric import normals
 from .g2core import (DIM, TRIPLE_POS, TRIPLES, NotStableError, bilinear_from_3form,
                      is_g2_type, metric_batch, phi_to_vector, standard_phi)
@@ -292,7 +291,7 @@ def lower_bound_global(mu, samples, Delta0: float) -> dict:
     """Check g^mu >= (1 - C De_0 / mu^3) ups^{4/3} f*g_E at every sample (C =
     LOWER_BOUND_C, ups of the surgery profile); a violation raises."""
     m = float(mu)
-    pref = (1.0 - LOWER_BOUND_C * Delta0 / m ** 3) * SURGERY_PROFILE.upsilon ** (4.0 / 3.0)
+    pref = (1.0 - LOWER_BOUND_C * Delta0 / m ** 3) * surgery_profile().upsilon ** (4.0 / 3.0)
     target = pref * base_pullback()
     worst, at = min(((_min_eig(s.matrix - target), s) for s in samples),
                     key=lambda pair: pair[0])
@@ -310,11 +309,11 @@ def resolution_equality_probe(mu) -> dict:
     the coefficient nu(r) with g_zeta >= nu^{4/3} (dy^3)^{x2} attains its
     minimum ups there.  Samples 60 radii around it, and r_eq itself."""
     rf = ResolutionForms(mu)
-    ups = SURGERY_PROFILE.upsilon
-    r_eq = SURGERY_PROFILE.r_frak
+    profile = surgery_profile()
+    ups, r_eq = profile.upsilon, profile.r_frak
     radii = np.append(np.linspace(0.55 * r_eq, 1.45 * r_eq, 60), r_eq)
     lams = radii * radii
-    min_nu = float(np.sqrt(1.0 + SURGERY_PROFILE.k(lams) / (2.0 * lams)).min())
+    min_nu = float(np.sqrt(1.0 + profile.k(lams) / (2.0 * lams)).min())
     pts = np.zeros((len(radii), DIM))
     pts[:, 0] = radii
     g, _ = metric_batch(rf.zeta_rows(pts))
@@ -355,7 +354,7 @@ def limit_quasi_finsler(base_tag: str, direction, y1_samples=(0.0,)) -> float:
             raise ValueError("singular strata are tangent to the circle "
                              "direction only")
         sing = np.zeros((DIM, DIM))
-        sing[2, 2] = SURGERY_PROFILE.upsilon ** (4.0 / 3.0)
+        sing[2, 2] = surgery_profile().upsilon ** (4.0 / 3.0)
         strata = [w_limit_metric(y1) for y1 in y1_samples] + [sing]
     else:
         raise ValueError(f"unknown base stratum {base_tag!r}")

@@ -39,8 +39,9 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cache
 
-import numpy as np
+from ._numpy import np
 
 
 class Infeasible(ValueError):
@@ -94,8 +95,13 @@ _GL_POS_WEIGHTS = (
     0.0081268769256983, 0.007096470791153821, 0.006058545504235195, 0.005014202742928604,
     0.003964554338444405, 0.0029107318179352943, 0.0018539607889441585, 0.0007967920655518723,
 )
-_GL_NODES = np.concatenate((-np.array(_GL_POS_NODES[::-1]), _GL_POS_NODES))
-_GL_WEIGHTS = np.concatenate((_GL_POS_WEIGHTS[::-1], _GL_POS_WEIGHTS))
+
+
+@cache
+def _gl_rule():
+    """All 96 nodes and weights, as arrays, built on the first quadrature."""
+    return (np.concatenate((-np.array(_GL_POS_NODES[::-1]), _GL_POS_NODES)),
+            np.concatenate((_GL_POS_WEIGHTS[::-1], _GL_POS_WEIGHTS)))
 
 
 def _bump(s):
@@ -113,12 +119,16 @@ def _gl(f, a: float, b) -> np.ndarray:
     Each row is one elementwise product and row sum, not a BLAS product,
     whose rounding depends on how many rows are batched."""
     b = np.asarray(b, dtype=float)
+    nodes, weights = _gl_rule()
     half, mid = 0.5 * (b - a), 0.5 * (a + b)
-    vals = f(mid[:, None] + half[:, None] * _GL_NODES)
-    return half * (vals * _GL_WEIGHTS).sum(axis=1)
+    vals = f(mid[:, None] + half[:, None] * nodes)
+    return half * (vals * weights).sum(axis=1)
 
 
-_BUMP_MASS = _gl(_bump, -1.0, [1.0])[0]
+@cache
+def _bump_mass() -> float:
+    """The kernel's integral over [-1, 1], the kernel CDF's normaliser."""
+    return _gl(_bump, -1.0, [1.0])[0]
 
 
 def _psi(x):
@@ -130,7 +140,7 @@ def _psi(x):
     out[lo], out[hi] = 0.0, 1.0
     mid = ~(lo | hi)
     if mid.any():
-        out[mid] = _gl(_bump, -1.0, x[mid]) / _BUMP_MASS
+        out[mid] = _gl(_bump, -1.0, x[mid]) / _bump_mass()
     return out
 
 

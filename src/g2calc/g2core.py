@@ -56,8 +56,7 @@ from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations, product
 
-import numpy as np
-
+from ._numpy import np
 from .forms import _INDEX, _MASKS, _SIGN, KForm, merge_sign
 from .rings import RAT, _int_nth_root, nth_root_fraction
 
@@ -144,8 +143,12 @@ def _dense_table(entries, rows):
     return T
 
 
-_A_TABLE = _dense_table(_A_ENTRIES, DIM)
-_K_TABLE = _dense_table(_K_ENTRIES, len(PAIRS))
+@cache
+def _float_tables():
+    """The A and K tables as float matrices, built on the first float batch."""
+    return _dense_table(_A_ENTRIES, DIM), _dense_table(_K_ENTRIES, len(PAIRS))
+
+
 #: rows per block of bilinear_batch: a block's A, K, A K and B (784 floats a
 #: row) stay near 128 KiB whatever the batch size
 _ROWS_PER_BLOCK = 2 ** 14 // (2 * DIM * len(PAIRS) + len(PAIRS) ** 2 + DIM * DIM)
@@ -247,10 +250,11 @@ def bilinear_batch(phis: np.ndarray) -> np.ndarray:
     batch."""
     phis = np.atleast_2d(np.asarray(phis, dtype=float))
     B = np.empty((len(phis), DIM, DIM))
+    a_table, k_table = _float_tables()
     for lo in range(0, len(phis), _ROWS_PER_BLOCK):
         rows = phis[lo:lo + _ROWS_PER_BLOCK]
-        A = (rows @ _A_TABLE).reshape(-1, DIM, len(PAIRS))
-        K = (rows @ _K_TABLE).reshape(-1, len(PAIRS), len(PAIRS))
+        A = (rows @ a_table).reshape(-1, DIM, len(PAIRS))
+        K = (rows @ k_table).reshape(-1, len(PAIRS), len(PAIRS))
         B[lo:lo + _ROWS_PER_BLOCK] = A @ K @ A.transpose(0, 2, 1)
     return B
 
@@ -453,8 +457,13 @@ def _jacobi_sums(data: G2Data, nums: dict, k: int) -> dict:
 #: entries of the sorted triples, in TRIPLES order
 _AXES3 = list(product(range(1, DIM + 1), repeat=3))
 _TENSOR_POS = [TRIPLE_POS.get(tuple(sorted(t)), 0) for t in _AXES3]
-_TENSOR_SIGN = np.array([np.sign((b - a) * (c - a) * (c - b)) for a, b, c in _AXES3])
 _SORTED_POS = [_AXES3.index(t) for t in TRIPLES]
+
+
+@cache
+def _tensor_sign():
+    """The signs of the sorts, as an array, built on the first norm."""
+    return np.array([np.sign((b - a) * (c - a) * (c - b)) for a, b, c in _AXES3])
 
 
 def norm_batch(g: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -466,7 +475,7 @@ def norm_batch(g: np.ndarray, rows: np.ndarray) -> np.ndarray:
     row, so a row gets the same bits alone or in any batch."""
     rows = np.atleast_2d(np.asarray(rows, dtype=float))
     ginv = np.linalg.inv(g)
-    up = (rows[:, _TENSOR_POS] * _TENSOR_SIGN).reshape(-1, DIM, DIM, DIM)
+    up = (rows[:, _TENSOR_POS] * _tensor_sign()).reshape(-1, DIM, DIM, DIM)
     up = np.einsum("nia,nabc->nibc", ginv, up)
     up = np.einsum("njb,nibc->nijc", ginv, up)
     up = np.einsum("nkc,nijc->nijk", ginv, up)

@@ -31,8 +31,6 @@ from operator import add
 from types import MappingProxyType
 from typing import Mapping
 
-import numpy as np
-
 RAT = "rational"
 FLT = "float"
 
@@ -277,7 +275,8 @@ class Poly:
 
     def eval(self, point: Mapping):
         """Value at a point (names -> numbers), or entry by entry at point
-        columns (names -> float arrays of one shape).  A coefficient is n / D,
+        columns (names -> float arrays of one shape); a real number is read
+        by float(x), anything else is a column.  A coefficient is n / D,
         rounded as float(Fraction) is; a power is the product x·x·..., the
         same for a float and an array, so an entry is its row's own float."""
         total, powers, den = 0.0, {}, self._den
@@ -287,7 +286,7 @@ class Poly:
                 if k:
                     if (v, k) not in powers:
                         x = point[v]
-                        x = x if isinstance(x, np.ndarray) else float(x)
+                        x = float(x) if isinstance(x, Real) else x
                         powers[v, k] = x
                         for _ in range(k - 1):
                             powers[v, k] = powers[v, k] * x

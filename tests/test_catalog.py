@@ -607,8 +607,25 @@ def test_cutoff_chain_rule_rows_match_the_point_form():
 # resolution surgery forms
 # --------------------------------------------------------------------------
 
+def test_the_surgery_data_are_built_once_with_the_bits_they_held_at_import():
+    p = catalog.surgery_profile()
+    assert catalog.surgery_profile() is p
+    assert (p.upsilon.hex(), p.r_frak.hex()) == ("0x1.6a09e667f3bcdp-1", "0x1.c56fc4e5a9a9ap-6")
+
+    def terms(row):
+        return {t: v for t, v in zip(TRIPLES, row.tolist()) if v}
+
+    assert terms(catalog._flat_xi_row()) == dict(catalog._FFKM_TERMS)
+    rest, omega = catalog._zeta_tables()
+    assert catalog._zeta_tables()[0] is rest
+    assert terms(rest) == {(1, 4, 5): 1.0, (1, 6, 7): 1.0, (2, 4, 6): -1.0,
+                           (2, 5, 7): 1.0, (3, 4, 7): 1.0}
+    assert omega == ((0, 1.0, 0, 1), (6, -1.0, 0, 2), (7, -1.0, 0, 3),
+                     (16, -1.0, 1, 2), (17, -1.0, 1, 3), (28, 1.0, 2, 3))
+
+
 def test_the_surgery_profile_has_t_r_at_half_the_chart_radius(monkeypatch):
-    p = catalog.SURGERY_PROFILE
+    p = catalog.surgery_profile()
     assert (p.R, p.c) == (4.0, 1.0)
     assert p.t * p.R == catalog.DEFAULT_EPSILON / 2
     assert p.upsilon == math.sqrt(0.5)
@@ -676,7 +693,7 @@ def _zeta_mu_by_wedges(rf, point):
     pt = {n: float(point.get(n, 0.0)) for n in catalog.YVARS}
     axes = (1, 2, 5, 6)
     fib = [pt[f"y{a}"] for a in axes]
-    M = ehmetric.omega_at([fib], profile=catalog.SURGERY_PROFILE)[0]
+    M = ehmetric.omega_at([fib], profile=catalog.surgery_profile())[0]
     om = KForm(7, 2, FLT, {(axes[i], axes[j]): M[i][j]
                            for i in range(4) for j in range(i + 1, 4)})
     th = lambda *idx: KForm.basis(7, idx).in_ring(FLT)

@@ -87,11 +87,48 @@ def test_importing_the_cli_builds_no_table_and_no_basis():
         "_cubic_table": 0}}
 
 
-def test_importing_the_cli_loads_no_numpy_polynomial():
-    # the Gauss-Legendre rule is a constant: no import pays for
-    # numpy.polynomial or the eigensolve of leggauss
-    out = _fresh_python('import sys, g2calc.cli; print("numpy.polynomial" in sys.modules)')
+def test_importing_the_cli_loads_no_numpy():
+    # numpy is most of a cold start; the modules read it through a lazy
+    # handle, and every value built with it is built on first use
+    out = _fresh_python('import sys, g2calc.cli; print("numpy" in sys.modules)')
     assert out.strip() == "False"
+
+
+# commands in one fresh interpreter, one after another: after each, whether
+# numpy has been loaded
+COMMANDS_LOAD_NUMPY = """
+import contextlib, io, json, sys
+from g2calc import cli
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(argv)
+    loaded.append([code, "numpy" in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def _numpy_loaded_after(*commands):
+    out = _fresh_python(COMMANDS_LOAD_NUMPY, json.dumps(commands))
+    return json.loads(out.splitlines()[-1])
+
+
+def test_the_exact_commands_never_load_numpy(tmp_path):
+    # flow, scan and the exact suites make no array: numpy stays unloaded
+    # through all of them
+    exact = [["flow", "--out", str(tmp_path / "flow.csv")],
+             ["scan", "--out", str(tmp_path / "scan.csv")]]
+    exact += [["verify", "--suite", suite, "--out", str(tmp_path / f"{suite}.json")]
+              for suite in ("forms", "liecdga", "g2core", "scaling", "flow")]
+    assert _numpy_loaded_after(*exact) == [[0, False]] * len(exact)
+
+
+@pytest.mark.parametrize("argv", [["eh", "--grid", "50"], ["verify", "--suite", "eh"]],
+                         ids=["eh", "verify_eh"])
+def test_a_float_command_loads_numpy_on_first_use(tmp_path, argv):
+    # the handle does load numpy once a float kernel reads it, so the test
+    # above cannot pass by a probe that never sees numpy
+    assert _numpy_loaded_after(argv + ["--out", str(tmp_path / "out")]) == [[0, True]]
 
 
 # a command in a fresh interpreter, as this one has loaded numpy.random

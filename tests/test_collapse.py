@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from g2calc import collapse, g2core
-from g2calc.catalog import SURGERY_PROFILE, ResolutionForms, phi_abl_mu
+from g2calc.catalog import ResolutionForms, phi_abl_mu, surgery_profile
 from g2calc.g2core import NotStableError, bilinear_from_3form, is_g2_type
 from g2calc.collapse import (MetricSample, base_pullback,
                              fiber_diameter_probe, ffkm_region_metrics,
@@ -260,7 +260,7 @@ def test_lower_bound_raises_on_violation():
 def test_resolution_equality_at_the_marked_radius():
     out = resolution_equality_probe(8)
     assert out["pass"]
-    assert out["min_nu"] == pytest.approx(SURGERY_PROFILE.upsilon, abs=1e-9)
+    assert out["min_nu"] == pytest.approx(surgery_profile().upsilon, abs=1e-9)
     assert out["equality_gap"] < 1e-12
 
 

@@ -300,9 +300,21 @@ def test_ricci_flat_closed_form():
 def test_gauss_legendre_constant_is_leggauss_96():
     # the rule is held as literals so that no import runs leggauss; it must
     # stay leggauss(96) bit for bit
-    nodes, weights = np.polynomial.legendre.leggauss(96)
-    assert np.array_equal(ehmetric._GL_NODES, nodes)
-    assert np.array_equal(ehmetric._GL_WEIGHTS, weights)
+    nodes, weights = ehmetric._gl_rule()
+    want_nodes, want_weights = np.polynomial.legendre.leggauss(96)
+    assert np.array_equal(nodes, want_nodes)
+    assert np.array_equal(weights, want_weights)
+
+
+def test_the_rule_and_the_kernel_mass_are_built_once_with_their_old_bits():
+    # the whole rule mirrors the positive literals, and the kernel's mass
+    # has the bits it had as a module constant
+    nodes, weights = ehmetric._gl_rule()
+    assert ehmetric._gl_rule()[0] is nodes
+    pos_nodes, pos_weights = list(ehmetric._GL_POS_NODES), list(ehmetric._GL_POS_WEIGHTS)
+    assert nodes.tolist() == [-x for x in reversed(pos_nodes)] + pos_nodes
+    assert weights.tolist() == pos_weights[::-1] + pos_weights
+    assert float(ehmetric._bump_mass()).hex() == "0x1.c6a650a045c7cp-2"
 
 
 # --------------------------------------------------------------------------

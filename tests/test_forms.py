@@ -730,6 +730,25 @@ def test_eval_with_non_dyadic_coefficients_keeps_the_bits_of_the_fraction_loop()
             assert type(got) is float and got == _reference_eval(p, point) == batch[j]
 
 
+def test_eval_tells_a_scalar_from_an_array_without_numpy():
+    # a real scalar, numpy's float64 too, is read by float(x) and gives a
+    # Python float; an array is used as it is, and each entry gets the bits
+    # of its own scalar value
+    vars = ("x", "y")
+    x, y = (Poly.var(vars, v) for v in vars)
+    p = x ** 3 * Fraction(1, 3) + x * y * Fraction(2, 7) - y
+    xs = [0.1, 1.7, -2.3, Fraction(5, 3)]
+    want = [p.eval({"x": v, "y": 0.5}) for v in xs]
+    assert [type(w) for w in want] == [float] * len(xs)
+    assert want == [_reference_eval(p, {"x": float(v), "y": 0.5}) for v in xs]
+    for v, w in zip(xs, want):
+        got = p.eval({"x": np.float64(v), "y": np.float64(0.5)})
+        assert type(got) is float and got.hex() == w.hex()
+    batch = p.eval({"x": np.array([float(v) for v in xs]), "y": np.full(len(xs), 0.5)})
+    assert type(batch) is np.ndarray and batch.shape == (len(xs),)
+    assert [b.hex() for b in batch.tolist()] == [w.hex() for w in want]
+
+
 # --------------------------------------------------------------------------
 # rational forms held as integer numerators over one denominator
 # --------------------------------------------------------------------------

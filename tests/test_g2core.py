@@ -1,4 +1,5 @@
 """Induced metric, Hodge star, and the SU(2)-fiber assembly lemma."""
+import hashlib
 import inspect
 import math
 from fractions import Fraction
@@ -264,6 +265,18 @@ def test_norm_of_unit_basis_form():
     g, _ = metric_batch(phi_to_vector(standard_phi()))
     assert norm_batch(g, phi_to_vector(th(1, 2, 3))) == pytest.approx([1.0], rel=1e-15)
     assert norm_batch(g, np.zeros(len(_TRIPLES))).tolist() == [0.0]
+
+
+def test_the_float_tables_are_built_once_with_the_bits_they_held_at_import():
+    # they are built on the first float batch or norm, no longer at import;
+    # the digests are of their bytes as module constants
+    a, k = g2core._float_tables()
+    sign = g2core._tensor_sign()
+    assert g2core._float_tables()[0] is a and g2core._tensor_sign() is sign
+    assert [(t.dtype.name, t.shape, hashlib.sha256(t.tobytes()).hexdigest()[:16])
+            for t in (a, k, sign)] == [("float64", (35, 147), "449cc9f0ae459a9f"),
+                                       ("float64", (35, 441), "30a091e77353edb0"),
+                                       ("int64", (343,), "a4e8137233e69328")]
 
 
 def test_metric_batch_matches_single_evaluation():
