@@ -62,7 +62,8 @@ class CutoffFn:
     derivatives within 6e-15.  (A ramp shorter than 2h, where the
     mollifier's shoulders overlap, is only within about 1e-11.)  The lower
     shoulder's complete integral is computed once per (a, b, h) and
-    memoised; a value inside a shoulder integrates that part on every call.
+    memoised; the values inside a shoulder integrate that part by parts,
+    in one call for all of them.
     The value and the derivative take a 1-d array of s only (a single s
     is a one-element call), so an entry does not depend on its batch; like
     every sampled quantity here they square by the product x·x, never by a

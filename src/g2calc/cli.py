@@ -14,7 +14,7 @@ import random
 import sys
 from collections import deque
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from itertools import combinations
 
 from . import catalog, collapse, ehmetric, flow, forms, g2core, scaling
@@ -969,7 +969,10 @@ def cmd_collapse(args) -> int:
 # argument parsing
 # ===========================================================================
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args keeps
+    no state on it, so later calls of main reuse it."""
     p = argparse.ArgumentParser(
         prog="g2calc",
         description="verification suites for closed definite 3-form families")

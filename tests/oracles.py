@@ -4,9 +4,13 @@ inversions; the interior product and one-point evaluation of a form; a matrix in
 by Fraction Gauss-Jordan elimination; the float metric (at any r), inverse
 metric, exact inner product and Fraction-constant star of G2Data; the closed form and
 right-hand side of the scalar flow line; the closed families and class
-detector built by wedges of the model's named forms; and the frame scales
+detector built by wedges of the model's named forms; the mollified
+plateau's integral by the nested Gauss-Legendre rule; the bytes that
+csv.writer writes for rows of floats; and the frame scales
 of the volume law by a walk over the exponent matrix E = 6 M^-1, with M^-1
 from the Fraction inverse.  No code in src/g2calc calls them."""
+import csv
+import io
 import math
 from fractions import Fraction
 from typing import Mapping
@@ -15,6 +19,7 @@ import numpy as np
 
 from g2calc import g2core
 from g2calc.catalog import _FFKM_PHI, _lam_parts, nakamura_model
+from g2calc.ehmetric import _gl, _plateau
 from g2calc.flow import _mu_closed, _mu_dot, _rate_constants
 from g2calc.forms import KForm
 from g2calc.rings import (FLT, RAT, MixedRingError, _exact_real, _ratio_root, coerce_to,
@@ -232,3 +237,38 @@ def solve_scaling(lambdas) -> ScalingExponents:
     if all(type(m) is Fraction for m in mus):
         return ScalingExponents(tuple(Fraction(n, d) for n, d in pairs), tuple(mus), True)
     return ScalingExponents(lambdas, tuple(float(m) for m in mus), False)
+
+
+def plateau_integral_nested(u, p, lo, hi, w, chunk=64) -> np.ndarray:
+    """int_{-oo}^u v^p B(v) dv on an array u by the nested rule: the part
+    of each mollifier shoulder below u as one 96-node Gauss-Legendre rule
+    of v^p B(v), where B at each node is the kernel CDF by another 96-node
+    rule (96 x 96 exponentials per u), and the flat part in closed form.
+    The points go through the rule `chunk` at a time, which bounds its
+    (96 chunk, 96) node grid."""
+    u = np.asarray(u, dtype=float)
+    mid = 0.5 * (lo + hi)
+    flat_lo, flat_hi = min(lo + w, mid), max(hi - w, mid)
+
+    def shoulder(a, b):
+        x = np.clip(u, a, b)
+        out = np.zeros(u.shape)
+        inside = np.flatnonzero(x > a)
+        for start in range(0, len(inside), chunk):
+            rows = inside[start:start + chunk]
+            out[rows] = _gl(lambda v: v ** p * _plateau(v, lo, hi, w), a, x[rows])
+        return out
+
+    top = np.clip(u, flat_lo, flat_hi)
+    flat = (top * top ** p - flat_lo * flat_lo ** p) / (p + 1)
+    return shoulder(lo - w, flat_lo) + flat + shoulder(flat_hi, hi + w)
+
+
+def csv_writer_bytes(header, rows) -> bytes:
+    """The bytes csv.writer writes for a header and rows of floats, each
+    float as its f"{v:.17g}" string."""
+    buf = io.StringIO(newline="")
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows([f"{v:.17g}" for v in row] for row in rows)
+    return buf.getvalue().encode()

@@ -70,13 +70,13 @@ print(json.dumps({"table_rows": rows, "built": built}))
 """
 
 
-def _fresh_python(code, *args):
+def _fresh_python(code, *args, cwd=None):
     """The stdout of `python -c code args` in a new interpreter that imports
-    g2calc from this checkout's src."""
+    g2calc from this checkout's src, run in the directory cwd."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
-    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, cwd=cwd,
                           capture_output=True, text=True, check=True).stdout
 
 
@@ -129,6 +129,52 @@ def test_a_float_command_loads_numpy_on_first_use(tmp_path, argv):
     # the handle does load numpy once a float kernel reads it, so the test
     # above cannot pass by a probe that never sees numpy
     assert _numpy_loaded_after(argv + ["--out", str(tmp_path / "out")]) == [[0, True]]
+
+
+# commands in one interpreter, one after another: the exit code, stdout
+# and stderr of each, a usage error's SystemExit read as its code
+COMMANDS_OUTPUT = """
+import contextlib, io, json, sys
+from g2calc import cli
+outputs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:
+            code = e.code
+    outputs.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(outputs))
+"""
+
+
+def test_the_cached_parser_carries_nothing_from_one_command_to_the_next(tmp_path):
+    # eh with flags off their defaults, a usage error, another command, and
+    # eh at its defaults: in one interpreter, through the one parser, each
+    # writes what it writes in an interpreter of its own
+    assert cli.build_parser() is cli.build_parser()
+    commands = [["eh", "--t", "0.3", "--R", "5", "--c", "1.5", "--grid", "50",
+                 "--seed", "3", "--out", "flagged"],
+                ["eh", "--grid", "many"],
+                ["verify", "--suite", "flow"],
+                ["eh", "--out", "defaults"]]
+    together, alone = tmp_path / "together", tmp_path / "alone"
+    together.mkdir()
+    alone.mkdir()
+    outputs = json.loads(_fresh_python(COMMANDS_OUTPUT, json.dumps(commands),
+                                       cwd=together))
+    assert [code for code, _, _ in outputs] == [0, 2, 0, 0]
+    assert "invalid int value: 'many'" in outputs[1][2]
+    for argv, output in zip(commands, outputs):
+        assert json.loads(_fresh_python(COMMANDS_OUTPUT, json.dumps([argv]),
+                                         cwd=alone)) == [output], argv
+    names = sorted(path.name for path in together.iterdir())
+    assert names == sorted(path.name for path in alone.iterdir())
+    assert names == ["defaults_certificate.json", "defaults_profile.csv",
+                     "flagged_certificate.json", "flagged_profile.csv"]
+    for name in names:
+        assert (together / name).read_bytes() == (alone / name).read_bytes(), name
 
 
 # a command in a fresh interpreter, as this one has loaded numpy.random

@@ -1,5 +1,6 @@
 """Interpolated Kaehler profile on the resolved C^2/Z2: construction
 invariants, positivity/volume certificates, and closedness."""
+import dataclasses
 import json
 import math
 import random
@@ -10,7 +11,7 @@ import pytest
 from g2calc import ehmetric
 from g2calc.catalog import DEFAULT_CUTOFF
 from g2calc.ehmetric import (ConstructionFailed, EHProfile, Infeasible,
-                             _gl, _plateau,
+                             _bump, _bump_mass, _gl, _plateau,
                              _plateau_integral, _profile_slopes, _psi,
                              build_profile,
                              certificate_to_json, closedness_residual,
@@ -21,7 +22,7 @@ from g2calc.ehmetric import (ConstructionFailed, EHProfile, Infeasible,
                              positivity_budget, ricci_residual)
 from g2calc.forms import KForm, chart_vars, poly_ring
 from g2calc.rings import Poly
-from oracles import eval_at
+from oracles import csv_writer_bytes, eval_at, plateau_integral_nested
 
 
 @pytest.fixture(scope="module")
@@ -200,33 +201,53 @@ def test_scale_equivariance_is_exact():
 
 
 def _plateau_integral_unmemoised(u, p, lo, hi, w):
-    """The shoulders and flat part of _plateau_integral, each shoulder
-    integrated by _gl afresh on every call, and the flat part's square as
-    the product x * x."""
+    """The shoulders and flat part of _plateau_integral at one u, each
+    shoulder integrated afresh on every call: a complete one by _gl of
+    v^p B, a partial one by parts, by one _gl per kernel bump; the power
+    v^(p+1) as the product v * v^p, and the flat part's square as x * x."""
     if u <= lo - w:
         return 0.0
     mid = 0.5 * (lo + hi)
     flat_lo, flat_hi = min(lo + w, mid), max(hi - w, mid)
-    f = lambda v: v ** p * _plateau(v, lo, hi, w)
-    total = _gl(f, lo - w, [min(u, flat_lo)])[0]
+
+    def V(v):
+        return v * v ** p / (p + 1)
+
+    def shoulder(a, b):
+        if u >= b:
+            return _gl(lambda v: v ** p * _plateau(v, lo, hi, w), a, [b])[0]
+        bumps = 0.0
+        for c, sign in ((lo, 1.0), (hi, -1.0)):
+            start, stop = max(a, c - w), min(u, c + w)
+            if stop > start:
+                bumps += sign * _gl(lambda v: (V(u) - V(v)) * _bump((v - c) / w),
+                                    start, [stop])[0]
+        edge = _plateau(np.array([a]), lo, hi, w)[0]
+        return (V(u) - V(a)) * edge + bumps / (w * _bump_mass())
+
+    total = shoulder(lo - w, flat_lo)
     if u > flat_lo:
         top = min(u, flat_hi)
         total += (top * top - flat_lo * flat_lo) / 2 if p else top - flat_lo
     if u > flat_hi:
-        total += _gl(f, flat_hi, [min(u, hi + w)])[0]
+        total += shoulder(flat_hi, hi + w)
     return total
 
 
-def test_shoulder_memo_is_exact(monkeypatch):
-    # the profile's plateau, the default cutoff's ramp, and that ramp with
-    # each of lo, hi and w moved alone; u before, inside and past each
-    # shoulder, and on the flat part
-    memo = {}
-    monkeypatch.setattr(ehmetric, "_SHOULDER_MEMO", memo)
+def _shoulder_shapes():
+    """(lo, hi, w) of the profile's plateau, the default cutoff's ramp, and
+    that ramp with each of lo, hi and w moved alone."""
     prof = build_profile(1.0, 4.0, 1.0)
     a, b, h = DEFAULT_CUTOFF.a, DEFAULT_CUTOFF.b, DEFAULT_CUTOFF.h
-    shapes = [(prof.p_lo, prof.p_hi, prof.rho), (a, b, h),
-              (a + 0.05, b, h), (a, b - 0.05, h), (a, b, h / 2)]
+    return [(prof.p_lo, prof.p_hi, prof.rho), (a, b, h),
+            (a + 0.05, b, h), (a, b - 0.05, h), (a, b, h / 2)]
+
+
+def test_shoulder_memo_is_exact(monkeypatch):
+    # u before, inside and past each shoulder, and on the flat part
+    memo = {}
+    monkeypatch.setattr(ehmetric, "_SHOULDER_MEMO", memo)
+    shapes = _shoulder_shapes()
     cases = []
     for lo, hi, w in shapes:
         us = (lo - 2 * w, lo - w / 2, lo, lo + w / 2, lo + w,
@@ -252,6 +273,26 @@ def test_shoulder_memo_is_exact(monkeypatch):
     for params, pairs in batches.items():
         us, values = zip(*pairs)
         assert _plateau_integral(np.array(us), *params).tolist() == list(values)
+
+
+@pytest.mark.parametrize("p", [0, 1])
+def test_shoulder_rule_by_parts_agrees_with_the_nested_rule(p):
+    # the shapes of test_shoulder_memo_is_exact and the overlapping ramp of
+    # test_cutoff_matches_a_high_order_reference_across_the_ramp, on 801 u
+    # across both shoulders and the flat part, against the nested 96 x 96
+    # rule; the scale is the integral's total, its value past both
+    # shoulders.  On the overlapping ramp the nested rule is the one that
+    # is off: its lower shoulder crosses the point where the upper bump
+    # switches on
+    for lo, hi, w in _shoulder_shapes() + [(0.6, 0.62, 0.05)]:
+        tol = 1e-11 if hi - lo < 2 * w else 1e-14
+        us = np.linspace(lo - w, hi + w, 801)
+        want = plateau_integral_nested(us, p, lo, hi, w)
+        got = _plateau_integral(us, p, lo, hi, w)
+        assert np.abs(got - want).max() <= tol * want[-1], (lo, hi, w)
+        # a u gets the same bits alone as in the batch
+        assert got.tolist() == [_plateau_integral(np.array([u]), p, lo, hi, w)[0]
+                                for u in us], (lo, hi, w)
 
 
 def test_profiles_with_one_shape_share_their_shoulders(monkeypatch):
@@ -674,6 +715,24 @@ def test_profile_csv_export(tmp_path, profile):
             lam = float(line.split(",")[0])
             assert line == ",".join(f"{v:.17g}" for v in (
                 lam, _one(p.k, lam), _one(p.h, lam), _one(p.slopes, lam)[2]))
+
+
+def test_profile_csv_has_the_bytes_of_csv_writer(tmp_path, profile):
+    # the profile's own rows, and rows of signed zero, the least subnormal,
+    # a huge value and ordinary ones
+    path = tmp_path / "profile.csv"
+    header = ["lambda", "k", "h", "aprime"]
+    lams = np.linspace(profile.q / 8.0, profile.q * 1.05, 400)
+    profile.export_csv(path, n=400)
+    rows = zip(lams, *profile.slopes(lams)[:3])
+    assert path.read_bytes() == csv_writer_bytes(header, rows)
+    odd = np.array([-0.0, 5e-324, 1e300, -1.0 / 3.0, 2.5, 1e-7])
+    fixed = dataclasses.replace(profile)
+    fixed.slopes = lambda lams: (odd, odd[::-1], -odd, None)
+    fixed.export_csv(path, n=len(odd))
+    lams = np.linspace(profile.q / 8.0, profile.q * 1.05, len(odd))
+    assert path.read_bytes() == csv_writer_bytes(header, zip(lams, odd, odd[::-1], -odd))
+    assert b"-0," in path.read_bytes() and b"4.9406564584124654e-324" in path.read_bytes()
 
 
 def test_certificate_json_export(tmp_path, profile):

@@ -13,7 +13,7 @@ from g2calc.forms import KForm
 from g2calc.liecdga import InvariantModel, StructureEqs
 from g2calc.g2core import standard_phi
 from g2calc.rings import nth_root_fraction
-from oracles import flow_closed_form, mu_dot
+from oracles import csv_writer_bytes, flow_closed_form, mu_dot
 
 DIM = 7
 
@@ -127,6 +127,19 @@ def test_trajectory_csv_roundtrip(tmp_path):
     assert len(got) == len(rows) + 1
     # 17 significant digits round-trip the floats exactly
     assert float(got[-1][1]) == rows[-1][1]
+
+
+def test_trajectory_csv_has_the_bytes_of_csv_writer(tmp_path):
+    # a computed trajectory, and rows of signed zero, the least subnormal,
+    # a huge value and ordinary ones
+    path = tmp_path / "traj.csv"
+    header = ["t", "mu_numeric", "mu_closed", "abs_err"]
+    odd = [(0.0, -0.0, 5e-324, 1e300), (0.5, 1.0 / 3.0, -2.5, 5e-324),
+           (1e-7, 1e300, -0.0, 0.0)]
+    for rows in (list(flow_integrate(1, (2, 1), 0.5, 100)), odd):
+        assert trajectory_to_csv(iter(rows), path) == (
+            len(rows), max(r[3] for r in rows))
+        assert path.read_bytes() == csv_writer_bytes(header, rows)
 
 
 def _rk4_calling_mu_dot(alpha, lam, t_end, steps):
