@@ -82,23 +82,6 @@ class CutoffFn:
         outside = (s <= self.a - self.h) | (s >= self.b + self.h)
         return np.where(outside, 0.0, _plateau(s, self.a, self.b, self.h) / (self.b - self.a))
 
-    @property
-    def deriv_bound(self) -> float:
-        return 1.0 / (self.b - self.a)
-
-    def certify(self, n: int = 10000) -> dict:
-        """Grid check of the defining properties; raises on violation."""
-        s = np.linspace(0.0, 1.5, n)
-        vals, ders = self(s), self.deriv(s)
-        if not np.all((vals >= 0) & (vals <= 1)):
-            raise AssertionError("cutoff leaves [0,1]")
-        if not np.all(vals[s <= 0.5] == 0) or not np.all(vals[s >= 1.0] == 1):
-            raise AssertionError("cutoff endpoints wrong")
-        sup = float(np.max(np.abs(ders)))
-        if sup > 3.0:
-            raise AssertionError(f"sup|f'| = {sup} > 3")
-        return {"grid": n, "sup_deriv": sup, "bound": 3.0}
-
 
 DEFAULT_CUTOFF = CutoffFn()
 DEFAULT_EPSILON = 0.1

@@ -19,13 +19,13 @@ from itertools import combinations
 
 from . import catalog, collapse, ehmetric, flow, forms, g2core, scaling
 from ._numpy import np
-from .forms import _INDEX, KForm, PolynomialMap, _label, merge_sign, poly_ring
+from .forms import _INDEX, _MASKS, KForm, PolynomialMap, _label, merge_sign, poly_ring
 from .g2core import (SU2FiberData, bilinear_from_3form, hodge_star, is_g2_type,
                      standard_phi, star_parts, su2_assemble)
 from .liecdga import (InvariantModel, JacobiError, LeibnizError, PrimitiveMismatch,
                       StructureEqs, check_d_squared, check_leibniz, d_invariant,
                       load_model, model_from_dict, model_to_dict, verify_primitive)
-from .rings import RAT, Poly
+from .rings import RAT, Poly, _pack
 
 DIM = 7
 
@@ -157,7 +157,8 @@ def _rand_poly_form(rng, k, vars) -> KForm:
     c an integer in [-3, 3], u and w two variable picks (with replacement),
     each factor kept with probability 0.6.  The keep flags, coefficients,
     picks and factor flags are drawn as one list each, the picks and the
-    factor flags two per index."""
+    factor flags two per index.  The form is built as packed integers, with
+    no Poly."""
     idxs = list(combinations(range(1, DIM + 1), k))
     n = len(idxs)
     keep = [rng.random() >= 0.5 for _ in range(n)]
@@ -166,12 +167,12 @@ def _rand_poly_form(rng, k, vars) -> KForm:
     factors = [rng.random() < 0.6 for _ in range(2 * n)]
     coeffs = {}
     for i, idx in enumerate(idxs):
-        if keep[i]:
+        if keep[i] and cs[i]:
             e = [0] * len(vars)
             for j in (2 * i, 2 * i + 1):
                 e[picks[j]] += factors[j]
-            coeffs[idx] = Poly(vars, {tuple(e): cs[i]})
-    return KForm(DIM, k, poly_ring(vars), coeffs)
+            coeffs[_MASKS[idx]] = {_pack(e): cs[i]}
+    return KForm._packed(DIM, k, poly_ring(vars), coeffs, 1)
 
 
 def _check_d_chart_squared(rng):

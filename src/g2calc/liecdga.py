@@ -227,16 +227,6 @@ class InvariantModel:
         self.domain_volume = domain_volume
         self.label = label
 
-    def involution_pullback(self, form: KForm) -> KForm:
-        """The pullback of a rational form along the diagonal involution:
-        each term times the signs of its axes."""
-        if not self.involution:
-            raise ValueError("model carries no involution")
-        num, den = form._ints()
-        signs = [int(self.involution[g]) for g in self.eqs.generators]
-        return KForm._trusted(form.dim, form.degree, RAT, {
-            idx: n * math.prod(signs[axis - 1] for axis in idx) for idx, n in num.items()}, den)
-
 
 def load_model(path) -> InvariantModel:
     with open(path) as fh:

@@ -8,6 +8,15 @@ Three rings are supported:
   named coordinate tuple (class :class:`Poly`), held as integer
   numerators over one reduced denominator, like a rational `forms.KForm`.
 
+A polynomial form of `forms` holds no Poly: its monomials are packed ints,
+exponent i of the ring's variables in bits 16i..16i+14 (`_pack`), so a
+monomial product is one integer add.  An exponent is at most _EXP_MAX =
+32767; the top bit of each field is a guard, which a product sets where an
+exponent passes the limit (`_times` raises ValueError there), so an
+exponent never carries into the next variable.  `_times` and `_power`
+multiply packed polynomials with Poly's term order, and `_add_into` adds
+them as Poly addition does.
+
 Mixing scalars from different rings inside one form is a hard error, raised
 by the form layer (see :mod:`g2calc.forms`).  Helpers here also give
 exact n-th roots of rationals, or None where the root is irrational; each
@@ -25,9 +34,9 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from numbers import Integral, Real
-from operator import add
+from operator import add, or_
 from types import MappingProxyType
 from typing import Mapping
 
@@ -163,6 +172,10 @@ class Poly:
         """self times n/d, for integers n and d > 0."""
         return Poly._from_ints(self.vars, {e: c * n for e, c in self._num.items()}, self._den * d)
 
+    def _packed(self, f: int = 1) -> dict:
+        """{packed monomial: f * numerator} of self (see _pack)."""
+        return {_pack(e): n * f for e, n in self._num.items()}
+
     @property
     def terms(self):
         """Read-only view, exponent tuple -> Fraction coefficient."""
@@ -256,23 +269,7 @@ class Poly:
     def __bool__(self):
         return bool(self._num)
 
-    def compose(self, monomial) -> "Poly":
-        """self∘F for a nonzero self, given monomial(e), the product of F's
-        components to the powers e; the terms are summed in key order."""
-        den = self._den
-        return reduce(add, (monomial(e)._scaled(n, den) for e, n in self._num.items()))
-
-    # ----- calculus -------------------------------------------------------
-    def partials(self, n: int) -> dict:
-        """{i: d self / d vars[i]} for each i < n whose variable appears in
-        self, in ascending i, from one pass over the terms."""
-        outs = {}
-        for e, c in self._num.items():
-            for i, k in enumerate(e[:n]):
-                if k:
-                    outs.setdefault(i, {})[e[:i] + (k - 1,) + e[i + 1:]] = c * k
-        return {i: Poly._from_ints(self.vars, outs[i], self._den) for i in sorted(outs)}
-
+    # ----- evaluation -----------------------------------------------------
     def eval(self, point: Mapping):
         """Value at a point (names -> numbers), or entry by entry at point
         columns (names -> float arrays of one shape); a real number is read
@@ -309,6 +306,110 @@ class Poly:
         return " + ".join(bits)
 
     __repr__ = __str__
+
+
+#: bits of one variable's field in a packed monomial; the top one is the guard
+_FIELD = 16
+_EXP_MAX = (1 << (_FIELD - 1)) - 1
+
+
+def _pack(expo) -> int:
+    """The exponents `expo` as one packed monomial, exponent i in field i;
+    an exponent outside 0.._EXP_MAX raises ValueError."""
+    e = 0
+    for i, k in enumerate(expo):
+        if not 0 <= k <= _EXP_MAX:
+            raise ValueError(f"exponent {k} does not fit its field: the limit is {_EXP_MAX}")
+        e |= k << _FIELD * i
+    return e
+
+
+def _unpack(e: int, n: int) -> tuple:
+    """The n exponents of the packed monomial e."""
+    return tuple(e >> s & _EXP_MAX for s in range(0, _FIELD * n, _FIELD))
+
+
+@cache
+def _guard(n: int) -> int:
+    """The guard bits of n fields."""
+    return sum(1 << _FIELD * i + _FIELD - 1 for i in range(n))
+
+
+def _times(a: dict, b: dict, guard: int, sign: int = 1) -> dict:
+    """sign * a * b for packed polynomials (monomial -> integer numerator),
+    with Poly's term order: first appearance, zeros dropped at the end.  A
+    product that sets a bit of `guard` (the guard bits of the ring's
+    fields) raises ValueError."""
+    if len(b) == 1:         # one term on either side: the keys are distinct
+        [(e2, n2)] = b.items()
+        n2 *= sign
+        out = {e1 + e2: n1 * n2 for e1, n1 in a.items()}
+    elif len(a) == 1:
+        [(e1, n1)] = a.items()
+        n1 *= sign
+        out = {e1 + e2: n1 * n2 for e2, n2 in b.items()}
+    else:
+        out = {}
+        for e1, n1 in a.items():
+            n1 *= sign
+            for e2, n2 in b.items():
+                e = e1 + e2
+                if e in out:
+                    out[e] += n1 * n2
+                else:
+                    out[e] = n1 * n2
+        if 0 in out.values():
+            out = {e: n for e, n in out.items() if n}
+    if reduce(or_, out, 0) & guard:
+        raise ValueError(f"a product passes the exponent limit {_EXP_MAX}")
+    return out
+
+
+def _power(p: dict, k: int, guard: int) -> dict:
+    """p ** k for a packed polynomial, by the squarings of Poly.__pow__."""
+    result = {0: 1}
+    while k:
+        if k & 1:
+            result = _times(result, p, guard)
+        k >>= 1
+        if k:
+            p = _times(p, p, guard)
+    return result
+
+
+def _partials(c: dict, n: int, skip: int = 0) -> list:
+    """[(i, d c / d x_i)] for a packed polynomial c, x_i the variable of
+    field i, for each i < n whose variable appears in c and whose bit in
+    `skip` is clear, in ascending i, from one pass over the terms; each in
+    c's term order."""
+    outs = {}
+    for e, c_e in c.items():
+        f, i = e, 0
+        while f and i < n:
+            k = f & _EXP_MAX
+            if k and not skip >> i & 1:
+                d = outs.get(i)
+                if d is None:
+                    d = outs[i] = {}
+                d[e - (1 << _FIELD * i)] = c_e * k
+            f >>= _FIELD
+            i += 1
+    return sorted(outs.items())
+
+
+def _add_into(acc: dict, terms: dict, f: int = 1) -> None:
+    """acc += f * terms, for packed polynomials, as Poly addition does: a
+    monomial whose sum cancels leaves acc, and goes to the end if it comes
+    back."""
+    for e, n in terms.items():
+        if e in acc:
+            total = acc[e] + n * f
+            if total:
+                acc[e] = total
+            else:
+                del acc[e]
+        else:
+            acc[e] = n * f
 
 
 def ring_of(s) -> object:

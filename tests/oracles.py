@@ -1,6 +1,9 @@
 """Independent references that the tests hold the package's kernels against:
 the sign of the permutation that sorts a multi-index, by counting
-inversions; the interior product and one-point evaluation of a form; a matrix inverse
+inversions; the interior product and one-point evaluation of a form; the
+chart derivative and the pullback of polynomial forms with one Poly per
+index, the way the package computed them before its forms held packed
+integers; a matrix inverse
 by Fraction Gauss-Jordan elimination; the float metric (at any r), inverse
 metric, exact inner product and Fraction-constant star of G2Data; the closed form and
 right-hand side of the scalar flow line; the closed families and class
@@ -13,6 +16,8 @@ import csv
 import io
 import math
 from fractions import Fraction
+from functools import reduce
+from operator import add
 from typing import Mapping
 
 import numpy as np
@@ -21,8 +26,8 @@ from g2calc import g2core
 from g2calc.catalog import _FFKM_PHI, _lam_parts, nakamura_model
 from g2calc.ehmetric import _gl, _plateau
 from g2calc.flow import _mu_closed, _mu_dot, _rate_constants
-from g2calc.forms import KForm
-from g2calc.rings import (FLT, RAT, MixedRingError, _exact_real, _ratio_root, coerce_to,
+from g2calc.forms import KForm, poly_ring
+from g2calc.rings import (FLT, RAT, MixedRingError, Poly, _exact_real, _ratio_root, coerce_to,
                           ring_of)
 from g2calc.scaling import INCIDENCE, ScalingExponents, _float_root, _validated
 
@@ -75,6 +80,97 @@ def eval_at(form: KForm, point: Mapping[str, float]) -> KForm:
         return form.in_ring(FLT)
     return KForm._trusted(form.dim, form.degree, FLT,
                           {i: c.eval(point) for i, c in form.coeffs.items()})
+
+
+def poly_partials(p: Poly, n: int) -> dict:
+    """{i: d p / d vars[i]} for each i < n whose variable appears in p, in
+    ascending i, from one pass over the terms."""
+    outs = {}
+    for e, c in p.terms.items():
+        for i, k in enumerate(e[:n]):
+            if k:
+                outs.setdefault(i, {})[e[:i] + (k - 1,) + e[i + 1:]] = c * k
+    return {i: Poly(p.vars, outs[i]) for i in sorted(outs)}
+
+
+def poly_compose(p: Poly, monomial) -> Poly:
+    """p∘F for a nonzero p, given monomial(e), the product of F's components
+    to the powers e; the terms are summed in key order."""
+    return reduce(add, (monomial(e) * c for e, c in p.terms.items()))
+
+
+def _add_poly_term(acc: dict, idx, c) -> None:
+    """acc[idx] += c; an index whose sum cancels leaves acc."""
+    if idx in acc:
+        total = acc[idx] + c
+        if total:
+            acc[idx] = total
+        else:
+            del acc[idx]
+    elif c:
+        acc[idx] = c
+
+
+def poly_sum(a: dict, b: dict) -> dict:
+    """The sum of two {index: Poly} dicts, b's terms added to a's one by one."""
+    out = dict(a)
+    for i, c in b.items():
+        _add_poly_term(out, i, c)
+    return out
+
+
+def poly_wedge(a: dict, b: dict) -> dict:
+    """The wedge of two {index: Poly} dicts: an index keeps its place when its
+    sum cancels, and the zeros are dropped at the end."""
+    out = {}
+    for i1, c1 in a.items():
+        for i2, c2 in b.items():
+            merged, sign = sort_sign(i1 + i2)
+            if sign:
+                c = c1 * c2 if sign == 1 else -(c1 * c2)
+                out[merged] = out[merged] + c if merged in out else c
+    return {i: c for i, c in out.items() if c}
+
+
+def d_chart(form: KForm) -> KForm:
+    """The chart derivative of a polynomial form, one Poly per index: each
+    coefficient's partials in ascending axis, added to their index as Polys
+    (an index whose sum cancels keeps its place until the end)."""
+    terms = {}
+    if form.degree < form.dim:
+        for idx, c in form.coeffs.items():
+            for i, dc in poly_partials(c, form.dim).items():
+                merged, sign = sort_sign((i + 1,) + idx)
+                if sign:
+                    val = dc if sign == 1 else -dc
+                    terms[merged] = terms[merged] + val if merged in terms else val
+    return KForm(form.dim, min(form.degree + 1, form.dim), form.ring,
+                 {i: c for i, c in terms.items() if c})
+
+
+def pullback(F, form: KForm) -> KForm:
+    """F^*(form) for a PolynomialMap F, one Poly per index: the sum over I of
+    (c_I∘F) F^*(dy^I), where F^*(dy^I) wedges the Jacobian rows of I's axes
+    onto 1 and an index whose sum cancels leaves the result."""
+    src, dim = F.source_vars, form.dim
+    if form.ring == RAT:
+        form = KForm(dim, form.degree, poly_ring(F.target_vars),
+                     {i: Poly.const(F.target_vars, c) for i, c in form.coeffs.items()})
+
+    def monomial(e):
+        return math.prod((F.components[v] ** k for v, k in zip(F.target_vars, e) if k),
+                         start=Poly.const(src, 1))
+
+    out = {}
+    for idx, c in form.coeffs.items():
+        cf = poly_compose(c, monomial)
+        dy = {(): Poly.const(src, 1)}
+        for axis in idx:
+            p = F.components[F.target_vars[axis - 1]]
+            dy = poly_wedge(dy, {(i + 1,): dp for i, dp in poly_partials(p, dim).items()})
+        for i, m in dy.items():
+            _add_poly_term(out, i, cf * m)
+    return KForm(dim, form.degree, poly_ring(src), out)
 
 
 def fraction_inverse(M) -> list:

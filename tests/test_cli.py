@@ -7,6 +7,7 @@ import subprocess
 import sys
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +16,8 @@ import pytest
 from g2calc import catalog, cli, collapse, ehmetric, flow, forms, g2core
 from g2calc.cli import build_suites, main
 from g2calc.liecdga import model_to_dict
-from g2calc.forms import KForm
-from g2calc.rings import RAT, MixedRingError
+from g2calc.forms import KForm, poly_ring
+from g2calc.rings import RAT, MixedRingError, Poly
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
 VERIFY_IDS = [cid for checks in build_suites(0).values() for cid, _ in checks]
@@ -756,3 +757,33 @@ def test_one_verify_pass_measures_the_comparison_constants_once(monkeypatch):
     counting(direct)
     assert len(calls) == 5
     assert made.getstate() == shared_rng.getstate() == direct.getstate()
+
+
+def _rand_poly_form_through_polys(rng, k, vars):
+    """cli._rand_poly_form's draws, in its order, built as one Poly per index."""
+    idxs = list(combinations(range(1, 8), k))
+    n = len(idxs)
+    keep = [rng.random() >= 0.5 for _ in range(n)]
+    cs = rng.choices(range(-3, 4), k=n)
+    picks = rng.choices(range(len(vars)), k=2 * n)
+    factors = [rng.random() < 0.6 for _ in range(2 * n)]
+    coeffs = {}
+    for i, idx in enumerate(idxs):
+        if keep[i]:
+            e = [0] * len(vars)
+            for j in (2 * i, 2 * i + 1):
+                e[picks[j]] += factors[j]
+            coeffs[idx] = Poly(vars, {tuple(e): cs[i]})
+    return KForm(7, k, poly_ring(vars), coeffs)
+
+
+def test_random_polynomial_forms_are_the_ones_built_through_polys():
+    # the packed build draws the same numbers, so each seed gives the same forms
+    vars = tuple(f"y{i}" for i in range(1, 8))
+    for seed in range(20):
+        for k in range(4):
+            rng, ref = random.Random(seed), random.Random(seed)
+            got = cli._rand_poly_form(rng, k, vars)
+            want = _rand_poly_form_through_polys(ref, k, vars)
+            assert got == want and list(got.coeffs.items()) == list(want.coeffs.items())
+            assert rng.random() == ref.random()

@@ -8,15 +8,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from g2calc import catalog, g2core
 from g2calc import forms as forms_module
-from g2calc import g2core
 from g2calc import rings as rings_module
 from g2calc.catalog import ch_map, chart_map, ffkm_model, nakamura_model
+from g2calc.cli import _rand_poly_form
 from g2calc.forms import (_INDEX, _MASKS, _SIGN, KForm, PolynomialMap, chart_vars, merge_sign,
                           poly_ring)
 from g2calc.liecdga import d_invariant, verify_primitive
 from g2calc.rings import FLT, RAT, MixedRingError, Poly
-from oracles import contract, eval_at, sort_sign
+import oracles
+from oracles import contract, eval_at, poly_partials, sort_sign
 
 DIM = 7
 YVARS = chart_vars("y", DIM)
@@ -154,15 +156,18 @@ def _assert_pullbacks_match(pairs):
         assert_canonical(got)
 
 
-def test_memoised_pullback_matches_the_sequential_wedge_on_alternating_maps():
-    rng = random.Random(29)
-    y = {v: Poly.var(YVARS, v) for v in YVARS}
+def _alternating_map():
     # not injective (y1 and y2 both go to y1), with non-dyadic coefficients
-    G = PolynomialMap(YVARS, YVARS, {
+    y = {v: Poly.var(YVARS, v) for v in YVARS}
+    return PolynomialMap(YVARS, YVARS, {
         "y1": y["y1"] + y["y2"] * y["y3"] * Fraction(2, 5), "y2": y["y1"],
         "y3": y["y3"] ** 2 - Fraction(1, 3), "y4": y["y4"] * y["y5"] + y["y7"],
         "y5": y["y5"], "y6": y["y6"] - y["y1"] * Fraction(3, 7), "y7": y["y7"] * 2})
-    maps = (_quadratic_map(), G)
+
+
+def test_memoised_pullback_matches_the_sequential_wedge_on_alternating_maps():
+    rng = random.Random(29)
+    maps = (_quadratic_map(), _alternating_map())
     pairs = []
     for n in range(60):
         k = rng.randint(0, 3)
@@ -182,12 +187,17 @@ def test_memoised_pullback_with_spectator_source_variables():
     _assert_pullbacks_match(pairs)
 
 
-def test_memoised_pullback_keeps_forms_of_different_dimension_apart():
+def _small_map():
     s = chart_vars("s", 3)
     x = {v: Poly.var(s, v) for v in s}
-    F = PolynomialMap(s, chart_vars("t", 3), {
+    return PolynomialMap(s, chart_vars("t", 3), {
         "t1": x["s1"] + x["s2"] * x["s3"], "t2": x["s2"] - x["s1"] ** 2 * Fraction(1, 2),
         "t3": x["s3"] + x["s1"] * x["s2"]})
+
+
+def test_memoised_pullback_keeps_forms_of_different_dimension_apart():
+    F = _small_map()
+    s = F.source_vars
     rng = random.Random(37)
     pairs = []
     for n in range(24):
@@ -440,6 +450,10 @@ WEDGE_CASES = {
                                             (7,): Poly.const(YVARS, 5)})),
 }
 
+# the same, as constant polynomials: the empty coefficient keeps its place
+WEDGE_CASES["poly_cancelled_key_reappears"] = tuple(
+    f.in_ring(YRING) for f in WEDGE_CASES["cancelled_key_reappears"])
+
 
 @pytest.mark.parametrize("case", sorted(WEDGE_CASES))
 def test_wedge_matches_the_fraction_loop(case, monkeypatch):
@@ -590,7 +604,7 @@ def test_poly_ring_matches_the_fraction_loops():
     for p, q in pairs:
         outs = [(p + q, _reference_poly_add(p, q)), (p * q, _reference_poly_mul(p, q)),
                 (-p, Poly(vars, {e: -c for e, c in p.terms.items()}))]
-        partials = p.partials(len(vars))
+        partials = poly_partials(p, len(vars))
         assert list(partials) == [i for i, v in enumerate(vars) if _reference_poly_diff(p, v)]
         outs += [(partials.get(i, Poly(vars, {})), _reference_poly_diff(p, v))
                  for i, v in enumerate(vars)]
@@ -666,16 +680,17 @@ def test_poly_arithmetic_builds_no_fractions(monkeypatch):
     x, y = Poly.var(vars, "x"), Poly.var(vars, "y")
     third = Fraction(1, 3)
     p = x * third + y * Fraction(-2, 7) + 1
+    a = KForm(2, 0, poly_ring(vars), {(): p})
     made = []
     monkeypatch.setattr(Fraction, "__new__", lambda *args, **kw: made.append(args))
-    outs = [p + x, p - p, -p, p * p, p * third, 3 * p, p ** 3, 1 - p,
-            p.partials(2)[0], p.partials(2)[1]]
+    outs = [p + x, p - p, -p, p * p, p * third, 3 * p, p ** 3, 1 - p, a.d_chart()]
     same = [p == p * 1, p * p == p ** 2, (p - p) == 0, p != x]
     monkeypatch.undo()
     assert made == []
     assert same == [True, True, True, True]
     assert outs[3] == _reference_poly_mul(p, p)
-    assert outs[8] == Poly.const(vars, third) and outs[9] == Poly.const(vars, Fraction(-2, 7))
+    assert outs[8].coeffs == {(1,): Poly.const(vars, third),
+                              (2,): Poly.const(vars, Fraction(-2, 7))}
 
 
 def test_equal_polys_built_different_ways_compare_equal():
@@ -917,14 +932,13 @@ def _exact_entry_points() -> dict:
         "SU2FiberData": lambda f: g2core.SU2FiberData(*map(f, fiber)),
         "verify_primitive": lambda f: verify_primitive(ffkm.eqs, f(rho), target),
         "verify_primitive.target": lambda f: verify_primitive(ffkm.eqs, rho, f(target)),
-        "involution_pullback": lambda f: ffkm.involution_pullback(f(phi)),
     }
 
 
 @pytest.mark.parametrize("ring", [FLT, YRING], ids=["flt", "poly"])
 @pytest.mark.parametrize("entry", [
     "is_g2_type", "bilinear_from_3form", "star_parts", "hodge_star", "d_invariant", "ch_map",
-    "SU2FiberData", "verify_primitive", "verify_primitive.target", "involution_pullback"])
+    "SU2FiberData", "verify_primitive", "verify_primitive.target"])
 def test_every_exact_entry_point_refuses_a_float_or_polynomial_form(entry, ring):
     # KForm._ints refuses the form, naming its ring, wherever it is read
     call = _exact_entry_points()[entry]
@@ -932,3 +946,169 @@ def test_every_exact_entry_point_refuses_a_float_or_polynomial_form(entry, ring)
     with pytest.raises(TypeError, match="exact operations take rational forms, got one over "
                                         + ("float" if ring == FLT else "polynomials in")):
         call(lambda form: form.in_ring(ring))
+
+
+# --------------------------------------------------------------------------
+# polynomial forms on packed integers, against the Poly-per-index oracle
+# --------------------------------------------------------------------------
+
+def _assert_same_terms(got, want):
+    """Equal forms, with the same index order and, index by index, the same
+    Poly coefficients in the same term order."""
+    assert got == want
+    assert list(got.coeffs) == list(want.coeffs)
+    assert [list(c.terms.items()) for c in got.coeffs.values()] == \
+        [list(c.terms.items()) for c in want.coeffs.values()]
+
+
+def test_integer_forms_match_the_poly_per_index_oracle():
+    rng = random.Random(53)
+    seven = (_quadratic_map(), _alternating_map(),
+             chart_map(0, extra_vars=("u",)), chart_map(1, extra_vars=("u",)))
+    small = _small_map()
+    cases = []                                   # (map, form)
+    for n in range(120):                         # dim 7, every degree 0..7
+        F = seven[n % 4]
+        k = rng.randint(0, DIM)
+        a = (_rational_form(rng, k) if n % 5 == 4
+             else _random_poly_form(rng, k, F.target_vars))
+        cases.append((F, a))
+    for n in range(50):                          # dims 2 and 3, every degree
+        dim = 2 + n % 2
+        k = rng.randint(0, dim)
+        a = (KForm(dim, k, RAT, {idx: Fraction(rng.randint(-4, 4), rng.randint(1, 5))
+                                 for idx in combinations(range(1, dim + 1), k)})
+             if n % 5 == 4 else _random_poly_form(rng, k, small.target_vars, dim))
+        cases.append((small, a))
+    # forms whose terms cancel: a - a, d(d a), and p (dy1 - dy2) ^ c, which
+    # the map that sends y2 to y1 pulls back to zero, alone and added to a
+    collapse = PolynomialMap(YVARS, YVARS, {v: Poly.var(YVARS, "y1" if v == "y2" else v)
+                                            for v in YVARS})
+    for n in range(30):
+        k = rng.randint(1, 3)
+        a = _random_poly_form(rng, k, YVARS)
+        p = _random_poly(rng, YVARS) + Poly.var(YVARS, "y5")
+        b = KForm(DIM, 1, YRING, {(1,): p, (2,): -p}).wedge(
+            _random_poly_form(rng, k - 1, YVARS))
+        cases += [(collapse, b), (collapse, a + b), (seven[0], a - a), (seven[1], a.d_chart())]
+    # dx1 cancels at dy2 and comes back at dy3, after dx4: it goes to the end
+    y = {v: Poly.var(YVARS, v) for v in YVARS}
+    fold = PolynomialMap(YVARS, YVARS, {v: y["y1"] if v in ("y2", "y3") else y[v] for v in YVARS})
+    p = y["y1"] * Fraction(1, 3) + y["y4"]
+    a = KForm(DIM, 1, YRING, {(1,): p, (2,): -p, (4,): y["y2"], (3,): p * p})
+    assert list(fold.pullback(a).coeffs) == [(4,), (1,)]
+    cases.append((fold, a))
+    assert len(cases) >= 200
+    zeros = 0
+    for F, a in cases:
+        if a.ring != RAT:
+            _assert_same_terms(a.d_chart(), oracles.d_chart(a))
+        got = F.pullback(a)
+        _assert_same_terms(got, oracles.pullback(F, a))
+        zeros += got.is_zero()
+    assert zeros >= 60
+
+
+def test_packed_products_and_d_keep_the_term_order_of_poly():
+    # y1^2 cancels inside the product and comes back: it keeps its first
+    # place, as in Poly multiplication
+    x = Poly.var(YVARS, "y1")
+    c1, c2 = 1 + x + x * x, 1 - x + x * x
+    got = KForm(DIM, 0, YRING, {(): c1}).scale(c2)
+    assert list(got.coeffs[()].terms) == list((c1 * c2).terms)
+    assert [e[0] for e in got.coeffs[()].terms] == [2, 0, 4]
+    # dy123 cancels at the second index and comes back at the third, after
+    # dy124: it keeps its first place
+    y = {v: Poly.var(YVARS, v) for v in YVARS}
+    a = KForm(DIM, 2, YRING, {(2, 3): y["y1"], (1, 2): y["y4"] - y["y3"], (1, 3): y["y2"]})
+    _assert_same_terms(a.d_chart(), oracles.d_chart(a))
+    assert list(a.d_chart().coeffs) == [(1, 2, 3), (1, 2, 4)]
+
+
+def test_the_catalog_forms_keep_the_term_order_of_the_oracle():
+    # alpha_a rebuilt one Poly per index: each scale, sum and wedge as the
+    # oracle adds its terms
+    y1, y2, y5, y6 = (Poly.var(YVARS, n) for n in ("y1", "y2", "y5", "y6"))
+    half = Fraction(1, 2)
+
+    def dy(axis, c):
+        return {(axis,): Poly.const(YVARS, 1) * c}
+
+    beta = oracles.poly_sum(oracles.poly_sum(dy(6, y1 * y5 + half * y2 * y2),
+                                             dy(4, y1 * y1 * y5 + half * y1 * y2 * y2)),
+                            dy(3, Fraction(-1, 2) * y1 * y1 * y6))
+    gamma = oracles.poly_sum(oracles.poly_sum(dy(4, Fraction(-1, 2) * y1 * y1
+                                                 + Fraction(-1, 8) * y1 ** 4),
+                                              dy(7, y1 * y2)),
+                             dy(5, half * y1 * y1 * y2))
+    one = Poly.const(YVARS, 1)
+    want = oracles.poly_sum(oracles.poly_wedge({(1,): one}, beta),
+                            oracles.poly_wedge({(3,): one}, gamma))
+    alpha, dalpha = catalog._alpha_and_d()
+    _assert_same_terms(alpha, KForm(DIM, 2, YRING, want))
+    _assert_same_terms(dalpha, oracles.d_chart(alpha))
+    sigma = catalog.ResolutionForms
+    _assert_same_terms(sigma._SIGMA_DA, oracles.d_chart(sigma._SIGMA_A))
+    assert list(sigma._SIGMA_DA.coeffs) == [(1, 4, 7)]
+
+
+def test_an_exponent_past_its_field_is_refused():
+    top = rings_module._EXP_MAX
+    assert top == 32767
+    vars = ("x", "y")
+    ring = poly_ring(vars)
+
+    def mono(kx, ky=0):
+        return Poly(vars, {(kx, ky): Fraction(2, 3)})
+
+    def form(kx, ky=0):
+        return KForm(2, 0, ring, {(): mono(kx, ky)})
+
+    # construction from a Poly: the largest exponent round-trips through coeffs
+    with pytest.raises(ValueError, match="32767"):
+        form(top + 1)
+    with pytest.raises(ValueError):
+        form(3, top + 1)
+    assert list(form(top, top).coeffs[()].terms.items()) == [((top, top), Fraction(2, 3))]
+    # wedge and scale by a polynomial: 16384 + 16384 is one past the field,
+    # and the guard refuses it rather than carry into y's exponent
+    half = top // 2 + 1
+    for operation in (lambda a, b: a.wedge(b), lambda a, b: a.scale(b.coeffs[()])):
+        with pytest.raises(ValueError):
+            operation(form(half, 5), form(half, 7))
+        got = operation(form(half - 1, 5), form(half, 7))
+        assert list(got.coeffs[()].terms.items()) == [((top, 12), Fraction(4, 9))]
+    with pytest.raises(ValueError):
+        form(1).scale(Poly(vars, {(top + 1, 0): 1}))
+    # pullback: in the product of the components, and in the product of
+    # c o F with the Jacobian rows (t1 -> x^3, so dt1 -> 3x^2 dx)
+    t = ("t1", "t2")
+    x, y = Poly.var(vars, "x"), Poly.var(vars, "y")
+    F = PolynomialMap(vars, t, {"t1": x * x * x, "t2": y})
+    for k, degree in ((10923, 0), (10922, 1)):
+        with pytest.raises(ValueError):
+            F.pullback(KForm(2, degree, poly_ring(t), {(1,)[:degree]: Poly(t, {(k, 0): 1})}))
+    got = F.pullback(KForm(2, 1, poly_ring(t), {(1,): Poly(t, {(10921, 0): 1})}))
+    assert list(got.coeffs[(1,)].terms.items()) == [((top - 2, 0), Fraction(3))]
+    got = F.pullback(KForm(2, 0, poly_ring(t), {(): Poly(t, {(10922, 0): 1})}))
+    assert list(got.coeffs[()].terms.items()) == [((top - 1, 0), Fraction(1))]
+
+
+def test_the_polynomial_checks_build_no_poly(monkeypatch):
+    # the forms and the map of forms.pullback_commutes_with_d and
+    # forms.chart_d_squared, built first; the checks themselves run on
+    # packed integers
+    rng = random.Random(0)
+    comps = {v: Poly.var(YVARS, v) + Poly.var(YVARS, YVARS[(i + 2) % DIM]) ** 2 * Fraction(1, 3)
+             for i, v in enumerate(YVARS)}
+    F = PolynomialMap(YVARS, YVARS, comps)
+    forms = [_rand_poly_form(rng, rng.randrange(0, 3), YVARS) for _ in range(40)]
+    made = []
+    monkeypatch.setattr(Poly, "__init__", lambda self, *args: made.append(args))
+    monkeypatch.setattr(Poly, "_from_ints", classmethod(lambda cls, *args: made.append(args)))
+    differ = [F.pullback(a.d_chart()) != F.pullback(a).d_chart() for a in forms]
+    closed = [a.d_chart().d_chart().is_zero() for a in forms]
+    monkeypatch.undo()
+    assert made == []
+    assert differ == [False] * 40 and closed == [True] * 40
+    assert sum(not a.is_zero() for a in forms) > 20

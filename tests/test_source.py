@@ -48,13 +48,7 @@ def test_no_module_names_numpy_random(path):
 
 #: public functions and methods that no code in src/g2calc calls, with the
 #: reason each one stays
-NO_CALLER_IN_SRC = {
-    # waiting for the exact cohomology checks (ROADMAP item 7)
-    "liecdga.InvariantModel.involution_pullback": "to compute invariant classes",
-    # waiting for the certified cutoff (ROADMAP item 8)
-    "catalog.CutoffFn.deriv_bound": "the bound the certified cutoff proves",
-    "catalog.CutoffFn.certify": "the grid check the certified cutoff replaces",
-}
+NO_CALLER_IN_SRC = {}
 
 
 def _public_defs(tree, module):
